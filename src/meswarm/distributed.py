@@ -3,27 +3,25 @@
 Each node owns its own state estimate and one 15n x 15 column slice of the
 joint gain matrix.  Between observations nodes run silently, accumulating a
 propagation factor; when an observation is originated the factors are
-exchanged, the originating node broadcasts the residual and update system,
-and every node applies them locally.  The curvature correction of the
-centralised filter is deliberately dropped here, since it would need the
-full gain inverse.
+exchanged, the originating node computes the low-rank gain correction once
+and broadcasts it with the residual, and every node applies them locally.
+The curvature correction of the centralised filter is deliberately dropped
+here, since it would need the full gain inverse.
 """
 
 import logging
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import models
-from .joint import riccati_diag_step
+from .joint import UpdateSingularError, gain_correction, riccati_diag_step
 from .kernels import expm
 from .lie import STATE_DOF, VehicleState, compose, group_exp, identity_state
 
 log = logging.getLogger(__name__)
 
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 
 class SynchronizationError(RuntimeError):
@@ -57,19 +55,11 @@ class PeerStateReply:
 class UpdateBroadcast:
     origin: int
     kind: str
+    subject: int           # landmark index, or target vehicle
     dt: float
     t_ns: int
-    r: np.ndarray                  # 15n residual vector
-    s: np.ndarray = None           # full 15n x 15n update system, or None
-    factor_cols: np.ndarray = None  # 15n x 15k gain columns of the factored form
-    factor_rows: np.ndarray = None  # 15k x 15n Hessian-term rows
-
-    def system_matrix(self):
-        """Materialise I + dt K E from whichever encoding was sent."""
-        if self.s is not None:
-            return self.s
-        dim = self.r.shape[0]
-        return np.eye(dim) + self.dt * (self.factor_cols @ self.factor_rows)
+    r: np.ndarray          # m residual entries at models.update_indices
+    gain: np.ndarray       # 15n x m gain correction G, None if refused
 
 
 def _mat(m):
@@ -94,13 +84,9 @@ def encode_message(msg):
                 "k_col": _mat(msg.k_col)}
     elif isinstance(msg, UpdateBroadcast):
         body = {"type": "update_broadcast", "origin": msg.origin,
-                "kind": msg.kind, "dt": msg.dt, "t_ns": msg.t_ns,
-                "r": _mat(msg.r)}
-        if msg.s is not None:
-            body["s"] = _mat(msg.s)
-        else:
-            body["factor_cols"] = _mat(msg.factor_cols)
-            body["factor_rows"] = _mat(msg.factor_rows)
+                "kind": msg.kind, "subject": msg.subject, "dt": msg.dt,
+                "t_ns": msg.t_ns, "r": _mat(msg.r),
+                "gain": None if msg.gain is None else _mat(msg.gain)}
     else:
         raise TypeError(f"not a wire message: {type(msg)!r}")
     body["v"] = WIRE_VERSION
@@ -123,12 +109,11 @@ def decode_message(body):
                              np.array(st["accel_bias"]))
         return PeerStateReply(body["sender"], state, np.array(body["k_col"]))
     if kind == "update_broadcast":
+        gain = body["gain"]
         return UpdateBroadcast(
-            body["origin"], body["kind"], body["dt"], body["t_ns"],
-            np.array(body["r"]),
-            s=np.array(body["s"]) if "s" in body else None,
-            factor_cols=np.array(body["factor_cols"]) if "factor_cols" in body else None,
-            factor_rows=np.array(body["factor_rows"]) if "factor_rows" in body else None)
+            body["origin"], body["kind"], body["subject"], body["dt"],
+            body["t_ns"], np.array(body["r"]),
+            None if gain is None else np.array(gain))
     raise ValueError(f"unknown message type {kind!r}")
 
 
@@ -137,8 +122,7 @@ def decode_message(body):
 class VehicleNode:
     """One vehicle's independent estimator in the decentralised filter."""
 
-    def __init__(self, vehicle_id, n, state, k_col, world, noise,
-                 broadcast_full_system=True):
+    def __init__(self, vehicle_id, n, state, k_col, world, noise):
         k_col = np.asarray(k_col, dtype=float)
         if k_col.shape != (n * STATE_DOF, STATE_DOF):
             raise ValueError("gain column has the wrong shape")
@@ -151,7 +135,6 @@ class VehicleNode:
         self.k_col = k_col.copy()
         self.world = world
         self.noise = noise
-        self.broadcast_full_system = broadcast_full_system
         self.lam_acc = np.eye(STATE_DOF)
         self.lam_start_tick = 0
         self.tick = 0
@@ -212,18 +195,23 @@ class VehicleNode:
         return PeerStateReply(self.id, self.state, self.k_col.copy())
 
     def originate_update(self, obs, peer_reply=None):
-        """Build the update broadcast for an observation made by this node."""
+        """Build the update broadcast for an observation made by this node.
+
+        An update whose small system is singular, ill-conditioned or not
+        finite is refused here, once for the network: the broadcast carries
+        no gain correction and every node leaves its column and state alone.
+        """
         if obs.observer != self.id:
             raise ValueError("only the observing vehicle can originate")
         states = [identity_state()] * self.n
         states[self.id] = self.state
-        cols = {self.id: self.k_col}
+        cols = [self.k_col]
         if obs.kind == models.INTERVEHICLE:
             if peer_reply is None or peer_reply.sender != obs.subject:
                 raise ValueError("inter-vehicle update needs the target's "
                                  "state and gain column first")
             states[obs.subject] = peer_reply.state
-            cols[obs.subject] = peer_reply.k_col
+            cols.append(peer_reply.k_col)
 
         key = (obs.kind, obs.observer, obs.subject)
         dt = obs.dt if obs.dt is not None else self.noise.effective_period(
@@ -233,35 +221,27 @@ class VehicleNode:
         e = models.hessian_term(states, obs, self.world, self.noise, dt)
         _, r = models.residual(states, obs, self.world, self.noise, dt)
 
-        involved = sorted(cols)
-        rows = np.vstack([e[j * STATE_DOF:(j + 1) * STATE_DOF, :] for j in involved])
-        kcols = np.hstack([cols[j] for j in involved])
-        if self.broadcast_full_system:
-            s = np.eye(self.n * STATE_DOF) + dt * (kcols @ rows)
-            return UpdateBroadcast(self.id, obs.kind, dt, obs.t_ns, r, s=s)
-        return UpdateBroadcast(self.id, obs.kind, dt, obs.t_ns, r,
-                               factor_cols=kcols, factor_rows=rows)
+        ix = models.update_indices(obs.kind, obs.observer, obs.subject)
+        # K[:, ix]: the update slots of the observer's column, then the target's
+        kc = np.hstack([c[:, :models.UPDATE_SLOTS] for c in cols])
+        try:
+            gain = gain_correction(kc, ix, e[ix][:, ix], dt)
+        except UpdateSingularError as exc:
+            log.warning("node %d: %s, skipping update at t=%d ns",
+                        self.id, exc, obs.t_ns)
+            gain = None
+        return UpdateBroadcast(self.id, obs.kind, obs.subject, dt, obs.t_ns,
+                               r[ix], gain)
 
     def apply_update(self, msg):
         """Apply a broadcast update to the local column and state."""
         if msg.t_ns != self.t_ns:
             raise ValueError(
                 f"node {self.id} at {self.t_ns} ns got update for {msg.t_ns} ns")
-        s = msg.system_matrix()
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", sla.LinAlgWarning)
-                lu, piv = sla.lu_factor(s)
-        except ValueError:
-            log.warning("node %d: singular update system, skipping", self.id)
+        if msg.gain is None:
             return self
-        anorm = np.linalg.norm(s, 1)
-        rcond, _ = sla.lapack.dgecon(lu, anorm, norm="1")
-        if rcond < 1e-12:
-            log.warning("node %d: ill-conditioned update system, skipping",
-                        self.id)
-            return self
-        self.k_col = sla.lu_solve((lu, piv), self.k_col)
-        psi = msg.dt * (self.k_col.T @ msg.r)
+        ix = models.update_indices(msg.kind, msg.origin, msg.subject)
+        self.k_col = self.k_col - msg.gain @ self.k_col[ix, :]
+        psi = msg.dt * (self.k_col[ix, :].T @ msg.r)
         self.state = compose(self.state, group_exp(psi))
         return self

@@ -7,6 +7,7 @@ correction of the underlying connection.
 """
 
 import logging
+import warnings
 
 import numpy as np
 import scipy.linalg as sla
@@ -19,7 +20,8 @@ from .lie import (STATE_DOF, group_exp, compose,
 log = logging.getLogger(__name__)
 
 # Condition-number threshold on the update system; beyond this the update is
-# reported as singular instead of silently applied.
+# reported as singular instead of silently applied.  Without curvature it
+# gates the m x m system of the low-rank update (m = 6 or 12).
 COND_LIMIT = 1e12
 
 
@@ -147,21 +149,18 @@ class JointFilter:
         e = models.hessian_term(self.states, obs, self.world, self.noise, dt)
         _, r = models.residual(self.states, obs, self.world, self.noise, dt)
 
-        inner = e
         if with_curvature:
             ad = network_adjoint_from_vector(self.k @ r, self.n)
             # general solve: the gain may be symmetric indefinite after a
             # strongly curved update, and the correction is still well defined
             inner = e + _sym(np.linalg.solve(self.k, ad))
-
-        s = np.eye(self.n * STATE_DOF) + dt * (self.k @ inner)
-        lu, piv = sla.lu_factor(s)
-        rcond = _rcond_from_lu(s, lu)
-        if rcond < 1.0 / COND_LIMIT:
-            raise UpdateSingularError(
-                f"update system condition ~{1.0 / max(rcond, 1e-300):.2e} "
-                f"exceeds {COND_LIMIT:.0e}")
-        self.k = _sym(sla.lu_solve((lu, piv), self.k))
+            # the curvature term fills the whole matrix: dense solve
+            s = np.eye(self.n * STATE_DOF) + dt * (self.k @ inner)
+            self.k = _sym(sla.lu_solve(_factor(s), self.k))
+        else:
+            ix = models.update_indices(obs.kind, obs.observer, obs.subject)
+            g = gain_correction(self.k[:, ix], ix, e[ix][:, ix], dt)
+            self.k = _sym(self.k - g @ self.k[ix, :])
         try:
             np.linalg.cholesky(self.k)
         except np.linalg.LinAlgError:
@@ -179,10 +178,36 @@ class JointFilter:
         return self
 
 
-def _rcond_from_lu(s, lu):
-    anorm = np.linalg.norm(s, 1)
-    rcond, _ = sla.lapack.dgecon(lu, anorm, norm="1")
-    return rcond
+def _factor(s):
+    """LU factors of an update system, refused when near singular."""
+    if not np.all(np.isfinite(s)):
+        raise UpdateSingularError("update system is not finite")
+    with warnings.catch_warnings():
+        # an exactly singular system is reported by the condition gate below
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        lu, piv = sla.lu_factor(s, check_finite=False)
+    rcond, _ = sla.lapack.dgecon(lu, np.linalg.norm(s, 1), norm="1")
+    if rcond < 1.0 / COND_LIMIT:
+        raise UpdateSingularError(
+            f"update system condition ~{1.0 / max(rcond, 1e-300):.2e} "
+            f"exceeds {COND_LIMIT:.0e}")
+    return lu, piv
+
+
+def gain_correction(kc, ix, e_ii, dt):
+    """Low-rank form of the discrete gain update (Woodbury identity).
+
+    With E vanishing outside the indices ix and kc = K[:, ix],
+    (I + dt K E)^-1 K = K - G K[ix, :] where
+
+        G = dt kc (I + dt E_ii kc[ix, :])^-1 E_ii,
+
+    a 15n x m matrix (m = len(ix)).  The m x m system has the determinant of
+    the full one (Sylvester) and is refused by the same condition gate.
+    Raises UpdateSingularError.
+    """
+    s = np.eye(len(ix)) + dt * (e_ii @ kc[ix, :])
+    return dt * (kc @ sla.lu_solve(_factor(s), e_ii))
 
 
 def block_diag_prior(k0_blocks):

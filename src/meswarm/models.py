@@ -6,6 +6,7 @@ landmark / inter-vehicle prediction maps, and the residual and Hessian-term
 assemblies consumed by the filters.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,10 @@ DEFAULT_GRAVITY = np.array([0.0, 0.0, 9.81])
 
 LANDMARK = "landmark"
 INTERVEHICLE = "intervehicle"
+
+# Leading tangent slots of a vehicle's block that an observation's residual
+# and Hessian term touch: rotation and position.
+UPDATE_SLOTS = 6
 
 # Inter-arrival periods are capped at this multiple of the nominal period so
 # a long dropout cannot blow up the measurement weight.
@@ -293,3 +298,18 @@ def hessian_term(states, obs, world, noise, dt=None):
     if obs.kind == LANDMARK:
         return e_landmark(states, obs, world, noise, dt)
     return e_intervehicle(states, obs, world, noise, dt)
+
+
+@functools.lru_cache(maxsize=None)
+def update_indices(kind, observer, subject):
+    """Indices outside which an observation's residual and Hessian term vanish.
+
+    The rotation and position slots of the observer, then of the target
+    vehicle for an inter-vehicle observation: 6 or 12 of the 15n indices.
+    Cached, so the read-only array is built once per observation source.
+    """
+    vehicles = (observer,) if kind == LANDMARK else (observer, subject)
+    ix = np.concatenate([np.arange(v * STATE_DOF, v * STATE_DOF + UPDATE_SLOTS)
+                         for v in vehicles])
+    ix.flags.writeable = False
+    return ix

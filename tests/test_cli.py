@@ -77,7 +77,7 @@ class TestOutputs:
         _, out2 = run_cli(tmp_path, base_config(mode="distributed"),
                           name="dist")
         lines = (out2 / "bus.log").read_text().splitlines()
-        assert lines and all(json.loads(ln)["v"] == 1 for ln in lines)
+        assert lines and all(json.loads(ln)["v"] == 2 for ln in lines)
 
 
 class TestDeterminismAndEquivalence:

@@ -5,14 +5,14 @@ import pytest
 import scipy.linalg as sla
 from scipy.spatial.transform import Rotation as ScipyRotation
 
-from meswarm import distributed, models
+from meswarm import distributed, harness, models
 from meswarm.distributed import (PeerStateReply, PeerStateRequest,
                                  PropagationFactor, SynchronizationError,
                                  UpdateBroadcast, VehicleNode, decode_message,
                                  encode_message)
-from meswarm.joint import JointFilter, block_diag_prior
+from meswarm.joint import JointFilter, UpdateSingularError, block_diag_prior
 from meswarm.kernels import expm
-from meswarm.lie import STATE_DOF, identity_state, make_state
+from meswarm.lie import STATE_DOF, compose, group_exp, identity_state, make_state
 from meswarm.models import ImuSample, NoiseModel, Observation, WorldConfig
 
 DT = 0.005
@@ -48,14 +48,15 @@ def noise():
                       d_intervehicle=0.2 * np.eye(3))
 
 
-def make_network(rng, n, world, noise, **kw):
+def make_network(rng, n, world, noise, k0=None):
     states = [random_state(rng) for _ in range(n)]
-    blocks = [random_spd(rng, STATE_DOF, scale=0.02) for _ in range(n)]
-    k0 = block_diag_prior(blocks)
+    if k0 is None:
+        blocks = [random_spd(rng, STATE_DOF, scale=0.02) for _ in range(n)]
+        k0 = block_diag_prior(blocks)
     joint = JointFilter(states, k0, world, noise)
     nodes = [VehicleNode(i, n, states[i],
                          k0[:, i * STATE_DOF:(i + 1) * STATE_DOF],
-                         world, noise, **kw) for i in range(n)]
+                         world, noise) for i in range(n)]
     return joint, nodes
 
 
@@ -80,6 +81,20 @@ def run_update(nodes, obs):
     return bc
 
 
+def assert_same_message(back, msg):
+    assert type(back) is type(msg)
+    for name in msg.__dataclass_fields__:
+        a, b = getattr(back, name), getattr(msg, name)
+        if name == "state":
+            for part in ("rot", "pos", "vel", "gyro_bias", "accel_bias"):
+                np.testing.assert_array_equal(getattr(a, part),
+                                              getattr(b, part))
+        elif isinstance(b, np.ndarray):
+            np.testing.assert_array_equal(a, b)
+        else:
+            assert a == b, name
+
+
 class TestWire:
     def test_roundtrip_all_types(self, world, noise):
         rng = np.random.default_rng(0)
@@ -89,27 +104,27 @@ class TestWire:
             PropagationFactor(1, rng.standard_normal((15, 15)), 3, 9),
             PeerStateRequest(0, 1),
             PeerStateReply(1, st, col),
-            UpdateBroadcast(0, models.LANDMARK, 0.1, 5_000_000,
-                            rng.standard_normal(30),
-                            s=rng.standard_normal((30, 30))),
-            UpdateBroadcast(0, models.INTERVEHICLE, 0.1, 5_000_000,
-                            rng.standard_normal(30),
-                            factor_cols=rng.standard_normal((30, 30)),
-                            factor_rows=rng.standard_normal((30, 30))),
+            UpdateBroadcast(0, models.LANDMARK, 2, 0.1, 5_000_000,
+                            rng.standard_normal(6),
+                            rng.standard_normal((30, 6))),
+            UpdateBroadcast(0, models.INTERVEHICLE, 1, 0.1, 5_000_000,
+                            rng.standard_normal(12),
+                            rng.standard_normal((30, 12))),
+            UpdateBroadcast(1, models.INTERVEHICLE, 0, 0.1, 5_000_000,
+                            rng.standard_normal(12), None),
         ]
         for msg in msgs:
             body = json.loads(json.dumps(encode_message(msg)))
-            back = decode_message(body)
-            assert type(back) is type(msg)
-            np.testing.assert_array_equal(back.system_matrix()
-                                          if isinstance(msg, UpdateBroadcast)
-                                          else 0,
-                                          msg.system_matrix()
-                                          if isinstance(msg, UpdateBroadcast)
-                                          else 0)
-        reply = decode_message(json.loads(json.dumps(encode_message(msgs[2]))))
-        np.testing.assert_array_equal(reply.k_col, col)
-        np.testing.assert_array_equal(reply.state.rot, st.rot)
+            assert body["v"] == 2
+            assert_same_message(decode_message(body), msg)
+        assert decode_message(encode_message(msgs[-1])).gain is None
+
+    def test_v1_update_broadcast_rejected(self):
+        body = {"type": "update_broadcast", "origin": 0, "kind": "landmark",
+                "dt": 0.1, "t_ns": 0, "r": [0.0] * 15,
+                "s": np.eye(15).tolist(), "v": 1}
+        with pytest.raises(ValueError, match="wire version 1"):
+            decode_message(body)
 
     def test_version_check(self):
         with pytest.raises(ValueError):
@@ -190,6 +205,13 @@ class TestPropagationEquivalence:
                                           joint.estimate()[i].pose_matrix())
 
 
+def dense_update(k, e, r, dt):
+    """Oracle: the full-system step (I + dt K E)^-1 K and its state increment."""
+    k_new = np.linalg.solve(np.eye(len(k)) + dt * (k @ e), k)
+    k_new = 0.5 * (k_new + k_new.T)
+    return k_new, dt * (k_new @ r)
+
+
 class TestUpdates:
     def test_zero_innovation_broadcast(self, world, noise):
         rng = np.random.default_rng(7)
@@ -197,8 +219,10 @@ class TestUpdates:
         y = models.predict_landmark(nodes[0].state, world.landmark(0))
         obs = Observation(models.LANDMARK, 0, 0, y, 0, dt=0.1)
         bc = nodes[0].originate_update(obs)
+        assert bc.r.shape == (6,) and bc.gain.shape == (30, 6)
         np.testing.assert_array_equal(bc.r, 0.0)
-        assert np.linalg.norm(bc.system_matrix() - np.eye(30)) > 0.0
+        # the gain still contracts through the quadratic term
+        assert np.linalg.norm(bc.gain) > 0.0
 
     def test_landmark_system_matches_full_assembly(self, world, noise):
         rng = np.random.default_rng(8)
@@ -207,8 +231,12 @@ class TestUpdates:
                           rng.standard_normal(3), 0, dt=0.1)
         bc = nodes[0].originate_update(obs)  # no peer traffic needed
         e = models.hessian_term(joint.estimate(), obs, world, noise, 0.1)
-        s_ref = np.eye(30) + 0.1 * (joint.gain() @ e)
-        np.testing.assert_allclose(bc.system_matrix(), s_ref, atol=1e-10)
+        _, r = models.residual(joint.estimate(), obs, world, noise, 0.1)
+        k = joint.gain()
+        ix = models.update_indices(models.LANDMARK, 0, 1)
+        np.testing.assert_array_equal(bc.r, r[ix])
+        k_ref, _ = dense_update(k, e, r, 0.1)
+        np.testing.assert_allclose(k - bc.gain @ k[ix, :], k_ref, atol=1e-10)
 
     def test_intervehicle_requires_peer_reply(self, world, noise):
         rng = np.random.default_rng(9)
@@ -230,8 +258,8 @@ class TestUpdates:
     def test_apply_rejects_time_mismatch(self, world, noise):
         rng = np.random.default_rng(11)
         _, nodes = make_network(rng, 1, world, noise)
-        bc = UpdateBroadcast(0, models.LANDMARK, 0.1, TICK_NS,
-                             np.zeros(15), s=np.eye(15))
+        bc = UpdateBroadcast(0, models.LANDMARK, 0, 0.1, TICK_NS,
+                             np.zeros(6), np.zeros((15, 6)))
         with pytest.raises(ValueError):
             nodes[0].apply_update(bc)
 
@@ -239,31 +267,108 @@ class TestUpdates:
         rng = np.random.default_rng(12)
         _, nodes = make_network(rng, 1, world, noise)
         before = nodes[0].k_col.copy()
-        bc = UpdateBroadcast(0, models.LANDMARK, 0.1, 0,
-                             np.zeros(15), s=np.zeros((15, 15)))
+        pose = nodes[0].state.pose_matrix()
+        bc = UpdateBroadcast(0, models.LANDMARK, 0, 0.1, 0,
+                             np.ones(6), None)
         with caplog.at_level("WARNING"):
             nodes[0].apply_update(bc)
         np.testing.assert_array_equal(nodes[0].k_col, before)
-        assert "skipping" in caplog.text
+        np.testing.assert_array_equal(nodes[0].state.pose_matrix(), pose)
+        # the origin refused and said so; receivers stay silent
+        assert "skipping" not in caplog.text
 
-    def test_full_and_factored_systems_identical(self, world, noise):
-        rng = np.random.default_rng(13)
-        _, full_nodes = make_network(rng, 2, world, noise,
-                                     broadcast_full_system=True)
-        rng = np.random.default_rng(13)
-        _, fact_nodes = make_network(rng, 2, world, noise,
-                                     broadcast_full_system=False)
-        y = rng.standard_normal(3)
-        obs = Observation(models.LANDMARK, 0, 0, y, 0, dt=0.1)
-        bc_full = full_nodes[0].originate_update(obs)
-        bc_fact = fact_nodes[0].originate_update(obs)
-        assert bc_fact.s is None and bc_full.s is not None
-        np.testing.assert_array_equal(bc_full.system_matrix(),
-                                      bc_fact.system_matrix())
-        full_nodes[0].apply_update(bc_full)
-        fact_nodes[0].apply_update(bc_fact)
-        np.testing.assert_array_equal(full_nodes[0].k_col,
-                                      fact_nodes[0].k_col)
+
+def singular_hessian(dt):
+    """A Hessian term making I + dt E_ii K_ii zero when K_ii = I."""
+    def hessian_term(states, obs, world, noise, _dt=None):
+        e = np.zeros((len(states) * STATE_DOF,) * 2)
+        ix = models.update_indices(obs.kind, obs.observer, obs.subject)
+        e[ix, ix] = -1.0 / dt
+        return e
+    return hessian_term
+
+
+class TestSingularGate:
+    DT = 0.5
+
+    def test_joint_raises(self, world, noise, monkeypatch):
+        rng = np.random.default_rng(30)
+        joint, _ = make_network(rng, 2, world, noise, k0=np.eye(30))
+        monkeypatch.setattr(models, "hessian_term", singular_hessian(self.DT))
+        before = joint.gain()
+        obs = Observation(models.INTERVEHICLE, 0, 1, rng.standard_normal(3),
+                          0, dt=self.DT)
+        with pytest.raises(UpdateSingularError):
+            joint.update(obs, with_curvature=False)
+        np.testing.assert_array_equal(joint.gain(), before)
+
+    def test_distributed_origin_refuses(self, world, noise, monkeypatch,
+                                        caplog):
+        rng = np.random.default_rng(31)
+        n = 3
+        _, nodes = make_network(rng, n, world, noise, k0=np.eye(15 * n))
+        monkeypatch.setattr(models, "hessian_term", singular_hessian(self.DT))
+        cols = [nd.k_col.copy() for nd in nodes]
+        poses = [nd.state.pose_matrix() for nd in nodes]
+        obs = Observation(models.INTERVEHICLE, 1, 2, rng.standard_normal(3),
+                          0, dt=self.DT)
+        bus = harness.MessageBus()
+        with caplog.at_level("WARNING", logger="meswarm.distributed"):
+            harness._distributed_update(nodes, obs, 0, bus)
+        skips = [rec for rec in caplog.records
+                 if "skipping" in rec.getMessage()]
+        assert len(skips) == 1 and skips[0].name == "meswarm.distributed"
+        for nd, col, pose in zip(nodes, cols, poses):
+            np.testing.assert_array_equal(nd.k_col, col)
+            np.testing.assert_array_equal(nd.state.pose_matrix(), pose)
+        assert [rec["type"] for rec in bus.records] == (
+            ["propagation_factor"] * n
+            + ["peer_state_request", "peer_state_reply", "update_broadcast"])
+        assert bus.records[-1]["gain"] is None
+
+
+class TestDenseOracle:
+    """The low-rank step reproduces (I + dt K E)^-1 K in both filters."""
+
+    @pytest.mark.parametrize("n,kind", [
+        (1, models.LANDMARK), (2, models.LANDMARK), (3, models.LANDMARK),
+        (2, models.INTERVEHICLE), (3, models.INTERVEHICLE)])
+    def test_matches_dense_step(self, world, noise, n, kind):
+        rng = np.random.default_rng(40 + n)
+        for trial in range(5):
+            k0 = random_spd(rng, n * STATE_DOF, scale=0.002)
+            joint, nodes = make_network(rng, n, world, noise, k0=k0)
+            states = joint.estimate()
+            observer = int(rng.integers(n))
+            subject = (int(rng.integers(2)) if kind == models.LANDMARK
+                       else (observer + 1 + int(rng.integers(n - 1))) % n)
+            y = models.predict(states, Observation(kind, observer, subject,
+                                                   np.zeros(3), 0), world)
+            obs = Observation(kind, observer, subject,
+                              y + 0.05 * rng.standard_normal(3), 0, dt=0.1)
+            e = models.hessian_term(states, obs, world, noise, 0.1)
+            _, r = models.residual(states, obs, world, noise, 0.1)
+            k_ref, psi = dense_update(k0, e, r, 0.1)
+            x_ref = [compose(x, group_exp(psi[i * STATE_DOF:(i + 1) * STATE_DOF]))
+                     for i, x in enumerate(states)]
+
+            joint.update(obs, with_curvature=False)
+            run_update(nodes, obs)
+            np.testing.assert_allclose(joint.gain(), k_ref, rtol=0, atol=1e-12)
+            kj = joint.gain()
+            for i, (x, ref) in enumerate(zip(joint.estimate(), x_ref)):
+                np.testing.assert_allclose(x.pose_matrix(), ref.pose_matrix(),
+                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(x.gyro_bias, ref.gyro_bias,
+                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(x.accel_bias, ref.accel_bias,
+                                           rtol=0, atol=1e-12)
+                col = kj[:, i * STATE_DOF:(i + 1) * STATE_DOF]
+                np.testing.assert_allclose(nodes[i].k_col, col, rtol=0,
+                                           atol=1e-12)
+                np.testing.assert_allclose(nodes[i].state.pose_matrix(),
+                                           ref.pose_matrix(), rtol=0,
+                                           atol=1e-12)
 
 
 def drive_pair(joint, nodes, rng, ticks, update_every):

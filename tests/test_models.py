@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as ScipyRotation
 
 from meswarm import models
@@ -366,6 +368,47 @@ class TestHessianTerms:
         m = noise.measurement_weight(models.INTERVEHICLE, 0.1)
         f = models.f_intervehicle(states, 0, 1, world.marker(1))
         assert np.min(np.linalg.eigvalsh(f.T @ m @ f)) >= -1e-10
+
+
+class TestUpdateSparsity:
+    """The low-rank update relies on E and r vanishing outside update_indices."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+           intervehicle=st.booleans(), data=st.data())
+    def test_exactly_zero_outside_update_indices(self, seed, n, intervehicle,
+                                                  data):
+        rng = np.random.default_rng(seed)
+        world = WorldConfig(
+            landmarks={i: rng.standard_normal(3) for i in range(3)},
+            markers={v: 0.1 * rng.standard_normal(3) for v in range(n)})
+        noise = NoiseModel(d_landmark=0.1 * np.eye(3),
+                           d_intervehicle=0.05 * np.eye(3))
+        states = [random_state(rng) for _ in range(n)]
+        observer = data.draw(st.integers(0, n - 1), label="observer")
+        if intervehicle and n > 1:
+            kind = models.INTERVEHICLE
+            subject = data.draw(st.sampled_from(
+                [v for v in range(n) if v != observer]), label="subject")
+        else:
+            kind = models.LANDMARK
+            subject = data.draw(st.integers(0, 2), label="landmark")
+        obs = Observation(kind, observer, subject, rng.standard_normal(3), 0,
+                          dt=float(rng.uniform(0.01, 1.0)))
+        outside = np.ones(n * STATE_DOF, dtype=bool)
+        outside[models.update_indices(kind, observer, subject)] = False
+        e = models.hessian_term(states, obs, world, noise)
+        _, r = models.residual(states, obs, world, noise)
+        assert np.all(e[outside, :] == 0.0)
+        assert np.all(e[:, outside] == 0.0)
+        assert np.all(r[outside] == 0.0)
+
+    def test_indices_are_rotation_and_position_slots(self):
+        np.testing.assert_array_equal(
+            models.update_indices(models.LANDMARK, 2, 0), np.arange(30, 36))
+        np.testing.assert_array_equal(
+            models.update_indices(models.INTERVEHICLE, 1, 0),
+            np.r_[15:21, 0:6])
 
 
 class TestNoiseModel:
