@@ -15,13 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .joint import UpdateSingularError, gain_correction, riccati_diag_step
-from .kernels import expm
+from .joint import UpdateSingularError, gain_correction, propagate_vehicle
 from .lie import STATE_DOF, VehicleState, compose, group_exp, identity_state
 
 log = logging.getLogger(__name__)
 
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 
 class SynchronizationError(RuntimeError):
@@ -48,7 +47,7 @@ class PeerStateRequest:
 class PeerStateReply:
     sender: int
     state: VehicleState
-    k_col: np.ndarray      # 15n x 15
+    k_col: np.ndarray      # 15n x 6: the update slots of the sender's column
 
 
 @dataclass(frozen=True)
@@ -145,25 +144,16 @@ class VehicleNode:
     def _block(k_col, j):
         return k_col[j * STATE_DOF:(j + 1) * STATE_DOF, :]
 
-    def diag_block(self):
-        return self._block(self.k_col, self.id).copy()
-
     # -- propagation ---------------------------------------------------------
 
     def propagate_local(self, u, dt):
         """One IMU tick: state, own diagonal gain block, and the factor."""
         if dt <= 0.0:
             raise ValueError("IMU period must be positive")
-        a = models.a_check_single(self.state, u)
-        b = models.b_check_single(self.noise)
-        bwb = self.noise.w_inverse_scale() * (b @ b.T)
         sl = slice(self.id * STATE_DOF, (self.id + 1) * STATE_DOF)
-        kd = riccati_diag_step(self.k_col[sl, :], a, bwb, dt)
-        # same symmetrisation the joint filter applies to this block
-        self.k_col[sl, :] = 0.5 * (kd + kd.T)
-        self.lam_acc = expm(a * dt) @ self.lam_acc
-        lam = models.lambda_single(self.state, u, self.world)
-        self.state = compose(self.state, group_exp(dt * lam))
+        self.state, self.k_col[sl, :], self.lam_acc = propagate_vehicle(
+            self.state, self.k_col[sl, :], self.lam_acc, u, dt, self.world,
+            self.noise)
         self.tick += 1
         self.t_ns += int(round(dt * 1e9))
         return self
@@ -192,7 +182,8 @@ class VehicleNode:
     # -- updates --------------------------------------------------------------
 
     def peer_state_reply(self):
-        return PeerStateReply(self.id, self.state, self.k_col.copy())
+        return PeerStateReply(self.id, self.state,
+                              self.k_col[:, :models.UPDATE_SLOTS].copy())
 
     def originate_update(self, obs, peer_reply=None):
         """Build the update broadcast for an observation made by this node.
@@ -205,7 +196,8 @@ class VehicleNode:
             raise ValueError("only the observing vehicle can originate")
         states = [identity_state()] * self.n
         states[self.id] = self.state
-        cols = [self.k_col]
+        # K[:, ix]: the update slots of the observer's column, then the target's
+        cols = [self.k_col[:, :models.UPDATE_SLOTS]]
         if obs.kind == models.INTERVEHICLE:
             if peer_reply is None or peer_reply.sender != obs.subject:
                 raise ValueError("inter-vehicle update needs the target's "
@@ -216,20 +208,21 @@ class VehicleNode:
         key = (obs.kind, obs.observer, obs.subject)
         dt = obs.dt if obs.dt is not None else self.noise.effective_period(
             obs.kind, self._last_obs_ns.get(key), obs.t_ns)
-        self._last_obs_ns[key] = obs.t_ns
 
         e = models.hessian_term(states, obs, self.world, self.noise, dt)
         _, r = models.residual(states, obs, self.world, self.noise, dt)
 
         ix = models.update_indices(obs.kind, obs.observer, obs.subject)
-        # K[:, ix]: the update slots of the observer's column, then the target's
-        kc = np.hstack([c[:, :models.UPDATE_SLOTS] for c in cols])
         try:
-            gain = gain_correction(kc, ix, e[ix][:, ix], dt)
+            gain = gain_correction(np.hstack(cols), ix, e[ix][:, ix], dt)
         except UpdateSingularError as exc:
+            # a refused update leaves the source's observation clock alone,
+            # as in the joint filter
             log.warning("node %d: %s, skipping update at t=%d ns",
                         self.id, exc, obs.t_ns)
             gain = None
+        else:
+            self._last_obs_ns[key] = obs.t_ns
         return UpdateBroadcast(self.id, obs.kind, obs.subject, dt, obs.t_ns,
                                r[ix], gain)
 

@@ -305,22 +305,6 @@ def metrics_row(t, vehicle, est, truth):
         accel_bias_err=float(np.linalg.norm(est.accel_bias - truth.accel_bias)))
 
 
-def compute_metrics(estimates, truths, times):
-    """Per-tick rows for aligned estimate/truth streams.
-
-    estimates / truths: sequences of per-tick lists of VehicleState.
-    """
-    if not (len(estimates) == len(truths) == len(times)):
-        raise ValueError("estimate and truth streams are misaligned")
-    rows = []
-    for t, est_list, truth_list in zip(times, estimates, truths):
-        if len(est_list) != len(truth_list):
-            raise ValueError("estimate and truth streams are misaligned")
-        for v, (est, truth) in enumerate(zip(est_list, truth_list)):
-            rows.append(metrics_row(t, v, est, truth))
-    return rows
-
-
 def summarize_metrics(rows, steady_after_s=10.0):
     """Whole-run and steady-state means, network-averaged.
 

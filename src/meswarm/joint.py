@@ -14,8 +14,7 @@ import scipy.linalg as sla
 
 from . import models
 from .kernels import expm
-from .lie import (STATE_DOF, group_exp, compose,
-                  network_adjoint_from_vector)
+from .lie import STATE_DOF, compose, group_exp, network_adjoint_from_vector
 
 log = logging.getLogger(__name__)
 
@@ -33,13 +32,23 @@ def _sym(m):
     return 0.5 * (m + m.T)
 
 
-def riccati_diag_step(kblock, a, bwb, dt):
-    """Forward-Euler step of one diagonal gain block.
+def propagate_vehicle(state, kdiag, lam, u, dt, world, noise):
+    """One vehicle's IMU tick, shared by the joint filter and the nodes.
 
-    Shared with the decentralised nodes so both filters evaluate the exact
-    same floating-point expression.
+    Advances the estimate through the group exponential, the 15x15 diagonal
+    gain block by a symmetrised forward-Euler Riccati step, and the
+    accumulated propagation factor lam <- expm(a dt) lam that later brings
+    the vehicle's cross blocks up to date; lam stays None for a caller that
+    keeps no factor.  Returns the new (state, kdiag, lam).
     """
-    return kblock + dt * (a @ kblock + kblock @ a.T + bwb)
+    a = models.a_check_single(state, u)
+    b = models.b_check_single(noise)
+    bwb = noise.w_inverse_scale() * (b @ b.T)
+    kd = kdiag + dt * (a @ kdiag + kdiag @ a.T + bwb)
+    if lam is not None:
+        lam = expm(a * dt) @ lam
+    drift = models.lambda_single(state, u, world)
+    return compose(state, group_exp(dt * drift)), _sym(kd), lam
 
 
 def _check_spd(k, name="K0"):
@@ -68,17 +77,12 @@ class JointFilter:
         self.t_ns = 0
         # last-observation time per (kind, observer, subject)
         self._last_obs_ns = {}
-        # off-diagonal gain blocks stay exactly zero until the first
-        # multi-vehicle update couples them; skip their propagation until then
-        self._coupled = n > 1 and np.any(
-            np.abs(self._offdiag_mask() * k0) > 0.0)
-
-    def _offdiag_mask(self):
-        mask = np.ones_like(self.k)
-        for i in range(self.n):
-            sl = slice(i * STATE_DOF, (i + 1) * STATE_DOF)
-            mask[sl, sl] = 0.0
-        return mask
+        # per-vehicle propagation factors since the cross blocks were last
+        # brought up to date, as each node keeps its own; a single vehicle
+        # has no cross blocks and keeps none
+        self._lams = ([None] if n == 1
+                      else [np.eye(STATE_DOF) for _ in range(n)])
+        self._cross_stale = False
 
     # -- accessors -----------------------------------------------------------
 
@@ -86,47 +90,43 @@ class JointFilter:
         return list(self.states)
 
     def gain(self):
-        return self.k.copy()
+        """The joint gain, every cross block brought up to the current tick.
+
+        K_ij becomes lam_i K_ij lam_j^T for i < j and K_ji its transpose, the
+        expression each node applies when it absorbs a peer's factor.  The
+        filter itself is left unchanged.
+        """
+        k = self.k.copy()
+        if self._cross_stale:
+            d = STATE_DOF
+            for i in range(self.n):
+                si = slice(i * d, (i + 1) * d)
+                for j in range(i + 1, self.n):
+                    sj = slice(j * d, (j + 1) * d)
+                    kij = self._lams[i] @ k[si, sj] @ self._lams[j].T
+                    k[si, sj] = kij
+                    k[sj, si] = kij.T
+        return k
 
     # -- IMU propagation -----------------------------------------------------
 
     def propagate(self, imu, dt):
-        """Advance one IMU tick: one sample per vehicle, common period dt."""
+        """Advance one IMU tick: one sample per vehicle, common period dt.
+
+        Only the estimates, the diagonal gain blocks and the factors move
+        here; the cross blocks are brought up to date at the next update.
+        """
         if dt <= 0.0:
             raise ValueError("IMU period must be positive")
         if len(imu) != self.n:
             raise ValueError("need one IMU sample per vehicle")
-        n, d = self.n, STATE_DOF
-        a_blocks = [models.a_check_single(self.states[i], imu[i])
-                    for i in range(n)]
-        w_inv = self.noise.w_inverse_scale()
-        bwb = [None] * n
-        for i in range(n):
-            b = models.b_check_single(self.noise)
-            bwb[i] = w_inv * (b @ b.T)
-
-        # diagonal blocks: forward-Euler Riccati step
-        new_k = self.k.copy()
-        for i in range(n):
+        d = STATE_DOF
+        for i in range(self.n):
             sl = slice(i * d, (i + 1) * d)
-            new_k[sl, sl] = riccati_diag_step(self.k[sl, sl], a_blocks[i],
-                                              bwb[i], dt)
-        # off-diagonal blocks: exact sample-and-hold solution, so the
-        # decentralised factor exchange reproduces them bit-for-bit
-        if self._coupled:
-            phi = [expm(a * dt) for a in a_blocks]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    si = slice(i * d, (i + 1) * d)
-                    sj = slice(j * d, (j + 1) * d)
-                    kij = phi[i] @ self.k[si, sj] @ phi[j].T
-                    new_k[si, sj] = kij
-                    new_k[sj, si] = kij.T
-        self.k = _sym(new_k)
-
-        for i in range(n):
-            lam = models.lambda_single(self.states[i], imu[i], self.world)
-            self.states[i] = compose(self.states[i], group_exp(dt * lam))
+            self.states[i], self.k[sl, sl], self._lams[i] = propagate_vehicle(
+                self.states[i], self.k[sl, sl], self._lams[i], imu[i], dt,
+                self.world, self.noise)
+        self._cross_stale = self.n > 1
         self.t_ns += int(round(dt * 1e9))
         return self
 
@@ -145,6 +145,10 @@ class JointFilter:
         if obs.t_ns < self.t_ns:
             raise ValueError(
                 f"observation at {obs.t_ns} ns is before filter time {self.t_ns} ns")
+        if self._cross_stale:
+            self.k = self.gain()
+            self._lams = [np.eye(STATE_DOF) for _ in range(self.n)]
+            self._cross_stale = False
         dt = self.observation_period(obs)
         e = models.hessian_term(self.states, obs, self.world, self.noise, dt)
         _, r = models.residual(self.states, obs, self.world, self.noise, dt)
@@ -173,8 +177,6 @@ class JointFilter:
             for i, x in enumerate(self.states)
         ]
         self._last_obs_ns[(obs.kind, obs.observer, obs.subject)] = obs.t_ns
-        if self.n > 1:
-            self._coupled = True
         return self
 
 

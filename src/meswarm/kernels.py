@@ -1,22 +1,22 @@
-"""Hot numeric kernels with optional numba acceleration.
+"""Numeric kernels called once per vehicle per IMU tick.
 
-The functions here are called once per vehicle per IMU tick, so they are the
-only place where JIT compilation pays off.  Every kernel has a pure-numpy
-twin; set the environment variable ``ME_SWARM_NO_NUMBA=1`` before import to
-force the numpy path (useful for debugging and for the benchmark in
-``benchmarks/bench_kernels.py``).
+The SO(3) exponential and its left Jacobian in closed form, and the matrix
+exponential of the 15x15 propagation matrices, which is scipy's
+scaling-and-squaring method (Al-Mohy & Higham, 2009).
 """
 
-import os
-
 import numpy as np
+from scipy.linalg import expm  # noqa: F401  (re-exported kernel)
 
 # Below this rotation magnitude the closed-form coefficients switch to their
 # 4th-order Taylor expansions to avoid 0/0.
 SMALL_ANGLE = 1e-6
 
+# There is no JIT path; benchmark environment records still read this flag.
+NUMBA_ENABLED = False
 
-def _skew(v):
+
+def skew(v):
     m = np.zeros((3, 3))
     m[0, 1] = -v[2]
     m[0, 2] = v[1]
@@ -27,7 +27,7 @@ def _skew(v):
     return m
 
 
-def _so3_exp(theta):
+def so3_exp(theta):
     t2 = theta[0] * theta[0] + theta[1] * theta[1] + theta[2] * theta[2]
     t = np.sqrt(t2)
     if t < SMALL_ANGLE:
@@ -36,17 +36,11 @@ def _so3_exp(theta):
     else:
         a = np.sin(t) / t
         b = (1.0 - np.cos(t)) / t2
-    k = np.zeros((3, 3))
-    k[0, 1] = -theta[2]
-    k[0, 2] = theta[1]
-    k[1, 0] = theta[2]
-    k[1, 2] = -theta[0]
-    k[2, 0] = -theta[1]
-    k[2, 1] = theta[0]
+    k = skew(theta)
     return np.eye(3) + a * k + b * np.dot(k, k)
 
 
-def _so3_left_jacobian(theta):
+def so3_left_jacobian(theta):
     t2 = theta[0] * theta[0] + theta[1] * theta[1] + theta[2] * theta[2]
     t = np.sqrt(t2)
     if t < SMALL_ANGLE:
@@ -55,62 +49,5 @@ def _so3_left_jacobian(theta):
     else:
         c1 = (1.0 - np.cos(t)) / t2
         c2 = (t - np.sin(t)) / (t2 * t)
-    k = np.zeros((3, 3))
-    k[0, 1] = -theta[2]
-    k[0, 2] = theta[1]
-    k[1, 0] = theta[2]
-    k[1, 2] = -theta[0]
-    k[2, 0] = -theta[1]
-    k[2, 1] = theta[0]
+    k = skew(theta)
     return np.eye(3) + c1 * k + c2 * np.dot(k, k)
-
-
-def _expm(a):
-    """Matrix exponential by scaling-and-squaring with a Taylor core.
-
-    Sized for the 15x15 propagation matrices: after scaling the 1-norm below
-    0.5, twenty Taylor terms leave a remainder far under machine epsilon.
-    """
-    n = a.shape[0]
-    anorm = 0.0
-    for j in range(n):
-        colsum = 0.0
-        for i in range(n):
-            colsum += abs(a[i, j])
-        if colsum > anorm:
-            anorm = colsum
-    s = 0
-    while anorm > 0.5:
-        anorm *= 0.5
-        s += 1
-    b = a / (2.0 ** s)
-    out = np.eye(n) + b
-    term = b.copy()
-    for k in range(2, 21):
-        term = np.dot(term, b) / k
-        out = out + term
-    for _ in range(s):
-        out = np.dot(out, out)
-    return out
-
-
-_numpy_impls = (_skew, _so3_exp, _so3_left_jacobian, _expm)
-
-NUMBA_ENABLED = os.environ.get("ME_SWARM_NO_NUMBA", "0") not in ("1", "true", "yes")
-if NUMBA_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        NUMBA_ENABLED = False
-
-if NUMBA_ENABLED:
-    skew = njit(cache=True)(_skew)
-    so3_exp = njit(cache=True)(_so3_exp)
-    so3_left_jacobian = njit(cache=True)(_so3_left_jacobian)
-    expm = njit(cache=True)(_expm)
-else:
-    skew, so3_exp, so3_left_jacobian, expm = _numpy_impls
-
-# Always-available numpy versions, independent of the env flag (used by the
-# benchmark for a side-by-side comparison).
-skew_numpy, so3_exp_numpy, so3_left_jacobian_numpy, expm_numpy = _numpy_impls

@@ -88,69 +88,33 @@ def inverse(x):
                         -x.gyro_bias, -x.accel_bias)
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
-    """Lie algebra element split into its five 3-vector slots."""
-
-    rot: np.ndarray
-    pos: np.ndarray
-    vel: np.ndarray
-    gyro_bias: np.ndarray
-    accel_bias: np.ndarray
-
-    def pose_matrix(self):
-        """5x5 matrix embedding of the extended-pose part."""
-        m = np.zeros((5, 5))
-        m[:3, :3] = skew(self.rot)
-        m[:3, 3] = self.pos
-        m[:3, 4] = self.vel
-        return m
-
-
-def wedge(q):
-    q = np.asarray(q, dtype=float).reshape(STATE_DOF)
-    return AlgebraElement(q[0:3].copy(), q[3:6].copy(), q[6:9].copy(),
-                          q[9:12].copy(), q[12:15].copy())
-
-
-def vee(psi):
-    return np.concatenate([psi.rot, psi.pos, psi.vel,
-                           psi.gyro_bias, psi.accel_bias])
-
-
-def adjoint_matrix(psi):
-    """15x15 matrix acting on tangent coordinates as the Lie bracket.
+def adjoint_matrix_from_vector(q):
+    """15x15 matrix acting on tangent coordinates as the Lie bracket [q, .].
 
     The bracket only involves the extended-pose slots; both bias rows and
     columns are zero.
     """
     ad = np.zeros((STATE_DOF, STATE_DOF))
-    rx = skew(psi.rot)
+    rx = skew(q[0:3])
     ad[0:3, 0:3] = rx
-    ad[3:6, 0:3] = skew(psi.pos)
+    ad[3:6, 0:3] = skew(q[3:6])
     ad[3:6, 3:6] = rx
-    ad[6:9, 0:3] = skew(psi.vel)
+    ad[6:9, 0:3] = skew(q[6:9])
     ad[6:9, 6:9] = rx
     return ad
 
 
-def adjoint_matrix_from_vector(q):
-    return adjoint_matrix(wedge(q))
-
-
-def group_exp(psi):
-    """Exponential onto the group.
+def group_exp(q):
+    """Exponential of a 15-entry tangent vector onto the group.
 
     Closed form: SO(3) exponential for the rotation slot, the shared SO(3)
-    left Jacobian applied to the position and velocity columns, and the
+    left Jacobian applied to the position and velocity slots, and the
     identity map on the (additive) bias slots.
     """
-    if isinstance(psi, np.ndarray):
-        psi = wedge(psi)
-    r = so3_exp(psi.rot)
-    j = so3_left_jacobian(psi.rot)
-    return VehicleState(r, j @ psi.pos, j @ psi.vel,
-                        psi.gyro_bias.copy(), psi.accel_bias.copy())
+    r = so3_exp(q[0:3])
+    j = so3_left_jacobian(q[0:3])
+    return VehicleState(r, j @ q[3:6], j @ q[6:9],
+                        q[9:12].copy(), q[12:15].copy())
 
 
 def rotation_error_angle(r_est, r_true):
@@ -160,13 +124,6 @@ def rotation_error_angle(r_est, r_true):
 
 
 # -- network helpers ---------------------------------------------------------
-
-def network_compose_exp(states, q):
-    """Right-multiply each vehicle state by exp of its 15-entry slice of q."""
-    q = np.asarray(q, dtype=float).reshape(len(states) * STATE_DOF)
-    return [compose(x, group_exp(q[i * STATE_DOF:(i + 1) * STATE_DOF]))
-            for i, x in enumerate(states)]
-
 
 def network_adjoint_from_vector(q, n):
     """Block-diagonal 15n x 15n adjoint of a stacked tangent vector."""

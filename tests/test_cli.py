@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -76,8 +79,13 @@ class TestOutputs:
         assert (out / "bus.log").read_text() == ""
         _, out2 = run_cli(tmp_path, base_config(mode="distributed"),
                           name="dist")
-        lines = (out2 / "bus.log").read_text().splitlines()
-        assert lines and all(json.loads(ln)["v"] == 2 for ln in lines)
+        bodies = [json.loads(ln)
+                  for ln in (out2 / "bus.log").read_text().splitlines()]
+        assert bodies and all(b["v"] == 3 for b in bodies)
+        replies = [b for b in bodies if b["type"] == "peer_state_reply"]
+        # a peer reply carries only the 6 update columns of the 30x15 column
+        assert replies and all(np.shape(b["k_col"]) == (30, 6)
+                               for b in replies)
 
 
 class TestDeterminismAndEquivalence:
@@ -139,21 +147,41 @@ class TestExitCodes:
     def test_numerical_failure_is_4(self, tmp_path):
         dt_ns = 5_000_000
         n = 300
-        imu_lines = ["timestamp_ns,wx,wy,wz,ax,ay,az"]
-        for k in range(n):
-            accel = "nan" if k == 100 else "9.81"
-            imu_lines.append(f"{k * dt_ns},0,0,0,0,0,{accel}")
-        (tmp_path / "imu.csv").write_text("\n".join(imu_lines) + "\n")
-        (tmp_path / "truth.csv").write_text(
-            "ts,px,py,pz,qw,qx,qy,qz,vx,vy,vz\n"
-            "0,0,0,0,1,0,0,0,0,0,0\n"
-            f"{(n - 1) * dt_ns},0,0,0,1,0,0,0,0,0,0\n")
+
+        def write_trial(name, bad):
+            imu_lines = ["timestamp_ns,wx,wy,wz,ax,ay,az"]
+            for k in range(n):
+                accel = bad if k == 100 else "9.81"
+                imu_lines.append(f"{k * dt_ns},0,0,0,0,0,{accel}")
+            (tmp_path / f"{name}_imu.csv").write_text(
+                "\n".join(imu_lines) + "\n")
+            (tmp_path / f"{name}_truth.csv").write_text(
+                "ts,px,py,pz,qw,qx,qy,qz,vx,vy,vz\n"
+                "0,0,0,0,1,0,0,0,0,0,0\n"
+                f"{(n - 1) * dt_ns},0,0,0,1,0,0,0,0,0,0\n")
+            return {"type": "dataset", "imu_csv": f"{name}_imu.csv",
+                    "truth_csv": f"{name}_truth.csv"}
+
         cfg = base_config(mode="none", n_vehicles=1, duration_s=1.0)
-        cfg["markers_m"] = [[0.05, 0, 0]]
-        cfg["vehicles"] = [{"type": "dataset", "imu_csv": "imu.csv",
-                            "truth_csv": "truth.csv"}]
+        cfg["vehicles"] = [write_trial("nan", "nan")]
         code, _ = run_cli(tmp_path, cfg)
         assert code == 4
+
+        # an infinite sample once hung the matrix exponential; a child
+        # process with a timeout turns a regression into a failure
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        vehicles = [write_trial("inf", "inf"), write_trial("clean", "9.81")]
+        for mode in ("central", "distributed"):
+            cfg = base_config(mode=mode, n_vehicles=2, duration_s=1.0)
+            cfg["vehicles"] = vehicles
+            cfg_path = tmp_path / f"inf_{mode}.json"
+            cfg_path.write_text(json.dumps(cfg))
+            proc = subprocess.run(
+                [sys.executable, "-m", "meswarm.cli", "--config",
+                 str(cfg_path), "--out", str(tmp_path / f"inf_{mode}")],
+                env=env, capture_output=True, timeout=120)
+            assert proc.returncode == 4, (mode, proc.stderr)
 
 
 class TestDatasetRun:

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as ScipyRotation
 
-from meswarm import distributed, harness, models
+from meswarm import distributed, harness, joint as joint_module, models
 from meswarm.distributed import (PeerStateReply, PeerStateRequest,
                                  PropagationFactor, SynchronizationError,
                                  UpdateBroadcast, VehicleNode, decode_message,
@@ -81,6 +83,30 @@ def run_update(nodes, obs):
     return bc
 
 
+def propagate_pair(joint, nodes, rng, ticks):
+    """Feed the joint filter and every node the same random IMU ticks."""
+    for _ in range(ticks):
+        imu = [ImuSample(0.3 * rng.standard_normal(3),
+                         0.3 * rng.standard_normal(3), joint.t_ns)
+               for _ in nodes]
+        joint.propagate(imu, DT)
+        for nd, u in zip(nodes, imu):
+            nd.propagate_local(u, DT)
+
+
+def assert_nodes_match_joint(joint, nodes, atol):
+    kj = joint.gain()
+    for i, (nd, x) in enumerate(zip(nodes, joint.estimate())):
+        col = kj[:, i * STATE_DOF:(i + 1) * STATE_DOF]
+        np.testing.assert_allclose(nd.k_col, col, rtol=0, atol=atol)
+        np.testing.assert_allclose(nd.state.pose_matrix(), x.pose_matrix(),
+                                   rtol=0, atol=atol)
+        np.testing.assert_allclose(nd.state.gyro_bias, x.gyro_bias,
+                                   rtol=0, atol=atol)
+        np.testing.assert_allclose(nd.state.accel_bias, x.accel_bias,
+                                   rtol=0, atol=atol)
+
+
 def assert_same_message(back, msg):
     assert type(back) is type(msg)
     for name in msg.__dataclass_fields__:
@@ -99,7 +125,7 @@ class TestWire:
     def test_roundtrip_all_types(self, world, noise):
         rng = np.random.default_rng(0)
         st = random_state(rng)
-        col = rng.standard_normal((30, 15))
+        col = rng.standard_normal((30, models.UPDATE_SLOTS))
         msgs = [
             PropagationFactor(1, rng.standard_normal((15, 15)), 3, 9),
             PeerStateRequest(0, 1),
@@ -115,7 +141,7 @@ class TestWire:
         ]
         for msg in msgs:
             body = json.loads(json.dumps(encode_message(msg)))
-            assert body["v"] == 2
+            assert body["v"] == 3
             assert_same_message(decode_message(body), msg)
         assert decode_message(encode_message(msgs[-1])).gain is None
 
@@ -124,6 +150,13 @@ class TestWire:
                 "dt": 0.1, "t_ns": 0, "r": [0.0] * 15,
                 "s": np.eye(15).tolist(), "v": 1}
         with pytest.raises(ValueError, match="wire version 1"):
+            decode_message(body)
+
+    def test_v2_peer_state_reply_rejected(self):
+        body = encode_message(PeerStateReply(1, identity_state(),
+                                             np.zeros((30, 15))))
+        body["v"] = 2
+        with pytest.raises(ValueError, match="wire version 2"):
             decode_message(body)
 
     def test_version_check(self):
@@ -200,7 +233,7 @@ class TestPropagationEquivalence:
         kj = joint.gain()
         for i, nd in enumerate(nodes):
             sl = slice(i * STATE_DOF, (i + 1) * STATE_DOF)
-            np.testing.assert_array_equal(nd.diag_block(), kj[sl, sl])
+            np.testing.assert_array_equal(nd.k_col[sl, :], kj[sl, sl])
             np.testing.assert_array_equal(nd.state.pose_matrix(),
                                           joint.estimate()[i].pose_matrix())
 
@@ -325,6 +358,26 @@ class TestSingularGate:
             ["propagation_factor"] * n
             + ["peer_state_request", "peer_state_reply", "update_broadcast"])
         assert bus.records[-1]["gain"] is None
+
+
+    def test_refused_update_keeps_observation_clock(self, world, noise,
+                                                    monkeypatch):
+        rng = np.random.default_rng(32)
+        joint, nodes = make_network(rng, 2, world, noise, k0=np.eye(30))
+        refused = Observation(models.LANDMARK, 0, 0, rng.standard_normal(3),
+                              0)
+        with monkeypatch.context() as m:
+            m.setattr(models, "hessian_term", singular_hessian(
+                noise.nominal_period(models.LANDMARK)))
+            with pytest.raises(UpdateSingularError):
+                joint.update(refused, with_curvature=False)
+            assert run_update(nodes, refused).gain is None
+        propagate_pair(joint, nodes, rng, 10)
+        obs = Observation(models.LANDMARK, 0, 0, rng.standard_normal(3),
+                          joint.t_ns)
+        expected = joint.observation_period(obs)
+        assert expected == noise.nominal_period(models.LANDMARK)
+        assert run_update(nodes, obs).dt == expected
 
 
 class TestDenseOracle:
@@ -462,6 +515,69 @@ class TestFullEquivalence:
         for i, nd in enumerate(nodes):
             np.testing.assert_allclose(
                 nd.k_col, kj[:, i * STATE_DOF:(i + 1) * STATE_DOF], atol=1e-9)
+
+
+class TestSharedEngine:
+    """Both filters run the same per-vehicle step on any update schedule."""
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+           coupled=st.booleans(),
+           epochs=st.lists(st.tuples(
+               st.integers(0, 25),
+               st.sampled_from([models.LANDMARK, models.INTERVEHICLE])),
+               min_size=1, max_size=5),
+           tail=st.integers(0, 25), data=st.data())
+    def test_joint_matches_nodes(self, world, noise, seed, n, coupled, epochs,
+                                 tail, data):
+        rng = np.random.default_rng(seed)
+        k0 = random_spd(rng, n * STATE_DOF, scale=0.002) if coupled else None
+        joint, nodes = make_network(rng, n, world, noise, k0=k0)
+        for span, kind in epochs:  # span 0: a second update on the same tick
+            propagate_pair(joint, nodes, rng, span)
+            observer = data.draw(st.integers(0, n - 1))
+            if kind == models.INTERVEHICLE and n > 1:
+                subject = (observer + data.draw(st.integers(1, n - 1))) % n
+            else:
+                kind, subject = models.LANDMARK, data.draw(st.integers(0, 1))
+            y = models.predict(joint.estimate(),
+                               Observation(kind, observer, subject,
+                                           np.zeros(3), joint.t_ns), world)
+            obs = Observation(kind, observer, subject,
+                              y + 0.01 * rng.standard_normal(3), joint.t_ns,
+                              dt=0.1)
+            joint.update(obs, with_curvature=False)
+            run_update(nodes, obs)
+            assert_nodes_match_joint(joint, nodes, 1e-10)
+        # gain() brings the cross blocks up to date as a factor exchange does
+        propagate_pair(joint, nodes, rng, tail)
+        exchange_factors(nodes)
+        assert_nodes_match_joint(joint, nodes, 1e-10)
+
+    def test_single_vehicle_makes_no_expm_call(self, world, noise,
+                                               monkeypatch):
+        calls = []
+
+        def counting_expm(a):
+            calls.append(a.shape)
+            return sla.expm(a)
+
+        monkeypatch.setattr(joint_module, "expm", counting_expm)
+        rng = np.random.default_rng(50)
+        for n in (1, 2):
+            calls.clear()
+            joint, _ = make_network(rng, n, world, noise)
+            for k in range(40):
+                joint.propagate([ImuSample(rng.standard_normal(3),
+                                           rng.standard_normal(3), joint.t_ns)
+                                 for _ in range(n)], DT)
+                if k == 19:
+                    joint.update(Observation(models.LANDMARK, 0, 0,
+                                             rng.standard_normal(3),
+                                             joint.t_ns, dt=0.1))
+            # one factor per vehicle and tick once there are cross blocks
+            assert len(calls) == (0 if n == 1 else 40 * n)
 
 
 class TestNodeInit:

@@ -4,7 +4,7 @@ import pytest
 from meswarm import harness, models
 from meswarm.harness import (MetricsRow, PriorConfig, ScheduleConfig,
                              SinusoidTrajectory, SyntheticSource,
-                             _observation_ticks, channel_rng, compute_metrics,
+                             _observation_ticks, channel_rng,
                              metrics_row, run_schedule, summarize_metrics,
                              synthesize_imu, synthesize_observation)
 from meswarm.lie import make_state, rotation_error_angle
@@ -175,13 +175,6 @@ class TestMetrics:
                        - np.sqrt(np.sum((est.vel - truth.vel) ** 2))) <= 1e-12
             assert abs(row.rot_err
                        - rotation_error_angle(est.rot, truth.rot)) <= 1e-12
-
-    def test_misaligned_streams_rejected(self):
-        x = make_state(np.eye(3), np.zeros(3), np.zeros(3))
-        with pytest.raises(ValueError):
-            compute_metrics([[x]], [[x], [x]], [0.0, 1.0])
-        with pytest.raises(ValueError):
-            compute_metrics([[x, x]], [[x]], [0.0])
 
     def test_summary_shape_and_split(self):
         rows = [MetricsRow(t, 0, 1.0 if t < 10 else 3.0, 0.1, 0.2, 0.01, 0.02)

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation as ScipyRotation
 
-from meswarm import lie
-from meswarm.lie import (AlgebraElement, adjoint_matrix,
-                         adjoint_matrix_from_vector, compose, group_exp,
+from meswarm.lie import (adjoint_matrix_from_vector, compose, group_exp,
                          identity_state, inverse, make_state,
-                         rotation_error_angle, vee, wedge)
+                         rotation_error_angle)
 
 
 def random_state(rng, scale=1.0):
@@ -23,9 +21,18 @@ def dense_product_oracle(x, y):
     return p, x.gyro_bias + y.gyro_bias, x.accel_bias + y.accel_bias
 
 
+def hat5(q):
+    """5x5 matrix embedding of the extended-pose part of a tangent vector."""
+    m = np.zeros((5, 5))
+    m[:3, :3] = [[0.0, -q[2], q[1]], [q[2], 0.0, -q[0]], [-q[1], q[0], 0.0]]
+    m[:3, 3] = q[3:6]
+    m[:3, 4] = q[6:9]
+    return m
+
+
 def series_exp_oracle(q, terms=30):
     """Truncated matrix-exponential series on the 5x5 embedding."""
-    a = wedge(q).pose_matrix()
+    a = hat5(q)
     out = np.eye(5)
     term = np.eye(5)
     for k in range(1, terms):
@@ -92,35 +99,9 @@ class TestInverse:
                                        atol=1e-10)
 
 
-class TestWedgeVee:
-    def test_basis_vector(self):
-        psi = wedge(np.eye(15)[0])
-        np.testing.assert_array_equal(psi.rot, [1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(psi.pos, 0.0)
-        np.testing.assert_array_equal(psi.gyro_bias, 0.0)
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(6)
-        for _ in range(100):
-            q = rng.standard_normal(15)
-            np.testing.assert_array_equal(vee(wedge(q)), q)
-
-    def test_se23_embedding(self):
-        rng = np.random.default_rng(7)
-        q = rng.standard_normal(15)
-        m = wedge(q).pose_matrix()
-        expected = np.zeros((5, 5))
-        expected[:3, :3] = [[0, -q[2], q[1]], [q[2], 0, -q[0]],
-                            [-q[1], q[0], 0]]
-        expected[:3, 3] = q[3:6]
-        expected[:3, 4] = q[6:9]
-        np.testing.assert_array_equal(m, expected)
-        np.testing.assert_array_equal(vee(wedge(q)), q)
-
-
 def bracket_oracle(p, q):
-    """Vee of the 5x5 commutator of the pose parts; bias slots vanish."""
-    a, b = wedge(p).pose_matrix(), wedge(q).pose_matrix()
+    """Coordinates of the 5x5 commutator of the pose parts; biases vanish."""
+    a, b = hat5(p), hat5(q)
     c = a @ b - b @ a
     out = np.zeros(15)
     out[0:3] = [c[2, 1], c[0, 2], c[1, 0]]
@@ -240,13 +221,3 @@ def test_rotation_reorthonormalisation():
     y = compose(x, identity_state())
     np.testing.assert_allclose(y.rot.T @ y.rot, np.eye(3), atol=1e-12)
 
-
-def test_network_compose_exp_blockwise():
-    rng = np.random.default_rng(17)
-    states = [identity_state(), identity_state()]
-    q = rng.standard_normal(30)
-    out = lie.network_compose_exp(states, q)
-    np.testing.assert_allclose(out[0].pose_matrix(),
-                               group_exp(q[:15]).pose_matrix())
-    np.testing.assert_allclose(out[1].pose_matrix(),
-                               group_exp(q[15:]).pose_matrix())
