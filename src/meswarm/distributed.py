@@ -16,7 +16,7 @@ import numpy as np
 
 from . import models
 from .joint import UpdateSingularError, gain_correction, propagate_vehicle
-from .lie import STATE_DOF, VehicleState, compose, group_exp, identity_state
+from .lie import STATE_DOF, VehicleState, compose, group_exp
 
 log = logging.getLogger(__name__)
 
@@ -134,6 +134,7 @@ class VehicleNode:
         self.k_col = k_col.copy()
         self.world = world
         self.noise = noise
+        self._noise_term = models.imu_noise_term(noise)
         self.lam_acc = np.eye(STATE_DOF)
         self.lam_start_tick = 0
         self.tick = 0
@@ -153,7 +154,7 @@ class VehicleNode:
         sl = slice(self.id * STATE_DOF, (self.id + 1) * STATE_DOF)
         self.state, self.k_col[sl, :], self.lam_acc = propagate_vehicle(
             self.state, self.k_col[sl, :], self.lam_acc, u, dt, self.world,
-            self.noise)
+            self._noise_term)
         self.tick += 1
         self.t_ns += int(round(dt * 1e9))
         return self
@@ -194,8 +195,8 @@ class VehicleNode:
         """
         if obs.observer != self.id:
             raise ValueError("only the observing vehicle can originate")
-        states = [identity_state()] * self.n
-        states[self.id] = self.state
+        # the model terms read only the vehicles the observation involves
+        states = {self.id: self.state}
         # K[:, ix]: the update slots of the observer's column, then the target's
         cols = [self.k_col[:, :models.UPDATE_SLOTS]]
         if obs.kind == models.INTERVEHICLE:
@@ -209,12 +210,12 @@ class VehicleNode:
         dt = obs.dt if obs.dt is not None else self.noise.effective_period(
             obs.kind, self._last_obs_ns.get(key), obs.t_ns)
 
-        e = models.hessian_term(states, obs, self.world, self.noise, dt)
-        _, r = models.residual(states, obs, self.world, self.noise, dt)
+        e_ii = models.hessian_term(states, obs, self.world, self.noise, dt)
+        _, r_ix = models.residual(states, obs, self.world, self.noise, dt)
 
         ix = models.update_indices(obs.kind, obs.observer, obs.subject)
         try:
-            gain = gain_correction(np.hstack(cols), ix, e[ix][:, ix], dt)
+            gain = gain_correction(np.hstack(cols), ix, e_ii, dt)
         except UpdateSingularError as exc:
             # a refused update leaves the source's observation clock alone,
             # as in the joint filter
@@ -224,7 +225,7 @@ class VehicleNode:
         else:
             self._last_obs_ns[key] = obs.t_ns
         return UpdateBroadcast(self.id, obs.kind, obs.subject, dt, obs.t_ns,
-                               r[ix], gain)
+                               r_ix, gain)
 
     def apply_update(self, msg):
         """Apply a broadcast update to the local column and state."""

@@ -172,15 +172,16 @@ class SinusoidTrajectory:
         return -np.sum(self.pos_amp * w * w * np.sin(self._arg(t)), axis=1)
 
     def _angle(self, t):
-        return self.rot_amp * math.sin(2.0 * np.pi * self.rot_freq_hz * t
-                                       + self.rot_phase)
+        return self.rot_amp * np.sin(2.0 * np.pi * self.rot_freq_hz * t
+                                     + self.rot_phase)
 
     def _angle_rate(self, t):
         w = 2.0 * np.pi * self.rot_freq_hz
         return self.rot_amp * w * math.cos(w * t + self.rot_phase)
 
     def rotation(self, t):
-        return so3_exp(self._angle(t) * self.rot_axis)
+        """Attitude at time t; an array of times gives a stack of them."""
+        return so3_exp(self._angle(t)[..., None] * self.rot_axis)
 
     def angular_velocity_body(self, t):
         # rotation about a fixed axis: the body rate equals the inertial rate
@@ -210,11 +211,13 @@ def synthesize_imu(trajectory, noise, gravity, n_ticks, dt, seed, vehicle,
     sqdt = math.sqrt(dt)
     dt_ns = int(round(1e9 * dt))
     samples, gyro_biases, accel_biases = [], [], []
+    # every tick's attitude in one stacked call
+    rots = trajectory.rotation(dt * np.arange(n_ticks))
     for k in range(n_ticks):
         t = k * dt
         gyro_biases.append(bg.copy())
         accel_biases.append(ba.copy())
-        rot = trajectory.rotation(t)
+        rot = rots[k]
         u_w = (trajectory.angular_velocity_body(t) + bg
                + noise.b_gyro @ rng_g.standard_normal(3))
         u_a = (rot.T @ (trajectory.acceleration(t) + gravity) + ba

@@ -14,7 +14,9 @@ import scipy.linalg as sla
 
 from . import models
 from .kernels import expm
-from .lie import STATE_DOF, compose, group_exp, network_adjoint_from_vector
+from .lie import (STATE_DOF, compose, group_exp, network_adjoint_from_vector,
+                  stack_states)
+from .models import ImuSample
 
 log = logging.getLogger(__name__)
 
@@ -32,23 +34,25 @@ def _sym(m):
     return 0.5 * (m + m.T)
 
 
-def propagate_vehicle(state, kdiag, lam, u, dt, world, noise):
-    """One vehicle's IMU tick, shared by the joint filter and the nodes.
+def propagate_vehicle(state, kdiag, lam, u, dt, world, noise_term):
+    """One IMU tick of one vehicle or of a stack of vehicles.
 
-    Advances the estimate through the group exponential, the 15x15 diagonal
-    gain block by a symmetrised forward-Euler Riccati step, and the
+    Shared by the joint filter (all n vehicles in one call, leading axis n)
+    and the nodes (one vehicle, no leading axis).  Advances the estimate
+    through the group exponential, the 15x15 diagonal gain block by a
+    forward-Euler Riccati step that keeps it exactly symmetric, and the
     accumulated propagation factor lam <- expm(a dt) lam that later brings
     the vehicle's cross blocks up to date; lam stays None for a caller that
-    keeps no factor.  Returns the new (state, kdiag, lam).
+    keeps no factor.  `noise_term` is models.imu_noise_term(noise), constant
+    for a run.  Returns the new (state, kdiag, lam).
     """
     a = models.a_check_single(state, u)
-    b = models.b_check_single(noise)
-    bwb = noise.w_inverse_scale() * (b @ b.T)
-    kd = kdiag + dt * (a @ kdiag + kdiag @ a.T + bwb)
+    ak = a @ kdiag
+    kd = kdiag + dt * (ak + ak.swapaxes(-1, -2) + noise_term)
     if lam is not None:
         lam = expm(a * dt) @ lam
     drift = models.lambda_single(state, u, world)
-    return compose(state, group_exp(dt * drift)), _sym(kd), lam
+    return compose(state, group_exp(dt * drift)), kd, lam
 
 
 def _check_spd(k, name="K0"):
@@ -60,8 +64,20 @@ def _check_spd(k, name="K0"):
         raise ValueError(f"{name} must be positive definite") from None
 
 
+def _blocks(k, n):
+    """(n, n, 15, 15) view of the 15x15 blocks of a 15n x 15n matrix."""
+    return k.reshape(n, STATE_DOF, n, STATE_DOF).swapaxes(1, 2)
+
+
 class JointFilter:
-    """Single-writer state machine holding the joint estimate and gain."""
+    """Single-writer state machine holding the joint estimate and gain.
+
+    The estimate is one stacked VehicleState (leading axis n; a single
+    vehicle is held without one, as a node holds its own).  Between updates
+    only the diagonal gain blocks move, kept as an (n, 15, 15) stack, and
+    each vehicle's propagation factor; the full gain is brought up to the
+    current tick before the next update.
+    """
 
     def __init__(self, states, k0, world, noise):
         k0 = np.asarray(k0, dtype=float)
@@ -70,42 +86,58 @@ class JointFilter:
             raise ValueError("K0 has the wrong shape for the vehicle count")
         _check_spd(k0)
         self.n = n
-        self.states = list(states)
+        self._lead = (n,) if n > 1 else ()
+        self.state = stack_states(states) if n > 1 else states[0]
         self.k = k0.copy()
         self.world = world
         self.noise = noise
         self.t_ns = 0
+        self._noise_term = models.imu_noise_term(noise)
         # last-observation time per (kind, observer, subject)
         self._last_obs_ns = {}
+        self._ar = np.arange(n)
+        self._kdiag = self._diag_blocks()
         # per-vehicle propagation factors since the cross blocks were last
         # brought up to date, as each node keeps its own; a single vehicle
         # has no cross blocks and keeps none
-        self._lams = ([None] if n == 1
-                      else [np.eye(STATE_DOF) for _ in range(n)])
-        self._cross_stale = False
+        self._lam = None if n == 1 else self._identity_factors()
+        self._stale = False
+
+    def _diag_blocks(self):
+        blocks = _blocks(self.k, self.n)[self._ar, self._ar]
+        return blocks.reshape(self._lead + (STATE_DOF, STATE_DOF))
+
+    def _identity_factors(self):
+        return np.broadcast_to(np.eye(STATE_DOF),
+                               (self.n, STATE_DOF, STATE_DOF)).copy()
 
     # -- accessors -----------------------------------------------------------
 
     def estimate(self):
-        return list(self.states)
+        """Per-vehicle states; later steps never change them in place."""
+        if not self._lead:
+            return [self.state]
+        return [self.state[i] for i in range(self.n)]
 
     def gain(self):
-        """The joint gain, every cross block brought up to the current tick.
+        """The joint gain brought up to the current tick.
 
-        K_ij becomes lam_i K_ij lam_j^T for i < j and K_ji its transpose, the
-        expression each node applies when it absorbs a peer's factor.  The
-        filter itself is left unchanged.
+        The diagonal blocks are the propagated ones, and K_ij becomes
+        lam_i K_ij lam_j^T for i < j and K_ji its transpose, the expression
+        each node applies when it absorbs a peer's factor.  The filter
+        itself is left unchanged.
         """
         k = self.k.copy()
-        if self._cross_stale:
-            d = STATE_DOF
-            for i in range(self.n):
-                si = slice(i * d, (i + 1) * d)
-                for j in range(i + 1, self.n):
-                    sj = slice(j * d, (j + 1) * d)
-                    kij = self._lams[i] @ k[si, sj] @ self._lams[j].T
-                    k[si, sj] = kij
-                    k[sj, si] = kij.T
+        if not self._stale:
+            return k
+        blocks = _blocks(k, self.n)
+        if self._lam is not None:
+            lam = self._lam
+            upper = np.triu_indices(self.n, 1)
+            kij = lam[upper[0]] @ blocks[upper] @ lam[upper[1]].swapaxes(-1, -2)
+            blocks[upper] = kij
+            blocks[upper[::-1]] = kij.swapaxes(-1, -2)
+        blocks[self._ar, self._ar] = self._kdiag
         return k
 
     # -- IMU propagation -----------------------------------------------------
@@ -114,19 +146,20 @@ class JointFilter:
         """Advance one IMU tick: one sample per vehicle, common period dt.
 
         Only the estimates, the diagonal gain blocks and the factors move
-        here; the cross blocks are brought up to date at the next update.
+        here, for all vehicles in one call; the full gain is brought up to
+        date at the next update.
         """
         if dt <= 0.0:
             raise ValueError("IMU period must be positive")
         if len(imu) != self.n:
             raise ValueError("need one IMU sample per vehicle")
-        d = STATE_DOF
-        for i in range(self.n):
-            sl = slice(i * d, (i + 1) * d)
-            self.states[i], self.k[sl, sl], self._lams[i] = propagate_vehicle(
-                self.states[i], self.k[sl, sl], self._lams[i], imu[i], dt,
-                self.world, self.noise)
-        self._cross_stale = self.n > 1
+        u = imu[0] if not self._lead else ImuSample(
+            np.array([s.gyro for s in imu]), np.array([s.accel for s in imu]),
+            imu[0].t_ns)
+        self.state, self._kdiag, self._lam = propagate_vehicle(
+            self.state, self._kdiag, self._lam, u, dt, self.world,
+            self._noise_term)
+        self._stale = True
         self.t_ns += int(round(dt * 1e9))
         return self
 
@@ -145,37 +178,44 @@ class JointFilter:
         if obs.t_ns < self.t_ns:
             raise ValueError(
                 f"observation at {obs.t_ns} ns is before filter time {self.t_ns} ns")
-        if self._cross_stale:
+        if self._stale:
             self.k = self.gain()
-            self._lams = [np.eye(STATE_DOF) for _ in range(self.n)]
-            self._cross_stale = False
+            if self._lam is not None:
+                self._lam = self._identity_factors()
+            self._stale = False
         dt = self.observation_period(obs)
-        e = models.hessian_term(self.states, obs, self.world, self.noise, dt)
-        _, r = models.residual(self.states, obs, self.world, self.noise, dt)
+        ix = models.update_indices(obs.kind, obs.observer, obs.subject)
+        states = self.state if self._lead else [self.state]
+        e_ii = models.hessian_term(states, obs, self.world, self.noise, dt)
+        _, r_ix = models.residual(states, obs, self.world, self.noise, dt)
 
         if with_curvature:
+            # the curvature term fills the whole matrix: dense terms and solve
+            dim = self.n * STATE_DOF
+            e = np.zeros((dim, dim))
+            e[np.ix_(ix, ix)] = e_ii
+            r = np.zeros(dim)
+            r[ix] = r_ix
             ad = network_adjoint_from_vector(self.k @ r, self.n)
             # general solve: the gain may be symmetric indefinite after a
             # strongly curved update, and the correction is still well defined
             inner = e + _sym(np.linalg.solve(self.k, ad))
-            # the curvature term fills the whole matrix: dense solve
-            s = np.eye(self.n * STATE_DOF) + dt * (self.k @ inner)
+            s = np.eye(dim) + dt * (self.k @ inner)
             self.k = _sym(sla.lu_solve(_factor(s), self.k))
         else:
-            ix = models.update_indices(obs.kind, obs.observer, obs.subject)
-            g = gain_correction(self.k[:, ix], ix, e[ix][:, ix], dt)
+            g = gain_correction(self.k[:, ix], ix, e_ii, dt)
             self.k = _sym(self.k - g @ self.k[ix, :])
+        self._kdiag = self._diag_blocks()
         try:
             np.linalg.cholesky(self.k)
         except np.linalg.LinAlgError:
             log.warning("gain matrix lost positive definiteness at t=%d ns",
                         obs.t_ns)
 
-        psi = dt * (self.k @ r)
-        self.states = [
-            compose(x, group_exp(psi[i * STATE_DOF:(i + 1) * STATE_DOF]))
-            for i, x in enumerate(self.states)
-        ]
+        # psi = dt K r, and r vanishes outside ix
+        psi = dt * (self.k[:, ix] @ r_ix)
+        self.state = compose(self.state,
+                             group_exp(psi.reshape(self._lead + (STATE_DOF,))))
         self._last_obs_ns[(obs.kind, obs.observer, obs.subject)] = obs.t_ns
         return self
 

@@ -4,13 +4,17 @@ The state lives on the direct product of the extended pose group (a 5x5
 matrix group packing rotation, position and velocity) with two additive
 bias vectors.  Tangent vectors are ordered (rot, pos, vel, gyro_bias,
 accel_bias), fifteen entries in total.
+
+A state holds one vehicle or a stack of vehicles: every field carries the
+same leading axes, none for one vehicle and (n,) for the joint filter's n
+vehicles.  `compose`, `inverse` and `group_exp` act on all of them at once.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .kernels import skew, so3_exp, so3_left_jacobian
+from .kernels import EYE3, skew, so3_left_jacobian
 
 STATE_DOF = 15
 
@@ -23,24 +27,40 @@ def _vec3(v):
     return a
 
 
+def _t(m):
+    """Transpose of the last two axes."""
+    return m.swapaxes(-1, -2)
+
+
+def _rotated(r, x):
+    """(r @ x.pos, r @ x.vel) for stacks, in one product."""
+    pv = r @ np.concatenate((x.pos[..., None], x.vel[..., None]), axis=-1)
+    return pv[..., 0], pv[..., 1]
+
+
 @dataclass(frozen=True)
 class VehicleState:
-    """One vehicle's rotation, position, velocity and IMU biases."""
+    """Rotation, position, velocity and IMU biases of one or more vehicles."""
 
-    rot: np.ndarray          # 3x3 rotation matrix
-    pos: np.ndarray          # m, inertial frame
-    vel: np.ndarray          # m/s, inertial frame
-    gyro_bias: np.ndarray    # rad/s
-    accel_bias: np.ndarray   # m/s^2
+    rot: np.ndarray          # (..., 3, 3) rotation matrices
+    pos: np.ndarray          # (..., 3) m, inertial frame
+    vel: np.ndarray          # (..., 3) m/s, inertial frame
+    gyro_bias: np.ndarray    # (..., 3) rad/s
+    accel_bias: np.ndarray   # (..., 3) m/s^2
+
+    def __getitem__(self, i):
+        """Vehicle i of a stack, as views of the stacked fields."""
+        return VehicleState(self.rot[i], self.pos[i], self.vel[i],
+                            self.gyro_bias[i], self.accel_bias[i])
 
     def pose_matrix(self):
         """5x5 homogeneous form of the extended pose."""
-        m = np.zeros((5, 5))
-        m[:3, :3] = self.rot
-        m[:3, 3] = self.pos
-        m[:3, 4] = self.vel
-        m[3, 3] = 1.0
-        m[4, 4] = 1.0
+        m = np.zeros(self.pos.shape[:-1] + (5, 5))
+        m[..., :3, :3] = self.rot
+        m[..., :3, 3] = self.pos
+        m[..., :3, 4] = self.vel
+        m[..., 3, 3] = 1.0
+        m[..., 4, 4] = 1.0
         return m
 
 
@@ -51,41 +71,53 @@ def make_state(rot, pos, vel, gyro_bias=None, accel_bias=None):
     return VehicleState(rot, _vec3(pos), _vec3(vel), gyro_bias, accel_bias)
 
 
+def stack_states(states):
+    """One stacked state, leading axis n, from n single-vehicle states."""
+    return VehicleState(*(np.stack([getattr(x, f.name) for x in states])
+                          for f in fields(VehicleState)))
+
+
 def identity_state():
     return make_state(np.eye(3), np.zeros(3), np.zeros(3))
 
 
 def project_rotation(r):
-    """Nearest rotation matrix (polar projection via SVD)."""
+    """Nearest rotation matrices (polar projection via SVD)."""
     u, _, vt = np.linalg.svd(r)
-    out = u @ vt
-    if np.linalg.det(out) < 0:
-        out = u @ np.diag([1.0, 1.0, -1.0]) @ vt
-    return out
+    # a reflection flips the singular direction of the smallest value
+    u[..., :, 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
+    return u @ vt
 
 
 def _renormalised(r):
-    if np.linalg.norm(r.T @ r - np.eye(3)) > ROT_DRIFT_TOL:
-        return project_rotation(r)
+    """r with every rotation that drifted past ROT_DRIFT_TOL projected back.
+
+    Works in place on r, which the caller has just computed.
+    """
+    d = _t(r) @ r - EYE3
+    drift2 = np.add.reduce((d * d).reshape(d.shape[:-2] + (9,)), axis=-1)
+    drifted = drift2 > ROT_DRIFT_TOL ** 2
+    if np.count_nonzero(drifted):
+        r[drifted] = project_rotation(r[drifted])
     return r
 
 
 def compose(x, y):
     """Group product: poses multiply as 5x5 matrices, biases add."""
-    rot = _renormalised(x.rot @ y.rot)
+    pos, vel = _rotated(x.rot, y)
     return VehicleState(
-        rot,
-        x.pos + x.rot @ y.pos,
-        x.vel + x.rot @ y.vel,
+        _renormalised(x.rot @ y.rot),
+        x.pos + pos,
+        x.vel + vel,
         x.gyro_bias + y.gyro_bias,
         x.accel_bias + y.accel_bias,
     )
 
 
 def inverse(x):
-    rt = x.rot.T
-    return VehicleState(rt.copy(), -(rt @ x.pos), -(rt @ x.vel),
-                        -x.gyro_bias, -x.accel_bias)
+    rt = _t(x.rot)
+    pos, vel = _rotated(rt, x)
+    return VehicleState(rt.copy(), -pos, -vel, -x.gyro_bias, -x.accel_bias)
 
 
 def adjoint_matrix_from_vector(q):
@@ -105,16 +137,17 @@ def adjoint_matrix_from_vector(q):
 
 
 def group_exp(q):
-    """Exponential of a 15-entry tangent vector onto the group.
+    """Exponential of 15-entry tangent vectors (..., 15) onto the group.
 
-    Closed form: SO(3) exponential for the rotation slot, the shared SO(3)
-    left Jacobian applied to the position and velocity slots, and the
-    identity map on the (additive) bias slots.
+    Closed form: the SO(3) left Jacobian J applied to the position and
+    velocity slots, the rotation as exp(K) = I + K J with K the hat of the
+    rotation slot, and the identity map on the (additive) bias slots.
     """
-    r = so3_exp(q[0:3])
-    j = so3_left_jacobian(q[0:3])
-    return VehicleState(r, j @ q[3:6], j @ q[6:9],
-                        q[9:12].copy(), q[12:15].copy())
+    phi = q[..., 0:3]
+    j = so3_left_jacobian(phi)
+    pv = j @ _t(q[..., 3:9].reshape(q.shape[:-1] + (2, 3)))
+    return VehicleState(EYE3 + skew(phi) @ j, pv[..., 0], pv[..., 1],
+                        q[..., 9:12].copy(), q[..., 12:15].copy())
 
 
 def rotation_error_angle(r_est, r_true):

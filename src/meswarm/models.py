@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import skew
+from .kernels import EYE3, skew
 from .lie import STATE_DOF, VehicleState
 
 DEFAULT_GRAVITY = np.array([0.0, 0.0, 9.81])
@@ -128,17 +128,18 @@ class Observation:
 
 
 # -- system model ------------------------------------------------------------
+#
+# These take one vehicle's state and IMU sample, or a stack of both with the
+# same leading axes, and return the matching stack.
 
 def lambda_single(x: VehicleState, u: ImuSample, world: WorldConfig):
-    """Tangent-space drift of one vehicle under the held IMU sample."""
-    rt = x.rot.T
-    return np.concatenate([
-        u.gyro - x.gyro_bias,
-        rt @ x.vel,
-        u.accel - x.accel_bias - rt @ world.gravity,
-        np.zeros(3),
-        np.zeros(3),
-    ])
+    """Tangent-space drift of the vehicles under the held IMU samples."""
+    out = np.zeros(x.pos.shape[:-1] + (STATE_DOF,))
+    out[..., 0:3] = u.gyro - x.gyro_bias
+    # R^T v and R^T g, as the rows v^T R and g^T R
+    out[..., 3:6] = (x.vel[..., None, :] @ x.rot)[..., 0, :]
+    out[..., 6:9] = u.accel - x.accel_bias - world.gravity @ x.rot
+    return out
 
 
 def b_check_single(noise: NoiseModel):
@@ -151,21 +152,44 @@ def b_check_single(noise: NoiseModel):
     return b
 
 
+def imu_noise_term(noise: NoiseModel):
+    """Constant input term dt_imu B B^T of every diagonal gain block's flow."""
+    b = b_check_single(noise)
+    return noise.w_inverse_scale() * (b @ b.T)
+
+
+def _a_check_affine():
+    """a_check_single is affine in d = (gyro_bias - gyro, accel_bias - accel):
+    flattened, a = d @ linear + fixed with linear (6, 225) and fixed (225,)."""
+    linear = np.zeros((6, STATE_DOF, STATE_DOF))
+    for i, hat in enumerate(skew(np.eye(3))):
+        for row in (0, 3, 6):
+            linear[i, row:row + 3, row:row + 3] = hat
+        linear[3 + i, 6:9, 0:3] = hat
+    fixed = np.zeros((STATE_DOF, STATE_DOF))
+    fixed[0:3, 9:12] = -np.eye(3)
+    fixed[3:6, 6:9] = np.eye(3)
+    fixed[6:9, 12:15] = -np.eye(3)
+    return linear.reshape(6, -1), fixed.ravel()
+
+
+_A_LINEAR, _A_FIXED = _a_check_affine()
+
+
 def a_check_single(x: VehicleState, u: ImuSample):
     """15x15 linearisation of the drift, evaluated at the estimate.
 
-    Depends on the state only through the bias estimates.
+    Depends on the state only through the bias estimates:
+
+        [ -w^   0    0    -I   0 ]      w = gyro - gyro_bias
+        [  0   -w^   I     0   0 ]      f = accel - accel_bias
+        [ -f^   0   -w^    0  -I ]
+        [  0    0    0     0   0 ]
+        [  0    0    0     0   0 ]
     """
-    w = skew(u.gyro - x.gyro_bias)
-    a = np.zeros((STATE_DOF, STATE_DOF))
-    a[0:3, 0:3] = w
-    a[0:3, 9:12] = np.eye(3)
-    a[3:6, 3:6] = w
-    a[3:6, 6:9] = -np.eye(3)
-    a[6:9, 0:3] = skew(u.accel - x.accel_bias)
-    a[6:9, 6:9] = w
-    a[6:9, 12:15] = np.eye(3)
-    return -a
+    d = np.concatenate((x.gyro_bias - u.gyro, x.accel_bias - u.accel), axis=-1)
+    a = np.dot(d, _A_LINEAR) + _A_FIXED
+    return a.reshape(d.shape[:-1] + (STATE_DOF, STATE_DOF))
 
 
 # -- measurement predictions -------------------------------------------------
@@ -186,118 +210,68 @@ def predict(states, obs: Observation, world: WorldConfig):
                                 world.marker(obs.subject))
 
 
-# -- block-row builders ------------------------------------------------------
-
-def _row(n):
-    return np.zeros((3, n * STATE_DOF))
-
-
-def f_landmark(states, alpha, l):
-    n = len(states)
-    f = _row(n)
-    c = alpha * STATE_DOF
-    f[:, c:c + 3] = skew(predict_landmark(states[alpha], l))
-    f[:, c + 3:c + 6] = -np.eye(3)
-    return f
-
-
-def f_intervehicle(states, alpha, beta, m_beta):
-    n = len(states)
-    f = _row(n)
-    ca = alpha * STATE_DOF
-    cb = beta * STATE_DOF
-    r_ab = states[alpha].rot.T @ states[beta].rot
-    f[:, ca:ca + 3] = skew(predict_intervehicle(states[alpha], states[beta], m_beta))
-    f[:, ca + 3:ca + 6] = -np.eye(3)
-    f[:, cb:cb + 3] = -r_ab @ skew(np.asarray(m_beta, dtype=float))
-    f[:, cb + 3:cb + 6] = r_ab
-    return f
-
-
-def g_row(s, idx, n):
-    g = _row(n)
-    c = idx * STATE_DOF
-    g[:, c:c + 3] = skew(np.asarray(s, dtype=float))
-    return g
-
-
-def l_row(m_beta, beta, n):
-    l = _row(n)
-    c = beta * STATE_DOF
-    l[:, c:c + 3] = -skew(np.asarray(m_beta, dtype=float))
-    l[:, c + 3:c + 6] = np.eye(3)
-    return l
-
-
 def _sym(m):
     return 0.5 * (m + m.T)
 
 
-# -- residuals and Hessian terms --------------------------------------------
+# -- residuals and Hessian terms on the update slots -------------------------
+#
+# An observation's residual and Hessian term vanish outside the rotation and
+# position slots of the vehicles it involves (update_indices), so both are
+# built on those m = 6 or 12 slots only.  `states` is anything indexed by
+# vehicle: a list, a stacked VehicleState, or a dict holding the observer
+# (and the target).
 
-def residual_landmark(states, obs: Observation, world: WorldConfig,
-                      noise: NoiseModel, dt=None):
-    """Weighted innovation and its 15n-vector residual contribution."""
+_Z3 = np.zeros((3, 3))
+
+
+def _landmark_terms(states, obs, world, noise, dt):
+    """Weight M, weighted innovation s, Jacobian F (3 x 6) and the
+    second-order part G^T F of the Hessian term, G = [s^ 0]."""
     l = world.landmark(obs.subject)
-    dt = obs.dt if dt is None else dt
     m = noise.measurement_weight(LANDMARK, dt)
-    s = m @ (obs.y - predict_landmark(states[obs.observer], l))
-    f = f_landmark(states, obs.observer, l)
-    return s, f.T @ s
+    h = predict_landmark(states[obs.observer], l)
+    s = m @ (obs.y - h)
+    f = np.hstack((skew(h), -EYE3))
+    g = np.hstack((skew(s), _Z3))
+    return m, s, f, g.T @ f
 
 
-def residual_intervehicle(states, obs: Observation, world: WorldConfig,
-                          noise: NoiseModel, dt=None):
-    m_beta = world.marker(obs.subject)
-    dt = obs.dt if dt is None else dt
+def _intervehicle_terms(states, obs, world, noise, dt):
+    """As _landmark_terms on the observer's then the target's slots
+    (F is 3 x 12): G_a^T F + G_a^T R_ab L_b - G_b^T L_b with
+    G_a = [s^ 0 | 0 0], G_b = [0 0 | (R_ab^T s)^ 0], L_b = [0 0 | -m^ I]."""
+    x_a, x_b = states[obs.observer], states[obs.subject]
+    m_b = world.marker(obs.subject)
     m = noise.measurement_weight(INTERVEHICLE, dt)
-    s = m @ (obs.y - predict_intervehicle(states[obs.observer],
-                                          states[obs.subject], m_beta))
-    f = f_intervehicle(states, obs.observer, obs.subject, m_beta)
-    return s, f.T @ s
+    r_ab = x_a.rot.T @ x_b.rot
+    h = predict_intervehicle(x_a, x_b, m_b)
+    s = m @ (obs.y - h)
+    f = np.hstack((skew(h), -EYE3, -r_ab @ skew(m_b), r_ab))
+    ga = np.hstack((skew(s), _Z3, _Z3, _Z3))
+    gb = np.hstack((_Z3, _Z3, skew(r_ab.T @ s), _Z3))
+    lb = np.hstack((_Z3, _Z3, -skew(m_b), EYE3))
+    return m, s, f, ga.T @ f + ga.T @ (r_ab @ lb) - gb.T @ lb
 
 
-def e_landmark(states, obs: Observation, world: WorldConfig,
-               noise: NoiseModel, dt=None):
-    """Symmetric 15n x 15n Hessian term for a landmark observation."""
-    n = len(states)
-    l = world.landmark(obs.subject)
+def _terms(states, obs, world, noise, dt):
     dt = obs.dt if dt is None else dt
-    m = noise.measurement_weight(LANDMARK, dt)
-    s = m @ (obs.y - predict_landmark(states[obs.observer], l))
-    f = f_landmark(states, obs.observer, l)
-    g = g_row(s, obs.observer, n)
-    return _sym(g.T @ f) + _sym(f.T @ m @ f)
-
-
-def e_intervehicle(states, obs: Observation, world: WorldConfig,
-                   noise: NoiseModel, dt=None):
-    """Symmetric 15n x 15n Hessian term for an inter-vehicle observation."""
-    n = len(states)
-    alpha, beta = obs.observer, obs.subject
-    m_beta = world.marker(beta)
-    dt = obs.dt if dt is None else dt
-    m = noise.measurement_weight(INTERVEHICLE, dt)
-    r_ab = states[alpha].rot.T @ states[beta].rot
-    s = m @ (obs.y - predict_intervehicle(states[alpha], states[beta], m_beta))
-    f = f_intervehicle(states, alpha, beta, m_beta)
-    ga = g_row(s, alpha, n)
-    gb = g_row(r_ab.T @ s, beta, n)
-    lb = l_row(m_beta, beta, n)
-    core = ga.T @ f + ga.T @ (r_ab @ lb) - gb.T @ lb
-    return _sym(core) + _sym(f.T @ m @ f)
+    if obs.kind == LANDMARK:
+        return _landmark_terms(states, obs, world, noise, dt)
+    return _intervehicle_terms(states, obs, world, noise, dt)
 
 
 def residual(states, obs, world, noise, dt=None):
-    if obs.kind == LANDMARK:
-        return residual_landmark(states, obs, world, noise, dt)
-    return residual_intervehicle(states, obs, world, noise, dt)
+    """Weighted innovation s and the m residual entries F^T s at
+    update_indices(obs.kind, obs.observer, obs.subject)."""
+    _, s, f, _ = _terms(states, obs, world, noise, dt)
+    return s, f.T @ s
 
 
 def hessian_term(states, obs, world, noise, dt=None):
-    if obs.kind == LANDMARK:
-        return e_landmark(states, obs, world, noise, dt)
-    return e_intervehicle(states, obs, world, noise, dt)
+    """Symmetric m x m block E_ii of the Hessian term at update_indices."""
+    m, _, f, core = _terms(states, obs, world, noise, dt)
+    return _sym(core) + _sym(f.T @ m @ f)
 
 
 @functools.lru_cache(maxsize=None)

@@ -138,7 +138,7 @@ def test_criterion_3_update_hessian_terms(report):
         obs_l = Observation(models.LANDMARK, int(rng.integers(3)),
                             int(rng.integers(2)), rng.standard_normal(3), 0,
                             dt=0.1)
-        e = models.e_landmark(states, obs_l, world, noise)
+        e = test_models.dense_hessian(states, obs_l, world, noise)
         symmetric &= bool(np.array_equal(e, e.T))
         worst = max(worst, np.abs(
             e - test_models.hessian_landmark_oracle(states, obs_l, world,
@@ -147,14 +147,16 @@ def test_criterion_3_update_hessian_terms(report):
         b = (a + 1 + int(rng.integers(2))) % 3
         obs_i = Observation(models.INTERVEHICLE, a, b,
                             rng.standard_normal(3), 0, dt=0.1)
-        e = models.e_intervehicle(states, obs_i, world, noise)
+        e = test_models.dense_hessian(states, obs_i, world, noise)
         symmetric &= bool(np.array_equal(e, e.T))
         worst = max(worst, np.abs(
             e - test_models.hessian_intervehicle_oracle(states, obs_i, world,
                                                         noise)).max())
-        m = noise.measurement_weight(models.INTERVEHICLE, 0.1)
-        f = models.f_intervehicle(states, a, b, world.marker(b))
-        min_eig = min(min_eig, np.min(np.linalg.eigvalsh(f.T @ m @ f)))
+        # at zero innovation the term is F^T M F alone
+        y0 = models.predict(states, obs_i, world)
+        e0 = models.hessian_term(states, Observation(
+            models.INTERVEHICLE, a, b, y0, 0, dt=0.1), world, noise)
+        min_eig = min(min_eig, np.min(np.linalg.eigvalsh(e0)))
     ok = worst <= 1e-12 and symmetric and min_eig >= -1e-10
     report(3, "update Hessian terms vs assembly oracle", ok,
            f"max err {worst:.1e}, symmetric {symmetric}, "

@@ -148,11 +148,14 @@ class TestExitCodes:
         dt_ns = 5_000_000
         n = 300
 
-        def write_trial(name, bad):
+        def write_trial(name, bad, column="az"):
             imu_lines = ["timestamp_ns,wx,wy,wz,ax,ay,az"]
             for k in range(n):
-                accel = bad if k == 100 else "9.81"
-                imu_lines.append(f"{k * dt_ns},0,0,0,0,0,{accel}")
+                sample = {"wz": "0", "az": "9.81"}
+                if k == 100:
+                    sample[column] = bad
+                imu_lines.append(
+                    f"{k * dt_ns},0,0,{sample['wz']},0,0,{sample['az']}")
             (tmp_path / f"{name}_imu.csv").write_text(
                 "\n".join(imu_lines) + "\n")
             (tmp_path / f"{name}_truth.csv").write_text(
@@ -171,17 +174,22 @@ class TestExitCodes:
         # process with a timeout turns a regression into a failure
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
-        vehicles = [write_trial("inf", "inf"), write_trial("clean", "9.81")]
-        for mode in ("central", "distributed"):
+        clean = write_trial("clean", "9.81")
+        cases = [(mode, "inf", "az") for mode in ("central", "distributed")]
+        # a non-finite gyro sample reaches the SO(3) kernels in every mode
+        cases += [(mode, bad, "wz") for bad in ("inf", "nan")
+                  for mode in ("none", "central", "distributed")]
+        for mode, bad, column in cases:
+            name = f"{bad}_{column}_{mode}"
             cfg = base_config(mode=mode, n_vehicles=2, duration_s=1.0)
-            cfg["vehicles"] = vehicles
-            cfg_path = tmp_path / f"inf_{mode}.json"
+            cfg["vehicles"] = [write_trial(name, bad, column), clean]
+            cfg_path = tmp_path / f"{name}.json"
             cfg_path.write_text(json.dumps(cfg))
             proc = subprocess.run(
                 [sys.executable, "-m", "meswarm.cli", "--config",
-                 str(cfg_path), "--out", str(tmp_path / f"inf_{mode}")],
+                 str(cfg_path), "--out", str(tmp_path / name)],
                 env=env, capture_output=True, timeout=120)
-            assert proc.returncode == 4, (mode, proc.stderr)
+            assert proc.returncode == 4, (name, proc.stderr)
 
 
 class TestDatasetRun:

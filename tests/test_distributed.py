@@ -16,6 +16,7 @@ from meswarm.joint import JointFilter, UpdateSingularError, block_diag_prior
 from meswarm.kernels import expm
 from meswarm.lie import STATE_DOF, compose, group_exp, identity_state, make_state
 from meswarm.models import ImuSample, NoiseModel, Observation, WorldConfig
+from test_models import dense_hessian, dense_residual
 
 DT = 0.005
 TICK_NS = 5_000_000
@@ -263,8 +264,8 @@ class TestUpdates:
         obs = Observation(models.LANDMARK, 0, 1,
                           rng.standard_normal(3), 0, dt=0.1)
         bc = nodes[0].originate_update(obs)  # no peer traffic needed
-        e = models.hessian_term(joint.estimate(), obs, world, noise, 0.1)
-        _, r = models.residual(joint.estimate(), obs, world, noise, 0.1)
+        e = dense_hessian(joint.estimate(), obs, world, noise, 0.1)
+        _, r = dense_residual(joint.estimate(), obs, world, noise, 0.1)
         k = joint.gain()
         ix = models.update_indices(models.LANDMARK, 0, 1)
         np.testing.assert_array_equal(bc.r, r[ix])
@@ -312,12 +313,10 @@ class TestUpdates:
 
 
 def singular_hessian(dt):
-    """A Hessian term making I + dt E_ii K_ii zero when K_ii = I."""
+    """An m x m Hessian term making I + dt E_ii K_ii zero when K_ii = I."""
     def hessian_term(states, obs, world, noise, _dt=None):
-        e = np.zeros((len(states) * STATE_DOF,) * 2)
         ix = models.update_indices(obs.kind, obs.observer, obs.subject)
-        e[ix, ix] = -1.0 / dt
-        return e
+        return -np.eye(len(ix)) / dt
     return hessian_term
 
 
@@ -399,8 +398,8 @@ class TestDenseOracle:
                                                    np.zeros(3), 0), world)
             obs = Observation(kind, observer, subject,
                               y + 0.05 * rng.standard_normal(3), 0, dt=0.1)
-            e = models.hessian_term(states, obs, world, noise, 0.1)
-            _, r = models.residual(states, obs, world, noise, 0.1)
+            e = dense_hessian(states, obs, world, noise, 0.1)
+            _, r = dense_residual(states, obs, world, noise, 0.1)
             k_ref, psi = dense_update(k0, e, r, 0.1)
             x_ref = [compose(x, group_exp(psi[i * STATE_DOF:(i + 1) * STATE_DOF]))
                      for i, x in enumerate(states)]
@@ -576,8 +575,10 @@ class TestSharedEngine:
                     joint.update(Observation(models.LANDMARK, 0, 0,
                                              rng.standard_normal(3),
                                              joint.t_ns, dt=0.1))
-            # one factor per vehicle and tick once there are cross blocks
-            assert len(calls) == (0 if n == 1 else 40 * n)
+            # one stacked call per tick, one factor per vehicle, once there
+            # are cross blocks
+            assert len(calls) == (0 if n == 1 else 40)
+            assert all(shape == (n, STATE_DOF, STATE_DOF) for shape in calls)
 
 
 class TestNodeInit:

@@ -9,6 +9,7 @@ from meswarm.lie import (STATE_DOF, identity_state, make_state,
                          network_adjoint_from_vector)
 from meswarm.models import ImuSample, NoiseModel, Observation, WorldConfig
 from test_lie import hat5
+from test_models import dense_hessian, dense_residual
 
 
 def random_state(rng):
@@ -161,8 +162,8 @@ class TestDiscreteVsContinuous:
 
 def transcription_oracle(state, k, obs, world, noise, dt):
     """Literal single-vehicle update equations, without curvature."""
-    e = models.e_landmark([state], obs, world, noise, dt)
-    _, r = models.residual_landmark([state], obs, world, noise, dt)
+    e = dense_hessian([state], obs, world, noise, dt)
+    _, r = dense_residual([state], obs, world, noise, dt)
     k_new = np.linalg.inv(np.eye(15) + dt * k @ e) @ k
     from meswarm.lie import compose, group_exp
     x_new = compose(state, group_exp(dt * (k_new @ r)))
@@ -208,8 +209,8 @@ class TestUpdate:
         f_on.update(obs, with_curvature=True)
         f_off.update(obs, with_curvature=False)
         # term-magnitude oracle for the curvature perturbation
-        _, r = models.residual_landmark([x], obs, world, noise, 0.1)
-        e = models.e_landmark([x], obs, world, noise, 0.1)
+        _, r = dense_residual([x], obs, world, noise, 0.1)
+        e = dense_hessian([x], obs, world, noise, 0.1)
         ad = network_adjoint_from_vector(k0 @ r, 1)
         c = 0.5 * (np.linalg.solve(k0, ad) + np.linalg.solve(k0, ad).T)
         s_off = np.eye(15) + 0.1 * k0 @ e

@@ -10,10 +10,8 @@ from meswarm.lie import (STATE_DOF, adjoint_matrix_from_vector, compose,
                          group_exp, identity_state, make_state)
 from meswarm.models import (ImuSample, NoiseModel, Observation,
                             ObservationError, WorldConfig, a_check_single,
-                            b_check_single, e_intervehicle, e_landmark,
-                            lambda_single, predict_intervehicle,
-                            predict_landmark, residual_intervehicle,
-                            residual_landmark)
+                            b_check_single, lambda_single,
+                            predict_intervehicle, predict_landmark)
 
 
 def random_state(rng):
@@ -25,6 +23,26 @@ def random_state(rng):
 
 def random_imu(rng, t_ns=0):
     return ImuSample(rng.standard_normal(3), rng.standard_normal(3), t_ns)
+
+
+def dense_residual(states, obs, world, noise, dt=None):
+    """Weighted innovation and the 15n residual, scattered from the m
+    entries models.residual returns at update_indices."""
+    ix = models.update_indices(obs.kind, obs.observer, obs.subject)
+    s, r_ix = models.residual(states, obs, world, noise, dt)
+    r = np.zeros(len(states) * STATE_DOF)
+    r[ix] = r_ix
+    return s, r
+
+
+def dense_hessian(states, obs, world, noise, dt=None):
+    """The 15n x 15n Hessian term, scattered from the m x m block
+    models.hessian_term returns at update_indices."""
+    ix = models.update_indices(obs.kind, obs.observer, obs.subject)
+    dim = len(states) * STATE_DOF
+    e = np.zeros((dim, dim))
+    e[np.ix_(ix, ix)] = models.hessian_term(states, obs, world, noise, dt)
+    return e
 
 
 @pytest.fixture
@@ -212,7 +230,7 @@ class TestResiduals:
         states = [random_state(rng), random_state(rng)]
         y = predict_landmark(states[0], world.landmark(0))
         obs = Observation(models.LANDMARK, 0, 0, y, 0, dt=0.1)
-        s, r = residual_landmark(states, obs, world, noise)
+        s, r = dense_residual(states, obs, world, noise)
         np.testing.assert_allclose(s, 0.0, atol=1e-15)
         np.testing.assert_allclose(r, 0.0, atol=1e-15)
 
@@ -221,7 +239,7 @@ class TestResiduals:
         states = [identity_state()]
         y = np.array([1.0, 1.0, 0.0])
         obs = Observation(models.LANDMARK, 0, 0, y, 0, dt=0.1)
-        s, r = residual_landmark(states, obs, world, noise)
+        s, r = dense_residual(states, obs, world, noise)
         f = hand_assembled_f_landmark(states, 0, world.landmark(0))
         m = noise.measurement_weight(models.LANDMARK, 0.1)
         expected_s = m @ (y - np.array([1.0, 0.0, 0.0]))
@@ -233,7 +251,7 @@ class TestResiduals:
         states = [random_state(rng) for _ in range(3)]
         obs = Observation(models.LANDMARK, 1, 0, rng.standard_normal(3), 0,
                           dt=0.1)
-        _, r = residual_landmark(states, obs, world, noise)
+        _, r = dense_residual(states, obs, world, noise)
         np.testing.assert_array_equal(r[0:15], 0.0)
         np.testing.assert_array_equal(r[30:45], 0.0)
 
@@ -241,14 +259,14 @@ class TestResiduals:
         states = [identity_state()]
         obs = Observation(models.LANDMARK, 0, 99, np.zeros(3), 0, dt=0.1)
         with pytest.raises(ObservationError):
-            residual_landmark(states, obs, world, noise)
+            dense_residual(states, obs, world, noise)
 
     def test_intervehicle_zero_innovation(self, world, noise):
         rng = np.random.default_rng(10)
         states = [random_state(rng), random_state(rng)]
         y = predict_intervehicle(states[0], states[1], world.marker(1))
         obs = Observation(models.INTERVEHICLE, 0, 1, y, 0, dt=0.1)
-        s, r = residual_intervehicle(states, obs, world, noise)
+        s, r = dense_residual(states, obs, world, noise)
         np.testing.assert_allclose(r, 0.0, atol=1e-14)
 
     def test_intervehicle_hand_assembled(self, world, noise):
@@ -257,7 +275,7 @@ class TestResiduals:
             states = [random_state(rng) for _ in range(3)]
             y = rng.standard_normal(3)
             obs = Observation(models.INTERVEHICLE, 2, 1, y, 0, dt=0.1)
-            s, r = residual_intervehicle(states, obs, world, noise)
+            s, r = dense_residual(states, obs, world, noise)
             f = hand_assembled_f_intervehicle(states, 2, 1, world.marker(1))
             np.testing.assert_allclose(r, f.T @ s, atol=1e-13)
 
@@ -270,8 +288,12 @@ class TestResiduals:
         rot = ScipyRotation.random(random_state=np.random.RandomState(3)).as_matrix()
         states = [make_state(rot, rng.standard_normal(3), np.zeros(3)),
                   make_state(rot, rng.standard_normal(3), np.zeros(3))]
-        f = models.f_intervehicle(states, 0, 1, np.zeros(3))
-        np.testing.assert_allclose(f[:, 18:21], np.eye(3), atol=1e-12)
+        obs = Observation(models.INTERVEHICLE, 0, 1, rng.standard_normal(3),
+                          0, dt=0.1)
+        world = WorldConfig(markers={1: np.zeros(3)})
+        s, r_ix = models.residual(states, obs, world, noise)
+        # the target's position block of F is R_ab = I, so r there is s
+        np.testing.assert_allclose(r_ix[9:12], s, atol=1e-12)
 
 
 def hessian_landmark_oracle(states, obs, world, noise):
@@ -311,7 +333,7 @@ class TestHessianTerms:
         states = [random_state(rng), random_state(rng)]
         y = predict_landmark(states[0], world.landmark(1))
         obs = Observation(models.LANDMARK, 0, 1, y, 0, dt=0.1)
-        e = e_landmark(states, obs, world, noise)
+        e = dense_hessian(states, obs, world, noise)
         assert np.min(np.linalg.eigvalsh(e)) >= -1e-10
 
     def test_landmark_symmetry_exact(self, world, noise):
@@ -319,7 +341,7 @@ class TestHessianTerms:
         states = [random_state(rng) for _ in range(2)]
         obs = Observation(models.LANDMARK, 1, 0, rng.standard_normal(3), 0,
                           dt=0.07)
-        e = e_landmark(states, obs, world, noise)
+        e = dense_hessian(states, obs, world, noise)
         np.testing.assert_array_equal(e, e.T)
 
     def test_landmark_assembly_oracle(self, world, noise):
@@ -328,7 +350,7 @@ class TestHessianTerms:
             states = [random_state(rng) for _ in range(3)]
             obs = Observation(models.LANDMARK, 2, 1, rng.standard_normal(3),
                               0, dt=0.1)
-            e = e_landmark(states, obs, world, noise)
+            e = dense_hessian(states, obs, world, noise)
             np.testing.assert_allclose(
                 e, hessian_landmark_oracle(states, obs, world, noise),
                 atol=1e-12)
@@ -338,7 +360,7 @@ class TestHessianTerms:
         states = [random_state(rng), random_state(rng)]
         y = predict_intervehicle(states[0], states[1], world.marker(1))
         obs = Observation(models.INTERVEHICLE, 0, 1, y, 0, dt=0.1)
-        e = e_intervehicle(states, obs, world, noise)
+        e = dense_hessian(states, obs, world, noise)
         assert np.min(np.linalg.eigvalsh(e)) >= -1e-10
 
     def test_intervehicle_block_sparsity(self, world, noise):
@@ -346,7 +368,7 @@ class TestHessianTerms:
         states = [random_state(rng) for _ in range(4)]
         obs = Observation(models.INTERVEHICLE, 0, 1, rng.standard_normal(3),
                           0, dt=0.1)
-        e = e_intervehicle(states, obs, world, noise)
+        e = dense_hessian(states, obs, world, noise)
         np.testing.assert_array_equal(e[30:, :], 0.0)
         np.testing.assert_array_equal(e[:, 30:], 0.0)
 
@@ -356,7 +378,7 @@ class TestHessianTerms:
             states = [random_state(rng) for _ in range(3)]
             obs = Observation(models.INTERVEHICLE, 1, 2,
                               rng.standard_normal(3), 0, dt=0.04)
-            e = e_intervehicle(states, obs, world, noise)
+            e = dense_hessian(states, obs, world, noise)
             np.testing.assert_array_equal(e, e.T)
             np.testing.assert_allclose(
                 e, hessian_intervehicle_oracle(states, obs, world, noise),
@@ -365,13 +387,18 @@ class TestHessianTerms:
     def test_fmf_part_is_psd(self, world, noise):
         rng = np.random.default_rng(19)
         states = [random_state(rng) for _ in range(2)]
-        m = noise.measurement_weight(models.INTERVEHICLE, 0.1)
-        f = models.f_intervehicle(states, 0, 1, world.marker(1))
-        assert np.min(np.linalg.eigvalsh(f.T @ m @ f)) >= -1e-10
+        y = rng.standard_normal(3)
+        h = predict_intervehicle(states[0], states[1], world.marker(1))
+        # the second-order part is linear in the innovation, so the mean
+        # over y and its mirror image 2h - y leaves F^T M F
+        e = [models.hessian_term(states, Observation(models.INTERVEHICLE, 0,
+                                                     1, yy, 0, dt=0.1),
+                                 world, noise) for yy in (y, 2.0 * h - y)]
+        assert np.min(np.linalg.eigvalsh(0.5 * (e[0] + e[1]))) >= -1e-10
 
 
 class TestUpdateSparsity:
-    """The low-rank update relies on E and r vanishing outside update_indices."""
+    """The m-slot terms rest on E and r vanishing outside update_indices."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
@@ -395,13 +422,26 @@ class TestUpdateSparsity:
             subject = data.draw(st.integers(0, 2), label="landmark")
         obs = Observation(kind, observer, subject, rng.standard_normal(3), 0,
                           dt=float(rng.uniform(0.01, 1.0)))
+        ix = models.update_indices(kind, observer, subject)
         outside = np.ones(n * STATE_DOF, dtype=bool)
-        outside[models.update_indices(kind, observer, subject)] = False
-        e = models.hessian_term(states, obs, world, noise)
-        _, r = models.residual(states, obs, world, noise)
+        outside[ix] = False
+        if kind == models.LANDMARK:
+            e = hessian_landmark_oracle(states, obs, world, noise)
+            f = hand_assembled_f_landmark(states, observer,
+                                          world.landmark(subject))
+        else:
+            e = hessian_intervehicle_oracle(states, obs, world, noise)
+            f = hand_assembled_f_intervehicle(states, observer, subject,
+                                              world.marker(subject))
+        s, r_ix = models.residual(states, obs, world, noise)
+        r = f.T @ s
         assert np.all(e[outside, :] == 0.0)
         assert np.all(e[:, outside] == 0.0)
         assert np.all(r[outside] == 0.0)
+        np.testing.assert_allclose(models.hessian_term(states, obs, world,
+                                                       noise),
+                                   e[np.ix_(ix, ix)], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(r_ix, r[ix], rtol=1e-12, atol=1e-12)
 
     def test_indices_are_rotation_and_position_slots(self):
         np.testing.assert_array_equal(
