@@ -73,7 +73,8 @@ class JointFilter:
     """Single-writer state machine holding the joint estimate and gain.
 
     The estimate is one stacked VehicleState (leading axis n; a single
-    vehicle is held without one, as a node holds its own).  Between updates
+    vehicle is held without one, as a node holds its own, which keeps the
+    kernels' coefficient arithmetic on numpy scalars).  Between updates
     only the diagonal gain blocks move, kept as an (n, 15, 15) stack, and
     each vehicle's propagation factor; the full gain is brought up to the
     current tick before the next update.
