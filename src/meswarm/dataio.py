@@ -18,7 +18,7 @@ from scipy.spatial.transform import Rotation, Slerp
 from . import models
 from .harness import (PriorConfig, ScheduleConfig, SinusoidTrajectory,
                       SyntheticSource)
-from .lie import STATE_DOF, make_state
+from .lie import STATE_DOF, VehicleState
 
 log = logging.getLogger(__name__)
 
@@ -130,23 +130,30 @@ class TruthTrack:
         self._slerp = (Slerp(self.t_ns.astype(float), self._rots)
                        if len(samples) > 1 else None)
 
-    def _lerp(self, arr, t_ns):
-        t = float(t_ns)
-        return np.array([np.interp(t, self.t_ns.astype(float), arr[:, i])
-                         for i in range(arr.shape[1])])
-
     def state_at(self, t_ns):
-        if not self.t_ns[0] <= t_ns <= self.t_ns[-1]:
-            raise DataError(f"query time {t_ns} ns outside truth span "
-                            f"[{self.t_ns[0]}, {self.t_ns[-1]}]")
+        """Interpolated truth at one stamp, or stacked over an array of them.
+
+        The rotation takes one Slerp call and every vector entry one
+        np.interp call, whatever the number of stamps.
+        """
+        t_ns = np.asarray(t_ns)
+        outside = (t_ns < self.t_ns[0]) | (t_ns > self.t_ns[-1])
+        if np.any(outside):
+            raise DataError(f"query time {t_ns[outside].flat[0]} ns outside "
+                            f"truth span [{self.t_ns[0]}, {self.t_ns[-1]}]")
+        t = t_ns.astype(float)
         if self._slerp is None:
-            rot = self._rots.as_matrix()
+            rot = np.broadcast_to(self._rots.as_matrix()[0], t.shape + (3, 3))
         else:
-            rot = self._slerp(float(t_ns)).as_matrix()
-        return make_state(rot, self._lerp(self._pos, t_ns),
-                          self._lerp(self._vel, t_ns),
-                          self._lerp(self._bg, t_ns),
-                          self._lerp(self._ba, t_ns))
+            rot = self._slerp(t.ravel()).as_matrix().reshape(t.shape + (3, 3))
+        stamps = self.t_ns.astype(float)
+
+        def lerp(arr):
+            return np.stack([np.interp(t, stamps, arr[:, i])
+                             for i in range(arr.shape[1])], axis=-1)
+
+        return VehicleState(rot, lerp(self._pos), lerp(self._vel),
+                            lerp(self._bg), lerp(self._ba))
 
 
 def align_trials(trials):
@@ -179,8 +186,10 @@ class DatasetSource:
     """Truth and IMU for one vehicle, read from recorded streams.
 
     Matches the source interface the scheduler expects: ``prepare`` checks
-    the requested grid against the file, ``imu_at_tick`` / ``truth_at_tick``
-    serve samples rebased to t = 0 at the first kept IMU stamp.
+    the requested grid against the file and interpolates the truth of ticks
+    0..n_ticks into ``truth``, one state stacked over ticks;
+    ``imu_at_tick`` / ``truth_at_tick`` serve samples rebased to t = 0 at the
+    first kept IMU stamp.
     """
 
     def __init__(self, imu_samples, truth_track, vehicle):
@@ -190,6 +199,7 @@ class DatasetSource:
         self._imu = imu_samples
         self._track = truth_track
         self._t0_ns = imu_samples[0].t_ns
+        self.truth = None
 
     def file_rate_hz(self):
         gaps = np.diff([s.t_ns for s in self._imu])
@@ -209,14 +219,17 @@ class DatasetSource:
                             f"ticks but the file has {len(self._imu)}")
         self.dt = dt
         self._dt_ns = int(round(1e9 * dt))
+        # tick k's truth is at the stamp of IMU sample k, or of the last one
+        stamps = np.array([s.t_ns for s in self._imu], dtype=np.int64)
+        ticks = np.minimum(np.arange(n_ticks + 1), len(stamps) - 1)
+        self.truth = self._track.state_at(stamps[ticks])
 
     def imu_at_tick(self, k):
         s = self._imu[k]
         return models.ImuSample(s.gyro, s.accel, k * self._dt_ns)
 
     def truth_at_tick(self, k):
-        k_imu = min(k, len(self._imu) - 1)
-        return self._track.state_at(self._imu[k_imu].t_ns)
+        return self.truth[k]
 
 
 # -- experiment configuration ------------------------------------------------------

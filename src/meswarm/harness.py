@@ -4,11 +4,15 @@ Provides smooth synthetic trajectories with closed-form IMU signals, seeded
 IMU/measurement synthesis, the tick-based event scheduler that drives the
 three filter modes (independent, centralised, decentralised), a logging
 message bus, and the error-metric computation.
+
+Truth is computed once per source, for every tick, when the source is
+prepared; the scheduler records each tick's estimates and scores all of
+them against that truth in one stacked call after the last tick.
 """
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,6 +40,8 @@ _CH_INTERVEHICLE = 5
 _CH_DROP_LANDMARK = 6
 _CH_DROP_INTERVEHICLE = 7
 _CH_PRIOR = 8
+
+_STATE_FIELDS = tuple(f.name for f in fields(VehicleState))
 
 SUMMARY_QUANTITIES = (
     ("Position", "m", "pos_err"),
@@ -156,20 +162,24 @@ class SinusoidTrajectory:
                    rot_freq_hz=rng.uniform(0.05, 0.3),
                    rot_phase=rng.uniform(0.0, 2.0 * np.pi))
 
+    # position, velocity and acceleration take a time or an array of times;
+    # an array of shape s gives results of shape s + (3,)
+
     def _arg(self, t):
+        t = np.asarray(t, dtype=float)[..., None, None]
         return 2.0 * np.pi * self.pos_freq_hz * t + self.pos_phase
 
     def position(self, t):
         return self.pos_offset + np.sum(self.pos_amp * np.sin(self._arg(t)),
-                                        axis=1)
+                                        axis=-1)
 
     def velocity(self, t):
         w = 2.0 * np.pi * self.pos_freq_hz
-        return np.sum(self.pos_amp * w * np.cos(self._arg(t)), axis=1)
+        return np.sum(self.pos_amp * w * np.cos(self._arg(t)), axis=-1)
 
     def acceleration(self, t):
         w = 2.0 * np.pi * self.pos_freq_hz
-        return -np.sum(self.pos_amp * w * w * np.sin(self._arg(t)), axis=1)
+        return -np.sum(self.pos_amp * w * w * np.sin(self._arg(t)), axis=-1)
 
     def _angle(self, t):
         return self.rot_amp * np.sin(2.0 * np.pi * self.rot_freq_hz * t
@@ -211,16 +221,17 @@ def synthesize_imu(trajectory, noise, gravity, n_ticks, dt, seed, vehicle,
     sqdt = math.sqrt(dt)
     dt_ns = int(round(1e9 * dt))
     samples, gyro_biases, accel_biases = [], [], []
-    # every tick's attitude in one stacked call
-    rots = trajectory.rotation(dt * np.arange(n_ticks))
+    # every tick's attitude and acceleration in one stacked call each
+    times = dt * np.arange(n_ticks)
+    rots = trajectory.rotation(times)
+    accels = trajectory.acceleration(times)
     for k in range(n_ticks):
         t = k * dt
         gyro_biases.append(bg.copy())
         accel_biases.append(ba.copy())
-        rot = rots[k]
         u_w = (trajectory.angular_velocity_body(t) + bg
                + noise.b_gyro @ rng_g.standard_normal(3))
-        u_a = (rot.T @ (trajectory.acceleration(t) + gravity) + ba
+        u_a = (rots[k].T @ (accels[k] + gravity) + ba
                + noise.b_accel @ rng_a.standard_normal(3))
         samples.append(ImuSample(u_w, u_a, k * dt_ns))
         if bias_walk:
@@ -239,7 +250,12 @@ def synthesize_observation(truth_states, world, kind, observer, subject, d,
 
 
 class SyntheticSource:
-    """Truth and IMU for one vehicle, generated from a smooth trajectory."""
+    """Truth and IMU for one vehicle, generated from a smooth trajectory.
+
+    ``prepare`` synthesises the IMU stream and the truth of ticks
+    0..n_ticks; ``truth`` is that truth as one state stacked over ticks,
+    and ``truth_at_tick(k)`` is its entry k, as views.
+    """
 
     def __init__(self, trajectory, noise, vehicle, seed, gravity=None,
                  gyro_bias0=None, accel_bias0=None, bias_walk=True):
@@ -253,22 +269,27 @@ class SyntheticSource:
         self.accel_bias0 = accel_bias0
         self.bias_walk = bias_walk
         self._samples = None
+        self.truth = None
 
     def prepare(self, n_ticks, dt):
         self.dt = dt
-        out = synthesize_imu(self.trajectory, self.noise, self.gravity,
-                             n_ticks, dt, self.seed, self.vehicle,
-                             self.gyro_bias0, self.accel_bias0, self.bias_walk)
-        self._samples, self._gyro_biases, self._accel_biases = out
+        self._samples, gyro_biases, accel_biases = synthesize_imu(
+            self.trajectory, self.noise, self.gravity, n_ticks, dt, self.seed,
+            self.vehicle, self.gyro_bias0, self.accel_bias0, self.bias_walk)
+        # biases are recorded per IMU sample; the last tick reuses the last
+        gyro_biases.append(gyro_biases[-1])
+        accel_biases.append(accel_biases[-1])
+        t = dt * np.arange(n_ticks + 1)
+        traj = self.trajectory
+        self.truth = VehicleState(traj.rotation(t), traj.position(t),
+                                  traj.velocity(t), np.array(gyro_biases),
+                                  np.array(accel_biases))
 
     def imu_at_tick(self, k):
         return self._samples[k]
 
     def truth_at_tick(self, k):
-        # biases are recorded per IMU sample; the last tick reuses the final one
-        j = min(k, len(self._gyro_biases) - 1)
-        return self.trajectory.truth_state(k * self.dt, self._gyro_biases[j],
-                                           self._accel_biases[j])
+        return self.truth[k]
 
 
 # -- message bus ----------------------------------------------------------------
@@ -299,13 +320,44 @@ class MessageBus:
 # -- metrics ---------------------------------------------------------------------
 
 def metrics_row(t, vehicle, est, truth):
+    """The five estimation errors of est against truth.
+
+    Both states may be stacked over the same leading axes; every error then
+    has those axes, and t and vehicle are passed through as given.
+    """
+    def dist(a, b):
+        # a (1x3)(3x1) product per entry rounds as the dot product that
+        # np.linalg.norm takes of a single vector
+        d = (a - b)[..., None]
+        return np.sqrt((d.swapaxes(-1, -2) @ d)[..., 0, 0])
+
     return MetricsRow(
         t=t, vehicle=vehicle,
-        pos_err=float(np.linalg.norm(est.pos - truth.pos)),
-        rot_err=float(rotation_error_angle(est.rot, truth.rot)),
-        vel_err=float(np.linalg.norm(est.vel - truth.vel)),
-        gyro_bias_err=float(np.linalg.norm(est.gyro_bias - truth.gyro_bias)),
-        accel_bias_err=float(np.linalg.norm(est.accel_bias - truth.accel_bias)))
+        pos_err=dist(est.pos, truth.pos),
+        rot_err=rotation_error_angle(est.rot, truth.rot),
+        vel_err=dist(est.vel, truth.vel),
+        gyro_bias_err=dist(est.gyro_bias, truth.gyro_bias),
+        accel_bias_err=dist(est.accel_bias, truth.accel_bias))
+
+
+def _store(stack, index, state):
+    """Write state into entry `index` of a stacked state."""
+    for name in _STATE_FIELDS:
+        getattr(stack, name)[index] = getattr(state, name)
+
+
+def _metrics_rows(est, sources, dt):
+    """One MetricsRow per (tick, vehicle), tick-major: the estimates stacked
+    over (tick, vehicle) against the sources' truth, in one metrics_row
+    call."""
+    truth = VehicleState(*(np.stack([getattr(src.truth, name)
+                                     for src in sources], axis=1)
+                           for name in _STATE_FIELDS))
+    n_t, n = est.pos.shape[:2]
+    m = metrics_row(dt * np.arange(n_t)[:, None], np.arange(n), est, truth)
+    cols = [np.broadcast_to(getattr(m, f.name), (n_t, n)).ravel().tolist()
+            for f in fields(MetricsRow)]
+    return [MetricsRow(*vals) for vals in zip(*cols)]
 
 
 def summarize_metrics(rows, steady_after_s=10.0):
@@ -382,6 +434,11 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
     Events execute in (tick, channel, observer, subject) lexicographic
     order; observation timestamps land on the IMU grid by construction.
 
+    Each tick pulls vehicle 0's IMU sample first (a benchmark stamps its
+    tick clock there).  Sources are prepared once; truth_at_tick is read
+    at tick 0 and on observation ticks, and after the last tick every
+    recorded estimate is scored against the sources' stacked ``truth``.
+
     The second-order gain correction (with_curvature, joint mode only) is
     opt-in: it amplifies through the inverse gain and destabilises runs
     whose gain spectrum gets small, so the robust default leaves it off.
@@ -453,7 +510,18 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
             return [nd.state for nd in nodes]
         return [f.estimate()[0] for f in filters]
 
-    rows = [metrics_row(0.0, v, est0[v], truths0[v]) for v in range(n)]
+    # every tick's estimates, stacked over (tick, vehicle), scored at the end
+    est = VehicleState(np.empty((n_ticks + 1, n, 3, 3)),
+                       *(np.empty((n_ticks + 1, n, 3)) for _ in range(4)))
+
+    def record(tick):
+        if mode == MODE_CENTRAL:
+            _store(est, tick, flt.state)
+        else:
+            for v, x in enumerate(current_estimates()):
+                _store(est, (tick, v), x)
+
+    record(0)
     update_count = 0
     dropout = {models.LANDMARK: config.dropout_landmark,
                models.INTERVEHICLE: config.dropout_intervehicle}
@@ -469,8 +537,10 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
             for v, f in enumerate(filters):
                 f.propagate([imu[v]], dt)
 
-        truths = [src.truth_at_tick(tick) for src in sources]
-        for kind, a, b in events.get(tick, ()):
+        evs = events.get(tick, ())
+        if evs:
+            truths = [src.truth_at_tick(tick) for src in sources]
+        for kind, a, b in evs:
             p = dropout[kind]
             if p > 0.0 and drop_rngs[(kind, a, b)].random() < p:
                 continue
@@ -487,10 +557,9 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
                 filters[a].update(local, with_curvature=with_curvature)
             update_count += 1
 
-        t = tick * dt
-        for v, est in enumerate(current_estimates()):
-            rows.append(metrics_row(t, v, est, truths[v]))
+        record(tick)
 
+    rows = _metrics_rows(est, sources, dt)
     return RunResult(rows=rows, summary=summarize_metrics(rows),
                      bus_records=bus.records, estimates=current_estimates(),
                      update_count=update_count)

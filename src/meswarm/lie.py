@@ -151,9 +151,9 @@ def group_exp(q):
 
 
 def rotation_error_angle(r_est, r_true):
-    """Geodesic angle between two rotations, in [0, pi]."""
-    c = 0.5 * (np.trace(r_est.T @ r_true) - 1.0)
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
+    """Geodesic angles between rotations (..., 3, 3), in [0, pi]."""
+    c = 0.5 * (np.trace(_t(r_est) @ r_true, axis1=-2, axis2=-1) - 1.0)
+    return np.arccos(np.clip(c, -1.0, 1.0))
 
 
 # -- network helpers ---------------------------------------------------------

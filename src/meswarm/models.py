@@ -83,6 +83,11 @@ class NoiseModel:
             if np.linalg.cond(d) > 1e6:
                 raise ValueError(f"{name} must be invertible (cond < 1e6)")
             setattr(self, name, d)
+        # D^{-T} D^{-1} per kind, built once from solves: D is fixed
+        self._unit_weight = {}
+        for kind in (LANDMARK, INTERVEHICLE):
+            d_inv = np.linalg.solve(self.d_matrix(kind), np.eye(3))
+            self._unit_weight[kind] = d_inv.T @ d_inv
 
     def d_matrix(self, kind):
         return self.d_landmark if kind == LANDMARK else self.d_intervehicle
@@ -91,10 +96,8 @@ class NoiseModel:
         return self.dt_landmark if kind == LANDMARK else self.dt_intervehicle
 
     def measurement_weight(self, kind, dt):
-        """M = D^{-T} Q D^{-1} with Q = (1/dt) I, built from solves."""
-        d = self.d_matrix(kind)
-        d_inv = np.linalg.solve(d, np.eye(3))
-        return (d_inv.T @ d_inv) / dt
+        """M = D^{-T} Q D^{-1} with Q = (1/dt) I."""
+        return self._unit_weight[kind] / dt
 
     def w_inverse_scale(self):
         """Inverse of the IMU error weight (scalar multiple of identity)."""

@@ -9,7 +9,9 @@ import importlib
 import importlib.util
 import os
 
+import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation as ScipyRotation
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -46,3 +48,109 @@ def test_tracer_installs_and_restores():
 def test_environment_flag_exists():
     from meswarm import kernels
     assert kernels.NUMBA_ENABLED is False
+
+
+# -- the tick clock -----------------------------------------------------------
+#
+# The benchmark stamps a tick each time the scheduler pulls vehicle 0's IMU
+# sample, so run_schedule must pull vehicle 0's `imu_at_tick(tick - 1)` first
+# on every tick, and the harness work it traces (`truth_at_tick`,
+# `metrics_row`) must still happen inside run_schedule.
+
+N_VEHICLES = 3
+N_TICKS = 40            # 0.2 s at 200 Hz: observation epochs at ticks 20, 40
+EPOCH_TICKS = (20, 40)
+
+
+def _recording(base):
+    class Recording(base):
+        log = None
+
+        def imu_at_tick(self, k):
+            self.log.append(("imu", self.vehicle, k))
+            return super().imu_at_tick(k)
+
+        def truth_at_tick(self, k):
+            self.log.append(("truth", self.vehicle, k))
+            return super().truth_at_tick(k)
+
+    return Recording
+
+
+def _synthetic_sources(noise):
+    from meswarm import harness
+    rng = np.random.default_rng(3)
+    cls = _recording(harness.SyntheticSource)
+    return [cls(harness.SinusoidTrajectory.random(rng, pos_scale=0.6,
+                                                  rot_scale=0.3),
+                noise, v, 5) for v in range(N_VEHICLES)]
+
+
+def _dataset_sources(noise):
+    """Recorded-layout sources: the synthetic IMU with truth samples at its
+    stamps, each vehicle's stream offset by a fraction of a period."""
+    from meswarm import dataio, harness, models
+    rng = np.random.default_rng(4)
+    cls = _recording(dataio.DatasetSource)
+    out = []
+    for v in range(N_VEHICLES):
+        traj = harness.SinusoidTrajectory.random(rng, pos_scale=0.6,
+                                                 rot_scale=0.3)
+        imu, bg, ba = harness.synthesize_imu(traj, noise,
+                                             models.DEFAULT_GRAVITY,
+                                             N_TICKS + 5, 0.005, 5, v)
+        t0 = 10**9 + 1_000_000 * v
+        imu = [models.ImuSample(s.gyro, s.accel, t0 + s.t_ns) for s in imu]
+        truth = []
+        for s, g, a in zip(imu, bg, ba):
+            t = (s.t_ns - t0) * 1e-9
+            q = ScipyRotation.from_matrix(traj.rotation(t)).as_quat()
+            truth.append(dataio.TruthSample(s.t_ns, traj.position(t),
+                                            q[[3, 0, 1, 2]],
+                                            traj.velocity(t), g, a))
+        out.append(cls(imu, dataio.TruthTrack(truth), v))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["none", "central", "distributed"])
+@pytest.mark.parametrize("make_sources",
+                         [_synthetic_sources, _dataset_sources],
+                         ids=["synthetic", "dataset"])
+def test_tick_clock_and_traced_harness_calls(mode, make_sources, monkeypatch):
+    from meswarm import harness, models
+    noise = models.NoiseModel(d_landmark=0.1 * np.eye(3),
+                              d_intervehicle=0.05 * np.eye(3))
+    world = models.WorldConfig(
+        landmarks={0: np.array([2.0, 0.0, 1.0]),
+                   1: np.array([-1.0, 2.0, 0.5])},
+        markers={v: 0.05 * np.eye(3)[v] for v in range(N_VEHICLES)})
+    sources = make_sources(noise)
+    log = []
+    for src in sources:
+        src.log = log
+    scored = []
+    metrics_row = harness.metrics_row
+
+    def counted(*args):
+        scored.append(args)
+        return metrics_row(*args)
+
+    monkeypatch.setattr(harness, "metrics_row", counted)
+    cfg = harness.ScheduleConfig(duration_s=N_TICKS * 0.005, seed=5)
+    result = harness.run_schedule(cfg, mode, sources, world, noise,
+                                  record_bus=False)
+
+    pulls = [(v, k) for kind, v, k in log if kind == "imu"]
+    assert pulls == [(v, k) for k in range(N_TICKS)
+                     for v in range(N_VEHICLES)]
+    # every truth query falls inside the tick it serves: after vehicle 0's
+    # pull that starts the tick and before the pull that starts the next
+    starts = {k + 1: log.index(("imu", 0, k)) for k in range(N_TICKS)}
+    truth = [(i, k) for i, (kind, _, k) in enumerate(log) if kind == "truth"]
+    assert truth
+    for i, k in truth:
+        assert k in (0,) + EPOCH_TICKS
+        assert starts.get(k, -1) < i < starts.get(k + 1, len(log))
+    assert len(truth) <= N_VEHICLES * (len(EPOCH_TICKS) + 2)
+    assert len(scored) == 1
+    assert len(result.rows) == (N_TICKS + 1) * N_VEHICLES

@@ -24,6 +24,12 @@ def write_truth(path, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
+def assert_states_close(got, want, atol):
+    for name in ("rot", "pos", "vel", "gyro_bias", "accel_bias"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                   rtol=0, atol=atol, err_msg=name)
+
+
 def quat_wxyz(rot):
     # Shepperd-style extraction, scalar-first
     w = 0.5 * np.sqrt(max(1.0 + np.trace(rot), 0.0))
@@ -158,6 +164,24 @@ class TestInterpolation:
             oracle = r0 @ expm(a * logm(r0.T @ r1))
             np.testing.assert_allclose(st.rot, np.real(oracle), atol=1e-9)
 
+        # an array of stamps, the span's ends included, gives the stacked
+        # one-stamp states
+        queries = np.r_[stamps[0], rng.integers(stamps[0], stamps[-1], 30),
+                        stamps[-1]].reshape(4, 8)
+        stacked = track.state_at(queries)
+        assert stacked.rot.shape == (4, 8, 3, 3)
+        for idx in np.ndindex(queries.shape):
+            single = track.state_at(int(queries[idx]))
+            assert_states_close(stacked[idx], single, 1e-12)
+
+    def test_single_sample_track_stacks(self, tmp_path):
+        p = tmp_path / "truth.csv"
+        write_truth(p, [[7, 1, 2, 3, 1, 0, 0, 0, 0.1, 0.2, 0.3]])
+        got = TruthTrack(load_truth_csv(p)).state_at(np.array([7, 7, 7]))
+        np.testing.assert_array_equal(got.rot, np.broadcast_to(np.eye(3),
+                                                               (3, 3, 3)))
+        np.testing.assert_array_equal(got.pos, [[1, 2, 3]] * 3)
+
     def test_query_outside_span(self, tmp_path):
         p = tmp_path / "truth.csv"
         write_truth(p, [[0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0],
@@ -165,6 +189,8 @@ class TestInterpolation:
         track = TruthTrack(load_truth_csv(p))
         with pytest.raises(DataError, match="outside"):
             track.state_at(101)
+        with pytest.raises(DataError, match="query time -1 ns outside"):
+            track.state_at(np.array([0, 50, -1, 100, 101]))
 
 
 class TestAlignment:
@@ -221,6 +247,28 @@ class TestDatasetSource:
         truth = src.truth_at_tick(10)
         np.testing.assert_allclose(truth.pos, [10 * 5e-3, 0, 0], atol=1e-12)
         np.testing.assert_allclose(truth.vel, [1, 0, 0], atol=1e-12)
+
+    def test_stacked_truth_equals_single_stamps(self, tmp_path):
+        """Truth interpolated once over the tick grid equals one state_at
+        call per tick; the final tick reuses the last IMU stamp."""
+        rng = np.random.default_rng(4)
+        traj = SinusoidTrajectory.random(rng, pos_scale=1.0, rot_scale=0.5)
+        imu_stamps = [1000 + k * 5_000_000 for k in range(60)]
+        truth_stamps = [k * 7_000_000 for k in range(45)]
+        write_imu(tmp_path / "imu.csv",
+                  [[t, 0, 0, 0, 0, 0, 9.81] for t in imu_stamps])
+        rows = []
+        for t_ns in truth_stamps:
+            t = t_ns * 1e-9
+            rows.append([t_ns, *traj.position(t), *quat_wxyz(traj.rotation(t)),
+                         *traj.velocity(t)])
+        write_truth(tmp_path / "truth.csv", rows)
+        track = TruthTrack(load_truth_csv(tmp_path / "truth.csv"))
+        src = DatasetSource(load_imu_csv(tmp_path / "imu.csv"), track, 0)
+        src.prepare(60, 1.0 / 200.0)
+        for k in range(61):
+            assert_states_close(src.truth_at_tick(k),
+                                track.state_at(imu_stamps[min(k, 59)]), 1e-12)
 
 
 class TestConfig:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation as ScipyRotation
 
 from meswarm import harness, models
 from meswarm.harness import (MetricsRow, PriorConfig, ScheduleConfig,
@@ -7,7 +10,9 @@ from meswarm.harness import (MetricsRow, PriorConfig, ScheduleConfig,
                              _observation_ticks, channel_rng,
                              metrics_row, run_schedule, summarize_metrics,
                              synthesize_imu, synthesize_observation)
-from meswarm.lie import make_state, rotation_error_angle
+from meswarm.kernels import so3_exp
+from meswarm.lie import (VehicleState, make_state, rotation_error_angle,
+                         stack_states)
 from meswarm.models import NoiseModel, WorldConfig
 
 GRAVITY = np.array([0.0, 0.0, 9.81])
@@ -57,6 +62,31 @@ class TestTrajectory:
     def test_zero_axis_rejected(self):
         with pytest.raises(ValueError):
             SinusoidTrajectory(rot_axis=[0.0, 0.0, 0.0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), terms=st.integers(1, 3),
+           n_ticks=st.integers(1, 80), dt=st.floats(1e-3, 0.05))
+    def test_prepared_truth_equals_truth_state(self, seed, terms, n_ticks,
+                                               dt):
+        """The truth a source computes for all ticks at once is, tick by
+        tick, the trajectory's truth at k dt with the bias of IMU sample k
+        (the final tick reuses the last sample's)."""
+        rng = np.random.default_rng(seed)
+        traj = SinusoidTrajectory.random(rng, terms=terms)
+        noise = NoiseModel(b_gyro_bias=1e-2 * np.eye(3),
+                           b_accel_bias=1e-1 * np.eye(3))
+        src = SyntheticSource(traj, noise, vehicle=1, seed=seed)
+        src.prepare(n_ticks, dt)
+        _, bg, ba = synthesize_imu(traj, noise, src.gravity, n_ticks, dt,
+                                   seed, 1)
+        for k in range(n_ticks + 1):
+            j = min(k, n_ticks - 1)
+            want = traj.truth_state(k * dt, bg[j], ba[j])
+            got = src.truth_at_tick(k)
+            for name in harness._STATE_FIELDS:
+                w = getattr(want, name)
+                gap = np.max(np.abs(getattr(got, name) - w))
+                assert gap <= 1e-15 * max(1.0, np.max(np.abs(w))), (k, name)
 
 
 class TestScheduleConfig:
@@ -159,22 +189,83 @@ class TestMetrics:
         est = make_state(np.eye(3), [1.0, 0.0, 0.0], np.zeros(3))
         assert metrics_row(0.0, 0, est, truth).pos_err == 1.0
 
-    def test_recompute_oracle(self):
-        rng = np.random.default_rng(5)
-        for _ in range(30):
-            truth = make_state(np.eye(3), rng.standard_normal(3),
+    # rotation errors include both ends of [0, pi], where arccos is steep
+    ANGLES = (0.0, 1e-9, 1e-5, 0.3, np.pi - 1e-5, np.pi - 1e-9, np.pi)
+
+    def _pairs(self, count, seed):
+        rng = np.random.default_rng(seed)
+        rots = ScipyRotation.random(count, random_state=seed).as_matrix()
+        out = []
+        for i in range(count):
+            axis = rng.standard_normal(3)
+            angle = self.ANGLES[i % len(self.ANGLES)]
+            truth = make_state(rots[i], rng.standard_normal(3),
                                rng.standard_normal(3), rng.standard_normal(3),
                                rng.standard_normal(3))
-            est = make_state(truth.rot, truth.pos + 1e-3 * rng.standard_normal(3),
-                             truth.vel + 1e-3 * rng.standard_normal(3),
-                             truth.gyro_bias, truth.accel_bias)
+            est = make_state(
+                truth.rot @ so3_exp(angle * axis / np.linalg.norm(axis)),
+                truth.pos + 1e-3 * rng.standard_normal(3),
+                truth.vel + 1e-3 * rng.standard_normal(3),
+                truth.gyro_bias + 1e-4 * rng.standard_normal(3),
+                truth.accel_bias)
+            out.append((est, truth, angle))
+        return out
+
+    def test_recompute_oracle(self):
+        for est, truth, angle in self._pairs(35, 5):
             row = metrics_row(0.0, 0, est, truth)
             assert abs(row.pos_err
                        - np.sqrt(np.sum((est.pos - truth.pos) ** 2))) <= 1e-12
             assert abs(row.vel_err
                        - np.sqrt(np.sum((est.vel - truth.vel) ** 2))) <= 1e-12
+            assert abs(row.gyro_bias_err - np.sqrt(np.sum(
+                (est.gyro_bias - truth.gyro_bias) ** 2))) <= 1e-12
+            assert row.accel_bias_err == 0.0
             assert abs(row.rot_err
                        - rotation_error_angle(est.rot, truth.rot)) <= 1e-12
+            assert abs(row.rot_err - angle) <= 1e-7
+
+    def test_stacked_equals_rows(self):
+        """One call on (tick, vehicle) stacks gives, entry by entry, the
+        row of the single-pair call, to the last bit."""
+        pairs = self._pairs(35, 6)
+        shape = (5, 7)
+
+        def grid(states):
+            flat = stack_states(states)
+            return VehicleState(*(getattr(flat, name).reshape(
+                shape + getattr(flat, name).shape[1:])
+                for name in harness._STATE_FIELDS))
+
+        t = 0.01 * np.arange(shape[0])[:, None]
+        vehicle = np.arange(shape[1])
+        got = metrics_row(t, vehicle, grid([p[0] for p in pairs]),
+                          grid([p[1] for p in pairs]))
+        assert got.t is t and got.vehicle is vehicle
+        for i, (est, truth, _) in enumerate(pairs):
+            row = metrics_row(0.0, 0, est, truth)
+            for name in ("pos_err", "rot_err", "vel_err", "gyro_bias_err",
+                         "accel_bias_err"):
+                stacked = getattr(got, name)
+                assert stacked.shape == shape
+                assert stacked[np.unravel_index(i, shape)] == getattr(row,
+                                                                      name)
+
+    def test_run_rows_are_tick_major(self):
+        noise = NoiseModel()
+        world = world3()
+        sources = [SyntheticSource(gentle_trajectory(v), noise, v, 3)
+                   for v in range(2)]
+        cfg = ScheduleConfig(duration_s=0.1, seed=3)
+        res = run_schedule(cfg, "central", sources, world, noise)
+        assert [(r.t, r.vehicle) for r in res.rows] == [
+            (k * 0.005, v) for k in range(21) for v in range(2)]
+        assert all(type(r.pos_err) is float for r in res.rows)
+        last = [r for r in res.rows if r.t == res.rows[-1].t]
+        for v, est in enumerate(res.estimates):
+            want = metrics_row(0.1, v, est, sources[v].truth_at_tick(20))
+            assert last[v].pos_err == want.pos_err
+            assert last[v].rot_err == want.rot_err
 
     def test_summary_shape_and_split(self):
         rows = [MetricsRow(t, 0, 1.0 if t < 10 else 3.0, 0.1, 0.2, 0.01, 0.02)

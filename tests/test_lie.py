@@ -207,6 +207,24 @@ class TestRotationError:
             got = rotation_error_angle(r1.as_matrix(), r2.as_matrix())
             assert got == pytest.approx(expected, abs=1e-9)
 
+    def test_stacked_equals_rows(self):
+        """A (4, 10) stack gives the single-pair angle entry by entry, to the
+        last bit, also next to 0 and pi where arccos is steep."""
+        rng = np.random.RandomState(17)
+        r1 = ScipyRotation.random(40, random_state=rng)
+        angles = np.r_[0.0, 1e-9, 1e-5, np.pi - 1e-5, np.pi - 1e-9, np.pi,
+                       rng.uniform(0.0, np.pi, 34)]
+        axes = ScipyRotation.random(40, random_state=rng).apply([1.0, 0, 0])
+        r2 = r1 * ScipyRotation.from_rotvec(angles[:, None] * axes)
+        a = r1.as_matrix().reshape(4, 10, 3, 3)
+        b = r2.as_matrix().reshape(4, 10, 3, 3)
+        got = rotation_error_angle(a, b)
+        assert got.shape == (4, 10)
+        rows = [[rotation_error_angle(a[i, j], b[i, j]) for j in range(10)]
+                for i in range(4)]
+        np.testing.assert_array_equal(got, rows)
+        np.testing.assert_allclose(got.ravel(), angles, rtol=0, atol=1e-7)
+
     def test_symmetric(self):
         rng = np.random.RandomState(16)
         r1 = ScipyRotation.random(random_state=rng).as_matrix()
