@@ -120,9 +120,8 @@ def main(argv=None):
         if args.seed is not None:
             cfg.seed = args.seed
         if args.duration is not None:
-            if args.duration <= 0.0:
-                raise ConfigError("--duration must be positive")
             cfg.schedule["duration_s"] = args.duration
+            dataio.schedule_config(cfg)
         if args.with_curvature is not None:
             cfg.with_curvature = args.with_curvature == "on"
 

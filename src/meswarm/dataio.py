@@ -358,14 +358,21 @@ def parse_config(body, base_dir="."):
             or np.any(k0 <= 0.0):
         raise ConfigError("prior.k0_diag must be a positive scalar or "
                           f"{STATE_DOF}-vector")
-    try:
-        ScheduleConfig(seed=cfg.seed, **cfg.schedule)
-    except ValueError as exc:
-        raise ConfigError(f"schedule: {exc}") from None
+    schedule_config(cfg)
     for key, value in cfg.noise.items():
         if float(value) <= 0.0:
             raise ConfigError(f"noise.{key} must be positive")
     return cfg
+
+
+def schedule_config(cfg, sched=None):
+    """The run's ScheduleConfig from cfg's schedule, or from `sched` in its
+    place; an invalid schedule, one without an IMU tick included, is a
+    ConfigError."""
+    try:
+        return ScheduleConfig(seed=cfg.seed, **(sched or cfg.schedule))
+    except ValueError as exc:
+        raise ConfigError(f"schedule: {exc}") from None
 
 
 def load_config(path):
@@ -455,4 +462,4 @@ def build_schedule(cfg, sources):
             log.info("duration clipped to %.2f s of recorded data", available)
             sched["duration_s"] = math.floor(
                 available * sched["imu_rate_hz"]) / sched["imu_rate_hz"]
-    return ScheduleConfig(seed=cfg.seed, **sched)
+    return schedule_config(cfg, sched)

@@ -80,6 +80,14 @@ class ScheduleConfig:
                 raise ValueError(f"{name} must be non-negative")
             if rate > self.imu_rate_hz:
                 raise ValueError(f"{name} must not exceed the IMU rate")
+        if self.n_ticks < 1:
+            raise ValueError(f"duration_s {self.duration_s:g} spans no IMU "
+                             f"tick at {self.imu_rate_hz:g} Hz")
+
+    @property
+    def n_ticks(self):
+        """IMU ticks of the run: its duration rounded to the IMU grid."""
+        return int(round(self.duration_s * self.imu_rate_hz))
 
 
 @dataclass
@@ -187,7 +195,7 @@ class SinusoidTrajectory:
 
     def _angle_rate(self, t):
         w = 2.0 * np.pi * self.rot_freq_hz
-        return self.rot_amp * w * math.cos(w * t + self.rot_phase)
+        return self.rot_amp * w * np.cos(w * t + self.rot_phase)
 
     def rotation(self, t):
         """Attitude at time t; an array of times gives a stack of them."""
@@ -195,7 +203,7 @@ class SinusoidTrajectory:
 
     def angular_velocity_body(self, t):
         # rotation about a fixed axis: the body rate equals the inertial rate
-        return self._angle_rate(t) * self.rot_axis
+        return np.asarray(self._angle_rate(t))[..., None] * self.rot_axis
 
     def truth_state(self, t, gyro_bias=None, accel_bias=None):
         return make_state(self.rotation(t), self.position(t), self.velocity(t),
@@ -210,34 +218,37 @@ def synthesize_imu(trajectory, noise, gravity, n_ticks, dt, seed, vehicle,
 
     Returns (samples, gyro_biases, accel_biases) with one entry per tick;
     biases follow a random walk with sqrt(dt)-scaled increments, or stay
-    constant when bias_walk is False.
+    constant when bias_walk is False.  Each channel draws its noise for
+    all ticks in one call, the same draws a tick-by-tick loop would make.
     """
-    rng_g = channel_rng(seed, _CH_GYRO, vehicle, 0)
-    rng_a = channel_rng(seed, _CH_ACCEL, vehicle, 0)
-    rng_bg = channel_rng(seed, _CH_GYRO_WALK, vehicle, 0)
-    rng_ba = channel_rng(seed, _CH_ACCEL_WALK, vehicle, 0)
-    bg = np.zeros(3) if gyro_bias0 is None else np.asarray(gyro_bias0, float)
-    ba = np.zeros(3) if accel_bias0 is None else np.asarray(accel_bias0, float)
     sqdt = math.sqrt(dt)
     dt_ns = int(round(1e9 * dt))
-    samples, gyro_biases, accel_biases = [], [], []
-    # every tick's attitude and acceleration in one stacked call each
+
+    def draws(channel):
+        rng = channel_rng(seed, channel, vehicle, 0)
+        return rng.standard_normal((n_ticks, 3))
+
+    def walk(bias0, channel, scale):
+        steps = np.zeros((n_ticks, 3))
+        steps[:1] = 0.0 if bias0 is None else np.asarray(bias0, float)
+        if bias_walk:
+            # the last tick's step would only move the bias after the run
+            steps[1:] = (sqdt * draws(channel)[:-1]) @ scale.T
+        # summed left to right from bias0, as a loop adds step by step
+        return np.cumsum(steps, axis=0)
+
+    bg = walk(gyro_bias0, _CH_GYRO_WALK, noise.b_gyro_bias)
+    ba = walk(accel_bias0, _CH_ACCEL_WALK, noise.b_accel_bias)
     times = dt * np.arange(n_ticks)
     rots = trajectory.rotation(times)
-    accels = trajectory.acceleration(times)
-    for k in range(n_ticks):
-        t = k * dt
-        gyro_biases.append(bg.copy())
-        accel_biases.append(ba.copy())
-        u_w = (trajectory.angular_velocity_body(t) + bg
-               + noise.b_gyro @ rng_g.standard_normal(3))
-        u_a = (rots[k].T @ (accels[k] + gravity) + ba
-               + noise.b_accel @ rng_a.standard_normal(3))
-        samples.append(ImuSample(u_w, u_a, k * dt_ns))
-        if bias_walk:
-            bg = bg + noise.b_gyro_bias @ (sqdt * rng_bg.standard_normal(3))
-            ba = ba + noise.b_accel_bias @ (sqdt * rng_ba.standard_normal(3))
-    return samples, gyro_biases, accel_biases
+    specific = (trajectory.acceleration(times) + gravity)[..., None]
+    u_w = (trajectory.angular_velocity_body(times) + bg
+           + draws(_CH_GYRO) @ noise.b_gyro.T)
+    u_a = ((rots.swapaxes(-1, -2) @ specific)[..., 0] + ba
+           + draws(_CH_ACCEL) @ noise.b_accel.T)
+    samples = [ImuSample(w, a, k * dt_ns)
+               for k, (w, a) in enumerate(zip(u_w, u_a))]
+    return samples, list(bg), list(ba)
 
 
 def synthesize_observation(truth_states, world, kind, observer, subject, d,
@@ -449,7 +460,7 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
     n = len(sources)
     dt = 1.0 / config.imu_rate_hz
     dt_ns = int(round(1e9 * dt))
-    n_ticks = int(round(config.duration_s * config.imu_rate_hz))
+    n_ticks = config.n_ticks
     for src in sources:
         src.prepare(n_ticks, dt)
 

@@ -5,12 +5,16 @@ an (n, 3) stack gives (n, 3, 3), so one call serves a node's single vehicle
 and all n vehicles of the joint filter, and each entry of a stacked result
 equals the single-vehicle call on that entry.  The SO(3) exponential and
 its left Jacobian are in closed form; the matrix exponential of the 15x15
-propagation matrices is scipy's scaling-and-squaring method (Al-Mohy &
-Higham, 2009), which takes stacks as well.
+propagation matrices is a truncated Taylor series with scaling and
+squaring, one set of matmuls over the whole stack.  A stack takes the
+degree its largest norm needs, so its entries equal single calls to the
+last bits rather than exactly.
 """
 
+import functools
+import math
+
 import numpy as np
-from scipy.linalg import expm  # noqa: F401  (re-exported kernel)
 
 # Below this rotation magnitude the closed-form coefficients switch to their
 # 4th-order Taylor expansions to avoid 0/0.
@@ -82,3 +86,82 @@ def so3_left_jacobian(theta):
     _, b, c = _so3_coefficients(theta)
     k = skew(theta)
     return EYE3 + b[..., None, None] * k + c[..., None, None] * (k @ k)
+
+
+# (m, theta_m): the Taylor polynomial of degree m has a backward error below
+# the unit roundoff 2^-53 for every matrix of 1-norm at most theta_m
+# (Al-Mohy & Higham, "Computing the Action of the Matrix Exponential", SIAM
+# J. Sci. Comput. 2011, Table 3.1).  Larger norms are scaled into theta_20.
+_TAYLOR_THETA = ((4, 3.40e-4), (5, 2.40e-3), (6, 9.07e-3), (7, 2.38e-2),
+                 (8, 4.99e-2), (9, 8.96e-2), (10, 1.44e-1), (12, 0.300),
+                 (16, 0.780), (20, 1.44))
+
+
+def _paterson_stockmeyer(degree):
+    """Blocks of the degree-m Taylor polynomial in powers of A^s.
+
+    With s = ceil(sqrt(m)), p(A) = sum_j B_j (A^s)^j where block j is
+    B_j = sum_i c[j, i] A^i over i = 0..s, c[j, i] = 1/(j s + i)!; the top
+    block takes the last coefficient on A^s when s divides m.  The identity
+    term c[0, 0] is left out; the caller adds it last, as Horner's last
+    step does, which keeps the diagonal within half an ulp of 1.
+    """
+    s = math.isqrt(degree - 1) + 1
+    top = (degree - 1) // s
+    c = np.zeros((top + 1, s + 1))
+    for k in range(degree + 1):
+        j = min(k // s, top)
+        c[j, k - j * s] = 1.0 / math.factorial(k)
+    c[0, 0] = 0.0
+    c.flags.writeable = False
+    return s, c
+
+
+_TAYLOR_BLOCKS = {m: _paterson_stockmeyer(m) for m, _ in _TAYLOR_THETA}
+
+
+@functools.lru_cache(maxsize=8)
+def _eye(n):
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+def expm(a):
+    """Matrix exponentials of a square matrix or of a stack of them.
+
+    The degree and the number of squarings follow from the largest 1-norm
+    in the stack, so every slice goes through the same matmuls and no slice
+    takes a Python loop of its own.  The polynomial is evaluated by Horner
+    in A^s (Paterson & Stockmeyer), without a linear solve.  A non-finite
+    entry anywhere makes the whole result NaN at once; the largest finite
+    norm costs 1,024 squarings.
+    """
+    a = np.asarray(a, dtype=float)
+    norm = np.abs(a).sum(axis=-2).max(initial=0.0)
+    if not math.isfinite(norm):
+        return np.full(a.shape, np.nan)
+    squarings = 0
+    for degree, theta in _TAYLOR_THETA:
+        if norm <= theta:
+            break
+    else:
+        squarings = math.ceil(math.log2(norm / theta))
+        a = np.ldexp(a, -squarings)
+    s, c = _TAYLOR_BLOCKS[degree]
+    # powers I, A, .., A^s, stacked ahead of the input's own axes
+    powers = np.empty((s + 1,) + a.shape)
+    eye = _eye(a.shape[-1])
+    powers[0] = eye
+    powers[1] = a
+    for i in range(2, s + 1):
+        np.matmul(powers[i - 1], a, out=powers[i])
+    blocks = (c @ powers.reshape(s + 1, -1)).reshape((len(c),) + a.shape)
+    r = blocks[-1]
+    for j in range(len(c) - 2, -1, -1):
+        r = powers[s] @ r
+        r += blocks[j]
+    r += eye
+    for _ in range(squarings):
+        r = r @ r
+    return r

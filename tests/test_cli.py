@@ -131,6 +131,29 @@ class TestExitCodes:
                          "--out", str(out)])
         assert code == 2
 
+    def test_run_without_imu_tick_is_2(self, tmp_path, capsys):
+        """A duration under half an IMU period gives a schedule with no
+        tick; it is refused as a configuration error wherever it arises."""
+        cfg = base_config(n_vehicles=1)
+        code, out = run_cli(tmp_path, cfg, "flag", ["--duration", "0.001"])
+        assert code == 2 and not out.exists()
+        cfg["schedule"]["duration_s"] = 0.001
+        code, _ = run_cli(tmp_path, cfg, "config")
+        assert code == 2
+        # recorded data 1 ms long clips a 200 Hz schedule to no tick
+        (tmp_path / "imu.csv").write_text(
+            "timestamp_ns,wx,wy,wz,ax,ay,az\n"
+            "0,0,0,0,0,0,9.81\n1000000,0,0,0,0,0,9.81\n")
+        (tmp_path / "truth.csv").write_text(
+            "ts,px,py,pz,qw,qx,qy,qz,vx,vy,vz\n"
+            "0,0,0,0,1,0,0,0,0,0,0\n1000000,0,0,0,1,0,0,0,0,0,0\n")
+        cfg = base_config(n_vehicles=1)
+        cfg["vehicles"] = [{"type": "dataset", "imu_csv": "imu.csv",
+                            "truth_csv": "truth.csv"}]
+        code, _ = run_cli(tmp_path, cfg, "clipped")
+        assert code == 2
+        assert capsys.readouterr().err.count("spans no IMU tick") == 3
+
     def test_data_error_is_3(self, tmp_path):
         (tmp_path / "imu.csv").write_text(
             "timestamp_ns,wx,wy,wz,ax,ay,az\n1000,0,0,bad,0,0,9.81\n")

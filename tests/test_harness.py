@@ -104,7 +104,67 @@ class TestScheduleConfig:
         assert _observation_ticks(0.0, 200.0, 100) == []
 
 
+def synthesize_imu_loop(trajectory, noise, gravity, n_ticks, dt, seed,
+                        vehicle, gyro_bias0=None, accel_bias0=None,
+                        bias_walk=True):
+    """Tick-by-tick reference for synthesize_imu: four 3-vector draws and
+    the products of one tick at a time."""
+    rng_g = channel_rng(seed, harness._CH_GYRO, vehicle, 0)
+    rng_a = channel_rng(seed, harness._CH_ACCEL, vehicle, 0)
+    rng_bg = channel_rng(seed, harness._CH_GYRO_WALK, vehicle, 0)
+    rng_ba = channel_rng(seed, harness._CH_ACCEL_WALK, vehicle, 0)
+    bg = np.zeros(3) if gyro_bias0 is None else np.asarray(gyro_bias0, float)
+    ba = np.zeros(3) if accel_bias0 is None else np.asarray(accel_bias0, float)
+    sqdt = np.sqrt(dt)
+    dt_ns = int(round(1e9 * dt))
+    samples, gyro_biases, accel_biases = [], [], []
+    for k in range(n_ticks):
+        t = k * dt
+        gyro_biases.append(bg.copy())
+        accel_biases.append(ba.copy())
+        u_w = (trajectory.angular_velocity_body(t) + bg
+               + noise.b_gyro @ rng_g.standard_normal(3))
+        u_a = (trajectory.rotation(t).T @ (trajectory.acceleration(t)
+                                           + gravity)
+               + ba + noise.b_accel @ rng_a.standard_normal(3))
+        samples.append(models.ImuSample(u_w, u_a, k * dt_ns))
+        if bias_walk:
+            bg = bg + noise.b_gyro_bias @ (sqdt * rng_bg.standard_normal(3))
+            ba = ba + noise.b_accel_bias @ (sqdt * rng_ba.standard_normal(3))
+    return samples, gyro_biases, accel_biases
+
+
 class TestImuSynthesis:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_ticks=st.integers(1, 400),
+           dt=st.floats(1e-3, 0.05), bias_walk=st.booleans(),
+           diagonal=st.booleans())
+    def test_equals_tick_by_tick_loop(self, seed, n_ticks, dt, bias_walk,
+                                      diagonal):
+        """The batched draws are the loop's draws; its products and the
+        summed bias walk round differently only in the last bits, so every
+        channel agrees within 1e-15 of max(1, its largest entry)."""
+        rng = np.random.default_rng(seed)
+        scales = rng.uniform(0.5, 2.0, (4, 1, 1)) * np.array(
+            [[[0.005]], [[0.02]], [[1e-2]], [[1e-1]]])
+        mats = (np.eye(3) if diagonal else rng.standard_normal((4, 3, 3)))
+        noise = NoiseModel(*(scales * mats))
+        traj = SinusoidTrajectory.random(rng, terms=2)
+        kw = dict(gyro_bias0=rng.standard_normal(3) * 1e-2,
+                  accel_bias0=rng.standard_normal(3) * 1e-1,
+                  bias_walk=bias_walk)
+        got = synthesize_imu(traj, noise, GRAVITY, n_ticks, dt, seed, 2, **kw)
+        want = synthesize_imu_loop(traj, noise, GRAVITY, n_ticks, dt, seed,
+                                   2, **kw)
+        assert [s.t_ns for s in got[0]] == [s.t_ns for s in want[0]]
+        pairs = [([s.gyro for s in got[0]], [s.gyro for s in want[0]]),
+                 ([s.accel for s in got[0]], [s.accel for s in want[0]]),
+                 (got[1], want[1]), (got[2], want[2])]
+        for g, w in pairs:
+            assert len(g) == n_ticks
+            g, w = np.array(g), np.array(w)
+            assert np.max(np.abs(g - w)) <= 1e-15 * max(1.0, np.abs(w).max())
+
     def test_static_hover(self):
         traj = SinusoidTrajectory()  # constant pose at the origin
         samples, bg, ba = synthesize_imu(traj, quiet_noise(), GRAVITY, 10,
