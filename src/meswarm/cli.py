@@ -45,8 +45,10 @@ def build_parser():
     p.add_argument("--out", default=".", metavar="DIR",
                    help="output directory (created if missing)")
     p.add_argument("--with-curvature", choices=("on", "off"),
-                   help="second-order gain correction (central mode only; "
-                        "off by default, can destabilise long runs)")
+                   help="second-order gain correction of the joint filter "
+                        "(central) and of each isolated filter (none); "
+                        "distributed has no curvature term.  Off by default, "
+                        "it can destabilise long runs")
     return p
 
 

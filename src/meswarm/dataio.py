@@ -10,15 +10,15 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.spatial.transform import Rotation, Slerp
 
 from . import models
-from .harness import (PriorConfig, ScheduleConfig, SinusoidTrajectory,
+from .harness import (MODES, PriorConfig, ScheduleConfig, SinusoidTrajectory,
                       SyntheticSource)
-from .lie import STATE_DOF, VehicleState
+from .lie import VehicleState
 
 log = logging.getLogger(__name__)
 
@@ -46,7 +46,12 @@ class TruthSample:
 
 
 def _read_rows(path, n_min, n_max, what):
-    """Parse a headered CSV of floats, reporting errors with line numbers."""
+    """Parse a headered CSV of an integer nanosecond stamp and floats,
+    reporting errors with line numbers.
+
+    The stamp is parsed exactly: a float holds integers only up to 2^53,
+    and recorded stamps (about 1.4e18 ns) lie far above that.
+    """
     rows = []
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -62,7 +67,7 @@ def _read_rows(path, n_min, n_max, what):
                             + (f"-{n_max}" if n_max != n_min else "")
                             + f" fields, got {len(parts)}")
         try:
-            rows.append([float(p) for p in parts])
+            rows.append([int(parts[0])] + [float(p) for p in parts[1:]])
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
     return rows
@@ -78,7 +83,7 @@ def _check_monotone(path, stamps):
 def load_imu_csv(path):
     """IMU stream from rows `timestamp_ns,wx,wy,wz,ax,ay,az`."""
     rows = _read_rows(path, 7, 7, "IMU")
-    stamps = [int(r[0]) for r in rows]
+    stamps = [r[0] for r in rows]
     _check_monotone(path, stamps)
     return [models.ImuSample(np.array(r[1:4]), np.array(r[4:7]), t)
             for r, t in zip(rows, stamps)]
@@ -91,7 +96,7 @@ def load_truth_csv(path):
     further off is a data error.
     """
     rows = _read_rows(path, 11, 17, "truth")
-    stamps = [int(r[0]) for r in rows]
+    stamps = [r[0] for r in rows]
     _check_monotone(path, stamps)
     out = []
     for i, (r, t) in enumerate(zip(rows, stamps)):
@@ -217,7 +222,6 @@ class DatasetSource:
         if n_ticks > len(self._imu):
             raise DataError(f"vehicle {self.vehicle}: run needs {n_ticks} IMU "
                             f"ticks but the file has {len(self._imu)}")
-        self.dt = dt
         self._dt_ns = int(round(1e9 * dt))
         # tick k's truth is at the stamp of IMU sample k, or of the last one
         stamps = np.array([s.t_ns for s in self._imu], dtype=np.int64)
@@ -234,11 +238,9 @@ class DatasetSource:
 
 # -- experiment configuration ------------------------------------------------------
 
-_SCHEDULE_DEFAULTS = {
-    "imu_rate_hz": 200.0, "landmark_rate_hz": 10.0,
-    "intervehicle_rate_hz": 10.0, "duration_s": 10.0,
-    "dropout_landmark": 0.0, "dropout_intervehicle": 0.0,
-}
+# the seed is the config's top-level one
+_SCHEDULE_DEFAULTS = {f.name: f.default for f in fields(ScheduleConfig)
+                      if f.name != "seed"}
 
 _NOISE_DEFAULTS = {
     "b_gyro_rad_s": 0.005, "b_accel_mps2": 0.02,
@@ -246,10 +248,7 @@ _NOISE_DEFAULTS = {
     "d_landmark_m": 0.05, "d_intervehicle_m": 0.05,
 }
 
-_PRIOR_DEFAULTS = {
-    "pos_offset_m": 0.1, "rot_offset_rad": 0.1,
-    "k0_diag": list(PriorConfig().k0_diag),
-}
+_PRIOR_DEFAULTS = {f.name: f.default for f in fields(PriorConfig)}
 
 _SYNTHETIC_DEFAULTS = {
     "type": "synthetic", "trajectory_seed": 0,
@@ -293,31 +292,19 @@ class ExperimentConfig:
     base_dir: str = "."
 
     def effective(self):
-        """JSON-compatible dict reproducing this exact run when reloaded."""
-        return {
-            "mode": self.mode, "seed": self.seed,
-            "with_curvature": self.with_curvature,
-            "gravity_mps2": list(self.gravity_mps2),
-            "schedule": dict(self.schedule),
-            "noise": dict(self.noise),
-            "prior": dict(self.prior),
-            "landmarks_m": [list(lm) for lm in self.landmarks_m],
-            "markers_m": [list(m) for m in self.markers_m],
-            "vehicles": [dict(v) for v in self.vehicles],
-        }
+        """JSON-compatible dict reproducing this exact run when reloaded:
+        every field but base_dir, as JSON reads it back."""
+        body = asdict(self)
+        del body["base_dir"]
+        return json.loads(json.dumps(body))
 
 
 def parse_config(body, base_dir="."):
     """Validate a raw config dict and resolve all defaults."""
     if not isinstance(body, dict):
         raise ConfigError("config root must be a JSON object")
-    top_defaults = {
-        "mode": "central", "seed": 0, "with_curvature": False,
-        "gravity_mps2": [0.0, 0.0, 9.81], "schedule": {}, "noise": {},
-        "prior": {}, "landmarks_m": [], "markers_m": [], "vehicles": [],
-    }
-    body = _merge(top_defaults, body, "config")
-    if body["mode"] not in ("none", "central", "distributed"):
+    body = _merge(ExperimentConfig().effective(), body, "config")
+    if body["mode"] not in MODES:
         raise ConfigError(f"unknown mode {body['mode']!r}")
     _vec3(body["gravity_mps2"], "gravity_mps2")
     cfg = ExperimentConfig(
@@ -353,11 +340,10 @@ def parse_config(body, base_dir="."):
         else:
             raise ConfigError(f"vehicles[{i}]: unknown type {kind!r}")
 
-    k0 = np.asarray(cfg.prior["k0_diag"], dtype=float)
-    if k0.ndim not in (0, 1) or (k0.ndim == 1 and k0.shape != (STATE_DOF,)) \
-            or np.any(k0 <= 0.0):
-        raise ConfigError("prior.k0_diag must be a positive scalar or "
-                          f"{STATE_DOF}-vector")
+    try:
+        build_prior(cfg).k0_block()
+    except ValueError as exc:
+        raise ConfigError(f"prior.{exc}") from None
     schedule_config(cfg)
     for key, value in cfg.noise.items():
         if float(value) <= 0.0:
@@ -445,11 +431,10 @@ def build_sources(cfg, noise):
 
 
 def build_prior(cfg):
-    k0 = cfg.prior["k0_diag"]
+    """The run's PriorConfig; k0_diag is checked by PriorConfig.k0_block."""
     return PriorConfig(pos_offset_m=float(cfg.prior["pos_offset_m"]),
                        rot_offset_rad=float(cfg.prior["rot_offset_rad"]),
-                       k0_diag=(float(k0) if np.ndim(k0) == 0
-                                else tuple(float(x) for x in k0)))
+                       k0_diag=cfg.prior["k0_diag"])
 
 
 def build_schedule(cfg, sources):

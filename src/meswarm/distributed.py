@@ -66,7 +66,7 @@ def _mat(m):
 
 
 def encode_message(msg):
-    """Canonical JSON-compatible encoding used for bus logs and replay."""
+    """Canonical JSON-compatible encoding used for bus logs."""
     if isinstance(msg, PropagationFactor):
         body = {"type": "propagation_factor", "sender": msg.sender,
                 "lam": _mat(msg.lam),
@@ -90,30 +90,6 @@ def encode_message(msg):
         raise TypeError(f"not a wire message: {type(msg)!r}")
     body["v"] = WIRE_VERSION
     return body
-
-
-def decode_message(body):
-    if body.get("v") != WIRE_VERSION:
-        raise ValueError(f"unsupported wire version {body.get('v')!r}")
-    kind = body["type"]
-    if kind == "propagation_factor":
-        return PropagationFactor(body["sender"], np.array(body["lam"]),
-                                 body["start_tick"], body["end_tick"])
-    if kind == "peer_state_request":
-        return PeerStateRequest(body["requester"], body["target"])
-    if kind == "peer_state_reply":
-        st = body["state"]
-        state = VehicleState(np.array(st["rot"]), np.array(st["pos"]),
-                             np.array(st["vel"]), np.array(st["gyro_bias"]),
-                             np.array(st["accel_bias"]))
-        return PeerStateReply(body["sender"], state, np.array(body["k_col"]))
-    if kind == "update_broadcast":
-        gain = body["gain"]
-        return UpdateBroadcast(
-            body["origin"], body["kind"], body["subject"], body["dt"],
-            body["t_ns"], np.array(body["r"]),
-            None if gain is None else np.array(gain))
-    raise ValueError(f"unknown message type {kind!r}")
 
 
 # -- the node -----------------------------------------------------------------
@@ -207,8 +183,8 @@ class VehicleNode:
             cols.append(peer_reply.k_col)
 
         key = (obs.kind, obs.observer, obs.subject)
-        dt = obs.dt if obs.dt is not None else self.noise.effective_period(
-            obs.kind, self._last_obs_ns.get(key), obs.t_ns)
+        dt = self.noise.effective_period(obs.kind, self._last_obs_ns.get(key),
+                                         obs.t_ns)
 
         e_ii = models.hessian_term(states, obs, self.world, self.noise, dt)
         _, r_ix = models.residual(states, obs, self.world, self.noise, dt)

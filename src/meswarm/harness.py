@@ -112,7 +112,7 @@ class PriorConfig:
         diag = np.asarray(self.k0_diag, dtype=float)
         if diag.ndim == 0:
             diag = np.full(STATE_DOF, float(diag))
-        if diag.shape != (STATE_DOF,) or np.any(diag <= 0.0):
+        if diag.shape != (STATE_DOF,) or not np.all(diag > 0.0):
             raise ValueError("k0_diag must be a positive scalar or 15-vector")
         return np.diag(diag)
 
@@ -252,12 +252,12 @@ def synthesize_imu(trajectory, noise, gravity, n_ticks, dt, seed, vehicle,
 
 
 def synthesize_observation(truth_states, world, kind, observer, subject, d,
-                           rng, t_ns, dt=None):
+                           rng, t_ns):
     """One noisy observation: y = h(truth) + D eps with seeded eps."""
-    clean = Observation(kind, observer, subject, np.zeros(3), t_ns, dt=dt)
+    clean = Observation(kind, observer, subject, np.zeros(3), t_ns)
     y = models.predict(truth_states, clean, world)
     y = y + np.asarray(d, dtype=float) @ rng.standard_normal(3)
-    return Observation(kind, observer, subject, y, t_ns, dt=dt)
+    return Observation(kind, observer, subject, y, t_ns)
 
 
 class SyntheticSource:
@@ -283,7 +283,6 @@ class SyntheticSource:
         self.truth = None
 
     def prepare(self, n_ticks, dt):
-        self.dt = dt
         self._samples, gyro_biases, accel_biases = synthesize_imu(
             self.trajectory, self.noise, self.gravity, n_ticks, dt, self.seed,
             self.vehicle, self.gyro_bias0, self.accel_bias0, self.bias_walk)
@@ -306,8 +305,7 @@ class SyntheticSource:
 # -- message bus ----------------------------------------------------------------
 
 class MessageBus:
-    """Counts every delivered message and, if recording, keeps its
-    canonical encoding.
+    """Keeps the canonical encoding of every delivered message, if recording.
 
     Recording holds the full payload of every message in memory, which adds
     up quickly on long many-vehicle runs; switch it off when the log is not
@@ -316,11 +314,9 @@ class MessageBus:
 
     def __init__(self, record=True):
         self.records = []
-        self.delivered = 0
         self.record = record
 
     def deliver(self, tick, msg):
-        self.delivered += 1
         if self.record:
             body = encode_message(msg)
             body["tick"] = tick
@@ -450,9 +446,11 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
     at tick 0 and on observation ticks, and after the last tick every
     recorded estimate is scored against the sources' stacked ``truth``.
 
-    The second-order gain correction (with_curvature, joint mode only) is
-    opt-in: it amplifies through the inverse gain and destabilises runs
-    whose gain spectrum gets small, so the robust default leaves it off.
+    The second-order gain correction (with_curvature) is opt-in: it
+    amplifies through the inverse gain and destabilises runs whose gain
+    spectrum gets small, so the robust default leaves it off.  It applies
+    to the joint filter of `central` and to every isolated filter of
+    `none`; the nodes of `distributed` have no curvature term.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -464,37 +462,25 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
     for src in sources:
         src.prepare(n_ticks, dt)
 
-    # observation events per tick, sorted (channel, observer, subject) within
-    # the tick; the landmark channel sorts first so that absolute fixes land
-    # before the relative inter-vehicle updates of the same epoch
-    channel_order = {models.LANDMARK: 0, models.INTERVEHICLE: 1}
-    events = {}
-    landmark_ids = sorted(world.landmarks)
-    for tick in _observation_ticks(config.landmark_rate_hz,
-                                   config.imu_rate_hz, n_ticks):
-        for v in range(n):
-            for lm in landmark_ids:
-                events.setdefault(tick, []).append((models.LANDMARK, v, lm))
+    # observation events per tick in (channel, observer, subject) order, as
+    # the loops emit them: the landmark channel comes first so that absolute
+    # fixes land before the relative inter-vehicle updates of the same epoch,
+    # and vehicles and landmark ids ascend within a channel
+    channels = [(models.LANDMARK, config.landmark_rate_hz, _CH_LANDMARK,
+                 _CH_DROP_LANDMARK,
+                 [(v, lm) for v in range(n) for lm in sorted(world.landmarks)])]
     if mode != MODE_NONE:
-        for tick in _observation_ticks(config.intervehicle_rate_hz,
-                                       config.imu_rate_hz, n_ticks):
-            for a in range(n):
-                for b in range(n):
-                    if a != b:
-                        events.setdefault(tick, []).append(
-                            (models.INTERVEHICLE, a, b))
-    for tick in events:
-        events[tick].sort(key=lambda ev: (channel_order[ev[0]], ev[1], ev[2]))
-
-    obs_rngs, drop_rngs = {}, {}
-    for tick, evs in events.items():
-        for kind, a, b in evs:
-            if (kind, a, b) not in obs_rngs:
-                ch = _CH_LANDMARK if kind == models.LANDMARK else _CH_INTERVEHICLE
-                dch = (_CH_DROP_LANDMARK if kind == models.LANDMARK
-                       else _CH_DROP_INTERVEHICLE)
-                obs_rngs[(kind, a, b)] = channel_rng(config.seed, ch, a, b)
-                drop_rngs[(kind, a, b)] = channel_rng(config.seed, dch, a, b)
+        channels.append((models.INTERVEHICLE, config.intervehicle_rate_hz,
+                         _CH_INTERVEHICLE, _CH_DROP_INTERVEHICLE,
+                         [(a, b) for a in range(n) for b in range(n)
+                          if a != b]))
+    events, obs_rngs, drop_rngs = {}, {}, {}
+    for kind, rate, ch, dch, pairs in channels:
+        for a, b in pairs:
+            obs_rngs[(kind, a, b)] = channel_rng(config.seed, ch, a, b)
+            drop_rngs[(kind, a, b)] = channel_rng(config.seed, dch, a, b)
+        for tick in _observation_ticks(rate, config.imu_rate_hz, n_ticks):
+            events.setdefault(tick, []).extend((kind, a, b) for a, b in pairs)
 
     truths0 = [src.truth_at_tick(0) for src in sources]
     est0 = [_perturbed_prior(truths0[v], prior,

@@ -166,16 +166,9 @@ class JointFilter:
 
     # -- measurement updates ---------------------------------------------------
 
-    def observation_period(self, obs):
-        """Effective inter-arrival period for this observation's source."""
-        if obs.dt is not None:
-            return obs.dt
-        key = (obs.kind, obs.observer, obs.subject)
-        return self.noise.effective_period(obs.kind,
-                                           self._last_obs_ns.get(key), obs.t_ns)
-
-    def update(self, obs, with_curvature=True):
-        """Apply one observation at the current filter time."""
+    def update(self, obs, with_curvature=False):
+        """Apply one observation at the current filter time, weighed by the
+        period since its source's last applied arrival."""
         if obs.t_ns < self.t_ns:
             raise ValueError(
                 f"observation at {obs.t_ns} ns is before filter time {self.t_ns} ns")
@@ -184,7 +177,9 @@ class JointFilter:
             if self._lam is not None:
                 self._lam = self._identity_factors()
             self._stale = False
-        dt = self.observation_period(obs)
+        key = (obs.kind, obs.observer, obs.subject)
+        dt = self.noise.effective_period(obs.kind, self._last_obs_ns.get(key),
+                                         obs.t_ns)
         ix = models.update_indices(obs.kind, obs.observer, obs.subject)
         states = self.state if self._lead else [self.state]
         e_ii = models.hessian_term(states, obs, self.world, self.noise, dt)
@@ -217,7 +212,7 @@ class JointFilter:
         psi = dt * (self.k[:, ix] @ r_ix)
         self.state = compose(self.state,
                              group_exp(psi.reshape(self._lead + (STATE_DOF,))))
-        self._last_obs_ns[(obs.kind, obs.observer, obs.subject)] = obs.t_ns
+        self._last_obs_ns[key] = obs.t_ns
         return self
 
 

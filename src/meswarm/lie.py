@@ -7,7 +7,7 @@ accel_bias), fifteen entries in total.
 
 A state holds one vehicle or a stack of vehicles: every field carries the
 same leading axes, none for one vehicle and (n,) for the joint filter's n
-vehicles.  `compose`, `inverse` and `group_exp` act on all of them at once.
+vehicles.  `compose` and `group_exp` act on all of them at once.
 """
 
 from dataclasses import dataclass, fields
@@ -53,16 +53,6 @@ class VehicleState:
         return VehicleState(self.rot[i], self.pos[i], self.vel[i],
                             self.gyro_bias[i], self.accel_bias[i])
 
-    def pose_matrix(self):
-        """5x5 homogeneous form of the extended pose."""
-        m = np.zeros(self.pos.shape[:-1] + (5, 5))
-        m[..., :3, :3] = self.rot
-        m[..., :3, 3] = self.pos
-        m[..., :3, 4] = self.vel
-        m[..., 3, 3] = 1.0
-        m[..., 4, 4] = 1.0
-        return m
-
 
 def make_state(rot, pos, vel, gyro_bias=None, accel_bias=None):
     rot = np.asarray(rot, dtype=float).reshape(3, 3)
@@ -75,10 +65,6 @@ def stack_states(states):
     """One stacked state, leading axis n, from n single-vehicle states."""
     return VehicleState(*(np.stack([getattr(x, f.name) for x in states])
                           for f in fields(VehicleState)))
-
-
-def identity_state():
-    return make_state(np.eye(3), np.zeros(3), np.zeros(3))
 
 
 def project_rotation(r):
@@ -112,12 +98,6 @@ def compose(x, y):
         x.gyro_bias + y.gyro_bias,
         x.accel_bias + y.accel_bias,
     )
-
-
-def inverse(x):
-    rt = _t(x.rot)
-    pos, vel = _rotated(rt, x)
-    return VehicleState(rt.copy(), -pos, -vel, -x.gyro_bias, -x.accel_bias)
 
 
 def adjoint_matrix_from_vector(q):

@@ -121,7 +121,6 @@ class Observation:
     subject: int        # landmark index, or target vehicle
     y: np.ndarray       # 3-vector, body frame of the observer
     t_ns: int
-    dt: float = None    # s since the previous observation of this source
 
     def __post_init__(self):
         if self.kind not in (LANDMARK, INTERVEHICLE):
@@ -258,20 +257,19 @@ def _intervehicle_terms(states, obs, world, noise, dt):
 
 
 def _terms(states, obs, world, noise, dt):
-    dt = obs.dt if dt is None else dt
     if obs.kind == LANDMARK:
         return _landmark_terms(states, obs, world, noise, dt)
     return _intervehicle_terms(states, obs, world, noise, dt)
 
 
-def residual(states, obs, world, noise, dt=None):
+def residual(states, obs, world, noise, dt):
     """Weighted innovation s and the m residual entries F^T s at
     update_indices(obs.kind, obs.observer, obs.subject)."""
     _, s, f, _ = _terms(states, obs, world, noise, dt)
     return s, f.T @ s
 
 
-def hessian_term(states, obs, world, noise, dt=None):
+def hessian_term(states, obs, world, noise, dt):
     """Symmetric m x m block E_ii of the Hessian term at update_indices."""
     m, _, f, core = _terms(states, obs, world, noise, dt)
     return _sym(core) + _sym(f.T @ m @ f)

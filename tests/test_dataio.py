@@ -90,6 +90,20 @@ class TestImuCsv:
         with pytest.raises(DataError, match="increasing"):
             load_imu_csv(p)
 
+    def test_recorded_scale_stamps_are_exact(self, tmp_path):
+        # above 2^53 ns a float stamp is off by up to 128 ns
+        stamps = [1403636579758555500, 1403636579763555500]
+        p = tmp_path / "imu.csv"
+        write_imu(p, [[t, 0, 0, 0, 0, 0, 9.81] for t in stamps])
+        assert [s.t_ns for s in load_imu_csv(p)] == stamps
+        q = tmp_path / "truth.csv"
+        write_truth(q, [[t, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0] for t in stamps])
+        assert [s.t_ns for s in load_truth_csv(q)] == stamps
+        with open(p, "a") as fh:
+            fh.write("1.4036365797685555e18,0,0,0,0,0,9.81\n")
+        with pytest.raises(DataError, match=r":4:"):
+            load_imu_csv(p)
+
     def test_sample_count_200hz(self, tmp_path):
         # 200 Hz over 83.5 s -> 16,700 samples (+/- 1)
         p = tmp_path / "imu.csv"
@@ -303,6 +317,15 @@ class TestConfig:
         body = self.minimal()
         body["prior"] = {"k0_diag": 0.0}
         with pytest.raises(ConfigError, match="k0_diag"):
+            parse_config(body)
+
+    @pytest.mark.parametrize("k0_diag", [[[0.1] * 15], [0.1] * 14, None])
+    def test_malformed_gain_rejected(self, k0_diag):
+        body = self.minimal()
+        body["prior"] = {"k0_diag": k0_diag}
+        with pytest.raises(ConfigError, match=r"^prior\.k0_diag must be a "
+                                              r"positive scalar or "
+                                              r"15-vector$"):
             parse_config(body)
 
     def test_missing_dataset_file_rejected(self, tmp_path):

@@ -7,11 +7,12 @@ from scipy.spatial.transform import Rotation as ScipyRotation
 from meswarm import models
 from meswarm.kernels import skew
 from meswarm.lie import (STATE_DOF, adjoint_matrix_from_vector, compose,
-                         group_exp, identity_state, make_state)
+                         group_exp, make_state)
 from meswarm.models import (ImuSample, NoiseModel, Observation,
                             ObservationError, WorldConfig, a_check_single,
                             b_check_single, lambda_single,
                             predict_intervehicle, predict_landmark)
+from test_lie import identity_state
 
 
 def random_state(rng):
@@ -25,7 +26,7 @@ def random_imu(rng, t_ns=0):
     return ImuSample(rng.standard_normal(3), rng.standard_normal(3), t_ns)
 
 
-def dense_residual(states, obs, world, noise, dt=None):
+def dense_residual(states, obs, world, noise, dt):
     """Weighted innovation and the 15n residual, scattered from the m
     entries models.residual returns at update_indices."""
     ix = models.update_indices(obs.kind, obs.observer, obs.subject)
@@ -35,7 +36,7 @@ def dense_residual(states, obs, world, noise, dt=None):
     return s, r
 
 
-def dense_hessian(states, obs, world, noise, dt=None):
+def dense_hessian(states, obs, world, noise, dt):
     """The 15n x 15n Hessian term, scattered from the m x m block
     models.hessian_term returns at update_indices."""
     ix = models.update_indices(obs.kind, obs.observer, obs.subject)
@@ -229,8 +230,8 @@ class TestResiduals:
         rng = np.random.default_rng(8)
         states = [random_state(rng), random_state(rng)]
         y = predict_landmark(states[0], world.landmark(0))
-        obs = Observation(models.LANDMARK, 0, 0, y, 0, dt=0.1)
-        s, r = dense_residual(states, obs, world, noise)
+        obs = Observation(models.LANDMARK, 0, 0, y, 0)
+        s, r = dense_residual(states, obs, world, noise, 0.1)
         np.testing.assert_allclose(s, 0.0, atol=1e-15)
         np.testing.assert_allclose(r, 0.0, atol=1e-15)
 
@@ -238,8 +239,8 @@ class TestResiduals:
         world = WorldConfig(landmarks={0: np.array([1.0, 0.0, 0.0])})
         states = [identity_state()]
         y = np.array([1.0, 1.0, 0.0])
-        obs = Observation(models.LANDMARK, 0, 0, y, 0, dt=0.1)
-        s, r = dense_residual(states, obs, world, noise)
+        obs = Observation(models.LANDMARK, 0, 0, y, 0)
+        s, r = dense_residual(states, obs, world, noise, 0.1)
         f = hand_assembled_f_landmark(states, 0, world.landmark(0))
         m = noise.measurement_weight(models.LANDMARK, 0.1)
         expected_s = m @ (y - np.array([1.0, 0.0, 0.0]))
@@ -249,24 +250,23 @@ class TestResiduals:
     def test_landmark_block_sparsity(self, world, noise):
         rng = np.random.default_rng(9)
         states = [random_state(rng) for _ in range(3)]
-        obs = Observation(models.LANDMARK, 1, 0, rng.standard_normal(3), 0,
-                          dt=0.1)
-        _, r = dense_residual(states, obs, world, noise)
+        obs = Observation(models.LANDMARK, 1, 0, rng.standard_normal(3), 0)
+        _, r = dense_residual(states, obs, world, noise, 0.1)
         np.testing.assert_array_equal(r[0:15], 0.0)
         np.testing.assert_array_equal(r[30:45], 0.0)
 
     def test_unknown_landmark_rejected(self, world, noise):
         states = [identity_state()]
-        obs = Observation(models.LANDMARK, 0, 99, np.zeros(3), 0, dt=0.1)
+        obs = Observation(models.LANDMARK, 0, 99, np.zeros(3), 0)
         with pytest.raises(ObservationError):
-            dense_residual(states, obs, world, noise)
+            dense_residual(states, obs, world, noise, 0.1)
 
     def test_intervehicle_zero_innovation(self, world, noise):
         rng = np.random.default_rng(10)
         states = [random_state(rng), random_state(rng)]
         y = predict_intervehicle(states[0], states[1], world.marker(1))
-        obs = Observation(models.INTERVEHICLE, 0, 1, y, 0, dt=0.1)
-        s, r = dense_residual(states, obs, world, noise)
+        obs = Observation(models.INTERVEHICLE, 0, 1, y, 0)
+        s, r = dense_residual(states, obs, world, noise, 0.1)
         np.testing.assert_allclose(r, 0.0, atol=1e-14)
 
     def test_intervehicle_hand_assembled(self, world, noise):
@@ -274,14 +274,14 @@ class TestResiduals:
         for _ in range(30):
             states = [random_state(rng) for _ in range(3)]
             y = rng.standard_normal(3)
-            obs = Observation(models.INTERVEHICLE, 2, 1, y, 0, dt=0.1)
-            s, r = dense_residual(states, obs, world, noise)
+            obs = Observation(models.INTERVEHICLE, 2, 1, y, 0)
+            s, r = dense_residual(states, obs, world, noise, 0.1)
             f = hand_assembled_f_intervehicle(states, 2, 1, world.marker(1))
             np.testing.assert_allclose(r, f.T @ s, atol=1e-13)
 
     def test_self_observation_rejected(self):
         with pytest.raises(ObservationError):
-            Observation(models.INTERVEHICLE, 1, 1, np.zeros(3), 0, dt=0.1)
+            Observation(models.INTERVEHICLE, 1, 1, np.zeros(3), 0)
 
     def test_identical_orientations_give_identity_block(self, world, noise):
         rng = np.random.default_rng(12)
@@ -289,17 +289,17 @@ class TestResiduals:
         states = [make_state(rot, rng.standard_normal(3), np.zeros(3)),
                   make_state(rot, rng.standard_normal(3), np.zeros(3))]
         obs = Observation(models.INTERVEHICLE, 0, 1, rng.standard_normal(3),
-                          0, dt=0.1)
+                          0)
         world = WorldConfig(markers={1: np.zeros(3)})
-        s, r_ix = models.residual(states, obs, world, noise)
+        s, r_ix = models.residual(states, obs, world, noise, 0.1)
         # the target's position block of F is R_ab = I, so r there is s
         np.testing.assert_allclose(r_ix[9:12], s, atol=1e-12)
 
 
-def hessian_landmark_oracle(states, obs, world, noise):
+def hessian_landmark_oracle(states, obs, world, noise, dt):
     n = len(states)
     l = world.landmark(obs.subject)
-    m = noise.measurement_weight(models.LANDMARK, obs.dt)
+    m = noise.measurement_weight(models.LANDMARK, dt)
     s = m @ (obs.y - predict_landmark(states[obs.observer], l))
     f = hand_assembled_f_landmark(states, obs.observer, l)
     g = np.zeros((3, 15 * n))
@@ -308,11 +308,11 @@ def hessian_landmark_oracle(states, obs, world, noise):
     return 0.5 * (gtf + gtf.T) + f.T @ m @ f
 
 
-def hessian_intervehicle_oracle(states, obs, world, noise):
+def hessian_intervehicle_oracle(states, obs, world, noise, dt):
     n = len(states)
     a, b = obs.observer, obs.subject
     m_b = world.marker(b)
-    m = noise.measurement_weight(models.INTERVEHICLE, obs.dt)
+    m = noise.measurement_weight(models.INTERVEHICLE, dt)
     rab = states[a].rot.T @ states[b].rot
     s = m @ (obs.y - predict_intervehicle(states[a], states[b], m_b))
     f = hand_assembled_f_intervehicle(states, a, b, m_b)
@@ -332,16 +332,15 @@ class TestHessianTerms:
         rng = np.random.default_rng(13)
         states = [random_state(rng), random_state(rng)]
         y = predict_landmark(states[0], world.landmark(1))
-        obs = Observation(models.LANDMARK, 0, 1, y, 0, dt=0.1)
-        e = dense_hessian(states, obs, world, noise)
+        obs = Observation(models.LANDMARK, 0, 1, y, 0)
+        e = dense_hessian(states, obs, world, noise, 0.1)
         assert np.min(np.linalg.eigvalsh(e)) >= -1e-10
 
     def test_landmark_symmetry_exact(self, world, noise):
         rng = np.random.default_rng(14)
         states = [random_state(rng) for _ in range(2)]
-        obs = Observation(models.LANDMARK, 1, 0, rng.standard_normal(3), 0,
-                          dt=0.07)
-        e = dense_hessian(states, obs, world, noise)
+        obs = Observation(models.LANDMARK, 1, 0, rng.standard_normal(3), 0)
+        e = dense_hessian(states, obs, world, noise, 0.07)
         np.testing.assert_array_equal(e, e.T)
 
     def test_landmark_assembly_oracle(self, world, noise):
@@ -349,26 +348,26 @@ class TestHessianTerms:
         for _ in range(30):
             states = [random_state(rng) for _ in range(3)]
             obs = Observation(models.LANDMARK, 2, 1, rng.standard_normal(3),
-                              0, dt=0.1)
-            e = dense_hessian(states, obs, world, noise)
+                              0)
+            e = dense_hessian(states, obs, world, noise, 0.1)
             np.testing.assert_allclose(
-                e, hessian_landmark_oracle(states, obs, world, noise),
+                e, hessian_landmark_oracle(states, obs, world, noise, 0.1),
                 atol=1e-12)
 
     def test_intervehicle_zero_innovation_is_psd(self, world, noise):
         rng = np.random.default_rng(16)
         states = [random_state(rng), random_state(rng)]
         y = predict_intervehicle(states[0], states[1], world.marker(1))
-        obs = Observation(models.INTERVEHICLE, 0, 1, y, 0, dt=0.1)
-        e = dense_hessian(states, obs, world, noise)
+        obs = Observation(models.INTERVEHICLE, 0, 1, y, 0)
+        e = dense_hessian(states, obs, world, noise, 0.1)
         assert np.min(np.linalg.eigvalsh(e)) >= -1e-10
 
     def test_intervehicle_block_sparsity(self, world, noise):
         rng = np.random.default_rng(17)
         states = [random_state(rng) for _ in range(4)]
         obs = Observation(models.INTERVEHICLE, 0, 1, rng.standard_normal(3),
-                          0, dt=0.1)
-        e = dense_hessian(states, obs, world, noise)
+                          0)
+        e = dense_hessian(states, obs, world, noise, 0.1)
         np.testing.assert_array_equal(e[30:, :], 0.0)
         np.testing.assert_array_equal(e[:, 30:], 0.0)
 
@@ -377,11 +376,12 @@ class TestHessianTerms:
         for _ in range(30):
             states = [random_state(rng) for _ in range(3)]
             obs = Observation(models.INTERVEHICLE, 1, 2,
-                              rng.standard_normal(3), 0, dt=0.04)
-            e = dense_hessian(states, obs, world, noise)
+                              rng.standard_normal(3), 0)
+            e = dense_hessian(states, obs, world, noise, 0.04)
             np.testing.assert_array_equal(e, e.T)
             np.testing.assert_allclose(
-                e, hessian_intervehicle_oracle(states, obs, world, noise),
+                e,
+                hessian_intervehicle_oracle(states, obs, world, noise, 0.04),
                 atol=1e-12)
 
     def test_fmf_part_is_psd(self, world, noise):
@@ -392,8 +392,8 @@ class TestHessianTerms:
         # the second-order part is linear in the innovation, so the mean
         # over y and its mirror image 2h - y leaves F^T M F
         e = [models.hessian_term(states, Observation(models.INTERVEHICLE, 0,
-                                                     1, yy, 0, dt=0.1),
-                                 world, noise) for yy in (y, 2.0 * h - y)]
+                                                     1, yy, 0),
+                                 world, noise, 0.1) for yy in (y, 2.0 * h - y)]
         assert np.min(np.linalg.eigvalsh(0.5 * (e[0] + e[1]))) >= -1e-10
 
 
@@ -425,21 +425,22 @@ class TestUpdateSparsity:
                            d_intervehicle=0.05 * np.eye(3))
         states = [random_state(rng) for _ in range(n)]
         kind = models.INTERVEHICLE if intervehicle else models.LANDMARK
-        obs = Observation(kind, observer, subject, rng.standard_normal(3), 0,
-                          dt=float(rng.uniform(0.01, 1.0)))
+        y = rng.standard_normal(3)
+        dt = float(rng.uniform(0.01, 1.0))
+        obs = Observation(kind, observer, subject, y, 0)
         ix = models.update_indices(kind, observer, subject)
         outside = np.ones(n * STATE_DOF, dtype=bool)
         outside[ix] = False
         if kind == models.LANDMARK:
-            e = hessian_landmark_oracle(states, obs, world, noise)
+            e = hessian_landmark_oracle(states, obs, world, noise, dt)
             f = hand_assembled_f_landmark(states, observer,
                                           world.landmark(subject))
         else:
-            e = hessian_intervehicle_oracle(states, obs, world, noise)
+            e = hessian_intervehicle_oracle(states, obs, world, noise, dt)
             f = hand_assembled_f_intervehicle(states, observer, subject,
                                               world.marker(subject))
-        s, r_ix = models.residual(states, obs, world, noise)
-        return (models.hessian_term(states, obs, world, noise), e, r_ix,
+        s, r_ix = models.residual(states, obs, world, noise, dt)
+        return (models.hessian_term(states, obs, world, noise, dt), e, r_ix,
                 f.T @ s, ix, outside)
 
     def check(self, seed, n, intervehicle, observer, subject):
