@@ -47,8 +47,9 @@ def build_parser():
     p.add_argument("--with-curvature", choices=("on", "off"),
                    help="second-order gain correction of the joint filter "
                         "(central) and of each isolated filter (none); "
-                        "distributed has no curvature term.  Off by default, "
-                        "it can destabilise long runs")
+                        "distributed has no curvature term.  Off by default: "
+                        "it can make the update system singular within the "
+                        "first simulated second, which exits 4")
     return p
 
 

@@ -11,9 +11,9 @@ import logging
 import math
 import os
 from dataclasses import asdict, dataclass, field, fields
+from itertools import compress
 
 import numpy as np
-from scipy.spatial.transform import Rotation, Slerp
 
 from . import models
 from .harness import (MODES, PriorConfig, ScheduleConfig, SinusoidTrajectory,
@@ -35,134 +35,170 @@ class DataError(ValueError):
 
 # -- CSV loaders ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TruthSample:
-    t_ns: int
-    pos: np.ndarray
-    quat: np.ndarray        # (w, x, y, z), unit norm, body-to-world
-    vel: np.ndarray
-    gyro_bias: np.ndarray
-    accel_bias: np.ndarray
-
-
-def _read_rows(path, n_min, n_max, what):
-    """Parse a headered CSV of an integer nanosecond stamp and floats,
-    reporting errors with line numbers.
-
-    The stamp is parsed exactly: a float holds integers only up to 2^53,
-    and recorded stamps (about 1.4e18 ns) lie far above that.
-    """
-    rows = []
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        log.warning("%s: empty %s file", path, what)
-        return rows
+def _line_error(path, lines, n_min, n_max):
+    """The DataError for the first data line of `lines` that breaks the row
+    rules: n_min..n_max fields, an int64 stamp and float fields."""
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
         if not n_min <= len(parts) <= n_max:
-            raise DataError(f"{path}:{lineno}: expected {n_min}"
-                            + (f"-{n_max}" if n_max != n_min else "")
-                            + f" fields, got {len(parts)}")
+            return DataError(f"{path}:{lineno}: expected {n_min}"
+                             + (f"-{n_max}" if n_max != n_min else "")
+                             + f" fields, got {len(parts)}")
         try:
-            rows.append([int(parts[0])] + [float(p) for p in parts[1:]])
+            stamp = int(parts[0])
+            for p in parts[1:]:
+                float(p)
         except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-    return rows
+            return DataError(f"{path}:{lineno}: {exc}")
+        if not -2**63 <= stamp < 2**63:
+            return DataError(f"{path}:{lineno}: stamp {stamp} does not fit "
+                             f"in int64")
 
 
-def _check_monotone(path, stamps):
-    for i in range(1, len(stamps)):
-        if stamps[i] <= stamps[i - 1]:
-            raise DataError(f"{path}: timestamps must be strictly increasing "
-                            f"(sample {i}: {stamps[i]} after {stamps[i - 1]})")
+def _read_table(path, n_min, n_max, what):
+    """Parse a headered CSV of an integer nanosecond stamp and floats.
+
+    Returns int64 stamps (N,), the other fields as floats (N, n_max - 1)
+    with the cells a shorter row lacks left zero, and each row's field
+    count (N,).  Blank lines are skipped.  The stamps are parsed exactly
+    with int(): a float holds integers only up to 2^53, and recorded stamps
+    (about 1.4e18 ns) lie far above that.  The lines are checked one by
+    one only when the table as a whole fails to parse, to name the first
+    bad one.
+    """
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        log.warning("%s: empty %s file", path, what)
+    rows = [line.split(",") for line in filter(str.strip, lines[1:])]
+    widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    if np.any((widths < n_min) | (widths > n_max)):
+        raise _line_error(path, lines, n_min, n_max)
+    # the stamp column is parsed as floats too, and then dropped
+    table = np.zeros((len(rows), n_max))
+    try:
+        stamps = np.array([int(r[0]) for r in rows], dtype=np.int64)
+        for w in np.unique(widths).tolist():
+            sel = widths == w
+            table[sel, :w] = np.array(list(compress(rows, sel.tolist())),
+                                      dtype=float)
+    except (ValueError, OverflowError):
+        raise _line_error(path, lines, n_min, n_max) from None
+    back = np.flatnonzero(np.diff(stamps) <= 0)
+    if back.size:
+        i = int(back[0]) + 1
+        raise DataError(f"{path}: timestamps must be strictly increasing "
+                        f"(sample {i}: {stamps[i]} after {stamps[i - 1]})")
+    return stamps, table[:, 1:], widths
 
 
 def load_imu_csv(path):
-    """IMU stream from rows `timestamp_ns,wx,wy,wz,ax,ay,az`."""
-    rows = _read_rows(path, 7, 7, "IMU")
-    stamps = [r[0] for r in rows]
-    _check_monotone(path, stamps)
-    return [models.ImuSample(np.array(r[1:4]), np.array(r[4:7]), t)
-            for r, t in zip(rows, stamps)]
+    """IMU stream from rows `timestamp_ns,wx,wy,wz,ax,ay,az`, as an
+    ImuStream."""
+    stamps, values, _ = _read_table(path, 7, 7, "IMU")
+    return models.ImuStream(stamps, values[:, 0:3], values[:, 3:6])
 
 
 def load_truth_csv(path):
-    """Truth stream from `timestamp_ns,p,q(wxyz),v[,gyro bias,accel bias]`.
+    """Truth stream from `timestamp_ns,p,q(wxyz),v[,gyro bias,accel bias]`,
+    as a TruthTrack.
 
-    Quaternions within 1e-3 of unit norm are normalised silently; anything
-    further off is a data error.
+    A row holds 11 to 17 fields; a bias group it lacks, in full or in part,
+    reads as zeros.  Quaternions within 1e-3 of unit norm are normalised
+    silently; anything further off is a data error.
     """
-    rows = _read_rows(path, 11, 17, "truth")
-    stamps = [r[0] for r in rows]
-    _check_monotone(path, stamps)
-    out = []
-    for i, (r, t) in enumerate(zip(rows, stamps)):
-        q = np.array(r[4:8])
-        norm = np.linalg.norm(q)
-        if abs(norm - 1.0) > QUAT_NORM_TOL:
-            raise DataError(f"{path}: row {i + 2}: quaternion norm {norm:.4f} "
-                            f"is not within {QUAT_NORM_TOL} of 1")
-        bg = np.array(r[11:14]) if len(r) >= 14 else np.zeros(3)
-        ba = np.array(r[14:17]) if len(r) >= 17 else np.zeros(3)
-        out.append(TruthSample(t, np.array(r[1:4]), q / norm,
-                               np.array(r[8:11]), bg, ba))
-    return out
+    stamps, values, widths = _read_table(path, 11, 17, "truth")
+    values[widths < 14, 10:13] = 0.0
+    values[widths < 17, 13:16] = 0.0
+    quat = values[:, 3:7]
+    norm = np.linalg.norm(quat, axis=1)
+    far = np.flatnonzero(np.abs(norm - 1.0) > QUAT_NORM_TOL)
+    if far.size:
+        i = int(far[0])
+        raise DataError(f"{path}: row {i + 2}: quaternion norm {norm[i]:.4f} "
+                        f"is not within {QUAT_NORM_TOL} of 1")
+    return TruthTrack(stamps, values[:, 0:3], quat / norm[:, None],
+                      values[:, 7:10], values[:, 10:13], values[:, 13:16])
 
 
 # -- interpolation and alignment -------------------------------------------------
 
-class TruthTrack:
-    """Truth samples with interpolation onto arbitrary query times.
+def _quat_to_matrix(q):
+    """Rotation matrices (..., 3, 3) of unit quaternions (..., 4), (w, x, y,
+    z) scalar-first."""
+    w, x, y, z = np.moveaxis(q, -1, 0)
+    return np.stack([
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ], axis=-1).reshape(q.shape[:-1] + (3, 3))
 
-    Position, velocity and biases interpolate linearly; rotation follows the
-    spherical-linear path between the bracketing quaternions.
+
+class TruthTrack:
+    """Truth samples as arrays, with interpolation onto arbitrary stamps.
+
+    ``t_ns`` holds int64 stamps (N,), ``quat`` unit quaternions (N, 4),
+    (w, x, y, z) body-to-world, and ``pos``, ``vel``, ``gyro_bias``,
+    ``accel_bias`` (N, 3).  Position, velocity and biases interpolate
+    linearly; rotation follows the shortest-arc spherical-linear path
+    between the bracketing quaternions.
     """
 
-    def __init__(self, samples):
-        if not samples:
-            raise DataError("truth stream is empty")
-        self.t_ns = np.array([s.t_ns for s in samples], dtype=np.int64)
-        self._pos = np.array([s.pos for s in samples])
-        self._vel = np.array([s.vel for s in samples])
-        self._bg = np.array([s.gyro_bias for s in samples])
-        self._ba = np.array([s.accel_bias for s in samples])
-        # scipy uses scalar-last quaternions
-        quats = np.array([s.quat for s in samples])[:, [1, 2, 3, 0]]
-        self._rots = Rotation.from_quat(quats)
-        self._slerp = (Slerp(self.t_ns.astype(float), self._rots)
-                       if len(samples) > 1 else None)
+    def __init__(self, t_ns, pos, quat, vel, gyro_bias, accel_bias):
+        self.t_ns = np.asarray(t_ns, dtype=np.int64)
+        self.pos = np.asarray(pos, dtype=float)
+        self.quat = np.asarray(quat, dtype=float)
+        self.vel = np.asarray(vel, dtype=float)
+        self.gyro_bias = np.asarray(gyro_bias, dtype=float)
+        self.accel_bias = np.asarray(accel_bias, dtype=float)
+
+    def __len__(self):
+        return len(self.t_ns)
 
     def state_at(self, t_ns):
         """Interpolated truth at one stamp, or stacked over an array of them.
 
-        The rotation takes one Slerp call and every vector entry one
-        np.interp call, whatever the number of stamps.
+        The fraction between the bracketing samples comes from exact int64
+        stamp differences, so it is not quantised at recorded stamps.
         """
-        t_ns = np.asarray(t_ns)
-        outside = (t_ns < self.t_ns[0]) | (t_ns > self.t_ns[-1])
+        t_ns = np.asarray(t_ns, dtype=np.int64)
+        stamps = self.t_ns
+        outside = (t_ns < stamps[0]) | (t_ns > stamps[-1])
         if np.any(outside):
             raise DataError(f"query time {t_ns[outside].flat[0]} ns outside "
-                            f"truth span [{self.t_ns[0]}, {self.t_ns[-1]}]")
-        t = t_ns.astype(float)
-        if self._slerp is None:
-            rot = np.broadcast_to(self._rots.as_matrix()[0], t.shape + (3, 3))
-        else:
-            rot = self._slerp(t.ravel()).as_matrix().reshape(t.shape + (3, 3))
-        stamps = self.t_ns.astype(float)
+                            f"truth span [{stamps[0]}, {stamps[-1]}]")
+        last = len(stamps) - 1
+        i = np.clip(np.searchsorted(stamps, t_ns, side="right") - 1, 0,
+                    max(last - 1, 0))
+        j = np.minimum(i + 1, last)
+        # a one-sample track has j == i, a span of 0 and a fraction of 0
+        span = np.maximum(stamps[j] - stamps[i], 1)
+        a = ((t_ns - stamps[i]) / span)[..., None]
 
         def lerp(arr):
-            return np.stack([np.interp(t, stamps, arr[:, i])
-                             for i in range(arr.shape[1])], axis=-1)
+            return (1.0 - a) * arr[i] + a * arr[j]
 
-        return VehicleState(rot, lerp(self._pos), lerp(self._vel),
-                            lerp(self._bg), lerp(self._ba))
+        q0, q1 = self.quat[i], self.quat[j]
+        q1 = np.where(np.sum(q0 * q1, axis=-1, keepdims=True) < 0.0, -q1, q1)
+        # the angle between q0 and q1 as 4-vectors, in units of pi; atan2
+        # keeps it accurate when it is small.  The slerp weights
+        # sin((1-a)x pi)/sin(x pi) and sin(a x pi)/sin(x pi) are taken
+        # without their common divisor, which the normalisation removes.
+        x = (2.0 / np.pi) * np.arctan2(
+            np.linalg.norm(q1 - q0, axis=-1, keepdims=True),
+            np.linalg.norm(q1 + q0, axis=-1, keepdims=True))
+        q = (1.0 - a) * np.sinc((1.0 - a) * x) * q0 + a * np.sinc(a * x) * q1
+        q /= np.linalg.norm(q, axis=-1, keepdims=True)
+        return VehicleState(_quat_to_matrix(q), lerp(self.pos),
+                            lerp(self.vel), lerp(self.gyro_bias),
+                            lerp(self.accel_bias))
 
 
 def align_trials(trials):
-    """Clip several (imu, truth) trials to their common time window.
+    """Clip several (imu stream, truth track) trials to their common time
+    window.
 
     Streams are aligned at the latest common start and truncated to the
     earliest end, so every vehicle covers the same span; each trial's truth
@@ -170,18 +206,23 @@ def align_trials(trials):
     """
     if not trials:
         raise DataError("no trials to align")
-    start = max(t[0][0].t_ns for t in trials)
-    end = min(t[0][-1].t_ns for t in trials)
-    if end <= start:
+    for imu, track in trials:
+        if not len(imu):
+            raise DataError("IMU stream is empty")
+        if not len(track):
+            raise DataError("truth stream is empty")
+    start = max(int(imu.t_ns[0]) for imu, _ in trials)
+    end = min(int(imu.t_ns[-1]) for imu, _ in trials)
+    firsts = [int(np.searchsorted(imu.t_ns, start)) for imu, _ in trials]
+    n_keep = min(int(np.searchsorted(imu.t_ns, end, side="right")) - first
+                 for (imu, _), first in zip(trials, firsts))
+    if end <= start or n_keep <= 0:
         raise DataError("trials share no common time window")
     out = []
-    n_keep = min(sum(1 for s in imu if start <= s.t_ns <= end)
-                 for imu, _ in trials)
-    for imu, truth in trials:
-        clipped = [s for s in imu if s.t_ns >= start][:n_keep]
-        track = TruthTrack(truth)
-        if not (track.t_ns[0] <= clipped[0].t_ns
-                and track.t_ns[-1] >= clipped[-1].t_ns):
+    for (imu, track), first in zip(trials, firsts):
+        clipped = imu[first:first + n_keep]
+        if not (track.t_ns[0] <= clipped.t_ns[0]
+                and track.t_ns[-1] >= clipped.t_ns[-1]):
             raise DataError("truth stream does not cover the IMU window")
         out.append((clipped, track))
     return out
@@ -194,24 +235,24 @@ class DatasetSource:
     the requested grid against the file and interpolates the truth of ticks
     0..n_ticks into ``truth``, one state stacked over ticks;
     ``imu_at_tick`` / ``truth_at_tick`` serve samples rebased to t = 0 at the
-    first kept IMU stamp.
+    first kept IMU stamp, as views of the stream and of ``truth``.
     """
 
-    def __init__(self, imu_samples, truth_track, vehicle):
-        if not imu_samples:
+    def __init__(self, imu, truth_track, vehicle):
+        if not len(imu):
             raise DataError("IMU stream is empty")
         self.vehicle = vehicle
-        self._imu = imu_samples
+        self._imu = imu
         self._track = truth_track
-        self._t0_ns = imu_samples[0].t_ns
+        self._t0_ns = int(imu.t_ns[0])
         self.truth = None
 
     def file_rate_hz(self):
-        gaps = np.diff([s.t_ns for s in self._imu])
+        gaps = np.diff(self._imu.t_ns)
         return 1e9 / float(np.median(gaps))
 
     def duration_s(self):
-        return (self._imu[-1].t_ns - self._t0_ns) * 1e-9
+        return (int(self._imu.t_ns[-1]) - self._t0_ns) * 1e-9
 
     def prepare(self, n_ticks, dt):
         rate = self.file_rate_hz()
@@ -224,13 +265,13 @@ class DatasetSource:
                             f"ticks but the file has {len(self._imu)}")
         self._dt_ns = int(round(1e9 * dt))
         # tick k's truth is at the stamp of IMU sample k, or of the last one
-        stamps = np.array([s.t_ns for s in self._imu], dtype=np.int64)
+        stamps = self._imu.t_ns
         ticks = np.minimum(np.arange(n_ticks + 1), len(stamps) - 1)
         self.truth = self._track.state_at(stamps[ticks])
 
     def imu_at_tick(self, k):
-        s = self._imu[k]
-        return models.ImuSample(s.gyro, s.accel, k * self._dt_ns)
+        return models.ImuSample(self._imu.gyro[k], self._imu.accel[k],
+                                k * self._dt_ns)
 
     def truth_at_tick(self, k):
         return self.truth[k]
@@ -346,7 +387,9 @@ def parse_config(body, base_dir="."):
         raise ConfigError(f"prior.{exc}") from None
     schedule_config(cfg)
     for key, value in cfg.noise.items():
-        if float(value) <= 0.0:
+        if not isinstance(value, (int, float)):
+            raise ConfigError(f"noise.{key} must be a number, got {value!r}")
+        if not value > 0.0:
             raise ConfigError(f"noise.{key} must be positive")
     return cfg
 

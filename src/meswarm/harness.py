@@ -21,7 +21,7 @@ from .distributed import VehicleNode, encode_message
 from .joint import JointFilter, block_diag_prior
 from .kernels import skew, so3_exp
 from .lie import STATE_DOF, VehicleState, make_state, rotation_error_angle
-from .models import ImuSample, Observation
+from .models import ImuStream, Observation
 
 log = logging.getLogger(__name__)
 
@@ -216,7 +216,8 @@ def synthesize_imu(trajectory, noise, gravity, n_ticks, dt, seed, vehicle,
                    gyro_bias0=None, accel_bias0=None, bias_walk=True):
     """Seeded IMU stream plus the true bias trajectories it embeds.
 
-    Returns (samples, gyro_biases, accel_biases) with one entry per tick;
+    Returns (stream, gyro_biases, accel_biases): an ImuStream stamped
+    k·dt in ns, and (n_ticks, 3) bias arrays with one row per tick;
     biases follow a random walk with sqrt(dt)-scaled increments, or stay
     constant when bias_walk is False.  Each channel draws its noise for
     all ticks in one call, the same draws a tick-by-tick loop would make.
@@ -246,9 +247,8 @@ def synthesize_imu(trajectory, noise, gravity, n_ticks, dt, seed, vehicle,
            + draws(_CH_GYRO) @ noise.b_gyro.T)
     u_a = ((rots.swapaxes(-1, -2) @ specific)[..., 0] + ba
            + draws(_CH_ACCEL) @ noise.b_accel.T)
-    samples = [ImuSample(w, a, k * dt_ns)
-               for k, (w, a) in enumerate(zip(u_w, u_a))]
-    return samples, list(bg), list(ba)
+    stamps = dt_ns * np.arange(n_ticks, dtype=np.int64)
+    return ImuStream(stamps, u_w, u_a), bg, ba
 
 
 def synthesize_observation(truth_states, world, kind, observer, subject, d,
@@ -265,7 +265,8 @@ class SyntheticSource:
 
     ``prepare`` synthesises the IMU stream and the truth of ticks
     0..n_ticks; ``truth`` is that truth as one state stacked over ticks,
-    and ``truth_at_tick(k)`` is its entry k, as views.
+    and ``truth_at_tick(k)`` is its entry k, as views.  ``imu_at_tick(k)``
+    is sample k of the ImuStream, also as views.
     """
 
     def __init__(self, trajectory, noise, vehicle, seed, gravity=None,
@@ -287,13 +288,12 @@ class SyntheticSource:
             self.trajectory, self.noise, self.gravity, n_ticks, dt, self.seed,
             self.vehicle, self.gyro_bias0, self.accel_bias0, self.bias_walk)
         # biases are recorded per IMU sample; the last tick reuses the last
-        gyro_biases.append(gyro_biases[-1])
-        accel_biases.append(accel_biases[-1])
         t = dt * np.arange(n_ticks + 1)
         traj = self.trajectory
-        self.truth = VehicleState(traj.rotation(t), traj.position(t),
-                                  traj.velocity(t), np.array(gyro_biases),
-                                  np.array(accel_biases))
+        self.truth = VehicleState(
+            traj.rotation(t), traj.position(t), traj.velocity(t),
+            np.concatenate([gyro_biases, gyro_biases[-1:]]),
+            np.concatenate([accel_biases, accel_biases[-1:]]))
 
     def imu_at_tick(self, k):
         return self._samples[k]

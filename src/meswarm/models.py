@@ -8,6 +8,7 @@ assemblies consumed by the filters.
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,11 +33,32 @@ class ObservationError(ValueError):
     """Observation rejected (unknown landmark, self-observation, ...)."""
 
 
-@dataclass(frozen=True)
-class ImuSample:
+class ImuSample(NamedTuple):
+    """One IMU sample.  A named tuple, because sources build one per
+    vehicle per tick: it costs half a frozen dataclass's construction."""
+
     gyro: np.ndarray    # rad/s, body frame
     accel: np.ndarray   # m/s^2, body frame (specific force)
     t_ns: int
+
+
+class ImuStream:
+    """A stream of IMU samples as arrays: int64 stamps (N,), gyro and accel
+    (N, 3).  ``stream[k]`` is an ImuSample of views with a Python-int stamp;
+    a slice is a shorter stream."""
+
+    def __init__(self, t_ns, gyro, accel):
+        self.t_ns = np.asarray(t_ns, dtype=np.int64)
+        self.gyro = np.asarray(gyro, dtype=float)
+        self.accel = np.asarray(accel, dtype=float)
+
+    def __len__(self):
+        return len(self.t_ns)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return ImuStream(self.t_ns[k], self.gyro[k], self.accel[k])
+        return ImuSample(self.gyro[k], self.accel[k], int(self.t_ns[k]))
 
 
 @dataclass

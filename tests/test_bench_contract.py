@@ -100,15 +100,12 @@ def _dataset_sources(noise):
                                              models.DEFAULT_GRAVITY,
                                              N_TICKS + 5, 0.005, 5, v)
         t0 = 10**9 + 1_000_000 * v
-        imu = [models.ImuSample(s.gyro, s.accel, t0 + s.t_ns) for s in imu]
-        truth = []
-        for s, g, a in zip(imu, bg, ba):
-            t = (s.t_ns - t0) * 1e-9
-            q = ScipyRotation.from_matrix(traj.rotation(t)).as_quat()
-            truth.append(dataio.TruthSample(s.t_ns, traj.position(t),
-                                            q[[3, 0, 1, 2]],
-                                            traj.velocity(t), g, a))
-        out.append(cls(imu, dataio.TruthTrack(truth), v))
+        imu = models.ImuStream(t0 + imu.t_ns, imu.gyro, imu.accel)
+        t = (imu.t_ns - t0) * 1e-9
+        q = ScipyRotation.from_matrix(traj.rotation(t)).as_quat()
+        truth = dataio.TruthTrack(imu.t_ns, traj.position(t),
+                                  q[:, [3, 0, 1, 2]], traj.velocity(t), bg, ba)
+        out.append(cls(imu, truth, v))
     return out
 
 

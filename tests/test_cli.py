@@ -154,6 +154,25 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.count("spans no IMU tick") == 3
 
+    def test_non_numeric_noise_is_2(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["noise"]["d_landmark_m"] = "abc"
+        code, out = run_cli(tmp_path, cfg)
+        assert code == 2 and not out.exists()
+        assert "noise.d_landmark_m must be a number" in capsys.readouterr().err
+
+    def test_header_only_imu_is_3(self, tmp_path, capsys):
+        (tmp_path / "imu.csv").write_text("timestamp_ns,wx,wy,wz,ax,ay,az\n")
+        (tmp_path / "truth.csv").write_text(
+            "ts,px,py,pz,qw,qx,qy,qz,vx,vy,vz\n"
+            "0,0,0,0,1,0,0,0,0,0,0\n1000,0,0,0,1,0,0,0,0,0,0\n")
+        cfg = base_config(n_vehicles=1)
+        cfg["vehicles"] = [{"type": "dataset", "imu_csv": "imu.csv",
+                            "truth_csv": "truth.csv"}]
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 3
+        assert "IMU stream is empty" in capsys.readouterr().err
+
     def test_data_error_is_3(self, tmp_path):
         (tmp_path / "imu.csv").write_text(
             "timestamp_ns,wx,wy,wz,ax,ay,az\n1000,0,0,bad,0,0,9.81\n")
@@ -239,3 +258,16 @@ class TestDatasetRun:
         final_pos_err = float(lines[-1].split(",")[2])
         assert final_pos_err < 0.1
         assert rows["Position"][1] < 0.2
+
+
+def test_cli_import_loads_no_scipy_spatial():
+    """Truth interpolation needs no scipy.spatial; importing it costs set-up
+    time in every CLI process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = ("import sys, meswarm.cli; print([m for m in sys.modules "
+             "if m.startswith('scipy.spatial')])")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -2,12 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from meswarm import dataio
-from meswarm.dataio import (ConfigError, DataError, DatasetSource, TruthTrack,
+from meswarm.dataio import (ConfigError, DataError, DatasetSource,
                             align_trials, load_config, load_imu_csv,
                             load_truth_csv, parse_config)
 from meswarm.harness import SinusoidTrajectory
+from meswarm.models import ImuSample, ImuStream
 
 
 def write_imu(path, rows):
@@ -48,6 +50,127 @@ def quat_wxyz(rot):
     return q / np.linalg.norm(q)
 
 
+def read_rows_oracle(path, n_min, n_max):
+    """Row-by-row reference parser: each data line split, its field count
+    checked and its fields converted one by one, errors naming the line."""
+    rows = []
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if not n_min <= len(parts) <= n_max:
+            raise DataError(f"{path}:{lineno}: expected {n_min}"
+                            + (f"-{n_max}" if n_max != n_min else "")
+                            + f" fields, got {len(parts)}")
+        try:
+            rows.append([int(parts[0])] + [float(p) for p in parts[1:]])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+    return rows
+
+
+def truth_oracle(rows):
+    """Truth columns of oracle rows: a bias group a row lacks reads zero."""
+    def group(r, lo):
+        return r[lo:lo + 3] if len(r) >= lo + 3 else [0.0] * 3
+    quat = np.array([r[4:8] for r in rows]).reshape(-1, 4)
+    return {"t_ns": [r[0] for r in rows],
+            "pos": [r[1:4] for r in rows],
+            "quat": [q / np.linalg.norm(q) for q in quat],
+            "vel": [r[8:11] for r in rows],
+            "gyro_bias": [group(r, 11) for r in rows],
+            "accel_bias": [group(r, 14) for r in rows]}
+
+
+_CELLS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def csv_tables(draw, truth):
+    """(text, data line numbers) of a headered IMU or truth table: stamps up
+    to 1.5e18 ns, truth rows of 11, 14 or 17 fields, blank lines between."""
+    n = draw(st.integers(0, 10))
+    stamps = sorted(draw(st.sets(st.integers(0, 1_500_000_000_000_000_000),
+                                 min_size=n, max_size=n)))
+    lines, data_lines = ["#header"], []
+    for t in stamps:
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+        if truth:
+            width = draw(st.sampled_from([11, 14, 17]))
+            q = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4,
+                                       max_size=4)))
+            assume(np.linalg.norm(q) > 0.1)
+            q *= draw(st.floats(0.9995, 1.0005)) / np.linalg.norm(q)
+            cells = (draw(st.lists(_CELLS, min_size=3, max_size=3))
+                     + q.tolist()
+                     + draw(st.lists(_CELLS, min_size=width - 8,
+                                     max_size=width - 8)))
+        else:
+            cells = draw(st.lists(_CELLS, min_size=6, max_size=6))
+        lines.append(",".join([str(t)] + [repr(c) for c in cells]))
+        data_lines.append(len(lines))
+    return "\n".join(lines) + "\n", data_lines
+
+
+def _load_both(path, truth):
+    if truth:
+        return load_truth_csv(path), read_rows_oracle(path, 11, 17)
+    return load_imu_csv(path), read_rows_oracle(path, 7, 7)
+
+
+class TestLoadersAgainstRowOracle:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), truth=st.booleans())
+    def test_arrays_equal_the_oracle(self, tmp_path, data, truth):
+        text, _ = data.draw(csv_tables(truth))
+        p = tmp_path / "table.csv"
+        p.write_text(text)
+        got, rows = _load_both(p, truth)
+        assert got.t_ns.dtype == np.int64
+        assert got.t_ns.tolist() == [r[0] for r in rows]
+        if not truth:
+            np.testing.assert_array_equal(got.gyro.reshape(-1, 3),
+                                          np.reshape([r[1:4] for r in rows],
+                                                     (-1, 3)))
+            np.testing.assert_array_equal(got.accel.reshape(-1, 3),
+                                          np.reshape([r[4:7] for r in rows],
+                                                     (-1, 3)))
+            return
+        want = truth_oracle(rows)
+        for name in ("pos", "vel", "gyro_bias", "accel_bias"):
+            np.testing.assert_array_equal(
+                getattr(got, name), np.reshape(want[name], (-1, 3)),
+                err_msg=name)
+        np.testing.assert_allclose(got.quat, np.reshape(want["quat"], (-1, 4)),
+                                   rtol=0, atol=1e-15)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), truth=st.booleans())
+    def test_bad_cell_names_its_line(self, tmp_path, data, truth):
+        text, data_lines = data.draw(csv_tables(truth))
+        assume(data_lines)
+        lines = text.splitlines()
+        lineno = data.draw(st.sampled_from(data_lines))
+        cells = lines[lineno - 1].split(",")
+        col = data.draw(st.integers(0, len(cells) - 1))
+        bad = ["", "abc", "1e", "0x10", "--1"] + (["1.0"] if col == 0 else [])
+        cells[col] = data.draw(st.sampled_from(bad))
+        lines[lineno - 1] = ",".join(cells)
+        p = tmp_path / "table.csv"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as want:
+            read_rows_oracle(p, *((11, 17) if truth else (7, 7)))
+        with pytest.raises(DataError) as got:
+            (load_truth_csv if truth else load_imu_csv)(p)
+        assert str(got.value) == str(want.value)
+        assert f"{p}:{lineno}:" in str(got.value)
+
+
 class TestImuCsv:
     def test_basic_row(self, tmp_path):
         p = tmp_path / "imu.csv"
@@ -58,17 +181,31 @@ class TestImuCsv:
         np.testing.assert_array_equal(samples[0].gyro, np.zeros(3))
         np.testing.assert_array_equal(samples[0].accel, [0.0, 0.0, 9.81])
 
+    def test_stream_serves_samples_and_slices(self, tmp_path):
+        p = tmp_path / "imu.csv"
+        stamps = [1403636579758555500 + k * 5_000_000 for k in range(4)]
+        write_imu(p, [[t, k, 0, 0, 0, 0, 9.81] for k, t in enumerate(stamps)])
+        stream = load_imu_csv(p)
+        assert isinstance(stream, ImuStream)
+        s = stream[2]
+        assert isinstance(s, ImuSample) and type(s.t_ns) is int
+        assert s.t_ns == stamps[2] and s.gyro[0] == 2.0
+        assert np.shares_memory(s.gyro, stream.gyro)
+        tail = stream[1:]
+        assert len(tail) == 3 and tail[0].t_ns == stamps[1]
+        assert [x.t_ns for x in stream] == stamps
+
     def test_empty_file_warns(self, tmp_path, caplog):
         p = tmp_path / "imu.csv"
         p.write_text("")
         with caplog.at_level("WARNING"):
-            assert load_imu_csv(p) == []
+            assert len(load_imu_csv(p)) == 0
         assert any("empty" in r.message for r in caplog.records)
 
     def test_header_only(self, tmp_path):
         p = tmp_path / "imu.csv"
         p.write_text("timestamp_ns,wx,wy,wz,ax,ay,az\n")
-        assert load_imu_csv(p) == []
+        assert len(load_imu_csv(p)) == 0
 
     def test_malformed_row_reports_line(self, tmp_path):
         p = tmp_path / "imu.csv"
@@ -98,7 +235,7 @@ class TestImuCsv:
         assert [s.t_ns for s in load_imu_csv(p)] == stamps
         q = tmp_path / "truth.csv"
         write_truth(q, [[t, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0] for t in stamps])
-        assert [s.t_ns for s in load_truth_csv(q)] == stamps
+        assert load_truth_csv(q).t_ns.tolist() == stamps
         with open(p, "a") as fh:
             fh.write("1.4036365797685555e18,0,0,0,0,0,9.81\n")
         with pytest.raises(DataError, match=r":4:"):
@@ -116,17 +253,17 @@ class TestTruthCsv:
     def test_identity_quaternion(self, tmp_path):
         p = tmp_path / "truth.csv"
         write_truth(p, [[0, 1, 2, 3, 1, 0, 0, 0, 0.1, 0.2, 0.3]])
-        s = load_truth_csv(p)[0]
-        np.testing.assert_array_equal(s.quat, [1, 0, 0, 0])
-        np.testing.assert_array_equal(s.pos, [1, 2, 3])
-        np.testing.assert_array_equal(s.vel, [0.1, 0.2, 0.3])
-        np.testing.assert_allclose(TruthTrack([s]).state_at(0).rot, np.eye(3))
+        track = load_truth_csv(p)
+        np.testing.assert_array_equal(track.quat, [[1, 0, 0, 0]])
+        np.testing.assert_array_equal(track.pos, [[1, 2, 3]])
+        np.testing.assert_array_equal(track.vel, [[0.1, 0.2, 0.3]])
+        np.testing.assert_allclose(track.state_at(0).rot, np.eye(3))
 
     def test_near_unit_quaternion_normalised(self, tmp_path):
         p = tmp_path / "truth.csv"
         write_truth(p, [[0, 0, 0, 0, 1.0005, 0, 0, 0, 0, 0, 0]])
-        s = load_truth_csv(p)[0]
-        assert abs(np.linalg.norm(s.quat) - 1.0) < 1e-12
+        track = load_truth_csv(p)
+        assert abs(np.linalg.norm(track.quat[0]) - 1.0) < 1e-12
 
     def test_far_from_unit_quaternion_rejected(self, tmp_path):
         p = tmp_path / "truth.csv"
@@ -141,9 +278,9 @@ class TestTruthCsv:
         lines = ["ts," + ",".join(f"c{i}" for i in range(16)),
                  ",".join(str(x) for x in row)]
         p.write_text("\n".join(lines) + "\n")
-        s = load_truth_csv(p)[0]
-        np.testing.assert_array_equal(s.gyro_bias, [0.01, 0.02, 0.03])
-        np.testing.assert_array_equal(s.accel_bias, [0.1, 0.2, 0.3])
+        track = load_truth_csv(p)
+        np.testing.assert_array_equal(track.gyro_bias, [[0.01, 0.02, 0.03]])
+        np.testing.assert_array_equal(track.accel_bias, [[0.1, 0.2, 0.3]])
 
 
 class TestInterpolation:
@@ -158,7 +295,7 @@ class TestInterpolation:
             rows.append([t_ns, *traj.position(t), *q, *traj.velocity(t)])
         p = tmp_path / "truth.csv"
         write_truth(p, rows)
-        track = TruthTrack(load_truth_csv(p))
+        track = load_truth_csv(p)
 
         for t_ns in rng.integers(stamps[0], stamps[-1], 50):
             st = track.state_at(int(t_ns))
@@ -191,16 +328,42 @@ class TestInterpolation:
     def test_single_sample_track_stacks(self, tmp_path):
         p = tmp_path / "truth.csv"
         write_truth(p, [[7, 1, 2, 3, 1, 0, 0, 0, 0.1, 0.2, 0.3]])
-        got = TruthTrack(load_truth_csv(p)).state_at(np.array([7, 7, 7]))
+        got = load_truth_csv(p).state_at(np.array([7, 7, 7]))
         np.testing.assert_array_equal(got.rot, np.broadcast_to(np.eye(3),
                                                                (3, 3, 3)))
         np.testing.assert_array_equal(got.pos, [[1, 2, 3]] * 3)
+
+    def test_fraction_exact_at_recorded_stamps(self, tmp_path):
+        """Stamps near 1.4e18 ns are 256 ns apart as floats; the fraction
+        from int64 differences is not quantised to that spacing."""
+        t0 = 1403636579758555500
+        p = tmp_path / "truth.csv"
+        write_truth(p, [[t0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0],
+                        [t0 + 5_000_000, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0]])
+        track = load_truth_csv(p)
+        assert track.state_at(t0 + 1_000_000).pos[0] == pytest.approx(
+            0.2, abs=1e-12)
+        assert track.state_at(t0 + 1_000_100).pos[0] == pytest.approx(
+            0.20002, abs=1e-12)
+
+    def test_shortest_arc_across_sign_flip(self, tmp_path):
+        """q and -q are one rotation: the path between two samples stays
+        the short one whatever the stored signs."""
+        half = 0.05
+        p = tmp_path / "truth.csv"
+        write_truth(p, [[0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0],
+                        [100, 0, 0, 0, -np.cos(half), 0, 0, -np.sin(half),
+                         0, 0, 0]])
+        rot = load_truth_csv(p).state_at(50).rot
+        c, s = np.cos(half), np.sin(half)
+        np.testing.assert_allclose(rot, [[c, -s, 0], [s, c, 0], [0, 0, 1]],
+                                   atol=1e-12)
 
     def test_query_outside_span(self, tmp_path):
         p = tmp_path / "truth.csv"
         write_truth(p, [[0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0],
                         [100, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0]])
-        track = TruthTrack(load_truth_csv(p))
+        track = load_truth_csv(p)
         with pytest.raises(DataError, match="outside"):
             track.state_at(101)
         with pytest.raises(DataError, match="query time -1 ns outside"):
@@ -224,6 +387,13 @@ class TestAlignment:
         assert imu_a[0].t_ns >= 50_000_000
         assert len(imu_a) == len(imu_b)
 
+    def test_empty_stream_is_data_error(self, tmp_path):
+        a = self._trial(tmp_path, "a", 0, 10)
+        empty = tmp_path / "empty.csv"
+        empty.write_text("timestamp_ns,wx,wy,wz,ax,ay,az\n")
+        with pytest.raises(DataError, match="IMU stream is empty"):
+            align_trials([a, (load_imu_csv(empty), a[1])])
+
     def test_disjoint_windows(self, tmp_path):
         a = self._trial(tmp_path, "a", 0, 10)
         b = self._trial(tmp_path, "b", 10_000_000_000, 10)
@@ -240,8 +410,7 @@ class TestDatasetSource:
         write_imu(imu, [[t, 0, 0, 0, 0, 0, 9.81] for t in stamps])
         write_truth(truth, [[t, t * 1e-9, 0, 0, 1, 0, 0, 0, 1, 0, 0]
                             for t in stamps])
-        return DatasetSource(load_imu_csv(imu),
-                             TruthTrack(load_truth_csv(truth)), 0)
+        return DatasetSource(load_imu_csv(imu), load_truth_csv(truth), 0)
 
     def test_rate_mismatch(self, tmp_path):
         src = self._source(tmp_path, rate_hz=100.0)
@@ -277,7 +446,7 @@ class TestDatasetSource:
             rows.append([t_ns, *traj.position(t), *quat_wxyz(traj.rotation(t)),
                          *traj.velocity(t)])
         write_truth(tmp_path / "truth.csv", rows)
-        track = TruthTrack(load_truth_csv(tmp_path / "truth.csv"))
+        track = load_truth_csv(tmp_path / "truth.csv")
         src = DatasetSource(load_imu_csv(tmp_path / "imu.csv"), track, 0)
         src.prepare(60, 1.0 / 200.0)
         for k in range(61):
@@ -326,6 +495,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"^prior\.k0_diag must be a "
                                               r"positive scalar or "
                                               r"15-vector$"):
+            parse_config(body)
+
+    @pytest.mark.parametrize("value", ["abc", "0.05", None, [0.05]])
+    def test_non_numeric_noise_rejected(self, value):
+        body = self.minimal()
+        body["noise"] = {"d_landmark_m": value}
+        with pytest.raises(ConfigError, match=r"^noise\.d_landmark_m must be "
+                                              r"a number"):
+            parse_config(body)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_nonpositive_noise_rejected(self, value):
+        body = self.minimal()
+        body["noise"] = {"b_gyro_rad_s": value}
+        with pytest.raises(ConfigError,
+                           match=r"^noise\.b_gyro_rad_s must be positive$"):
             parse_config(body)
 
     def test_missing_dataset_file_rejected(self, tmp_path):
