@@ -186,8 +186,8 @@ class VehicleNode:
         dt = self.noise.effective_period(obs.kind, self._last_obs_ns.get(key),
                                          obs.t_ns)
 
-        e_ii = models.hessian_term(states, obs, self.world, self.noise, dt)
-        _, r_ix = models.residual(states, obs, self.world, self.noise, dt)
+        r_ix, e_ii = models.update_terms(states, obs, self.world, self.noise,
+                                         dt)
 
         ix = models.update_indices(obs.kind, obs.observer, obs.subject)
         try:

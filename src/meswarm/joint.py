@@ -16,7 +16,7 @@ from . import models
 from .kernels import expm
 from .lie import (STATE_DOF, compose, group_exp, network_adjoint_from_vector,
                   stack_states)
-from .models import ImuSample
+from .models import ImuSample, _sym
 
 log = logging.getLogger(__name__)
 
@@ -28,10 +28,6 @@ COND_LIMIT = 1e12
 
 class UpdateSingularError(RuntimeError):
     """The discrete gain update system is numerically singular."""
-
-
-def _sym(m):
-    return 0.5 * (m + m.T)
 
 
 def propagate_vehicle(state, kdiag, lam, u, dt, world, noise_term):
@@ -62,6 +58,16 @@ def _check_spd(k, name="K0"):
         np.linalg.cholesky(k)
     except np.linalg.LinAlgError:
         raise ValueError(f"{name} must be positive definite") from None
+
+
+def _still_definite(m, t_ns):
+    """Whether m is positive definite, by one Cholesky; logs the loss."""
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        log.warning("gain matrix lost positive definiteness at t=%d ns", t_ns)
+        return False
+    return True
 
 
 def _blocks(k, n):
@@ -103,6 +109,9 @@ class JointFilter:
         # has no cross blocks and keeps none
         self._lam = None if n == 1 else self._identity_factors()
         self._stale = False
+        # whether the gain is known positive definite (checked at __init__);
+        # once lost it is checked again only when the gain is next rebuilt
+        self._definite = True
 
     def _diag_blocks(self):
         blocks = _blocks(self.k, self.n)[self._ar, self._ar]
@@ -168,7 +177,19 @@ class JointFilter:
 
     def update(self, obs, with_curvature=False):
         """Apply one observation at the current filter time, weighed by the
-        period since its source's last applied arrival."""
+        period since its source's last applied arrival.
+
+        The gain's positive definiteness is checked where it can be lost,
+        and a loss is logged once, as a warning; the update is applied
+        either way.  The propagated gain gets one dense Cholesky when it is
+        rebuilt at an epoch's first update.  A low-rank update keeps a
+        definite K definite iff the m x m matrix K_ii + dt K_ii E_ii K_ii
+        is, with K_ii = K[ix, ix] before the update: (K+)^-1 = K^-1 + dt E,
+        and congruence with K^1/2 plus AB and BA sharing their non-zero
+        eigenvalues reduce the test to the ix block.  The curvature path
+        checks its dense result.  Once lost, definiteness is checked again
+        at the next rebuild.
+        """
         if obs.t_ns < self.t_ns:
             raise ValueError(
                 f"observation at {obs.t_ns} ns is before filter time {self.t_ns} ns")
@@ -177,13 +198,14 @@ class JointFilter:
             if self._lam is not None:
                 self._lam = self._identity_factors()
             self._stale = False
+            self._definite = _still_definite(self.k, obs.t_ns)
         key = (obs.kind, obs.observer, obs.subject)
         dt = self.noise.effective_period(obs.kind, self._last_obs_ns.get(key),
                                          obs.t_ns)
         ix = models.update_indices(obs.kind, obs.observer, obs.subject)
         states = self.state if self._lead else [self.state]
-        e_ii = models.hessian_term(states, obs, self.world, self.noise, dt)
-        _, r_ix = models.residual(states, obs, self.world, self.noise, dt)
+        r_ix, e_ii = models.update_terms(states, obs, self.world, self.noise,
+                                         dt)
 
         if with_curvature:
             # the curvature term fills the whole matrix: dense terms and solve
@@ -198,15 +220,17 @@ class JointFilter:
             inner = e + _sym(np.linalg.solve(self.k, ad))
             s = np.eye(dim) + dt * (self.k @ inner)
             self.k = _sym(sla.lu_solve(_factor(s), self.k))
+            if self._definite:
+                self._definite = _still_definite(self.k, obs.t_ns)
         else:
-            g = gain_correction(self.k[:, ix], ix, e_ii, dt)
+            kc = self.k[:, ix]
+            g = gain_correction(kc, ix, e_ii, dt)
+            if self._definite:
+                k_ii = kc[ix, :]
+                self._definite = _still_definite(
+                    k_ii + dt * (k_ii @ e_ii @ k_ii), obs.t_ns)
             self.k = _sym(self.k - g @ self.k[ix, :])
         self._kdiag = self._diag_blocks()
-        try:
-            np.linalg.cholesky(self.k)
-        except np.linalg.LinAlgError:
-            log.warning("gain matrix lost positive definiteness at t=%d ns",
-                        obs.t_ns)
 
         # psi = dt K r, and r vanishes outside ix
         psi = dt * (self.k[:, ix] @ r_ix)

@@ -3,7 +3,9 @@
 Everything here is a pure function of estimator state, configuration and a
 single measurement: the IMU drift field, its 15x15 linearisation, the
 landmark / inter-vehicle prediction maps, and the residual and Hessian-term
-assemblies consumed by the filters.
+assemblies.  Both filters consume an observation through `update_terms`,
+which builds the residual entries and the Hessian block from one evaluation
+of the model terms; `residual` and `hessian_term` each return one of the two.
 """
 
 import functools
@@ -282,6 +284,14 @@ def _terms(states, obs, world, noise, dt):
     if obs.kind == LANDMARK:
         return _landmark_terms(states, obs, world, noise, dt)
     return _intervehicle_terms(states, obs, world, noise, dt)
+
+
+def update_terms(states, obs, world, noise, dt):
+    """The m residual entries F^T s and the symmetric m x m Hessian block
+    E_ii at update_indices(obs.kind, obs.observer, obs.subject), as
+    (r_ix, e_ii), from one evaluation of the model terms."""
+    m, s, f, core = _terms(states, obs, world, noise, dt)
+    return f.T @ s, _sym(core) + _sym(f.T @ m @ f)
 
 
 def residual(states, obs, world, noise, dt):

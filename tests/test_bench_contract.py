@@ -50,6 +50,34 @@ def test_environment_flag_exists():
     assert kernels.NUMBA_ENABLED is False
 
 
+def test_warning_counter_counts_package_warnings(monkeypatch):
+    """The tracer counts lost definiteness and refused updates by the text
+    of the package's warnings; a changed text would read 0.  Force one of
+    each: a landmark update whose Hessian term -2/dt I turns K = I into
+    -I on its slots, and a distributed one whose -1/dt I makes the small
+    system zero."""
+    from meswarm import distributed, joint, models
+    from meswarm.lie import make_state
+    noise = models.NoiseModel()
+    dt = noise.nominal_period(models.LANDMARK)
+    world = models.WorldConfig(landmarks={0: np.ones(3)})
+    state = make_state(np.eye(3), np.zeros(3), np.zeros(3))
+    obs = models.Observation(models.LANDMARK, 0, 0, np.zeros(3), 0)
+    counter = tracer.WarningCounter().attach()
+    try:
+        monkeypatch.setattr(models, "update_terms", lambda *args: (
+            np.zeros(6), -2.0 / dt * np.eye(6)))
+        joint.JointFilter([state], np.eye(15), world, noise).update(obs)
+        monkeypatch.setattr(models, "update_terms", lambda *args: (
+            np.zeros(6), -1.0 / dt * np.eye(6)))
+        node = distributed.VehicleNode(0, 1, state, np.eye(15), world, noise)
+        assert node.originate_update(obs).gain is None
+    finally:
+        counter.detach()
+    assert counter.counts == {"joint.update.pd_lost": 1,
+                              "distributed.apply_update.skipped": 1}
+
+
 # -- the tick clock -----------------------------------------------------------
 #
 # The benchmark stamps a tick each time the scheduler pulls vehicle 0's IMU

@@ -339,18 +339,20 @@ class TestUpdates:
 
 
 def singular_hessian(dt):
-    """An m x m Hessian term making I + dt E_ii K_ii zero when K_ii = I."""
-    def hessian_term(states, obs, world, noise, _dt):
+    """Update terms whose m x m Hessian term makes I + dt E_ii K_ii zero
+    when K_ii = I."""
+    def update_terms(states, obs, world, noise, _dt):
         ix = models.update_indices(obs.kind, obs.observer, obs.subject)
-        return -np.eye(len(ix)) / dt
-    return hessian_term
+        _, r_ix = models.residual(states, obs, world, noise, _dt)
+        return r_ix, -np.eye(len(ix)) / dt
+    return update_terms
 
 
 class TestSingularGate:
     def test_joint_raises(self, world, noise, monkeypatch):
         rng = np.random.default_rng(30)
         joint, _ = make_network(rng, 2, world, noise, k0=np.eye(30))
-        monkeypatch.setattr(models, "hessian_term", singular_hessian(
+        monkeypatch.setattr(models, "update_terms", singular_hessian(
             noise.nominal_period(models.INTERVEHICLE)))
         before = joint.gain()
         obs = Observation(models.INTERVEHICLE, 0, 1, rng.standard_normal(3),
@@ -364,7 +366,7 @@ class TestSingularGate:
         rng = np.random.default_rng(31)
         n = 3
         _, nodes = make_network(rng, n, world, noise, k0=np.eye(15 * n))
-        monkeypatch.setattr(models, "hessian_term", singular_hessian(
+        monkeypatch.setattr(models, "update_terms", singular_hessian(
             noise.nominal_period(models.INTERVEHICLE)))
         cols = [nd.k_col.copy() for nd in nodes]
         poses = [pose_matrix(nd.state) for nd in nodes]
@@ -392,7 +394,7 @@ class TestSingularGate:
         refused = Observation(models.LANDMARK, 0, 0, rng.standard_normal(3),
                               0)
         with monkeypatch.context() as m:
-            m.setattr(models, "hessian_term", singular_hessian(
+            m.setattr(models, "update_terms", singular_hessian(
                 noise.nominal_period(models.LANDMARK)))
             with pytest.raises(UpdateSingularError):
                 joint.update(refused, with_curvature=False)
@@ -405,6 +407,30 @@ class TestSingularGate:
         # the joint filter took the same first-arrival period
         joint.update(obs)
         assert_nodes_match_joint(joint, nodes, 1e-12)
+
+
+class TestOneModelEvaluation:
+    """Each update evaluates the observation model once, in both filters."""
+
+    @pytest.mark.parametrize("kind", [models.LANDMARK, models.INTERVEHICLE])
+    def test_terms_run_once_per_update(self, world, noise, kind,
+                                       monkeypatch):
+        rng = np.random.default_rng(50)
+        joint, nodes = make_network(rng, 2, world, noise)
+        terms = models._terms
+        calls = []
+
+        def counted(states, obs, *args):
+            calls.append(obs.kind)
+            return terms(states, obs, *args)
+
+        monkeypatch.setattr(models, "_terms", counted)
+        subject = 1 if kind == models.INTERVEHICLE else 0
+        obs = Observation(kind, 0, subject, rng.standard_normal(3), 0)
+        joint.update(obs)
+        assert calls == [kind]
+        run_update(nodes, obs)
+        assert calls == [kind, kind]
 
 
 class TestDenseOracle:

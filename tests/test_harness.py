@@ -10,10 +10,12 @@ from meswarm.harness import (MetricsRow, PriorConfig, ScheduleConfig,
                              _observation_ticks, channel_rng,
                              metrics_row, run_schedule, summarize_metrics,
                              synthesize_imu, synthesize_observation)
+from meswarm.joint import JointFilter
 from meswarm.kernels import so3_exp
 from meswarm.lie import (VehicleState, make_state, rotation_error_angle,
                          stack_states)
 from meswarm.models import NoiseModel, WorldConfig
+from test_acceptance import scenario_noise, scenario_sources, scenario_world
 
 GRAVITY = np.array([0.0, 0.0, 9.81])
 
@@ -421,6 +423,66 @@ class TestRunSchedule:
         pos_none = res_none.summary[0][3]       # post-transient mean
         pos_central = res_central.summary[0][3]
         assert pos_central < pos_none
+
+
+class TestDefinitenessWarnings:
+    """The sparse-observation regression scenario (criterion 7's six
+    vehicles at 1-2 Hz observations).  A filter checks its propagated gain
+    densely at an epoch's first update and each update's m x m verdict, so
+    it warns in an epoch iff the dense check every update used to run (the
+    oracle here) fails after one of that epoch's updates, and only once."""
+
+    @staticmethod
+    def verdicts(monkeypatch, caplog, mode, n, rate_hz, duration_s):
+        """(filter, epoch) keys that warned, keys whose dense check failed
+        after an update, and the number of warnings."""
+        update = JointFilter.update
+        warned, failed = set(), set()
+
+        def pd_warnings():
+            return sum("lost positive definiteness" in rec.getMessage()
+                       for rec in caplog.records)
+
+        def checked(self, obs, with_curvature=False):
+            before = pd_warnings()
+            update(self, obs, with_curvature)
+            key = (id(self), obs.t_ns)
+            if pd_warnings() > before:
+                warned.add(key)
+            try:
+                np.linalg.cholesky(self.k)
+            except np.linalg.LinAlgError:
+                failed.add(key)
+            return self
+
+        monkeypatch.setattr(JointFilter, "update", checked)
+        noise = scenario_noise()
+        cfg = ScheduleConfig(duration_s=duration_s, seed=7,
+                             landmark_rate_hz=rate_hz,
+                             intervehicle_rate_hz=rate_hz)
+        with caplog.at_level("WARNING", logger="meswarm.joint"):
+            run_schedule(cfg, mode, scenario_sources(n, noise, seed=7),
+                         scenario_world(n), noise, record_bus=False)
+        return warned, failed, pd_warnings()
+
+    @pytest.mark.parametrize("mode", [harness.MODE_NONE,
+                                      harness.MODE_CENTRAL])
+    @pytest.mark.parametrize("n,rate_hz,duration_s",
+                             [(6, 1.0, 5.0), (4, 2.0, 6.0)])
+    def test_epoch_warns_iff_dense_check_fails(self, monkeypatch, caplog,
+                                               mode, n, rate_hz, duration_s):
+        warned, failed, count = self.verdicts(monkeypatch, caplog, mode, n,
+                                              rate_hz, duration_s)
+        assert failed
+        assert warned == failed
+        assert count == len(warned)
+
+    @pytest.mark.parametrize("mode", [harness.MODE_NONE,
+                                      harness.MODE_CENTRAL])
+    def test_ten_hz_run_stays_definite(self, monkeypatch, caplog, mode):
+        warned, failed, count = self.verdicts(monkeypatch, caplog, mode, 6,
+                                              10.0, 3.0)
+        assert count == 0 and not failed
 
 
 class TestChannelRng:

@@ -1,12 +1,15 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as ScipyRotation
 
 from meswarm import joint, models
-from meswarm.joint import JointFilter, block_diag_prior
+from meswarm.joint import JointFilter, UpdateSingularError, block_diag_prior
 from meswarm.lie import STATE_DOF, make_state, network_adjoint_from_vector
 from meswarm.models import ImuSample, NoiseModel, Observation, WorldConfig
 from test_lie import hat5, identity_state, pose_matrix
@@ -274,3 +277,89 @@ class TestUpdate:
         f1.update(obs[0]); f1.update(obs[1])
         f2.update(obs[1]); f2.update(obs[0])
         assert not np.allclose(f1.gain(), f2.gain(), atol=1e-15)
+
+
+def dense_definite(k):
+    """The dense check every update used to run: one 15n x 15n Cholesky."""
+    try:
+        np.linalg.cholesky(k)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+class TestDefiniteness:
+    """Where the gain's positive definiteness is checked, and the m x m
+    verdict of a low-rank update against the dense check of its result."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
+           intervehicle=st.booleans(), dt=st.floats(1e-3, 1.0),
+           data=st.data())
+    def test_mxm_verdict_matches_dense_cholesky(self, seed, n, intervehicle,
+                                                dt, data):
+        observer = data.draw(st.integers(0, n - 1), label="observer")
+        if intervehicle and n > 1:
+            kind = models.INTERVEHICLE
+            subject = data.draw(st.sampled_from(
+                [v for v in range(n) if v != observer]), label="subject")
+        else:
+            kind, subject = models.LANDMARK, 0
+        ix = models.update_indices(kind, observer, subject)
+        rng = np.random.default_rng(seed)
+        k = random_spd(rng, n * STATE_DOF, scale=10 ** rng.uniform(-2, 1))
+        b = rng.standard_normal((len(ix), len(ix)))
+        # dt E_ii spans definite and indefinite results of the update
+        e_ii = 0.5 * (b + b.T) * 10 ** rng.uniform(-3, 0) / dt
+        try:
+            g = joint.gain_correction(k[:, ix], ix, e_ii, dt)
+        except UpdateSingularError:
+            assume(False)
+        want = models._sym(k - g @ k[ix, :])
+        eig = np.linalg.eigvalsh(want)
+        assume(abs(eig[0]) > 1e-6 * np.max(np.abs(eig)))
+
+        noise = NoiseModel(dt_landmark=dt, dt_intervehicle=dt)
+        f = JointFilter([identity_state()] * n, k, WorldConfig(), noise)
+        obs = Observation(kind, observer, subject, np.zeros(3), 0)
+        with mock.patch.object(models, "update_terms",
+                               return_value=(np.zeros(len(ix)), e_ii)), \
+                mock.patch.object(joint.log, "warning") as warning:
+            f.update(obs)
+        np.testing.assert_array_equal(f.gain(), want)
+        assert warning.called == (not dense_definite(want))
+
+    def test_one_dense_check_per_gain_rebuild(self, world, noise,
+                                              monkeypatch):
+        rng = np.random.default_rng(8)
+        states = [random_state(rng), random_state(rng)]
+        # loose measurements, so no propagation step breaks definiteness
+        noise = dataclasses.replace(noise, d_landmark=np.eye(3),
+                                    d_intervehicle=np.eye(3))
+        f = JointFilter(states, random_spd(rng, 30, scale=0.02), world, noise)
+        cholesky = np.linalg.cholesky
+        sizes = []
+
+        def counted(m):
+            sizes.append(len(m))
+            return cholesky(m)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        t_ns = 0
+        for _ in range(3):
+            for _ in range(4):
+                imu = [ImuSample(0.2 * rng.standard_normal(3),
+                                 0.2 * rng.standard_normal(3), t_ns)
+                       for _ in range(2)]
+                f.propagate(imu, 0.005)
+                t_ns += 5_000_000
+            for kind, observer, subject in [(models.LANDMARK, 0, 0),
+                                            (models.LANDMARK, 1, 2),
+                                            (models.INTERVEHICLE, 0, 1)]:
+                # a zero innovation leaves E = F^T M F, which keeps K definite
+                obs = Observation(kind, observer, subject, np.zeros(3), t_ns)
+                y = models.predict(f.estimate(), obs, world)
+                f.update(dataclasses.replace(obs, y=y))
+            assert np.linalg.eigvalsh(f.gain())[0] > 0.0
+        # the rebuilt 30 x 30 gain once per epoch, then one m x m per update
+        assert sizes == [30, 6, 6, 12] * 3

@@ -486,6 +486,28 @@ class TestUpdateSparsity:
             np.r_[15:21, 0:6])
 
 
+class TestUpdateTerms:
+    """The filters' one model evaluation per update returns exactly what
+    residual and hessian_term, checked above against the oracles, return."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), intervehicle=st.booleans())
+    def test_equals_residual_and_hessian_term(self, seed, intervehicle):
+        rng = np.random.default_rng(seed)
+        world = WorldConfig(landmarks={0: rng.standard_normal(3)},
+                            markers={1: 0.1 * rng.standard_normal(3)})
+        states = [random_state(rng) for _ in range(2)]
+        kind = models.INTERVEHICLE if intervehicle else models.LANDMARK
+        obs = Observation(kind, 0, int(intervehicle), rng.standard_normal(3),
+                          0)
+        noise, dt = NoiseModel(), float(rng.uniform(0.01, 1.0))
+        r_ix, e_ii = models.update_terms(states, obs, world, noise, dt)
+        _, r_want = models.residual(states, obs, world, noise, dt)
+        e_want = models.hessian_term(states, obs, world, noise, dt)
+        np.testing.assert_array_equal(r_ix, r_want)
+        np.testing.assert_array_equal(e_ii, e_want)
+
+
 class TestNoiseModel:
     def test_singular_d_rejected(self):
         with pytest.raises(ValueError):
