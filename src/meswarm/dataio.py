@@ -304,6 +304,10 @@ def _merge(defaults, given, where):
     unknown = set(given) - set(defaults)
     if unknown:
         raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
+    for key, value in given.items():
+        if isinstance(defaults[key], bool) and not isinstance(value, bool):
+            raise ConfigError(f"{where}.{key} must be true or false, "
+                              f"got {value!r}")
     out = dict(defaults)
     out.update(given)
     return out
@@ -349,8 +353,8 @@ def parse_config(body, base_dir="."):
         raise ConfigError(f"unknown mode {body['mode']!r}")
     _vec3(body["gravity_mps2"], "gravity_mps2")
     cfg = ExperimentConfig(
-        mode=body["mode"], seed=int(body["seed"]),
-        with_curvature=bool(body["with_curvature"]),
+        mode=body["mode"], seed=body["seed"],
+        with_curvature=body["with_curvature"],
         gravity_mps2=[float(g) for g in body["gravity_mps2"]],
         schedule=_merge(_SCHEDULE_DEFAULTS, body["schedule"], "schedule"),
         noise=_merge(_NOISE_DEFAULTS, body["noise"], "noise"),
@@ -396,8 +400,8 @@ def parse_config(body, base_dir="."):
 
 def schedule_config(cfg, sched=None):
     """The run's ScheduleConfig from cfg's schedule, or from `sched` in its
-    place; an invalid schedule, one without an IMU tick included, is a
-    ConfigError."""
+    place, with cfg's seed; an invalid schedule or seed, one without an IMU
+    tick included, is a ConfigError."""
     try:
         return ScheduleConfig(seed=cfg.seed, **(sched or cfg.schedule))
     except ValueError as exc:
@@ -461,7 +465,7 @@ def build_sources(cfg, noise):
                 gravity=np.asarray(cfg.gravity_mps2, dtype=float),
                 gyro_bias0=_vec3(veh["gyro_bias0_rad_s"], "gyro_bias0_rad_s"),
                 accel_bias0=_vec3(veh["accel_bias0_mps2"], "accel_bias0_mps2"),
-                bias_walk=bool(veh["bias_walk"]))
+                bias_walk=veh["bias_walk"])
         else:
             imu = load_imu_csv(os.path.join(cfg.base_dir, veh["imu_csv"]))
             truth = load_truth_csv(os.path.join(cfg.base_dir, veh["truth_csv"]))

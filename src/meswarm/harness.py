@@ -12,6 +12,7 @@ them against that truth in one stacked call after the last tick.
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -72,14 +73,22 @@ class ScheduleConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, what = ((numbers.Integral, "integer") if f.name == "seed"
+                          else (numbers.Real, "finite number"))
+            if (isinstance(value, bool) or not isinstance(value, kind)
+                    or not 0.0 <= value < math.inf):
+                raise ValueError(f"{f.name} must be a non-negative {what}, "
+                                 f"got {value!r}")
         if self.imu_rate_hz <= 0.0:
             raise ValueError("IMU rate must be positive")
         for name in ("landmark_rate_hz", "intervehicle_rate_hz"):
-            rate = getattr(self, name)
-            if rate < 0.0:
-                raise ValueError(f"{name} must be non-negative")
-            if rate > self.imu_rate_hz:
+            if getattr(self, name) > self.imu_rate_hz:
                 raise ValueError(f"{name} must not exceed the IMU rate")
+        for name in ("dropout_landmark", "dropout_intervehicle"):
+            if getattr(self, name) > 1.0:
+                raise ValueError(f"{name} must not exceed 1")
         if self.n_ticks < 1:
             raise ValueError(f"duration_s {self.duration_s:g} spans no IMU "
                              f"tick at {self.imu_rate_hz:g} Hz")
@@ -446,11 +455,16 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
     at tick 0 and on observation ticks, and after the last tick every
     recorded estimate is scored against the sources' stacked ``truth``.
 
+    `none` is the JointFilter of `central` without the inter-vehicle
+    channel: its cross blocks stay exactly zero, so its vehicles evolve as
+    n isolated filters, and a lost definiteness warns once per epoch.
+
     The second-order gain correction (with_curvature) is opt-in: it
     amplifies through the inverse gain and destabilises runs whose gain
     spectrum gets small, so the robust default leaves it off.  It applies
-    to the joint filter of `central` and to every isolated filter of
-    `none`; the nodes of `distributed` have no curvature term.
+    to the joint filter of `none` and `central`, whose curvature term and
+    condition gate then span the full 15n system; the nodes of
+    `distributed` have no curvature term.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -486,37 +500,26 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
     est0 = [_perturbed_prior(truths0[v], prior,
                              channel_rng(config.seed, _CH_PRIOR, v, 0))
             for v in range(n)]
-    k0_block = prior.k0_block()
+    k0 = block_diag_prior([prior.k0_block()] * n)
 
     bus = MessageBus(record=record_bus)
-    if mode == MODE_CENTRAL:
-        flt = JointFilter(est0, block_diag_prior([k0_block] * n), world, noise)
-    elif mode == MODE_DISTRIBUTED:
-        k0 = block_diag_prior([k0_block] * n)
+    if mode == MODE_DISTRIBUTED:
         nodes = [VehicleNode(v, n, est0[v],
                              k0[:, v * STATE_DOF:(v + 1) * STATE_DOF],
                              world, noise) for v in range(n)]
     else:
-        filters = [JointFilter([est0[v]], k0_block.copy(), world, noise)
-                   for v in range(n)]
-
-    def current_estimates():
-        if mode == MODE_CENTRAL:
-            return flt.estimate()
-        if mode == MODE_DISTRIBUTED:
-            return [nd.state for nd in nodes]
-        return [f.estimate()[0] for f in filters]
+        flt = JointFilter(est0, k0, world, noise)
 
     # every tick's estimates, stacked over (tick, vehicle), scored at the end
     est = VehicleState(np.empty((n_ticks + 1, n, 3, 3)),
                        *(np.empty((n_ticks + 1, n, 3)) for _ in range(4)))
 
     def record(tick):
-        if mode == MODE_CENTRAL:
-            _store(est, tick, flt.state)
+        if mode == MODE_DISTRIBUTED:
+            for v, nd in enumerate(nodes):
+                _store(est, (tick, v), nd.state)
         else:
-            for v, x in enumerate(current_estimates()):
-                _store(est, (tick, v), x)
+            _store(est, tick, flt.state)
 
     record(0)
     update_count = 0
@@ -525,14 +528,11 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
 
     for tick in range(1, n_ticks + 1):
         imu = [src.imu_at_tick(tick - 1) for src in sources]
-        if mode == MODE_CENTRAL:
-            flt.propagate(imu, dt)
-        elif mode == MODE_DISTRIBUTED:
+        if mode == MODE_DISTRIBUTED:
             for v, nd in enumerate(nodes):
                 nd.propagate_local(imu[v], dt)
         else:
-            for v, f in enumerate(filters):
-                f.propagate([imu[v]], dt)
+            flt.propagate(imu, dt)
 
         evs = events.get(tick, ())
         if evs:
@@ -545,18 +545,17 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
             obs = synthesize_observation(truths, world, kind, a, b, d,
                                          obs_rngs[(kind, a, b)],
                                          tick * dt_ns)
-            if mode == MODE_CENTRAL:
-                flt.update(obs, with_curvature=with_curvature)
-            elif mode == MODE_DISTRIBUTED:
+            if mode == MODE_DISTRIBUTED:
                 _distributed_update(nodes, obs, tick, bus)
             else:
-                local = Observation(kind, 0, b, obs.y, obs.t_ns)
-                filters[a].update(local, with_curvature=with_curvature)
+                flt.update(obs, with_curvature=with_curvature)
             update_count += 1
 
         record(tick)
 
     rows = _metrics_rows(est, sources, dt)
+    finals = ([nd.state for nd in nodes] if mode == MODE_DISTRIBUTED
+              else flt.estimate())
     return RunResult(rows=rows, summary=summarize_metrics(rows),
-                     bus_records=bus.records, estimates=current_estimates(),
+                     bus_records=bus.records, estimates=finals,
                      update_count=update_count)

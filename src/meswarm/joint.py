@@ -78,12 +78,12 @@ def _blocks(k, n):
 class JointFilter:
     """Single-writer state machine holding the joint estimate and gain.
 
-    The estimate is one stacked VehicleState (leading axis n; a single
-    vehicle is held without one, as a node holds its own, which keeps the
-    kernels' coefficient arithmetic on numpy scalars).  Between updates
-    only the diagonal gain blocks move, kept as an (n, 15, 15) stack, and
-    each vehicle's propagation factor; the full gain is brought up to the
-    current tick before the next update.
+    The estimate is one stacked VehicleState (leading axis n; the vehicle
+    of a 1-vehicle config, in `none` or `central`, is held without one, as
+    a node holds its own, which keeps the kernels' coefficient arithmetic
+    on numpy scalars).  Between updates only the diagonal gain blocks move,
+    kept as an (n, 15, 15) stack, and each vehicle's propagation factor;
+    the full gain is brought up to the current tick before the next update.
     """
 
     def __init__(self, states, k0, world, noise):
@@ -219,7 +219,7 @@ class JointFilter:
             # strongly curved update, and the correction is still well defined
             inner = e + _sym(np.linalg.solve(self.k, ad))
             s = np.eye(dim) + dt * (self.k @ inner)
-            self.k = _sym(sla.lu_solve(_factor(s), self.k))
+            self.k = _sym(sla.lu_solve(_factor(s), self.k, check_finite=False))
             if self._definite:
                 self._definite = _still_definite(self.k, obs.t_ns)
         else:
@@ -241,7 +241,8 @@ class JointFilter:
 
 
 def _factor(s):
-    """LU factors of an update system, refused when near singular."""
+    """LU factors of an update system, refused when near singular or not
+    finite (a non-finite K or E_ii makes it so): solves skip that check."""
     if not np.all(np.isfinite(s)):
         raise UpdateSingularError("update system is not finite")
     with warnings.catch_warnings():
@@ -269,7 +270,7 @@ def gain_correction(kc, ix, e_ii, dt):
     Raises UpdateSingularError.
     """
     s = np.eye(len(ix)) + dt * (e_ii @ kc[ix, :])
-    return dt * (kc @ sla.lu_solve(_factor(s), e_ii))
+    return dt * (kc @ sla.lu_solve(_factor(s), e_ii, check_finite=False))
 
 
 def block_diag_prior(k0_blocks):

@@ -161,6 +161,30 @@ class TestExitCodes:
         assert code == 2 and not out.exists()
         assert "noise.d_landmark_m must be a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,key,value,message", [
+        (None, "with_curvature", "off", "with_curvature must be true or"),
+        (None, "seed", "abc", "seed must be a non-negative integer"),
+        ("schedule", "imu_rate_hz", "200",
+         "imu_rate_hz must be a non-negative finite number"),
+        ("schedule", "dropout_landmark", 1.5,
+         "dropout_landmark must not exceed 1"),
+        ("schedule", "dropout_landmark", -0.5,
+         "dropout_landmark must be a non-negative finite number"),
+    ])
+    def test_bad_config_value_is_2(self, tmp_path, capsys, section, key,
+                                   value, message):
+        cfg = base_config(n_vehicles=1, duration_s=0.5)
+        (cfg[section] if section else cfg)[key] = value
+        code, out = run_cli(tmp_path, cfg)
+        assert code == 2 and not out.exists()
+        assert message in capsys.readouterr().err
+
+    def test_negative_seed_flag_is_2(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, base_config(n_vehicles=1), "flag",
+                            ["--seed", "-1"])
+        assert code == 2 and not out.exists()
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+
     def test_header_only_imu_is_3(self, tmp_path, capsys):
         (tmp_path / "imu.csv").write_text("timestamp_ns,wx,wy,wz,ax,ay,az\n")
         (tmp_path / "truth.csv").write_text(

@@ -513,6 +513,33 @@ class TestConfig:
                            match=r"^noise\.b_gyro_rad_s must be positive$"):
             parse_config(body)
 
+    @pytest.mark.parametrize("section,key,value,message", [
+        (None, "seed", -1, r"^schedule: seed must be a non-negative integer"),
+        (None, "seed", 1.5, r"^schedule: seed must be a non-negative"),
+        (None, "seed", True, r"^schedule: seed must be a non-negative"),
+        (None, "with_curvature", 1,
+         r"^config\.with_curvature must be true or false"),
+        ("schedule", "duration_s", float("inf"),
+         r"^schedule: duration_s must be a non-negative finite "),
+        ("schedule", "landmark_rate_hz", None,
+         r"^schedule: landmark_rate_hz must be a non-negative "),
+        ("schedule", "dropout_intervehicle", 2,
+         r"^schedule: dropout_intervehicle must not exceed 1$"),
+    ])
+    def test_wrong_type_or_range_rejected(self, section, key, value,
+                                          message):
+        body = self.minimal()
+        (body.setdefault(section, {}) if section else body)[key] = value
+        with pytest.raises(ConfigError, match=message):
+            parse_config(body)
+
+    def test_non_boolean_bias_walk_rejected(self):
+        body = self.minimal()
+        body["vehicles"][0]["bias_walk"] = "off"
+        with pytest.raises(ConfigError, match=r"^vehicles\[0\]\.bias_walk "
+                                              r"must be true or false"):
+            parse_config(body)
+
     def test_missing_dataset_file_rejected(self, tmp_path):
         body = self.minimal()
         body["vehicles"] = [{"type": "dataset", "imu_csv": "absent.csv",

@@ -425,6 +425,80 @@ class TestRunSchedule:
         assert pos_central < pos_none
 
 
+def isolated_rows(cfg, sources, world, noise, prior):
+    """Oracle for mode `none`: n one-vehicle filters, each fed its own
+    landmark observations relabelled to vehicle 0, with the scheduler's
+    seeded prior, noise and dropout streams.  Returns the MetricsRows in
+    run_schedule's (tick, vehicle) order."""
+    n = len(sources)
+    dt = 1.0 / cfg.imu_rate_hz
+    dt_ns = int(round(1e9 * dt))
+    n_ticks = cfg.n_ticks
+    for src in sources:
+        src.prepare(n_ticks, dt)
+    pairs = [(v, lm) for v in range(n) for lm in sorted(world.landmarks)]
+    obs_rngs = {(v, lm): channel_rng(cfg.seed, harness._CH_LANDMARK, v, lm)
+                for v, lm in pairs}
+    drop_rngs = {(v, lm): channel_rng(cfg.seed, harness._CH_DROP_LANDMARK,
+                                      v, lm) for v, lm in pairs}
+    epochs = set(_observation_ticks(cfg.landmark_rate_hz, cfg.imu_rate_hz,
+                                    n_ticks))
+    d = noise.d_matrix(models.LANDMARK)
+    filters = [JointFilter(
+        [harness._perturbed_prior(src.truth_at_tick(0), prior,
+                                  channel_rng(cfg.seed, harness._CH_PRIOR,
+                                              v, 0))],
+        prior.k0_block(), world, noise) for v, src in enumerate(sources)]
+    rows = [metrics_row(0.0, v, f.state, src.truth_at_tick(0))
+            for v, (f, src) in enumerate(zip(filters, sources))]
+    for tick in range(1, n_ticks + 1):
+        for f, src in zip(filters, sources):
+            f.propagate([src.imu_at_tick(tick - 1)], dt)
+        truths = [src.truth_at_tick(tick) for src in sources]
+        for v, lm in (pairs if tick in epochs else ()):
+            p = cfg.dropout_landmark
+            if p > 0.0 and drop_rngs[(v, lm)].random() < p:
+                continue
+            obs = synthesize_observation(truths, world, models.LANDMARK, v,
+                                         lm, d, obs_rngs[(v, lm)],
+                                         tick * dt_ns)
+            filters[v].update(models.Observation(models.LANDMARK, 0, lm,
+                                                 obs.y, obs.t_ns))
+        rows += [metrics_row(tick * dt, v, f.state, truths[v])
+                 for v, f in enumerate(filters)]
+    return rows
+
+
+class TestIsolatedOracle:
+    """Mode `none` is the joint filter without the inter-vehicle channel;
+    its cross blocks stay zero, so it must match n one-vehicle filters."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**16),
+           rate_hz=st.sampled_from([1.0, 2.0, 10.0]),
+           dropout=st.sampled_from([0.0, 0.3]))
+    def test_none_equals_one_vehicle_filters(self, n, seed, rate_hz,
+                                             dropout):
+        noise = scenario_noise()
+        world = scenario_world(n)
+        prior = PriorConfig()
+        cfg = ScheduleConfig(imu_rate_hz=100.0, landmark_rate_hz=rate_hz,
+                             duration_s=2.0, dropout_landmark=dropout,
+                             seed=seed)
+        res = run_schedule(cfg, harness.MODE_NONE,
+                           scenario_sources(n, noise, seed, traj_seed=seed),
+                           world, noise, prior=prior)
+        want = isolated_rows(cfg, scenario_sources(n, noise, seed,
+                                                   traj_seed=seed),
+                             world, noise, prior)
+        assert len(res.rows) == len(want) == (cfg.n_ticks + 1) * n
+        for got, exp in zip(res.rows, want):
+            assert (got.t, got.vehicle) == (pytest.approx(exp.t), exp.vehicle)
+            for name in ("pos_err", "rot_err", "vel_err", "gyro_bias_err",
+                         "accel_bias_err"):
+                assert abs(getattr(got, name) - getattr(exp, name)) <= 1e-9
+
+
 class TestDefinitenessWarnings:
     """The sparse-observation regression scenario (criterion 7's six
     vehicles at 1-2 Hz observations).  A filter checks its propagated gain

@@ -278,6 +278,31 @@ class TestUpdate:
         f2.update(obs[1]); f2.update(obs[0])
         assert not np.allclose(f1.gain(), f2.gain(), atol=1e-15)
 
+    def test_landmark_updates_keep_cross_blocks_zero(self, world, noise):
+        """A block-diagonal filter that sees only landmarks is n isolated
+        filters: no propagation or update fills an off-diagonal block."""
+        rng = np.random.default_rng(3)
+        n = 3
+        k0 = block_diag_prior([random_spd(rng, 15) for _ in range(n)])
+        f = JointFilter([random_state(rng) for _ in range(n)], k0, world,
+                        noise)
+        off = ~np.eye(n, dtype=bool)
+        t_ns = 0
+        for _ in range(4):
+            for _ in range(5):
+                imu = [ImuSample(0.2 * rng.standard_normal(3),
+                                 0.2 * rng.standard_normal(3), t_ns)
+                       for _ in range(n)]
+                f.propagate(imu, 0.005)
+                t_ns += 5_000_000
+            for observer in range(n):
+                for lm in sorted(world.landmarks):
+                    y = rng.standard_normal(3)
+                    f.update(Observation(models.LANDMARK, observer, lm, y,
+                                         t_ns))
+                    blocks = joint._blocks(f.gain(), n)
+                    np.testing.assert_array_equal(blocks[off], 0.0)
+
 
 def dense_definite(k):
     """The dense check every update used to run: one 15n x 15n Cholesky."""
