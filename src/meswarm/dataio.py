@@ -9,6 +9,7 @@ experiment configuration that assembles a full run for the CLI.
 import json
 import logging
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields
 from itertools import compress
@@ -314,10 +315,31 @@ def _merge(defaults, given, where):
 
 
 def _vec3(value, where):
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (3,):
-        raise ConfigError(f"{where} must be a 3-vector")
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != (3,):
+        raise ConfigError(f"{where} must be a 3-vector of numbers, "
+                          f"got {value!r}")
     return arr
+
+
+def _check_synthetic(veh, where):
+    """A synthetic vehicle's trajectory seed, scales and initial biases."""
+    seed = veh["trajectory_seed"]
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or seed < 0):
+        raise ConfigError(f"{where}.trajectory_seed must be a non-negative "
+                          f"integer, got {seed!r}")
+    for key in ("pos_scale_m", "rot_scale_rad"):
+        value = veh[key]
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)):
+            raise ConfigError(f"{where}.{key} must be a finite number, "
+                              f"got {value!r}")
+    for key in ("gyro_bias0_rad_s", "accel_bias0_mps2"):
+        _vec3(veh[key], f"{where}.{key}")
 
 
 @dataclass
@@ -368,8 +390,9 @@ def parse_config(body, base_dir="."):
     for i, veh in enumerate(body["vehicles"]):
         kind = veh.get("type", "synthetic")
         if kind == "synthetic":
-            cfg.vehicles.append(_merge(_SYNTHETIC_DEFAULTS, veh,
-                                       f"vehicles[{i}]"))
+            veh = _merge(_SYNTHETIC_DEFAULTS, veh, f"vehicles[{i}]")
+            _check_synthetic(veh, f"vehicles[{i}]")
+            cfg.vehicles.append(veh)
         elif kind == "dataset":
             defaults = {"type": "dataset", "imu_csv": None, "truth_csv": None}
             veh = _merge(defaults, veh, f"vehicles[{i}]")

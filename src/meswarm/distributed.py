@@ -1,4 +1,4 @@
-"""Per-vehicle nodes implementing the decoupled filter.
+"""The decentralised filter: one node per vehicle, run as stacked arrays.
 
 Each node owns its own state estimate and one 15n x 15 column slice of the
 joint gain matrix.  Between observations nodes run silently, accumulating a
@@ -7,6 +7,12 @@ exchanged, the originating node computes the low-rank gain correction once
 and broadcasts it with the residual, and every node applies them locally.
 The curvature correction of the centralised filter is deliberately dropped
 here, since it would need the full gain inverse.
+
+The simulation holds all n nodes of a network in one VehicleNode, with the
+node axis leading, and advances them together: one stacked propagation
+call per tick, one batched product per absorbed factor, and one batched
+column update and retraction per broadcast.  The data flow stays per node:
+node v reads only its own column, its own state and the wire messages.
 """
 
 import logging
@@ -15,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .joint import UpdateSingularError, gain_correction, propagate_vehicle
-from .lie import STATE_DOF, VehicleState, compose, group_exp
+from .joint import (UpdateSingularError, gain_correction, identity_factors,
+                    propagate_vehicle)
+from .lie import STATE_DOF, VehicleState, compose, group_exp, stack_states
 
 log = logging.getLogger(__name__)
 
@@ -92,89 +99,151 @@ def encode_message(msg):
     return body
 
 
-# -- the node -----------------------------------------------------------------
+# -- the nodes ----------------------------------------------------------------
 
 class VehicleNode:
-    """One vehicle's independent estimator in the decentralised filter."""
+    """The n nodes of a decentralised network, stacked along a leading axis.
 
-    def __init__(self, vehicle_id, n, state, k_col, world, noise):
-        k_col = np.asarray(k_col, dtype=float)
-        if k_col.shape != (n * STATE_DOF, STATE_DOF):
-            raise ValueError("gain column has the wrong shape")
-        diag = self._block(k_col, vehicle_id)
-        if not np.allclose(diag, diag.T, rtol=1e-9, atol=0.0):
-            raise ValueError("own diagonal gain block must be symmetric")
-        self.id = vehicle_id
+    Node v's state is ``state[v]``, its 15n x 15 gain column ``k_col[v]``
+    (k_col is (n, 15n, 15)) and its accumulated propagation factor
+    ``lam_acc[v]``.  The nodes advance together, as the joint filter
+    advances its vehicles: each node hands in its own IMU sample and the
+    tick's last one propagates all of them in one stacked call; each
+    delivered factor is absorbed by all the other nodes in one call; and
+    one call applies a broadcast to every node.  Each step keeps the
+    per-node data flow: node v reads only its own column, its own state and
+    the wire messages.
+    """
+
+    def __init__(self, states, k_col, world, noise):
+        n = len(states)
+        k_col = np.array(k_col, dtype=float)
+        if k_col.shape != (n, n * STATE_DOF, STATE_DOF):
+            raise ValueError("gain columns have the wrong shape")
         self.n = n
-        self.state = state
-        self.k_col = k_col.copy()
+        self._ar = np.arange(n)
+        # the nodes other than j, which absorb j's factor
+        self._others = [np.delete(self._ar, j) for j in range(n)]
+        diag = self._diag(k_col)
+        if not np.allclose(diag, diag.swapaxes(-1, -2), rtol=1e-9, atol=0.0):
+            raise ValueError("own diagonal gain blocks must be symmetric")
+        self.state = stack_states(states)
+        self.k_col = k_col
         self.world = world
         self.noise = noise
         self._noise_term = models.imu_noise_term(noise)
-        self.lam_acc = np.eye(STATE_DOF)
+        self.lam_acc = identity_factors(self.n)
         self.lam_start_tick = 0
+        # every node's last emitted factor, which it pairs with a peer's
+        self._own = identity_factors(self.n)
+        self._own_span = (0, 0)
         self.tick = 0
         self.t_ns = 0
+        # (sample, period) per node that has ticked in the current tick
+        self._pending = {}
+        # last applied arrival per (kind, observer, subject); node v reads
+        # only the keys of its own observations
         self._last_obs_ns = {}
 
-    @staticmethod
-    def _block(k_col, j):
-        return k_col[j * STATE_DOF:(j + 1) * STATE_DOF, :]
+    def _diag(self, k_col):
+        """Every node's own diagonal block, node v's at block v of k_col[v]."""
+        return k_col.reshape(self.n, self.n, STATE_DOF, STATE_DOF)[
+            self._ar, self._ar]
+
+    def estimate(self):
+        """Per-node states; later steps never change them in place."""
+        return [self.state[v] for v in range(self.n)]
 
     # -- propagation ---------------------------------------------------------
 
-    def propagate_local(self, u, dt):
-        """One IMU tick: state, own diagonal gain block, and the factor."""
+    def propagate_local(self, v, u, dt):
+        """Node v's IMU tick: its own sample u over the period dt.
+
+        The nodes tick together.  Each hands in its own sample, and the
+        call that completes the tick advances every node's state, own
+        diagonal gain block and factor in one stacked call, the call the
+        joint filter makes for its vehicles.
+        """
         if dt <= 0.0:
             raise ValueError("IMU period must be positive")
-        sl = slice(self.id * STATE_DOF, (self.id + 1) * STATE_DOF)
-        self.state, self.k_col[sl, :], self.lam_acc = propagate_vehicle(
-            self.state, self.k_col[sl, :], self.lam_acc, u, dt, self.world,
-            self._noise_term)
+        if not 0 <= v < self.n:
+            raise ValueError(f"no node {v} to tick")
+        if v in self._pending:
+            raise SynchronizationError(
+                f"node {v} ticked twice before tick {self.tick + 1} ended")
+        self._pending[v] = (u, dt)
+        if len(self._pending) < self.n:
+            return self
+        samples, periods = zip(*(self._pending[w] for w in range(self.n)))
+        self._pending = {}
+        if len(set(periods)) > 1:
+            raise SynchronizationError("nodes ticked with different periods")
+        self.state, kd, self.lam_acc = propagate_vehicle(
+            self.state, self._diag(self.k_col), self.lam_acc,
+            models.stack_samples(samples), dt, self.world, self._noise_term)
+        # k_col is always C-contiguous, so the reshape is a view
+        self.k_col.reshape(self.n, self.n, STATE_DOF, STATE_DOF)[
+            self._ar, self._ar] = kd
         self.tick += 1
         self.t_ns += int(round(dt * 1e9))
         return self
 
-    def emit_propagation_factor(self):
-        msg = PropagationFactor(self.id, self.lam_acc.copy(),
-                                self.lam_start_tick, self.tick)
-        self.lam_acc = np.eye(STATE_DOF)
-        self.lam_start_tick = self.tick
-        return msg
-
-    def absorb_propagation_factor(self, own, peer):
-        """Bring the cross block for the peer up to the current tick."""
-        if (own.start_tick, own.end_tick) != (peer.start_tick, peer.end_tick):
+    def emit_propagation_factors(self):
+        """Every node's factor message, in node order; each node keeps its
+        own to pair with the peers' factors it absorbs."""
+        if self._pending:
             raise SynchronizationError(
-                f"node {self.id}: factor span {peer.start_tick}..{peer.end_tick} "
-                f"from {peer.sender} does not match own span "
-                f"{own.start_tick}..{own.end_tick}")
-        if own.start_tick == own.end_tick:
+                f"factors requested while tick {self.tick + 1} is incomplete")
+        span = (self.lam_start_tick, self.tick)
+        msgs = [PropagationFactor(v, self.lam_acc[v].copy(), *span)
+                for v in range(self.n)]
+        self._own, self._own_span = self.lam_acc, span
+        self.lam_acc = identity_factors(self.n)
+        self.lam_start_tick = self.tick
+        return msgs
+
+    def absorb_propagation_factor(self, peer):
+        """Bring every other node's cross block for the sender up to the
+        current tick: node v sets block j of its column to
+        lam_j K_vj lam_v^T with its own emitted factor lam_v."""
+        span = (peer.start_tick, peer.end_tick)
+        if span != self._own_span:
+            raise SynchronizationError(
+                f"factor span {peer.start_tick}..{peer.end_tick} from "
+                f"{peer.sender} does not match the nodes' own span "
+                f"{self._own_span[0]}..{self._own_span[1]}")
+        if peer.start_tick == peer.end_tick:
             return self
         j = peer.sender
+        others = self._others[j]
         sl = slice(j * STATE_DOF, (j + 1) * STATE_DOF)
-        self.k_col[sl, :] = peer.lam @ self.k_col[sl, :] @ own.lam.T
+        self.k_col[others, sl, :] = (peer.lam @ self.k_col[others, sl, :]
+                                     @ self._own[others].swapaxes(-1, -2))
         return self
 
     # -- updates --------------------------------------------------------------
 
-    def peer_state_reply(self):
-        return PeerStateReply(self.id, self.state,
-                              self.k_col[:, :models.UPDATE_SLOTS].copy())
+    def peer_state_reply(self, v):
+        """Node v's answer to a peer state request."""
+        return PeerStateReply(v, self.state[v],
+                              self.k_col[v, :, :models.UPDATE_SLOTS].copy())
 
     def originate_update(self, obs, peer_reply=None):
-        """Build the update broadcast for an observation made by this node.
+        """Build the update broadcast for an observation, at its observer.
 
-        An update whose small system is singular, ill-conditioned or not
-        finite is refused here, once for the network: the broadcast carries
-        no gain correction and every node leaves its column and state alone.
+        The observing node reads its own state and column and, for an
+        inter-vehicle observation, the target's reply.  An update whose
+        small system is singular, ill-conditioned or not finite is refused
+        here, once for the network: the broadcast carries no gain
+        correction and every node leaves its column and state alone.
         """
-        if obs.observer != self.id:
-            raise ValueError("only the observing vehicle can originate")
+        v = obs.observer
+        if not 0 <= v < self.n:
+            raise ValueError(f"no node {v} to originate")
         # the model terms read only the vehicles the observation involves
-        states = {self.id: self.state}
+        states = {v: self.state[v]}
         # K[:, ix]: the update slots of the observer's column, then the target's
-        cols = [self.k_col[:, :models.UPDATE_SLOTS]]
+        cols = [self.k_col[v, :, :models.UPDATE_SLOTS]]
         if obs.kind == models.INTERVEHICLE:
             if peer_reply is None or peer_reply.sender != obs.subject:
                 raise ValueError("inter-vehicle update needs the target's "
@@ -196,22 +265,24 @@ class VehicleNode:
             # a refused update leaves the source's observation clock alone,
             # as in the joint filter
             log.warning("node %d: %s, skipping update at t=%d ns",
-                        self.id, exc, obs.t_ns)
+                        v, exc, obs.t_ns)
             gain = None
         else:
             self._last_obs_ns[key] = obs.t_ns
-        return UpdateBroadcast(self.id, obs.kind, obs.subject, dt, obs.t_ns,
+        return UpdateBroadcast(v, obs.kind, obs.subject, dt, obs.t_ns,
                                r_ix, gain)
 
     def apply_update(self, msg):
-        """Apply a broadcast update to the local column and state."""
+        """Apply a broadcast update to every node's column and state:
+        k_col <- k_col - G k_col[ix, :] and a retraction by
+        dt k_col[ix, :]^T r, in one stacked step."""
         if msg.t_ns != self.t_ns:
             raise ValueError(
-                f"node {self.id} at {self.t_ns} ns got update for {msg.t_ns} ns")
+                f"nodes at {self.t_ns} ns got update for {msg.t_ns} ns")
         if msg.gain is None:
             return self
         ix = models.update_indices(msg.kind, msg.origin, msg.subject)
-        self.k_col = self.k_col - msg.gain @ self.k_col[ix, :]
-        psi = msg.dt * (self.k_col[ix, :].T @ msg.r)
+        self.k_col = self.k_col - msg.gain @ self.k_col[:, ix, :]
+        psi = msg.dt * (self.k_col[:, ix, :].swapaxes(-1, -2) @ msg.r)
         self.state = compose(self.state, group_exp(psi))
         return self

@@ -429,18 +429,16 @@ def _perturbed_prior(truth, prior, rng):
 
 
 def _distributed_update(nodes, obs, tick, bus):
-    factors = [bus.deliver(tick, nd.emit_propagation_factor()) for nd in nodes]
-    for nd in nodes:
-        for msg in factors:
-            if msg.sender != nd.id:
-                nd.absorb_propagation_factor(factors[nd.id], msg)
+    """One observation through the network: every node's factor, each
+    absorbed by the others, the target's reply to an inter-vehicle
+    observer, and the observer's broadcast, applied by every node."""
+    for msg in nodes.emit_propagation_factors():
+        nodes.absorb_propagation_factor(bus.deliver(tick, msg))
     reply = None
     if obs.kind == models.INTERVEHICLE:
         bus.deliver(tick, distributed.PeerStateRequest(obs.observer, obs.subject))
-        reply = bus.deliver(tick, nodes[obs.subject].peer_state_reply())
-    bc = bus.deliver(tick, nodes[obs.observer].originate_update(obs, reply))
-    for nd in nodes:
-        nd.apply_update(bc)
+        reply = bus.deliver(tick, nodes.peer_state_reply(obs.subject))
+    nodes.apply_update(bus.deliver(tick, nodes.originate_update(obs, reply)))
 
 
 def run_schedule(config, mode, sources, world, noise, prior=None,
@@ -504,9 +502,9 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
 
     bus = MessageBus(record=record_bus)
     if mode == MODE_DISTRIBUTED:
-        nodes = [VehicleNode(v, n, est0[v],
-                             k0[:, v * STATE_DOF:(v + 1) * STATE_DOF],
-                             world, noise) for v in range(n)]
+        # node v starts from column v of the joint prior
+        flt = VehicleNode(est0, k0.reshape(n * STATE_DOF, n, STATE_DOF)
+                          .swapaxes(0, 1), world, noise)
     else:
         flt = JointFilter(est0, k0, world, noise)
 
@@ -514,25 +512,17 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
     est = VehicleState(np.empty((n_ticks + 1, n, 3, 3)),
                        *(np.empty((n_ticks + 1, n, 3)) for _ in range(4)))
 
-    def record(tick):
-        if mode == MODE_DISTRIBUTED:
-            for v, nd in enumerate(nodes):
-                _store(est, (tick, v), nd.state)
-        else:
-            _store(est, tick, flt.state)
-
-    record(0)
+    _store(est, 0, flt.state)
     update_count = 0
     dropout = {models.LANDMARK: config.dropout_landmark,
                models.INTERVEHICLE: config.dropout_intervehicle}
 
     for tick in range(1, n_ticks + 1):
-        imu = [src.imu_at_tick(tick - 1) for src in sources]
         if mode == MODE_DISTRIBUTED:
-            for v, nd in enumerate(nodes):
-                nd.propagate_local(imu[v], dt)
+            for v, src in enumerate(sources):
+                flt.propagate_local(v, src.imu_at_tick(tick - 1), dt)
         else:
-            flt.propagate(imu, dt)
+            flt.propagate([src.imu_at_tick(tick - 1) for src in sources], dt)
 
         evs = events.get(tick, ())
         if evs:
@@ -546,16 +536,15 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
                                          obs_rngs[(kind, a, b)],
                                          tick * dt_ns)
             if mode == MODE_DISTRIBUTED:
-                _distributed_update(nodes, obs, tick, bus)
+                _distributed_update(flt, obs, tick, bus)
             else:
                 flt.update(obs, with_curvature=with_curvature)
             update_count += 1
 
-        record(tick)
+        _store(est, tick, flt.state)
 
     rows = _metrics_rows(est, sources, dt)
-    finals = ([nd.state for nd in nodes] if mode == MODE_DISTRIBUTED
-              else flt.estimate())
+    finals = flt.estimate()
     return RunResult(rows=rows, summary=summarize_metrics(rows),
                      bus_records=bus.records, estimates=finals,
                      update_count=update_count)

@@ -16,7 +16,7 @@ from . import models
 from .kernels import expm
 from .lie import (STATE_DOF, compose, group_exp, network_adjoint_from_vector,
                   stack_states)
-from .models import ImuSample, _sym
+from .models import _sym
 
 log = logging.getLogger(__name__)
 
@@ -33,8 +33,9 @@ class UpdateSingularError(RuntimeError):
 def propagate_vehicle(state, kdiag, lam, u, dt, world, noise_term):
     """One IMU tick of one vehicle or of a stack of vehicles.
 
-    Shared by the joint filter (all n vehicles in one call, leading axis n)
-    and the nodes (one vehicle, no leading axis).  Advances the estimate
+    Shared by the joint filter and the nodes, each advancing all n
+    vehicles in one call on a leading axis n (the joint filter's one
+    vehicle of a 1-vehicle config has none).  Advances the estimate
     through the group exponential, the 15x15 diagonal gain block by a
     forward-Euler Riccati step that keeps it exactly symmetric, and the
     accumulated propagation factor lam <- expm(a dt) lam that later brings
@@ -70,6 +71,11 @@ def _still_definite(m, t_ns):
     return True
 
 
+def identity_factors(n):
+    """n identity propagation factors, (n, 15, 15): no tick absorbed yet."""
+    return np.broadcast_to(np.eye(STATE_DOF), (n, STATE_DOF, STATE_DOF)).copy()
+
+
 def _blocks(k, n):
     """(n, n, 15, 15) view of the 15x15 blocks of a 15n x 15n matrix."""
     return k.reshape(n, STATE_DOF, n, STATE_DOF).swapaxes(1, 2)
@@ -79,11 +85,11 @@ class JointFilter:
     """Single-writer state machine holding the joint estimate and gain.
 
     The estimate is one stacked VehicleState (leading axis n; the vehicle
-    of a 1-vehicle config, in `none` or `central`, is held without one, as
-    a node holds its own, which keeps the kernels' coefficient arithmetic
-    on numpy scalars).  Between updates only the diagonal gain blocks move,
-    kept as an (n, 15, 15) stack, and each vehicle's propagation factor;
-    the full gain is brought up to the current tick before the next update.
+    of a 1-vehicle config, in `none` or `central`, is held without one,
+    which keeps the kernels' coefficient arithmetic on numpy scalars).
+    Between updates only the diagonal gain blocks move, kept as an
+    (n, 15, 15) stack, and each vehicle's propagation factor; the full gain
+    is brought up to the current tick before the next update.
     """
 
     def __init__(self, states, k0, world, noise):
@@ -107,7 +113,7 @@ class JointFilter:
         # per-vehicle propagation factors since the cross blocks were last
         # brought up to date, as each node keeps its own; a single vehicle
         # has no cross blocks and keeps none
-        self._lam = None if n == 1 else self._identity_factors()
+        self._lam = None if n == 1 else identity_factors(self.n)
         self._stale = False
         # whether the gain is known positive definite (checked at __init__);
         # once lost it is checked again only when the gain is next rebuilt
@@ -116,10 +122,6 @@ class JointFilter:
     def _diag_blocks(self):
         blocks = _blocks(self.k, self.n)[self._ar, self._ar]
         return blocks.reshape(self._lead + (STATE_DOF, STATE_DOF))
-
-    def _identity_factors(self):
-        return np.broadcast_to(np.eye(STATE_DOF),
-                               (self.n, STATE_DOF, STATE_DOF)).copy()
 
     # -- accessors -----------------------------------------------------------
 
@@ -163,9 +165,7 @@ class JointFilter:
             raise ValueError("IMU period must be positive")
         if len(imu) != self.n:
             raise ValueError("need one IMU sample per vehicle")
-        u = imu[0] if not self._lead else ImuSample(
-            np.array([s.gyro for s in imu]), np.array([s.accel for s in imu]),
-            imu[0].t_ns)
+        u = imu[0] if not self._lead else models.stack_samples(imu)
         self.state, self._kdiag, self._lam = propagate_vehicle(
             self.state, self._kdiag, self._lam, u, dt, self.world,
             self._noise_term)
@@ -196,7 +196,7 @@ class JointFilter:
         if self._stale:
             self.k = self.gain()
             if self._lam is not None:
-                self._lam = self._identity_factors()
+                self._lam = identity_factors(self.n)
             self._stale = False
             self._definite = _still_definite(self.k, obs.t_ns)
         key = (obs.kind, obs.observer, obs.subject)

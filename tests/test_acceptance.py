@@ -207,9 +207,8 @@ def _scripted_parallel_run(duration_s=10.0, n=3, seed=11):
             for v in range(n)]
     k0 = block_diag_prior([prior.k0_block()] * n)
     flt = JointFilter(est0, k0, world, noise)
-    nodes = [VehicleNode(v, n, est0[v],
-                         k0[:, v * STATE_DOF:(v + 1) * STATE_DOF],
-                         world, noise) for v in range(n)]
+    nodes = VehicleNode(est0, k0.reshape(n * STATE_DOF, n, STATE_DOF)
+                        .swapaxes(0, 1), world, noise)
     bus = MessageBus()
 
     obs_ticks = set(_observation_ticks(10.0, 200.0, n_ticks))
@@ -218,8 +217,8 @@ def _scripted_parallel_run(duration_s=10.0, n=3, seed=11):
     for tick in range(1, n_ticks + 1):
         imu = [src.imu_at_tick(tick - 1) for src in sources]
         flt.propagate(imu, dt)
-        for v, nd in enumerate(nodes):
-            nd.propagate_local(imu[v], dt)
+        for v, u in enumerate(imu):
+            nodes.propagate_local(v, u, dt)
         if tick in obs_ticks:
             truths = [src.truth_at_tick(tick) for src in sources]
             events = ([(models.LANDMARK, v, lm) for v in range(n)
@@ -237,11 +236,11 @@ def _scripted_parallel_run(duration_s=10.0, n=3, seed=11):
                 flt.update(obs, with_curvature=False)
                 _distributed_update(nodes, obs, tick, bus)
             kj = flt.gain()
-            for v, nd in enumerate(nodes):
+            for v in range(n):
                 col = kj[:, v * STATE_DOF:(v + 1) * STATE_DOF]
-                max_k = max(max_k, np.abs(nd.k_col - col).max())
+                max_k = max(max_k, np.abs(nodes.k_col[v] - col).max())
                 max_pos = max(max_pos, np.linalg.norm(
-                    nd.state.pos - flt.estimate()[v].pos))
+                    nodes.state.pos[v] - flt.estimate()[v].pos))
     return max_pos, max_k, bus, obs_ticks, n_ticks
 
 

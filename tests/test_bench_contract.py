@@ -70,12 +70,48 @@ def test_warning_counter_counts_package_warnings(monkeypatch):
         joint.JointFilter([state], np.eye(15), world, noise).update(obs)
         monkeypatch.setattr(models, "update_terms", lambda *args: (
             np.zeros(6), -1.0 / dt * np.eye(6)))
-        node = distributed.VehicleNode(0, 1, state, np.eye(15), world, noise)
-        assert node.originate_update(obs).gain is None
+        nodes = distributed.VehicleNode([state], np.eye(15)[None], world,
+                                        noise)
+        assert nodes.originate_update(obs).gain is None
     finally:
         counter.detach()
     assert counter.counts == {"joint.update.pd_lost": 1,
                               "distributed.apply_update.skipped": 1}
+
+
+def test_traced_distributed_run_records_every_node_layer():
+    """A traced distributed run records calls on every `distributed.*`
+    target, its absorb hook reads the factor it is given, and tracing
+    leaves the rows as they are."""
+    from meswarm import harness, models
+    noise = models.NoiseModel(d_landmark=0.1 * np.eye(3),
+                              d_intervehicle=0.05 * np.eye(3))
+    world = models.WorldConfig(landmarks={0: np.array([2.0, 0.0, 1.0])},
+                               markers={0: 0.05 * np.eye(3)[0],
+                                        1: 0.05 * np.eye(3)[1]})
+    cfg = harness.ScheduleConfig(duration_s=0.2, seed=5)
+
+    def run():
+        rng = np.random.default_rng(3)
+        sources = [harness.SyntheticSource(
+            harness.SinusoidTrajectory.random(rng, pos_scale=0.6,
+                                              rot_scale=0.3), noise, v, 5)
+            for v in range(2)]
+        result = harness.run_schedule(cfg, "distributed", sources, world,
+                                      noise)
+        return [tuple(vars(r).values()) for r in result.rows]
+
+    plain = run()
+    tr = tracer.Tracer()
+    with tr:
+        traced = run()
+    calls = {name: n for name, (n, _) in tr.layer_totals().items()}
+    for name in tracer.LAYER_NAMES:
+        if name.startswith("distributed."):
+            assert calls[name] > 0, name
+    useful = tr.counts["distributed.absorb_propagation_factor.useful"]
+    assert 0 < useful <= calls["distributed.absorb_propagation_factor"]
+    assert traced == plain
 
 
 # -- the tick clock -----------------------------------------------------------

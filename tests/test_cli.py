@@ -170,11 +170,25 @@ class TestExitCodes:
          "dropout_landmark must not exceed 1"),
         ("schedule", "dropout_landmark", -0.5,
          "dropout_landmark must be a non-negative finite number"),
+        ("vehicles", "trajectory_seed", "abc",
+         "vehicles[0].trajectory_seed must be a non-negative integer"),
+        ("vehicles", "pos_scale_m", "big",
+         "vehicles[0].pos_scale_m must be a finite number"),
+        ("vehicles", "rot_scale_rad", "big",
+         "vehicles[0].rot_scale_rad must be a finite number"),
+        (None, "gravity_mps2", ["a", "b", "c"],
+         "gravity_mps2 must be a 3-vector of numbers"),
+        (None, "landmarks_m", [["x", 0, 0]],
+         "landmarks_m must be a 3-vector of numbers"),
+        (None, "markers_m", [["x", 0, 0]],
+         "markers_m must be a 3-vector of numbers"),
     ])
     def test_bad_config_value_is_2(self, tmp_path, capsys, section, key,
                                    value, message):
         cfg = base_config(n_vehicles=1, duration_s=0.5)
-        (cfg[section] if section else cfg)[key] = value
+        target = cfg[section] if section else cfg
+        # a vehicle's field is set on the first vehicle
+        (target[0] if isinstance(target, list) else target)[key] = value
         code, out = run_cli(tmp_path, cfg)
         assert code == 2 and not out.exists()
         assert message in capsys.readouterr().err
