@@ -117,7 +117,7 @@ class VehicleNode:
 
     def __init__(self, states, k_col, world, noise):
         n = len(states)
-        k_col = np.array(k_col, dtype=float)
+        k_col = np.array(k_col, dtype=float, order="C")
         if k_col.shape != (n, n * STATE_DOF, STATE_DOF):
             raise ValueError("gain columns have the wrong shape")
         self.n = n
@@ -181,7 +181,7 @@ class VehicleNode:
         self.state, kd, self.lam_acc = propagate_vehicle(
             self.state, self._diag(self.k_col), self.lam_acc,
             models.stack_samples(samples), dt, self.world, self._noise_term)
-        # k_col is always C-contiguous, so the reshape is a view
+        # the reshape splits the row axis only, so it is a view of k_col
         self.k_col.reshape(self.n, self.n, STATE_DOF, STATE_DOF)[
             self._ar, self._ar] = kd
         self.tick += 1
@@ -190,12 +190,14 @@ class VehicleNode:
 
     def emit_propagation_factors(self):
         """Every node's factor message, in node order; each node keeps its
-        own to pair with the peers' factors it absorbs."""
+        own to pair with the peers' factors it absorbs.  The messages hold
+        views of the factor stack, which is only ever rebound, never
+        written."""
         if self._pending:
             raise SynchronizationError(
                 f"factors requested while tick {self.tick + 1} is incomplete")
         span = (self.lam_start_tick, self.tick)
-        msgs = [PropagationFactor(v, self.lam_acc[v].copy(), *span)
+        msgs = [PropagationFactor(v, self.lam_acc[v], *span)
                 for v in range(self.n)]
         self._own, self._own_span = self.lam_acc, span
         self.lam_acc = identity_factors(self.n)
@@ -282,7 +284,9 @@ class VehicleNode:
         if msg.gain is None:
             return self
         ix = models.update_indices(msg.kind, msg.origin, msg.subject)
-        self.k_col = self.k_col - msg.gain @ self.k_col[:, ix, :]
+        # in place: no new (n, 15n, 15) array per broadcast, and k_col keeps
+        # its C-contiguous layout
+        self.k_col -= msg.gain @ self.k_col[:, ix, :]
         psi = msg.dt * (self.k_col[:, ix, :].swapaxes(-1, -2) @ msg.r)
         self.state = compose(self.state, group_exp(psi))
         return self

@@ -7,10 +7,8 @@ correction of the underlying connection.
 """
 
 import logging
-import warnings
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import models
 from .kernels import expm
@@ -20,9 +18,9 @@ from .models import _sym
 
 log = logging.getLogger(__name__)
 
-# Condition-number threshold on the update system; beyond this the update is
-# reported as singular instead of silently applied.  Without curvature it
-# gates the m x m system of the low-rank update (m = 6 or 12).
+# Threshold on the update system's 1-norm condition number; beyond this the
+# update is reported as singular instead of silently applied.  Without
+# curvature it gates the m x m system of the low-rank update (m = 6 or 12).
 COND_LIMIT = 1e12
 
 
@@ -219,7 +217,7 @@ class JointFilter:
             # strongly curved update, and the correction is still well defined
             inner = e + _sym(np.linalg.solve(self.k, ad))
             s = np.eye(dim) + dt * (self.k @ inner)
-            self.k = _sym(sla.lu_solve(_factor(s), self.k, check_finite=False))
+            self.k = _sym(update_inverse(s) @ self.k)
             if self._definite:
                 self._definite = _still_definite(self.k, obs.t_ns)
         else:
@@ -229,7 +227,11 @@ class JointFilter:
                 k_ii = kc[ix, :]
                 self._definite = _still_definite(
                     k_ii + dt * (k_ii @ e_ii @ k_ii), obs.t_ns)
-            self.k = _sym(self.k - g @ self.k[ix, :])
+            # in place, as _sym(k - g k[ix, :]): nothing else holds self.k
+            k = self.k
+            k -= g @ k[ix, :]
+            k += k.T
+            k *= 0.5
         self._kdiag = self._diag_blocks()
 
         # psi = dt K r, and r vanishes outside ix
@@ -240,21 +242,28 @@ class JointFilter:
         return self
 
 
-def _factor(s):
-    """LU factors of an update system, refused when near singular or not
-    finite (a non-finite K or E_ii makes it so): solves skip that check."""
-    if not np.all(np.isfinite(s)):
+def update_inverse(s):
+    """Inverse of an update system, refused when it is not finite (a
+    non-finite K or E_ii makes it so), exactly singular, or its 1-norm
+    condition number ||S||_1 ||S^-1||_1 exceeds COND_LIMIT.
+
+    The column-sum reduction that gives ||S||_1 is NaN or inf exactly when
+    an entry is, so it also serves as the finiteness check.  With m = 6 or
+    12 the exact condition number costs two such reductions.  Raises
+    UpdateSingularError.
+    """
+    norm = np.abs(s).sum(axis=0).max()
+    if not np.isfinite(norm):
         raise UpdateSingularError("update system is not finite")
-    with warnings.catch_warnings():
-        # an exactly singular system is reported by the condition gate below
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(s, check_finite=False)
-    rcond, _ = sla.lapack.dgecon(lu, np.linalg.norm(s, 1), norm="1")
-    if rcond < 1.0 / COND_LIMIT:
+    try:
+        inv = np.linalg.inv(s)
+    except np.linalg.LinAlgError:
+        raise UpdateSingularError("update system is singular") from None
+    cond = norm * np.abs(inv).sum(axis=0).max()
+    if not cond <= COND_LIMIT:
         raise UpdateSingularError(
-            f"update system condition ~{1.0 / max(rcond, 1e-300):.2e} "
-            f"exceeds {COND_LIMIT:.0e}")
-    return lu, piv
+            f"update system condition ~{cond:.2e} exceeds {COND_LIMIT:.0e}")
+    return inv
 
 
 def gain_correction(kc, ix, e_ii, dt):
@@ -266,13 +275,17 @@ def gain_correction(kc, ix, e_ii, dt):
         G = dt kc (I + dt E_ii kc[ix, :])^-1 E_ii,
 
     a 15n x m matrix (m = len(ix)).  The m x m system has the determinant of
-    the full one (Sylvester) and is refused by the same condition gate.
-    Raises UpdateSingularError.
+    the full one (Sylvester) and is refused by the same gate,
+    update_inverse.  Raises UpdateSingularError.
     """
     s = np.eye(len(ix)) + dt * (e_ii @ kc[ix, :])
-    return dt * (kc @ sla.lu_solve(_factor(s), e_ii, check_finite=False))
+    return dt * (kc @ (update_inverse(s) @ e_ii))
 
 
 def block_diag_prior(k0_blocks):
     """Joint prior gain from independent per-vehicle 15x15 blocks."""
-    return sla.block_diag(*k0_blocks)
+    n = len(k0_blocks)
+    k = np.zeros((n * STATE_DOF, n * STATE_DOF))
+    ar = np.arange(n)
+    _blocks(k, n)[ar, ar] = k0_blocks
+    return k

@@ -299,11 +299,11 @@ class TestDatasetRun:
 
 
 def test_cli_import_loads_no_scipy_spatial():
-    """Truth interpolation needs no scipy.spatial; importing it costs set-up
-    time in every CLI process."""
+    """The package runs on numpy alone: importing scipy (its spatial or its
+    linalg part) would cost set-up time in every CLI process."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     probe = ("import sys, meswarm.cli; print([m for m in sys.modules "
-             "if m.startswith('scipy.spatial')])")
+             "if m == 'scipy' or m.startswith('scipy.')])")
     proc = subprocess.run([sys.executable, "-c", probe],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)

@@ -1,4 +1,7 @@
+import contextlib
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -266,6 +269,27 @@ class TestFactors:
         nodes.propagate_local(1, u, DT)
         assert nodes.tick == 1 and nodes.t_ns == TICK_NS
 
+    def test_emitted_factor_keeps_its_values(self, world, noise):
+        """A factor message holds a view of the nodes' factor stack, which
+        later ticks and absorbs rebind but never write."""
+        rng = np.random.default_rng(6)
+        _, nodes = make_network(rng, 3, world, noise)
+
+        def ticks(count):
+            for _ in range(count):
+                tick_nodes(nodes, [ImuSample(rng.standard_normal(3),
+                                             rng.standard_normal(3), 0)
+                                   for _ in range(3)])
+
+        ticks(4)
+        kept = nodes.lam_acc.copy()
+        msgs = exchange_factors(nodes)
+        for _ in range(2):
+            ticks(3)
+            exchange_factors(nodes)
+        for msg, lam in zip(msgs, kept):
+            np.testing.assert_array_equal(msg.lam, lam)
+
 
 class TestPropagationEquivalence:
     def test_diag_blocks_match_joint_over_200_ticks(self, world, noise):
@@ -338,6 +362,24 @@ class TestUpdates:
         with pytest.raises(ValueError):
             nodes.originate_update(
                 Observation(models.LANDMARK, 2, 0, np.zeros(3), 0))
+
+    def test_columns_stay_c_contiguous(self, world, noise):
+        """propagate_local writes the diagonal blocks through a reshape of
+        k_col that is a view only while k_col is C-contiguous."""
+        rng = np.random.default_rng(12)
+        _, nodes = make_network(rng, 3, world, noise)
+        for kind, subject in [(models.LANDMARK, 1), (models.INTERVEHICLE, 2),
+                              (models.LANDMARK, 0)]:
+            before = nodes._diag(nodes.k_col).copy()
+            tick_nodes(nodes, [ImuSample(rng.standard_normal(3),
+                                         rng.standard_normal(3), 0)] * 3)
+            assert nodes.k_col.flags.c_contiguous
+            assert not np.array_equal(nodes._diag(nodes.k_col), before)
+            bc = run_update(nodes, Observation(kind, 0, subject,
+                                               rng.standard_normal(3),
+                                               nodes.t_ns))
+            assert bc.gain is not None
+            assert nodes.k_col.flags.c_contiguous
 
     def test_apply_rejects_time_mismatch(self, world, noise):
         rng = np.random.default_rng(11)
@@ -430,6 +472,124 @@ class TestSingularGate:
         # the joint filter took the same first-arrival period
         joint.update(obs)
         assert_nodes_match_joint(joint, nodes, 1e-12)
+
+
+# a power of two, so that dt E_ii reproduces the chosen update system
+GATE_DT = 0.125
+
+# (system entry (0, 0), entry (1, 2), the verdict's text or None if accepted)
+GATE_CASES = {
+    "cond_5e11": (1.0 / 5e11, 0.0, None),
+    "cond_2e12": (1.0 / 2e12, 0.0, "condition ~2.00e+12 exceeds 1e+12"),
+    "singular": (0.0, 0.0, "update system is singular"),
+    "nan": (1.0, np.nan, "update system is not finite"),
+    "inf": (1.0, np.inf, "update system is not finite"),
+}
+
+
+def gate_system(m, case):
+    """The m x m update system of a gate case: diag(d, 1, ..., 1), whose
+    1-norm condition number is 1/d, with one extra entry at (1, 2)."""
+    d, extra, _ = GATE_CASES[case]
+    s = np.eye(m)
+    s[0, 0] = d
+    s[1, 2] = extra
+    return s
+
+
+def gate_hessian(case):
+    """Update terms with a zero residual whose system I + dt E_ii K_ii is
+    gate_system(m, case) when K_ii = I and dt = GATE_DT."""
+    def update_terms(states, obs, world, noise, dt):
+        assert dt == GATE_DT
+        m = len(models.update_indices(obs.kind, obs.observer, obs.subject))
+        return np.zeros(m), (gate_system(m, case) - np.eye(m)) / GATE_DT
+    return update_terms
+
+
+@contextlib.contextmanager
+def no_warnings_but_matmul():
+    """Turn warnings into errors, except the invalid 0 * inf of the model
+    product that comes before the gate when an entry of E_ii is infinite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "invalid value encountered in matmul")
+        yield
+
+
+class TestGateVerdict:
+    """joint.update_inverse refuses an update system whose 1-norm condition
+    number exceeds COND_LIMIT = 1e12, that is exactly singular or that is
+    not finite; the joint filter raises with its verdict and the origin
+    node logs it and broadcasts no gain."""
+
+    @pytest.mark.parametrize("case", sorted(GATE_CASES))
+    @pytest.mark.parametrize("m", [6, 12, 90])
+    def test_gate(self, m, case):
+        rng = np.random.default_rng(m)
+        # signed, permuted and scaled rows keep the 1-norm condition number
+        # exact; the scale keeps both norms of its product from being 1
+        signs = rng.choice([-1.0, 1.0], (m, 1))
+        s = gate_system(m, case)[rng.permutation(m)] * signs * 1024.0
+        text = GATE_CASES[case][2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if text is None:
+                inv = joint_module.update_inverse(s)
+                np.testing.assert_allclose(inv @ s, np.eye(m), atol=1e-9)
+            else:
+                with pytest.raises(UpdateSingularError, match=re.escape(text)):
+                    joint_module.update_inverse(s)
+
+    @pytest.mark.parametrize("case", sorted(GATE_CASES))
+    @pytest.mark.parametrize("kind,subject", [(models.LANDMARK, 1),
+                                              (models.INTERVEHICLE, 1)])
+    def test_joint_and_origin_agree(self, world, kind, subject, case,
+                                    monkeypatch, caplog):
+        noise = NoiseModel(dt_landmark=GATE_DT, dt_intervehicle=GATE_DT)
+        joint, nodes = make_network(np.random.default_rng(41), 2, world,
+                                    noise, k0=np.eye(30))
+        monkeypatch.setattr(models, "update_terms", gate_hessian(case))
+        obs = Observation(kind, 0, subject, np.zeros(3), 0)
+        reply = (nodes.peer_state_reply(subject)
+                 if kind == models.INTERVEHICLE else None)
+        text = GATE_CASES[case][2]
+        before = joint.gain()
+        with no_warnings_but_matmul():
+            with caplog.at_level("WARNING", logger="meswarm.distributed"):
+                bc = nodes.originate_update(obs, reply)
+            if text is None:
+                joint.update(obs)
+            else:
+                with pytest.raises(UpdateSingularError, match=re.escape(text)):
+                    joint.update(obs)
+        skips = [rec.getMessage() for rec in caplog.records
+                 if "skipping" in rec.getMessage()]
+        if text is None:
+            assert bc.gain is not None and not skips
+            assert not np.array_equal(joint.gain(), before)
+        else:
+            assert bc.gain is None
+            assert len(skips) == 1 and text in skips[0]
+            np.testing.assert_array_equal(joint.gain(), before)
+
+    @pytest.mark.parametrize("case", sorted(GATE_CASES))
+    def test_curvature_system(self, world, case, monkeypatch):
+        """The curvature path gates its dense 15n x 15n system the same."""
+        noise = NoiseModel(dt_landmark=GATE_DT, dt_intervehicle=GATE_DT)
+        joint = JointFilter([identity_state()] * 2, np.eye(30), world, noise)
+        monkeypatch.setattr(models, "update_terms", gate_hessian(case))
+        obs = Observation(models.LANDMARK, 1, 0, np.zeros(3), 0)
+        text = GATE_CASES[case][2]
+        with no_warnings_but_matmul():
+            if text is None:
+                joint.update(obs, with_curvature=True)
+                # K+ = S^-1 K with K = I: the gated entry becomes 1/d
+                assert joint.gain()[15, 15] == pytest.approx(5e11, rel=1e-3)
+            else:
+                with pytest.raises(UpdateSingularError, match=re.escape(text)):
+                    joint.update(obs, with_curvature=True)
+                np.testing.assert_array_equal(joint.gain(), np.eye(30))
 
 
 class TestOneModelEvaluation:
