@@ -96,13 +96,15 @@ def run_experiment(cfg):
                                       with_curvature=cfg.with_curvature)
     except (UpdateSingularError, np.linalg.LinAlgError) as exc:
         raise NumericalFailure(str(exc)) from exc
-    finals = np.array([[r.pos_err, r.rot_err, r.vel_err] for r in result.rows])
-    if not np.all(np.isfinite(finals)):
+    errors = np.array([[r.pos_err, r.rot_err, r.vel_err] for r in result.rows])
+    if not np.all(np.isfinite(errors)):
         raise NumericalFailure("non-finite estimation error")
-    if result.rows[-1].pos_err > 1e3:
+    # rows are tick-major: the final tick holds one row per vehicle
+    worst = max(result.rows[-len(result.estimates):], key=lambda r: r.pos_err)
+    if worst.pos_err > 1e3:
         raise NumericalFailure(
-            f"filter diverged (final position error "
-            f"{result.rows[-1].pos_err:.1f} m)")
+            f"filter diverged (final position error {worst.pos_err:.1f} m, "
+            f"vehicle {worst.vehicle})")
     return result
 
 

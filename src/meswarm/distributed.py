@@ -23,7 +23,7 @@ import numpy as np
 from . import models
 from .joint import (UpdateSingularError, gain_correction, identity_factors,
                     propagate_vehicle)
-from .lie import STATE_DOF, VehicleState, compose, group_exp, stack_states
+from .lie import STATE_DOF, VehicleState, retract, stack_states
 
 log = logging.getLogger(__name__)
 
@@ -192,7 +192,8 @@ class VehicleNode:
         """Every node's factor message, in node order; each node keeps its
         own to pair with the peers' factors it absorbs.  The messages hold
         views of the factor stack, which is only ever rebound, never
-        written."""
+        written; so over an empty span, where the stack is still the
+        identity, the nodes keep accumulating into it."""
         if self._pending:
             raise SynchronizationError(
                 f"factors requested while tick {self.tick + 1} is incomplete")
@@ -200,8 +201,9 @@ class VehicleNode:
         msgs = [PropagationFactor(v, self.lam_acc[v], *span)
                 for v in range(self.n)]
         self._own, self._own_span = self.lam_acc, span
-        self.lam_acc = identity_factors(self.n)
-        self.lam_start_tick = self.tick
+        if span[0] != span[1]:
+            self.lam_acc = identity_factors(self.n)
+            self.lam_start_tick = self.tick
         return msgs
 
     def absorb_propagation_factor(self, peer):
@@ -288,5 +290,5 @@ class VehicleNode:
         # its C-contiguous layout
         self.k_col -= msg.gain @ self.k_col[:, ix, :]
         psi = msg.dt * (self.k_col[:, ix, :].swapaxes(-1, -2) @ msg.r)
-        self.state = compose(self.state, group_exp(psi))
+        self.state = retract(self.state, psi)
         return self

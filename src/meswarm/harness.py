@@ -263,8 +263,7 @@ def synthesize_imu(trajectory, noise, gravity, n_ticks, dt, seed, vehicle,
 def synthesize_observation(truth_states, world, kind, observer, subject, d,
                            rng, t_ns):
     """One noisy observation: y = h(truth) + D eps with seeded eps."""
-    clean = Observation(kind, observer, subject, np.zeros(3), t_ns)
-    y = models.predict(truth_states, clean, world)
+    y = models.predict(truth_states, kind, observer, subject, world)
     y = y + np.asarray(d, dtype=float) @ rng.standard_normal(3)
     return Observation(kind, observer, subject, y, t_ns)
 

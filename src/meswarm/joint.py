@@ -7,13 +7,13 @@ correction of the underlying connection.
 """
 
 import logging
+import math
 
 import numpy as np
 
 from . import models
-from .kernels import expm
-from .lie import (STATE_DOF, compose, group_exp, network_adjoint_from_vector,
-                  stack_states)
+from .kernels import _eye, expm
+from .lie import STATE_DOF, network_adjoint_from_vector, retract, stack_states
 from .models import _sym
 
 log = logging.getLogger(__name__)
@@ -47,7 +47,7 @@ def propagate_vehicle(state, kdiag, lam, u, dt, world, noise_term):
     if lam is not None:
         lam = expm(a * dt) @ lam
     drift = models.lambda_single(state, u, world)
-    return compose(state, group_exp(dt * drift)), kd, lam
+    return retract(state, dt * drift), kd, lam
 
 
 def _check_spd(k, name="K0"):
@@ -107,7 +107,9 @@ class JointFilter:
         # last-observation time per (kind, observer, subject)
         self._last_obs_ns = {}
         self._ar = np.arange(n)
-        self._kdiag = self._diag_blocks()
+        # the propagated diagonal blocks; None while they are those of
+        # self.k, read once by the next propagate
+        self._kdiag = None
         # per-vehicle propagation factors since the cross blocks were last
         # brought up to date, as each node keeps its own; a single vehicle
         # has no cross blocks and keeps none
@@ -164,6 +166,8 @@ class JointFilter:
         if len(imu) != self.n:
             raise ValueError("need one IMU sample per vehicle")
         u = imu[0] if not self._lead else models.stack_samples(imu)
+        if self._kdiag is None:
+            self._kdiag = self._diag_blocks()
         self.state, self._kdiag, self._lam = propagate_vehicle(
             self.state, self._kdiag, self._lam, u, dt, self.world,
             self._noise_term)
@@ -206,6 +210,7 @@ class JointFilter:
                                          dt)
 
         if with_curvature:
+            _refuse_non_finite(e_ii)
             # the curvature term fills the whole matrix: dense terms and solve
             dim = self.n * STATE_DOF
             e = np.zeros((dim, dim))
@@ -232,34 +237,48 @@ class JointFilter:
             k -= g @ k[ix, :]
             k += k.T
             k *= 0.5
-        self._kdiag = self._diag_blocks()
+        self._kdiag = None
 
         # psi = dt K r, and r vanishes outside ix
         psi = dt * (self.k[:, ix] @ r_ix)
-        self.state = compose(self.state,
-                             group_exp(psi.reshape(self._lead + (STATE_DOF,))))
+        self.state = retract(self.state,
+                             psi.reshape(self._lead + (STATE_DOF,)))
         self._last_obs_ns[key] = obs.t_ns
         return self
 
 
+def _refuse_non_finite(e_ii):
+    """Refuse a non-finite Hessian block before it enters a product, where
+    0 * inf would warn; the verdict is update_inverse's."""
+    if not np.isfinite(e_ii).all():
+        raise UpdateSingularError("update system is not finite")
+
+
+def _one_norm(m):
+    """||m||_1, the largest column sum of |m|, by the ufunc reductions
+    that ndarray.sum and .max wrap."""
+    return np.maximum.reduce(np.add.reduce(np.abs(m), axis=0))
+
+
 def update_inverse(s):
     """Inverse of an update system, refused when it is not finite (a
-    non-finite K or E_ii makes it so), exactly singular, or its 1-norm
-    condition number ||S||_1 ||S^-1||_1 exceeds COND_LIMIT.
+    non-finite K makes it so; the callers refuse a non-finite E_ii first),
+    exactly singular, or its 1-norm condition number ||S||_1 ||S^-1||_1
+    exceeds COND_LIMIT.
 
     The column-sum reduction that gives ||S||_1 is NaN or inf exactly when
     an entry is, so it also serves as the finiteness check.  With m = 6 or
     12 the exact condition number costs two such reductions.  Raises
     UpdateSingularError.
     """
-    norm = np.abs(s).sum(axis=0).max()
-    if not np.isfinite(norm):
+    norm = _one_norm(s)
+    if not math.isfinite(norm):
         raise UpdateSingularError("update system is not finite")
     try:
         inv = np.linalg.inv(s)
     except np.linalg.LinAlgError:
         raise UpdateSingularError("update system is singular") from None
-    cond = norm * np.abs(inv).sum(axis=0).max()
+    cond = norm * _one_norm(inv)
     if not cond <= COND_LIMIT:
         raise UpdateSingularError(
             f"update system condition ~{cond:.2e} exceeds {COND_LIMIT:.0e}")
@@ -276,9 +295,11 @@ def gain_correction(kc, ix, e_ii, dt):
 
     a 15n x m matrix (m = len(ix)).  The m x m system has the determinant of
     the full one (Sylvester) and is refused by the same gate,
-    update_inverse.  Raises UpdateSingularError.
+    update_inverse, after a non-finite E_ii is refused.  Raises
+    UpdateSingularError.
     """
-    s = np.eye(len(ix)) + dt * (e_ii @ kc[ix, :])
+    _refuse_non_finite(e_ii)
+    s = _eye(len(ix)) + dt * (e_ii @ kc[ix, :])
     return dt * (kc @ (update_inverse(s) @ e_ii))
 
 

@@ -7,19 +7,23 @@ accel_bias), fifteen entries in total.
 
 A state holds one vehicle or a stack of vehicles: every field carries the
 same leading axes, none for one vehicle and (n,) for the joint filter's n
-vehicles.  `compose` and `group_exp` act on all of them at once.
+vehicles.  `compose`, `group_exp` and `retract` act on all of them at once.
 """
 
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .kernels import EYE3, skew, so3_left_jacobian
+from .kernels import EYE3, _so3_coefficients, skew, so3_left_jacobian
 
 STATE_DOF = 15
 
 # Frobenius drift beyond which a rotation gets re-orthonormalised.
 ROT_DRIFT_TOL = 1e-9
+# A stack whose summed squared drift is below this has no rotation past
+# ROT_DRIFT_TOL: the half margin absorbs the rounding between that sum and
+# the per-rotation sums, so the shortcut never skips a projection.
+_STACK_DRIFT2 = 0.5 * ROT_DRIFT_TOL ** 2
 
 
 def _vec3(v):
@@ -78,9 +82,13 @@ def project_rotation(r):
 def _renormalised(r):
     """r with every rotation that drifted past ROT_DRIFT_TOL projected back.
 
-    Works in place on r, which the caller has just computed.
+    Works in place on r, which the caller has just computed.  One
+    reduction over the whole stack clears the common case; only a stack
+    past it is searched rotation by rotation.
     """
     d = _t(r) @ r - EYE3
+    if np.vdot(d, d) < _STACK_DRIFT2:
+        return r
     drift2 = np.add.reduce((d * d).reshape(d.shape[:-2] + (9,)), axis=-1)
     drifted = drift2 > ROT_DRIFT_TOL ** 2
     if np.count_nonzero(drifted):
@@ -128,6 +136,28 @@ def group_exp(q):
     pv = j @ _t(q[..., 3:9].reshape(q.shape[:-1] + (2, 3)))
     return VehicleState(EYE3 + skew(phi) @ j, pv[..., 0], pv[..., 1],
                         q[..., 9:12].copy(), q[..., 12:15].copy())
+
+
+def retract(x, q):
+    """x composed with the group exponential of q, in one pass.
+
+    Entry for entry equal to compose(x, group_exp(q)), from one evaluation
+    of the SO(3) coefficients and one hat: with K the hat of the rotation
+    slot and J its left Jacobian, the rotation becomes x.rot (I + K J), the
+    position and velocity add x.rot J [rho nu], and the biases add.
+    """
+    phi = q[..., 0:3]
+    _, b, c = _so3_coefficients(phi)
+    k = skew(phi)
+    j = EYE3 + b[..., None, None] * k + c[..., None, None] * (k @ k)
+    pv = x.rot @ (j @ _t(q[..., 3:9].reshape(q.shape[:-1] + (2, 3))))
+    return VehicleState(
+        _renormalised(x.rot @ (EYE3 + k @ j)),
+        x.pos + pv[..., 0],
+        x.vel + pv[..., 1],
+        x.gyro_bias + q[..., 9:12],
+        x.accel_bias + q[..., 12:15],
+    )
 
 
 def rotation_error_angle(r_est, r_true):

@@ -236,11 +236,12 @@ def predict_intervehicle(x_obs: VehicleState, x_tgt: VehicleState, m_tgt):
     return x_obs.rot.T @ (x_tgt.rot @ m + x_tgt.pos - x_obs.pos)
 
 
-def predict(states, obs: Observation, world: WorldConfig):
-    if obs.kind == LANDMARK:
-        return predict_landmark(states[obs.observer], world.landmark(obs.subject))
-    return predict_intervehicle(states[obs.observer], states[obs.subject],
-                                world.marker(obs.subject))
+def predict(states, kind, observer, subject, world: WorldConfig):
+    """The noise-free measurement of an observation source."""
+    if kind == LANDMARK:
+        return predict_landmark(states[observer], world.landmark(subject))
+    return predict_intervehicle(states[observer], states[subject],
+                                world.marker(subject))
 
 
 def _sym(m):
@@ -255,36 +256,51 @@ def _sym(m):
 # vehicle: a list, a stacked VehicleState, or a dict holding the observer
 # (and the target).
 
-_Z3 = np.zeros((3, 3))
-
-
 def _landmark_terms(states, obs, world, noise, dt):
-    """Weight M, weighted innovation s, Jacobian F (3 x 6) and the
-    second-order part G^T F of the Hessian term, G = [s^ 0]."""
-    l = world.landmark(obs.subject)
+    """Weight M, weighted innovation s, Jacobian F = [h^ -I] (3 x 6) and
+    the second-order part G^T F of the Hessian term, G = [s^ 0]."""
     m = noise.measurement_weight(LANDMARK, dt)
-    h = predict_landmark(states[obs.observer], l)
-    s = m @ (obs.y - h)
-    f = np.hstack((skew(h), -EYE3))
-    g = np.hstack((skew(s), _Z3))
-    return m, s, f, g.T @ f
+    # rows h, s: one hat for both
+    v = np.empty((2, 3))
+    v[0] = predict_landmark(states[obs.observer], world.landmark(obs.subject))
+    v[1] = m @ (obs.y - v[0])
+    hat = skew(v)
+    f = np.empty((3, 6))
+    f[:, 0:3] = hat[0]
+    f[:, 3:6] = -EYE3
+    core = np.zeros((6, 6))
+    np.matmul(hat[1].T, f, out=core[0:3])
+    return m, v[1], f, core
 
 
 def _intervehicle_terms(states, obs, world, noise, dt):
-    """As _landmark_terms on the observer's then the target's slots
-    (F is 3 x 12): G_a^T F + G_a^T R_ab L_b - G_b^T L_b with
-    G_a = [s^ 0 | 0 0], G_b = [0 0 | (R_ab^T s)^ 0], L_b = [0 0 | -m^ I]."""
+    """As _landmark_terms on the observer's then the target's slots,
+    F = [h^ -I | -R_ab m_b^ R_ab] (3 x 12): the core is
+    G_a^T F + G_a^T R_ab L_b - G_b^T L_b with G_a = [s^ 0 | 0 0],
+    G_b = [0 0 | (R_ab^T s)^ 0] and L_b = [0 0 | -m_b^ I].  R_ab L_b is F's
+    target block, so the observer's rows carry that block twice, and
+    -G_b^T L_b fills the target's rotation rows only."""
     x_a, x_b = states[obs.observer], states[obs.subject]
-    m_b = world.marker(obs.subject)
     m = noise.measurement_weight(INTERVEHICLE, dt)
     r_ab = x_a.rot.T @ x_b.rot
-    h = predict_intervehicle(x_a, x_b, m_b)
-    s = m @ (obs.y - h)
-    f = np.hstack((skew(h), -EYE3, -r_ab @ skew(m_b), r_ab))
-    ga = np.hstack((skew(s), _Z3, _Z3, _Z3))
-    gb = np.hstack((_Z3, _Z3, skew(r_ab.T @ s), _Z3))
-    lb = np.hstack((_Z3, _Z3, -skew(m_b), EYE3))
-    return m, s, f, ga.T @ f + ga.T @ (r_ab @ lb) - gb.T @ lb
+    # rows h, s, m_b, R_ab^T s: one hat for all four
+    v = np.empty((4, 3))
+    v[2] = world.marker(obs.subject)
+    v[0] = predict_intervehicle(x_a, x_b, v[2])
+    v[1] = m @ (obs.y - v[0])
+    v[3] = r_ab.T @ v[1]
+    hat = skew(v)
+    f = np.empty((3, 12))
+    f[:, 0:3] = hat[0]
+    f[:, 3:6] = -EYE3
+    f[:, 6:9] = -r_ab @ hat[2]
+    f[:, 9:12] = r_ab
+    core = np.zeros((12, 12))
+    np.matmul(hat[1].T, f, out=core[0:3])
+    core[0:3, 6:12] *= 2.0
+    core[6:9, 6:9] = hat[3].T @ hat[2]
+    core[6:9, 9:12] = -hat[3].T
+    return m, v[1], f, core
 
 
 def _terms(states, obs, world, noise, dt):

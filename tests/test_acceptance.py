@@ -152,7 +152,7 @@ def test_criterion_3_update_hessian_terms(report):
             e - test_models.hessian_intervehicle_oracle(states, obs_i, world,
                                                         noise, 0.1)).max())
         # at zero innovation the term is F^T M F alone
-        y0 = models.predict(states, obs_i, world)
+        y0 = models.predict(states, models.INTERVEHICLE, a, b, world)
         e0 = models.hessian_term(states, Observation(
             models.INTERVEHICLE, a, b, y0, 0), world, noise, 0.1)
         min_eig = min(min_eig, np.min(np.linalg.eigvalsh(e0)))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from meswarm import cli
+from meswarm import cli, harness
 
 
 def base_config(mode="central", duration_s=3.0, n_vehicles=2, seed=7):
@@ -270,6 +271,28 @@ class TestExitCodes:
                  str(cfg_path), "--out", str(tmp_path / name)],
                 env=env, capture_output=True, timeout=120)
             assert proc.returncode == 4, (name, proc.stderr)
+
+    @pytest.mark.parametrize("vehicle", [0, 1])
+    def test_any_vehicle_diverged_is_4(self, tmp_path, monkeypatch, capsys,
+                                       vehicle):
+        """The final tick's rows are checked for every vehicle, not only
+        the last row, which is vehicle n-1's."""
+        run = harness.run_schedule
+
+        def diverged(*args, **kwargs):
+            result = run(*args, **kwargs)
+            n = len(result.estimates)
+            row = result.rows[vehicle - n]
+            assert row.vehicle == vehicle
+            result.rows[vehicle - n] = dataclasses.replace(row, pos_err=2e3)
+            return result
+
+        code, _ = run_cli(tmp_path, base_config(duration_s=0.5))
+        assert code == 0
+        monkeypatch.setattr(harness, "run_schedule", diverged)
+        code, _ = run_cli(tmp_path, base_config(duration_s=0.5), "diverged")
+        assert code == 4
+        assert f"vehicle {vehicle}" in capsys.readouterr().err
 
 
 class TestDatasetRun:

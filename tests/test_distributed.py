@@ -1,4 +1,3 @@
-import contextlib
 import json
 import re
 import warnings
@@ -507,16 +506,6 @@ def gate_hessian(case):
     return update_terms
 
 
-@contextlib.contextmanager
-def no_warnings_but_matmul():
-    """Turn warnings into errors, except the invalid 0 * inf of the model
-    product that comes before the gate when an entry of E_ii is infinite."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        warnings.filterwarnings("ignore", "invalid value encountered in matmul")
-        yield
-
-
 class TestGateVerdict:
     """joint.update_inverse refuses an update system whose 1-norm condition
     number exceeds COND_LIMIT = 1e12, that is exactly singular or that is
@@ -555,7 +544,8 @@ class TestGateVerdict:
                  if kind == models.INTERVEHICLE else None)
         text = GATE_CASES[case][2]
         before = joint.gain()
-        with no_warnings_but_matmul():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with caplog.at_level("WARNING", logger="meswarm.distributed"):
                 bc = nodes.originate_update(obs, reply)
             if text is None:
@@ -581,7 +571,8 @@ class TestGateVerdict:
         monkeypatch.setattr(models, "update_terms", gate_hessian(case))
         obs = Observation(models.LANDMARK, 1, 0, np.zeros(3), 0)
         text = GATE_CASES[case][2]
-        with no_warnings_but_matmul():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             if text is None:
                 joint.update(obs, with_curvature=True)
                 # K+ = S^-1 K with K = I: the gated entry becomes 1/d
@@ -631,8 +622,7 @@ class TestDenseOracle:
             observer = int(rng.integers(n))
             subject = (int(rng.integers(2)) if kind == models.LANDMARK
                        else (observer + 1 + int(rng.integers(n - 1))) % n)
-            y = models.predict(states, Observation(kind, observer, subject,
-                                                   np.zeros(3), 0), world)
+            y = models.predict(states, kind, observer, subject, world)
             obs = Observation(kind, observer, subject,
                               y + 0.05 * rng.standard_normal(3), 0)
             e = dense_hessian(states, obs, world, noise, 0.1)
@@ -681,9 +671,7 @@ def drive_pair(joint, nodes, rng, ticks, update_every):
             observer = step % n
             subject = (observer + 1) % n
             kind = models.INTERVEHICLE
-        y = models.predict(joint.estimate(),
-                           Observation(kind, observer, subject,
-                                       np.zeros(3), t_ns),
+        y = models.predict(joint.estimate(), kind, observer, subject,
                            joint.world)
         y = y + 0.01 * rng.standard_normal(3)
         obs = Observation(kind, observer, subject, y, t_ns)
@@ -760,9 +748,8 @@ class TestSharedEngine:
                 subject = (observer + data.draw(st.integers(1, n - 1))) % n
             else:
                 kind, subject = models.LANDMARK, data.draw(st.integers(0, 1))
-            y = models.predict(joint.estimate(),
-                               Observation(kind, observer, subject,
-                                           np.zeros(3), joint.t_ns), world)
+            y = models.predict(joint.estimate(), kind, observer, subject,
+                               world)
             obs = Observation(kind, observer, subject,
                               y + 0.01 * rng.standard_normal(3), joint.t_ns)
             if (kind, observer, subject, joint.t_ns) in updated:

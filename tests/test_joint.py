@@ -252,9 +252,8 @@ class TestUpdate:
                 observer = int(rng.integers(2))
                 subject = (int(rng.integers(3)) if kind == models.LANDMARK
                            else 1 - observer)
-                y = models.predict(f.estimate(),
-                                   Observation(kind, observer, subject,
-                                               np.zeros(3), t_ns), world)
+                y = models.predict(f.estimate(), kind, observer, subject,
+                                   world)
                 y = y + 0.001 * rng.standard_normal(3)
                 curved = bool(rng.random() < 0.5)
                 # the observation clock refuses a repeated stamp
@@ -382,9 +381,9 @@ class TestDefiniteness:
                                             (models.LANDMARK, 1, 2),
                                             (models.INTERVEHICLE, 0, 1)]:
                 # a zero innovation leaves E = F^T M F, which keeps K definite
-                obs = Observation(kind, observer, subject, np.zeros(3), t_ns)
-                y = models.predict(f.estimate(), obs, world)
-                f.update(dataclasses.replace(obs, y=y))
+                y = models.predict(f.estimate(), kind, observer, subject,
+                                   world)
+                f.update(Observation(kind, observer, subject, y, t_ns))
             assert np.linalg.eigvalsh(f.gain())[0] > 0.0
         # the rebuilt 30 x 30 gain once per epoch, then one m x m per update
         assert sizes == [30, 6, 6, 12] * 3

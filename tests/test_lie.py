@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as ScipyRotation
 
-from meswarm.lie import (VehicleState, adjoint_matrix_from_vector, compose,
-                         group_exp, make_state, rotation_error_angle)
+from meswarm.kernels import SMALL_ANGLE
+from meswarm.lie import (ROT_DRIFT_TOL, VehicleState,
+                         adjoint_matrix_from_vector, compose, group_exp,
+                         make_state, retract, rotation_error_angle)
 
 
 def random_state(rng, scale=1.0):
@@ -209,6 +213,89 @@ class TestGroupExp:
             q = rng.standard_normal(15)
             e = compose(group_exp(q), group_exp(-q))
             np.testing.assert_allclose(pose_matrix(e), np.eye(5), atol=1e-10)
+
+
+FIELDS = ("rot", "pos", "vel", "gyro_bias", "accel_bias")
+
+
+def random_stack(rng, lead):
+    """States with leading axes `lead`, on random rotations."""
+    size = int(np.prod(lead, dtype=int))
+    rot = ScipyRotation.random(size, random_state=np.random.RandomState(
+        rng.integers(2**31))).as_matrix().reshape(lead + (3, 3))
+    return VehicleState(rot, *(rng.standard_normal(lead + (3,))
+                               for _ in range(4)))
+
+
+def drift(r):
+    """Frobenius norms of r^T r - I."""
+    return np.linalg.norm(r.swapaxes(-1, -2) @ r - np.eye(3), axis=(-2, -1))
+
+
+class TestRetract:
+    """retract(x, q) is compose(x, group_exp(q)) in one pass, entry for
+    entry, on one state and on stacks mixing both coefficient branches."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.none() | st.integers(1, 12),
+           scale=st.sampled_from([1e-3, 0.1, 1.0, 3.0]), data=st.data())
+    def test_equals_compose_of_group_exp(self, seed, n, scale, data):
+        rng = np.random.default_rng(seed)
+        lead = () if n is None else (n,)
+        x = random_stack(rng, lead)
+        q = scale * rng.standard_normal(lead + (15,))
+        small = data.draw(st.sets(st.integers(0, (n or 1) - 1)),
+                          label="small angles")
+        phi = q[..., 0:3].reshape(-1, 3)
+        for i in small:
+            phi[i] *= rng.uniform(0.0, 0.9 * SMALL_ANGLE) / np.linalg.norm(
+                phi[i])
+        q[..., 0:3] = phi.reshape(lead + (3,))
+        got, want = retract(x, q), compose(x, group_exp(q))
+        for name in FIELDS:
+            assert getattr(got, name).shape == getattr(want, name).shape
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name), err_msg=name)
+
+    @pytest.mark.parametrize("factor", [1.01, 0.99])
+    def test_one_rotation_drifted_just_past_tolerance(self, factor):
+        """Just past ROT_DRIFT_TOL the drifted rotation is projected and the
+        others are left bit for bit; just short of it nothing is, although
+        the stack's summed drift is then past the shortcut's margin."""
+        rng = np.random.default_rng(18)
+        n, drifted = 6, 2
+        x = random_stack(rng, (n,))
+        q = 0.1 * rng.standard_normal((n, 15))
+        # a zero rotation slot keeps x.rot (I + K J) = x.rot exactly
+        q[:, 0:3] = 0.0
+        # (1 + e) R has drift sqrt(3) (2e + e^2)
+        e = np.sqrt(1.0 + factor * ROT_DRIFT_TOL / np.sqrt(3.0)) - 1.0
+        rot = x.rot.copy()
+        rot[drifted] *= 1.0 + e
+        x = VehicleState(rot, x.pos, x.vel, x.gyro_bias, x.accel_bias)
+        assert drift(rot[drifted]) == pytest.approx(factor * ROT_DRIFT_TOL,
+                                                    rel=1e-5)
+        got = retract(x, q).rot
+        for i in range(n):
+            if i == drifted and factor > 1.0:
+                assert drift(got[i]) < 1e-14
+                np.testing.assert_allclose(got[i], rot[i], rtol=0,
+                                           atol=2 * ROT_DRIFT_TOL)
+            else:
+                np.testing.assert_array_equal(got[i], rot[i])
+
+    def test_stack_of_drifts_each_short_of_tolerance(self):
+        """Every rotation short of ROT_DRIFT_TOL, the sum far past it: the
+        search projects none."""
+        rng = np.random.default_rng(19)
+        n = 12
+        x = random_stack(rng, (n,))
+        e = np.sqrt(1.0 + 0.9 * ROT_DRIFT_TOL / np.sqrt(3.0)) - 1.0
+        rot = x.rot * (1.0 + e)
+        assert np.all(drift(rot) < ROT_DRIFT_TOL)
+        assert np.sum(drift(rot) ** 2) > ROT_DRIFT_TOL ** 2
+        x = VehicleState(rot, x.pos, x.vel, x.gyro_bias, x.accel_bias)
+        np.testing.assert_array_equal(retract(x, np.zeros((n, 15))).rot, rot)
 
 
 class TestRotationError:

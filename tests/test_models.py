@@ -508,6 +508,63 @@ class TestUpdateTerms:
         np.testing.assert_array_equal(e_ii, e_want)
 
 
+def hstack_landmark_terms(states, obs, world, noise, dt):
+    """The landmark term builder as first written, by hstack: the oracle of
+    models._landmark_terms."""
+    l = world.landmark(obs.subject)
+    m = noise.measurement_weight(models.LANDMARK, dt)
+    h = predict_landmark(states[obs.observer], l)
+    s = m @ (obs.y - h)
+    f = np.hstack((skew(h), -np.eye(3)))
+    g = np.hstack((skew(s), np.zeros((3, 3))))
+    return m, s, f, g.T @ f
+
+
+def hstack_intervehicle_terms(states, obs, world, noise, dt):
+    """The inter-vehicle term builder as first written, by hstack: the
+    oracle of models._intervehicle_terms."""
+    z3, eye3 = np.zeros((3, 3)), np.eye(3)
+    x_a, x_b = states[obs.observer], states[obs.subject]
+    m_b = world.marker(obs.subject)
+    m = noise.measurement_weight(models.INTERVEHICLE, dt)
+    r_ab = x_a.rot.T @ x_b.rot
+    h = predict_intervehicle(x_a, x_b, m_b)
+    s = m @ (obs.y - h)
+    f = np.hstack((skew(h), -eye3, -r_ab @ skew(m_b), r_ab))
+    ga = np.hstack((skew(s), z3, z3, z3))
+    gb = np.hstack((z3, z3, skew(r_ab.T @ s), z3))
+    lb = np.hstack((z3, z3, -skew(m_b), eye3))
+    return m, s, f, ga.T @ f + ga.T @ (r_ab @ lb) - gb.T @ lb
+
+
+class TestTermBuilders:
+    """The stack-free term builders fill F and the second-order core in
+    place; every entry equals the hstack assembly's, to the last bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), intervehicle=st.booleans(),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           dt=st.floats(1e-3, 10.0))
+    def test_equal_the_hstack_assembly(self, seed, intervehicle, scale, dt):
+        rng = np.random.default_rng(seed)
+        world = WorldConfig(
+            landmarks={0: scale * rng.standard_normal(3)},
+            markers={1: 0.1 * scale * rng.standard_normal(3)})
+        d = rng.standard_normal((2, 3, 3)) + 3.0 * np.eye(3)
+        noise = NoiseModel(d_landmark=d[0], d_intervehicle=d[1])
+        states = [random_state(rng) for _ in range(2)]
+        kind = models.INTERVEHICLE if intervehicle else models.LANDMARK
+        obs = Observation(kind, 0, int(intervehicle),
+                          scale * rng.standard_normal(3), 0)
+        oracle = (hstack_intervehicle_terms if intervehicle
+                  else hstack_landmark_terms)
+        got = models._terms(states, obs, world, noise, dt)
+        want = oracle(states, obs, world, noise, dt)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
+
+
 class TestNoiseModel:
     def test_singular_d_rejected(self):
         with pytest.raises(ValueError):

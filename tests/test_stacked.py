@@ -68,6 +68,8 @@ def test_stacked_kernels_equal_per_vehicle_calls(seed, n, data):
     xs = [x[i] for i in range(n)]
     z = lie.compose(x, y)
     assert_same_states(z, [lie.compose(xs[i], y[i]) for i in range(n)])
+    assert_same_states(lie.retract(x, q),
+                       [lie.retract(xs[i], q[i]) for i in range(n)])
     assert_same_states(inverse(x), [inverse(xi) for xi in xs])
     if drifted is not None:
         # only the drifted product was projected back onto SO(3)
