@@ -54,13 +54,15 @@ def build_parser():
 
 
 def write_metrics_csv(path, rows):
+    """One line per record of a harness.METRICS_DTYPE record array."""
     with open(path, "w") as fh:
         fh.write("t,vehicle,pos_err,rot_err,vel_err,gyro_bias_err,"
                  "accel_bias_err\n")
-        for r in rows:
-            fh.write(f"{r.t:.6f},{r.vehicle},{r.pos_err:.9e},{r.rot_err:.9e},"
-                     f"{r.vel_err:.9e},{r.gyro_bias_err:.9e},"
-                     f"{r.accel_bias_err:.9e}\n")
+        # tolist gives Python floats and ints, which format as the fields
+        # of one row object did
+        for t, v, pos, rot, vel, gyro_bias, accel_bias in rows.tolist():
+            fh.write(f"{t:.6f},{v},{pos:.9e},{rot:.9e},{vel:.9e},"
+                     f"{gyro_bias:.9e},{accel_bias:.9e}\n")
 
 
 def write_summary(csv_path, txt_path, summary):
@@ -96,11 +98,13 @@ def run_experiment(cfg):
                                       with_curvature=cfg.with_curvature)
     except (UpdateSingularError, np.linalg.LinAlgError) as exc:
         raise NumericalFailure(str(exc)) from exc
-    errors = np.array([[r.pos_err, r.rot_err, r.vel_err] for r in result.rows])
-    if not np.all(np.isfinite(errors)):
+    rows = result.rows
+    if not all(np.isfinite(rows[attr]).all()
+               for _, _, attr in harness.SUMMARY_QUANTITIES):
         raise NumericalFailure("non-finite estimation error")
     # rows are tick-major: the final tick holds one row per vehicle
-    worst = max(result.rows[-len(result.estimates):], key=lambda r: r.pos_err)
+    final = rows[-len(result.estimates):]
+    worst = final[int(np.argmax(final.pos_err))]
     if worst.pos_err > 1e3:
         raise NumericalFailure(
             f"filter diverged (final position error {worst.pos_err:.1f} m, "

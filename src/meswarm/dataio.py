@@ -95,6 +95,15 @@ def _read_table(path, n_min, n_max, what):
     return stamps, table[:, 1:], widths
 
 
+def _data_line(path, i):
+    """The line number of data row i of a headered CSV, blank lines
+    skipped as _read_table skips them; read again only to name a bad row."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    return [n for n, line in enumerate(lines[1:], start=2)
+            if line.strip()][i]
+
+
 def load_imu_csv(path):
     """IMU stream from rows `timestamp_ns,wx,wy,wz,ax,ay,az`, as an
     ImuStream."""
@@ -107,19 +116,25 @@ def load_truth_csv(path):
     as a TruthTrack.
 
     A row holds 11 to 17 fields; a bias group it lacks, in full or in part,
-    reads as zeros.  Quaternions within 1e-3 of unit norm are normalised
-    silently; anything further off is a data error.
+    reads as zeros.  A non-finite value is a data error naming its line.
+    Quaternions within 1e-3 of unit norm are normalised silently; anything
+    further off is a data error.
     """
     stamps, values, widths = _read_table(path, 11, 17, "truth")
     values[widths < 14, 10:13] = 0.0
     values[widths < 17, 13:16] = 0.0
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i, j = divmod(int(bad[0]), values.shape[1])
+        raise DataError(f"{path}:{_data_line(path, i)}: field {j + 2} is "
+                        f"not finite ({values[i, j]})")
     quat = values[:, 3:7]
     norm = np.linalg.norm(quat, axis=1)
     far = np.flatnonzero(np.abs(norm - 1.0) > QUAT_NORM_TOL)
     if far.size:
         i = int(far[0])
-        raise DataError(f"{path}: row {i + 2}: quaternion norm {norm[i]:.4f} "
-                        f"is not within {QUAT_NORM_TOL} of 1")
+        raise DataError(f"{path}:{_data_line(path, i)}: quaternion norm "
+                        f"{norm[i]:.4f} is not within {QUAT_NORM_TOL} of 1")
     return TruthTrack(stamps, values[:, 0:3], quat / norm[:, None],
                       values[:, 7:10], values[:, 10:13], values[:, 13:16])
 
@@ -232,28 +247,30 @@ def align_trials(trials):
 class DatasetSource:
     """Truth and IMU for one vehicle, read from recorded streams.
 
-    Matches the source interface the scheduler expects: ``prepare`` checks
-    the requested grid against the file and interpolates the truth of ticks
+    Matches the source interface the scheduler expects: ``imu`` is the
+    recorded ImuStream, sample k serving tick k; ``prepare`` checks the
+    requested grid against the file and interpolates the truth of ticks
     0..n_ticks into ``truth``, one state stacked over ticks;
-    ``imu_at_tick`` / ``truth_at_tick`` serve samples rebased to t = 0 at the
-    first kept IMU stamp, as views of the stream and of ``truth``.
+    ``imu_at_tick(k)`` is row k of ``imu`` stamped k IMU periods after
+    t = 0 at the first kept IMU stamp, and ``truth_at_tick(k)`` entry k of
+    ``truth``, both as views.
     """
 
     def __init__(self, imu, truth_track, vehicle):
         if not len(imu):
             raise DataError("IMU stream is empty")
         self.vehicle = vehicle
-        self._imu = imu
+        self.imu = imu
         self._track = truth_track
         self._t0_ns = int(imu.t_ns[0])
         self.truth = None
 
     def file_rate_hz(self):
-        gaps = np.diff(self._imu.t_ns)
+        gaps = np.diff(self.imu.t_ns)
         return 1e9 / float(np.median(gaps))
 
     def duration_s(self):
-        return (int(self._imu.t_ns[-1]) - self._t0_ns) * 1e-9
+        return (int(self.imu.t_ns[-1]) - self._t0_ns) * 1e-9
 
     def prepare(self, n_ticks, dt):
         rate = self.file_rate_hz()
@@ -261,17 +278,17 @@ class DatasetSource:
             raise DataError(f"vehicle {self.vehicle}: file IMU rate "
                             f"{rate:.2f} Hz does not match the configured "
                             f"{1.0 / dt:.2f} Hz")
-        if n_ticks > len(self._imu):
+        if n_ticks > len(self.imu):
             raise DataError(f"vehicle {self.vehicle}: run needs {n_ticks} IMU "
-                            f"ticks but the file has {len(self._imu)}")
+                            f"ticks but the file has {len(self.imu)}")
         self._dt_ns = int(round(1e9 * dt))
         # tick k's truth is at the stamp of IMU sample k, or of the last one
-        stamps = self._imu.t_ns
+        stamps = self.imu.t_ns
         ticks = np.minimum(np.arange(n_ticks + 1), len(stamps) - 1)
         self.truth = self._track.state_at(stamps[ticks])
 
     def imu_at_tick(self, k):
-        return models.ImuSample(self._imu.gyro[k], self._imu.accel[k],
+        return models.ImuSample(self.imu.gyro[k], self.imu.accel[k],
                                 k * self._dt_ns)
 
     def truth_at_tick(self, k):

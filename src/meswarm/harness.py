@@ -22,7 +22,7 @@ from .distributed import VehicleNode, encode_message
 from .joint import JointFilter, block_diag_prior
 from .kernels import skew, so3_exp
 from .lie import STATE_DOF, VehicleState, make_state, rotation_error_angle
-from .models import ImuStream, Observation
+from .models import ImuSample, ImuStream, Observation
 
 log = logging.getLogger(__name__)
 
@@ -51,6 +51,10 @@ SUMMARY_QUANTITIES = (
     ("IMU Gyro Bias", "rad/s", "gyro_bias_err"),
     ("IMU Accel. Bias", "m/s^2", "accel_bias_err"),
 )
+
+# one scored (tick, vehicle) pair: its time, the vehicle and the five errors
+METRICS_DTYPE = np.dtype([("t", float), ("vehicle", np.int64)]
+                         + [(attr, float) for _, _, attr in SUMMARY_QUANTITIES])
 
 
 def channel_rng(seed, channel, vehicle, subject):
@@ -124,17 +128,6 @@ class PriorConfig:
         if diag.shape != (STATE_DOF,) or not np.all(diag > 0.0):
             raise ValueError("k0_diag must be a positive scalar or 15-vector")
         return np.diag(diag)
-
-
-@dataclass(frozen=True)
-class MetricsRow:
-    t: float
-    vehicle: int
-    pos_err: float
-    rot_err: float
-    vel_err: float
-    gyro_bias_err: float
-    accel_bias_err: float
 
 
 # -- synthetic trajectories ----------------------------------------------------
@@ -271,10 +264,10 @@ def synthesize_observation(truth_states, world, kind, observer, subject, d,
 class SyntheticSource:
     """Truth and IMU for one vehicle, generated from a smooth trajectory.
 
-    ``prepare`` synthesises the IMU stream and the truth of ticks
-    0..n_ticks; ``truth`` is that truth as one state stacked over ticks,
-    and ``truth_at_tick(k)`` is its entry k, as views.  ``imu_at_tick(k)``
-    is sample k of the ImuStream, also as views.
+    ``prepare`` synthesises the IMU stream ``imu``, one sample per tick,
+    and the truth of ticks 0..n_ticks; ``truth`` is that truth as one state
+    stacked over ticks, and ``truth_at_tick(k)`` is its entry k, as views.
+    ``imu_at_tick(k)`` is sample k of ``imu``, also as views.
     """
 
     def __init__(self, trajectory, noise, vehicle, seed, gravity=None,
@@ -288,11 +281,11 @@ class SyntheticSource:
         self.gyro_bias0 = gyro_bias0
         self.accel_bias0 = accel_bias0
         self.bias_walk = bias_walk
-        self._samples = None
+        self.imu = None
         self.truth = None
 
     def prepare(self, n_ticks, dt):
-        self._samples, gyro_biases, accel_biases = synthesize_imu(
+        self.imu, gyro_biases, accel_biases = synthesize_imu(
             self.trajectory, self.noise, self.gravity, n_ticks, dt, self.seed,
             self.vehicle, self.gyro_bias0, self.accel_bias0, self.bias_walk)
         # biases are recorded per IMU sample; the last tick reuses the last
@@ -304,7 +297,7 @@ class SyntheticSource:
             np.concatenate([accel_biases, accel_biases[-1:]]))
 
     def imu_at_tick(self, k):
-        return self._samples[k]
+        return self.imu[k]
 
     def truth_at_tick(self, k):
         return self.truth[k]
@@ -335,10 +328,11 @@ class MessageBus:
 # -- metrics ---------------------------------------------------------------------
 
 def metrics_row(t, vehicle, est, truth):
-    """The five estimation errors of est against truth.
+    """The five estimation errors of est against truth, as a record array
+    of METRICS_DTYPE.
 
-    Both states may be stacked over the same leading axes; every error then
-    has those axes, and t and vehicle are passed through as given.
+    Both states may be stacked over the same leading axes; the record
+    array then has those axes, with t and vehicle broadcast against them.
     """
     def dist(a, b):
         # a (1x3)(3x1) product per entry rounds as the dot product that
@@ -346,13 +340,13 @@ def metrics_row(t, vehicle, est, truth):
         d = (a - b)[..., None]
         return np.sqrt((d.swapaxes(-1, -2) @ d)[..., 0, 0])
 
-    return MetricsRow(
-        t=t, vehicle=vehicle,
-        pos_err=dist(est.pos, truth.pos),
-        rot_err=rotation_error_angle(est.rot, truth.rot),
-        vel_err=dist(est.vel, truth.vel),
-        gyro_bias_err=dist(est.gyro_bias, truth.gyro_bias),
-        accel_bias_err=dist(est.accel_bias, truth.accel_bias))
+    return np.rec.fromarrays(np.broadcast_arrays(
+        t, vehicle,
+        dist(est.pos, truth.pos),
+        rotation_error_angle(est.rot, truth.rot),
+        dist(est.vel, truth.vel),
+        dist(est.gyro_bias, truth.gyro_bias),
+        dist(est.accel_bias, truth.accel_bias)), dtype=METRICS_DTYPE)
 
 
 def _store(stack, index, state):
@@ -362,32 +356,32 @@ def _store(stack, index, state):
 
 
 def _metrics_rows(est, sources, dt):
-    """One MetricsRow per (tick, vehicle), tick-major: the estimates stacked
+    """One record per (tick, vehicle), tick-major: the estimates stacked
     over (tick, vehicle) against the sources' truth, in one metrics_row
     call."""
     truth = VehicleState(*(np.stack([getattr(src.truth, name)
                                      for src in sources], axis=1)
                            for name in _STATE_FIELDS))
     n_t, n = est.pos.shape[:2]
-    m = metrics_row(dt * np.arange(n_t)[:, None], np.arange(n), est, truth)
-    cols = [np.broadcast_to(getattr(m, f.name), (n_t, n)).ravel().tolist()
-            for f in fields(MetricsRow)]
-    return [MetricsRow(*vals) for vals in zip(*cols)]
+    return metrics_row(dt * np.arange(n_t)[:, None], np.arange(n), est,
+                       truth).ravel()
 
 
 def summarize_metrics(rows, steady_after_s=10.0):
-    """Whole-run and steady-state means, network-averaged.
+    """Whole-run and steady-state means, network-averaged, of a record
+    array of METRICS_DTYPE.
 
     Returns a list of (quantity, unit, whole-run mean, post-transient mean)
-    in the order of the five summary quantities.
+    in the order of the five summary quantities; the post-transient mean
+    is nan when no record has t >= steady_after_s.
     """
+    steady = rows["t"] >= steady_after_s
+    any_steady = bool(steady.any())
     out = []
-    steady = [r for r in rows if r.t >= steady_after_s]
     for name, unit, attr in SUMMARY_QUANTITIES:
-        whole = float(np.mean([getattr(r, attr) for r in rows]))
-        post = (float(np.mean([getattr(r, attr) for r in steady]))
-                if steady else float("nan"))
-        out.append((name, unit, whole, post))
+        col = rows[attr]
+        post = float(np.mean(col[steady])) if any_steady else float("nan")
+        out.append((name, unit, float(np.mean(col)), post))
     return out
 
 
@@ -395,7 +389,7 @@ def summarize_metrics(rows, steady_after_s=10.0):
 
 @dataclass
 class RunResult:
-    rows: list
+    rows: np.recarray        # METRICS_DTYPE, one record per (tick, vehicle)
     summary: list
     bus_records: list
     estimates: list          # final per-vehicle VehicleState list
@@ -448,9 +442,15 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
     order; observation timestamps land on the IMU grid by construction.
 
     Each tick pulls vehicle 0's IMU sample first (a benchmark stamps its
-    tick clock there).  Sources are prepared once; truth_at_tick is read
-    at tick 0 and on observation ticks, and after the last tick every
-    recorded estimate is scored against the sources' stacked ``truth``.
+    tick clock there).  In `none` and `central` that pull only gives the
+    tick's stamp: the first n_ticks rows of every source's ``imu`` stream
+    are stacked once into (n_ticks, n, 3) gyro and accel arrays, and each
+    tick hands the joint filter one ImuSample of its (n, 3) rows.  In
+    `distributed` each node pulls its own sample with ``imu_at_tick``.
+    Sources are prepared once; truth_at_tick is read at tick 0 and on
+    observation ticks, and after the last tick every recorded estimate is
+    scored against the sources' stacked ``truth`` into ``rows``, a record
+    array of METRICS_DTYPE with one record per (tick, vehicle), tick-major.
 
     `none` is the JointFilter of `central` without the inter-vehicle
     channel: its cross blocks stay exactly zero, so its vehicles evolve as
@@ -506,6 +506,9 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
                           .swapaxes(0, 1), world, noise)
     else:
         flt = JointFilter(est0, k0, world, noise)
+        # every tick's (n, 3) rows, read from the streams once
+        gyro = np.stack([src.imu.gyro[:n_ticks] for src in sources], axis=1)
+        accel = np.stack([src.imu.accel[:n_ticks] for src in sources], axis=1)
 
     # every tick's estimates, stacked over (tick, vehicle), scored at the end
     est = VehicleState(np.empty((n_ticks + 1, n, 3, 3)),
@@ -521,7 +524,8 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
             for v, src in enumerate(sources):
                 flt.propagate_local(v, src.imu_at_tick(tick - 1), dt)
         else:
-            flt.propagate([src.imu_at_tick(tick - 1) for src in sources], dt)
+            t_ns = sources[0].imu_at_tick(tick - 1).t_ns
+            flt.propagate(ImuSample(gyro[tick - 1], accel[tick - 1], t_ns), dt)
 
         evs = events.get(tick, ())
         if evs:

@@ -154,18 +154,23 @@ class JointFilter:
 
     # -- IMU propagation -----------------------------------------------------
 
-    def propagate(self, imu, dt):
-        """Advance one IMU tick: one sample per vehicle, common period dt.
+    def propagate(self, u, dt):
+        """Advance one IMU tick over the common period dt.
 
-        Only the estimates, the diagonal gain blocks and the factors move
-        here, for all vehicles in one call; the full gain is brought up to
-        date at the next update.
+        u is one ImuSample stacked over vehicles: gyro and accel (n, 3),
+        row v vehicle v's sample (models.stack_samples builds one from n
+        samples); a 1-vehicle filter takes its vehicle's row.  Only the
+        estimates, the diagonal gain blocks and the factors move here, for
+        all vehicles in one call; the full gain is brought up to date at
+        the next update.
         """
         if dt <= 0.0:
             raise ValueError("IMU period must be positive")
-        if len(imu) != self.n:
-            raise ValueError("need one IMU sample per vehicle")
-        u = imu[0] if not self._lead else models.stack_samples(imu)
+        if u.gyro.shape != (self.n, 3) or u.accel.shape != (self.n, 3):
+            raise ValueError(f"need (n, 3) = ({self.n}, 3) IMU rows, got "
+                             f"{u.gyro.shape} and {u.accel.shape}")
+        if not self._lead:
+            u = models.ImuSample(u.gyro[0], u.accel[0], u.t_ns)
         if self._kdiag is None:
             self._kdiag = self._diag_blocks()
         self.state, self._kdiag, self._lam = propagate_vehicle(

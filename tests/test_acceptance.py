@@ -26,7 +26,8 @@ from meswarm.harness import (MessageBus, PriorConfig, ScheduleConfig,
 from meswarm.joint import JointFilter, block_diag_prior
 from meswarm.lie import (STATE_DOF, adjoint_matrix_from_vector, compose,
                          group_exp, make_state, rotation_error_angle)
-from meswarm.models import ImuSample, NoiseModel, Observation, WorldConfig
+from meswarm.models import (ImuSample, NoiseModel, Observation, WorldConfig,
+                            stack_samples)
 from test_lie import inverse, pose_matrix
 
 
@@ -176,7 +177,7 @@ def test_criterion_4_discrete_vs_continuous(report):
         flt = JointFilter(states, k0, world, noise)
         imu = [ImuSample(rng.standard_normal(3), rng.standard_normal(3), 0)
                for _ in range(2)]
-        flt.propagate(imu, dt)
+        flt.propagate(stack_samples(imu), dt)
         poses_ref, k_ref = test_joint.rk4_reference(states, k0, imu, world,
                                                     noise, dt, 100)
         worst = max(worst, np.linalg.norm(flt.gain() - k_ref)
@@ -216,7 +217,7 @@ def _scripted_parallel_run(duration_s=10.0, n=3, seed=11):
     max_pos = max_k = 0.0
     for tick in range(1, n_ticks + 1):
         imu = [src.imu_at_tick(tick - 1) for src in sources]
-        flt.propagate(imu, dt)
+        flt.propagate(stack_samples(imu), dt)
         for v, u in enumerate(imu):
             nodes.propagate_local(v, u, dt)
         if tick in obs_ticks:

@@ -99,7 +99,7 @@ def test_traced_distributed_run_records_every_node_layer():
             for v in range(2)]
         result = harness.run_schedule(cfg, "distributed", sources, world,
                                       noise)
-        return [tuple(vars(r).values()) for r in result.rows]
+        return result.rows.tolist()
 
     plain = run()
     tr = tracer.Tracer()
@@ -202,8 +202,10 @@ def test_tick_clock_and_traced_harness_calls(mode, make_sources, monkeypatch):
                                   record_bus=False)
 
     pulls = [(v, k) for kind, v, k in log if kind == "imu"]
-    assert pulls == [(v, k) for k in range(N_TICKS)
-                     for v in range(N_VEHICLES)]
+    # the joint modes read the tick's rows from the streams and pull only
+    # vehicle 0's sample; each node pulls its own
+    pulled = [0] if mode in ("none", "central") else range(N_VEHICLES)
+    assert pulls == [(v, k) for k in range(N_TICKS) for v in pulled]
     # every truth query falls inside the tick it serves: after vehicle 0's
     # pull that starts the tick and before the pull that starts the next
     starts = {k + 1: log.index(("imu", 0, k)) for k in range(N_TICKS)}

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -6,8 +5,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from meswarm import cli, harness
+from test_harness import scored_runs
 
 
 def base_config(mode="central", duration_s=3.0, n_vehicles=2, seed=7):
@@ -87,6 +88,24 @@ class TestOutputs:
         # a peer reply carries only the 6 update columns of the 30x15 column
         assert replies and all(np.shape(b["k_col"]) == (30, 6)
                                for b in replies)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(run=scored_runs())
+    def test_metrics_csv_equals_row_loop(self, tmp_path, run):
+        """The record-array writer gives the bytes of the per-row f-string
+        loop it replaced."""
+        rec, rows, _ = run
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        cli.write_metrics_csv(got, rec)
+        with open(want, "w") as fh:
+            fh.write("t,vehicle,pos_err,rot_err,vel_err,gyro_bias_err,"
+                     "accel_bias_err\n")
+            for r in rows:
+                fh.write(f"{r.t:.6f},{r.vehicle},{r.pos_err:.9e},"
+                         f"{r.rot_err:.9e},{r.vel_err:.9e},"
+                         f"{r.gyro_bias_err:.9e},{r.accel_bias_err:.9e}\n")
+        assert got.read_bytes() == want.read_bytes()
 
 
 class TestDeterminismAndEquivalence:
@@ -272,6 +291,49 @@ class TestExitCodes:
                 env=env, capture_output=True, timeout=120)
             assert proc.returncode == 4, (name, proc.stderr)
 
+    def test_non_finite_truth_is_3(self, tmp_path, capsys):
+        """A nan truth cell once ran to exit 0 with nan in metrics.csv and
+        the summary; it is a data error naming the file and line."""
+        dt_ns = 5_000_000
+        n = 300
+        imu = "\n".join(["timestamp_ns,wx,wy,wz,ax,ay,az"] + [
+            f"{k * dt_ns},0,0,0,0,0,9.81" for k in range(n)])
+        (tmp_path / "imu.csv").write_text(imu + "\n")
+        vehicles = []
+        for v, bias in enumerate(("0.01", "nan")):
+            (tmp_path / f"truth{v}.csv").write_text(
+                "ts,px,py,pz,qw,qx,qy,qz,vx,vy,vz,bgx,bgy,bgz,bax,bay,baz\n"
+                f"0,{v},0,0,1,0,0,0,0,0,0,0,0,0,0,0,0\n"
+                f"{(n - 1) * dt_ns},{v},0,0,1,0,0,0,0,0,0,0,{bias},0,0,0,0\n")
+            vehicles.append({"type": "dataset", "imu_csv": "imu.csv",
+                             "truth_csv": f"truth{v}.csv"})
+        cfg = base_config(mode="central", duration_s=1.0)
+        cfg["vehicles"] = vehicles
+        code, out = run_cli(tmp_path, cfg)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'truth1.csv'}:3: field 13 is not finite" in err
+        assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("column", [attr for _, _, attr
+                                        in harness.SUMMARY_QUANTITIES])
+    def test_any_non_finite_error_column_is_4(self, tmp_path, monkeypatch,
+                                              capsys, column):
+        """Every one of the five error columns is checked, the bias ones
+        included."""
+        run = harness.run_schedule
+
+        def poisoned(*args, **kwargs):
+            result = run(*args, **kwargs)
+            result.rows[column][3] = np.nan
+            return result
+
+        monkeypatch.setattr(harness, "run_schedule", poisoned)
+        code, out = run_cli(tmp_path, base_config(duration_s=0.1))
+        assert code == 4
+        assert "non-finite estimation error" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
     @pytest.mark.parametrize("vehicle", [0, 1])
     def test_any_vehicle_diverged_is_4(self, tmp_path, monkeypatch, capsys,
                                        vehicle):
@@ -282,9 +344,8 @@ class TestExitCodes:
         def diverged(*args, **kwargs):
             result = run(*args, **kwargs)
             n = len(result.estimates)
-            row = result.rows[vehicle - n]
-            assert row.vehicle == vehicle
-            result.rows[vehicle - n] = dataclasses.replace(row, pos_err=2e3)
+            assert result.rows.vehicle[vehicle - n] == vehicle
+            result.rows.pos_err[vehicle - n] = 2e3
             return result
 
         code, _ = run_cli(tmp_path, base_config(duration_s=0.5))

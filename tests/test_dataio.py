@@ -6,8 +6,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from meswarm.dataio import (ConfigError, DataError, DatasetSource,
-                            align_trials, load_config, load_imu_csv,
-                            load_truth_csv, parse_config)
+                            TruthTrack, align_trials, load_config,
+                            load_imu_csv, load_truth_csv, parse_config)
 from meswarm.harness import SinusoidTrajectory
 from meswarm.models import ImuSample, ImuStream
 
@@ -271,6 +271,17 @@ class TestTruthCsv:
         with pytest.raises(DataError, match="quaternion"):
             load_truth_csv(p)
 
+    def test_far_quaternion_names_its_line(self, tmp_path):
+        """Blank lines count: the message once gave the data row (3)."""
+        p = tmp_path / "truth.csv"
+        p.write_text("ts,px,py,pz,qw,qx,qy,qz,vx,vy,vz\n\n"
+                     "0,0,0,0,1,0,0,0,0,0,0\n\n"
+                     "1000,0,0,0,1.2,0,0,0,0,0,0\n")
+        with pytest.raises(DataError) as exc:
+            load_truth_csv(p)
+        assert str(exc.value) == (f"{p}:5: quaternion norm 1.2000 is not "
+                                  f"within 0.001 of 1")
+
     def test_optional_bias_columns(self, tmp_path):
         p = tmp_path / "truth.csv"
         row = [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0,
@@ -281,6 +292,26 @@ class TestTruthCsv:
         track = load_truth_csv(p)
         np.testing.assert_array_equal(track.gyro_bias, [[0.01, 0.02, 0.03]])
         np.testing.assert_array_equal(track.accel_bias, [[0.1, 0.2, 0.3]])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", [2, 5, 11, 13, 17])
+    def test_non_finite_cell_names_its_line(self, tmp_path, field, value):
+        """Position, quaternion, velocity and both bias groups: the first
+        non-finite value names its file, line (blank lines counted) and
+        field, the stamp being field 1."""
+        rows = [[k * 1000, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0.01, 0.02, 0.03,
+                 0.1, 0.2, 0.3] for k in range(3)]
+        rows[1][field - 1] = value
+        rows[2][3] = "nan"
+        lines = ["ts," + ",".join(f"c{i}" for i in range(16)),
+                 ",".join(map(str, rows[0])), "",
+                 ",".join(map(str, rows[1])), ",".join(map(str, rows[2]))]
+        p = tmp_path / "truth.csv"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as exc:
+            load_truth_csv(p)
+        assert str(exc.value) == (f"{p}:4: field {field} is not finite "
+                                  f"({float(value)})")
 
 
 class TestInterpolation:
@@ -452,6 +483,73 @@ class TestDatasetSource:
         for k in range(61):
             assert_states_close(src.truth_at_tick(k),
                                 track.state_at(imu_stamps[min(k, 59)]), 1e-12)
+
+
+def _same_bits(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+class TestImuRows:
+    """The scheduler's joint modes read a tick's IMU rows straight from
+    each source's ``imu`` stream, while the nodes pull ``imu_at_tick``:
+    both must see the same values, row k of ``imu`` for tick k."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_ticks=st.integers(1, 60), seed=st.integers(0, 2**16),
+           data=st.data())
+    def test_synthetic_sample_is_stream_row(self, n_ticks, seed, data):
+        from meswarm.harness import SyntheticSource
+        from meswarm.models import NoiseModel
+        rng = np.random.default_rng(seed)
+        src = SyntheticSource(SinusoidTrajectory.random(rng), NoiseModel(),
+                              data.draw(st.integers(0, 3)), seed)
+        src.prepare(n_ticks, 0.005)
+        assert len(src.imu) == n_ticks
+        k = data.draw(st.integers(0, n_ticks - 1))
+        sample = src.imu_at_tick(k)
+        assert _same_bits(sample.gyro, src.imu.gyro[k])
+        assert _same_bits(sample.accel, src.imu.accel[k])
+        assert sample.t_ns == int(src.imu.t_ns[k])
+
+    @settings(max_examples=40, deadline=None)
+    @given(lengths=st.lists(st.integers(2, 40), min_size=1, max_size=3),
+           offsets=st.lists(st.integers(0, 4_999_999), min_size=3,
+                            max_size=3),
+           t0=st.integers(0, 1_500_000_000_000_000_000),
+           seed=st.integers(0, 2**16), data=st.data())
+    def test_dataset_sample_is_stream_row(self, lengths, offsets, t0, seed,
+                                          data):
+        """Trials of random lengths, each stream offset by a fraction of a
+        period from a random start, aligned as the CLI aligns them."""
+        rng = np.random.default_rng(seed)
+        dt_ns = 5_000_000
+        trials = []
+        for length, off in zip(lengths, offsets):
+            stamps = t0 + off + dt_ns * np.arange(length, dtype=np.int64)
+            imu = ImuStream(stamps, rng.standard_normal((length, 3)),
+                            rng.standard_normal((length, 3)))
+            span = np.array([stamps[0] - dt_ns, stamps[-1] + dt_ns])
+            quat = np.tile([1.0, 0.0, 0.0, 0.0], (2, 1))
+            zeros = np.zeros((2, 3))
+            trials.append((imu, TruthTrack(span, zeros, quat, zeros, zeros,
+                                           zeros)))
+        try:
+            aligned = align_trials(trials)
+        except DataError:
+            assume(False)
+        # a one-sample stream has no rate to check against the grid
+        assume(len(aligned[0][0]) > 1)
+        for v, (imu, track) in enumerate(aligned):
+            src = DatasetSource(imu, track, v)
+            assert src.imu is imu
+            n_ticks = data.draw(st.integers(1, len(imu)))
+            src.prepare(n_ticks, 1e-9 * dt_ns)
+            k = data.draw(st.integers(0, n_ticks - 1))
+            sample = src.imu_at_tick(k)
+            assert _same_bits(sample.gyro, src.imu.gyro[k])
+            assert _same_bits(sample.accel, src.imu.accel[k])
+            assert sample.t_ns == k * dt_ns
 
 
 class TestConfig:

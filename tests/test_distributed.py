@@ -18,7 +18,8 @@ from meswarm.joint import JointFilter, UpdateSingularError, block_diag_prior
 from meswarm.kernels import expm
 from meswarm.lie import (STATE_DOF, VehicleState, compose, group_exp,
                          make_state, stack_states)
-from meswarm.models import ImuSample, NoiseModel, Observation, WorldConfig
+from meswarm.models import (ImuSample, NoiseModel, Observation, WorldConfig,
+                            stack_samples)
 from test_lie import identity_state, pose_matrix
 from test_models import dense_hessian, dense_residual
 
@@ -100,7 +101,7 @@ def propagate_pair(joint, nodes, rng, ticks):
         imu = [ImuSample(0.3 * rng.standard_normal(3),
                          0.3 * rng.standard_normal(3), joint.t_ns)
                for _ in range(nodes.n)]
-        joint.propagate(imu, DT)
+        joint.propagate(stack_samples(imu), DT)
         tick_nodes(nodes, imu)
 
 
@@ -298,7 +299,7 @@ class TestPropagationEquivalence:
             imu = [ImuSample(0.3 * rng.standard_normal(3),
                              0.3 * rng.standard_normal(3), k * TICK_NS)
                    for _ in range(2)]
-            joint.propagate(imu, DT)
+            joint.propagate(stack_samples(imu), DT)
             tick_nodes(nodes, imu)
         kj = joint.gain()
         for i in range(2):
@@ -658,7 +659,7 @@ def drive_pair(joint, nodes, rng, ticks, update_every):
         imu = [ImuSample(0.3 * rng.standard_normal(3),
                          0.3 * rng.standard_normal(3), (k - 1) * TICK_NS)
                for _ in range(n)]
-        joint.propagate(imu, DT)
+        joint.propagate(stack_samples(imu), DT)
         tick_nodes(nodes, imu)
         if k % update_every:
             continue
@@ -705,7 +706,7 @@ class TestFullEquivalence:
         rng = np.random.default_rng(17)
         joint, nodes = make_network(rng, 2, world, noise)
         imu = [ImuSample(np.zeros(3), np.zeros(3), 0) for _ in range(2)]
-        joint.propagate(imu, DT)
+        joint.propagate(stack_samples(imu), DT)
         tick_nodes(nodes, imu)
         for lm in (0, 1):
             y = models.predict_landmark(joint.estimate()[0],
@@ -777,9 +778,9 @@ class TestSharedEngine:
             calls.clear()
             joint, _ = make_network(rng, n, world, noise)
             for k in range(40):
-                joint.propagate([ImuSample(rng.standard_normal(3),
-                                           rng.standard_normal(3), joint.t_ns)
-                                 for _ in range(n)], DT)
+                joint.propagate(stack_samples(
+                    [ImuSample(rng.standard_normal(3), rng.standard_normal(3),
+                               joint.t_ns) for _ in range(n)]), DT)
                 if k == 19:
                     joint.update(Observation(models.LANDMARK, 0, 0,
                                              rng.standard_normal(3),

@@ -1,0 +1,23 @@
+"""The README's Library snippet runs as documented."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def library_snippet():
+    """The first python block of the README's Library section."""
+    text = README.read_text()
+    section = text[text.index("\n## Library\n"):]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_library_snippet_runs(capsys):
+    exec(compile(library_snippet(), str(README), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:5]] == [
+        "Position", "Rotation", "Linear Velocity", "IMU Gyro Bias",
+        "IMU Accel. Bias"]
+    assert lines[5].startswith("final position errors [m]: [")
+    assert len(lines) == 6

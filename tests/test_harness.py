@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as ScipyRotation
 
 from meswarm import harness, models
-from meswarm.harness import (MetricsRow, PriorConfig, ScheduleConfig,
+from meswarm.harness import (METRICS_DTYPE, PriorConfig, ScheduleConfig,
                              SinusoidTrajectory, SyntheticSource,
                              _observation_ticks, channel_rng,
                              metrics_row, run_schedule, summarize_metrics,
@@ -303,7 +305,9 @@ class TestMetrics:
         vehicle = np.arange(shape[1])
         got = metrics_row(t, vehicle, grid([p[0] for p in pairs]),
                           grid([p[1] for p in pairs]))
-        assert got.t is t and got.vehicle is vehicle
+        assert got.dtype == METRICS_DTYPE and got.shape == shape
+        assert np.array_equal(got.t, np.broadcast_to(t, shape))
+        assert np.array_equal(got.vehicle, np.broadcast_to(vehicle, shape))
         for i, (est, truth, _) in enumerate(pairs):
             row = metrics_row(0.0, 0, est, truth)
             for name in ("pos_err", "rot_err", "vel_err", "gyro_bias_err",
@@ -322,7 +326,9 @@ class TestMetrics:
         res = run_schedule(cfg, "central", sources, world, noise)
         assert [(r.t, r.vehicle) for r in res.rows] == [
             (k * 0.005, v) for k in range(21) for v in range(2)]
-        assert all(type(r.pos_err) is float for r in res.rows)
+        assert res.rows.dtype == METRICS_DTYPE
+        assert all(res.rows.dtype[name] == np.float64
+                   for name in METRICS_DTYPE.names if name != "vehicle")
         last = [r for r in res.rows if r.t == res.rows[-1].t]
         for v, est in enumerate(res.estimates):
             want = metrics_row(0.1, v, est, sources[v].truth_at_tick(20))
@@ -330,8 +336,9 @@ class TestMetrics:
             assert last[v].rot_err == want.rot_err
 
     def test_summary_shape_and_split(self):
-        rows = [MetricsRow(t, 0, 1.0 if t < 10 else 3.0, 0.1, 0.2, 0.01, 0.02)
-                for t in (0.0, 5.0, 10.0, 15.0)]
+        rows = np.rec.fromrecords(
+            [(t, 0, 1.0 if t < 10 else 3.0, 0.1, 0.2, 0.01, 0.02)
+             for t in (0.0, 5.0, 10.0, 15.0)], dtype=METRICS_DTYPE)
         summary = summarize_metrics(rows)
         assert [s[0] for s in summary] == [
             "Position", "Rotation", "Linear Velocity", "IMU Gyro Bias",
@@ -340,6 +347,58 @@ class TestMetrics:
         assert unit == "m"
         assert whole == pytest.approx(2.0)
         assert post == pytest.approx(3.0)
+
+
+# -- columnar scoring against the per-row code it replaced ---------------------
+
+Row = namedtuple("Row", METRICS_DTYPE.names)
+
+
+def summarize_rows_oracle(rows, steady_after_s):
+    """summarize_metrics as it read one row object per (tick, vehicle)."""
+    out = []
+    steady = [r for r in rows if r.t >= steady_after_s]
+    for name, unit, attr in harness.SUMMARY_QUANTITIES:
+        whole = float(np.mean([getattr(r, attr) for r in rows]))
+        post = (float(np.mean([getattr(r, attr) for r in steady]))
+                if steady else float("nan"))
+        out.append((name, unit, whole, post))
+    return out
+
+
+@st.composite
+def scored_runs(draw):
+    """(record array, its rows as Python-valued Row tuples, a steady-state
+    start): a tick-major run on a t grid of random step and length, errors
+    spanning sixteen decades, and a start that is a grid time (the window
+    then starts exactly there), between two grid times, or after the run
+    (no steady window)."""
+    n = draw(st.integers(1, 4))
+    n_t = draw(st.one_of(st.integers(1, 50), st.integers(2000, 3000)))
+    dt = draw(st.sampled_from([0.001, 0.005, 0.01, 0.1, 1.0 / 3.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    errs = rng.random((5, n_t, n)) * 10.0 ** rng.uniform(-12, 4, (5, n_t, n))
+    t = dt * np.arange(n_t)[:, None]
+    rec = np.rec.fromarrays(np.broadcast_arrays(t, np.arange(n), *errs),
+                            dtype=METRICS_DTYPE).ravel()
+    k = draw(st.integers(0, n_t - 1))
+    start = draw(st.sampled_from([float(t[k, 0]), float(t[k, 0]) + 0.5 * dt,
+                                  float(t[-1, 0]) + dt, 10.0]))
+    return rec, [Row(*r) for r in rec.tolist()], start
+
+
+class TestColumnarSummary:
+    @settings(max_examples=60, deadline=None)
+    @given(run=scored_runs())
+    def test_equals_row_means_bit_for_bit(self, run):
+        rec, rows, start = run
+        got = summarize_metrics(rec, steady_after_s=start)
+        want = summarize_rows_oracle(rows, start)
+        assert [g[:2] for g in got] == [w[:2] for w in want]
+        for (_, _, whole, post), (_, _, w_whole, w_post) in zip(got, want):
+            assert whole == w_whole
+            assert post == w_post or (np.isnan(post) and np.isnan(w_post))
+        assert np.isnan(got[0][3]) == (start > rec.t[-1])
 
 
 class TestRunSchedule:
@@ -377,7 +436,7 @@ class TestRunSchedule:
                                 noise)
 
         a, b = one_run(), one_run()
-        assert a.rows == b.rows
+        assert np.array_equal(a.rows, b.rows)
         assert a.bus_records == b.bus_records
         assert a.update_count == b.update_count > 0
 
@@ -428,8 +487,8 @@ class TestRunSchedule:
 def isolated_rows(cfg, sources, world, noise, prior):
     """Oracle for mode `none`: n one-vehicle filters, each fed its own
     landmark observations relabelled to vehicle 0, with the scheduler's
-    seeded prior, noise and dropout streams.  Returns the MetricsRows in
-    run_schedule's (tick, vehicle) order."""
+    seeded prior, noise and dropout streams.  Returns one metrics_row
+    record per (tick, vehicle), in run_schedule's order."""
     n = len(sources)
     dt = 1.0 / cfg.imu_rate_hz
     dt_ns = int(round(1e9 * dt))
@@ -453,7 +512,8 @@ def isolated_rows(cfg, sources, world, noise, prior):
             for v, (f, src) in enumerate(zip(filters, sources))]
     for tick in range(1, n_ticks + 1):
         for f, src in zip(filters, sources):
-            f.propagate([src.imu_at_tick(tick - 1)], dt)
+            f.propagate(models.stack_samples([src.imu_at_tick(tick - 1)]),
+                        dt)
         truths = [src.truth_at_tick(tick) for src in sources]
         for v, lm in (pairs if tick in epochs else ()):
             p = cfg.dropout_landmark

@@ -11,7 +11,8 @@ from scipy.spatial.transform import Rotation as ScipyRotation
 from meswarm import joint, models
 from meswarm.joint import JointFilter, UpdateSingularError, block_diag_prior
 from meswarm.lie import STATE_DOF, make_state, network_adjoint_from_vector
-from meswarm.models import ImuSample, NoiseModel, Observation, WorldConfig
+from meswarm.models import (ImuSample, NoiseModel, Observation, WorldConfig,
+                            stack_samples)
 from test_lie import hat5, identity_state, pose_matrix
 from test_models import dense_hessian, dense_residual
 
@@ -21,6 +22,12 @@ def random_state(rng):
         rng.integers(2**31))).as_matrix()
     return make_state(rot, rng.standard_normal(3), rng.standard_normal(3),
                       0.1 * rng.standard_normal(3), 0.1 * rng.standard_normal(3))
+
+
+def still_imu(n=1):
+    """One tick's zero IMU rows for n vehicles, stacked as the filter
+    takes them."""
+    return stack_samples([ImuSample(np.zeros(3), np.zeros(3), 0)] * n)
 
 
 def random_spd(rng, dim, scale=0.1):
@@ -71,7 +78,7 @@ class TestPropagate:
     def test_free_fall_semantics(self, world, noise):
         f = JointFilter([identity_state()], np.eye(15), world, noise)
         dt = 0.005
-        f.propagate([ImuSample(np.zeros(3), np.zeros(3), 0)], dt)
+        f.propagate(still_imu(), dt)
         est = f.estimate()[0]
         np.testing.assert_allclose(est.vel, -world.gravity * dt, atol=1e-12)
         np.testing.assert_allclose(est.rot, np.eye(3), atol=1e-12)
@@ -79,14 +86,34 @@ class TestPropagate:
     def test_zero_dt_rejected(self, world, noise):
         f = JointFilter([identity_state()], np.eye(15), world, noise)
         with pytest.raises(ValueError):
-            f.propagate([ImuSample(np.zeros(3), np.zeros(3), 0)], 0.0)
+            f.propagate(still_imu(), 0.0)
+
+    @pytest.mark.parametrize("n,shape", [(1, (3,)), (1, (2, 3)),
+                                         (2, (1, 3)), (2, (3, 2))])
+    def test_imu_rows_must_match_the_vehicle_count(self, world, noise, n,
+                                                   shape):
+        """propagate takes one (n, 3) row per vehicle, also for a single
+        vehicle, and a wrong shape is refused before any state moves."""
+        f = JointFilter([identity_state()] * n,
+                        block_diag_prior([np.eye(15)] * n), world, noise)
+        before = f.gain()
+        with pytest.raises(ValueError, match="IMU rows"):
+            f.propagate(ImuSample(np.zeros(shape), np.zeros(shape), 0),
+                        0.005)
+        with pytest.raises(ValueError, match="IMU rows"):
+            f.propagate(ImuSample(np.zeros((n, 3)), np.zeros(shape), 0),
+                        0.005)
+        assert f.t_ns == 0
+        np.testing.assert_array_equal(f.gain(), before)
+        f.propagate(still_imu(n), 0.005)
+        assert f.t_ns == 5_000_000
 
     def test_forced_zero_dynamics_gain_growth(self, world, noise, monkeypatch):
         monkeypatch.setattr(models, "a_check_single",
                             lambda x, u: np.zeros((15, 15)))
         f = JointFilter([identity_state()], np.eye(15), world, noise)
         dt = 0.01
-        f.propagate([ImuSample(np.zeros(3), np.zeros(3), 0)], dt)
+        f.propagate(still_imu(), dt)
         b = models.b_check_single(noise)
         expected = np.eye(15) + dt * noise.w_inverse_scale() * (b @ b.T)
         np.testing.assert_allclose(f.gain(), expected, atol=1e-15)
@@ -99,7 +126,7 @@ class TestPropagate:
         for k in range(100):
             imu = [ImuSample(rng.standard_normal(3), rng.standard_normal(3),
                              k * 5_000_000) for _ in range(2)]
-            f.propagate(imu, 0.005)
+            f.propagate(stack_samples(imu), 0.005)
         np.testing.assert_array_equal(f.gain()[:15, 15:], 0.0)
 
 
@@ -153,7 +180,7 @@ class TestDiscreteVsContinuous:
             imu = [ImuSample(rng.standard_normal(3), rng.standard_normal(3), 0)
                    for _ in range(2)]
             assert np.all(k0[:15, 15:] != 0.0)  # exercises the cross blocks
-            f.propagate(imu, dt)
+            f.propagate(stack_samples(imu), dt)
             poses_ref, k_ref = rk4_reference(states, k0, imu, world, noise,
                                              dt, 100)
             k_err = np.linalg.norm(f.gain() - k_ref) / np.linalg.norm(k_ref)
@@ -230,7 +257,7 @@ class TestUpdate:
 
     def test_stale_observation_rejected(self, world, noise):
         f = JointFilter([identity_state()], np.eye(15), world, noise)
-        f.propagate([ImuSample(np.zeros(3), np.zeros(3), 0)], 0.005)
+        f.propagate(still_imu(), 0.005)
         with pytest.raises(ValueError):
             f.update(Observation(models.LANDMARK, 0, 0, np.zeros(3), 0))
 
@@ -245,7 +272,7 @@ class TestUpdate:
                 imu = [ImuSample(0.2 * rng.standard_normal(3),
                                  0.2 * rng.standard_normal(3), t_ns)
                        for _ in range(2)]
-                f.propagate(imu, 0.005)
+                f.propagate(stack_samples(imu), 0.005)
                 t_ns += 5_000_000
             else:
                 kind = models.LANDMARK if rng.random() < 0.5 else models.INTERVEHICLE
@@ -292,7 +319,7 @@ class TestUpdate:
                 imu = [ImuSample(0.2 * rng.standard_normal(3),
                                  0.2 * rng.standard_normal(3), t_ns)
                        for _ in range(n)]
-                f.propagate(imu, 0.005)
+                f.propagate(stack_samples(imu), 0.005)
                 t_ns += 5_000_000
             for observer in range(n):
                 for lm in sorted(world.landmarks):
@@ -375,7 +402,7 @@ class TestDefiniteness:
                 imu = [ImuSample(0.2 * rng.standard_normal(3),
                                  0.2 * rng.standard_normal(3), t_ns)
                        for _ in range(2)]
-                f.propagate(imu, 0.005)
+                f.propagate(stack_samples(imu), 0.005)
                 t_ns += 5_000_000
             for kind, observer, subject in [(models.LANDMARK, 0, 0),
                                             (models.LANDMARK, 1, 2),
