@@ -44,12 +44,6 @@ def build_parser():
                    help="override the run duration in seconds")
     p.add_argument("--out", default=".", metavar="DIR",
                    help="output directory (created if missing)")
-    p.add_argument("--with-curvature", choices=("on", "off"),
-                   help="second-order gain correction of the joint filter, "
-                        "over the full 15n system in both central and none; "
-                        "distributed has no curvature term.  Off by default: "
-                        "it can make the update system singular within the "
-                        "first simulated second, which exits 4")
     return p
 
 
@@ -94,8 +88,7 @@ def run_experiment(cfg):
     prior = dataio.build_prior(cfg)
     try:
         result = harness.run_schedule(schedule, cfg.mode, sources, world,
-                                      noise, prior=prior,
-                                      with_curvature=cfg.with_curvature)
+                                      noise, prior=prior)
     except (UpdateSingularError, np.linalg.LinAlgError) as exc:
         raise NumericalFailure(str(exc)) from exc
     rows = result.rows
@@ -125,8 +118,6 @@ def main(argv=None):
             cfg.seed = args.seed
         if args.duration is not None:
             cfg.schedule["duration_s"] = args.duration
-        if args.with_curvature is not None:
-            cfg.with_curvature = args.with_curvature == "on"
         dataio.schedule_config(cfg)
 
         os.makedirs(args.out, exist_ok=True)

@@ -4,9 +4,8 @@ Each node owns its own state estimate and one 15n x 15 column slice of the
 joint gain matrix.  Between observations nodes run silently, accumulating a
 propagation factor; when an observation is originated the factors are
 exchanged, the originating node computes the low-rank gain correction once
-and broadcasts it with the residual, and every node applies them locally.
-The curvature correction of the centralised filter is deliberately dropped
-here, since it would need the full gain inverse.
+and broadcasts it with the residual, and every node applies them locally:
+the same low-rank update the joint filter applies.
 
 The simulation holds all n nodes of a network in one VehicleNode, with the
 node axis leading, and advances them together: one stacked propagation

@@ -435,7 +435,7 @@ def _distributed_update(nodes, obs, tick, bus):
 
 
 def run_schedule(config, mode, sources, world, noise, prior=None,
-                 with_curvature=False, record_bus=True):
+                 record_bus=True):
     """Run one experiment and return its metrics, summary and bus log.
 
     Events execute in (tick, channel, observer, subject) lexicographic
@@ -455,13 +455,6 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
     `none` is the JointFilter of `central` without the inter-vehicle
     channel: its cross blocks stay exactly zero, so its vehicles evolve as
     n isolated filters, and a lost definiteness warns once per epoch.
-
-    The second-order gain correction (with_curvature) is opt-in: it
-    amplifies through the inverse gain and destabilises runs whose gain
-    spectrum gets small, so the robust default leaves it off.  It applies
-    to the joint filter of `none` and `central`, whose curvature term and
-    condition gate then span the full 15n system; the nodes of
-    `distributed` have no curvature term.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -541,7 +534,7 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
             if mode == MODE_DISTRIBUTED:
                 _distributed_update(flt, obs, tick, bus)
             else:
-                flt.update(obs, with_curvature=with_curvature)
+                flt.update(obs)
             update_count += 1
 
         _store(est, tick, flt.state)

@@ -2,8 +2,7 @@
 
 IMU ticks propagate the estimate through the group exponential and the gain
 matrix through its Riccati flow; landmark and inter-vehicle observations are
-applied sequentially as discrete updates, optionally with the curvature
-correction of the underlying connection.
+applied sequentially as discrete low-rank updates.
 """
 
 import logging
@@ -13,14 +12,13 @@ import numpy as np
 
 from . import models
 from .kernels import _eye, expm
-from .lie import STATE_DOF, network_adjoint_from_vector, retract, stack_states
-from .models import _sym
+from .lie import STATE_DOF, retract, stack_states
 
 log = logging.getLogger(__name__)
 
 # Threshold on the update system's 1-norm condition number; beyond this the
-# update is reported as singular instead of silently applied.  Without
-# curvature it gates the m x m system of the low-rank update (m = 6 or 12).
+# update is reported as singular instead of silently applied.  It gates the
+# m x m system of the low-rank update (m = 6 or 12).
 COND_LIMIT = 1e12
 
 
@@ -29,16 +27,14 @@ class UpdateSingularError(RuntimeError):
 
 
 def propagate_vehicle(state, kdiag, lam, u, dt, world, noise_term):
-    """One IMU tick of one vehicle or of a stack of vehicles.
+    """One IMU tick of a stack of vehicles, on a leading axis n.
 
     Shared by the joint filter and the nodes, each advancing all n
-    vehicles in one call on a leading axis n (the joint filter's one
-    vehicle of a 1-vehicle config has none).  Advances the estimate
-    through the group exponential, the 15x15 diagonal gain block by a
-    forward-Euler Riccati step that keeps it exactly symmetric, and the
-    accumulated propagation factor lam <- expm(a dt) lam that later brings
-    the vehicle's cross blocks up to date; lam stays None for a caller that
-    keeps no factor.  `noise_term` is models.imu_noise_term(noise), constant
+    vehicles in one call.  Advances the estimate through the group
+    exponential, the 15x15 diagonal gain block by a forward-Euler Riccati
+    step that keeps it exactly symmetric, and the accumulated propagation
+    factor lam <- expm(a dt) lam that later brings the vehicle's cross
+    blocks up to date; lam stays None for a caller that keeps no factor.  `noise_term` is models.imu_noise_term(noise), constant
     for a run.  Returns the new (state, kdiag, lam).
     """
     a = models.a_check_single(state, u)
@@ -82,12 +78,10 @@ def _blocks(k, n):
 class JointFilter:
     """Single-writer state machine holding the joint estimate and gain.
 
-    The estimate is one stacked VehicleState (leading axis n; the vehicle
-    of a 1-vehicle config, in `none` or `central`, is held without one,
-    which keeps the kernels' coefficient arithmetic on numpy scalars).
-    Between updates only the diagonal gain blocks move, kept as an
-    (n, 15, 15) stack, and each vehicle's propagation factor; the full gain
-    is brought up to the current tick before the next update.
+    The estimate is one stacked VehicleState, leading axis n for every n,
+    one included.  Between updates only the diagonal gain blocks move, kept
+    as an (n, 15, 15) stack, and each vehicle's propagation factor; the
+    full gain is brought up to the current tick before the next update.
     """
 
     def __init__(self, states, k0, world, noise):
@@ -97,8 +91,7 @@ class JointFilter:
             raise ValueError("K0 has the wrong shape for the vehicle count")
         _check_spd(k0)
         self.n = n
-        self._lead = (n,) if n > 1 else ()
-        self.state = stack_states(states) if n > 1 else states[0]
+        self.state = stack_states(states)
         self.k = k0.copy()
         self.world = world
         self.noise = noise
@@ -120,15 +113,12 @@ class JointFilter:
         self._definite = True
 
     def _diag_blocks(self):
-        blocks = _blocks(self.k, self.n)[self._ar, self._ar]
-        return blocks.reshape(self._lead + (STATE_DOF, STATE_DOF))
+        return _blocks(self.k, self.n)[self._ar, self._ar]
 
     # -- accessors -----------------------------------------------------------
 
     def estimate(self):
         """Per-vehicle states; later steps never change them in place."""
-        if not self._lead:
-            return [self.state]
         return [self.state[i] for i in range(self.n)]
 
     def gain(self):
@@ -159,18 +149,15 @@ class JointFilter:
 
         u is one ImuSample stacked over vehicles: gyro and accel (n, 3),
         row v vehicle v's sample (models.stack_samples builds one from n
-        samples); a 1-vehicle filter takes its vehicle's row.  Only the
-        estimates, the diagonal gain blocks and the factors move here, for
-        all vehicles in one call; the full gain is brought up to date at
-        the next update.
+        samples).  Only the estimates, the diagonal gain blocks and the
+        factors move here, for all vehicles in one call; the full gain is
+        brought up to date at the next update.
         """
         if dt <= 0.0:
             raise ValueError("IMU period must be positive")
         if u.gyro.shape != (self.n, 3) or u.accel.shape != (self.n, 3):
             raise ValueError(f"need (n, 3) = ({self.n}, 3) IMU rows, got "
                              f"{u.gyro.shape} and {u.accel.shape}")
-        if not self._lead:
-            u = models.ImuSample(u.gyro[0], u.accel[0], u.t_ns)
         if self._kdiag is None:
             self._kdiag = self._diag_blocks()
         self.state, self._kdiag, self._lam = propagate_vehicle(
@@ -182,7 +169,7 @@ class JointFilter:
 
     # -- measurement updates ---------------------------------------------------
 
-    def update(self, obs, with_curvature=False):
+    def update(self, obs):
         """Apply one observation at the current filter time, weighed by the
         period since its source's last applied arrival.
 
@@ -193,9 +180,8 @@ class JointFilter:
         definite K definite iff the m x m matrix K_ii + dt K_ii E_ii K_ii
         is, with K_ii = K[ix, ix] before the update: (K+)^-1 = K^-1 + dt E,
         and congruence with K^1/2 plus AB and BA sharing their non-zero
-        eigenvalues reduce the test to the ix block.  The curvature path
-        checks its dense result.  Once lost, definiteness is checked again
-        at the next rebuild.
+        eigenvalues reduce the test to the ix block.  Once lost,
+        definiteness is checked again at the next rebuild.
         """
         if obs.t_ns < self.t_ns:
             raise ValueError(
@@ -210,53 +196,27 @@ class JointFilter:
         dt = self.noise.effective_period(obs.kind, self._last_obs_ns.get(key),
                                          obs.t_ns)
         ix = models.update_indices(obs.kind, obs.observer, obs.subject)
-        states = self.state if self._lead else [self.state]
-        r_ix, e_ii = models.update_terms(states, obs, self.world, self.noise,
-                                         dt)
+        r_ix, e_ii = models.update_terms(self.state, obs, self.world,
+                                         self.noise, dt)
 
-        if with_curvature:
-            _refuse_non_finite(e_ii)
-            # the curvature term fills the whole matrix: dense terms and solve
-            dim = self.n * STATE_DOF
-            e = np.zeros((dim, dim))
-            e[np.ix_(ix, ix)] = e_ii
-            r = np.zeros(dim)
-            r[ix] = r_ix
-            ad = network_adjoint_from_vector(self.k @ r, self.n)
-            # general solve: the gain may be symmetric indefinite after a
-            # strongly curved update, and the correction is still well defined
-            inner = e + _sym(np.linalg.solve(self.k, ad))
-            s = np.eye(dim) + dt * (self.k @ inner)
-            self.k = _sym(update_inverse(s) @ self.k)
-            if self._definite:
-                self._definite = _still_definite(self.k, obs.t_ns)
-        else:
-            kc = self.k[:, ix]
-            g = gain_correction(kc, ix, e_ii, dt)
-            if self._definite:
-                k_ii = kc[ix, :]
-                self._definite = _still_definite(
-                    k_ii + dt * (k_ii @ e_ii @ k_ii), obs.t_ns)
-            # in place, as _sym(k - g k[ix, :]): nothing else holds self.k
-            k = self.k
-            k -= g @ k[ix, :]
-            k += k.T
-            k *= 0.5
+        kc = self.k[:, ix]
+        g = gain_correction(kc, ix, e_ii, dt)
+        if self._definite:
+            k_ii = kc[ix, :]
+            self._definite = _still_definite(
+                k_ii + dt * (k_ii @ e_ii @ k_ii), obs.t_ns)
+        # in place, as _sym(k - g k[ix, :]): nothing else holds self.k
+        k = self.k
+        k -= g @ k[ix, :]
+        k += k.T
+        k *= 0.5
         self._kdiag = None
 
         # psi = dt K r, and r vanishes outside ix
         psi = dt * (self.k[:, ix] @ r_ix)
-        self.state = retract(self.state,
-                             psi.reshape(self._lead + (STATE_DOF,)))
+        self.state = retract(self.state, psi.reshape(self.n, STATE_DOF))
         self._last_obs_ns[key] = obs.t_ns
         return self
-
-
-def _refuse_non_finite(e_ii):
-    """Refuse a non-finite Hessian block before it enters a product, where
-    0 * inf would warn; the verdict is update_inverse's."""
-    if not np.isfinite(e_ii).all():
-        raise UpdateSingularError("update system is not finite")
 
 
 def _one_norm(m):
@@ -267,9 +227,9 @@ def _one_norm(m):
 
 def update_inverse(s):
     """Inverse of an update system, refused when it is not finite (a
-    non-finite K makes it so; the callers refuse a non-finite E_ii first),
-    exactly singular, or its 1-norm condition number ||S||_1 ||S^-1||_1
-    exceeds COND_LIMIT.
+    non-finite K makes it so; gain_correction refuses a non-finite E_ii
+    first), exactly singular, or its 1-norm condition number
+    ||S||_1 ||S^-1||_1 exceeds COND_LIMIT.
 
     The column-sum reduction that gives ||S||_1 is NaN or inf exactly when
     an entry is, so it also serves as the finiteness check.  With m = 6 or
@@ -300,10 +260,12 @@ def gain_correction(kc, ix, e_ii, dt):
 
     a 15n x m matrix (m = len(ix)).  The m x m system has the determinant of
     the full one (Sylvester) and is refused by the same gate,
-    update_inverse, after a non-finite E_ii is refused.  Raises
-    UpdateSingularError.
+    update_inverse.  A non-finite E_ii is refused first, before it enters a
+    product where 0 * inf would warn; the verdict is update_inverse's.
+    Raises UpdateSingularError.
     """
-    _refuse_non_finite(e_ii)
+    if not np.isfinite(e_ii).all():
+        raise UpdateSingularError("update system is not finite")
     s = _eye(len(ix)) + dt * (e_ii @ kc[ix, :])
     return dt * (kc @ (update_inverse(s) @ e_ii))
 

@@ -1,8 +1,8 @@
 """Numeric kernels of the IMU step, on one vehicle or a stack of vehicles.
 
 Every kernel accepts any leading axes: a 3-vector gives one 3x3 matrix and
-an (n, 3) stack gives (n, 3, 3), so one call serves a node's single vehicle
-and all n vehicles of the joint filter, and each entry of a stacked result
+an (n, 3) stack gives (n, 3, 3), so one call serves one vehicle and the n
+vehicles each filter holds as a stack, and each entry of a stacked result
 equals the single-vehicle call on that entry.  The SO(3) exponential and
 its left Jacobian are in closed form; the matrix exponential of the 15x15
 propagation matrices is a truncated Taylor series with scaling and

@@ -6,8 +6,9 @@ bias vectors.  Tangent vectors are ordered (rot, pos, vel, gyro_bias,
 accel_bias), fifteen entries in total.
 
 A state holds one vehicle or a stack of vehicles: every field carries the
-same leading axes, none for one vehicle and (n,) for the joint filter's n
-vehicles.  `compose`, `group_exp` and `retract` act on all of them at once.
+same leading axes, none for one vehicle and (n,) for a stack of n, as both
+filters hold their vehicles for every n, one included.  `compose`,
+`group_exp` and `retract` act on all of them at once.
 """
 
 from dataclasses import dataclass, fields
@@ -108,22 +109,6 @@ def compose(x, y):
     )
 
 
-def adjoint_matrix_from_vector(q):
-    """15x15 matrix acting on tangent coordinates as the Lie bracket [q, .].
-
-    The bracket only involves the extended-pose slots; both bias rows and
-    columns are zero.
-    """
-    ad = np.zeros((STATE_DOF, STATE_DOF))
-    rx = skew(q[0:3])
-    ad[0:3, 0:3] = rx
-    ad[3:6, 0:3] = skew(q[3:6])
-    ad[3:6, 3:6] = rx
-    ad[6:9, 0:3] = skew(q[6:9])
-    ad[6:9, 6:9] = rx
-    return ad
-
-
 def group_exp(q):
     """Exponential of 15-entry tangent vectors (..., 15) onto the group.
 
@@ -164,14 +149,3 @@ def rotation_error_angle(r_est, r_true):
     """Geodesic angles between rotations (..., 3, 3), in [0, pi]."""
     c = 0.5 * (np.trace(_t(r_est) @ r_true, axis1=-2, axis2=-1) - 1.0)
     return np.arccos(np.clip(c, -1.0, 1.0))
-
-
-# -- network helpers ---------------------------------------------------------
-
-def network_adjoint_from_vector(q, n):
-    """Block-diagonal 15n x 15n adjoint of a stacked tangent vector."""
-    out = np.zeros((n * STATE_DOF, n * STATE_DOF))
-    for i in range(n):
-        sl = slice(i * STATE_DOF, (i + 1) * STATE_DOF)
-        out[sl, sl] = adjoint_matrix_from_vector(q[sl])
-    return out

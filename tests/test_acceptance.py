@@ -24,11 +24,10 @@ from meswarm.harness import (MessageBus, PriorConfig, ScheduleConfig,
                              _distributed_update, _observation_ticks,
                              run_schedule, synthesize_observation)
 from meswarm.joint import JointFilter, block_diag_prior
-from meswarm.lie import (STATE_DOF, adjoint_matrix_from_vector, compose,
-                         group_exp, make_state, rotation_error_angle)
+from meswarm.lie import STATE_DOF, compose, group_exp
 from meswarm.models import (ImuSample, NoiseModel, Observation, WorldConfig,
                             stack_samples)
-from test_lie import inverse, pose_matrix
+from test_lie import adjoint_matrix_from_vector, inverse, pose_matrix
 
 
 @pytest.fixture
@@ -190,8 +189,8 @@ def test_criterion_4_discrete_vs_continuous(report):
 
 
 def _scripted_parallel_run(duration_s=10.0, n=3, seed=11):
-    """Drive the joint filter (no curvature) and the node network on
-    identical inputs; returns max discrepancies and the distributed bus."""
+    """Drive the joint filter and the node network on identical inputs;
+    returns max discrepancies and the distributed bus."""
     noise = scenario_noise()
     world = scenario_world(n)
     sources = scenario_sources(n, noise, seed)
@@ -234,7 +233,7 @@ def _scripted_parallel_run(duration_s=10.0, n=3, seed=11):
                 obs = synthesize_observation(truths, world, kind, a, b,
                                              noise.d_matrix(kind), rngs[key],
                                              tick * dt_ns)
-                flt.update(obs, with_curvature=False)
+                flt.update(obs)
                 _distributed_update(nodes, obs, tick, bus)
             kj = flt.gain()
             for v in range(n):
@@ -369,9 +368,8 @@ def test_criterion_10_recorded_flight_data(report, tmp_path):
     pos = {}
     for mode in ("none", "central", "distributed"):
         out = tmp_path / mode
-        extra = (("--with-curvature", "off") if mode == "central" else ())
         code = cli.main(["--config", str(cfg_path), "--out", str(out),
-                         "--mode", mode, *extra])
+                         "--mode", mode])
         assert code == 0, f"mode {mode} exited {code}"
         for line in (out / "summary.csv").read_text().splitlines()[1:]:
             name, _, whole, _ = line.rsplit(",", 3)

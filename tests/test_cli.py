@@ -115,9 +115,8 @@ class TestDeterminismAndEquivalence:
         for name in ("metrics.csv", "bus.log", "summary.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_central_off_curvature_matches_distributed(self, tmp_path):
-        _, c = run_cli(tmp_path, base_config(mode="central"), name="c",
-                       extra=("--with-curvature", "off"))
+    def test_central_matches_distributed(self, tmp_path):
+        _, c = run_cli(tmp_path, base_config(mode="central"), name="c")
         _, d = run_cli(tmp_path, base_config(mode="distributed"), name="d")
         sc, sd = read_summary_csv(c), read_summary_csv(d)
         for key in sc:
@@ -182,7 +181,7 @@ class TestExitCodes:
         assert "noise.d_landmark_m must be a number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section,key,value,message", [
-        (None, "with_curvature", "off", "with_curvature must be true or"),
+        (None, "with_curvature", "off", "unknown fields ['with_curvature']"),
         (None, "seed", "abc", "seed must be a non-negative integer"),
         ("schedule", "imu_rate_hz", "200",
          "imu_rate_hz must be a non-negative finite number"),
@@ -213,6 +212,14 @@ class TestExitCodes:
         assert code == 2 and not out.exists()
         assert message in capsys.readouterr().err
 
+    def test_removed_curvature_flag_is_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tmp_path, base_config(n_vehicles=1), "flag",
+                    ["--with-curvature", "on"])
+        assert exc.value.code == 2
+        assert ("unrecognized arguments: --with-curvature on"
+                in capsys.readouterr().err)
+
     def test_negative_seed_flag_is_2(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, base_config(n_vehicles=1), "flag",
                             ["--seed", "-1"])
@@ -230,6 +237,27 @@ class TestExitCodes:
         code, _ = run_cli(tmp_path, cfg)
         assert code == 3
         assert "IMU stream is empty" in capsys.readouterr().err
+
+    def test_one_sample_window_is_3(self, tmp_path, capsys):
+        """Two trials whose common window holds one sample of each: a
+        stream rate cannot be measured from it."""
+        (tmp_path / "a.csv").write_text(
+            "timestamp_ns,wx,wy,wz,ax,ay,az\n0,0,0,0,0,0,9.81\n"
+            "5000000,0,0,0,0,0,9.81\n10000000,0,0,0,0,0,9.81\n")
+        (tmp_path / "b.csv").write_text(
+            "timestamp_ns,wx,wy,wz,ax,ay,az\n4000000,0,0,0,0,0,9.81\n"
+            "9900000,0,0,0,0,0,9.81\n")
+        (tmp_path / "truth.csv").write_text(
+            "ts,px,py,pz,qw,qx,qy,qz,vx,vy,vz\n"
+            "0,0,0,0,1,0,0,0,0,0,0\n20000000,0,0,0,1,0,0,0,0,0,0\n")
+        cfg = base_config(n_vehicles=2)
+        cfg["vehicles"] = [{"type": "dataset", "imu_csv": name,
+                            "truth_csv": "truth.csv"}
+                           for name in ("a.csv", "b.csv")]
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 3
+        assert ("vehicle 0: IMU stream needs two samples to measure its rate"
+                in capsys.readouterr().err)
 
     def test_data_error_is_3(self, tmp_path):
         (tmp_path / "imu.csv").write_text(

@@ -424,7 +424,7 @@ class TestSingularGate:
         obs = Observation(models.INTERVEHICLE, 0, 1, rng.standard_normal(3),
                           0)
         with pytest.raises(UpdateSingularError):
-            joint.update(obs, with_curvature=False)
+            joint.update(obs)
         np.testing.assert_array_equal(joint.gain(), before)
 
     def test_distributed_origin_refuses(self, world, noise, monkeypatch,
@@ -462,7 +462,7 @@ class TestSingularGate:
             m.setattr(models, "update_terms", singular_hessian(
                 noise.nominal_period(models.LANDMARK)))
             with pytest.raises(UpdateSingularError):
-                joint.update(refused, with_curvature=False)
+                joint.update(refused)
             assert run_update(nodes, refused).gain is None
         propagate_pair(joint, nodes, rng, 10)
         obs = Observation(models.LANDMARK, 0, 0, rng.standard_normal(3),
@@ -564,25 +564,6 @@ class TestGateVerdict:
             assert len(skips) == 1 and text in skips[0]
             np.testing.assert_array_equal(joint.gain(), before)
 
-    @pytest.mark.parametrize("case", sorted(GATE_CASES))
-    def test_curvature_system(self, world, case, monkeypatch):
-        """The curvature path gates its dense 15n x 15n system the same."""
-        noise = NoiseModel(dt_landmark=GATE_DT, dt_intervehicle=GATE_DT)
-        joint = JointFilter([identity_state()] * 2, np.eye(30), world, noise)
-        monkeypatch.setattr(models, "update_terms", gate_hessian(case))
-        obs = Observation(models.LANDMARK, 1, 0, np.zeros(3), 0)
-        text = GATE_CASES[case][2]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            if text is None:
-                joint.update(obs, with_curvature=True)
-                # K+ = S^-1 K with K = I: the gated entry becomes 1/d
-                assert joint.gain()[15, 15] == pytest.approx(5e11, rel=1e-3)
-            else:
-                with pytest.raises(UpdateSingularError, match=re.escape(text)):
-                    joint.update(obs, with_curvature=True)
-                np.testing.assert_array_equal(joint.gain(), np.eye(30))
-
 
 class TestOneModelEvaluation:
     """Each update evaluates the observation model once, in both filters."""
@@ -632,7 +613,7 @@ class TestDenseOracle:
             x_ref = [compose(x, group_exp(psi[i * STATE_DOF:(i + 1) * STATE_DOF]))
                      for i, x in enumerate(states)]
 
-            joint.update(obs, with_curvature=False)
+            joint.update(obs)
             run_update(nodes, obs)
             np.testing.assert_allclose(joint.gain(), k_ref, rtol=0, atol=1e-12)
             kj = joint.gain()
@@ -676,7 +657,7 @@ def drive_pair(joint, nodes, rng, ticks, update_every):
                            joint.world)
         y = y + 0.01 * rng.standard_normal(3)
         obs = Observation(kind, observer, subject, y, t_ns)
-        joint.update(obs, with_curvature=False)
+        joint.update(obs)
         run_update(nodes, obs)
 
 
@@ -712,7 +693,7 @@ class TestFullEquivalence:
             y = models.predict_landmark(joint.estimate()[0],
                                         joint.world.landmark(lm)) + 0.01
             obs = Observation(models.LANDMARK, 0, lm, y, TICK_NS)
-            joint.update(obs, with_curvature=False)
+            joint.update(obs)
             msgs = exchange_factors(nodes)
             if lm == 1:
                 assert all(m.start_tick == m.end_tick for m in msgs)
@@ -756,7 +737,7 @@ class TestSharedEngine:
             if (kind, observer, subject, joint.t_ns) in updated:
                 continue  # the observation clock refuses a repeated stamp
             updated.add((kind, observer, subject, joint.t_ns))
-            joint.update(obs, with_curvature=False)
+            joint.update(obs)
             run_update(nodes, obs)
             assert_nodes_match_joint(joint, nodes, 1e-10)
         # gain() brings the cross blocks up to date as a factor exchange does

@@ -1,7 +1,10 @@
-"""The README's Library snippet runs as documented."""
+"""The README's Library snippet runs as documented, and its Command line
+section names exactly the flags the CLI parser takes."""
 
 import re
 from pathlib import Path
+
+from meswarm import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -21,3 +24,16 @@ def test_library_snippet_runs(capsys):
         "IMU Accel. Bias"]
     assert lines[5].startswith("final position errors [m]: [")
     assert len(lines) == 6
+
+
+def long_flags(text):
+    """Every `--flag` named in text."""
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text))
+
+
+def test_readme_names_exactly_the_parser_flags():
+    text = README.read_text()
+    start = text.index("\n## Command line\n")
+    section = text[start:text.index("\n## ", start + 1)]
+    parser_flags = long_flags(cli.build_parser().format_help()) - {"--help"}
+    assert long_flags(section) == parser_flags

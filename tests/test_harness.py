@@ -508,7 +508,7 @@ def isolated_rows(cfg, sources, world, noise, prior):
                                   channel_rng(cfg.seed, harness._CH_PRIOR,
                                               v, 0))],
         prior.k0_block(), world, noise) for v, src in enumerate(sources)]
-    rows = [metrics_row(0.0, v, f.state, src.truth_at_tick(0))
+    rows = [metrics_row(0.0, v, f.estimate()[0], src.truth_at_tick(0))
             for v, (f, src) in enumerate(zip(filters, sources))]
     for tick in range(1, n_ticks + 1):
         for f, src in zip(filters, sources):
@@ -524,7 +524,7 @@ def isolated_rows(cfg, sources, world, noise, prior):
                                          tick * dt_ns)
             filters[v].update(models.Observation(models.LANDMARK, 0, lm,
                                                  obs.y, obs.t_ns))
-        rows += [metrics_row(tick * dt, v, f.state, truths[v])
+        rows += [metrics_row(tick * dt, v, f.estimate()[0], truths[v])
                  for v, f in enumerate(filters)]
     return rows
 
@@ -577,9 +577,9 @@ class TestDefinitenessWarnings:
             return sum("lost positive definiteness" in rec.getMessage()
                        for rec in caplog.records)
 
-        def checked(self, obs, with_curvature=False):
+        def checked(self, obs):
             before = pd_warnings()
-            update(self, obs, with_curvature)
+            update(self, obs)
             key = (id(self), obs.t_ns)
             if pd_warnings() > before:
                 warned.add(key)

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as ScipyRotation
 
-from meswarm.kernels import SMALL_ANGLE
-from meswarm.lie import (ROT_DRIFT_TOL, VehicleState,
-                         adjoint_matrix_from_vector, compose, group_exp,
-                         make_state, retract, rotation_error_angle)
+from meswarm.kernels import SMALL_ANGLE, skew
+from meswarm.lie import (ROT_DRIFT_TOL, STATE_DOF, VehicleState, compose,
+                         group_exp, make_state, retract,
+                         rotation_error_angle)
 
 
 def random_state(rng, scale=1.0):
@@ -135,6 +135,22 @@ def bracket_oracle(p, q):
     out[3:6] = c[:3, 3]
     out[6:9] = c[:3, 4]
     return out
+
+
+def adjoint_matrix_from_vector(q):
+    """15x15 matrix acting on tangent coordinates as the Lie bracket [q, .].
+
+    The bracket only involves the extended-pose slots; both bias rows and
+    columns are zero.
+    """
+    ad = np.zeros((STATE_DOF, STATE_DOF))
+    rx = skew(q[0:3])
+    ad[0:3, 0:3] = rx
+    ad[3:6, 0:3] = skew(q[3:6])
+    ad[3:6, 3:6] = rx
+    ad[6:9, 0:3] = skew(q[6:9])
+    ad[6:9, 6:9] = rx
+    return ad
 
 
 class TestAdjoint:

@@ -6,13 +6,12 @@ from scipy.spatial.transform import Rotation as ScipyRotation
 
 from meswarm import models
 from meswarm.kernels import skew
-from meswarm.lie import (STATE_DOF, adjoint_matrix_from_vector, compose,
-                         group_exp, make_state)
+from meswarm.lie import STATE_DOF, compose, group_exp, make_state
 from meswarm.models import (ImuSample, NoiseModel, Observation,
                             ObservationError, WorldConfig, a_check_single,
                             b_check_single, lambda_single,
                             predict_intervehicle, predict_landmark)
-from test_lie import identity_state
+from test_lie import adjoint_matrix_from_vector, identity_state
 
 
 def random_state(rng):
