@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import dataio, harness
+from . import dataio, distributed, harness
 from .dataio import ConfigError, DataError
 from .joint import UpdateSingularError
 
@@ -74,9 +74,11 @@ def write_summary(csv_path, txt_path, summary):
 
 
 def write_bus_log(path, records):
+    """One line per (tick, message) bus record, in delivery order: the
+    message's canonical encoding, rendered here and nowhere earlier."""
     with open(path, "w") as fh:
-        for body in records:
-            fh.write(json.dumps(body, sort_keys=True) + "\n")
+        for tick, msg in records:
+            fh.write(distributed.encode_message(msg, tick) + "\n")
 
 
 def run_experiment(cfg):
@@ -109,7 +111,12 @@ def main(argv=None):
     logging.basicConfig(
         level=os.environ.get("ME_SWARM_LOG", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # a bad flag (2) or --help (0): returned as every other exit code
+        # is, so an in-process caller gets a code, not an exception
+        return exc.code
     try:
         cfg = dataio.load_config(args.config)
         if args.mode is not None:

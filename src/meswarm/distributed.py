@@ -14,6 +14,8 @@ column update and retraction per broadcast.  The data flow stays per node:
 node v reads only its own column, its own state and the wire messages.
 """
 
+import functools
+import json
 import logging
 from dataclasses import dataclass
 
@@ -67,35 +69,57 @@ class UpdateBroadcast:
     gain: np.ndarray       # 15n x m gain correction G, None if refused
 
 
-def _mat(m):
-    return np.asarray(m, dtype=float).tolist()
+def _obj(**fields):
+    """A JSON object of rendered values, its keys sorted as
+    json.dumps(sort_keys=True) sorts them; every key is a plain name."""
+    return "{" + ", ".join(f'"{k}": {fields[k]}' for k in sorted(fields)) + "}"
 
 
-def encode_message(msg):
-    """Canonical JSON-compatible encoding used for bus logs."""
+@functools.lru_cache(maxsize=64)
+def _array_text(shape, raw):
+    return json.dumps(np.frombuffer(raw).reshape(shape).tolist())
+
+
+def _arr(a):
+    """JSON text of an array as nested lists of floats.  Equal bytes give
+    equal text, so a repeated array (the identity factor of every exchange
+    after an epoch's first) is rendered once while it stays in the memo."""
+    a = np.asarray(a, dtype=float)
+    return _array_text(a.shape, a.tobytes())
+
+
+def encode_message(msg, tick):
+    """The canonical bus-log line of a message delivered at `tick`.
+
+    Rendered straight from the message's fields, it is byte for byte
+    json.dumps(body, sort_keys=True) of the body with every array as
+    nested float lists, "tick" and the wire version "v"; NaN and infinite
+    entries give JSON's NaN and Infinity, as json.dumps writes them.
+    """
+    num = json.dumps
     if isinstance(msg, PropagationFactor):
-        body = {"type": "propagation_factor", "sender": msg.sender,
-                "lam": _mat(msg.lam),
-                "start_tick": msg.start_tick, "end_tick": msg.end_tick}
+        body = dict(type='"propagation_factor"', sender=num(msg.sender),
+                    lam=_arr(msg.lam), start_tick=num(msg.start_tick),
+                    end_tick=num(msg.end_tick))
     elif isinstance(msg, PeerStateRequest):
-        body = {"type": "peer_state_request", "requester": msg.requester,
-                "target": msg.target}
+        body = dict(type='"peer_state_request"',
+                    requester=num(msg.requester), target=num(msg.target))
     elif isinstance(msg, PeerStateReply):
-        body = {"type": "peer_state_reply", "sender": msg.sender,
-                "state": {"rot": _mat(msg.state.rot), "pos": _mat(msg.state.pos),
-                          "vel": _mat(msg.state.vel),
-                          "gyro_bias": _mat(msg.state.gyro_bias),
-                          "accel_bias": _mat(msg.state.accel_bias)},
-                "k_col": _mat(msg.k_col)}
+        st = msg.state
+        body = dict(type='"peer_state_reply"', sender=num(msg.sender),
+                    state=_obj(rot=_arr(st.rot), pos=_arr(st.pos),
+                               vel=_arr(st.vel),
+                               gyro_bias=_arr(st.gyro_bias),
+                               accel_bias=_arr(st.accel_bias)),
+                    k_col=_arr(msg.k_col))
     elif isinstance(msg, UpdateBroadcast):
-        body = {"type": "update_broadcast", "origin": msg.origin,
-                "kind": msg.kind, "subject": msg.subject, "dt": msg.dt,
-                "t_ns": msg.t_ns, "r": _mat(msg.r),
-                "gain": None if msg.gain is None else _mat(msg.gain)}
+        body = dict(type='"update_broadcast"', origin=num(msg.origin),
+                    kind=num(msg.kind), subject=num(msg.subject),
+                    dt=num(msg.dt), t_ns=num(msg.t_ns), r=_arr(msg.r),
+                    gain="null" if msg.gain is None else _arr(msg.gain))
     else:
         raise TypeError(f"not a wire message: {type(msg)!r}")
-    body["v"] = WIRE_VERSION
-    return body
+    return _obj(**body, tick=num(tick), v=num(WIRE_VERSION))
 
 
 # -- the nodes ----------------------------------------------------------------
@@ -192,7 +216,8 @@ class VehicleNode:
         own to pair with the peers' factors it absorbs.  The messages hold
         views of the factor stack, which is only ever rebound, never
         written; so over an empty span, where the stack is still the
-        identity, the nodes keep accumulating into it."""
+        identity, the nodes keep accumulating into it, and a bus that
+        renders its log after the run reads the factors as delivered."""
         if self._pending:
             raise SynchronizationError(
                 f"factors requested while tick {self.tick + 1} is incomplete")
@@ -227,7 +252,10 @@ class VehicleNode:
     # -- updates --------------------------------------------------------------
 
     def peer_state_reply(self, v):
-        """Node v's answer to a peer state request."""
+        """Node v's answer to a peer state request.  Its state views the
+        state arrays, which every step replaces and none writes in place,
+        and its columns are a copy; so the reply stays as delivered for a
+        bus that renders its log after the run."""
         return PeerStateReply(v, self.state[v],
                               self.k_col[v, :, :models.UPDATE_SLOTS].copy())
 
@@ -285,6 +313,10 @@ class VehicleNode:
         if msg.gain is None:
             return self
         ix = models.update_indices(msg.kind, msg.origin, msg.subject)
+        if msg.kind == models.LANDMARK:
+            # one vehicle's slots are one range of rows: a view, which the
+            # in-place update keeps current, instead of two gathers
+            ix = slice(ix[0], ix[-1] + 1)
         # in place: no new (n, 15n, 15) array per broadcast, and k_col keeps
         # its C-contiguous layout
         self.k_col -= msg.gain @ self.k_col[:, ix, :]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import distributed, models
-from .distributed import VehicleNode, encode_message
+from .distributed import VehicleNode
 from .joint import JointFilter, block_diag_prior
 from .kernels import skew, so3_exp
 from .lie import STATE_DOF, VehicleState, make_state, rotation_error_angle
@@ -306,11 +306,17 @@ class SyntheticSource:
 # -- message bus ----------------------------------------------------------------
 
 class MessageBus:
-    """Keeps the canonical encoding of every delivered message, if recording.
+    """Keeps every delivered message, with its tick, if recording.
 
-    Recording holds the full payload of every message in memory, which adds
-    up quickly on long many-vehicle runs; switch it off when the log is not
-    needed.
+    A record is the (tick, message) pair as delivered: nothing is encoded
+    on the epoch tick.  The bus-log line of a record is rendered once, by
+    distributed.encode_message, when the log is written (cli.write_bus_log).
+    That is sound because no message array is written in place after
+    delivery: a factor views a factor stack that the nodes only rebind, a
+    reply views state arrays that each step replaces, and the reply's
+    column slots, the residual and the gain correction are fresh arrays.
+    Recording keeps those arrays alive for the whole run; switch it off
+    when the log is not needed.
     """
 
     def __init__(self, record=True):
@@ -319,9 +325,7 @@ class MessageBus:
 
     def deliver(self, tick, msg):
         if self.record:
-            body = encode_message(msg)
-            body["tick"] = tick
-            self.records.append(body)
+            self.records.append((tick, msg))
         return msg
 
 
@@ -389,6 +393,10 @@ def summarize_metrics(rows, steady_after_s=10.0):
 
 @dataclass
 class RunResult:
+    """One run's outputs.  ``bus_records`` holds a (tick, message) pair per
+    delivered message, in delivery order (empty unless `distributed`
+    records its bus); cli.write_bus_log renders them as bus.log."""
+
     rows: np.recarray        # METRICS_DTYPE, one record per (tick, vehicle)
     summary: list
     bus_records: list

@@ -261,7 +261,7 @@ def test_criterion_5_distributed_equals_central(report, parallel_run):
 
 def test_criterion_9_communication_silence(report, parallel_run):
     _, _, bus, obs_ticks, n_ticks, _ = parallel_run
-    ticks = {rec["tick"] for rec in bus.records}
+    ticks = {tick for tick, _ in bus.records}
     stray = ticks - obs_ticks
     ok = len(bus.records) > 0 and not stray
     report(9, "no bus traffic between observation epochs", ok,

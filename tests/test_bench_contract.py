@@ -79,11 +79,12 @@ def test_warning_counter_counts_package_warnings(monkeypatch):
                               "distributed.apply_update.skipped": 1}
 
 
-def test_traced_distributed_run_records_every_node_layer():
-    """A traced distributed run records calls on every `distributed.*`
-    target, its absorb hook reads the factor it is given, and tracing
-    leaves the rows as they are."""
-    from meswarm import harness, models
+def test_traced_distributed_run_records_every_node_layer(tmp_path):
+    """A traced distributed run, its bus log written, records calls on
+    every `distributed.*` target (the log encodes every message once, as
+    `cli.write_bus_log` writes it), its absorb hook reads the factor it is
+    given, and tracing leaves the rows as they are."""
+    from meswarm import cli, harness, models
     noise = models.NoiseModel(d_landmark=0.1 * np.eye(3),
                               d_intervehicle=0.05 * np.eye(3))
     world = models.WorldConfig(landmarks={0: np.array([2.0, 0.0, 1.0])},
@@ -97,18 +98,21 @@ def test_traced_distributed_run_records_every_node_layer():
             harness.SinusoidTrajectory.random(rng, pos_scale=0.6,
                                               rot_scale=0.3), noise, v, 5)
             for v in range(2)]
-        result = harness.run_schedule(cfg, "distributed", sources, world,
-                                      noise)
-        return result.rows.tolist()
+        return harness.run_schedule(cfg, "distributed", sources, world,
+                                    noise)
 
-    plain = run()
+    plain = run().rows.tolist()
     tr = tracer.Tracer()
     with tr:
-        traced = run()
+        result = run()
+        cli.write_bus_log(tmp_path / "bus.log", result.bus_records)
+    traced = result.rows.tolist()
     calls = {name: n for name, (n, _) in tr.layer_totals().items()}
     for name in tracer.LAYER_NAMES:
         if name.startswith("distributed."):
             assert calls[name] > 0, name
+    assert calls["distributed.encode_message"] == len(result.bus_records)
+    assert calls["cli.write_bus_log"] == 1
     useful = tr.counts["distributed.absorb_propagation_factor.useful"]
     assert 0 < useful <= calls["distributed.absorb_propagation_factor"]
     assert traced == plain

@@ -213,12 +213,15 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
 
     def test_removed_curvature_flag_is_2(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(tmp_path, base_config(n_vehicles=1), "flag",
-                    ["--with-curvature", "on"])
-        assert exc.value.code == 2
+        code, out = run_cli(tmp_path, base_config(n_vehicles=1), "flag",
+                            ["--with-curvature", "on"])
+        assert code == 2 and not out.exists()
         assert ("unrecognized arguments: --with-curvature on"
                 in capsys.readouterr().err)
+
+    def test_help_is_0(self, capsys):
+        assert cli.main(["--help"]) == 0
+        assert "--config" in capsys.readouterr().out
 
     def test_negative_seed_flag_is_2(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, base_config(n_vehicles=1), "flag",

@@ -133,6 +133,37 @@ def assert_same_message(back, msg):
             assert a == b, name
 
 
+def _mat(m):
+    return np.asarray(m, dtype=float).tolist()
+
+
+def dict_body(msg, tick):
+    """The bus-log body as a dict of nested float lists: the encoding that
+    encode_message renders as text, kept here as its oracle."""
+    if isinstance(msg, PropagationFactor):
+        body = {"type": "propagation_factor", "sender": msg.sender,
+                "lam": _mat(msg.lam),
+                "start_tick": msg.start_tick, "end_tick": msg.end_tick}
+    elif isinstance(msg, PeerStateRequest):
+        body = {"type": "peer_state_request", "requester": msg.requester,
+                "target": msg.target}
+    elif isinstance(msg, PeerStateReply):
+        body = {"type": "peer_state_reply", "sender": msg.sender,
+                "state": {"rot": _mat(msg.state.rot), "pos": _mat(msg.state.pos),
+                          "vel": _mat(msg.state.vel),
+                          "gyro_bias": _mat(msg.state.gyro_bias),
+                          "accel_bias": _mat(msg.state.accel_bias)},
+                "k_col": _mat(msg.k_col)}
+    else:
+        body = {"type": "update_broadcast", "origin": msg.origin,
+                "kind": msg.kind, "subject": msg.subject, "dt": msg.dt,
+                "t_ns": msg.t_ns, "r": _mat(msg.r),
+                "gain": None if msg.gain is None else _mat(msg.gain)}
+    body["v"] = WIRE_VERSION
+    body["tick"] = tick
+    return body
+
+
 def decode_message(body):
     """Inverse of encode_message: the wire message a bus-log line holds."""
     if body.get("v") != WIRE_VERSION:
@@ -177,10 +208,11 @@ class TestWire:
                             rng.standard_normal(12), None),
         ]
         for msg in msgs:
-            body = json.loads(json.dumps(encode_message(msg)))
-            assert body["v"] == 3
+            body = json.loads(encode_message(msg, 7))
+            assert body["v"] == 3 and body["tick"] == 7
             assert_same_message(decode_message(body), msg)
-        assert decode_message(encode_message(msgs[-1])).gain is None
+        assert decode_message(json.loads(encode_message(msgs[-1], 0))).gain \
+            is None
 
     def test_v1_update_broadcast_rejected(self):
         body = {"type": "update_broadcast", "origin": 0, "kind": "landmark",
@@ -190,11 +222,50 @@ class TestWire:
             decode_message(body)
 
     def test_v2_peer_state_reply_rejected(self):
-        body = encode_message(PeerStateReply(1, identity_state(),
-                                             np.zeros((30, 15))))
+        body = json.loads(encode_message(
+            PeerStateReply(1, identity_state(), np.zeros((30, 15))), 0))
         body["v"] = 2
         with pytest.raises(ValueError, match="wire version 2"):
             decode_message(body)
+
+    def test_line_is_the_sorted_json_of_the_fields(self):
+        """encode_message renders, byte for byte, json.dumps(sort_keys=True)
+        of the dict body: every type, a refused broadcast, non-finite and
+        signed-zero entries, extreme magnitudes, and a repeated identity
+        factor rendered twice through the memo."""
+        rng = np.random.default_rng(4)
+        odd = rng.standard_normal((30, 6))
+        odd[0, :6] = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324]
+        odd[1, :5] = [1e-300, -1e-300, 1e16, -1e16, 1.0 / 3.0]
+        st = random_state(rng)
+        st = VehicleState(st.rot, np.array([-0.0, np.nan, 1e16]),
+                          np.array([5e-324, np.inf, -np.inf]), st.gyro_bias,
+                          st.accel_bias)
+        eye = np.eye(STATE_DOF)
+        msgs = [
+            PropagationFactor(0, eye, 4, 4),
+            PropagationFactor(1, eye.copy(), 4, 4),
+            PropagationFactor(2, rng.standard_normal((15, 15)), 0, 4),
+            PeerStateRequest(0, 1),
+            PeerStateReply(1, st, odd),
+            UpdateBroadcast(0, models.LANDMARK, 2, 0.1, 5_000_000,
+                            odd[0], odd),
+            UpdateBroadcast(0, models.INTERVEHICLE, 1, 0.1, 5_000_000,
+                            np.concatenate([odd[1], odd[0]]),
+                            rng.standard_normal((30, 12))),
+            UpdateBroadcast(1, models.INTERVEHICLE, 0, 0.1, 5_000_000,
+                            rng.standard_normal(12), None),
+        ]
+        memo = distributed._array_text.cache_info
+        for tick, msg in enumerate(msgs):
+            hits = memo().hits
+            line = encode_message(msg, tick)
+            assert line == json.dumps(dict_body(msg, tick), sort_keys=True)
+            assert_same_message(decode_message(json.loads(line)), msg)
+            if tick == 1:
+                assert memo().hits == hits + 1   # the identity, again
+        assert "NaN" in encode_message(msgs[4], 0)
+        assert "-Infinity" in encode_message(msgs[5], 0)
 
     def test_version_check(self):
         with pytest.raises(ValueError):
@@ -446,10 +517,10 @@ class TestSingularGate:
         assert len(skips) == 1 and skips[0].name == "meswarm.distributed"
         np.testing.assert_array_equal(nodes.k_col, cols)
         np.testing.assert_array_equal(pose_matrix(nodes.state), poses)
-        assert [rec["type"] for rec in bus.records] == (
-            ["propagation_factor"] * n
-            + ["peer_state_request", "peer_state_reply", "update_broadcast"])
-        assert bus.records[-1]["gain"] is None
+        assert [type(msg) for _, msg in bus.records] == (
+            [PropagationFactor] * n
+            + [PeerStateRequest, PeerStateReply, UpdateBroadcast])
+        assert bus.records[-1][1].gain is None
 
 
     def test_refused_update_keeps_observation_clock(self, world, noise,
@@ -1059,11 +1130,13 @@ class TestStackedAgainstOracle:
             harness._store(est_o, tick,
                            stack_states([nd.state[0] for nd in oracle]))
 
-        assert [wire_key(b) for b in bus_s.records] == [
-            wire_key(b) for b in bus_o.records]
-        for a, b in zip(bus_s.records, bus_o.records):
+        bodies_s = [dict_body(msg, tick) for tick, msg in bus_s.records]
+        bodies_o = [dict_body(msg, tick) for tick, msg in bus_o.records]
+        assert [wire_key(b) for b in bodies_s] == [
+            wire_key(b) for b in bodies_o]
+        for a, b in zip(bodies_s, bodies_o):
             assert_same_payload(a, b, TOL)
-        forced = [b for b in bus_s.records if b["type"] == "update_broadcast"
+        forced = [b for b in bodies_s if b["type"] == "update_broadcast"
                   and (b["kind"], b["origin"], b["subject"], b["t_ns"])
                   in refused]
         assert len(forced) == len(refused) <= 1

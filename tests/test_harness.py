@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as ScipyRotation
 
-from meswarm import harness, models
+from meswarm import cli, harness, models
+from meswarm.distributed import encode_message
 from meswarm.harness import (METRICS_DTYPE, PriorConfig, ScheduleConfig,
                              SinusoidTrajectory, SyntheticSource,
                              _observation_ticks, channel_rng,
@@ -437,7 +438,8 @@ class TestRunSchedule:
 
         a, b = one_run(), one_run()
         assert np.array_equal(a.rows, b.rows)
-        assert a.bus_records == b.bus_records
+        assert [encode_message(m, t) for t, m in a.bus_records] == [
+            encode_message(m, t) for t, m in b.bus_records]
         assert a.update_count == b.update_count > 0
 
     def test_distributed_bus_silence_between_observations(self):
@@ -451,7 +453,34 @@ class TestRunSchedule:
                            noise)
         assert res.bus_records
         obs_ticks = set(_observation_ticks(10.0, 200.0, 200))
-        assert set(rec["tick"] for rec in res.bus_records) <= obs_ticks
+        assert set(tick for tick, _ in res.bus_records) <= obs_ticks
+
+    def test_bus_log_lines_are_those_rendered_at_delivery(self, tmp_path,
+                                                          monkeypatch):
+        """The log rendered after the run equals a render at delivery, so
+        no message array is written in place once it is on the bus."""
+        at_delivery = []
+
+        class RenderingBus(harness.MessageBus):
+            def deliver(self, tick, msg):
+                at_delivery.append(encode_message(msg, tick) + "\n")
+                return super().deliver(tick, msg)
+
+        monkeypatch.setattr(harness, "MessageBus", RenderingBus)
+        cfg = ScheduleConfig(duration_s=0.5, seed=4, dropout_landmark=0.2)
+        noise = NoiseModel(d_landmark=0.1 * np.eye(3),
+                           d_intervehicle=0.05 * np.eye(3))
+        rng = np.random.default_rng(2)
+        srcs = [SyntheticSource(SinusoidTrajectory.random(rng), noise, v,
+                                cfg.seed) for v in range(3)]
+        res = run_schedule(cfg, harness.MODE_DISTRIBUTED, srcs, world3(),
+                           noise)
+        path = tmp_path / "bus.log"
+        cli.write_bus_log(path, res.bus_records)
+        kinds = {type(msg).__name__ for _, msg in res.bus_records}
+        assert kinds == {"PropagationFactor", "PeerStateRequest",
+                         "PeerStateReply", "UpdateBroadcast"}
+        assert path.read_text() == "".join(at_delivery)
 
     def test_central_mode_logs_nothing(self):
         cfg = ScheduleConfig(duration_s=0.5, seed=3)
