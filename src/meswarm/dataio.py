@@ -6,19 +6,20 @@ spherical-linear for rotation), multi-trial alignment, and the JSON
 experiment configuration that assembles a full run for the CLI.
 """
 
+import io
 import json
 import logging
 import math
 import numbers
 import os
+import warnings
 from dataclasses import asdict, dataclass, field, fields
-from itertools import compress
 
 import numpy as np
 
 from . import models
 from .harness import (MODES, PriorConfig, ScheduleConfig, SinusoidTrajectory,
-                      SyntheticSource)
+                      SyntheticSource, finite_real)
 from .lie import VehicleState
 
 log = logging.getLogger(__name__)
@@ -36,26 +37,81 @@ class DataError(ValueError):
 
 # -- CSV loaders ---------------------------------------------------------------
 
-def _line_error(path, lines, n_min, n_max):
-    """The DataError for the first data line of `lines` that breaks the row
-    rules: n_min..n_max fields, an int64 stamp and float fields."""
+# ASCII characters numpy's reader reads otherwise than the line-by-line
+# parse: str.splitlines breaks lines at \x0b, \x0c and \x1c-\x1e, which
+# numpy, breaking lines only at "\n", reads as whitespace in a field; and
+# numpy strips \x1c-\x1f from a field as whitespace, which int() and
+# float() refuse
+_NOT_FOR_C_READER = b"\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _parse_lines(path, lines, n_min, n_max):
+    """Stamps, values and field counts of the data lines of `lines`, as
+    _read_table returns them, parsed one line at a time with int() and
+    float(); the first line that breaks the row rules (n_min..n_max fields,
+    an int64 stamp and float fields) raises a DataError naming it."""
+    stamps, rows = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
         if not n_min <= len(parts) <= n_max:
-            return DataError(f"{path}:{lineno}: expected {n_min}"
-                             + (f"-{n_max}" if n_max != n_min else "")
-                             + f" fields, got {len(parts)}")
+            raise DataError(f"{path}:{lineno}: expected {n_min}"
+                            + (f"-{n_max}" if n_max != n_min else "")
+                            + f" fields, got {len(parts)}")
         try:
             stamp = int(parts[0])
-            for p in parts[1:]:
-                float(p)
+            rows.append([float(p) for p in parts[1:]])
         except ValueError as exc:
-            return DataError(f"{path}:{lineno}: {exc}")
+            raise DataError(f"{path}:{lineno}: {exc}") from None
         if not -2**63 <= stamp < 2**63:
-            return DataError(f"{path}:{lineno}: stamp {stamp} does not fit "
-                             f"in int64")
+            raise DataError(f"{path}:{lineno}: stamp {stamp} does not fit "
+                            f"in int64")
+        stamps.append(stamp)
+    values = np.zeros((len(rows), n_max - 1))
+    for i, row in enumerate(rows):
+        values[i, :len(row)] = row
+    widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) + 1
+    return np.array(stamps, dtype=np.int64), values, widths
+
+
+def _load_uniform(path, n_min, n_max):
+    """The table as _read_table returns it, read by numpy's C reader, or
+    None where that reader may not or does not read it.
+
+    The reader takes ASCII text free of _NOT_FOR_C_READER whose data lines
+    all have the n_min..n_max fields of the first non-blank one.  It reads
+    the stamps into int64 with numpy's integer parser, which takes no
+    fraction, exponent or out-of-range value, and the floats with the
+    parser float() uses.  Anything it refuses, a warning included, gives
+    None.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii() or any(c in data for c in _NOT_FOR_C_READER):
+        return None
+    lines = io.BytesIO(data)
+    next(lines, None)
+    width = next((line for line in lines if line.strip()), b"").count(b",") + 1
+    # the reader reads the file itself: drop this copy before it allocates
+    del data, lines
+    if not n_min <= width <= n_max:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(path, delimiter=",", comments=None, skiprows=1,
+                               dtype=[("t", np.int64),
+                                      ("v", float, (width - 1,))],
+                               ndmin=1)
+    except (ValueError, OverflowError, Warning):
+        return None
+    values = table["v"]
+    if width < n_max:
+        values = np.zeros((len(table), n_max - 1))
+        values[:, :width - 1] = table["v"]
+    return (table["t"].copy(), values,
+            np.full(len(table), width, dtype=np.int64))
 
 
 def _read_table(path, n_min, n_max, what):
@@ -63,36 +119,30 @@ def _read_table(path, n_min, n_max, what):
 
     Returns int64 stamps (N,), the other fields as floats (N, n_max - 1)
     with the cells a shorter row lacks left zero, and each row's field
-    count (N,).  Blank lines are skipped.  The stamps are parsed exactly
-    with int(): a float holds integers only up to 2^53, and recorded stamps
-    (about 1.4e18 ns) lie far above that.  The lines are checked one by
-    one only when the table as a whole fails to parse, to name the first
-    bad one.
+    count (N,).  Blank lines are skipped.  The stamps are parsed exactly:
+    a float holds integers only up to 2^53, and recorded stamps (about
+    1.4e18 ns) lie far above that.  A table whose data lines all have one
+    field count is read in one pass by numpy's C reader (_load_uniform),
+    with no Python string per field.  Any other table (mixed field counts,
+    whitespace-only lines, non-ASCII text, a header-only or empty file),
+    and any the C reader refuses, is parsed line by line with int() and
+    float() (_parse_lines), which give the same arrays and name the first
+    bad line.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        log.warning("%s: empty %s file", path, what)
-    rows = [line.split(",") for line in filter(str.strip, lines[1:])]
-    widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    if np.any((widths < n_min) | (widths > n_max)):
-        raise _line_error(path, lines, n_min, n_max)
-    # the stamp column is parsed as floats too, and then dropped
-    table = np.zeros((len(rows), n_max))
-    try:
-        stamps = np.array([int(r[0]) for r in rows], dtype=np.int64)
-        for w in np.unique(widths).tolist():
-            sel = widths == w
-            table[sel, :w] = np.array(list(compress(rows, sel.tolist())),
-                                      dtype=float)
-    except (ValueError, OverflowError):
-        raise _line_error(path, lines, n_min, n_max) from None
-    back = np.flatnonzero(np.diff(stamps) <= 0)
+    table = _load_uniform(path, n_min, n_max)
+    if table is None:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        if not lines:
+            log.warning("%s: empty %s file", path, what)
+        table = _parse_lines(path, lines, n_min, n_max)
+    stamps, values, widths = table
+    back = np.flatnonzero(stamps[1:] <= stamps[:-1])
     if back.size:
         i = int(back[0]) + 1
         raise DataError(f"{path}: timestamps must be strictly increasing "
                         f"(sample {i}: {stamps[i]} after {stamps[i - 1]})")
-    return stamps, table[:, 1:], widths
+    return stamps, values, widths
 
 
 def _data_line(path, i):
@@ -335,14 +385,16 @@ def _merge(defaults, given, where):
 
 
 def _vec3(value, where):
+    """value as a float 3-vector; a ConfigError unless it holds three
+    finite numbers."""
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.shape != (3,):
+        ok = len(value) == 3 and all(map(finite_real, value))
+    except TypeError:
+        ok = False
+    if not ok:
         raise ConfigError(f"{where} must be a 3-vector of numbers, "
                           f"got {value!r}")
-    return arr
+    return np.array(value, dtype=float)
 
 
 def _check_synthetic(veh, where):
@@ -354,8 +406,7 @@ def _check_synthetic(veh, where):
                           f"integer, got {seed!r}")
     for key in ("pos_scale_m", "rot_scale_rad"):
         value = veh[key]
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not math.isfinite(value)):
+        if not finite_real(value):
             raise ConfigError(f"{where}.{key} must be a finite number, "
                               f"got {value!r}")
     for key in ("gyro_bias0_rad_s", "accel_bias0_mps2"):
@@ -432,10 +483,12 @@ def parse_config(body, base_dir="."):
         raise ConfigError(f"prior.{exc}") from None
     schedule_config(cfg)
     for key, value in cfg.noise.items():
-        if not isinstance(value, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ConfigError(f"noise.{key} must be a number, got {value!r}")
         if not value > 0.0:
             raise ConfigError(f"noise.{key} must be positive")
+        if not math.isfinite(value):
+            raise ConfigError(f"noise.{key} must be finite, got {value!r}")
     return cfg
 
 
@@ -519,10 +572,9 @@ def build_sources(cfg, noise):
 
 
 def build_prior(cfg):
-    """The run's PriorConfig; k0_diag is checked by PriorConfig.k0_block."""
-    return PriorConfig(pos_offset_m=float(cfg.prior["pos_offset_m"]),
-                       rot_offset_rad=float(cfg.prior["rot_offset_rad"]),
-                       k0_diag=cfg.prior["k0_diag"])
+    """The run's PriorConfig, which checks the offsets; k0_diag is checked
+    by PriorConfig.k0_block."""
+    return PriorConfig(**cfg.prior)
 
 
 def build_schedule(cfg, sources):

@@ -57,6 +57,12 @@ METRICS_DTYPE = np.dtype([("t", float), ("vehicle", np.int64)]
                          + [(attr, float) for _, _, attr in SUMMARY_QUANTITIES])
 
 
+def finite_real(value):
+    """Whether value is a finite real number; a boolean is not one."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and math.isfinite(value))
+
+
 def channel_rng(seed, channel, vehicle, subject):
     """Independent generator per (channel, vehicle, subject) tuple.
 
@@ -113,7 +119,10 @@ class PriorConfig:
     assumed near zero.  Large bias or velocity entries let the first few
     updates kick those estimates hard enough to destabilise the filter,
     especially once tightly-weighted inter-vehicle updates couple position
-    and velocity gains across vehicles.
+    and velocity gains across vehicles.  The offsets must be non-negative
+    and k0_diag positive, all finite numbers (a boolean is not one):
+    construction checks the offsets and k0_block checks k0_diag, each
+    raising a ValueError that names the field.
     """
 
     pos_offset_m: float = 0.1
@@ -121,13 +130,21 @@ class PriorConfig:
     k0_diag: object = (0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1,
                        0.01, 0.01, 0.01, 0.01, 0.01, 0.01)
 
+    def __post_init__(self):
+        for name in ("pos_offset_m", "rot_offset_rad"):
+            value = getattr(self, name)
+            if not (finite_real(value) and value >= 0.0):
+                raise ValueError(f"{name} must be a non-negative finite "
+                                 f"number, got {value!r}")
+
     def k0_block(self):
-        diag = np.asarray(self.k0_diag, dtype=float)
+        diag = np.asarray(self.k0_diag, dtype=object)
         if diag.ndim == 0:
-            diag = np.full(STATE_DOF, float(diag))
-        if diag.shape != (STATE_DOF,) or not np.all(diag > 0.0):
+            diag = np.full(STATE_DOF, diag.item(), dtype=object)
+        if diag.shape != (STATE_DOF,) or not all(
+                finite_real(d) and d > 0.0 for d in diag):
             raise ValueError("k0_diag must be a positive scalar or 15-vector")
-        return np.diag(diag)
+        return np.diag(diag.astype(float))
 
 
 # -- synthetic trajectories ----------------------------------------------------

@@ -180,6 +180,18 @@ class TestExitCodes:
         assert code == 2 and not out.exists()
         assert "noise.d_landmark_m must be a number" in capsys.readouterr().err
 
+    def test_infinite_noise_is_2(self, tmp_path, capsys):
+        """Infinity once passed the config check and raised an SVD failure
+        from building the noise model."""
+        cfg = base_config()
+        cfg["noise"]["d_landmark_m"] = float("inf")
+        code, out = run_cli(tmp_path, cfg)
+        assert code == 2 and not out.exists()
+        assert '"d_landmark_m": Infinity' in (tmp_path / "run.json").read_text()
+        err = capsys.readouterr().err
+        assert "config error: noise.d_landmark_m must be finite" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("section,key,value,message", [
         (None, "with_curvature", "off", "unknown fields ['with_curvature']"),
         (None, "seed", "abc", "seed must be a non-negative integer"),

@@ -1,10 +1,13 @@
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from meswarm import dataio
 from meswarm.dataio import (ConfigError, DataError, DatasetSource,
                             TruthTrack, align_trials, load_config,
                             load_imu_csv, load_truth_csv, parse_config)
@@ -169,6 +172,149 @@ class TestLoadersAgainstRowOracle:
             (load_truth_csv if truth else load_imu_csv)(p)
         assert str(got.value) == str(want.value)
         assert f"{p}:{lineno}:" in str(got.value)
+
+
+@st.composite
+def uniform_tables(draw):
+    """(text, truth) of a headered table whose data lines all have one
+    field count: IMU (7 fields, cells any float repr, inf and nan included)
+    or truth (11, 14 or 17 fields, finite cells and a near-unit
+    quaternion); int64 stamps, empty lines between and LF or CRLF ends."""
+    truth = draw(st.booleans())
+    width = draw(st.sampled_from([11, 14, 17])) if truth else 7
+    n = draw(st.integers(1, 8))
+    stamps = sorted(draw(st.sets(st.integers(-2**63, 2**63 - 1),
+                                 min_size=n, max_size=n)))
+    lines = ["#timestamp,header"]
+    for t in stamps:
+        if draw(st.booleans()):
+            lines.append("")
+        if truth:
+            q = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4,
+                                       max_size=4)))
+            assume(np.linalg.norm(q) > 0.1)
+            q *= draw(st.floats(0.9995, 1.0005)) / np.linalg.norm(q)
+            cells = (draw(st.lists(_CELLS, min_size=3, max_size=3))
+                     + q.tolist()
+                     + draw(st.lists(_CELLS, min_size=width - 8,
+                                     max_size=width - 8)))
+        else:
+            cells = draw(st.lists(st.floats(), min_size=6, max_size=6))
+        lines.append(",".join([str(t)] + [repr(c) for c in cells]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + end, truth
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+class TestCReader:
+    """The C reader of uniform tables against the line-by-line oracle."""
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table=uniform_tables())
+    def test_uniform_table_equals_the_oracle(self, tmp_path, table):
+        text, truth = table
+        p = tmp_path / "table.csv"
+        p.write_bytes(text.encode())
+        # a uniform table never reaches the line-by-line parse
+        with mock.patch.object(dataio, "_parse_lines",
+                               side_effect=AssertionError("fell back")):
+            got, rows = _load_both(p, truth)
+        assert got.t_ns.dtype == np.int64
+        assert got.t_ns.tolist() == [r[0] for r in rows]
+        if not truth:
+            assert _bits(got.gyro) == _bits(np.array([r[1:4] for r in rows]))
+            assert _bits(got.accel) == _bits(np.array([r[4:7] for r in rows]))
+            return
+        want = truth_oracle(rows)
+        for name in ("pos", "vel", "gyro_bias", "accel_bias"):
+            assert _bits(getattr(got, name)) == _bits(np.array(want[name])), \
+                name
+
+    ROW = "0.1,0.2,0.3,0.4,0.5,9.81"
+
+    @pytest.mark.parametrize("text", [
+        "h\n1_000,0.1,0.2,0.3,0.4,0.5,9.81\n",
+        "h\n０１,0.1,0.2,0.3,0.4,0.5,9.81\n",
+        "h\n1000,1_0,0.2,0.3,0.4,0.5,9.81\n",
+        "h\n1000,١٢,0.2,0.3,0.4,0.5,9.81\n",
+        f"h\n1000,{ROW}\n  \n2000,{ROW}\n",
+        f"h\r\n1000,{ROW}\r\n2000,{ROW}\r\n",
+        # str.splitlines breaks lines at \x0c
+        f"h\n1000,{ROW}\x0c\n",
+    ], ids=["stamp_underscore", "stamp_fullwidth", "cell_underscore",
+            "cell_arabic_indic", "whitespace_line", "crlf",
+            "break_after_row"])
+    def test_edge_table_loads_as_the_oracle(self, tmp_path, text):
+        p = tmp_path / "imu.csv"
+        p.write_bytes(text.encode())
+        got, rows = _load_both(p, truth=False)
+        assert got.t_ns.dtype == np.int64
+        assert got.t_ns.tolist() == [r[0] for r in rows]
+        assert _bits(got.gyro) == _bits(np.array([r[1:4] for r in rows]))
+        assert _bits(got.accel) == _bits(np.array([r[4:7] for r in rows]))
+
+    @pytest.mark.parametrize("text,message", [
+        (f"h\n1.0,{ROW}\n",
+         "2: invalid literal for int() with base 10: '1.0'"),
+        (f"h\n1e3,{ROW}\n",
+         "2: invalid literal for int() with base 10: '1e3'"),
+        (f"h\n{2**63},{ROW}\n",
+         f"2: stamp {2**63} does not fit in int64"),
+        ("h\n1000,#1,0.2,0.3,0.4,0.5,9.81\n",
+         "2: could not convert string to float: '#1'"),
+        ("h\n1000,\x1f0.1,0.2,0.3,0.4,0.5,9.81\n",
+         r"2: could not convert string to float: '\x1f0.1'"),
+        ("h\n1000,0.1,0.2,0.3,0.4,0.5,\x0c9.81\n",
+         "2: could not convert string to float: ''"),
+        (f"h\x1cx\n1000,{ROW}\n", "2: expected 7 fields, got 1"),
+        (f"h\n1000,{ROW}\n1000\x1f,{ROW}\n",
+         r"3: invalid literal for int() with base 10: '1000\x1f'"),
+    ], ids=["stamp_fraction", "stamp_exponent", "stamp_2_63", "cell_hash",
+            "cell_unit_separator", "break_in_row", "break_in_header",
+            "stamp_unit_separator"])
+    def test_edge_table_fails_as_before(self, tmp_path, text, message):
+        p = tmp_path / "imu.csv"
+        p.write_bytes(text.encode())
+        with pytest.raises(DataError) as exc:
+            load_imu_csv(p)
+        assert str(exc.value) == f"{p}:{message}"
+
+    @pytest.mark.parametrize("text,warns", [("h\n", False), ("", True)])
+    def test_header_only_or_empty_file(self, tmp_path, caplog, text, warns):
+        p = tmp_path / "imu.csv"
+        p.write_text(text)
+        with caplog.at_level("WARNING"):
+            stream = load_imu_csv(p)
+        assert stream.t_ns.dtype == np.int64 and stream.t_ns.shape == (0,)
+        assert stream.gyro.shape == stream.accel.shape == (0, 3)
+        assert [r.getMessage() for r in caplog.records] == (
+            [f"{p}: empty IMU file"] if warns else [])
+
+    def test_peak_memory_is_below_twice_the_file(self, tmp_path):
+        """Reading a uniform 20,000-row truth table allocates less than two
+        file sizes at its peak; a Python string per field took six."""
+        rng = np.random.default_rng(0)
+        rows = np.hstack([rng.normal(size=(20_000, 3)),
+                          np.tile([1.0, 0.0, 0.0, 0.0], (20_000, 1)),
+                          rng.normal(size=(20_000, 9))])
+        p = tmp_path / "truth.csv"
+        with open(p, "w") as fh:
+            fh.write("#timestamp,p,q,v,bw,ba\n")
+            for k, row in enumerate(rows.tolist()):
+                fh.write(f"{10**18 + 5_000_000 * k},"
+                         + ",".join(map(repr, row)) + "\n")
+        tracemalloc.start()
+        try:
+            track = load_truth_csv(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(track) == 20_000
+        assert peak < 2 * p.stat().st_size
 
 
 class TestImuCsv:
@@ -633,6 +779,45 @@ class TestConfig:
                                           message):
         body = self.minimal()
         (body.setdefault(section, {}) if section else body)[key] = value
+        with pytest.raises(ConfigError, match=message):
+            parse_config(body)
+
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("noise", "b_gyro_rad_s", True,
+         r"^noise\.b_gyro_rad_s must be a number, got True$"),
+        ("noise", "d_landmark_m", float("inf"),
+         r"^noise\.d_landmark_m must be finite"),
+        ("noise", "b_gyro_rad_s", float("inf"),
+         r"^noise\.b_gyro_rad_s must be finite"),
+        ("prior", "pos_offset_m", float("inf"),
+         r"^prior\.pos_offset_m must be a non-negative finite number"),
+        ("prior", "pos_offset_m", -1.0,
+         r"^prior\.pos_offset_m must be a non-negative finite number"),
+        ("prior", "rot_offset_rad", True,
+         r"^prior\.rot_offset_rad must be a non-negative finite number"),
+        ("prior", "k0_diag", float("inf"), r"^prior\.k0_diag must be"),
+        ("prior", "k0_diag", [0.1] * 14 + [True], r"^prior\.k0_diag must be"),
+        (None, "gravity_mps2", [0.0, 0.0, float("inf")],
+         r"^gravity_mps2 must be a 3-vector of numbers"),
+        (None, "gravity_mps2", [0.0, 0.0, float("nan")],
+         r"^gravity_mps2 must be a 3-vector of numbers"),
+        (None, "gravity_mps2", [True, 0.0, 9.81],
+         r"^gravity_mps2 must be a 3-vector of numbers"),
+        (None, "landmarks_m", [[1.0, 0.0, float("-inf")]],
+         r"^landmarks_m must be a 3-vector of numbers"),
+        (None, "markers_m", [[float("nan"), 0.0, 0.0]],
+         r"^markers_m must be a 3-vector of numbers"),
+        ("vehicle", "gyro_bias0_rad_s", [0.0, 0.0, float("inf")],
+         r"^vehicles\[0\]\.gyro_bias0_rad_s must be a 3-vector of numbers"),
+        ("vehicle", "accel_bias0_mps2", [True, 0.0, 0.0],
+         r"^vehicles\[0\]\.accel_bias0_mps2 must be a 3-vector of numbers"),
+    ])
+    def test_non_finite_or_boolean_number_rejected(self, section, key, value,
+                                                   message):
+        body = self.minimal()
+        target = (body["vehicles"][0] if section == "vehicle"
+                  else body.setdefault(section, {}) if section else body)
+        target[key] = value
         with pytest.raises(ConfigError, match=message):
             parse_config(body)
 
