@@ -371,8 +371,22 @@ _SYNTHETIC_DEFAULTS = {
 }
 
 
+def _object(value, where):
+    """value, a ConfigError naming `where` unless it is a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+    return value
+
+
+def _list(value, where):
+    """value, a ConfigError naming `where` unless it is a JSON list."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list, got {value!r}")
+    return value
+
+
 def _merge(defaults, given, where):
-    unknown = set(given) - set(defaults)
+    unknown = set(_object(given, where)) - set(defaults)
     if unknown:
         raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
     for key, value in given.items():
@@ -438,8 +452,6 @@ class ExperimentConfig:
 
 def parse_config(body, base_dir="."):
     """Validate a raw config dict and resolve all defaults."""
-    if not isinstance(body, dict):
-        raise ConfigError("config root must be a JSON object")
     body = _merge(ExperimentConfig().effective(), body, "config")
     if body["mode"] not in MODES:
         raise ConfigError(f"unknown mode {body['mode']!r}")
@@ -450,14 +462,16 @@ def parse_config(body, base_dir="."):
         schedule=_merge(_SCHEDULE_DEFAULTS, body["schedule"], "schedule"),
         noise=_merge(_NOISE_DEFAULTS, body["noise"], "noise"),
         prior=_merge(_PRIOR_DEFAULTS, body["prior"], "prior"),
-        landmarks_m=[list(_vec3(lm, "landmarks_m")) for lm in body["landmarks_m"]],
-        markers_m=[list(_vec3(m, "markers_m")) for m in body["markers_m"]],
+        landmarks_m=[list(_vec3(lm, "landmarks_m"))
+                     for lm in _list(body["landmarks_m"], "landmarks_m")],
+        markers_m=[list(_vec3(m, "markers_m"))
+                   for m in _list(body["markers_m"], "markers_m")],
         base_dir=base_dir)
 
-    if not body["vehicles"]:
+    if not _list(body["vehicles"], "vehicles"):
         raise ConfigError("config needs at least one vehicle")
     for i, veh in enumerate(body["vehicles"]):
-        kind = veh.get("type", "synthetic")
+        kind = _object(veh, f"vehicles[{i}]").get("type", "synthetic")
         if kind == "synthetic":
             veh = _merge(_SYNTHETIC_DEFAULTS, veh, f"vehicles[{i}]")
             _check_synthetic(veh, f"vehicles[{i}]")
@@ -469,6 +483,9 @@ def parse_config(body, base_dir="."):
                 if not veh[key]:
                     raise ConfigError(f"vehicles[{i}]: dataset vehicles need "
                                       f"{key}")
+                if not isinstance(veh[key], str):
+                    raise ConfigError(f"vehicles[{i}].{key} must be a file "
+                                      f"path, got {veh[key]!r}")
                 path = os.path.join(base_dir, veh[key])
                 if not os.path.exists(path):
                     raise ConfigError(f"vehicles[{i}]: {key} file not found: "

@@ -14,7 +14,7 @@ column update and retraction per broadcast.  The data flow stays per node:
 node v reads only its own column, its own state and the wire messages.
 """
 
-import functools
+import base64
 import json
 import logging
 from dataclasses import dataclass
@@ -28,7 +28,7 @@ from .lie import STATE_DOF, VehicleState, retract, stack_states
 
 log = logging.getLogger(__name__)
 
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 
 
 class SynchronizationError(RuntimeError):
@@ -75,26 +75,25 @@ def _obj(**fields):
     return "{" + ", ".join(f'"{k}": {fields[k]}' for k in sorted(fields)) + "}"
 
 
-@functools.lru_cache(maxsize=64)
-def _array_text(shape, raw):
-    return json.dumps(np.frombuffer(raw).reshape(shape).tolist())
-
-
 def _arr(a):
-    """JSON text of an array as nested lists of floats.  Equal bytes give
-    equal text, so a repeated array (the identity factor of every exchange
-    after an epoch's first) is rendered once while it stays in the memo."""
-    a = np.asarray(a, dtype=float)
-    return _array_text(a.shape, a.tobytes())
+    """JSON text of an array: the object {"b64", "shape"}, where "b64" is
+    the standard base64 of its float64 entries, little-endian, in C order.
+    The text is exact, signed zeros and NaN payloads included, and costs
+    under 11 characters and no formatting call per entry, where a decimal
+    list costs about 20 and one shortest-repr call per entry."""
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return _obj(b64=f'"{base64.b64encode(a).decode("ascii")}"',
+                shape=json.dumps(a.shape))
 
 
 def encode_message(msg, tick):
     """The canonical bus-log line of a message delivered at `tick`.
 
     Rendered straight from the message's fields, it is byte for byte
-    json.dumps(body, sort_keys=True) of the body with every array as
-    nested float lists, "tick" and the wire version "v"; NaN and infinite
-    entries give JSON's NaN and Infinity, as json.dumps writes them.
+    json.dumps(body, sort_keys=True) of the body with every array as its
+    {"b64", "shape"} object (see _arr), "tick" and the wire version "v".
+    The line is strict JSON: no array entry is written as a decimal, so no
+    NaN or Infinity appears in it.
     """
     num = json.dumps
     if isinstance(msg, PropagationFactor):

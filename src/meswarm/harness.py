@@ -326,7 +326,8 @@ class MessageBus:
     """Keeps every delivered message, with its tick, if recording.
 
     A record is the (tick, message) pair as delivered: nothing is encoded
-    on the epoch tick.  The bus-log line of a record is rendered once, by
+    on the epoch tick.  The bus-log line of a record, wire version 4 with
+    every array as base64 of its float64 bytes, is rendered once, by
     distributed.encode_message, when the log is written (cli.write_bus_log).
     That is sound because no message array is written in place after
     delivery: a factor views a factor stack that the nodes only rebind, a
@@ -412,7 +413,9 @@ def summarize_metrics(rows, steady_after_s=10.0):
 class RunResult:
     """One run's outputs.  ``bus_records`` holds a (tick, message) pair per
     delivered message, in delivery order (empty unless `distributed`
-    records its bus); cli.write_bus_log renders them as bus.log."""
+    records its bus); cli.write_bus_log renders them as bus.log, one wire
+    v4 line each, and decoding a line gives its message back bit for
+    bit."""
 
     rows: np.recarray        # METRICS_DTYPE, one record per (tick, vehicle)
     summary: list

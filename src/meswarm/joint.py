@@ -34,8 +34,9 @@ def propagate_vehicle(state, kdiag, lam, u, dt, world, noise_term):
     exponential, the 15x15 diagonal gain block by a forward-Euler Riccati
     step that keeps it exactly symmetric, and the accumulated propagation
     factor lam <- expm(a dt) lam that later brings the vehicle's cross
-    blocks up to date; lam stays None for a caller that keeps no factor.  `noise_term` is models.imu_noise_term(noise), constant
-    for a run.  Returns the new (state, kdiag, lam).
+    blocks up to date; lam stays None for a caller that keeps no factor.
+    `noise_term` is models.imu_noise_term(noise), constant for a run.
+    Returns the new (state, kdiag, lam).
     """
     a = models.a_check_single(state, u)
     ak = a @ kdiag

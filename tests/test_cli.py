@@ -83,10 +83,10 @@ class TestOutputs:
                           name="dist")
         bodies = [json.loads(ln)
                   for ln in (out2 / "bus.log").read_text().splitlines()]
-        assert bodies and all(b["v"] == 3 for b in bodies)
+        assert bodies and all(b["v"] == 4 for b in bodies)
         replies = [b for b in bodies if b["type"] == "peer_state_reply"]
         # a peer reply carries only the 6 update columns of the 30x15 column
-        assert replies and all(np.shape(b["k_col"]) == (30, 6)
+        assert replies and all(b["k_col"]["shape"] == [30, 6]
                                for b in replies)
 
     @settings(max_examples=30, deadline=None,
@@ -223,6 +223,33 @@ class TestExitCodes:
         code, out = run_cli(tmp_path, cfg)
         assert code == 2 and not out.exists()
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("noise", 5, "noise must be a JSON object, got 5"),
+        ("schedule", [], "schedule must be a JSON object, got []"),
+        ("prior", "tight", "prior must be a JSON object, got 'tight'"),
+        ("landmarks_m", 5, "landmarks_m must be a list, got 5"),
+        ("markers_m", {}, "markers_m must be a list, got {}"),
+        ("vehicles", 5, "vehicles must be a list, got 5"),
+        ("vehicles", [5], "vehicles[0] must be a JSON object, got 5"),
+        ("vehicles", [{"type": "dataset", "imu_csv": 5, "truth_csv": 6}],
+         "vehicles[0].imu_csv must be a file path, got 5"),
+    ])
+    def test_wrong_json_type_is_2(self, tmp_path, capsys, key, value,
+                                  message):
+        """A section or list of the wrong JSON type once escaped
+        parse_config as a TypeError or AttributeError (exit 1)."""
+        cfg = base_config(n_vehicles=1, duration_s=0.5)
+        cfg[key] = value
+        code, out = run_cli(tmp_path, cfg)
+        assert code == 2 and not out.exists()
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_config_root_not_an_object_is_2(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, [base_config()])
+        assert code == 2 and not out.exists()
+        assert "config error: config must be a JSON object" in (
+            capsys.readouterr().err)
 
     def test_removed_curvature_flag_is_2(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, base_config(n_vehicles=1), "flag",

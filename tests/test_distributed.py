@@ -1,3 +1,4 @@
+import base64
 import json
 import re
 import warnings
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as ScipyRotation
 
-from meswarm import distributed, harness, joint as joint_module, models
+from meswarm import harness, joint as joint_module, models
 from meswarm.distributed import (WIRE_VERSION, PeerStateReply,
                                  PeerStateRequest, PropagationFactor,
                                  SynchronizationError, UpdateBroadcast,
@@ -119,16 +120,23 @@ def assert_nodes_match_joint(joint, nodes, atol):
                                    rtol=0, atol=atol)
 
 
+def assert_same_bits(a, b):
+    """a is b's float64 array, entry for entry in its bits: signed zeros
+    and NaN payloads included."""
+    assert a.dtype == np.float64 and a.shape == np.shape(b)
+    assert a.tobytes() == np.ascontiguousarray(b, dtype="<f8").tobytes()
+
+
 def assert_same_message(back, msg):
+    """back is msg, its arrays bit for bit."""
     assert type(back) is type(msg)
     for name in msg.__dataclass_fields__:
         a, b = getattr(back, name), getattr(msg, name)
         if name == "state":
             for part in ("rot", "pos", "vel", "gyro_bias", "accel_bias"):
-                np.testing.assert_array_equal(getattr(a, part),
-                                              getattr(b, part))
+                assert_same_bits(getattr(a, part), getattr(b, part))
         elif isinstance(b, np.ndarray):
-            np.testing.assert_array_equal(a, b)
+            assert_same_bits(a, b)
         else:
             assert a == b, name
 
@@ -138,8 +146,8 @@ def _mat(m):
 
 
 def dict_body(msg, tick):
-    """The bus-log body as a dict of nested float lists: the encoding that
-    encode_message renders as text, kept here as its oracle."""
+    """A message's fields as a bus-log body with every array as nested
+    float lists, for comparing two buses' payloads with a tolerance."""
     if isinstance(msg, PropagationFactor):
         body = {"type": "propagation_factor", "sender": msg.sender,
                 "lam": _mat(msg.lam),
@@ -164,29 +172,103 @@ def dict_body(msg, tick):
     return body
 
 
+def decode_array(obj):
+    """The float64 array of a wire-v4 array object."""
+    raw = base64.b64decode(obj["b64"], validate=True)
+    return np.frombuffer(raw, dtype="<f8").reshape(obj["shape"])
+
+
 def decode_message(body):
     """Inverse of encode_message: the wire message a bus-log line holds."""
     if body.get("v") != WIRE_VERSION:
         raise ValueError(f"unsupported wire version {body.get('v')!r}")
     kind = body["type"]
     if kind == "propagation_factor":
-        return PropagationFactor(body["sender"], np.array(body["lam"]),
+        return PropagationFactor(body["sender"], decode_array(body["lam"]),
                                  body["start_tick"], body["end_tick"])
     if kind == "peer_state_request":
         return PeerStateRequest(body["requester"], body["target"])
     if kind == "peer_state_reply":
         st = body["state"]
-        state = VehicleState(np.array(st["rot"]), np.array(st["pos"]),
-                             np.array(st["vel"]), np.array(st["gyro_bias"]),
-                             np.array(st["accel_bias"]))
-        return PeerStateReply(body["sender"], state, np.array(body["k_col"]))
+        state = VehicleState(*(decode_array(st[part]) for part in
+                               ("rot", "pos", "vel", "gyro_bias",
+                                "accel_bias")))
+        return PeerStateReply(body["sender"], state,
+                              decode_array(body["k_col"]))
     if kind == "update_broadcast":
         gain = body["gain"]
         return UpdateBroadcast(
             body["origin"], body["kind"], body["subject"], body["dt"],
-            body["t_ns"], np.array(body["r"]),
-            None if gain is None else np.array(gain))
+            body["t_ns"], decode_array(body["r"]),
+            None if gain is None else decode_array(gain))
     raise ValueError(f"unknown message type {kind!r}")
+
+
+def strict_body(line):
+    """A bus-log line parsed as strict JSON, checking that the keys of
+    every object in it are sorted."""
+    def no_constant(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    def sorted_object(pairs):
+        keys = [k for k, _ in pairs]
+        assert keys == sorted(keys)
+        return dict(pairs)
+
+    return json.loads(line, parse_constant=no_constant,
+                      object_pairs_hook=sorted_object)
+
+
+# bit patterns of the entries a decimal encoding loses or spells
+# non-standardly: NaNs with payloads, infinities, signed zeros, subnormals
+# and extreme magnitudes
+SPECIAL_BITS = [np.float64(x).view(np.uint64).item() for x in (
+    np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324,
+    2.2250738585072e-308, 1e300, -1e300, 1.0 / 3.0)] + [
+    0x7FF0000000000001, 0xFFF8000000000ABC]
+
+
+@st.composite
+def float_arrays(draw, shape):
+    """float64 arrays of `shape`: random 64-bit patterns with drawn
+    entries set to special bit patterns or to arbitrary floats."""
+    size = int(np.prod(shape))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = np.frombuffer(rng.bytes(8 * size), dtype=np.uint64).copy()
+    value = st.one_of(st.sampled_from(SPECIAL_BITS),
+                      st.floats().map(
+                          lambda x: np.float64(x).view(np.uint64).item()))
+    for i, b in draw(st.lists(st.tuples(st.integers(0, size - 1), value),
+                              max_size=16)):
+        bits[i] = b
+    return bits.view(np.float64).reshape(shape)
+
+
+@st.composite
+def wire_messages(draw):
+    """A wire message of any type, for a network of 1 to 3 nodes."""
+    n = draw(st.integers(1, 3))
+    node = st.integers(0, n - 1)
+    kind = draw(st.sampled_from(["factor", "request", "reply", "broadcast"]))
+    if kind == "factor":
+        start = draw(st.integers(0, 10**6))
+        return PropagationFactor(draw(node),
+                                 draw(float_arrays((STATE_DOF, STATE_DOF))),
+                                 start, start + draw(st.integers(0, 400)))
+    if kind == "request":
+        return PeerStateRequest(draw(node), draw(node))
+    if kind == "reply":
+        state = VehicleState(draw(float_arrays((3, 3))),
+                             *(draw(float_arrays((3,))) for _ in range(4)))
+        return PeerStateReply(draw(node), state, draw(float_arrays(
+            (n * STATE_DOF, models.UPDATE_SLOTS))))
+    obs_kind = draw(st.sampled_from([models.LANDMARK, models.INTERVEHICLE]))
+    m = models.UPDATE_SLOTS * (1 if obs_kind == models.LANDMARK else 2)
+    gain = draw(st.one_of(st.none(), float_arrays((n * STATE_DOF, m))))
+    return UpdateBroadcast(draw(node), obs_kind, draw(st.integers(0, 5)),
+                           draw(st.floats(1e-3, 10.0)),
+                           draw(st.integers(0, 2**63 - 1)),
+                           draw(float_arrays((m,))), gain)
 
 
 class TestWire:
@@ -209,10 +291,12 @@ class TestWire:
         ]
         for msg in msgs:
             body = json.loads(encode_message(msg, 7))
-            assert body["v"] == 3 and body["tick"] == 7
+            assert body["v"] == 4 and body["tick"] == 7
             assert_same_message(decode_message(body), msg)
         assert decode_message(json.loads(encode_message(msgs[-1], 0))).gain \
             is None
+        assert json.loads(encode_message(msgs[0], 0))["lam"]["shape"] == [
+            15, 15]
 
     def test_v1_update_broadcast_rejected(self):
         body = {"type": "update_broadcast", "origin": 0, "kind": "landmark",
@@ -228,44 +312,16 @@ class TestWire:
         with pytest.raises(ValueError, match="wire version 2"):
             decode_message(body)
 
-    def test_line_is_the_sorted_json_of_the_fields(self):
-        """encode_message renders, byte for byte, json.dumps(sort_keys=True)
-        of the dict body: every type, a refused broadcast, non-finite and
-        signed-zero entries, extreme magnitudes, and a repeated identity
-        factor rendered twice through the memo."""
-        rng = np.random.default_rng(4)
-        odd = rng.standard_normal((30, 6))
-        odd[0, :6] = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324]
-        odd[1, :5] = [1e-300, -1e-300, 1e16, -1e16, 1.0 / 3.0]
-        st = random_state(rng)
-        st = VehicleState(st.rot, np.array([-0.0, np.nan, 1e16]),
-                          np.array([5e-324, np.inf, -np.inf]), st.gyro_bias,
-                          st.accel_bias)
-        eye = np.eye(STATE_DOF)
-        msgs = [
-            PropagationFactor(0, eye, 4, 4),
-            PropagationFactor(1, eye.copy(), 4, 4),
-            PropagationFactor(2, rng.standard_normal((15, 15)), 0, 4),
-            PeerStateRequest(0, 1),
-            PeerStateReply(1, st, odd),
-            UpdateBroadcast(0, models.LANDMARK, 2, 0.1, 5_000_000,
-                            odd[0], odd),
-            UpdateBroadcast(0, models.INTERVEHICLE, 1, 0.1, 5_000_000,
-                            np.concatenate([odd[1], odd[0]]),
-                            rng.standard_normal((30, 12))),
-            UpdateBroadcast(1, models.INTERVEHICLE, 0, 0.1, 5_000_000,
-                            rng.standard_normal(12), None),
-        ]
-        memo = distributed._array_text.cache_info
-        for tick, msg in enumerate(msgs):
-            hits = memo().hits
-            line = encode_message(msg, tick)
-            assert line == json.dumps(dict_body(msg, tick), sort_keys=True)
-            assert_same_message(decode_message(json.loads(line)), msg)
-            if tick == 1:
-                assert memo().hits == hits + 1   # the identity, again
-        assert "NaN" in encode_message(msgs[4], 0)
-        assert "-Infinity" in encode_message(msgs[5], 0)
+    @settings(max_examples=150, deadline=None)
+    @given(msg=wire_messages(), tick=st.integers(0, 2**31 - 1))
+    def test_line_is_strict_sorted_json_and_bit_exact(self, msg, tick):
+        """Every line parses as strict JSON with its keys sorted at every
+        level, and decodes to the message, arrays bit for bit."""
+        line = encode_message(msg, tick)
+        assert "\n" not in line
+        body = strict_body(line)
+        assert body["v"] == 4 and body["tick"] == tick
+        assert_same_message(decode_message(body), msg)
 
     def test_version_check(self):
         with pytest.raises(ValueError):

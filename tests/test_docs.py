@@ -1,23 +1,29 @@
-"""The README's Library snippet runs as documented, and its Command line
-section names exactly the flags the CLI parser takes."""
+"""The README's Library and bus.log decoding snippets run as documented,
+and its Command line section names exactly the flags the CLI parser
+takes."""
 
 import re
 from pathlib import Path
 
-from meswarm import cli
+import numpy as np
+
+from meswarm import cli, harness
+from meswarm.distributed import UpdateBroadcast
+from meswarm.harness import ScheduleConfig, SinusoidTrajectory, SyntheticSource
+from meswarm.models import NoiseModel, WorldConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def library_snippet():
-    """The first python block of the README's Library section."""
+def python_block(heading):
+    """The first python block of the README's section `heading`."""
     text = README.read_text()
-    section = text[text.index("\n## Library\n"):]
+    section = text[text.index(f"\n## {heading}\n"):]
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
 
 
 def test_library_snippet_runs(capsys):
-    exec(compile(library_snippet(), str(README), "exec"), {})
+    exec(compile(python_block("Library"), str(README), "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines[:5]] == [
         "Position", "Rotation", "Linear Velocity", "IMU Gyro Bias",
@@ -37,3 +43,29 @@ def test_readme_names_exactly_the_parser_flags():
     section = text[start:text.index("\n## ", start + 1)]
     parser_flags = long_flags(cli.build_parser().format_help()) - {"--help"}
     assert long_flags(section) == parser_flags
+
+
+def test_bus_log_decoding_snippet_reads_a_fresh_log(tmp_path, monkeypatch):
+    """The Command line section's decoding snippet, run on a bus.log just
+    written, gives every update's gain bit for bit."""
+    noise = NoiseModel(d_landmark=0.1 * np.eye(3),
+                       d_intervehicle=0.05 * np.eye(3))
+    world = WorldConfig(landmarks={0: np.array([2.0, 0.0, 1.0])},
+                        markers={0: np.array([0.05, 0.0, 0.0]),
+                                 1: np.array([0.0, 0.05, 0.0])})
+    rng = np.random.default_rng(0)
+    sources = [SyntheticSource(SinusoidTrajectory.random(rng), noise, v,
+                               seed=0) for v in range(2)]
+    result = harness.run_schedule(ScheduleConfig(duration_s=0.3),
+                                  harness.MODE_DISTRIBUTED, sources, world,
+                                  noise)
+    (tmp_path / "results").mkdir()
+    cli.write_bus_log(tmp_path / "results" / "bus.log", result.bus_records)
+    monkeypatch.chdir(tmp_path)
+    names = {}
+    exec(compile(python_block("Command line"), str(README), "exec"), names)
+    want = [msg.gain for _, msg in result.bus_records
+            if isinstance(msg, UpdateBroadcast) and msg.gain is not None]
+    assert want and len(names["gains"]) == len(want)
+    for got, gain in zip(names["gains"], want):
+        assert got.shape == gain.shape and got.tobytes() == gain.tobytes()

@@ -19,6 +19,7 @@ from meswarm.lie import (VehicleState, make_state, rotation_error_angle,
                          stack_states)
 from meswarm.models import NoiseModel, WorldConfig
 from test_acceptance import scenario_noise, scenario_sources, scenario_world
+from test_distributed import assert_same_message, decode_message, strict_body
 
 GRAVITY = np.array([0.0, 0.0, 9.81])
 
@@ -481,6 +482,29 @@ class TestRunSchedule:
         assert kinds == {"PropagationFactor", "PeerStateRequest",
                          "PeerStateReply", "UpdateBroadcast"}
         assert path.read_text() == "".join(at_delivery)
+
+    def test_bus_log_decodes_to_the_recorded_messages(self, tmp_path):
+        """bus.log of a run with inter-vehicle epochs, read back line by
+        line, is the run's bus records: types, scalars and arrays bit for
+        bit."""
+        cfg = ScheduleConfig(duration_s=0.3, seed=5)
+        noise = NoiseModel(d_landmark=0.1 * np.eye(3),
+                           d_intervehicle=0.05 * np.eye(3))
+        rng = np.random.default_rng(3)
+        srcs = [SyntheticSource(SinusoidTrajectory.random(rng), noise, v,
+                                cfg.seed) for v in range(3)]
+        res = run_schedule(cfg, harness.MODE_DISTRIBUTED, srcs, world3(),
+                           noise)
+        assert any(getattr(msg, "kind", None) == models.INTERVEHICLE
+                   for _, msg in res.bus_records)
+        path = tmp_path / "bus.log"
+        cli.write_bus_log(path, res.bus_records)
+        lines = path.read_text().splitlines()
+        assert len(lines) == len(res.bus_records)
+        for line, (tick, msg) in zip(lines, res.bus_records):
+            body = strict_body(line)
+            assert body["tick"] == tick
+            assert_same_message(decode_message(body), msg)
 
     def test_central_mode_logs_nothing(self):
         cfg = ScheduleConfig(duration_s=0.5, seed=3)
