@@ -14,10 +14,12 @@ column update and retraction per broadcast.  The data flow stays per node:
 node v reads only its own column, its own state and the wire messages.
 """
 
-import base64
 import json
 import logging
+from binascii import b2a_base64
 from dataclasses import dataclass
+from functools import lru_cache
+from math import isfinite
 
 import numpy as np
 
@@ -69,10 +71,27 @@ class UpdateBroadcast:
     gain: np.ndarray       # 15n x m gain correction G, None if refused
 
 
-def _obj(**fields):
-    """A JSON object of rendered values, its keys sorted as
-    json.dumps(sort_keys=True) sorts them; every key is a plain name."""
-    return "{" + ", ".join(f'"{k}": {fields[k]}' for k in sorted(fields)) + "}"
+# the JSON text of the two observation kinds, rendered once
+_KIND_TEXT = {k: json.dumps(k)
+              for k in (models.LANDMARK, models.INTERVEHICLE)}
+
+
+def _scalar(x):
+    """JSON text of a scalar field, as json.dumps writes it: the repr of a
+    plain int or a finite float, the text of a known observation kind, and
+    json.dumps itself for anything else (it spells a bool, NaN or Infinity
+    its own way and refuses a numpy integer)."""
+    if type(x) is int or (type(x) is float and isfinite(x)):
+        return repr(x)
+    if type(x) is str and x in _KIND_TEXT:
+        return _KIND_TEXT[x]
+    return json.dumps(x)
+
+
+@lru_cache(maxsize=None)
+def _shape(shape):
+    """JSON text of an array shape, rendered once per shape."""
+    return json.dumps(shape)
 
 
 def _arr(a):
@@ -82,43 +101,53 @@ def _arr(a):
     under 11 characters and no formatting call per entry, where a decimal
     list costs about 20 and one shortest-repr call per entry."""
     a = np.ascontiguousarray(a, dtype="<f8")
-    return _obj(b64=f'"{base64.b64encode(a).decode("ascii")}"',
-                shape=json.dumps(a.shape))
+    return (f'{{"b64": "{b2a_base64(a, newline=False).decode("ascii")}", '
+            f'"shape": {_shape(a.shape)}}}')
 
 
 def encode_message(msg, tick):
     """The canonical bus-log line of a message delivered at `tick`.
 
-    Rendered straight from the message's fields, it is byte for byte
-    json.dumps(body, sort_keys=True) of the body with every array as its
-    {"b64", "shape"} object (see _arr), "tick" and the wire version "v".
-    The line is strict JSON: no array entry is written as a decimal, so no
-    NaN or Infinity appears in it.
+    The line is byte for byte json.dumps(body, sort_keys=True) of the body
+    with every array as its {"b64", "shape"} object (see _arr), "tick" and
+    the wire version "v".  It is rendered from one fixed template per
+    message type, its keys written in sorted order, so the only generic
+    call left is json.dumps of a value outside the fast cases of _scalar,
+    and a value json.dumps refuses raises its TypeError.  No array entry
+    is written as a decimal, so no NaN or Infinity appears in a line
+    unless `dt` is one.
     """
-    num = json.dumps
     if isinstance(msg, PropagationFactor):
-        body = dict(type='"propagation_factor"', sender=num(msg.sender),
-                    lam=_arr(msg.lam), start_tick=num(msg.start_tick),
-                    end_tick=num(msg.end_tick))
-    elif isinstance(msg, PeerStateRequest):
-        body = dict(type='"peer_state_request"',
-                    requester=num(msg.requester), target=num(msg.target))
-    elif isinstance(msg, PeerStateReply):
+        return (f'{{"end_tick": {_scalar(msg.end_tick)}, '
+                f'"lam": {_arr(msg.lam)}, '
+                f'"sender": {_scalar(msg.sender)}, '
+                f'"start_tick": {_scalar(msg.start_tick)}, '
+                f'"tick": {_scalar(tick)}, '
+                f'"type": "propagation_factor", "v": {WIRE_VERSION}}}')
+    if isinstance(msg, PeerStateRequest):
+        return (f'{{"requester": {_scalar(msg.requester)}, '
+                f'"target": {_scalar(msg.target)}, '
+                f'"tick": {_scalar(tick)}, '
+                f'"type": "peer_state_request", "v": {WIRE_VERSION}}}')
+    if isinstance(msg, PeerStateReply):
         st = msg.state
-        body = dict(type='"peer_state_reply"', sender=num(msg.sender),
-                    state=_obj(rot=_arr(st.rot), pos=_arr(st.pos),
-                               vel=_arr(st.vel),
-                               gyro_bias=_arr(st.gyro_bias),
-                               accel_bias=_arr(st.accel_bias)),
-                    k_col=_arr(msg.k_col))
-    elif isinstance(msg, UpdateBroadcast):
-        body = dict(type='"update_broadcast"', origin=num(msg.origin),
-                    kind=num(msg.kind), subject=num(msg.subject),
-                    dt=num(msg.dt), t_ns=num(msg.t_ns), r=_arr(msg.r),
-                    gain="null" if msg.gain is None else _arr(msg.gain))
-    else:
-        raise TypeError(f"not a wire message: {type(msg)!r}")
-    return _obj(**body, tick=num(tick), v=num(WIRE_VERSION))
+        return (f'{{"k_col": {_arr(msg.k_col)}, '
+                f'"sender": {_scalar(msg.sender)}, '
+                f'"state": {{"accel_bias": {_arr(st.accel_bias)}, '
+                f'"gyro_bias": {_arr(st.gyro_bias)}, '
+                f'"pos": {_arr(st.pos)}, "rot": {_arr(st.rot)}, '
+                f'"vel": {_arr(st.vel)}}}, '
+                f'"tick": {_scalar(tick)}, '
+                f'"type": "peer_state_reply", "v": {WIRE_VERSION}}}')
+    if isinstance(msg, UpdateBroadcast):
+        gain = "null" if msg.gain is None else _arr(msg.gain)
+        return (f'{{"dt": {_scalar(msg.dt)}, "gain": {gain}, '
+                f'"kind": {_scalar(msg.kind)}, '
+                f'"origin": {_scalar(msg.origin)}, "r": {_arr(msg.r)}, '
+                f'"subject": {_scalar(msg.subject)}, '
+                f'"t_ns": {_scalar(msg.t_ns)}, "tick": {_scalar(tick)}, '
+                f'"type": "update_broadcast", "v": {WIRE_VERSION}}}')
+    raise TypeError(f"not a wire message: {type(msg)!r}")
 
 
 # -- the nodes ----------------------------------------------------------------

@@ -145,31 +145,45 @@ def _mat(m):
     return np.asarray(m, dtype=float).tolist()
 
 
-def dict_body(msg, tick):
-    """A message's fields as a bus-log body with every array as nested
-    float lists, for comparing two buses' payloads with a tolerance."""
+def dict_body(msg, tick, array=_mat):
+    """A message's fields as a bus-log body with every array as
+    `array(a)`: by default nested float lists, for comparing two buses'
+    payloads with a tolerance."""
     if isinstance(msg, PropagationFactor):
         body = {"type": "propagation_factor", "sender": msg.sender,
-                "lam": _mat(msg.lam),
+                "lam": array(msg.lam),
                 "start_tick": msg.start_tick, "end_tick": msg.end_tick}
     elif isinstance(msg, PeerStateRequest):
         body = {"type": "peer_state_request", "requester": msg.requester,
                 "target": msg.target}
     elif isinstance(msg, PeerStateReply):
         body = {"type": "peer_state_reply", "sender": msg.sender,
-                "state": {"rot": _mat(msg.state.rot), "pos": _mat(msg.state.pos),
-                          "vel": _mat(msg.state.vel),
-                          "gyro_bias": _mat(msg.state.gyro_bias),
-                          "accel_bias": _mat(msg.state.accel_bias)},
-                "k_col": _mat(msg.k_col)}
+                "state": {"rot": array(msg.state.rot),
+                          "pos": array(msg.state.pos),
+                          "vel": array(msg.state.vel),
+                          "gyro_bias": array(msg.state.gyro_bias),
+                          "accel_bias": array(msg.state.accel_bias)},
+                "k_col": array(msg.k_col)}
     else:
         body = {"type": "update_broadcast", "origin": msg.origin,
                 "kind": msg.kind, "subject": msg.subject, "dt": msg.dt,
-                "t_ns": msg.t_ns, "r": _mat(msg.r),
-                "gain": None if msg.gain is None else _mat(msg.gain)}
+                "t_ns": msg.t_ns, "r": array(msg.r),
+                "gain": None if msg.gain is None else array(msg.gain)}
     body["v"] = WIRE_VERSION
     body["tick"] = tick
     return body
+
+
+def wire_array(a):
+    """The wire-v4 object of an array, as a dict."""
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {"b64": base64.b64encode(a).decode("ascii"), "shape": list(a.shape)}
+
+
+def reference_line(msg, tick):
+    """The bytes a bus-log line must have: json.dumps with sorted keys of
+    the message's body, every array as its wire-v4 object."""
+    return json.dumps(dict_body(msg, tick, wire_array), sort_keys=True)
 
 
 def decode_array(obj):
@@ -322,6 +336,66 @@ class TestWire:
         body = strict_body(line)
         assert body["v"] == 4 and body["tick"] == tick
         assert_same_message(decode_message(body), msg)
+
+    @settings(max_examples=150, deadline=None)
+    @given(msg=wire_messages(), tick=st.integers(0, 2**63 - 1))
+    def test_line_is_json_dumps_of_the_body(self, msg, tick):
+        """The template writes json.dumps(body, sort_keys=True), byte for
+        byte: separators, key order and the spelling of every number."""
+        assert encode_message(msg, tick) == reference_line(msg, tick)
+
+    @pytest.mark.parametrize("field", ["tick", "sender", "t_ns"])
+    def test_numpy_integer_refused_as_json_dumps_refuses_it(self, field):
+        tick = np.int64(3) if field == "tick" else 3
+        if field == "t_ns":
+            msg = UpdateBroadcast(0, models.LANDMARK, 1, 0.1, np.int64(7),
+                                  np.zeros(6), None)
+        else:
+            msg = PropagationFactor(
+                np.int64(1) if field == "sender" else 1, np.eye(15), 0, 2)
+        with pytest.raises(TypeError) as want:
+            reference_line(msg, tick)
+        with pytest.raises(TypeError) as got:
+            encode_message(msg, tick)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("msg, tick", [
+        (PeerStateRequest(True, False), 0),
+        (PeerStateRequest(0, 1), True),
+        (UpdateBroadcast(1, models.INTERVEHICLE, 0, float("nan"), 5,
+                         np.ones(12), None), 4),
+        (UpdateBroadcast(1, models.LANDMARK, 0, float("inf"), 5,
+                         np.ones(6), None), 4),
+        (UpdateBroadcast(1, models.LANDMARK, 0, -float("inf"), 5,
+                         np.ones(6), None), 4),
+        (UpdateBroadcast(1, models.LANDMARK, 0, np.float64(0.1), 5,
+                         np.ones(6), None), 4),
+        (UpdateBroadcast(1, "gossip", 0, 0.1, 5, np.ones(6), None), 4),
+        (PropagationFactor(0, np.eye(15), 1.5, 2), 2**63 - 1),
+    ])
+    def test_values_outside_the_fast_cases_render_as_json_dumps(self, msg,
+                                                                 tick):
+        """A bool, a non-finite or numpy float, an unknown kind and a float
+        where an int belongs: each spelled as json.dumps spells it."""
+        assert encode_message(msg, tick) == reference_line(msg, tick)
+
+    def test_subclass_encodes_as_its_base(self):
+        class Factor(PropagationFactor):
+            pass
+
+        class Request(PeerStateRequest):
+            pass
+
+        lam = np.arange(225.0).reshape(15, 15)
+        assert encode_message(Factor(1, lam, 3, 9), 9) == encode_message(
+            PropagationFactor(1, lam, 3, 9), 9)
+        assert encode_message(Request(0, 1), 2) == encode_message(
+            PeerStateRequest(0, 1), 2)
+
+    def test_non_message_refused(self):
+        with pytest.raises(TypeError, match="not a wire message: "
+                                            "<class 'dict'>"):
+            encode_message({"type": "peer_state_request"}, 0)
 
     def test_version_check(self):
         with pytest.raises(ValueError):

@@ -582,6 +582,26 @@ def isolated_rows(cfg, sources, world, noise, prior):
     return rows
 
 
+def assert_none_equals_one_vehicle_filters(n, seed, rate_hz, dropout):
+    noise = scenario_noise()
+    world = scenario_world(n)
+    prior = PriorConfig()
+    cfg = ScheduleConfig(imu_rate_hz=100.0, landmark_rate_hz=rate_hz,
+                         duration_s=2.0, dropout_landmark=dropout, seed=seed)
+    res = run_schedule(cfg, harness.MODE_NONE,
+                       scenario_sources(n, noise, seed, traj_seed=seed),
+                       world, noise, prior=prior)
+    want = isolated_rows(cfg, scenario_sources(n, noise, seed,
+                                               traj_seed=seed),
+                         world, noise, prior)
+    assert len(res.rows) == len(want) == (cfg.n_ticks + 1) * n
+    for got, exp in zip(res.rows, want):
+        assert (got.t, got.vehicle) == (pytest.approx(exp.t), exp.vehicle)
+        for name in ("pos_err", "rot_err", "vel_err", "gyro_bias_err",
+                     "accel_bias_err"):
+            assert abs(getattr(got, name) - getattr(exp, name)) <= 1e-9
+
+
 class TestIsolatedOracle:
     """Mode `none` is the joint filter without the inter-vehicle channel;
     its cross blocks stay zero, so it must match n one-vehicle filters."""
@@ -592,24 +612,19 @@ class TestIsolatedOracle:
            dropout=st.sampled_from([0.0, 0.3]))
     def test_none_equals_one_vehicle_filters(self, n, seed, rate_hz,
                                              dropout):
-        noise = scenario_noise()
-        world = scenario_world(n)
-        prior = PriorConfig()
-        cfg = ScheduleConfig(imu_rate_hz=100.0, landmark_rate_hz=rate_hz,
-                             duration_s=2.0, dropout_landmark=dropout,
-                             seed=seed)
-        res = run_schedule(cfg, harness.MODE_NONE,
-                           scenario_sources(n, noise, seed, traj_seed=seed),
-                           world, noise, prior=prior)
-        want = isolated_rows(cfg, scenario_sources(n, noise, seed,
-                                                   traj_seed=seed),
-                             world, noise, prior)
-        assert len(res.rows) == len(want) == (cfg.n_ticks + 1) * n
-        for got, exp in zip(res.rows, want):
-            assert (got.t, got.vehicle) == (pytest.approx(exp.t), exp.vehicle)
-            for name in ("pos_err", "rot_err", "vel_err", "gyro_bias_err",
-                         "accel_bias_err"):
-                assert abs(getattr(got, name) - getattr(exp, name)) <= 1e-9
+        assert_none_equals_one_vehicle_filters(n, seed, rate_hz, dropout)
+
+    # Draws of the property above seen to fail: the gain loses
+    # definiteness, so both filters refuse an update as singular or their
+    # rows part by more than 1e-9.
+    @pytest.mark.xfail(strict=True, reason=(
+        "the gain loses definiteness (ROADMAP items 3 and 4: definiteness-"
+        "preserving propagation, one numerical-failure policy)"))
+    @pytest.mark.parametrize("n, seed, rate_hz, dropout", [
+        (2, 286, 10.0, 0.0), (2, 286, 10.0, 0.3), (3, 3718, 1.0, 0.3),
+        (3, 1039, 2.0, 0.0), (2, 6789, 1.0, 0.3)])
+    def test_known_failing_draws(self, n, seed, rate_hz, dropout):
+        assert_none_equals_one_vehicle_filters(n, seed, rate_hz, dropout)
 
 
 class TestDefinitenessWarnings:
