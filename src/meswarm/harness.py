@@ -482,7 +482,9 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
 
     `none` is the JointFilter of `central` without the inter-vehicle
     channel: its cross blocks stay exactly zero, so its vehicles evolve as
-    n isolated filters, and a lost definiteness warns once per epoch.
+    n isolated filters, it keeps no propagation factor and never
+    exponentiates, and a lost definiteness warns once per epoch.  `central`
+    keeps factors from its first applied inter-vehicle update on.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")

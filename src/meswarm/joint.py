@@ -83,6 +83,10 @@ class JointFilter:
     one included.  Between updates only the diagonal gain blocks move, kept
     as an (n, 15, 15) stack, and each vehicle's propagation factor; the
     full gain is brought up to the current tick before the next update.
+    Factors are kept only once a cross block can be non-zero: from the
+    start for a prior with a non-zero cross block, otherwise from the first
+    applied inter-vehicle update.  A block-diagonal filter that sees only
+    landmark updates (`none`, or a single vehicle) never exponentiates.
     """
 
     def __init__(self, states, k0, world, noise):
@@ -105,9 +109,10 @@ class JointFilter:
         # self.k, read once by the next propagate
         self._kdiag = None
         # per-vehicle propagation factors since the cross blocks were last
-        # brought up to date, as each node keeps its own; a single vehicle
-        # has no cross blocks and keeps none
-        self._lam = None if n == 1 else identity_factors(self.n)
+        # brought up to date, as each node keeps its own; None while every
+        # cross block is zero, since lam_i 0 lam_j^T is exactly 0
+        cross = _blocks(self.k, n)[~np.eye(n, dtype=bool)]
+        self._lam = identity_factors(n) if cross.any() else None
         self._stale = False
         # whether the gain is known positive definite (checked at __init__);
         # once lost it is checked again only when the gain is next rebuilt
@@ -202,6 +207,8 @@ class JointFilter:
 
         kc = self.k[:, ix]
         g = gain_correction(kc, ix, e_ii, dt)
+        if self._lam is None and obs.kind == models.INTERVEHICLE:
+            self._lam = identity_factors(self.n)
         if self._definite:
             k_ii = kc[ix, :]
             self._definite = _still_definite(

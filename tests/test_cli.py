@@ -345,10 +345,11 @@ class TestExitCodes:
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
         clean = write_trial("clean", "9.81")
-        cases = [(mode, "inf", "az") for mode in ("central", "distributed")]
-        # a non-finite gyro sample reaches the SO(3) kernels in every mode
-        cases += [(mode, bad, "wz") for bad in ("inf", "nan")
-                  for mode in ("none", "central", "distributed")]
+        # a non-finite accel or gyro sample exits 4 in every mode, `none`
+        # included, though it exponentiates nothing
+        cases = [(mode, bad, column) for bad in ("inf", "nan", "-inf")
+                 for column in ("az", "wz")
+                 for mode in ("none", "central", "distributed")]
         for mode, bad, column in cases:
             name = f"{bad}_{column}_{mode}"
             cfg = base_config(mode=mode, n_vehicles=2, duration_s=1.0)

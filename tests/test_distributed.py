@@ -946,31 +946,64 @@ class TestSharedEngine:
         exchange_factors(nodes)
         assert_nodes_match_joint(joint, nodes, 1e-10)
 
-    def test_single_vehicle_makes_no_expm_call(self, world, noise,
-                                               monkeypatch):
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_factors_start_with_the_first_cross_block(self, world, noise, n,
+                                                      monkeypatch):
+        """The joint filter keeps propagation factors, one stacked expm call
+        per tick, only once a cross block can be non-zero: from the first
+        tick for a prior with a non-zero cross block, otherwise from the
+        first applied inter-vehicle update.  Landmark updates keep the gain
+        block diagonal, and a refused inter-vehicle update starts nothing."""
         calls = []
 
         def counting_expm(a):
             calls.append(a.shape)
             return sla.expm(a)
 
+        def non_finite_terms(states, obs, world, noise, dt):
+            m = len(models.update_indices(obs.kind, obs.observer,
+                                          obs.subject))
+            return np.zeros(m), np.full((m, m), np.nan)
+
         monkeypatch.setattr(joint_module, "expm", counting_expm)
-        rng = np.random.default_rng(50)
-        for n in (1, 2):
-            calls.clear()
-            joint, _ = make_network(rng, n, world, noise)
-            for k in range(40):
+        rng = np.random.default_rng(50 + n)
+
+        def ticks(joint, count):
+            for _ in range(count):
                 joint.propagate(stack_samples(
                     [ImuSample(rng.standard_normal(3), rng.standard_normal(3),
                                joint.t_ns) for _ in range(n)]), DT)
-                if k == 19:
-                    joint.update(Observation(models.LANDMARK, 0, 0,
-                                             rng.standard_normal(3),
-                                             joint.t_ns))
-            # one stacked call per tick, one factor per vehicle, once there
-            # are cross blocks
-            assert len(calls) == (0 if n == 1 else 40)
-            assert all(shape == (n, STATE_DOF, STATE_DOF) for shape in calls)
+
+        def observe(joint, kind, observer, subject):
+            joint.update(Observation(kind, observer, subject,
+                                     rng.standard_normal(3), joint.t_ns))
+
+        joint, _ = make_network(rng, n, world, noise)
+        for v in range(n):
+            ticks(joint, 10)
+            observe(joint, models.LANDMARK, v, v % 2)
+        ticks(joint, 10)
+        assert calls == []
+        if n == 1:
+            return
+        with monkeypatch.context() as m:
+            m.setattr(models, "update_terms", non_finite_terms)
+            with pytest.raises(UpdateSingularError):
+                observe(joint, models.INTERVEHICLE, 0, 1)
+        ticks(joint, 10)
+        assert calls == []
+        observe(joint, models.INTERVEHICLE, 0, 1)
+        ticks(joint, 20)
+        observe(joint, models.LANDMARK, 0, 0)
+        ticks(joint, 20)
+        assert calls == [(n, STATE_DOF, STATE_DOF)] * 40
+
+        calls.clear()
+        joint, _ = make_network(
+            rng, n, world, noise,
+            k0=random_spd(rng, n * STATE_DOF, scale=0.002))
+        ticks(joint, 20)
+        assert calls == [(n, STATE_DOF, STATE_DOF)] * 20
 
 
 class TestNodeInit:

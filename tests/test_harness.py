@@ -15,11 +15,12 @@ from meswarm.harness import (METRICS_DTYPE, PriorConfig, ScheduleConfig,
                              synthesize_imu, synthesize_observation)
 from meswarm.joint import JointFilter
 from meswarm.kernels import so3_exp
-from meswarm.lie import (VehicleState, make_state, rotation_error_angle,
-                         stack_states)
+from meswarm.lie import (STATE_DOF, VehicleState, make_state,
+                         rotation_error_angle, stack_states)
 from meswarm.models import NoiseModel, WorldConfig
 from test_acceptance import scenario_noise, scenario_sources, scenario_world
-from test_distributed import assert_same_message, decode_message, strict_body
+from test_distributed import (assert_same_message, columns, decode_message,
+                              strict_body)
 
 GRAVITY = np.array([0.0, 0.0, 9.81])
 
@@ -625,6 +626,72 @@ class TestIsolatedOracle:
         (3, 1039, 2.0, 0.0), (2, 6789, 1.0, 0.3)])
     def test_known_failing_draws(self, n, seed, rate_hz, dropout):
         assert_none_equals_one_vehicle_filters(n, seed, rate_hz, dropout)
+
+
+def recorded_gains(mode, cfg, n):
+    """Run the scenario and return the filter's gain at the end of every
+    tick before the last: joint gains (15n x 15n) in `none` and `central`,
+    node columns (n, 15n, 15) in `distributed`."""
+    noise = scenario_noise()
+    gains = []
+
+    class RecordingFilter(JointFilter):
+        def propagate(self, u, dt):
+            gains.append(self.gain())
+            return super().propagate(u, dt)
+
+    class RecordingNodes(harness.VehicleNode):
+        def propagate_local(self, v, u, dt):
+            if v == 0:
+                gains.append(self.k_col.copy())
+            return super().propagate_local(v, u, dt)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(harness, "JointFilter", RecordingFilter)
+        m.setattr(harness, "VehicleNode", RecordingNodes)
+        run_schedule(cfg, mode, scenario_sources(n, noise, cfg.seed),
+                     scenario_world(n), noise, record_bus=False)
+    assert len(gains) == cfg.n_ticks
+    return gains
+
+
+def cross_blocks(k, n):
+    """The n(n-1) off-diagonal 15x15 blocks of a joint gain."""
+    blocks = k.reshape(n, STATE_DOF, n, STATE_DOF).swapaxes(1, 2)
+    return blocks[~np.eye(n, dtype=bool)]
+
+
+class TestZeroCrossBlocks:
+    """Without an applied inter-vehicle update the joint gain stays block
+    diagonal, which is why the joint filter keeps no propagation factor
+    until then: `none` keeps every cross block of gain() exactly zero, and
+    so does `central` up to its first inter-vehicle epoch.  From that epoch
+    on `central`'s gain equals the nodes' columns at every epoch."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 4), seed=st.integers(0, 2**16))
+    def test_cross_blocks(self, n, seed):
+        cfg = ScheduleConfig(imu_rate_hz=100.0, landmark_rate_hz=10.0,
+                             intervehicle_rate_hz=5.0, duration_s=1.0,
+                             seed=seed)
+        for k in recorded_gains(harness.MODE_NONE, cfg, n):
+            assert not cross_blocks(k, n).any()
+
+        epochs = _observation_ticks(cfg.intervehicle_rate_hz,
+                                    cfg.imu_rate_hz, cfg.n_ticks)
+        first = min(epochs)
+        central = recorded_gains(harness.MODE_CENTRAL, cfg, n)
+        nodes = recorded_gains(harness.MODE_DISTRIBUTED, cfg, n)
+        for k in central[:first]:
+            assert not cross_blocks(k, n).any()
+        assert cross_blocks(central[first], n).any()
+        # node columns are complete only where an epoch's last update left
+        # them; criterion 5 holds the two filters to 1e-8
+        for tick in epochs:
+            if tick < cfg.n_ticks:
+                np.testing.assert_allclose(
+                    nodes[tick], columns(central[tick], n), rtol=0,
+                    atol=1e-8)
 
 
 class TestDefinitenessWarnings:

@@ -78,8 +78,8 @@ def test_stack_equals_per_slice_calls(seed, n, log_norm):
 
 
 def _propagation_matrices(imu_rate_hz, monkeypatch):
-    """Every a*dt the joint filter exponentiates in 0.2 s of the six-vehicle
-    benchmark scenario, as an (m, 15, 15) stack."""
+    """The schedule, and every a*dt the joint filter exponentiates in 0.2 s
+    of the six-vehicle benchmark scenario, as an (m, 15, 15) stack."""
     seen = []
 
     def recording_expm(a):
@@ -92,14 +92,18 @@ def _propagation_matrices(imu_rate_hz, monkeypatch):
                                  seed=11)
     harness.run_schedule(cfg, "central", scenario_sources(6, noise, 11),
                          scenario_world(6), noise, record_bus=False)
-    return np.concatenate(seen)
+    return cfg, np.concatenate(seen)
 
 
 @pytest.mark.parametrize("imu_rate_hz", [200.0, 1000.0],
                          ids=["collab-n6", "imu1k-n6"])
 def test_scenario_matrices_match_scipy(imu_rate_hz, monkeypatch):
-    a = _propagation_matrices(imu_rate_hz, monkeypatch)
-    assert len(a) == 6 * int(0.2 * imu_rate_hz)
+    cfg, a = _propagation_matrices(imu_rate_hz, monkeypatch)
+    # factors start at the first inter-vehicle epoch, one per vehicle on
+    # every later tick
+    first = min(harness._observation_ticks(
+        cfg.intervehicle_rate_hz, cfg.imu_rate_hz, cfg.n_ticks))
+    assert len(a) == 6 * (cfg.n_ticks - first)
     assert norm1(a).max() < 0.1
     for ai in a:
         assert rel_err(expm(ai), sla.expm(ai)) <= 1e-15
