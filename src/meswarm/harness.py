@@ -480,11 +480,18 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
     scored against the sources' stacked ``truth`` into ``rows``, a record
     array of METRICS_DTYPE with one record per (tick, vehicle), tick-major.
 
+    In `none` and `central` each epoch tick hands the joint filter its
+    observations, after dropout, in one JointFilter.update call, in event
+    order; in `distributed` every observation runs its own exchange.
+
     `none` is the JointFilter of `central` without the inter-vehicle
     channel: its cross blocks stay exactly zero, so its vehicles evolve as
     n isolated filters, it keeps no propagation factor and never
-    exponentiates, and a lost definiteness warns once per epoch.  `central`
-    keeps factors from its first applied inter-vehicle update on.
+    exponentiates, its landmark updates go in one round per landmark
+    rank (each vehicle's d-th observation in round d), and a lost
+    definiteness warns once per epoch.  `central` keeps factors from its
+    first applied inter-vehicle update on, and only the landmark updates
+    before it go in rounds.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -553,6 +560,7 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
         evs = events.get(tick, ())
         if evs:
             truths = [src.truth_at_tick(tick) for src in sources]
+        batch = []
         for kind, a, b in evs:
             p = dropout[kind]
             if p > 0.0 and drop_rngs[(kind, a, b)].random() < p:
@@ -564,8 +572,10 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
             if mode == MODE_DISTRIBUTED:
                 _distributed_update(flt, obs, tick, bus)
             else:
-                flt.update(obs)
+                batch.append(obs)
             update_count += 1
+        if batch:
+            flt.update(*batch)
 
         _store(est, tick, flt.state)
 

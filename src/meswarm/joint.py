@@ -2,7 +2,9 @@
 
 IMU ticks propagate the estimate through the group exponential and the gain
 matrix through its Riccati flow; landmark and inter-vehicle observations are
-applied sequentially as discrete low-rank updates.
+applied sequentially as discrete low-rank updates, except that while the
+gain is block diagonal a tick's landmark updates of different vehicles,
+which commute exactly, are applied together in rounds.
 """
 
 import logging
@@ -175,9 +177,26 @@ class JointFilter:
 
     # -- measurement updates ---------------------------------------------------
 
-    def update(self, obs):
-        """Apply one observation at the current filter time, weighed by the
-        period since its source's last applied arrival.
+    def update(self, *observations):
+        """Apply one tick's observations, in event order, at the current
+        filter time, each weighed by the period since its source's last
+        applied arrival.
+
+        Every observation must carry the filter time: a stale or a future
+        stamp raises ValueError naming both, before any is applied.
+
+        While every cross block is zero (no propagation factor kept yet),
+        a landmark update touches only its observer's diagonal block, so
+        the landmark updates of different vehicles commute exactly.  The
+        landmark observations that lead the call are then applied in
+        rounds: round d holds each vehicle's d-th of them, in call order,
+        and goes through the update algebra once, on a leading round axis.
+        A round of one, and every observation after the leading landmarks,
+        is applied alone.  Either way the gain, the estimates and the
+        observation clock get the bits that one observation per call gives.
+        A refused update raises the verdict of its round's first refused
+        observation, in call order, before any of that round is applied;
+        earlier rounds stay applied.
 
         The gain's positive definiteness is checked where it can be lost,
         and a loss is logged once, as a warning; the update is applied
@@ -186,18 +205,46 @@ class JointFilter:
         definite K definite iff the m x m matrix K_ii + dt K_ii E_ii K_ii
         is, with K_ii = K[ix, ix] before the update: (K+)^-1 = K^-1 + dt E,
         and congruence with K^1/2 plus AB and BA sharing their non-zero
-        eigenvalues reduce the test to the ix block.  Once lost,
-        definiteness is checked again at the next rebuild.
+        eigenvalues reduce the test to the ix block.  A round tests its
+        items as one stack.  Once lost, definiteness is checked again at
+        the next rebuild.
         """
-        if obs.t_ns < self.t_ns:
-            raise ValueError(
-                f"observation at {obs.t_ns} ns is before filter time {self.t_ns} ns")
+        for obs in observations:
+            if obs.t_ns != self.t_ns:
+                when = "before" if obs.t_ns < self.t_ns else "after"
+                raise ValueError(f"observation at {obs.t_ns} ns is {when} "
+                                 f"filter time {self.t_ns} ns")
+        if not observations:
+            return self
         if self._stale:
             self.k = self.gain()
             if self._lam is not None:
                 self._lam = identity_factors(self.n)
             self._stale = False
-            self._definite = _still_definite(self.k, obs.t_ns)
+            self._definite = _still_definite(self.k, self.t_ns)
+        lead = 0
+        if self._lam is None:
+            rounds = []
+            rank = {}
+            for obs in observations:
+                if obs.kind != models.LANDMARK:
+                    break
+                d = rank.get(obs.observer, 0)
+                rank[obs.observer] = d + 1
+                if d == len(rounds):
+                    rounds.append([])
+                rounds[d].append(obs)
+                lead += 1
+            for group in rounds:
+                if len(group) == 1:
+                    self._update_one(group[0])
+                else:
+                    self._update_round(group)
+        for obs in observations[lead:]:
+            self._update_one(obs)
+        return self
+
+    def _update_one(self, obs):
         key = (obs.kind, obs.observer, obs.subject)
         dt = self.noise.effective_period(obs.kind, self._last_obs_ns.get(key),
                                          obs.t_ns)
@@ -224,13 +271,63 @@ class JointFilter:
         psi = dt * (self.k[:, ix] @ r_ix)
         self.state = retract(self.state, psi.reshape(self.n, STATE_DOF))
         self._last_obs_ns[key] = obs.t_ns
-        return self
+
+    def _update_round(self, group):
+        """One landmark observation per vehicle on a block-diagonal gain,
+        each item on a leading round axis through the products that
+        _update_one makes for it alone, with operands of the same layout.
+        An item's rows of the rank update and of psi vanish outside its
+        own block, so summing the items adds only zeros to each, and one
+        symmetrisation and one retraction serve them all."""
+        keys, dts, ixs, r_ix, e_ii = [], [], [], [], []
+        for obs in group:
+            key = (obs.kind, obs.observer, obs.subject)
+            dt = self.noise.effective_period(
+                obs.kind, self._last_obs_ns.get(key), obs.t_ns)
+            r, e = models.update_terms(self.state, obs, self.world,
+                                       self.noise, dt)
+            keys.append(key)
+            dts.append(dt)
+            ixs.append(models.update_indices(obs.kind, obs.observer,
+                                             obs.subject))
+            r_ix.append(r)
+            e_ii.append(e)
+        ix = np.array(ixs)
+        dt = np.array(dts)
+        e_ii = np.array(e_ii)
+
+        # (R, 15n, m): item i is K[:, ix_i] with its strides
+        kc = self.k[:, ix].transpose(1, 0, 2)
+        g = gain_correction(kc, ix, e_ii, dt)
+        if self._definite:
+            k_ii = _rows(kc, ix)
+            self._definite = _still_definite(
+                k_ii + dt[:, None, None] * (k_ii @ e_ii @ k_ii),
+                group[0].t_ns)
+        k = self.k
+        k -= np.add.reduce(g @ k[ix], axis=0)
+        k += k.T
+        k *= 0.5
+        self._kdiag = None
+
+        psi = dt[:, None] * (self.k[:, ix].transpose(1, 0, 2)
+                             @ np.array(r_ix)[..., None])[..., 0]
+        self.state = retract(self.state, np.add.reduce(psi, axis=0)
+                             .reshape(self.n, STATE_DOF))
+        for key in keys:
+            self._last_obs_ns[key] = group[0].t_ns
 
 
 def _one_norm(m):
     """||m||_1, the largest column sum of |m|, by the ufunc reductions
-    that ndarray.sum and .max wrap."""
-    return np.maximum.reduce(np.add.reduce(np.abs(m), axis=0))
+    that ndarray.sum and .max wrap; one per matrix of a stack."""
+    return np.maximum.reduce(np.add.reduce(np.abs(m), axis=-2), axis=-1)
+
+
+def _rows(kc, ix):
+    """kc[i][ix[i], :] for every item i of a stack, as one (R, m, m)
+    array laid out as each kc[ix, :] is."""
+    return kc[np.arange(len(ix))[:, None], ix]
 
 
 def update_inverse(s):
@@ -241,9 +338,23 @@ def update_inverse(s):
 
     The column-sum reduction that gives ||S||_1 is NaN or inf exactly when
     an entry is, so it also serves as the finiteness check.  With m = 6 or
-    12 the exact condition number costs two such reductions.  Raises
+    12 the exact condition number costs two such reductions.  A stack of
+    systems (R, m, m) is inverted in one call, each item as it would be
+    alone; if any item is refused, the items are gated one by one, so the
+    first refused one, in stack order, raises its own verdict.  Raises
     UpdateSingularError.
     """
+    if s.ndim > 2:
+        norm = _one_norm(s)
+        if np.isfinite(norm).all():
+            try:
+                inv = np.linalg.inv(s)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                if (norm * _one_norm(inv) <= COND_LIMIT).all():
+                    return inv
+        return np.array([update_inverse(item) for item in s])
     norm = _one_norm(s)
     if not math.isfinite(norm):
         raise UpdateSingularError("update system is not finite")
@@ -270,8 +381,20 @@ def gain_correction(kc, ix, e_ii, dt):
     the full one (Sylvester) and is refused by the same gate,
     update_inverse.  A non-finite E_ii is refused first, before it enters a
     product where 0 * inf would warn; the verdict is update_inverse's.
-    Raises UpdateSingularError.
+
+    Every argument may carry one leading axis of R updates, kc (R, 15n, m),
+    ix (R, m), e_ii (R, m, m) and dt (R,): each item gets the products and
+    the verdict it would get alone, and the first refused item, in stack
+    order, raises.  Raises UpdateSingularError.
     """
+    if kc.ndim > 2:
+        if not np.isfinite(e_ii).all():
+            # gated one by one, so an earlier item's verdict comes first
+            return np.array([gain_correction(*item)
+                             for item in zip(kc, ix, e_ii, dt)])
+        dt = dt[:, None, None]
+        s = _eye(ix.shape[-1]) + dt * (e_ii @ _rows(kc, ix))
+        return dt * (kc @ (update_inverse(s) @ e_ii))
     if not np.isfinite(e_ii).all():
         raise UpdateSingularError("update system is not finite")
     s = _eye(len(ix)) + dt * (e_ii @ kc[ix, :])

@@ -9,7 +9,9 @@ of the model terms; `residual` and `hessian_term` each return one of the two.
 """
 
 import functools
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -109,11 +111,22 @@ class NoiseModel:
     dt_intervehicle: float = 0.1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.startswith("dt_"):
+                if (isinstance(value, bool)
+                        or not isinstance(value, numbers.Real)
+                        or not 0.0 < value < math.inf):
+                    raise ValueError(f"{f.name} must be a positive finite "
+                                     f"number, got {value!r}")
+                continue
+            m = np.asarray(value, dtype=float)
+            if not np.isfinite(m).all():
+                raise ValueError(f"{f.name} must be finite")
+            setattr(self, f.name, m)
         for name in ("d_landmark", "d_intervehicle"):
-            d = np.asarray(getattr(self, name), dtype=float)
-            if np.linalg.cond(d) > 1e6:
+            if np.linalg.cond(getattr(self, name)) > 1e6:
                 raise ValueError(f"{name} must be invertible (cond < 1e6)")
-            setattr(self, name, d)
         # D^{-T} D^{-1} per kind, built once from solves: D is fixed
         self._unit_weight = {}
         for kind in (LANDMARK, INTERVEHICLE):

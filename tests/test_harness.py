@@ -699,7 +699,10 @@ class TestDefinitenessWarnings:
     vehicles at 1-2 Hz observations).  A filter checks its propagated gain
     densely at an epoch's first update and each update's m x m verdict, so
     it warns in an epoch iff the dense check every update used to run (the
-    oracle here) fails after one of that epoch's updates, and only once."""
+    oracle here) fails after one of that epoch's updates, and only once.
+    The oracle hands the filter one observation per call, so it sees every
+    update; tests/test_rounds.py ties that to a tick's rounds bit for
+    bit."""
 
     @staticmethod
     def verdicts(monkeypatch, caplog, mode, n, rate_hz, duration_s):
@@ -712,16 +715,17 @@ class TestDefinitenessWarnings:
             return sum("lost positive definiteness" in rec.getMessage()
                        for rec in caplog.records)
 
-        def checked(self, obs):
-            before = pd_warnings()
-            update(self, obs)
-            key = (id(self), obs.t_ns)
-            if pd_warnings() > before:
-                warned.add(key)
-            try:
-                np.linalg.cholesky(self.k)
-            except np.linalg.LinAlgError:
-                failed.add(key)
+        def checked(self, *observations):
+            for obs in observations:
+                before = pd_warnings()
+                update(self, obs)
+                key = (id(self), obs.t_ns)
+                if pd_warnings() > before:
+                    warned.add(key)
+                try:
+                    np.linalg.cholesky(self.k)
+                except np.linalg.LinAlgError:
+                    failed.add(key)
             return self
 
         monkeypatch.setattr(JointFilter, "update", checked)

@@ -237,6 +237,24 @@ class TestUpdate:
         with pytest.raises(ValueError):
             f.update(Observation(models.LANDMARK, 0, 0, np.zeros(3), 0))
 
+    @pytest.mark.parametrize("stamp,word", [(0, "before"),
+                                            (10_000_000, "after")])
+    def test_off_time_observation_refused_before_any_update(
+            self, world, noise, stamp, word):
+        """A call's observations must all carry the filter time; one stale
+        or future stamp refuses the whole call, naming both stamps."""
+        f = JointFilter([identity_state()] * 2, np.eye(30), world, noise)
+        f.propagate(still_imu(2), 0.005)
+        before, state = f.gain(), f.state
+        good = Observation(models.LANDMARK, 0, 0, np.zeros(3), 5_000_000)
+        bad = Observation(models.LANDMARK, 1, 0, np.zeros(3), stamp)
+        with pytest.raises(ValueError, match=(
+                f"observation at {stamp} ns is {word} filter time "
+                "5000000 ns")):
+            f.update(good, bad)
+        np.testing.assert_array_equal(f.gain(), before)
+        assert f.state is state and f._last_obs_ns == {}
+
     def test_gain_symmetry_after_fuzz(self, world, noise):
         rng = np.random.default_rng(6)
         states = [random_state(rng), random_state(rng)]

@@ -569,6 +569,24 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(d_landmark=np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("name", ["b_gyro", "b_accel", "b_gyro_bias",
+                                      "b_accel_bias", "d_landmark",
+                                      "d_intervehicle"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_entry_names_its_field(self, name, bad):
+        m = np.eye(3)
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            NoiseModel(**{name: m})
+
+    @pytest.mark.parametrize("name", ["dt_imu", "dt_landmark",
+                                      "dt_intervehicle"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -0.005, True])
+    def test_bad_period_names_its_field(self, name, bad):
+        with pytest.raises(ValueError, match=(
+                f"^{name} must be a positive finite number, got ")):
+            NoiseModel(**{name: bad})
+
     def test_measurement_weight_scaling(self):
         nm = NoiseModel(d_landmark=0.5 * np.eye(3))
         m = nm.measurement_weight(models.LANDMARK, 0.2)

@@ -1,0 +1,270 @@
+"""Rounds: a tick's landmark updates on an uncoupled gain applied together.
+
+While every cross block of the joint gain is zero, `JointFilter.update`
+applies the landmark observations that lead a call in rounds, each vehicle's
+d-th observation in round d, on a leading round axis.  These tests tie that
+path bit for bit to one observation per call, pin the number of gate calls
+per epoch, and check the stacked gate's verdicts.
+"""
+
+import logging
+import re
+import warnings
+from contextlib import contextmanager
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from meswarm import harness, joint, models
+from meswarm.harness import ScheduleConfig, _observation_ticks, run_schedule
+from meswarm.joint import JointFilter, UpdateSingularError
+from meswarm.models import Observation, WorldConfig
+from test_acceptance import scenario_noise, scenario_sources, scenario_world
+from test_distributed import GATE_CASES, GATE_DT, gate_system
+
+LANDMARKS = (np.array([2.0, 0.0, 1.0]), np.array([-1.0, 2.0, 0.5]),
+             np.array([0.0, -2.0, 1.5]), np.array([1.5, 1.5, -0.5]))
+
+
+@contextmanager
+def joint_warnings():
+    """The messages logged on meswarm.joint while the block runs."""
+    messages = []
+
+    class Keep(logging.Handler):
+        def emit(self, record):
+            messages.append(record.getMessage())
+
+    logger = logging.getLogger("meswarm.joint")
+    handler = Keep(logging.WARNING)
+    logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+
+
+def run_recorded(one_per_call, mode, n, n_landmarks, rate_hz, dropout,
+                 seed, refuse_tick):
+    """One run of the scheduler with the joint filter recording, after each
+    update call, its gain, estimate and observation clock.  With
+    one_per_call the filter takes the call's observations one at a time.
+    At refuse_tick, the first landmark observation that dropout keeps
+    carries a NaN, which the gate refuses.  Returns (records, warnings,
+    refusal text or None, rows or None, whether a NaN was sent)."""
+    noise = scenario_noise()
+    world = WorldConfig(
+        landmarks=dict(enumerate(LANDMARKS[:n_landmarks])),
+        markers=scenario_world(n).markers)
+    cfg = ScheduleConfig(imu_rate_hz=100.0, landmark_rate_hz=rate_hz,
+                         intervehicle_rate_hz=rate_hz, duration_s=1.5,
+                         dropout_landmark=dropout, seed=seed)
+    records = []
+
+    class Recording(JointFilter):
+        def update(self, *observations):
+            try:
+                if one_per_call:
+                    for obs in observations:
+                        JointFilter.update(self, obs)
+                else:
+                    JointFilter.update(self, *observations)
+            finally:
+                records.append((self.gain(), self.state,
+                                dict(self._last_obs_ns)))
+            return self
+
+    synthesize = harness.synthesize_observation
+    poisoned = []
+
+    def refusing(truths, world, kind, observer, subject, d, rng, t_ns):
+        obs = synthesize(truths, world, kind, observer, subject, d, rng, t_ns)
+        if (refuse_tick is not None and t_ns == refuse_tick * 10_000_000
+                and not poisoned):
+            poisoned.append(obs)
+            return Observation(kind, observer, subject, np.full(3, np.nan),
+                               t_ns)
+        return obs
+
+    text = rows = None
+    with pytest.MonkeyPatch.context() as m, joint_warnings() as logged:
+        m.setattr(harness, "JointFilter", Recording)
+        m.setattr(harness, "synthesize_observation", refusing)
+        try:
+            rows = run_schedule(cfg, mode, scenario_sources(n, noise, seed),
+                                world, noise, record_bus=False).rows
+        except UpdateSingularError as exc:
+            text = str(exc)
+    return records, logged, text, rows, bool(poisoned)
+
+
+class TestRoundsEqualOnePerCall:
+    """Rounds give the gain, estimates, observation clock, warnings and
+    refusal text of one observation per call, bit for bit, in `none` and
+    in `central` (whose first inter-vehicle epoch starts with rounds)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(mode=st.sampled_from([harness.MODE_NONE, harness.MODE_CENTRAL]),
+           n=st.integers(1, 5), n_landmarks=st.integers(1, 4),
+           rate_hz=st.sampled_from([2.0, 10.0]),
+           dropout=st.sampled_from([0.0, 0.3, 0.7]),
+           seed=st.integers(0, 2**16),
+           refuse=st.none() | st.integers(0, 2))
+    # sparse epochs of five vehicles lose definiteness and warn
+    @example(mode=harness.MODE_NONE, n=5, n_landmarks=3, rate_hz=2.0,
+             dropout=0.0, seed=7, refuse=None)
+    @example(mode=harness.MODE_CENTRAL, n=5, n_landmarks=3, rate_hz=2.0,
+             dropout=0.3, seed=7, refuse=None)
+    # a refusal in the first round of a later epoch
+    @example(mode=harness.MODE_NONE, n=4, n_landmarks=2, rate_hz=10.0,
+             dropout=0.0, seed=3, refuse=2)
+    def test_same_bits(self, mode, n, n_landmarks, rate_hz, dropout, seed,
+                       refuse):
+        epochs = _observation_ticks(rate_hz, 100.0, 150)
+        refuse_tick = None if refuse is None else epochs[refuse]
+        rounds = run_recorded(False, mode, n, n_landmarks, rate_hz, dropout,
+                              seed, refuse_tick)
+        single = run_recorded(True, mode, n, n_landmarks, rate_hz, dropout,
+                              seed, refuse_tick)
+        records, logged, text, rows, poisoned = rounds
+        assert len(records) == len(single[0]) > 0
+        for (k, state, clock), (k1, state1, clock1) in zip(records,
+                                                            single[0]):
+            np.testing.assert_array_equal(k, k1)
+            for name in ("rot", "pos", "vel", "gyro_bias", "accel_bias"):
+                np.testing.assert_array_equal(getattr(state, name),
+                                              getattr(state1, name))
+            assert clock == clock1
+        assert logged == single[1]
+        assert text == single[2]
+        # a run may also be refused on its own, identically in both
+        assert text is not None or not poisoned
+        if text is None:
+            np.testing.assert_array_equal(rows, single[3])
+
+    def test_examples_cover_warnings(self):
+        """The explicit examples above do exercise the definiteness
+        verdict: both runs warn."""
+        for mode, dropout in ((harness.MODE_NONE, 0.0),
+                              (harness.MODE_CENTRAL, 0.3)):
+            _, logged, _, _, _ = run_recorded(False, mode, 5, 3, 2.0, dropout,
+                                           7, None)
+            assert any("lost positive definiteness" in m for m in logged)
+
+
+class TestGateCallsPerEpoch:
+    """The cost guard: rounds go through the gate once per round, so a
+    change that falls back to one update at a time fails here, not only in
+    the benchmark."""
+
+    @staticmethod
+    def gate_calls(mode, n=6, ticks=60):
+        """(observations, gate calls, stacked items) per update call of a
+        200 Hz run with both channels at 10 Hz and three landmarks."""
+        calls = []
+        gate = joint.update_inverse
+
+        def counted(s):
+            calls.append(s.shape[0] if s.ndim > 2 else 1)
+            return gate(s)
+
+        per_call = []
+
+        class Counting(JointFilter):
+            def update(self, *observations):
+                before = len(calls)
+                JointFilter.update(self, *observations)
+                per_call.append((len(observations), len(calls) - before,
+                                 sum(calls[before:])))
+                return self
+
+        noise = scenario_noise()
+        cfg = ScheduleConfig(duration_s=ticks / 200.0, seed=1)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(joint, "update_inverse", counted)
+            m.setattr(harness, "JointFilter", Counting)
+            run_schedule(cfg, mode, scenario_sources(n, noise, 1),
+                         scenario_world(n), noise, record_bus=False)
+        return per_call
+
+    def test_none_one_gate_call_per_round(self):
+        # 6 vehicles x 3 landmarks: 3 rounds of 6
+        assert self.gate_calls(harness.MODE_NONE) == [(18, 3, 18)] * 3
+
+    def test_central_rounds_until_the_first_intervehicle_update(self):
+        # the first epoch's landmarks in 3 rounds, its 30 inter-vehicle
+        # observations one at a time; afterwards one call per observation
+        assert self.gate_calls(harness.MODE_CENTRAL) == (
+            [(48, 3 + 30, 48)] + [(48, 48, 48)] * 2)
+
+
+class TestStackedGate:
+    """update_inverse and gain_correction on a stack: each item's inverse
+    and verdict as alone, and the first refused item, in stack order,
+    raises its own verdict."""
+
+    @staticmethod
+    def systems(cases, m=6):
+        return np.array([gate_system(m, case) for case in cases])
+
+    @pytest.mark.parametrize("cases,text", [
+        (("cond_5e11", "cond_2e12", "singular", "nan"),
+         "condition ~2.00e+12 exceeds 1e+12"),
+        (("cond_5e11", "singular", "cond_2e12"), "update system is singular"),
+        (("cond_5e11", "inf", "singular"), "update system is not finite"),
+    ])
+    def test_first_refused_item_raises(self, cases, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UpdateSingularError, match=re.escape(text)):
+                joint.update_inverse(self.systems(cases))
+
+    def test_accepted_stack_equals_single_calls(self):
+        rng = np.random.default_rng(5)
+        s = np.eye(6) + 0.3 * rng.standard_normal((4, 6, 6))
+        s[1] = gate_system(6, "cond_5e11")
+        inv = joint.update_inverse(s)
+        for item, want in zip(inv, s):
+            np.testing.assert_array_equal(item, joint.update_inverse(want))
+
+    @staticmethod
+    def corrections(cases, n=3):
+        """gain_correction's arguments for landmark updates of vehicles
+        0..R-1 on K = I, whose systems are the cases' gate systems."""
+        k = np.eye(15 * n)
+        ix = np.array([models.update_indices(models.LANDMARK, v, 0)
+                       for v in range(len(cases))])
+        kc = k[:, ix].transpose(1, 0, 2)
+        e_ii = (TestStackedGate.systems(cases) - np.eye(6)) / GATE_DT
+        return kc, ix, e_ii, np.full(len(cases), GATE_DT)
+
+    @pytest.mark.parametrize("cases,text", [
+        (("cond_5e11", "singular", "nan"), "update system is singular"),
+        (("cond_5e11", "nan", "singular"), "update system is not finite"),
+    ])
+    def test_correction_raises_first_refused_item(self, cases, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UpdateSingularError, match=re.escape(text)):
+                joint.gain_correction(*self.corrections(cases))
+
+    def test_correction_stack_equals_single_calls(self):
+        rng = np.random.default_rng(6)
+        n, r = 4, 3
+        k = np.zeros((15 * n, 15 * n))
+        for v in range(n):
+            b = rng.standard_normal((15, 15))
+            k[15 * v:15 * v + 15, 15 * v:15 * v + 15] = 0.1 * b @ b.T
+        ix = np.array([models.update_indices(models.LANDMARK, v, 0)
+                       for v in (0, 2, 3)])
+        b = rng.standard_normal((r, 6, 6))
+        e_ii = b @ b.swapaxes(-1, -2)
+        dt = np.array([0.1, 0.05, 0.2])
+        kc = k[:, ix].transpose(1, 0, 2)
+        g = joint.gain_correction(kc, ix, e_ii, dt)
+        for i in range(r):
+            np.testing.assert_array_equal(
+                g[i], joint.gain_correction(k[:, ix[i]], ix[i], e_ii[i],
+                                            float(dt[i])))
