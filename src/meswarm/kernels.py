@@ -4,7 +4,8 @@ Every kernel accepts any leading axes: a 3-vector gives one 3x3 matrix and
 an (n, 3) stack gives (n, 3, 3), so one call serves one vehicle and the n
 vehicles each filter holds as a stack, and each entry of a stacked result
 equals the single-vehicle call on that entry.  The SO(3) exponential and
-its left Jacobian are in closed form; the matrix exponential of the 15x15
+its left Jacobian are in closed form, their coefficients a Taylor series
+in |theta|^2 below SMALL_ANGLE; the matrix exponential of the 15x15
 propagation matrices is a truncated Taylor series with scaling and
 squaring, one set of matmuls over the whole stack.  A stack takes the
 degree its largest norm needs, so its entries equal single calls to the
@@ -16,9 +17,20 @@ import math
 
 import numpy as np
 
-# Below this rotation magnitude the closed-form coefficients switch to their
-# 4th-order Taylor expansions to avoid 0/0.
-SMALL_ANGLE = 1e-6
+# Below this rotation magnitude the coefficients take their Taylor series in
+# t^2.  The closed forms cancel as t falls: 1 - cos t and t - sin t lose about
+# log10(1/t^2) digits, 4e-5 and 8e-5 relative at t = 2e-6.  From t = 0.25 up
+# both stay within about 1e-14, and six terms of the series carry it to
+# 1e-17 below.
+SMALL_ANGLE = 0.25
+
+# row k: the coefficients (-1)^k / (2k + 1)!, (2k + 2)! and (2k + 3)! of
+# t^2k in sin(t)/t, (1 - cos t)/t^2 and (t - sin t)/t^3
+_SERIES = np.array([[(-1) ** k / math.factorial(2 * k + j) for j in (1, 2, 3)]
+                    for k in range(6)])
+_SERIES.flags.writeable = False
+_POWERS = np.arange(len(_SERIES), dtype=float)
+_POWERS.flags.writeable = False
 
 # There is no JIT path; benchmark environment records still read this flag.
 NUMBA_ENABLED = False
@@ -48,26 +60,28 @@ def _closed_form(t, t2):
 
 
 def _taylor(t2):
-    t4 = t2 * t2
-    return (1.0 - t2 / 6.0 + t4 / 120.0,
-            0.5 - t2 / 24.0 + t4 / 720.0,
-            1.0 / 6.0 - t2 / 120.0 + t4 / 5040.0)
+    """The three series at t^2 = t2, together: the powers of t2, their
+    terms for all three, and one sum over the powers, element by element
+    and in order of rising power (at most 0.0625 apart, terms fall fast)."""
+    terms = np.power(t2[..., None], _POWERS)[..., None] * _SERIES
+    r = np.add.reduce(terms, axis=-2)
+    return r[..., 0], r[..., 1], r[..., 2]
 
 
 def _so3_coefficients(theta):
     """sin(t)/t, (1 - cos t)/t^2 and (t - sin t)/t^3 for t = |theta|.
 
-    Entries below SMALL_ANGLE take the Taylor expansions; every entry depends
-    on its own rotation vector only, whatever else the stack holds.
+    Entries below SMALL_ANGLE take the Taylor series; every entry depends on
+    its own rotation vector only, whatever else the stack holds.
     """
     t2 = np.add.reduce(theta * theta, axis=-1)
-    t = np.sqrt(t2)
-    small = t < SMALL_ANGLE
+    small = t2 < SMALL_ANGLE * SMALL_ANGLE
     count = np.count_nonzero(small)
-    if count == 0:
-        return _closed_form(t, t2)
     if count == small.size:
         return _taylor(t2)
+    t = np.sqrt(t2)
+    if count == 0:
+        return _closed_form(t, t2)
     # mixed stack: evaluate the closed form on a safe stand-in, then select
     closed = _closed_form(np.where(small, 1.0, t), np.where(small, 1.0, t2))
     return tuple(np.where(small, lo, hi)

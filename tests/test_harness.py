@@ -2,7 +2,7 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as ScipyRotation
 
@@ -611,6 +611,9 @@ class TestIsolatedOracle:
     @given(n=st.integers(1, 4), seed=st.integers(0, 2**16),
            rate_hz=st.sampled_from([1.0, 2.0, 10.0]),
            dropout=st.sampled_from([0.0, 0.3]))
+    # once failing at 4.1e-9; within 1e-15 since the SO(3) coefficients
+    # take their series up to |theta| = 0.25
+    @example(n=2, seed=6789, rate_hz=1.0, dropout=0.3)
     def test_none_equals_one_vehicle_filters(self, n, seed, rate_hz,
                                              dropout):
         assert_none_equals_one_vehicle_filters(n, seed, rate_hz, dropout)
@@ -623,7 +626,7 @@ class TestIsolatedOracle:
         "preserving propagation, one numerical-failure policy)"))
     @pytest.mark.parametrize("n, seed, rate_hz, dropout", [
         (2, 286, 10.0, 0.0), (2, 286, 10.0, 0.3), (3, 3718, 1.0, 0.3),
-        (3, 1039, 2.0, 0.0), (2, 6789, 1.0, 0.3)])
+        (3, 1039, 2.0, 0.0)])
     def test_known_failing_draws(self, n, seed, rate_hz, dropout):
         assert_none_equals_one_vehicle_filters(n, seed, rate_hz, dropout)
 
