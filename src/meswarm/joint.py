@@ -7,6 +7,8 @@ gain is block diagonal a tick's landmark updates of different vehicles,
 which commute exactly, are applied together in rounds.
 """
 
+import collections
+import itertools
 import logging
 import math
 
@@ -222,25 +224,20 @@ class JointFilter:
                 self._lam = identity_factors(self.n)
             self._stale = False
             self._definite = _still_definite(self.k, self.t_ns)
-        lead = 0
+        lead = []
         if self._lam is None:
-            rounds = []
-            rank = {}
-            for obs in observations:
-                if obs.kind != models.LANDMARK:
-                    break
-                d = rank.get(obs.observer, 0)
-                rank[obs.observer] = d + 1
-                if d == len(rounds):
-                    rounds.append([])
-                rounds[d].append(obs)
-                lead += 1
-            for group in rounds:
-                if len(group) == 1:
-                    self._update_one(group[0])
-                else:
-                    self._update_round(group)
-        for obs in observations[lead:]:
+            lead = list(itertools.takewhile(
+                lambda obs: obs.kind == models.LANDMARK, observations))
+        rounds, rank = {}, collections.Counter()
+        for obs in lead:
+            rounds.setdefault(rank[obs.observer], []).append(obs)
+            rank[obs.observer] += 1
+        for group in rounds.values():
+            if len(group) == 1:
+                self._update_one(group[0])
+            else:
+                self._update_round(group)
+        for obs in observations[len(lead):]:
             self._update_one(obs)
         return self
 
@@ -302,8 +299,7 @@ class JointFilter:
         if self._definite:
             k_ii = _rows(kc, ix)
             self._definite = _still_definite(
-                k_ii + dt[:, None, None] * (k_ii @ e_ii @ k_ii),
-                group[0].t_ns)
+                k_ii + dt[:, None, None] * (k_ii @ e_ii @ k_ii), self.t_ns)
         k = self.k
         k -= np.add.reduce(g @ k[ix], axis=0)
         k += k.T
@@ -315,7 +311,7 @@ class JointFilter:
         self.state = retract(self.state, np.add.reduce(psi, axis=0)
                              .reshape(self.n, STATE_DOF))
         for key in keys:
-            self._last_obs_ns[key] = group[0].t_ns
+            self._last_obs_ns[key] = self.t_ns
 
 
 def _one_norm(m):
@@ -393,11 +389,12 @@ def gain_correction(kc, ix, e_ii, dt):
             return np.array([gain_correction(*item)
                              for item in zip(kc, ix, e_ii, dt)])
         dt = dt[:, None, None]
-        s = _eye(ix.shape[-1]) + dt * (e_ii @ _rows(kc, ix))
-        return dt * (kc @ (update_inverse(s) @ e_ii))
-    if not np.isfinite(e_ii).all():
-        raise UpdateSingularError("update system is not finite")
-    s = _eye(len(ix)) + dt * (e_ii @ kc[ix, :])
+        k_ii = _rows(kc, ix)
+    else:
+        if not np.isfinite(e_ii).all():
+            raise UpdateSingularError("update system is not finite")
+        k_ii = kc[ix, :]
+    s = _eye(ix.shape[-1]) + dt * (e_ii @ k_ii)
     return dt * (kc @ (update_inverse(s) @ e_ii))
 
 

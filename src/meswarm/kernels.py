@@ -31,6 +31,10 @@ _SERIES = np.array([[(-1) ** k / math.factorial(2 * k + j) for j in (1, 2, 3)]
 _SERIES.flags.writeable = False
 _POWERS = np.arange(len(_SERIES), dtype=float)
 _POWERS.flags.writeable = False
+# the three columns as (3, 6, 1): a (1, 6) row of powers times each is one
+# dot product per entry and coefficient, the same call whatever the stack
+_COLUMNS = np.ascontiguousarray(_SERIES.T)[..., None]
+_COLUMNS.flags.writeable = False
 
 # There is no JIT path; benchmark environment records still read this flag.
 NUMBA_ENABLED = False
@@ -60,11 +64,11 @@ def _closed_form(t, t2):
 
 
 def _taylor(t2):
-    """The three series at t^2 = t2, together: the powers of t2, their
-    terms for all three, and one sum over the powers, element by element
-    and in order of rising power (at most 0.0625 apart, terms fall fast)."""
-    terms = np.power(t2[..., None], _POWERS)[..., None] * _SERIES
-    r = np.add.reduce(terms, axis=-2)
+    """The three series at t^2 = t2, together: the powers of t2, then one
+    six-term dot product with each series' coefficients, entry by entry.
+    Below t^2 = 0.0625 the terms fall fast and nothing cancels."""
+    powers = np.power(t2[..., None], _POWERS)
+    r = (powers[..., None, None, :] @ _COLUMNS)[..., 0, 0]
     return r[..., 0], r[..., 1], r[..., 2]
 
 

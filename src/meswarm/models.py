@@ -98,6 +98,9 @@ class NoiseModel:
     ``d_intervehicle`` the measurement errors.  The cost-functional weights
     are tied to the sample periods: the IMU weight is (1/dt_imu) I and each
     measurement weight is (1/dt) I with dt the measured inter-arrival time.
+    Construction refuses a matrix with a non-finite entry and a period that
+    is not a positive finite number, raising a ValueError that names the
+    field; the matrices are kept as float arrays.
     """
 
     b_gyro: np.ndarray = field(default_factory=lambda: np.eye(3))
