@@ -24,17 +24,15 @@ import numpy as np
 # 1e-17 below.
 SMALL_ANGLE = 0.25
 
-# row k: the coefficients (-1)^k / (2k + 1)!, (2k + 2)! and (2k + 3)! of
-# t^2k in sin(t)/t, (1 - cos t)/t^2 and (t - sin t)/t^3
-_SERIES = np.array([[(-1) ** k / math.factorial(2 * k + j) for j in (1, 2, 3)]
-                    for k in range(6)])
-_SERIES.flags.writeable = False
-_POWERS = np.arange(len(_SERIES), dtype=float)
-_POWERS.flags.writeable = False
-# the three columns as (3, 6, 1): a (1, 6) row of powers times each is one
-# dot product per entry and coefficient, the same call whatever the stack
-_COLUMNS = np.ascontiguousarray(_SERIES.T)[..., None]
+# (3, 6, 1): column j - 1 holds the coefficients (-1)^k / (2k + j)! of t^2k,
+# k = 0..5, in sin(t)/t, (1 - cos t)/t^2 and (t - sin t)/t^3 for j = 1, 2, 3.
+# A (1, 6) row of powers times a column is one dot product per entry and
+# coefficient, the same call whatever the stack.
+_COLUMNS = np.array([[[(-1) ** k / math.factorial(2 * k + j)]
+                      for k in range(6)] for j in (1, 2, 3)])
 _COLUMNS.flags.writeable = False
+_POWERS = np.arange(6.0)
+_POWERS.flags.writeable = False
 
 # There is no JIT path; benchmark environment records still read this flag.
 NUMBA_ENABLED = False
