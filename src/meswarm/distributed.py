@@ -24,8 +24,8 @@ from math import isfinite
 import numpy as np
 
 from . import models
-from .joint import (UpdateSingularError, gain_correction, identity_factors,
-                    propagate_vehicle)
+from .joint import (UpdateSingularError, check_vehicle, gain_correction,
+                    identity_factors, propagate_vehicle)
 from .lie import STATE_DOF, VehicleState, retract, stack_states
 
 log = logging.getLogger(__name__)
@@ -158,12 +158,19 @@ class VehicleNode:
     Node v's state is ``state[v]``, its 15n x 15 gain column ``k_col[v]``
     (k_col is (n, 15n, 15)) and its accumulated propagation factor
     ``lam_acc[v]``.  The nodes advance together, as the joint filter
-    advances its vehicles: each node hands in its own IMU sample and the
-    tick's last one propagates all of them in one stacked call; each
-    delivered factor is absorbed by all the other nodes in one call; and
-    one call applies a broadcast to every node.  Each step keeps the
-    per-node data flow: node v reads only its own column, its own state and
-    the wire messages.
+    advances its vehicles: each node writes its own IMU sample into the
+    tick's (n, 3) rows and the tick's last one propagates all of them in
+    one stacked call, reading and writing every own diagonal block through
+    one view of k_col; each delivered factor is absorbed by all the other
+    nodes in one call; and one call applies a broadcast to every node.
+    Each step keeps the per-node data flow: node v reads only its own
+    column, its own state and the wire messages.
+
+    Factors are kept under the joint filter's rule: from the first tick for
+    a prior with a non-zero cross block, otherwise from the first applied
+    inter-vehicle broadcast, which every node applies.  Until then every
+    cross block is exactly zero, no factor is exponentiated, and the nodes
+    emit identity factors, which absorb into a zero block as exactly zero.
     """
 
     def __init__(self, states, k_col, world, noise):
@@ -172,34 +179,42 @@ class VehicleNode:
         if k_col.shape != (n, n * STATE_DOF, STATE_DOF):
             raise ValueError("gain columns have the wrong shape")
         self.n = n
-        self._ar = np.arange(n)
         # the nodes other than j, which absorb j's factor
-        self._others = [np.delete(self._ar, j) for j in range(n)]
-        diag = self._diag(k_col)
-        if not np.allclose(diag, diag.swapaxes(-1, -2), rtol=1e-9, atol=0.0):
+        self._others = [np.delete(np.arange(n), j) for j in range(n)]
+        blocks = k_col.reshape(n, n, STATE_DOF, STATE_DOF)
+        # every node's own diagonal block, node v's at block v of k_col[v]:
+        # a writeable view, so a tick's blocks land in k_col in place (the
+        # reshape splits the row axis only, so it is a view of k_col too)
+        self._kdiag = np.einsum("ii...->i...", blocks)
+        if not np.allclose(self._kdiag, self._kdiag.swapaxes(-1, -2),
+                           rtol=1e-9, atol=0.0):
             raise ValueError("own diagonal gain blocks must be symmetric")
         self.state = stack_states(states)
         self.k_col = k_col
         self.world = world
         self.noise = noise
         self._noise_term = models.imu_noise_term(noise)
+        # whether the nodes keep propagation factors: once a cross block
+        # can be non-zero, since lam_j 0 lam_v^T is exactly 0
+        self._factors = bool(blocks[~np.eye(n, dtype=bool)].any())
         self.lam_acc = identity_factors(self.n)
         self.lam_start_tick = 0
         # every node's last emitted factor, which it pairs with a peer's
         self._own = identity_factors(self.n)
         self._own_span = (0, 0)
+        # (tick, messages): the factor messages of an empty span at that
+        # tick, delivered again to every later exchange in the tick
+        self._empty = (None, ())
         self.tick = 0
         self.t_ns = 0
-        # (sample, period) per node that has ticked in the current tick
+        # the tick's IMU rows, row v written by node v, and the period of
+        # every node that has ticked in the current tick
+        self._gyro = np.empty((n, 3))
+        self._accel = np.empty((n, 3))
         self._pending = {}
         # last applied arrival per (kind, observer, subject); node v reads
         # only the keys of its own observations
         self._last_obs_ns = {}
-
-    def _diag(self, k_col):
-        """Every node's own diagonal block, node v's at block v of k_col[v]."""
-        return k_col.reshape(self.n, self.n, STATE_DOF, STATE_DOF)[
-            self._ar, self._ar]
 
     def estimate(self):
         """Per-node states; later steps never change them in place."""
@@ -210,31 +225,32 @@ class VehicleNode:
     def propagate_local(self, v, u, dt):
         """Node v's IMU tick: its own sample u over the period dt.
 
-        The nodes tick together.  Each hands in its own sample, and the
-        call that completes the tick advances every node's state, own
-        diagonal gain block and factor in one stacked call, the call the
-        joint filter makes for its vehicles.
+        The nodes tick together.  Each writes its own sample into the
+        tick's IMU rows, and the call that completes the tick advances
+        every node's state, own diagonal gain block and factor in one
+        stacked call, the call the joint filter makes for its vehicles.
         """
         if dt <= 0.0:
             raise ValueError("IMU period must be positive")
-        if not 0 <= v < self.n:
-            raise ValueError(f"no node {v} to tick")
+        check_vehicle("node", v, self.n)
         if v in self._pending:
             raise SynchronizationError(
                 f"node {v} ticked twice before tick {self.tick + 1} ended")
-        self._pending[v] = (u, dt)
+        self._pending[v] = dt
+        self._gyro[v] = u.gyro
+        self._accel[v] = u.accel
         if len(self._pending) < self.n:
             return self
-        samples, periods = zip(*(self._pending[w] for w in range(self.n)))
+        periods = set(self._pending.values())
         self._pending = {}
-        if len(set(periods)) > 1:
+        if len(periods) > 1:
             raise SynchronizationError("nodes ticked with different periods")
-        self.state, kd, self.lam_acc = propagate_vehicle(
-            self.state, self._diag(self.k_col), self.lam_acc,
-            models.stack_samples(samples), dt, self.world, self._noise_term)
-        # the reshape splits the row axis only, so it is a view of k_col
-        self.k_col.reshape(self.n, self.n, STATE_DOF, STATE_DOF)[
-            self._ar, self._ar] = kd
+        self.state, self._kdiag[...], lam = propagate_vehicle(
+            self.state, self._kdiag, self.lam_acc if self._factors else None,
+            models.ImuSample(self._gyro, self._accel, self.t_ns), dt,
+            self.world, self._noise_term)
+        if lam is not None:
+            self.lam_acc = lam
         self.tick += 1
         self.t_ns += int(round(dt * 1e9))
         return self
@@ -245,23 +261,32 @@ class VehicleNode:
         views of the factor stack, which is only ever rebound, never
         written; so over an empty span, where the stack is still the
         identity, the nodes keep accumulating into it, and a bus that
-        renders its log after the run reads the factors as delivered."""
+        renders its log after the run reads the factors as delivered.  An
+        empty span's messages are built once per tick and handed to every
+        later exchange in that tick."""
         if self._pending:
             raise SynchronizationError(
                 f"factors requested while tick {self.tick + 1} is incomplete")
         span = (self.lam_start_tick, self.tick)
-        msgs = [PropagationFactor(v, self.lam_acc[v], *span)
-                for v in range(self.n)]
         self._own, self._own_span = self.lam_acc, span
-        if span[0] != span[1]:
-            self.lam_acc = identity_factors(self.n)
-            self.lam_start_tick = self.tick
+        if span[0] == span[1]:
+            if self._empty[0] != self.tick:
+                self._empty = (self.tick, self._messages(span))
+            return self._empty[1]
+        msgs = self._messages(span)
+        self.lam_acc = identity_factors(self.n)
+        self.lam_start_tick = self.tick
         return msgs
+
+    def _messages(self, span):
+        return tuple(PropagationFactor(v, self.lam_acc[v], *span)
+                     for v in range(self.n))
 
     def absorb_propagation_factor(self, peer):
         """Bring every other node's cross block for the sender up to the
         current tick: node v sets block j of its column to
         lam_j K_vj lam_v^T with its own emitted factor lam_v."""
+        check_vehicle("factor sender", peer.sender, self.n)
         span = (peer.start_tick, peer.end_tick)
         if span != self._own_span:
             raise SynchronizationError(
@@ -284,6 +309,7 @@ class VehicleNode:
         state arrays, which every step replaces and none writes in place,
         and its columns are a copy; so the reply stays as delivered for a
         bus that renders its log after the run."""
+        check_vehicle("replying node", v, self.n)
         return PeerStateReply(v, self.state[v],
                               self.k_col[v, :, :models.UPDATE_SLOTS].copy())
 
@@ -297,8 +323,9 @@ class VehicleNode:
         correction and every node leaves its column and state alone.
         """
         v = obs.observer
-        if not 0 <= v < self.n:
-            raise ValueError(f"no node {v} to originate")
+        check_vehicle("observer", v, self.n)
+        if obs.kind == models.INTERVEHICLE:
+            check_vehicle("inter-vehicle subject", obs.subject, self.n)
         # the model terms read only the vehicles the observation involves
         states = {v: self.state[v]}
         # K[:, ix]: the update slots of the observer's column, then the target's
@@ -334,7 +361,11 @@ class VehicleNode:
     def apply_update(self, msg):
         """Apply a broadcast update to every node's column and state:
         k_col <- k_col - G k_col[ix, :] and a retraction by
-        dt k_col[ix, :]^T r, in one stacked step."""
+        dt k_col[ix, :]^T r, in one stacked step.  The first applied
+        inter-vehicle broadcast starts the nodes' factors."""
+        check_vehicle("broadcast origin", msg.origin, self.n)
+        if msg.kind == models.INTERVEHICLE:
+            check_vehicle("inter-vehicle subject", msg.subject, self.n)
         if msg.t_ns != self.t_ns:
             raise ValueError(
                 f"nodes at {self.t_ns} ns got update for {msg.t_ns} ns")
@@ -350,4 +381,6 @@ class VehicleNode:
         self.k_col -= msg.gain @ self.k_col[:, ix, :]
         psi = msg.dt * (self.k_col[:, ix, :].swapaxes(-1, -2) @ msg.r)
         self.state = retract(self.state, psi)
+        if msg.kind == models.INTERVEHICLE:
+            self._factors = True
         return self

@@ -70,6 +70,14 @@ def _still_definite(m, t_ns):
     return True
 
 
+def check_vehicle(role, v, n):
+    """Refuse a vehicle index outside 0..n-1, a negative one included,
+    before it can index (and wrap around) any per-vehicle array."""
+    if not 0 <= v < n:
+        raise ValueError(f"{role} {v} is not a vehicle of the network "
+                         f"(n = {n})")
+
+
 def identity_factors(n):
     """n identity propagation factors, (n, 15, 15): no tick absorbed yet."""
     return np.broadcast_to(np.eye(STATE_DOF), (n, STATE_DOF, STATE_DOF)).copy()
@@ -158,10 +166,9 @@ class JointFilter:
         """Advance one IMU tick over the common period dt.
 
         u is one ImuSample stacked over vehicles: gyro and accel (n, 3),
-        row v vehicle v's sample (models.stack_samples builds one from n
-        samples).  Only the estimates, the diagonal gain blocks and the
-        factors move here, for all vehicles in one call; the full gain is
-        brought up to date at the next update.
+        row v vehicle v's sample.  Only the estimates, the diagonal gain
+        blocks and the factors move here, for all vehicles in one call; the
+        full gain is brought up to date at the next update.
         """
         if dt <= 0.0:
             raise ValueError("IMU period must be positive")
@@ -185,7 +192,8 @@ class JointFilter:
         applied arrival.
 
         Every observation must carry the filter time: a stale or a future
-        stamp raises ValueError naming both, before any is applied.
+        stamp raises ValueError naming both, before any is applied; so
+        does an observer, or an inter-vehicle subject, outside 0..n-1.
 
         While every cross block is zero (no propagation factor kept yet),
         a landmark update touches only its observer's diagonal block, so
@@ -216,6 +224,9 @@ class JointFilter:
                 when = "before" if obs.t_ns < self.t_ns else "after"
                 raise ValueError(f"observation at {obs.t_ns} ns is {when} "
                                  f"filter time {self.t_ns} ns")
+            check_vehicle("observer", obs.observer, self.n)
+            if obs.kind == models.INTERVEHICLE:
+                check_vehicle("inter-vehicle subject", obs.subject, self.n)
         if not observations:
             return self
         if self._stale:

@@ -65,13 +65,6 @@ class ImuStream:
         return ImuSample(self.gyro[k], self.accel[k], int(self.t_ns[k]))
 
 
-def stack_samples(samples):
-    """One ImuSample stacked over vehicles, leading axis n, from one sample
-    per vehicle; it carries the first sample's stamp."""
-    return ImuSample(np.array([s.gyro for s in samples]),
-                     np.array([s.accel for s in samples]), samples[0].t_ns)
-
-
 @dataclass
 class WorldConfig:
     """Known environment: gravity, landmark positions, marker points."""

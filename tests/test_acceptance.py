@@ -25,9 +25,9 @@ from meswarm.harness import (MessageBus, PriorConfig, ScheduleConfig,
                              run_schedule, synthesize_observation)
 from meswarm.joint import JointFilter, block_diag_prior
 from meswarm.lie import STATE_DOF, compose, group_exp
-from meswarm.models import (ImuSample, NoiseModel, Observation, WorldConfig,
-                            stack_samples)
+from meswarm.models import ImuSample, NoiseModel, Observation, WorldConfig
 from test_lie import adjoint_matrix_from_vector, inverse, pose_matrix
+from test_models import stack_samples
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import base64
+import collections
 import json
 import re
 import warnings
@@ -15,14 +16,15 @@ from meswarm.distributed import (WIRE_VERSION, PeerStateReply,
                                  PeerStateRequest, PropagationFactor,
                                  SynchronizationError, UpdateBroadcast,
                                  VehicleNode, encode_message)
-from meswarm.joint import JointFilter, UpdateSingularError, block_diag_prior
+from meswarm.joint import (JointFilter, UpdateSingularError, _blocks,
+                          block_diag_prior)
 from meswarm.kernels import expm
 from meswarm.lie import (STATE_DOF, VehicleState, compose, group_exp,
                          make_state, stack_states)
-from meswarm.models import (ImuSample, NoiseModel, Observation, WorldConfig,
-                            stack_samples)
+from meswarm.models import ImuSample, NoiseModel, Observation, WorldConfig
+from test_acceptance import scenario_noise, scenario_sources, scenario_world
 from test_lie import identity_state, pose_matrix
-from test_models import dense_hessian, dense_residual
+from test_models import dense_hessian, dense_residual, stack_samples
 
 DT = 0.005
 TICK_NS = 5_000_000
@@ -104,6 +106,12 @@ def propagate_pair(joint, nodes, rng, ticks):
                for _ in range(nodes.n)]
         joint.propagate(stack_samples(imu), DT)
         tick_nodes(nodes, imu)
+
+
+def own_blocks(nodes):
+    """A copy of every node's own diagonal block, (n, 15, 15)."""
+    ar = np.arange(nodes.n)
+    return nodes.k_col.reshape(nodes.n, nodes.n, STATE_DOF, STATE_DOF)[ar, ar]
 
 
 def assert_nodes_match_joint(joint, nodes, atol):
@@ -406,27 +414,36 @@ class TestWire:
             decode_message({"type": "gossip", "v": 1})
 
 
+def coupled_network(rng, n, world, noise):
+    """A network whose prior has non-zero cross blocks, so its nodes keep
+    propagation factors from the first tick."""
+    return make_network(rng, n, world, noise,
+                        k0=random_spd(rng, n * STATE_DOF, scale=0.002))
+
+
 class TestFactors:
     def test_single_tick_factor(self, world, noise):
         rng = np.random.default_rng(1)
-        _, nodes = make_network(rng, 1, world, noise)
-        u = ImuSample(rng.standard_normal(3), rng.standard_normal(3), 0)
-        a = models.a_check_single(nodes.state, models.stack_samples([u]))
-        nodes.propagate_local(0, u, DT)
-        (msg,) = nodes.emit_propagation_factors()
-        np.testing.assert_array_equal(msg.lam, expm(a * DT)[0])
-        assert (msg.sender, msg.start_tick, msg.end_tick) == (0, 0, 1)
+        _, nodes = coupled_network(rng, 2, world, noise)
+        imu = [ImuSample(rng.standard_normal(3), rng.standard_normal(3), 0)
+               for _ in range(2)]
+        a = models.a_check_single(nodes.state, stack_samples(imu))
+        tick_nodes(nodes, imu)
+        msgs = nodes.emit_propagation_factors()
+        for v, msg in enumerate(msgs):
+            np.testing.assert_array_equal(msg.lam, expm(a * DT)[v])
+            assert (msg.sender, msg.start_tick, msg.end_tick) == (v, 0, 1)
 
     def test_ordered_product_oracle(self, world, noise):
         rng = np.random.default_rng(2)
-        _, nodes = make_network(rng, 1, world, noise)
+        _, nodes = coupled_network(rng, 2, world, noise)
         expected = np.eye(STATE_DOF)
         for k in range(5):
-            u = ImuSample(rng.standard_normal(3), rng.standard_normal(3),
-                          k * TICK_NS)
-            a = models.a_check_single(nodes.state, models.stack_samples([u]))
+            imu = [ImuSample(rng.standard_normal(3), rng.standard_normal(3),
+                             k * TICK_NS) for _ in range(2)]
+            a = models.a_check_single(nodes.state, stack_samples(imu))
             expected = expm(a * DT) @ expected
-            nodes.propagate_local(0, u, DT)
+            tick_nodes(nodes, imu)
         np.testing.assert_array_equal(nodes.lam_acc, expected)
 
     def test_emit_resets_accumulator(self, world, noise):
@@ -474,7 +491,7 @@ class TestFactors:
         """A factor message holds a view of the nodes' factor stack, which
         later ticks and absorbs rebind but never write."""
         rng = np.random.default_rng(6)
-        _, nodes = make_network(rng, 3, world, noise)
+        _, nodes = coupled_network(rng, 3, world, noise)
 
         def ticks(count):
             for _ in range(count):
@@ -571,11 +588,11 @@ class TestUpdates:
         _, nodes = make_network(rng, 3, world, noise)
         for kind, subject in [(models.LANDMARK, 1), (models.INTERVEHICLE, 2),
                               (models.LANDMARK, 0)]:
-            before = nodes._diag(nodes.k_col).copy()
+            before = own_blocks(nodes)
             tick_nodes(nodes, [ImuSample(rng.standard_normal(3),
                                          rng.standard_normal(3), 0)] * 3)
             assert nodes.k_col.flags.c_contiguous
-            assert not np.array_equal(nodes._diag(nodes.k_col), before)
+            assert not np.array_equal(own_blocks(nodes), before)
             bc = run_update(nodes, Observation(kind, 0, subject,
                                                rng.standard_normal(3),
                                                nodes.t_ns))
@@ -1006,6 +1023,204 @@ class TestSharedEngine:
         assert calls == [(n, STATE_DOF, STATE_DOF)] * 20
 
 
+class TestNodeEconomy:
+    """The nodes do per tick and per update only the work the joint filter
+    does: no factor before a cross block can be non-zero, one view of the
+    own diagonal blocks, and an empty span's factors built once per tick."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_factors_start_with_the_first_cross_block(self, world, noise, n,
+                                                      monkeypatch):
+        """The node twin of TestSharedEngine's test: one stacked expm call
+        per tick, from the first tick for a prior with a non-zero cross
+        block, otherwise from the first applied inter-vehicle broadcast;
+        landmark broadcasts and a refused inter-vehicle one start nothing,
+        and the factors emitted before then are the identity."""
+        calls = []
+
+        def counting_expm(a):
+            calls.append(a.shape)
+            return sla.expm(a)
+
+        def non_finite_terms(states, obs, world, noise, dt):
+            m = len(models.update_indices(obs.kind, obs.observer,
+                                          obs.subject))
+            return np.zeros(m), np.full((m, m), np.nan)
+
+        monkeypatch.setattr(joint_module, "expm", counting_expm)
+        rng = np.random.default_rng(60 + n)
+
+        def ticks(nodes, count):
+            for _ in range(count):
+                tick_nodes(nodes, [ImuSample(rng.standard_normal(3),
+                                             rng.standard_normal(3),
+                                             nodes.t_ns) for _ in range(n)])
+
+        def observe(nodes, kind, observer, subject):
+            return run_update(nodes, Observation(
+                kind, observer, subject, rng.standard_normal(3), nodes.t_ns))
+
+        _, nodes = make_network(rng, n, world, noise)
+        for v in range(n):
+            ticks(nodes, 10)
+            assert observe(nodes, models.LANDMARK, v, v % 2).gain is not None
+        ticks(nodes, 10)
+        for msg in exchange_factors(nodes):
+            assert msg.end_tick > msg.start_tick
+            assert_same_bits(msg.lam, np.eye(STATE_DOF))
+        assert calls == []
+        if n == 1:
+            return
+        with monkeypatch.context() as m:
+            m.setattr(models, "update_terms", non_finite_terms)
+            assert observe(nodes, models.INTERVEHICLE, 0, 1).gain is None
+        ticks(nodes, 10)
+        assert calls == []
+        assert observe(nodes, models.INTERVEHICLE, 0, 1).gain is not None
+        ticks(nodes, 20)
+        observe(nodes, models.LANDMARK, 0, 0)
+        ticks(nodes, 20)
+        assert calls == [(n, STATE_DOF, STATE_DOF)] * 40
+
+        calls.clear()
+        _, nodes = coupled_network(rng, n, world, noise)
+        ticks(nodes, 20)
+        assert calls == [(n, STATE_DOF, STATE_DOF)] * 20
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_at_most_2n_factor_messages_per_epoch_tick(self, n):
+        """An epoch tick's first exchange builds n factors and its second
+        builds the empty span's n, which every later exchange of the tick
+        delivers again: at most 2n distinct factor messages per tick,
+        while n factors are still delivered per update."""
+        noise = scenario_noise()
+        sources = scenario_sources(n, noise, 5)
+        cfg = harness.ScheduleConfig(duration_s=0.5, seed=5)
+        res = harness.run_schedule(cfg, "distributed", sources,
+                                   scenario_world(n), noise)
+        factors, updates = {}, collections.Counter()
+        for tick, msg in res.bus_records:
+            if isinstance(msg, PropagationFactor):
+                factors.setdefault(tick, []).append(msg)
+            elif isinstance(msg, UpdateBroadcast):
+                updates[tick] += 1
+        assert factors.keys() == updates.keys() and len(updates) == 5
+        for tick, msgs in factors.items():
+            assert updates[tick] > 2
+            assert len(msgs) == n * updates[tick]
+            assert len({id(msg) for msg in msgs}) <= 2 * n
+            # every exchange after the first of the tick has an empty span
+            for k in range(n, len(msgs), n):
+                assert msgs[k].start_tick == msgs[k].end_tick == tick
+                assert msgs[k] is msgs[n + k % n]
+
+    def test_own_blocks_follow_the_joint_gain_every_tick(self, world, noise):
+        """k_col's own diagonal blocks are current after every tick, not
+        only at exchanges: the joint gain's diagonal bit for bit before the
+        first update, and within criterion 5's 1e-8 after it."""
+        rng = np.random.default_rng(70)
+        joint, nodes = make_network(rng, 3, world, noise)
+        ar = np.arange(3)
+        updated = False
+        for k in range(1, 121):
+            propagate_pair(joint, nodes, rng, 1)
+            expected = _blocks(joint.gain(), 3)[ar, ar]
+            if updated:
+                np.testing.assert_allclose(own_blocks(nodes), expected,
+                                           rtol=0, atol=1e-8)
+            else:
+                assert_same_bits(own_blocks(nodes), expected)
+            if k % 15 == 0:
+                kind = models.INTERVEHICLE if k % 30 else models.LANDMARK
+                observer = (k // 15) % 3
+                subject = (observer + 1) % 3 if kind == models.INTERVEHICLE \
+                    else observer % 2
+                y = models.predict(joint.estimate(), kind, observer, subject,
+                                   world) + 0.01 * rng.standard_normal(3)
+                obs = Observation(kind, observer, subject, y, joint.t_ns)
+                joint.update(obs)
+                run_update(nodes, obs)
+                updated = True
+
+
+class TestVehicleIndexRefused:
+    """A vehicle index outside 0..n-1, a negative one included, raises
+    ValueError naming it and n before anything is applied, where numpy
+    would otherwise wrap it around to another vehicle."""
+
+    N = 3
+
+    def network(self, world, noise):
+        rng = np.random.default_rng(80)
+        joint, nodes = make_network(rng, self.N, world, noise)
+        propagate_pair(joint, nodes, rng, 2)
+        return joint, nodes
+
+    @staticmethod
+    def refused(index):
+        return pytest.raises(ValueError, match=rf" {index} is not a vehicle "
+                             rf"of the network \(n = 3\)$")
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    @pytest.mark.parametrize("role", ["observer", "landmark observer",
+                                      "subject"])
+    def test_joint_update(self, world, noise, role, index):
+        joint, _ = self.network(world, noise)
+        good = Observation(models.LANDMARK, 0, 0, np.zeros(3), joint.t_ns)
+        if role == "subject":
+            bad = Observation(models.INTERVEHICLE, 0, index, np.zeros(3),
+                              joint.t_ns)
+        else:
+            kind = (models.INTERVEHICLE if role == "observer"
+                    else models.LANDMARK)
+            bad = Observation(kind, index, 1, np.zeros(3), joint.t_ns)
+        before = joint.gain(), pose_matrix(joint.state)
+        with self.refused(index):
+            joint.update(good, bad)
+        assert_same_bits(joint.gain(), before[0])
+        assert_same_bits(pose_matrix(joint.state), before[1])
+        assert joint._last_obs_ns == {}
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_originate_update_subject(self, world, noise, index):
+        _, nodes = self.network(world, noise)
+        reply = PeerStateReply(index, nodes.state[0], np.zeros((45, 6)))
+        with self.refused(index):
+            nodes.originate_update(Observation(
+                models.INTERVEHICLE, 0, index, np.zeros(3), nodes.t_ns),
+                reply)
+        assert nodes._last_obs_ns == {}
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_peer_state_reply(self, world, noise, index):
+        _, nodes = self.network(world, noise)
+        with self.refused(index):
+            nodes.peer_state_reply(index)
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    @pytest.mark.parametrize("field", ["origin", "subject"])
+    def test_apply_update(self, world, noise, field, index):
+        _, nodes = self.network(world, noise)
+        origin, subject = (index, 1) if field == "origin" else (0, index)
+        msg = UpdateBroadcast(origin, models.INTERVEHICLE, subject, 0.1,
+                              nodes.t_ns, np.ones(12), np.ones((45, 12)))
+        before = nodes.k_col.copy(), pose_matrix(nodes.state)
+        with self.refused(index):
+            nodes.apply_update(msg)
+        assert_same_bits(nodes.k_col, before[0])
+        assert_same_bits(pose_matrix(nodes.state), before[1])
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_absorb_propagation_factor(self, world, noise, index):
+        _, nodes = self.network(world, noise)
+        (msg, *_) = nodes.emit_propagation_factors()
+        before = nodes.k_col.copy()
+        with self.refused(index):
+            nodes.absorb_propagation_factor(PropagationFactor(
+                index, 2 * msg.lam, msg.start_tick, msg.end_tick))
+        assert_same_bits(nodes.k_col, before)
+
+
 class TestNodeInit:
     def test_wrong_column_shape(self, world, noise):
         with pytest.raises(ValueError):
@@ -1024,7 +1239,10 @@ class TestNodeInit:
 class OracleNode:
     """One vehicle's node on its own: its state, its 15n x 15 column and its
     factor, advanced by its own calls.  The stacked network must reproduce
-    n of these, message by message.
+    n of these, message by message.  A node keeps its factor from the first
+    tick if `factors` (the network's prior has a non-zero cross block),
+    otherwise from the first applied inter-vehicle broadcast, and emits the
+    identity until then.
 
     The node's state, diagonal block and factor carry a leading axis of
     one, so that its arithmetic is the stacked kernels' (test_stacked.py
@@ -1032,8 +1250,9 @@ class OracleNode:
     holds at 1e-12 also where the filter loses definiteness and amplifies
     any rounding difference."""
 
-    def __init__(self, vehicle_id, n, state, k_col, world, noise):
+    def __init__(self, vehicle_id, n, state, k_col, world, noise, factors):
         self.id = vehicle_id
+        self.factors = factors
         self.n = n
         self.state = stack_states([state])
         self.k_col = np.array(k_col, dtype=float)
@@ -1048,10 +1267,13 @@ class OracleNode:
 
     def propagate_local(self, u, dt):
         sl = slice(self.id * STATE_DOF, (self.id + 1) * STATE_DOF)
-        self.state, kd, self.lam_acc = joint_module.propagate_vehicle(
-            self.state, self.k_col[None, sl, :], self.lam_acc,
-            models.stack_samples([u]), dt, self.world, self._noise_term)
+        self.state, kd, lam = joint_module.propagate_vehicle(
+            self.state, self.k_col[None, sl, :],
+            self.lam_acc if self.factors else None,
+            stack_samples([u]), dt, self.world, self._noise_term)
         self.k_col[sl, :] = kd[0]
+        if self.factors:
+            self.lam_acc = lam
         self.tick += 1
         self.t_ns += int(round(dt * 1e9))
 
@@ -1103,6 +1325,8 @@ class OracleNode:
         self.k_col = self.k_col - msg.gain @ self.k_col[ix, :]
         psi = msg.dt * (self.k_col[ix, :].T @ msg.r)
         self.state = compose(self.state, group_exp(psi[None]))
+        if msg.kind == models.INTERVEHICLE:
+            self.factors = True
 
 
 def oracle_update(nodes, obs, tick, bus):
@@ -1213,7 +1437,8 @@ class TestStackedAgainstOracle:
         stacked = VehicleNode(est0, columns(k0, n), world, noise)
         oracle = [OracleNode(v, n, est0[v],
                              k0[:, v * STATE_DOF:(v + 1) * STATE_DOF],
-                             world, noise) for v in range(n)]
+                             world, noise, factors=coupled and n > 1)
+                  for v in range(n)]
 
         # a non-finite Hessian term makes the origin refuse its update
         refused = set()

@@ -21,6 +21,7 @@ from meswarm.models import NoiseModel, WorldConfig
 from test_acceptance import scenario_noise, scenario_sources, scenario_world
 from test_distributed import (assert_same_message, columns, decode_message,
                               strict_body)
+from test_models import stack_samples
 
 GRAVITY = np.array([0.0, 0.0, 9.81])
 
@@ -566,7 +567,7 @@ def isolated_rows(cfg, sources, world, noise, prior):
             for v, (f, src) in enumerate(zip(filters, sources))]
     for tick in range(1, n_ticks + 1):
         for f, src in zip(filters, sources):
-            f.propagate(models.stack_samples([src.imu_at_tick(tick - 1)]),
+            f.propagate(stack_samples([src.imu_at_tick(tick - 1)]),
                         dt)
         truths = [src.truth_at_tick(tick) for src in sources]
         for v, lm in (pairs if tick in epochs else ()):

@@ -11,10 +11,9 @@ from scipy.spatial.transform import Rotation as ScipyRotation
 from meswarm import joint, models
 from meswarm.joint import JointFilter, UpdateSingularError, block_diag_prior
 from meswarm.lie import STATE_DOF, make_state
-from meswarm.models import (ImuSample, NoiseModel, Observation, WorldConfig,
-                            stack_samples)
+from meswarm.models import ImuSample, NoiseModel, Observation, WorldConfig
 from test_lie import hat5, identity_state, pose_matrix
-from test_models import dense_hessian, dense_residual
+from test_models import dense_hessian, dense_residual, stack_samples
 
 
 def random_state(rng):

@@ -21,6 +21,14 @@ def random_state(rng):
                       0.1 * rng.standard_normal(3), 0.1 * rng.standard_normal(3))
 
 
+def stack_samples(samples):
+    """One ImuSample stacked over vehicles, leading axis n, from one sample
+    per vehicle, as JointFilter.propagate takes it; it carries the first
+    sample's stamp."""
+    return ImuSample(np.array([s.gyro for s in samples]),
+                     np.array([s.accel for s in samples]), samples[0].t_ns)
+
+
 def random_imu(rng, t_ns=0):
     return ImuSample(rng.standard_normal(3), rng.standard_normal(3), t_ns)
 
