@@ -285,7 +285,9 @@ class VehicleNode:
     def absorb_propagation_factor(self, peer):
         """Bring every other node's cross block for the sender up to the
         current tick: node v sets block j of its column to
-        lam_j K_vj lam_v^T with its own emitted factor lam_v."""
+        lam_j K_vj lam_v^T with its own emitted factor lam_v.  While the
+        nodes keep no factors every cross block is +0, which the identity
+        factors would map to +0 again, so nothing is multiplied."""
         check_vehicle("factor sender", peer.sender, self.n)
         span = (peer.start_tick, peer.end_tick)
         if span != self._own_span:
@@ -293,7 +295,7 @@ class VehicleNode:
                 f"factor span {peer.start_tick}..{peer.end_tick} from "
                 f"{peer.sender} does not match the nodes' own span "
                 f"{self._own_span[0]}..{self._own_span[1]}")
-        if peer.start_tick == peer.end_tick:
+        if peer.start_tick == peer.end_tick or not self._factors:
             return self
         j = peer.sender
         others = self._others[j]

@@ -486,12 +486,13 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
 
     `none` is the JointFilter of `central` without the inter-vehicle
     channel: its cross blocks stay exactly zero, so its vehicles evolve as
-    n isolated filters, it keeps no propagation factor and never
-    exponentiates, its landmark updates go in one round per landmark
-    rank (each vehicle's d-th observation in round d), and a lost
-    definiteness warns once per epoch.  `central` keeps factors from its
-    first applied inter-vehicle update on, and only the landmark updates
-    before it go in rounds.
+    n isolated filters, it holds its gain as the (n, 15, 15) diagonal
+    blocks only, keeps no propagation factor and never exponentiates, its
+    landmark updates go in one round per landmark rank (each vehicle's
+    d-th observation in round d) on those blocks, and a lost definiteness
+    warns once per epoch.  `central` holds the same blocks until its first
+    applied inter-vehicle update builds the dense gain and starts its
+    factors, so only the landmark updates before it go in rounds.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")

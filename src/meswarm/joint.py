@@ -3,8 +3,9 @@
 IMU ticks propagate the estimate through the group exponential and the gain
 matrix through its Riccati flow; landmark and inter-vehicle observations are
 applied sequentially as discrete low-rank updates, except that while the
-gain is block diagonal a tick's landmark updates of different vehicles,
-which commute exactly, are applied together in rounds.
+gain is block diagonal, which the filter then holds as its diagonal blocks
+only, a tick's landmark updates of different vehicles, which commute
+exactly, are applied together in rounds on those blocks.
 """
 
 import collections
@@ -92,13 +93,17 @@ class JointFilter:
     """Single-writer state machine holding the joint estimate and gain.
 
     The estimate is one stacked VehicleState, leading axis n for every n,
-    one included.  Between updates only the diagonal gain blocks move, kept
-    as an (n, 15, 15) stack, and each vehicle's propagation factor; the
-    full gain is brought up to the current tick before the next update.
-    Factors are kept only once a cross block can be non-zero: from the
-    start for a prior with a non-zero cross block, otherwise from the first
-    applied inter-vehicle update.  A block-diagonal filter that sees only
-    landmark updates (`none`, or a single vehicle) never exponentiates.
+    one included.  While every cross block of the gain is zero (no
+    propagation factor kept), the gain is held only as its (n, 15, 15)
+    stack of diagonal blocks: propagation advances it, landmark updates
+    act on it block by block, and no 15n x 15n array is formed.  The first
+    applied inter-vehicle update couples the gain; from then on, and from
+    the start for a prior with a non-zero cross block, it is held dense as
+    self.k, with each vehicle's propagation factor.  Between updates only
+    the diagonal blocks and the factors move, and the full gain is brought
+    up to the current tick before the next update.  A block-diagonal
+    filter that sees only landmark updates (`none`, or a single vehicle)
+    never exponentiates.
     """
 
     def __init__(self, states, k0, world, noise):
@@ -109,7 +114,6 @@ class JointFilter:
         _check_spd(k0)
         self.n = n
         self.state = stack_states(states)
-        self.k = k0.copy()
         self.world = world
         self.noise = noise
         self.t_ns = 0
@@ -117,14 +121,26 @@ class JointFilter:
         # last-observation time per (kind, observer, subject)
         self._last_obs_ns = {}
         self._ar = np.arange(n)
-        # the propagated diagonal blocks; None while they are those of
-        # self.k, read once by the next propagate
-        self._kdiag = None
-        # per-vehicle propagation factors since the cross blocks were last
-        # brought up to date, as each node keeps its own; None while every
-        # cross block is zero, since lam_i 0 lam_j^T is exactly 0
-        cross = _blocks(self.k, n)[~np.eye(n, dtype=bool)]
-        self._lam = identity_factors(n) if cross.any() else None
+        # a landmark update's slots within its observer's diagonal block,
+        # for each item of a round
+        self._block_ix = np.broadcast_to(np.arange(models.UPDATE_SLOTS),
+                                         (n, models.UPDATE_SLOTS))
+        blocks = _blocks(k0, n)
+        if blocks[~np.eye(n, dtype=bool)].any():
+            # the dense gain; the propagated diagonal blocks are None while
+            # they are those of self.k, read once by the next propagate
+            self.k = k0.copy()
+            self._kdiag = None
+            # per-vehicle propagation factors since the cross blocks were
+            # last brought up to date, as each node keeps its own
+            self._lam = identity_factors(n)
+        else:
+            # uncoupled: the diagonal blocks are the whole gain, and no
+            # factor is kept, since lam_i 0 lam_j^T is exactly 0
+            self.k = None
+            self._kdiag = blocks[self._ar, self._ar]
+            self._lam = None
+        # whether the gain has propagated since the last update
         self._stale = False
         # whether the gain is known positive definite (checked at __init__);
         # once lost it is checked again only when the gain is next rebuilt
@@ -140,23 +156,26 @@ class JointFilter:
         return [self.state[i] for i in range(self.n)]
 
     def gain(self):
-        """The joint gain brought up to the current tick.
+        """The joint gain brought up to the current tick, as a new
+        15n x 15n array.
 
-        The diagonal blocks are the propagated ones, and K_ij becomes
-        lam_i K_ij lam_j^T for i < j and K_ji its transpose, the expression
-        each node applies when it absorbs a peer's factor.  The filter
-        itself is left unchanged.
+        Uncoupled, it is the block-diagonal matrix of the diagonal blocks.
+        Otherwise the diagonal blocks are the propagated ones, and K_ij
+        becomes lam_i K_ij lam_j^T for i < j and K_ji its transpose, the
+        expression each node applies when it absorbs a peer's factor.  The
+        filter itself is left unchanged.
         """
+        if self._lam is None:
+            return block_diag_prior(self._kdiag)
         k = self.k.copy()
         if not self._stale:
             return k
         blocks = _blocks(k, self.n)
-        if self._lam is not None:
-            lam = self._lam
-            upper = np.triu_indices(self.n, 1)
-            kij = lam[upper[0]] @ blocks[upper] @ lam[upper[1]].swapaxes(-1, -2)
-            blocks[upper] = kij
-            blocks[upper[::-1]] = kij.swapaxes(-1, -2)
+        lam = self._lam
+        upper = np.triu_indices(self.n, 1)
+        kij = lam[upper[0]] @ blocks[upper] @ lam[upper[1]].swapaxes(-1, -2)
+        blocks[upper] = kij
+        blocks[upper[::-1]] = kij.swapaxes(-1, -2)
         blocks[self._ar, self._ar] = self._kdiag
         return k
 
@@ -193,31 +212,36 @@ class JointFilter:
 
         Every observation must carry the filter time: a stale or a future
         stamp raises ValueError naming both, before any is applied; so
-        does an observer, or an inter-vehicle subject, outside 0..n-1.
+        does an observer, or an inter-vehicle subject, outside 0..n-1, and
+        an unknown landmark index raises ObservationError.
 
-        While every cross block is zero (no propagation factor kept yet),
-        a landmark update touches only its observer's diagonal block, so
-        the landmark updates of different vehicles commute exactly.  The
-        landmark observations that lead the call are then applied in
-        rounds: round d holds each vehicle's d-th of them, in call order,
-        and goes through the update algebra once, on a leading round axis.
-        A round of one, and every observation after the leading landmarks,
-        is applied alone.  Either way the gain, the estimates and the
-        observation clock get the bits that one observation per call gives.
-        A refused update raises the verdict of its round's first refused
-        observation, in call order, before any of that round is applied;
-        earlier rounds stay applied.
+        While the gain is uncoupled (every cross block zero, no factor
+        kept), a landmark update touches only its observer's diagonal
+        block, so the landmark updates of different vehicles commute
+        exactly.  The landmark observations that lead the call are then
+        applied in rounds on the (n, 15, 15) diagonal blocks: round d holds
+        each vehicle's d-th of them, in call order, and goes through the
+        update algebra once, a round of one included, with its items'
+        model terms built in one call.  Each item gets the bits it would
+        get alone, so the gain, the estimates and the observation clock
+        are those of one observation per call.  Every observation after
+        the leading landmarks is applied alone on the dense gain, which
+        the first applied inter-vehicle update builds.  A refused update
+        raises the verdict of its round's first refused observation, in
+        call order, before any of that round is applied; earlier rounds
+        stay applied.
 
         The gain's positive definiteness is checked where it can be lost,
         and a loss is logged once, as a warning; the update is applied
-        either way.  The propagated gain gets one dense Cholesky when it is
-        rebuilt at an epoch's first update.  A low-rank update keeps a
-        definite K definite iff the m x m matrix K_ii + dt K_ii E_ii K_ii
-        is, with K_ii = K[ix, ix] before the update: (K+)^-1 = K^-1 + dt E,
-        and congruence with K^1/2 plus AB and BA sharing their non-zero
-        eigenvalues reduce the test to the ix block.  A round tests its
-        items as one stack.  Once lost, definiteness is checked again at
-        the next rebuild.
+        either way.  The propagated gain gets one Cholesky when it is
+        rebuilt at an epoch's first update: one dense one, or one stacked
+        15 x 15 one per diagonal block while uncoupled.  A low-rank update
+        keeps a definite K definite iff the m x m matrix
+        K_ii + dt K_ii E_ii K_ii is, with K_ii = K[ix, ix] before the
+        update: (K+)^-1 = K^-1 + dt E, and congruence with K^1/2 plus AB
+        and BA sharing their non-zero eigenvalues reduce the test to the
+        ix block.  A round tests its items as one stack.  Once lost,
+        definiteness is checked again at the next rebuild.
         """
         for obs in observations:
             if obs.t_ns != self.t_ns:
@@ -227,14 +251,18 @@ class JointFilter:
             check_vehicle("observer", obs.observer, self.n)
             if obs.kind == models.INTERVEHICLE:
                 check_vehicle("inter-vehicle subject", obs.subject, self.n)
+            else:
+                self.world.landmark(obs.subject)
         if not observations:
             return self
         if self._stale:
-            self.k = self.gain()
-            if self._lam is not None:
+            if self._lam is None:
+                self._definite = _still_definite(self._kdiag, self.t_ns)
+            else:
+                self.k = self.gain()
                 self._lam = identity_factors(self.n)
+                self._definite = _still_definite(self.k, self.t_ns)
             self._stale = False
-            self._definite = _still_definite(self.k, self.t_ns)
         lead = []
         if self._lam is None:
             lead = list(itertools.takewhile(
@@ -244,15 +272,15 @@ class JointFilter:
             rounds.setdefault(rank[obs.observer], []).append(obs)
             rank[obs.observer] += 1
         for group in rounds.values():
-            if len(group) == 1:
-                self._update_one(group[0])
-            else:
-                self._update_round(group)
+            self._update_round(group)
         for obs in observations[len(lead):]:
             self._update_one(obs)
         return self
 
     def _update_one(self, obs):
+        """One observation on the dense gain.  On an uncoupled gain (an
+        inter-vehicle update) the dense gain is built from the diagonal
+        blocks and kept, with factors, once the update is accepted."""
         key = (obs.kind, obs.observer, obs.subject)
         dt = self.noise.effective_period(obs.kind, self._last_obs_ns.get(key),
                                          obs.t_ns)
@@ -260,67 +288,68 @@ class JointFilter:
         r_ix, e_ii = models.update_terms(self.state, obs, self.world,
                                          self.noise, dt)
 
-        kc = self.k[:, ix]
+        k = self.k if self._lam is not None else block_diag_prior(self._kdiag)
+        kc = k[:, ix]
         g = gain_correction(kc, ix, e_ii, dt)
-        if self._lam is None and obs.kind == models.INTERVEHICLE:
-            self._lam = identity_factors(self.n)
+        if self._lam is None:
+            self.k, self._lam = k, identity_factors(self.n)
         if self._definite:
             k_ii = kc[ix, :]
             self._definite = _still_definite(
                 k_ii + dt * (k_ii @ e_ii @ k_ii), obs.t_ns)
         # in place, as _sym(k - g k[ix, :]): nothing else holds self.k
-        k = self.k
         k -= g @ k[ix, :]
         k += k.T
         k *= 0.5
         self._kdiag = None
 
         # psi = dt K r, and r vanishes outside ix
-        psi = dt * (self.k[:, ix] @ r_ix)
+        psi = dt * (k[:, ix] @ r_ix)
         self.state = retract(self.state, psi.reshape(self.n, STATE_DOF))
         self._last_obs_ns[key] = obs.t_ns
 
     def _update_round(self, group):
-        """One landmark observation per vehicle on a block-diagonal gain,
-        each item on a leading round axis through the products that
-        _update_one makes for it alone, with operands of the same layout.
-        An item's rows of the rank update and of psi vanish outside its
-        own block, so summing the items adds only zeros to each, and one
-        symmetrisation and one retraction serve them all."""
-        keys, dts, ixs, r_ix, e_ii = [], [], [], [], []
-        for obs in group:
-            key = (obs.kind, obs.observer, obs.subject)
-            dt = self.noise.effective_period(
-                obs.kind, self._last_obs_ns.get(key), obs.t_ns)
-            r, e = models.update_terms(self.state, obs, self.world,
-                                       self.noise, dt)
-            keys.append(key)
-            dts.append(dt)
-            ixs.append(models.update_indices(obs.kind, obs.observer,
-                                             obs.subject))
-            r_ix.append(r)
-            e_ii.append(e)
-        ix = np.array(ixs)
-        dt = np.array(dts)
-        e_ii = np.array(e_ii)
+        """At most one landmark observation per vehicle on the uncoupled
+        gain, on the observers' diagonal blocks only, each item on a
+        leading round axis.  An observer's update slots are the first
+        UPDATE_SLOTS of its block, and its rank update and psi vanish
+        outside that block, so each item is the one-vehicle update of its
+        block: K_vv -= G_v K_vv[0:6, :], symmetrised, psi_v = dt K_vv[:, 0:6]
+        r_v.  The items' terms come from one model call; a round of one
+        passes its observation as it is."""
+        v = np.array([obs.observer for obs in group])
+        keys = [(obs.kind, obs.observer, obs.subject) for obs in group]
+        dt = np.array([self.noise.effective_period(
+            models.LANDMARK, self._last_obs_ns.get(key), self.t_ns)
+            for key in keys])
+        if len(group) == 1:
+            terms = models.update_terms(self.state, group[0], self.world,
+                                        self.noise, float(dt[0]))
+        else:
+            terms = models.update_terms(
+                self.state, models.stack_observations(group), self.world,
+                self.noise, dt)
+        m = models.UPDATE_SLOTS
+        r_ix = np.reshape(terms[0], (len(group), m))
+        e_ii = np.reshape(terms[1], (len(group), m, m))
 
-        # (R, 15n, m): item i is K[:, ix_i] with its strides
-        kc = self.k[:, ix].transpose(1, 0, 2)
-        g = gain_correction(kc, ix, e_ii, dt)
+        kv = self._kdiag[v]
+        g = gain_correction(kv[..., :m], self._block_ix[:len(group)], e_ii,
+                            dt)
         if self._definite:
-            k_ii = _rows(kc, ix)
+            k_ii = kv[:, :m, :m]
             self._definite = _still_definite(
                 k_ii + dt[:, None, None] * (k_ii @ e_ii @ k_ii), self.t_ns)
-        k = self.k
-        k -= np.add.reduce(g @ k[ix], axis=0)
-        k += k.T
-        k *= 0.5
-        self._kdiag = None
+        kv -= g @ kv[:, :m, :]
+        kv += kv.swapaxes(-1, -2)
+        kv *= 0.5
+        self._kdiag[v] = kv
 
-        psi = dt[:, None] * (self.k[:, ix].transpose(1, 0, 2)
-                             @ np.array(r_ix)[..., None])[..., 0]
-        self.state = retract(self.state, np.add.reduce(psi, axis=0)
-                             .reshape(self.n, STATE_DOF))
+        # K_vv[:, 0:6] row-major: BLAS forms each entry of psi as one dot
+        # product of its row with r_v, whatever the row's place in a block
+        psi = np.zeros((self.n, STATE_DOF))
+        psi[v] = dt[:, None] * (kv[..., :m] @ r_ix[..., None])[..., 0]
+        self.state = retract(self.state, psi)
         for key in keys:
             self._last_obs_ns[key] = self.t_ns
 
@@ -410,7 +439,8 @@ def gain_correction(kc, ix, e_ii, dt):
 
 
 def block_diag_prior(k0_blocks):
-    """Joint prior gain from independent per-vehicle 15x15 blocks."""
+    """The block-diagonal 15n x 15n gain of n per-vehicle 15x15 blocks, as
+    a joint prior is built and an uncoupled gain is read out."""
     n = len(k0_blocks)
     k = np.zeros((n * STATE_DOF, n * STATE_DOF))
     ar = np.arange(n)

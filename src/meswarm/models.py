@@ -6,6 +6,8 @@ landmark / inter-vehicle prediction maps, and the residual and Hessian-term
 assemblies.  Both filters consume an observation through `update_terms`,
 which builds the residual entries and the Hessian block from one evaluation
 of the model terms; `residual` and `hessian_term` each return one of the two.
+The landmark terms also take a stack of observations (`stack_observations`)
+and return the stack of their terms, each item as it would be alone.
 """
 
 import functools
@@ -77,6 +79,10 @@ class WorldConfig:
         return np.asarray(self.markers.get(vehicle, np.zeros(3)), dtype=float)
 
     def landmark(self, index):
+        """Inertial position of a landmark; an array of indices, as a
+        stack of observations carries, gives their positions stacked."""
+        if isinstance(index, np.ndarray):
+            return np.array([self.landmark(i) for i in index.tolist()])
         try:
             return np.asarray(self.landmarks[index], dtype=float)
         except KeyError:
@@ -136,7 +142,10 @@ class NoiseModel:
         return self.dt_landmark if kind == LANDMARK else self.dt_intervehicle
 
     def measurement_weight(self, kind, dt):
-        """M = D^{-T} Q D^{-1} with Q = (1/dt) I."""
+        """M = D^{-T} Q D^{-1} with Q = (1/dt) I; an array of periods gives
+        the stack of their weights."""
+        if isinstance(dt, np.ndarray):
+            dt = dt[..., None, None]
         return self._unit_weight[kind] / dt
 
     def w_inverse_scale(self):
@@ -156,6 +165,10 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class Observation:
+    """One observation, or a stack of landmark observations made at one
+    time (stack_observations): observer, subject and y then carry a
+    leading item axis."""
+
     kind: str           # LANDMARK or INTERVEHICLE
     observer: int
     subject: int        # landmark index, or target vehicle
@@ -167,6 +180,16 @@ class Observation:
             raise ObservationError(f"unknown observation kind {self.kind!r}")
         if self.kind == INTERVEHICLE and self.observer == self.subject:
             raise ObservationError("a vehicle cannot observe its own marker")
+
+
+def stack_observations(observations):
+    """One Observation of R landmark observations made at one time, with
+    observer and subject (R,) and y (R, 3)."""
+    return Observation(LANDMARK,
+                       np.array([obs.observer for obs in observations]),
+                       np.array([obs.subject for obs in observations]),
+                       np.array([obs.y for obs in observations], dtype=float),
+                       observations[0].t_ns)
 
 
 # -- system model ------------------------------------------------------------
@@ -237,7 +260,8 @@ def a_check_single(x: VehicleState, u: ImuSample):
 # -- measurement predictions -------------------------------------------------
 
 def predict_landmark(x: VehicleState, l):
-    return x.rot.T @ (np.asarray(l, dtype=float) - x.pos)
+    """R^T (l - p), for one vehicle or a stack with l stacked alike."""
+    return _mv(x.rot.swapaxes(-1, -2), np.asarray(l, dtype=float) - x.pos)
 
 
 def predict_intervehicle(x_obs: VehicleState, x_tgt: VehicleState, m_tgt):
@@ -254,7 +278,15 @@ def predict(states, kind, observer, subject, world: WorldConfig):
 
 
 def _sym(m):
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + m.swapaxes(-1, -2))
+
+
+def _mv(a, x):
+    """a @ x for one matrix and vector or for stacks of both, each item
+    through the product one item alone gets."""
+    if x.ndim == 1:
+        return a @ x
+    return (a @ x[..., None])[..., 0]
 
 
 # -- residuals and Hessian terms on the update slots -------------------------
@@ -267,19 +299,26 @@ def _sym(m):
 
 def _landmark_terms(states, obs, world, noise, dt):
     """Weight M, weighted innovation s, Jacobian F = [h^ -I] (3 x 6) and
-    the second-order part G^T F of the Hessian term, G = [s^ 0]."""
+    the second-order part G^T F of the Hessian term, G = [s^ 0].
+
+    For a stack of R observations (stack_observations) with dt (R,),
+    `states` is the stacked state the observers index, and every term
+    gets a leading item axis; each item equals its observation's terms
+    alone, bit for bit."""
     m = noise.measurement_weight(LANDMARK, dt)
+    x = states[obs.observer]
+    lead = x.pos.shape[:-1]
     # rows h, s: one hat for both
-    v = np.empty((2, 3))
-    v[0] = predict_landmark(states[obs.observer], world.landmark(obs.subject))
-    v[1] = m @ (obs.y - v[0])
+    v = np.empty(lead + (2, 3))
+    v[..., 0, :] = predict_landmark(x, world.landmark(obs.subject))
+    v[..., 1, :] = _mv(m, obs.y - v[..., 0, :])
     hat = skew(v)
-    f = np.empty((3, 6))
-    f[:, 0:3] = hat[0]
-    f[:, 3:6] = -EYE3
-    core = np.zeros((6, 6))
-    np.matmul(hat[1].T, f, out=core[0:3])
-    return m, v[1], f, core
+    f = np.empty(lead + (3, 6))
+    f[..., 0:3] = hat[..., 0, :, :]
+    f[..., 3:6] = -EYE3
+    core = np.zeros(lead + (6, 6))
+    np.matmul(hat[..., 1, :, :].swapaxes(-1, -2), f, out=core[..., 0:3, :])
+    return m, v[..., 1, :], f, core
 
 
 def _intervehicle_terms(states, obs, world, noise, dt):
@@ -321,22 +360,24 @@ def _terms(states, obs, world, noise, dt):
 def update_terms(states, obs, world, noise, dt):
     """The m residual entries F^T s and the symmetric m x m Hessian block
     E_ii at update_indices(obs.kind, obs.observer, obs.subject), as
-    (r_ix, e_ii), from one evaluation of the model terms."""
+    (r_ix, e_ii), from one evaluation of the model terms; a stack of
+    landmark observations gives (R, m) and (R, m, m)."""
     m, s, f, core = _terms(states, obs, world, noise, dt)
-    return f.T @ s, _sym(core) + _sym(f.T @ m @ f)
+    ft = f.swapaxes(-1, -2)
+    return _mv(ft, s), _sym(core) + _sym(ft @ m @ f)
 
 
 def residual(states, obs, world, noise, dt):
     """Weighted innovation s and the m residual entries F^T s at
     update_indices(obs.kind, obs.observer, obs.subject)."""
     _, s, f, _ = _terms(states, obs, world, noise, dt)
-    return s, f.T @ s
+    return s, _mv(f.swapaxes(-1, -2), s)
 
 
 def hessian_term(states, obs, world, noise, dt):
     """Symmetric m x m block E_ii of the Hessian term at update_indices."""
     m, _, f, core = _terms(states, obs, world, noise, dt)
-    return _sym(core) + _sym(f.T @ m @ f)
+    return _sym(core) + _sym(f.swapaxes(-1, -2) @ m @ f)
 
 
 @functools.lru_cache(maxsize=None)

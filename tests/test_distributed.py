@@ -1087,6 +1087,27 @@ class TestNodeEconomy:
         ticks(nodes, 20)
         assert calls == [(n, STATE_DOF, STATE_DOF)] * 20
 
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_absorb_multiplies_only_once_factors_are_kept(self, world,
+                                                          noise, coupled):
+        """While the nodes keep no factors, absorbing one multiplies
+        nothing: a NaN factor over a non-empty span leaves every column's
+        bits as they were, where a product with the zero cross block would
+        make it NaN, as it does once factors are kept."""
+        rng = np.random.default_rng(8)
+        make = coupled_network if coupled else make_network
+        _, nodes = make(rng, 3, world, noise)
+        tick_nodes(nodes, [ImuSample(np.zeros(3), np.zeros(3), 0)] * 3)
+        nodes.emit_propagation_factors()
+        before = nodes.k_col.copy()
+        nodes.absorb_propagation_factor(
+            PropagationFactor(1, np.full((STATE_DOF, STATE_DOF), np.nan),
+                              0, 1))
+        if coupled:
+            assert np.isnan(nodes.k_col[0, 15:30]).all()
+        else:
+            assert_same_bits(nodes.k_col, before)
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_at_most_2n_factor_messages_per_epoch_tick(self, n):
         """An epoch tick's first exchange builds n factors and its second

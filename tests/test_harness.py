@@ -615,6 +615,9 @@ class TestIsolatedOracle:
     # once failing at 4.1e-9; within 1e-15 since the SO(3) coefficients
     # take their series up to |theta| = 0.25
     @example(n=2, seed=6789, rate_hz=1.0, dropout=0.3)
+    # once failing at 7.1e-7 on an indefinite gain; passes since `none`
+    # updates each vehicle's own diagonal block, as its oracle does
+    @example(n=3, seed=3718, rate_hz=1.0, dropout=0.3)
     def test_none_equals_one_vehicle_filters(self, n, seed, rate_hz,
                                              dropout):
         assert_none_equals_one_vehicle_filters(n, seed, rate_hz, dropout)
@@ -626,8 +629,7 @@ class TestIsolatedOracle:
         "the gain loses definiteness (ROADMAP items 3 and 4: definiteness-"
         "preserving propagation, one numerical-failure policy)"))
     @pytest.mark.parametrize("n, seed, rate_hz, dropout", [
-        (2, 286, 10.0, 0.0), (2, 286, 10.0, 0.3), (3, 3718, 1.0, 0.3),
-        (3, 1039, 2.0, 0.0)])
+        (2, 286, 10.0, 0.0), (2, 286, 10.0, 0.3), (3, 1039, 2.0, 0.0)])
     def test_known_failing_draws(self, n, seed, rate_hz, dropout):
         assert_none_equals_one_vehicle_filters(n, seed, rate_hz, dropout)
 
@@ -727,7 +729,7 @@ class TestDefinitenessWarnings:
                 if pd_warnings() > before:
                     warned.add(key)
                 try:
-                    np.linalg.cholesky(self.k)
+                    np.linalg.cholesky(self.gain())
                 except np.linalg.LinAlgError:
                     failed.add(key)
             return self

@@ -254,6 +254,35 @@ class TestUpdate:
         np.testing.assert_array_equal(f.gain(), before)
         assert f.state is state and f._last_obs_ns == {}
 
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_unknown_landmark_refused_before_any_update(self, world, noise,
+                                                        coupled):
+        """An unknown landmark index refuses the whole call, on a coupled
+        gain (updated one observation at a time) as on an uncoupled one
+        (in rounds): the gain, the estimates and the observation clock
+        stay as they were."""
+        rng = np.random.default_rng(12)
+        n = 3
+        k0 = (random_spd(rng, n * STATE_DOF, scale=0.02) if coupled else
+              block_diag_prior([random_spd(rng, STATE_DOF)
+                                for _ in range(n)]))
+        f = JointFilter([random_state(rng) for _ in range(n)], k0, world,
+                        noise)
+        f.propagate(still_imu(n), 0.005)
+        f.update(Observation(models.LANDMARK, 1, 0, rng.standard_normal(3),
+                             5_000_000))
+        f.propagate(still_imu(n), 0.005)
+        before, state, clock = f.gain(), f.state, dict(f._last_obs_ns)
+        good = [Observation(models.LANDMARK, v, 1, rng.standard_normal(3),
+                            10_000_000) for v in range(n)]
+        unknown = Observation(models.LANDMARK, 2, 99, np.zeros(3),
+                              10_000_000)
+        with pytest.raises(models.ObservationError,
+                           match="unknown landmark index 99"):
+            f.update(*good, unknown)
+        np.testing.assert_array_equal(f.gain(), before)
+        assert f.state is state and f._last_obs_ns == clock
+
     def test_gain_symmetry_after_fuzz(self, world, noise):
         rng = np.random.default_rng(6)
         states = [random_state(rng), random_state(rng)]
@@ -362,7 +391,9 @@ class TestDefiniteness:
         assume(abs(eig[0]) > 1e-6 * np.max(np.abs(eig)))
 
         noise = NoiseModel(dt_landmark=dt, dt_intervehicle=dt)
-        f = JointFilter([identity_state()] * n, k, WorldConfig(), noise)
+        # the terms are mocked, but the landmark id is checked up front
+        f = JointFilter([identity_state()] * n, k,
+                        WorldConfig(landmarks={0: np.zeros(3)}), noise)
         obs = Observation(kind, observer, subject, np.zeros(3), 0)
         with mock.patch.object(models, "update_terms",
                                return_value=(np.zeros(len(ix)), e_ii)), \

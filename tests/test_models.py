@@ -6,7 +6,8 @@ from scipy.spatial.transform import Rotation as ScipyRotation
 
 from meswarm import models
 from meswarm.kernels import skew
-from meswarm.lie import STATE_DOF, compose, group_exp, make_state
+from meswarm.lie import (STATE_DOF, compose, group_exp, make_state,
+                         stack_states)
 from meswarm.models import (ImuSample, NoiseModel, Observation,
                             ObservationError, WorldConfig, a_check_single,
                             b_check_single, lambda_single,
@@ -513,6 +514,46 @@ class TestUpdateTerms:
         e_want = models.hessian_term(states, obs, world, noise, dt)
         np.testing.assert_array_equal(r_ix, r_want)
         np.testing.assert_array_equal(e_ii, e_want)
+
+
+class TestStackedLandmarkTerms:
+    """update_terms on a stack of R landmark observations (one per
+    observer, as a round of the joint filter holds them) equals R single
+    calls, bit for bit, and refuses an unknown landmark index."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), data=st.data())
+    def test_stack_equals_single_calls(self, seed, n, scale, data):
+        rng = np.random.default_rng(seed)
+        r = data.draw(st.integers(1, n), label="items")
+        world = WorldConfig(landmarks={i: scale * rng.standard_normal(3)
+                                       for i in range(4)})
+        d = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
+        noise = NoiseModel(d_landmark=d)
+        states = stack_states([random_state(rng) for _ in range(n)])
+        group = [Observation(models.LANDMARK, int(v), int(rng.integers(4)),
+                             scale * rng.standard_normal(3), 0)
+                 for v in rng.permutation(n)[:r]]
+        dt = rng.uniform(0.01, 1.0, r)
+        r_ix, e_ii = models.update_terms(
+            states, models.stack_observations(group), world, noise, dt)
+        assert r_ix.shape == (r, 6) and e_ii.shape == (r, 6, 6)
+        for i, obs in enumerate(group):
+            want = models.update_terms(states, obs, world, noise,
+                                       float(dt[i]))
+            np.testing.assert_array_equal(r_ix[i], want[0])
+            np.testing.assert_array_equal(e_ii[i], want[1])
+
+    def test_unknown_landmark_refused(self):
+        world = WorldConfig(landmarks={0: np.ones(3)})
+        states = stack_states([make_state(np.eye(3), np.zeros(3),
+                                          np.zeros(3))] * 2)
+        group = [Observation(models.LANDMARK, v, lm, np.zeros(3), 0)
+                 for v, lm in ((0, 0), (1, 7))]
+        with pytest.raises(ObservationError, match="unknown landmark index 7"):
+            models.update_terms(states, models.stack_observations(group),
+                                world, NoiseModel(), np.full(2, 0.1))
 
 
 def hstack_landmark_terms(states, obs, world, noise, dt):

@@ -1,14 +1,18 @@
 """Rounds: a tick's landmark updates on an uncoupled gain applied together.
 
-While every cross block of the joint gain is zero, `JointFilter.update`
-applies the landmark observations that lead a call in rounds, each vehicle's
-d-th observation in round d, on a leading round axis.  These tests tie that
-path bit for bit to one observation per call, pin the number of gate calls
-per epoch, and check the stacked gate's verdicts.
+While every cross block of the joint gain is zero, `JointFilter` holds the
+gain as its (n, 15, 15) diagonal blocks, and `update` applies the landmark
+observations that lead a call in rounds on those blocks, each vehicle's d-th
+observation in round d, on a leading round axis.  These tests tie that path
+bit for bit to one observation per call and within rounding to a dense gain
+updated one observation at a time, check that `none` never forms a
+15n x 15n array, pin the number of gate calls per epoch, and check the
+stacked gate's verdicts.
 """
 
 import logging
 import re
+import tracemalloc
 import warnings
 from contextlib import contextmanager
 
@@ -20,6 +24,7 @@ from hypothesis import strategies as st
 from meswarm import harness, joint, models
 from meswarm.harness import ScheduleConfig, _observation_ticks, run_schedule
 from meswarm.joint import JointFilter, UpdateSingularError
+from meswarm.lie import STATE_DOF, retract, stack_states
 from meswarm.models import Observation, WorldConfig
 from test_acceptance import scenario_noise, scenario_sources, scenario_world
 from test_distributed import GATE_CASES, GATE_DT, gate_system
@@ -152,6 +157,171 @@ class TestRoundsEqualOnePerCall:
             _, logged, _, _, _ = run_recorded(False, mode, 5, 3, 2.0, dropout,
                                            7, None)
             assert any("lost positive definiteness" in m for m in logged)
+
+
+class DenseOneAtATime:
+    """The joint filter's algebra on a dense 15n x 15n gain, one
+    observation at a time: the diagonal blocks propagate through
+    propagate_vehicle, and each update is K+ = sym(K - G K[ix, :]) with
+    psi = dt K+[:, ix] r.  It keeps no factor, so it serves runs without
+    inter-vehicle updates, where the cross blocks stay zero.  Records its
+    gain after every update call.
+
+    psi takes K+[:, ix] row-major, so BLAS forms each entry as one dot
+    product of its row with r, wherever the row sits; column-major, as
+    K+[:, ix] comes out of the index, the entries of the last rows of a
+    block take other roundings in a block than in the dense matrix, and
+    an indefinite gain amplifies such a last-bit change to 5e-9 in the
+    rows of some of these draws."""
+
+    def __init__(self, states, k0, world, noise):
+        self.n = len(states)
+        self.state = stack_states(states)
+        self.k = np.array(k0, dtype=float)
+        self.world, self.noise = world, noise
+        self.noise_term = models.imu_noise_term(noise)
+        self.clock = {}
+        self.gains = []
+
+    def propagate(self, u, dt):
+        ar = np.arange(self.n)
+        blocks = joint._blocks(self.k, self.n)
+        self.state, blocks[ar, ar], _ = joint.propagate_vehicle(
+            self.state, blocks[ar, ar], None, u, dt, self.world,
+            self.noise_term)
+        return self
+
+    def update(self, *observations):
+        for obs in observations:
+            key = (obs.kind, obs.observer, obs.subject)
+            dt = self.noise.effective_period(obs.kind, self.clock.get(key),
+                                             obs.t_ns)
+            ix = models.update_indices(obs.kind, obs.observer, obs.subject)
+            r_ix, e_ii = models.update_terms(self.state, obs, self.world,
+                                             self.noise, dt)
+            g = joint.gain_correction(self.k[:, ix], ix, e_ii, dt)
+            self.k = models._sym(self.k - g @ self.k[ix, :])
+            psi = dt * (np.ascontiguousarray(self.k[:, ix]) @ r_ix)
+            self.state = retract(self.state, psi.reshape(self.n, STATE_DOF))
+            self.clock[key] = obs.t_ns
+        self.gains.append(self.k.copy())
+        return self
+
+    def estimate(self):
+        return [self.state[i] for i in range(self.n)]
+
+
+def none_run(filter_class, n, n_landmarks, rate_hz, dropout, seed):
+    """A `none` run of the scheduler on filter_class; returns the filter
+    and the rows, or the filter and the refusal's text."""
+    noise = scenario_noise()
+    world = WorldConfig(
+        landmarks=dict(enumerate(LANDMARKS[:n_landmarks])),
+        markers=scenario_world(n).markers)
+    cfg = ScheduleConfig(imu_rate_hz=100.0, landmark_rate_hz=rate_hz,
+                         duration_s=1.5, dropout_landmark=dropout, seed=seed)
+    made = []
+
+    def make(*args):
+        made.append(filter_class(*args))
+        return made[0]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(harness, "JointFilter", make)
+        try:
+            rows = run_schedule(cfg, harness.MODE_NONE,
+                                scenario_sources(n, noise, seed), world,
+                                noise, record_bus=False).rows
+        except UpdateSingularError as exc:
+            return made[0], str(exc)
+    return made[0], rows
+
+
+class TestBlocksEqualDense:
+    """The uncoupled filter's block rounds against a dense gain updated one
+    observation at a time: `none` rows and every gain after an update call
+    within 1e-12, every cross block exactly zero, and a refusal in the
+    same place."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 5), n_landmarks=st.integers(1, 4),
+           rate_hz=st.sampled_from([1.0, 2.0, 10.0]),
+           dropout=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2**16))
+    def test_none_within_rounding_of_dense(self, n, n_landmarks, rate_hz,
+                                           dropout, seed):
+        gains = []
+
+        class Recording(JointFilter):
+            def update(self, *observations):
+                try:
+                    JointFilter.update(self, *observations)
+                finally:
+                    gains.append(self.gain())
+                return self
+
+        flt, rows = none_run(Recording, n, n_landmarks, rate_hz, dropout,
+                             seed)
+        dense, want = none_run(DenseOneAtATime, n, n_landmarks, rate_hz,
+                               dropout, seed)
+        assert flt._lam is None and flt.k is None
+        assert len(gains) == len(dense.gains)
+        off = ~np.eye(n, dtype=bool)
+        for k, k_dense in zip(gains, dense.gains):
+            assert not joint._blocks(k, n)[off].any()
+            np.testing.assert_allclose(k, k_dense, rtol=0, atol=1e-12)
+        if isinstance(want, str):
+            assert rows == want
+            return
+        for name in ("pos_err", "rot_err", "vel_err", "gyro_bias_err",
+                     "accel_bias_err"):
+            np.testing.assert_allclose(rows[name], want[name], rtol=0,
+                                       atol=1e-12)
+
+
+class TestNoDenseWork:
+    """The cost guard of the block rounds: in `none` no propagate or update
+    call allocates as much as one 15n x 15n array, so none builds one or
+    forms one as a product.  Measured by tracemalloc, which sees numpy's
+    array buffers; at n = 20 the joint gain is 720 kB, twenty times one
+    (n, 15, 15) stack."""
+
+    def test_none_never_forms_a_joint_sized_array(self):
+        n = 20
+        peaks = {"propagate": 0, "update": 0}
+
+        def measured(name, call):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = call()
+            peaks[name] = max(peaks[name],
+                              tracemalloc.get_traced_memory()[1] - base)
+            return result
+
+        class Measured(JointFilter):
+            def propagate(self, u, dt):
+                return measured("propagate",
+                                lambda: JointFilter.propagate(self, u, dt))
+
+            def update(self, *observations):
+                return measured("update",
+                                lambda: JointFilter.update(self,
+                                                           *observations))
+
+        noise = scenario_noise()
+        cfg = ScheduleConfig(imu_rate_hz=100.0, landmark_rate_hz=10.0,
+                             duration_s=0.3, seed=4)
+        tracemalloc.start()
+        try:
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(harness, "JointFilter", Measured)
+                run_schedule(cfg, harness.MODE_NONE,
+                             scenario_sources(n, noise, 4),
+                             scenario_world(n), noise, record_bus=False)
+        finally:
+            tracemalloc.stop()
+        joint_bytes = (n * STATE_DOF) ** 2 * 8
+        assert 0 < peaks["update"] < joint_bytes
+        assert 0 < peaks["propagate"] < joint_bytes
 
 
 class TestGateCallsPerEpoch:
