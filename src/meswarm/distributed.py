@@ -4,8 +4,9 @@ Each node owns its own state estimate and one 15n x 15 column slice of the
 joint gain matrix.  Between observations nodes run silently, accumulating a
 propagation factor; when an observation is originated the factors are
 exchanged, the originating node computes the low-rank gain correction once
-and broadcasts it with the residual, and every node applies them locally:
-the same low-rank update the joint filter applies.
+and broadcasts it with the residual, and every node applies them locally,
+by the steps of meswarm.joint that the joint filter runs on its coupled
+gain, held as the same (n, 15n, 15) column stack.
 
 The simulation holds all n nodes of a network in one VehicleNode, with the
 node axis leading, and advances them together: one stacked propagation
@@ -19,14 +20,15 @@ import logging
 from binascii import b2a_base64
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isfinite
+from math import inf, isfinite
 
 import numpy as np
 
 from . import models
-from .joint import (UpdateSingularError, check_vehicle, gain_correction,
+from .joint import (UpdateSingularError, absorb_factor, apply_correction,
+                    check_vehicle, diagonal_blocks, gain_correction,
                     identity_factors, propagate_vehicle)
-from .lie import STATE_DOF, VehicleState, retract, stack_states
+from .lie import STATE_DOF, VehicleState, stack_states
 
 log = logging.getLogger(__name__)
 
@@ -181,11 +183,9 @@ class VehicleNode:
         self.n = n
         # the nodes other than j, which absorb j's factor
         self._others = [np.delete(np.arange(n), j) for j in range(n)]
-        blocks = k_col.reshape(n, n, STATE_DOF, STATE_DOF)
         # every node's own diagonal block, node v's at block v of k_col[v]:
-        # a writeable view, so a tick's blocks land in k_col in place (the
-        # reshape splits the row axis only, so it is a view of k_col too)
-        self._kdiag = np.einsum("ii...->i...", blocks)
+        # a writeable view, so a tick's blocks land in k_col in place
+        self._kdiag = diagonal_blocks(k_col)
         if not np.allclose(self._kdiag, self._kdiag.swapaxes(-1, -2),
                            rtol=1e-9, atol=0.0):
             raise ValueError("own diagonal gain blocks must be symmetric")
@@ -196,7 +196,8 @@ class VehicleNode:
         self._noise_term = models.imu_noise_term(noise)
         # whether the nodes keep propagation factors: once a cross block
         # can be non-zero, since lam_j 0 lam_v^T is exactly 0
-        self._factors = bool(blocks[~np.eye(n, dtype=bool)].any())
+        self._factors = bool(k_col.reshape(n, n, STATE_DOF, STATE_DOF)
+                             [~np.eye(n, dtype=bool)].any())
         self.lam_acc = identity_factors(self.n)
         self.lam_start_tick = 0
         # every node's last emitted factor, which it pairs with a peer's
@@ -230,8 +231,8 @@ class VehicleNode:
         every node's state, own diagonal gain block and factor in one
         stacked call, the call the joint filter makes for its vehicles.
         """
-        if dt <= 0.0:
-            raise ValueError("IMU period must be positive")
+        if not 0.0 < dt < inf:
+            raise ValueError(f"IMU period must be positive and finite: {dt}")
         check_vehicle("node", v, self.n)
         if v in self._pending:
             raise SynchronizationError(
@@ -285,7 +286,7 @@ class VehicleNode:
     def absorb_propagation_factor(self, peer):
         """Bring every other node's cross block for the sender up to the
         current tick: node v sets block j of its column to
-        lam_j K_vj lam_v^T with its own emitted factor lam_v.  While the
+        lam_j K_jv lam_v^T with its own emitted factor lam_v.  While the
         nodes keep no factors every cross block is +0, which the identity
         factors would map to +0 again, so nothing is multiplied."""
         check_vehicle("factor sender", peer.sender, self.n)
@@ -297,11 +298,8 @@ class VehicleNode:
                 f"{self._own_span[0]}..{self._own_span[1]}")
         if peer.start_tick == peer.end_tick or not self._factors:
             return self
-        j = peer.sender
-        others = self._others[j]
-        sl = slice(j * STATE_DOF, (j + 1) * STATE_DOF)
-        self.k_col[others, sl, :] = (peer.lam @ self.k_col[others, sl, :]
-                                     @ self._own[others].swapaxes(-1, -2))
+        absorb_factor(self.k_col, peer.sender, self._others[peer.sender],
+                      peer.lam, self._own)
         return self
 
     # -- updates --------------------------------------------------------------
@@ -374,15 +372,8 @@ class VehicleNode:
         if msg.gain is None:
             return self
         ix = models.update_indices(msg.kind, msg.origin, msg.subject)
-        if msg.kind == models.LANDMARK:
-            # one vehicle's slots are one range of rows: a view, which the
-            # in-place update keeps current, instead of two gathers
-            ix = slice(ix[0], ix[-1] + 1)
-        # in place: no new (n, 15n, 15) array per broadcast, and k_col keeps
-        # its C-contiguous layout
-        self.k_col -= msg.gain @ self.k_col[:, ix, :]
-        psi = msg.dt * (self.k_col[:, ix, :].swapaxes(-1, -2) @ msg.r)
-        self.state = retract(self.state, psi)
+        self.state = apply_correction(self.state, self.k_col, msg.kind, ix,
+                                      msg.gain, msg.dt, msg.r)
         if msg.kind == models.INTERVEHICLE:
             self._factors = True
         return self

@@ -491,8 +491,9 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
     landmark updates go in one round per landmark rank (each vehicle's
     d-th observation in round d) on those blocks, and a lost definiteness
     warns once per epoch.  `central` holds the same blocks until its first
-    applied inter-vehicle update builds the dense gain and starts its
-    factors, so only the landmark updates before it go in rounds.
+    applied inter-vehicle update couples the gain, so only the landmark
+    updates before it go in rounds; from then on it holds and updates the
+    gain as the nodes of `distributed` do, as an (n, 15n, 15) column stack.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")

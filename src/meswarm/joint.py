@@ -5,7 +5,8 @@ matrix through its Riccati flow; landmark and inter-vehicle observations are
 applied sequentially as discrete low-rank updates, except that while the
 gain is block diagonal, which the filter then holds as its diagonal blocks
 only, a tick's landmark updates of different vehicles, which commute
-exactly, are applied together in rounds on those blocks.
+exactly, are applied together in rounds on those blocks.  A coupled gain is
+held and updated as the decentralised nodes hold and update theirs.
 """
 
 import collections
@@ -50,6 +51,35 @@ def propagate_vehicle(state, kdiag, lam, u, dt, world, noise_term):
         lam = expm(a * dt) @ lam
     drift = models.lambda_single(state, u, world)
     return retract(state, dt * drift), kd, lam
+
+
+def absorb_factor(k_col, j, others, lam_j, own):
+    """K_jv <- lam_j K_jv lam_v^T in place, in every column v of the
+    (n, 15n, 15) stack k_col but j's (`others`), with own[v] column v's
+    factor: vehicle j's factor brings its cross blocks up to date."""
+    sl = slice(j * STATE_DOF, (j + 1) * STATE_DOF)
+    k_col[others, sl, :] = (lam_j @ k_col[others, sl, :]
+                            @ own[others].swapaxes(-1, -2))
+
+
+def apply_correction(state, k_col, kind, ix, g, dt, r):
+    """k_col <- k_col - G k_col[:, ix, :] in place on every column, and the
+    state retracted by psi = dt k_col[:, ix, :]^T r, which is returned."""
+    if kind == models.LANDMARK:
+        # one vehicle's slots are one range of rows: a view, which the
+        # in-place update keeps current, instead of two gathers
+        ix = slice(ix[0], ix[-1] + 1)
+    # in place: no new (n, 15n, 15) array per update, and k_col keeps its
+    # C-contiguous layout
+    k_col -= g @ k_col[:, ix, :]
+    return retract(state, dt * (k_col[:, ix, :].swapaxes(-1, -2) @ r))
+
+
+def diagonal_blocks(k_col):
+    """Block v of column v for every v: a writeable (n, 15, 15) view of a
+    C-contiguous column stack (the reshape splits the row axis only)."""
+    n = len(k_col)
+    return np.einsum("ii...->i...", k_col.reshape(n, n, STATE_DOF, STATE_DOF))
 
 
 def _check_spd(k, name="K0"):
@@ -98,12 +128,12 @@ class JointFilter:
     stack of diagonal blocks: propagation advances it, landmark updates
     act on it block by block, and no 15n x 15n array is formed.  The first
     applied inter-vehicle update couples the gain; from then on, and from
-    the start for a prior with a non-zero cross block, it is held dense as
-    self.k, with each vehicle's propagation factor.  Between updates only
-    the diagonal blocks and the factors move, and the full gain is brought
-    up to the current tick before the next update.  A block-diagonal
-    filter that sees only landmark updates (`none`, or a single vehicle)
-    never exponentiates.
+    the start for a prior with a non-zero cross block, it is held as the
+    nodes' (n, 15n, 15) column stack self.k_col, with each vehicle's
+    propagation factor.  Between updates only the diagonal blocks and the
+    factors move, and the cross blocks are brought up to the current tick
+    before the next update.  A block-diagonal filter that sees only
+    landmark updates (`none`, or a single vehicle) never exponentiates.
     """
 
     def __init__(self, states, k0, world, noise):
@@ -121,23 +151,19 @@ class JointFilter:
         # last-observation time per (kind, observer, subject)
         self._last_obs_ns = {}
         self._ar = np.arange(n)
+        # the vehicles other than j, whose columns absorb j's factor
+        self._others = [np.delete(self._ar, j) for j in range(n)]
         # a landmark update's slots within its observer's diagonal block,
         # for each item of a round
         self._block_ix = np.broadcast_to(np.arange(models.UPDATE_SLOTS),
                                          (n, models.UPDATE_SLOTS))
         blocks = _blocks(k0, n)
         if blocks[~np.eye(n, dtype=bool)].any():
-            # the dense gain; the propagated diagonal blocks are None while
-            # they are those of self.k, read once by the next propagate
-            self.k = k0.copy()
-            self._kdiag = None
-            # per-vehicle propagation factors since the cross blocks were
-            # last brought up to date, as each node keeps its own
-            self._lam = identity_factors(n)
+            self._couple(np.hsplit(k0, n))
         else:
             # uncoupled: the diagonal blocks are the whole gain, and no
             # factor is kept, since lam_i 0 lam_j^T is exactly 0
-            self.k = None
+            self.k_col = None
             self._kdiag = blocks[self._ar, self._ar]
             self._lam = None
         # whether the gain has propagated since the last update
@@ -146,38 +172,17 @@ class JointFilter:
         # once lost it is checked again only when the gain is next rebuilt
         self._definite = True
 
-    def _diag_blocks(self):
-        return _blocks(self.k, self.n)[self._ar, self._ar]
+    def _couple(self, k_col):
+        """Hold the gain as its column stack from now on, as a node does."""
+        self.k_col = np.ascontiguousarray(k_col, dtype=float)
+        self._kdiag = diagonal_blocks(self.k_col)
+        self._lam = identity_factors(self.n)
 
     # -- accessors -----------------------------------------------------------
 
     def estimate(self):
         """Per-vehicle states; later steps never change them in place."""
         return [self.state[i] for i in range(self.n)]
-
-    def gain(self):
-        """The joint gain brought up to the current tick, as a new
-        15n x 15n array.
-
-        Uncoupled, it is the block-diagonal matrix of the diagonal blocks.
-        Otherwise the diagonal blocks are the propagated ones, and K_ij
-        becomes lam_i K_ij lam_j^T for i < j and K_ji its transpose, the
-        expression each node applies when it absorbs a peer's factor.  The
-        filter itself is left unchanged.
-        """
-        if self._lam is None:
-            return block_diag_prior(self._kdiag)
-        k = self.k.copy()
-        if not self._stale:
-            return k
-        blocks = _blocks(k, self.n)
-        lam = self._lam
-        upper = np.triu_indices(self.n, 1)
-        kij = lam[upper[0]] @ blocks[upper] @ lam[upper[1]].swapaxes(-1, -2)
-        blocks[upper] = kij
-        blocks[upper[::-1]] = kij.swapaxes(-1, -2)
-        blocks[self._ar, self._ar] = self._kdiag
-        return k
 
     # -- IMU propagation -----------------------------------------------------
 
@@ -187,16 +192,14 @@ class JointFilter:
         u is one ImuSample stacked over vehicles: gyro and accel (n, 3),
         row v vehicle v's sample.  Only the estimates, the diagonal gain
         blocks and the factors move here, for all vehicles in one call; the
-        full gain is brought up to date at the next update.
+        cross blocks are brought up to date at the next update.
         """
-        if dt <= 0.0:
-            raise ValueError("IMU period must be positive")
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"IMU period must be positive and finite: {dt}")
         if u.gyro.shape != (self.n, 3) or u.accel.shape != (self.n, 3):
             raise ValueError(f"need (n, 3) = ({self.n}, 3) IMU rows, got "
                              f"{u.gyro.shape} and {u.accel.shape}")
-        if self._kdiag is None:
-            self._kdiag = self._diag_blocks()
-        self.state, self._kdiag, self._lam = propagate_vehicle(
+        self.state, self._kdiag[...], self._lam = propagate_vehicle(
             self.state, self._kdiag, self._lam, u, dt, self.world,
             self._noise_term)
         self._stale = True
@@ -225,23 +228,24 @@ class JointFilter:
         model terms built in one call.  Each item gets the bits it would
         get alone, so the gain, the estimates and the observation clock
         are those of one observation per call.  Every observation after
-        the leading landmarks is applied alone on the dense gain, which
-        the first applied inter-vehicle update builds.  A refused update
-        raises the verdict of its round's first refused observation, in
-        call order, before any of that round is applied; earlier rounds
-        stay applied.
+        the leading landmarks is applied alone on the column stack, which
+        the first applied inter-vehicle update builds, as the nodes apply
+        it, after each vehicle's factor is absorbed as in an exchange.  A
+        refused update raises the verdict of its round's first refused
+        observation, in call order, before any of that round is applied;
+        earlier rounds stay applied.
 
         The gain's positive definiteness is checked where it can be lost,
         and a loss is logged once, as a warning; the update is applied
         either way.  The propagated gain gets one Cholesky when it is
-        rebuilt at an epoch's first update: one dense one, or one stacked
-        15 x 15 one per diagonal block while uncoupled.  A low-rank update
-        keeps a definite K definite iff the m x m matrix
-        K_ii + dt K_ii E_ii K_ii is, with K_ii = K[ix, ix] before the
-        update: (K+)^-1 = K^-1 + dt E, and congruence with K^1/2 plus AB
-        and BA sharing their non-zero eigenvalues reduce the test to the
-        ix block.  A round tests its items as one stack.  Once lost,
-        definiteness is checked again at the next rebuild.
+        rebuilt at an epoch's first update: one of the 15n x 15n matrix of
+        the columns, or one stacked 15 x 15 one per diagonal block while
+        uncoupled.  A low-rank update keeps a definite K definite iff the
+        m x m matrix K_ii + dt K_ii E_ii K_ii is, with K_ii = K[ix, ix]
+        before the update: (K+)^-1 = K^-1 + dt E, and congruence with
+        K^1/2 plus AB and BA sharing their non-zero eigenvalues reduce the
+        test to the ix block.  A round tests its items as one stack.  Once
+        lost, definiteness is checked again at the next rebuild.
         """
         for obs in observations:
             if obs.t_ns != self.t_ns:
@@ -259,9 +263,13 @@ class JointFilter:
             if self._lam is None:
                 self._definite = _still_definite(self._kdiag, self.t_ns)
             else:
-                self.k = self.gain()
+                for j, others in enumerate(self._others):
+                    absorb_factor(self.k_col, j, others, self._lam[j],
+                                  self._lam)
                 self._lam = identity_factors(self.n)
-                self._definite = _still_definite(self.k, self.t_ns)
+                # the columns side by side: the 15n x 15n gain
+                self._definite = _still_definite(np.hstack(self.k_col),
+                                                 self.t_ns)
             self._stale = False
         lead = []
         if self._lam is None:
@@ -278,9 +286,9 @@ class JointFilter:
         return self
 
     def _update_one(self, obs):
-        """One observation on the dense gain.  On an uncoupled gain (an
-        inter-vehicle update) the dense gain is built from the diagonal
-        blocks and kept, with factors, once the update is accepted."""
+        """One observation on the column stack, as the nodes apply it.  On
+        an uncoupled gain (an inter-vehicle update) the columns are built
+        from the diagonal blocks and kept once the update is accepted."""
         key = (obs.kind, obs.observer, obs.subject)
         dt = self.noise.effective_period(obs.kind, self._last_obs_ns.get(key),
                                          obs.t_ns)
@@ -288,24 +296,23 @@ class JointFilter:
         r_ix, e_ii = models.update_terms(self.state, obs, self.world,
                                          self.noise, dt)
 
-        k = self.k if self._lam is not None else block_diag_prior(self._kdiag)
-        kc = k[:, ix]
+        k_col = self.k_col
+        if k_col is None:
+            k_col = np.array(np.hsplit(block_diag_prior(self._kdiag), self.n))
+        # K[:, ix]: the observer's update slots, then the subject's
+        cols = [k_col[obs.observer, :, :models.UPDATE_SLOTS]]
+        if obs.kind == models.INTERVEHICLE:
+            cols.append(k_col[obs.subject, :, :models.UPDATE_SLOTS])
+        kc = np.hstack(cols)
         g = gain_correction(kc, ix, e_ii, dt)
-        if self._lam is None:
-            self.k, self._lam = k, identity_factors(self.n)
+        if self.k_col is None:
+            self._couple(k_col)
         if self._definite:
             k_ii = kc[ix, :]
             self._definite = _still_definite(
                 k_ii + dt * (k_ii @ e_ii @ k_ii), obs.t_ns)
-        # in place, as _sym(k - g k[ix, :]): nothing else holds self.k
-        k -= g @ k[ix, :]
-        k += k.T
-        k *= 0.5
-        self._kdiag = None
-
-        # psi = dt K r, and r vanishes outside ix
-        psi = dt * (k[:, ix] @ r_ix)
-        self.state = retract(self.state, psi.reshape(self.n, STATE_DOF))
+        self.state = apply_correction(self.state, self.k_col, obs.kind, ix,
+                                      g, dt, r_ix)
         self._last_obs_ns[key] = obs.t_ns
 
     def _update_round(self, group):

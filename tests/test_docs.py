@@ -1,8 +1,10 @@
 """The README's Library and bus.log decoding snippets run as documented,
-and its Command line section names exactly the flags the CLI parser
-takes."""
+its Command line section names exactly the flags the CLI parser takes, and
+the CI job that runs its example config without scipy runs that config."""
 
+import json
 import re
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from meswarm.harness import ScheduleConfig, SinusoidTrajectory, SyntheticSource
 from meswarm.models import NoiseModel, WorldConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+WORKFLOW = README.parent / ".github" / "workflows" / "tier1.yml"
 
 
 def python_block(heading):
@@ -69,3 +72,17 @@ def test_bus_log_decoding_snippet_reads_a_fresh_log(tmp_path, monkeypatch):
     assert want and len(names["gains"]) == len(want)
     for got, gain in zip(names["gains"], want):
         assert got.shape == gain.shape and got.tobytes() == gain.tobytes()
+
+
+def test_numpy_only_job_runs_the_readme_config():
+    """The config the numpy-only CI job writes with its heredoc is the
+    README's minimal synthetic experiment, and the job runs it in every
+    mode."""
+    text = README.read_text()
+    section = text[text.index("\n## Command line\n"):]
+    want = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    job = WORKFLOW.read_text().split("\n  numpy-only:\n", 1)[1]
+    heredoc = re.search(r"<<'JSON'\n(.*?)\n *JSON\n", job, re.S).group(1)
+    assert json.loads(textwrap.dedent(heredoc)) == want
+    assert "for mode in none central distributed; do" in job
+    assert 'pip install .\n' in job

@@ -13,7 +13,7 @@ from meswarm.harness import (METRICS_DTYPE, PriorConfig, ScheduleConfig,
                              _observation_ticks, channel_rng,
                              metrics_row, run_schedule, summarize_metrics,
                              synthesize_imu, synthesize_observation)
-from meswarm.joint import JointFilter
+from meswarm.joint import JointFilter, UpdateSingularError
 from meswarm.kernels import so3_exp
 from meswarm.lie import (STATE_DOF, VehicleState, make_state,
                          rotation_error_angle, stack_states)
@@ -21,6 +21,7 @@ from meswarm.models import NoiseModel, WorldConfig
 from test_acceptance import scenario_noise, scenario_sources, scenario_world
 from test_distributed import (assert_same_message, columns, decode_message,
                               strict_body)
+from test_joint import joint_gain
 from test_models import stack_samples
 
 GRAVITY = np.array([0.0, 0.0, 9.81])
@@ -643,7 +644,7 @@ def recorded_gains(mode, cfg, n):
 
     class RecordingFilter(JointFilter):
         def propagate(self, u, dt):
-            gains.append(self.gain())
+            gains.append(joint_gain(self))
             return super().propagate(u, dt)
 
     class RecordingNodes(harness.VehicleNode):
@@ -670,34 +671,47 @@ def cross_blocks(k, n):
 class TestZeroCrossBlocks:
     """Without an applied inter-vehicle update the joint gain stays block
     diagonal, which is why the joint filter keeps no propagation factor
-    until then: `none` keeps every cross block of gain() exactly zero, and
-    so does `central` up to its first inter-vehicle epoch.  From that epoch
-    on `central`'s gain equals the nodes' columns at every epoch."""
+    until then: `none` keeps every cross block of the gain exactly zero,
+    and so does `central` up to its first inter-vehicle epoch.  From that
+    epoch on `central`'s gain equals the nodes' columns at every epoch."""
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(2, 4), seed=st.integers(0, 2**16))
     def test_cross_blocks(self, n, seed):
-        cfg = ScheduleConfig(imu_rate_hz=100.0, landmark_rate_hz=10.0,
-                             intervehicle_rate_hz=5.0, duration_s=1.0,
-                             seed=seed)
-        for k in recorded_gains(harness.MODE_NONE, cfg, n):
-            assert not cross_blocks(k, n).any()
+        assert_cross_blocks(n, seed)
 
-        epochs = _observation_ticks(cfg.intervehicle_rate_hz,
-                                    cfg.imu_rate_hz, cfg.n_ticks)
-        first = min(epochs)
-        central = recorded_gains(harness.MODE_CENTRAL, cfg, n)
-        nodes = recorded_gains(harness.MODE_DISTRIBUTED, cfg, n)
-        for k in central[:first]:
-            assert not cross_blocks(k, n).any()
-        assert cross_blocks(central[first], n).any()
-        # node columns are complete only where an epoch's last update left
-        # them; criterion 5 holds the two filters to 1e-8
-        for tick in epochs:
-            if tick < cfg.n_ticks:
-                np.testing.assert_allclose(
-                    nodes[tick], columns(central[tick], n), rtol=0,
-                    atol=1e-8)
+    # Draws of the property above seen to fail: `none` refuses an update
+    # as singular (condition ~2.7e15 and ~2.3e18) while `central` and
+    # `distributed` finish.
+    @pytest.mark.xfail(strict=True, raises=UpdateSingularError, reason=(
+        "the gain loses definiteness (ROADMAP items 3 and 4: definiteness-"
+        "preserving propagation, one numerical-failure policy)"))
+    @pytest.mark.parametrize("n, seed", [(2, 1148), (2, 4780)])
+    def test_known_failing_draws(self, n, seed):
+        assert_cross_blocks(n, seed)
+
+
+def assert_cross_blocks(n, seed):
+    """The property of TestZeroCrossBlocks on one draw."""
+    cfg = ScheduleConfig(imu_rate_hz=100.0, landmark_rate_hz=10.0,
+                         intervehicle_rate_hz=5.0, duration_s=1.0, seed=seed)
+    for k in recorded_gains(harness.MODE_NONE, cfg, n):
+        assert not cross_blocks(k, n).any()
+
+    epochs = _observation_ticks(cfg.intervehicle_rate_hz, cfg.imu_rate_hz,
+                                cfg.n_ticks)
+    first = min(epochs)
+    central = recorded_gains(harness.MODE_CENTRAL, cfg, n)
+    nodes = recorded_gains(harness.MODE_DISTRIBUTED, cfg, n)
+    for k in central[:first]:
+        assert not cross_blocks(k, n).any()
+    assert cross_blocks(central[first], n).any()
+    # node columns are complete only where an epoch's last update left
+    # them; criterion 5 holds the two filters to 1e-8
+    for tick in epochs:
+        if tick < cfg.n_ticks:
+            np.testing.assert_allclose(nodes[tick], columns(central[tick], n),
+                                       rtol=0, atol=1e-8)
 
 
 class TestDefinitenessWarnings:
@@ -729,7 +743,7 @@ class TestDefinitenessWarnings:
                 if pd_warnings() > before:
                     warned.add(key)
                 try:
-                    np.linalg.cholesky(self.gain())
+                    np.linalg.cholesky(joint_gain(self))
                 except np.linalg.LinAlgError:
                     failed.add(key)
             return self

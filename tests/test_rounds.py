@@ -28,6 +28,7 @@ from meswarm.lie import STATE_DOF, retract, stack_states
 from meswarm.models import Observation, WorldConfig
 from test_acceptance import scenario_noise, scenario_sources, scenario_world
 from test_distributed import GATE_CASES, GATE_DT, gate_system
+from test_joint import joint_gain
 
 LANDMARKS = (np.array([2.0, 0.0, 1.0]), np.array([-1.0, 2.0, 0.5]),
              np.array([0.0, -2.0, 1.5]), np.array([1.5, 1.5, -0.5]))
@@ -77,7 +78,7 @@ def run_recorded(one_per_call, mode, n, n_landmarks, rate_hz, dropout,
                 else:
                     JointFilter.update(self, *observations)
             finally:
-                records.append((self.gain(), self.state,
+                records.append((joint_gain(self), self.state,
                                 dict(self._last_obs_ns)))
             return self
 
@@ -163,9 +164,14 @@ class DenseOneAtATime:
     """The joint filter's algebra on a dense 15n x 15n gain, one
     observation at a time: the diagonal blocks propagate through
     propagate_vehicle, and each update is K+ = sym(K - G K[ix, :]) with
-    psi = dt K+[:, ix] r.  It keeps no factor, so it serves runs without
-    inter-vehicle updates, where the cross blocks stay zero.  Records its
-    gain after every update call.
+    psi = dt K+[:, ix] r.  Per-vehicle propagation factors are kept once a
+    cross block can be non-zero (from the start for such a prior,
+    otherwise from the first inter-vehicle update), and the first update
+    after a propagation rebuilds the cross blocks densely: K_ij becomes
+    lam_i K_ij lam_j^T for i < j and K_ji its transpose.  So it serves
+    runs with inter-vehicle updates too, as an oracle independent of the
+    column stack both filters hold a coupled gain in.  Records its gain
+    after every update call.
 
     psi takes K+[:, ix] row-major, so BLAS forms each entry as one dot
     product of its row with r, wherever the row sits; column-major, as
@@ -182,16 +188,31 @@ class DenseOneAtATime:
         self.noise_term = models.imu_noise_term(noise)
         self.clock = {}
         self.gains = []
+        off = ~np.eye(self.n, dtype=bool)
+        self.lam = (joint.identity_factors(self.n)
+                    if joint._blocks(self.k, self.n)[off].any() else None)
+        self.stale = False
 
     def propagate(self, u, dt):
         ar = np.arange(self.n)
         blocks = joint._blocks(self.k, self.n)
-        self.state, blocks[ar, ar], _ = joint.propagate_vehicle(
-            self.state, blocks[ar, ar], None, u, dt, self.world,
+        self.state, blocks[ar, ar], self.lam = joint.propagate_vehicle(
+            self.state, blocks[ar, ar], self.lam, u, dt, self.world,
             self.noise_term)
+        self.stale = True
         return self
 
     def update(self, *observations):
+        if observations and self.stale:
+            if self.lam is not None:
+                blocks = joint._blocks(self.k, self.n)
+                upper = np.triu_indices(self.n, 1)
+                kij = (self.lam[upper[0]] @ blocks[upper]
+                       @ self.lam[upper[1]].swapaxes(-1, -2))
+                blocks[upper] = kij
+                blocks[upper[::-1]] = kij.swapaxes(-1, -2)
+                self.lam = joint.identity_factors(self.n)
+            self.stale = False
         for obs in observations:
             key = (obs.kind, obs.observer, obs.subject)
             dt = self.noise.effective_period(obs.kind, self.clock.get(key),
@@ -204,6 +225,8 @@ class DenseOneAtATime:
             psi = dt * (np.ascontiguousarray(self.k[:, ix]) @ r_ix)
             self.state = retract(self.state, psi.reshape(self.n, STATE_DOF))
             self.clock[key] = obs.t_ns
+            if obs.kind == models.INTERVEHICLE and self.lam is None:
+                self.lam = joint.identity_factors(self.n)
         self.gains.append(self.k.copy())
         return self
 
@@ -256,14 +279,14 @@ class TestBlocksEqualDense:
                 try:
                     JointFilter.update(self, *observations)
                 finally:
-                    gains.append(self.gain())
+                    gains.append(joint_gain(self))
                 return self
 
         flt, rows = none_run(Recording, n, n_landmarks, rate_hz, dropout,
                              seed)
         dense, want = none_run(DenseOneAtATime, n, n_landmarks, rate_hz,
                                dropout, seed)
-        assert flt._lam is None and flt.k is None
+        assert flt._lam is None and flt.k_col is None
         assert len(gains) == len(dense.gains)
         off = ~np.eye(n, dtype=bool)
         for k, k_dense in zip(gains, dense.gains):
