@@ -1,12 +1,13 @@
 """The decentralised filter: one node per vehicle, run as stacked arrays.
 
-Each node owns its own state estimate and one 15n x 15 column slice of the
-joint gain matrix.  Between observations nodes run silently, accumulating a
-propagation factor; when an observation is originated the factors are
-exchanged, the originating node computes the low-rank gain correction once
-and broadcasts it with the residual, and every node applies them locally,
-by the steps of meswarm.joint that the joint filter runs on its coupled
-gain, held as the same (n, 15n, 15) column stack.
+The nodes are the joint filter split across the vehicles: VehicleNode is
+a meswarm.joint.Network, as JointFilter is, and runs the same steps of
+meswarm.joint; what the nodes add is the wire.  Each node owns its own
+state estimate and one 15n x 15 column slice of the joint gain matrix.
+Between observations nodes run silently, accumulating a propagation
+factor; when an observation is originated the factors are exchanged, the
+originating node computes the low-rank gain correction once and broadcasts
+it with the residual, and every node applies them locally.
 
 The simulation holds all n nodes of a network in one VehicleNode, with the
 node axis leading, and advances them together: one stacked propagation
@@ -25,10 +26,10 @@ from math import inf, isfinite
 import numpy as np
 
 from . import models
-from .joint import (UpdateSingularError, absorb_factor, apply_correction,
-                    check_vehicle, diagonal_blocks, gain_correction,
-                    identity_factors, propagate_vehicle)
-from .lie import STATE_DOF, VehicleState, stack_states
+from .joint import (Network, UpdateSingularError, absorb_factor,
+                    apply_correction, check_vehicle, gain_correction,
+                    identity_factors)
+from .lie import VehicleState
 
 log = logging.getLogger(__name__)
 
@@ -154,72 +155,47 @@ def encode_message(msg, tick):
 
 # -- the nodes ----------------------------------------------------------------
 
-class VehicleNode:
-    """The n nodes of a decentralised network, stacked along a leading axis.
+class VehicleNode(Network):
+    """The n nodes of a decentralised network, stacked along a leading axis;
+    a Network, as the joint filter is.
 
-    Node v's state is ``state[v]``, its 15n x 15 gain column ``k_col[v]``
-    (k_col is (n, 15n, 15)) and its accumulated propagation factor
-    ``lam_acc[v]``.  The nodes advance together, as the joint filter
+    Node v's state is ``state[v]``, its 15n x 15 gain column
+    ``k_col[v]`` (k_col is (n, 15n, 15)) and its accumulated propagation
+    factor ``lam_acc[v]``.  The nodes advance together, as the joint filter
     advances its vehicles: each node writes its own IMU sample into the
-    tick's (n, 3) rows and the tick's last one propagates all of them in
-    one stacked call, reading and writing every own diagonal block through
-    one view of k_col; each delivered factor is absorbed by all the other
-    nodes in one call; and one call applies a broadcast to every node.
-    Each step keeps the per-node data flow: node v reads only its own
-    column, its own state and the wire messages.
+    tick's (n, 3) rows and the tick's last one makes the network's tick
+    step for all of them, reading and writing every own diagonal block
+    through one view of k_col; each delivered factor is absorbed by all the
+    other nodes in one call; and one call applies a broadcast to every
+    node.  Each step keeps the per-node data flow: node v reads only its
+    own column, its own state, the keys of its own observations in the
+    observation clock and the wire messages.
 
-    Factors are kept under the joint filter's rule: from the first tick for
-    a prior with a non-zero cross block, otherwise from the first applied
-    inter-vehicle broadcast, which every node applies.  Until then every
-    cross block is exactly zero, no factor is exponentiated, and the nodes
-    emit identity factors, which absorb into a zero block as exactly zero.
+    Factors are kept under the network's coupling rule: from the first tick
+    for a prior with a non-zero cross block, otherwise from the first
+    applied inter-vehicle broadcast, which every node applies.  Until then
+    every cross block is exactly zero, no factor is exponentiated, and the
+    nodes emit identity factors, which absorb into a zero block as exactly
+    zero.
     """
 
     def __init__(self, states, k_col, world, noise):
-        n = len(states)
-        k_col = np.array(k_col, dtype=float, order="C")
-        if k_col.shape != (n, n * STATE_DOF, STATE_DOF):
-            raise ValueError("gain columns have the wrong shape")
-        self.n = n
-        # the nodes other than j, which absorb j's factor
-        self._others = [np.delete(np.arange(n), j) for j in range(n)]
-        # every node's own diagonal block, node v's at block v of k_col[v]:
-        # a writeable view, so a tick's blocks land in k_col in place
-        self._kdiag = diagonal_blocks(k_col)
-        if not np.allclose(self._kdiag, self._kdiag.swapaxes(-1, -2),
-                           rtol=1e-9, atol=0.0):
-            raise ValueError("own diagonal gain blocks must be symmetric")
-        self.state = stack_states(states)
-        self.k_col = k_col
-        self.world = world
-        self.noise = noise
-        self._noise_term = models.imu_noise_term(noise)
-        # whether the nodes keep propagation factors: once a cross block
-        # can be non-zero, since lam_j 0 lam_v^T is exactly 0
-        self._factors = bool(k_col.reshape(n, n, STATE_DOF, STATE_DOF)
-                             [~np.eye(n, dtype=bool)].any())
-        self.lam_acc = identity_factors(self.n)
+        super().__init__(states, k_col, world, noise)
+        n = self.n
+        self.lam_acc = identity_factors(n)
         self.lam_start_tick = 0
         # every node's last emitted factor, which it pairs with a peer's
-        self._own = identity_factors(self.n)
+        self._own = identity_factors(n)
         self._own_span = (0, 0)
         # (tick, messages): the factor messages of an empty span at that
         # tick, delivered again to every later exchange in the tick
         self._empty = (None, ())
         self.tick = 0
-        self.t_ns = 0
         # the tick's IMU rows, row v written by node v, and the period of
         # every node that has ticked in the current tick
         self._gyro = np.empty((n, 3))
         self._accel = np.empty((n, 3))
         self._pending = {}
-        # last applied arrival per (kind, observer, subject); node v reads
-        # only the keys of its own observations
-        self._last_obs_ns = {}
-
-    def estimate(self):
-        """Per-node states; later steps never change them in place."""
-        return [self.state[v] for v in range(self.n)]
 
     # -- propagation ---------------------------------------------------------
 
@@ -228,8 +204,11 @@ class VehicleNode:
 
         The nodes tick together.  Each writes its own sample into the
         tick's IMU rows, and the call that completes the tick advances
-        every node's state, own diagonal gain block and factor in one
-        stacked call, the call the joint filter makes for its vehicles.
+        every node's state, own diagonal gain block and factor by the
+        network's tick step, the step the joint filter takes for its
+        vehicles.  A period that is not positive and finite, and a gyro or
+        accel that is not a 3-vector, are refused before the node counts
+        as ticked.
         """
         if not 0.0 < dt < inf:
             raise ValueError(f"IMU period must be positive and finite: {dt}")
@@ -237,23 +216,24 @@ class VehicleNode:
         if v in self._pending:
             raise SynchronizationError(
                 f"node {v} ticked twice before tick {self.tick + 1} ended")
+        gyro, accel = np.asarray(u.gyro), np.asarray(u.accel)
+        if gyro.shape != (3,) or accel.shape != (3,):
+            raise ValueError(f"node {v} needs a 3-vector IMU sample, got "
+                             f"{gyro.shape} and {accel.shape}")
         self._pending[v] = dt
-        self._gyro[v] = u.gyro
-        self._accel[v] = u.accel
+        self._gyro[v] = gyro
+        self._accel[v] = accel
         if len(self._pending) < self.n:
             return self
         periods = set(self._pending.values())
         self._pending = {}
         if len(periods) > 1:
             raise SynchronizationError("nodes ticked with different periods")
-        self.state, self._kdiag[...], lam = propagate_vehicle(
-            self.state, self._kdiag, self.lam_acc if self._factors else None,
-            models.ImuSample(self._gyro, self._accel, self.t_ns), dt,
-            self.world, self._noise_term)
+        lam = self._tick(models.ImuSample(self._gyro, self._accel, self.t_ns),
+                         dt, self.lam_acc if self._coupled else None)
         if lam is not None:
             self.lam_acc = lam
         self.tick += 1
-        self.t_ns += int(round(dt * 1e9))
         return self
 
     def emit_propagation_factors(self):
@@ -296,7 +276,7 @@ class VehicleNode:
                 f"factor span {peer.start_tick}..{peer.end_tick} from "
                 f"{peer.sender} does not match the nodes' own span "
                 f"{self._own_span[0]}..{self._own_span[1]}")
-        if peer.start_tick == peer.end_tick or not self._factors:
+        if peer.start_tick == peer.end_tick or not self._coupled:
             return self
         absorb_factor(self.k_col, peer.sender, self._others[peer.sender],
                       peer.lam, self._own)
@@ -320,12 +300,12 @@ class VehicleNode:
         inter-vehicle observation, the target's reply.  An update whose
         small system is singular, ill-conditioned or not finite is refused
         here, once for the network: the broadcast carries no gain
-        correction and every node leaves its column and state alone.
+        correction and every node leaves its column and state alone.  An
+        observation the network refuses (Network._check_observation) is
+        refused before anything moves, as the joint filter refuses it.
         """
+        self._check_observation(obs)
         v = obs.observer
-        check_vehicle("observer", v, self.n)
-        if obs.kind == models.INTERVEHICLE:
-            check_vehicle("inter-vehicle subject", obs.subject, self.n)
         # the model terms read only the vehicles the observation involves
         states = {v: self.state[v]}
         # K[:, ix]: the update slots of the observer's column, then the target's
@@ -336,15 +316,7 @@ class VehicleNode:
                                  "state and gain column first")
             states[obs.subject] = peer_reply.state
             cols.append(peer_reply.k_col)
-
-        key = (obs.kind, obs.observer, obs.subject)
-        dt = self.noise.effective_period(obs.kind, self._last_obs_ns.get(key),
-                                         obs.t_ns)
-
-        r_ix, e_ii = models.update_terms(states, obs, self.world, self.noise,
-                                         dt)
-
-        ix = models.update_indices(obs.kind, obs.observer, obs.subject)
+        key, dt, ix, r_ix, e_ii = self._terms(obs, states)
         try:
             gain = gain_correction(np.hstack(cols), ix, e_ii, dt)
         except UpdateSingularError as exc:
@@ -362,8 +334,12 @@ class VehicleNode:
         """Apply a broadcast update to every node's column and state:
         k_col <- k_col - G k_col[ix, :] and a retraction by
         dt k_col[ix, :]^T r, in one stacked step.  The first applied
-        inter-vehicle broadcast starts the nodes' factors."""
+        inter-vehicle broadcast starts the nodes' factors.  A broadcast
+        whose origin, kind or inter-vehicle subject no observation could
+        have, or whose stamp is not the nodes' time, is refused before
+        anything moves."""
         check_vehicle("broadcast origin", msg.origin, self.n)
+        models.check_source(msg.kind, msg.origin, msg.subject)
         if msg.kind == models.INTERVEHICLE:
             check_vehicle("inter-vehicle subject", msg.subject, self.n)
         if msg.t_ns != self.t_ns:
@@ -375,5 +351,5 @@ class VehicleNode:
         self.state = apply_correction(self.state, self.k_col, msg.kind, ix,
                                       msg.gain, msg.dt, msg.r)
         if msg.kind == models.INTERVEHICLE:
-            self._factors = True
+            self._coupled = True
         return self

@@ -1,12 +1,22 @@
-"""Centralised discrete-time minimum-energy filter over the whole network.
+"""The joint (centralised) minimum-energy filter, and the network core it
+shares with the decentralised nodes of meswarm.distributed.
 
-IMU ticks propagate the estimate through the group exponential and the gain
-matrix through its Riccati flow; landmark and inter-vehicle observations are
-applied sequentially as discrete low-rank updates, except that while the
-gain is block diagonal, which the filter then holds as its diagonal blocks
-only, a tick's landmark updates of different vehicles, which commute
-exactly, are applied together in rounds on those blocks.  A coupled gain is
-held and updated as the decentralised nodes hold and update theirs.
+Network, the base of both filters, makes once the decisions both make:
+which priors and observations are refused, when the gain is coupled, what
+one IMU tick does, which period and model terms an observation gets, and
+whether an update keeps the gain definite.  The algebra both run is here
+as functions: propagate_vehicle, absorb_factor and apply_correction on a
+coupled gain's (n, 15n, 15) column stack, and gain_correction with its
+gate, update_inverse.
+
+JointFilter is the centralised form.  IMU ticks propagate the estimate
+through the group exponential and the gain through its Riccati flow;
+landmark and inter-vehicle observations are applied sequentially as
+discrete low-rank updates, except that while the gain is block diagonal,
+which the filter then holds as its diagonal blocks only, a tick's landmark
+updates of different vehicles, which commute exactly, are applied together
+in rounds on those blocks.  A coupled gain is held and updated as the
+nodes hold and update theirs.
 """
 
 import collections
@@ -82,13 +92,17 @@ def diagonal_blocks(k_col):
     return np.einsum("ii...->i...", k_col.reshape(n, n, STATE_DOF, STATE_DOF))
 
 
-def _check_spd(k, name="K0"):
+# the refusal of a prior whose shape does not fit the vehicle count
+_WRONG_SHAPE = "K0 has the wrong shape for the vehicle count"
+
+
+def _check_spd(k):
     if not np.allclose(k, k.T, rtol=1e-9, atol=0.0):
-        raise ValueError(f"{name} must be symmetric")
+        raise ValueError("K0 must be symmetric")
     try:
         np.linalg.cholesky(k)
     except np.linalg.LinAlgError:
-        raise ValueError(f"{name} must be positive definite") from None
+        raise ValueError("K0 must be positive definite") from None
 
 
 def _still_definite(m, t_ns):
@@ -119,53 +133,129 @@ def _blocks(k, n):
     return k.reshape(n, STATE_DOF, n, STATE_DOF).swapaxes(1, 2)
 
 
-class JointFilter:
+class Network:
+    """The base of JointFilter and distributed.VehicleNode: what both hold
+    and the decisions both make, each made here once.
+
+    It holds the stacked estimate (leading axis n), the filter time, the
+    observation clock (the last applied arrival per (kind, observer,
+    subject)) and the gain, started from the prior's (n, 15n, 15) columns,
+    column v vehicle v's.  A refused prior or observation raises before
+    anything moves, with the same text in both filters.
+    """
+
+    def __init__(self, states, k_col, world, noise):
+        n = len(states)
+        k_col = np.array(k_col, dtype=float, order="C")
+        if k_col.shape != (n, n * STATE_DOF, STATE_DOF):
+            raise ValueError(_WRONG_SHAPE)
+        # the columns side by side: the 15n x 15n prior
+        _check_spd(np.hstack(k_col))
+        self.n = n
+        self.state = stack_states(states)
+        self.world = world
+        self.noise = noise
+        self._noise_term = models.imu_noise_term(noise)
+        self.t_ns = 0
+        self._last_obs_ns = {}
+        # the vehicles other than j, whose columns absorb j's factor
+        self._others = [np.delete(np.arange(n), j) for j in range(n)]
+        self.k_col = k_col
+        # every vehicle's diagonal block, block v of column v: a writeable
+        # view, so a tick's blocks land in k_col in place
+        self._kdiag = diagonal_blocks(k_col)
+        # coupled iff a cross block is non-zero; until then no factor is
+        # kept, since lam_i 0 lam_j^T is exactly 0
+        self._coupled = bool(k_col.reshape(n, n, STATE_DOF, STATE_DOF)
+                             [~np.eye(n, dtype=bool)].any())
+
+    def estimate(self):
+        """Per-vehicle states; later steps never change them in place."""
+        return [self.state[v] for v in range(self.n)]
+
+    def _tick(self, u, dt, lam):
+        """One IMU tick of every vehicle over the period dt, u holding the
+        (n, 3) rows: the estimates, the diagonal gain blocks and the
+        factors lam (None when none is kept) advance in one call, and so
+        does the filter time.  Returns the advanced factors."""
+        self.state, self._kdiag[...], lam = propagate_vehicle(
+            self.state, self._kdiag, lam, u, dt, self.world,
+            self._noise_term)
+        self.t_ns += int(round(dt * 1e9))
+        return lam
+
+    def _check_observation(self, obs):
+        """Refuse an observation that does not carry the filter time (a
+        ValueError naming both stamps), whose observer or inter-vehicle
+        subject is outside 0..n-1 (a ValueError), or whose landmark is
+        unknown (an ObservationError)."""
+        if obs.t_ns != self.t_ns:
+            when = "before" if obs.t_ns < self.t_ns else "after"
+            raise ValueError(f"observation at {obs.t_ns} ns is {when} "
+                             f"filter time {self.t_ns} ns")
+        check_vehicle("observer", obs.observer, self.n)
+        if obs.kind == models.INTERVEHICLE:
+            check_vehicle("inter-vehicle subject", obs.subject, self.n)
+        else:
+            self.world.landmark(obs.subject)
+
+    def _period(self, obs):
+        """The observation's clock key and its period: the time since its
+        source's last applied arrival, under NoiseModel's rules."""
+        key = (obs.kind, obs.observer, obs.subject)
+        return key, self.noise.effective_period(
+            obs.kind, self._last_obs_ns.get(key), obs.t_ns)
+
+    def _terms(self, obs, states):
+        """The clock key, period, update slots ix and model terms (r_ix,
+        e_ii) of one observation, from the states it involves."""
+        key, dt = self._period(obs)
+        r_ix, e_ii = models.update_terms(states, obs, self.world, self.noise,
+                                         dt)
+        return (key, dt, models.update_indices(obs.kind, obs.observer,
+                                               obs.subject), r_ix, e_ii)
+
+    def _keeps_definite(self, k_ii, e_ii, dt):
+        """Whether a low-rank update keeps a definite gain definite: iff
+        the m x m matrix K_ii + dt K_ii E_ii K_ii is, with K_ii = K[ix, ix]
+        before the update ((K+)^-1 = K^-1 + dt E; congruence with K^1/2,
+        and AB and BA sharing their non-zero eigenvalues, reduce the test
+        to the ix block).  A stack of items is tested as one stack, with
+        dt broadcast over it; a loss is logged."""
+        return _still_definite(k_ii + dt * (k_ii @ e_ii @ k_ii), self.t_ns)
+
+
+class JointFilter(Network):
     """Single-writer state machine holding the joint estimate and gain.
 
-    The estimate is one stacked VehicleState, leading axis n for every n,
-    one included.  While every cross block of the gain is zero (no
-    propagation factor kept), the gain is held only as its (n, 15, 15)
-    stack of diagonal blocks: propagation advances it, landmark updates
-    act on it block by block, and no 15n x 15n array is formed.  The first
-    applied inter-vehicle update couples the gain; from then on, and from
-    the start for a prior with a non-zero cross block, it is held as the
-    nodes' (n, 15n, 15) column stack self.k_col, with each vehicle's
-    propagation factor.  Between updates only the diagonal blocks and the
-    factors move, and the cross blocks are brought up to the current tick
-    before the next update.  A block-diagonal filter that sees only
-    landmark updates (`none`, or a single vehicle) never exponentiates.
+    While every cross block of the gain is zero (no propagation factor
+    kept), the gain is held only as its contiguous (n, 15, 15) stack of
+    diagonal blocks: propagation advances it, landmark updates act on it
+    block by block, and no 15n x 15n array is formed.  The first applied
+    inter-vehicle update couples the gain; from then on, and from the
+    start for a coupled prior, it is held as the nodes' (n, 15n, 15)
+    column stack self.k_col, with each vehicle's propagation factor.
+    Between updates only the diagonal blocks and the factors move, and the
+    cross blocks are brought up to the current tick before the next
+    update.  A block-diagonal filter that sees only landmark updates
+    (`none`, or a single vehicle) never exponentiates.
     """
 
     def __init__(self, states, k0, world, noise):
         k0 = np.asarray(k0, dtype=float)
         n = len(states)
         if k0.shape != (n * STATE_DOF, n * STATE_DOF):
-            raise ValueError("K0 has the wrong shape for the vehicle count")
-        _check_spd(k0)
-        self.n = n
-        self.state = stack_states(states)
-        self.world = world
-        self.noise = noise
-        self.t_ns = 0
-        self._noise_term = models.imu_noise_term(noise)
-        # last-observation time per (kind, observer, subject)
-        self._last_obs_ns = {}
-        self._ar = np.arange(n)
-        # the vehicles other than j, whose columns absorb j's factor
-        self._others = [np.delete(self._ar, j) for j in range(n)]
+            raise ValueError(_WRONG_SHAPE)
+        super().__init__(states, np.hsplit(k0, n), world, noise)
         # a landmark update's slots within its observer's diagonal block,
         # for each item of a round
         self._block_ix = np.broadcast_to(np.arange(models.UPDATE_SLOTS),
                                          (n, models.UPDATE_SLOTS))
-        blocks = _blocks(k0, n)
-        if blocks[~np.eye(n, dtype=bool)].any():
-            self._couple(np.hsplit(k0, n))
+        if self._coupled:
+            self._lam = identity_factors(n)
         else:
-            # uncoupled: the diagonal blocks are the whole gain, and no
-            # factor is kept, since lam_i 0 lam_j^T is exactly 0
-            self.k_col = None
-            self._kdiag = blocks[self._ar, self._ar]
-            self._lam = None
+            # the diagonal blocks, copied out contiguous, are the whole gain
+            self._kdiag, self.k_col, self._lam = self._kdiag.copy(), None, None
         # whether the gain has propagated since the last update
         self._stale = False
         # whether the gain is known positive definite (checked at __init__);
@@ -174,15 +264,10 @@ class JointFilter:
 
     def _couple(self, k_col):
         """Hold the gain as its column stack from now on, as a node does."""
-        self.k_col = np.ascontiguousarray(k_col, dtype=float)
-        self._kdiag = diagonal_blocks(self.k_col)
+        self.k_col = k_col
+        self._kdiag = diagonal_blocks(k_col)
         self._lam = identity_factors(self.n)
-
-    # -- accessors -----------------------------------------------------------
-
-    def estimate(self):
-        """Per-vehicle states; later steps never change them in place."""
-        return [self.state[i] for i in range(self.n)]
+        self._coupled = True
 
     # -- IMU propagation -----------------------------------------------------
 
@@ -199,11 +284,8 @@ class JointFilter:
         if u.gyro.shape != (self.n, 3) or u.accel.shape != (self.n, 3):
             raise ValueError(f"need (n, 3) = ({self.n}, 3) IMU rows, got "
                              f"{u.gyro.shape} and {u.accel.shape}")
-        self.state, self._kdiag[...], self._lam = propagate_vehicle(
-            self.state, self._kdiag, self._lam, u, dt, self.world,
-            self._noise_term)
+        self._lam = self._tick(u, dt, self._lam)
         self._stale = True
-        self.t_ns += int(round(dt * 1e9))
         return self
 
     # -- measurement updates ---------------------------------------------------
@@ -213,10 +295,10 @@ class JointFilter:
         filter time, each weighed by the period since its source's last
         applied arrival.
 
-        Every observation must carry the filter time: a stale or a future
-        stamp raises ValueError naming both, before any is applied; so
-        does an observer, or an inter-vehicle subject, outside 0..n-1, and
-        an unknown landmark index raises ObservationError.
+        Every observation is checked by Network._check_observation before
+        any is applied: a stale or a future stamp, an observer or an
+        inter-vehicle subject outside 0..n-1, and an unknown landmark index
+        refuse the whole call.
 
         While the gain is uncoupled (every cross block zero, no factor
         kept), a landmark update touches only its observer's diagonal
@@ -240,27 +322,16 @@ class JointFilter:
         either way.  The propagated gain gets one Cholesky when it is
         rebuilt at an epoch's first update: one of the 15n x 15n matrix of
         the columns, or one stacked 15 x 15 one per diagonal block while
-        uncoupled.  A low-rank update keeps a definite K definite iff the
-        m x m matrix K_ii + dt K_ii E_ii K_ii is, with K_ii = K[ix, ix]
-        before the update: (K+)^-1 = K^-1 + dt E, and congruence with
-        K^1/2 plus AB and BA sharing their non-zero eigenvalues reduce the
-        test to the ix block.  A round tests its items as one stack.  Once
-        lost, definiteness is checked again at the next rebuild.
+        uncoupled.  Each update, or round as one stack, then gets
+        Network._keeps_definite.  Once lost, definiteness is checked again
+        at the next rebuild.
         """
         for obs in observations:
-            if obs.t_ns != self.t_ns:
-                when = "before" if obs.t_ns < self.t_ns else "after"
-                raise ValueError(f"observation at {obs.t_ns} ns is {when} "
-                                 f"filter time {self.t_ns} ns")
-            check_vehicle("observer", obs.observer, self.n)
-            if obs.kind == models.INTERVEHICLE:
-                check_vehicle("inter-vehicle subject", obs.subject, self.n)
-            else:
-                self.world.landmark(obs.subject)
+            self._check_observation(obs)
         if not observations:
             return self
         if self._stale:
-            if self._lam is None:
+            if not self._coupled:
                 self._definite = _still_definite(self._kdiag, self.t_ns)
             else:
                 for j, others in enumerate(self._others):
@@ -272,7 +343,7 @@ class JointFilter:
                                                  self.t_ns)
             self._stale = False
         lead = []
-        if self._lam is None:
+        if not self._coupled:
             lead = list(itertools.takewhile(
                 lambda obs: obs.kind == models.LANDMARK, observations))
         rounds, rank = {}, collections.Counter()
@@ -289,13 +360,7 @@ class JointFilter:
         """One observation on the column stack, as the nodes apply it.  On
         an uncoupled gain (an inter-vehicle update) the columns are built
         from the diagonal blocks and kept once the update is accepted."""
-        key = (obs.kind, obs.observer, obs.subject)
-        dt = self.noise.effective_period(obs.kind, self._last_obs_ns.get(key),
-                                         obs.t_ns)
-        ix = models.update_indices(obs.kind, obs.observer, obs.subject)
-        r_ix, e_ii = models.update_terms(self.state, obs, self.world,
-                                         self.noise, dt)
-
+        key, dt, ix, r_ix, e_ii = self._terms(obs, self.state)
         k_col = self.k_col
         if k_col is None:
             k_col = np.array(np.hsplit(block_diag_prior(self._kdiag), self.n))
@@ -308,9 +373,7 @@ class JointFilter:
         if self.k_col is None:
             self._couple(k_col)
         if self._definite:
-            k_ii = kc[ix, :]
-            self._definite = _still_definite(
-                k_ii + dt * (k_ii @ e_ii @ k_ii), obs.t_ns)
+            self._definite = self._keeps_definite(kc[ix, :], e_ii, dt)
         self.state = apply_correction(self.state, self.k_col, obs.kind, ix,
                                       g, dt, r_ix)
         self._last_obs_ns[key] = obs.t_ns
@@ -325,10 +388,8 @@ class JointFilter:
         r_v.  The items' terms come from one model call; a round of one
         passes its observation as it is."""
         v = np.array([obs.observer for obs in group])
-        keys = [(obs.kind, obs.observer, obs.subject) for obs in group]
-        dt = np.array([self.noise.effective_period(
-            models.LANDMARK, self._last_obs_ns.get(key), self.t_ns)
-            for key in keys])
+        keys, dt = zip(*map(self._period, group))
+        dt = np.array(dt)
         if len(group) == 1:
             terms = models.update_terms(self.state, group[0], self.world,
                                         self.noise, float(dt[0]))
@@ -344,9 +405,8 @@ class JointFilter:
         g = gain_correction(kv[..., :m], self._block_ix[:len(group)], e_ii,
                             dt)
         if self._definite:
-            k_ii = kv[:, :m, :m]
-            self._definite = _still_definite(
-                k_ii + dt[:, None, None] * (k_ii @ e_ii @ k_ii), self.t_ns)
+            self._definite = self._keeps_definite(kv[:, :m, :m], e_ii,
+                                                  dt[:, None, None])
         kv -= g @ kv[:, :m, :]
         kv += kv.swapaxes(-1, -2)
         kv *= 0.5

@@ -176,10 +176,16 @@ class Observation:
     t_ns: int
 
     def __post_init__(self):
-        if self.kind not in (LANDMARK, INTERVEHICLE):
-            raise ObservationError(f"unknown observation kind {self.kind!r}")
-        if self.kind == INTERVEHICLE and self.observer == self.subject:
-            raise ObservationError("a vehicle cannot observe its own marker")
+        check_source(self.kind, self.observer, self.subject)
+
+
+def check_source(kind, observer, subject):
+    """Refuse an observation source that no observation can have: an
+    unknown kind, or a vehicle observing its own marker."""
+    if kind not in (LANDMARK, INTERVEHICLE):
+        raise ObservationError(f"unknown observation kind {kind!r}")
+    if kind == INTERVEHICLE and observer == subject:
+        raise ObservationError("a vehicle cannot observe its own marker")
 
 
 def stack_observations(observations):

@@ -24,7 +24,7 @@ from meswarm.lie import (STATE_DOF, VehicleState, compose, group_exp,
                          make_state, stack_states)
 from meswarm.models import ImuSample, NoiseModel, Observation, WorldConfig
 from test_acceptance import scenario_noise, scenario_sources, scenario_world
-from test_joint import joint_gain
+from test_joint import assert_refused_alike, joint_gain
 from test_lie import identity_state, pose_matrix
 from test_models import dense_hessian, dense_residual, stack_samples
 
@@ -553,6 +553,30 @@ class TestPropagationEquivalence:
         tick_nodes(nodes, imu)
         assert (nodes.tick, nodes.t_ns) == (1, TICK_NS)
 
+    @pytest.mark.parametrize("field", ["gyro", "accel"])
+    @pytest.mark.parametrize("shape", [(2,), (), (1, 3)],
+                             ids=["pair", "scalar", "row"])
+    def test_malformed_sample_refused_before_the_tick(self, world, noise,
+                                                      field, shape):
+        """A gyro or accel that is not a 3-vector is refused before the
+        node counts as ticked, so its corrected retry completes the tick
+        as if the bad sample had never come: a (2,) one once left the node
+        ticked (its retry "ticked twice") and a scalar one was copied to
+        all three axes."""
+        rng = np.random.default_rng(10)
+        joint, nodes = make_network(rng, 2, world, noise)
+        imu = [ImuSample(0.3 * rng.standard_normal(3),
+                         0.3 * rng.standard_normal(3), 0) for _ in range(2)]
+        bad = imu[1]._replace(**{field: np.full(shape, 0.1)})
+        with pytest.raises(ValueError, match="node 1 needs a 3-vector IMU "
+                           "sample"):
+            nodes.propagate_local(1, bad, DT)
+        assert nodes._pending == {}
+        tick_nodes(nodes, imu)
+        joint.propagate(stack_samples(imu), DT)
+        assert (nodes.tick, nodes.t_ns) == (1, TICK_NS)
+        assert_nodes_equal_joint(joint, nodes)
+
 
 def dense_update(k, e, r, dt):
     """Oracle: the full-system step (I + dt K E)^-1 K and its state increment."""
@@ -633,6 +657,26 @@ class TestUpdates:
                              np.zeros(6), np.zeros((15, 6)))
         with pytest.raises(ValueError):
             nodes.apply_update(bc)
+
+    @pytest.mark.parametrize("kind,subject,text", [
+        ("bogus", -1, "unknown observation kind 'bogus'"),
+        (models.INTERVEHICLE, 0, "a vehicle cannot observe its own marker")],
+        ids=["unknown-kind", "self-observation"])
+    def test_apply_refuses_a_source_no_observation_has(self, world, noise,
+                                                       kind, subject, text):
+        """A broadcast is refused, before any node moves, with the text
+        Observation refuses its source with: an unknown kind was once
+        applied as two vehicles' update, subject -1 wrapping around to
+        vehicle 2's rows of k_col."""
+        rng = np.random.default_rng(13)
+        _, nodes = make_network(rng, 3, world, noise)
+        msg = UpdateBroadcast(0, kind, subject, 0.1, nodes.t_ns,
+                              np.ones(12), np.ones((45, 12)))
+        before = nodes.k_col.copy(), pose_matrix(nodes.state)
+        with pytest.raises(models.ObservationError, match=f"^{text}$"):
+            nodes.apply_update(msg)
+        assert_same_bits(nodes.k_col, before[0])
+        assert_same_bits(pose_matrix(nodes.state), before[1])
 
     def test_singular_system_skipped(self, world, noise, caplog):
         rng = np.random.default_rng(12)
@@ -1222,7 +1266,9 @@ class TestVehicleIndexRefused:
     @pytest.mark.parametrize("role", ["observer", "landmark observer",
                                       "subject"])
     def test_joint_update(self, world, noise, role, index):
-        joint, _ = self.network(world, noise)
+        """The joint filter refuses the whole call, and the observing node
+        the observation, alike."""
+        joint, nodes = self.network(world, noise)
         good = Observation(models.LANDMARK, 0, 0, np.zeros(3), joint.t_ns)
         if role == "subject":
             bad = Observation(models.INTERVEHICLE, 0, index, np.zeros(3),
@@ -1231,12 +1277,12 @@ class TestVehicleIndexRefused:
             kind = (models.INTERVEHICLE if role == "observer"
                     else models.LANDMARK)
             bad = Observation(kind, index, 1, np.zeros(3), joint.t_ns)
-        before = joint_gain(joint), pose_matrix(joint.state)
-        with self.refused(index):
-            joint.update(good, bad)
-        assert_same_bits(joint_gain(joint), before[0])
-        assert_same_bits(pose_matrix(joint.state), before[1])
-        assert joint._last_obs_ns == {}
+        assert_refused_alike(
+            ValueError, rf" {index} is not a vehicle of the network "
+            rf"\(n = 3\)$",
+            (joint, lambda: joint.update(good, bad)),
+            (nodes, lambda: nodes.originate_update(bad)))
+        assert joint._last_obs_ns == nodes._last_obs_ns == {}
 
     @pytest.mark.parametrize("index", [-1, 3])
     def test_originate_update_subject(self, world, noise, index):
@@ -1279,16 +1325,26 @@ class TestVehicleIndexRefused:
 
 
 class TestNodeInit:
+    """The nodes refuse a prior as the joint filter does (tests/test_joint
+    TestInit): joint.Network makes the check for both."""
+
     def test_wrong_column_shape(self, world, noise):
-        with pytest.raises(ValueError):
-            VehicleNode([identity_state()] * 2, np.eye(15)[None], world,
-                        noise)
+        """Too few columns, and 15n x 15n of entries in columns of the
+        wrong width, which side by side would look square."""
+        for k_col in (np.eye(15)[None], np.ones((3, 30, 10))):
+            with pytest.raises(ValueError, match=(
+                    "^K0 has the wrong shape for the vehicle count$")):
+                VehicleNode([identity_state()] * 2, k_col, world, noise)
 
     def test_asymmetric_diag_block(self, world, noise):
         col = np.eye(15)[None].copy()
         col[0, 0, 1] = 0.5
-        with pytest.raises(ValueError):
-            VehicleNode([identity_state()], col, world, noise)
+        assert_refused_alike(
+            ValueError, "^K0 must be symmetric$",
+            (None, lambda: VehicleNode([identity_state()], col, world,
+                                       noise)),
+            (None, lambda: JointFilter([identity_state()], col[0], world,
+                                       noise)))
 
 
 # -- the per-node oracle ------------------------------------------------------

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as ScipyRotation
 
-from meswarm import joint, models
+from meswarm import harness, joint, models
+from meswarm.distributed import VehicleNode
 from meswarm.joint import JointFilter, UpdateSingularError, block_diag_prior
 from meswarm.lie import STATE_DOF, make_state
 from meswarm.models import ImuSample, NoiseModel, Observation, WorldConfig
@@ -50,6 +51,59 @@ def random_spd(rng, dim, scale=0.1):
     return scale * (a @ a.T) + 0.5 * np.eye(dim)
 
 
+# -- both forms of the filter, as one network ---------------------------------
+
+def both_filters(states, k0, world, noise):
+    """The joint filter and the decentralised nodes started from one
+    15n x 15n prior, the nodes from its columns."""
+    return (JointFilter(states, k0, world, noise),
+            VehicleNode(states, np.hsplit(k0, len(states)), world, noise))
+
+
+def still_tick(flt):
+    """One IMU tick of zero rows, 5 ms, through either filter's entry."""
+    if isinstance(flt, JointFilter):
+        flt.propagate(still_imu(flt.n), 0.005)
+    else:
+        for v in range(flt.n):
+            flt.propagate_local(v, ImuSample(np.zeros(3), np.zeros(3), 0),
+                                0.005)
+
+
+def apply_observation(flt, obs):
+    """One observation through either filter: the joint filter's update,
+    or the nodes' factor exchange, reply, broadcast and apply."""
+    if isinstance(flt, JointFilter):
+        flt.update(obs)
+    else:
+        harness._distributed_update(flt, obs, 0, harness.MessageBus())
+
+
+def snapshot(flt):
+    """The bits of a filter's gain and estimate, its observation clock and
+    its time."""
+    state = b"".join(np.ascontiguousarray(getattr(flt.state, f.name))
+                     .tobytes() for f in dataclasses.fields(flt.state))
+    return (joint_gain(flt).tobytes(), state, dict(flt._last_obs_ns),
+            flt.t_ns)
+
+
+def assert_refused_alike(exc_type, match, *attempts):
+    """Each (filter, call) attempt raises exc_type itself, every one with
+    the same text, which `match` matches, and leaves the filter's gain,
+    estimate, clock and time with the bits they had.  A filter of None is
+    a construction: it has nothing to keep."""
+    texts = set()
+    for flt, call in attempts:
+        before = None if flt is None else snapshot(flt)
+        with pytest.raises(exc_type, match=match) as info:
+            call()
+        assert type(info.value) is exc_type
+        texts.add(str(info.value))
+        assert before is None or snapshot(flt) == before
+    assert len(texts) == 1
+
+
 @pytest.fixture
 def world():
     return WorldConfig(landmarks={0: np.array([1.0, 2.0, 0.5]),
@@ -67,26 +121,52 @@ def noise():
 
 
 class TestInit:
+    """The joint filter and the nodes accept and refuse the same priors,
+    with the same texts: both are a joint.Network."""
+
     def test_identity_prior(self, world, noise):
-        f = JointFilter([identity_state()], np.eye(15), world, noise)
-        np.testing.assert_array_equal(joint_gain(f), np.eye(15))
-        assert len(f.estimate()) == 1
+        for f in both_filters([identity_state()], np.eye(15), world, noise):
+            np.testing.assert_array_equal(joint_gain(f), np.eye(15))
+            assert len(f.estimate()) == 1
+
+    @staticmethod
+    def refused(match, states, k0, world, noise, k_col=None):
+        """JointFilter refuses k0 and VehicleNode its columns (or k_col),
+        alike."""
+        k_col = np.hsplit(k0, len(states)) if k_col is None else k_col
+        assert_refused_alike(
+            ValueError, match,
+            (None, lambda: JointFilter(states, k0, world, noise)),
+            (None, lambda: VehicleNode(states, k_col, world, noise)))
 
     def test_rank_deficient_prior_rejected(self, world, noise):
         k0 = np.eye(15)
         k0[0, 0] = 0.0
-        with pytest.raises(ValueError):
-            JointFilter([identity_state()], k0, world, noise)
+        self.refused("^K0 must be positive definite$", [identity_state()],
+                     k0, world, noise)
 
     def test_wrong_shape_rejected(self, world, noise):
-        with pytest.raises(ValueError):
-            JointFilter([identity_state()] * 2, np.eye(15), world, noise)
+        self.refused("^K0 has the wrong shape for the vehicle count$",
+                     [identity_state()] * 2, np.eye(15), world, noise,
+                     k_col=np.eye(15)[None])
+
+    @pytest.mark.parametrize("case", ["asymmetric", "indefinite"])
+    def test_cross_block_refused(self, world, noise, case):
+        """A cross block is checked as the diagonal blocks are: the nodes
+        once accepted an asymmetric one and a symmetric indefinite one."""
+        k0 = np.eye(30)
+        k0[0, 15] = 5.0
+        if case == "indefinite":
+            k0[15, 0] = 5.0
+        word = "symmetric" if case == "asymmetric" else "positive definite"
+        self.refused(f"^K0 must be {word}$", [identity_state()] * 2, k0,
+                     world, noise)
 
     def test_block_diag_prior_has_zero_cross_blocks(self, world, noise):
         rng = np.random.default_rng(0)
         k0 = block_diag_prior([random_spd(rng, 15), random_spd(rng, 15)])
-        f = JointFilter([identity_state()] * 2, k0, world, noise)
-        np.testing.assert_array_equal(joint_gain(f)[:15, 15:], 0.0)
+        for f in both_filters([identity_state()] * 2, k0, world, noise):
+            np.testing.assert_array_equal(joint_gain(f)[:15, 15:], 0.0)
 
 
 class TestPropagate:
@@ -263,28 +343,34 @@ class TestUpdate:
                                        pose_matrix(x_ref), atol=1e-10)
 
     def test_stale_observation_rejected(self, world, noise):
-        f = JointFilter([identity_state()], np.eye(15), world, noise)
-        f.propagate(still_imu(), 0.005)
-        with pytest.raises(ValueError):
-            f.update(Observation(models.LANDMARK, 0, 0, np.zeros(3), 0))
+        f, nodes = both_filters([identity_state()], np.eye(15), world, noise)
+        obs = Observation(models.LANDMARK, 0, 0, np.zeros(3), 0)
+        for flt in (f, nodes):
+            still_tick(flt)
+        assert_refused_alike(ValueError, "is before filter time",
+                             (f, lambda: f.update(obs)),
+                             (nodes, lambda: nodes.originate_update(obs)))
 
     @pytest.mark.parametrize("stamp,word", [(0, "before"),
                                             (10_000_000, "after")])
     def test_off_time_observation_refused_before_any_update(
             self, world, noise, stamp, word):
         """A call's observations must all carry the filter time; one stale
-        or future stamp refuses the whole call, naming both stamps."""
-        f = JointFilter([identity_state()] * 2, np.eye(30), world, noise)
-        f.propagate(still_imu(2), 0.005)
-        before, state = joint_gain(f), f.state
+        or future stamp refuses the whole call, naming both stamps.  The
+        observing node refuses it alike, before its clock moves (it once
+        took a future stamp and left the refusal to apply_update)."""
+        f, nodes = both_filters([identity_state()] * 2, np.eye(30), world,
+                                noise)
+        for flt in (f, nodes):
+            still_tick(flt)
         good = Observation(models.LANDMARK, 0, 0, np.zeros(3), 5_000_000)
         bad = Observation(models.LANDMARK, 1, 0, np.zeros(3), stamp)
-        with pytest.raises(ValueError, match=(
-                f"observation at {stamp} ns is {word} filter time "
-                "5000000 ns")):
-            f.update(good, bad)
-        np.testing.assert_array_equal(joint_gain(f), before)
-        assert f.state is state and f._last_obs_ns == {}
+        assert_refused_alike(
+            ValueError,
+            f"^observation at {stamp} ns is {word} filter time 5000000 ns$",
+            (f, lambda: f.update(good, bad)),
+            (nodes, lambda: nodes.originate_update(bad)))
+        assert f._last_obs_ns == nodes._last_obs_ns == {}
 
     @pytest.mark.parametrize("coupled", [False, True])
     def test_unknown_landmark_refused_before_any_update(self, world, noise,
@@ -292,28 +378,29 @@ class TestUpdate:
         """An unknown landmark index refuses the whole call, on a coupled
         gain (updated one observation at a time) as on an uncoupled one
         (in rounds): the gain, the estimates and the observation clock
-        stay as they were."""
+        stay as they were.  The observing node refuses it alike."""
         rng = np.random.default_rng(12)
         n = 3
         k0 = (random_spd(rng, n * STATE_DOF, scale=0.02) if coupled else
               block_diag_prior([random_spd(rng, STATE_DOF)
                                 for _ in range(n)]))
-        f = JointFilter([random_state(rng) for _ in range(n)], k0, world,
-                        noise)
-        f.propagate(still_imu(n), 0.005)
-        f.update(Observation(models.LANDMARK, 1, 0, rng.standard_normal(3),
-                             5_000_000))
-        f.propagate(still_imu(n), 0.005)
-        before, state, clock = joint_gain(f), f.state, dict(f._last_obs_ns)
+        f, nodes = both_filters([random_state(rng) for _ in range(n)], k0,
+                                world, noise)
+        first = Observation(models.LANDMARK, 1, 0, rng.standard_normal(3),
+                            5_000_000)
+        for flt in (f, nodes):
+            still_tick(flt)
+            apply_observation(flt, first)
+            still_tick(flt)
+        assert f._last_obs_ns == nodes._last_obs_ns != {}
         good = [Observation(models.LANDMARK, v, 1, rng.standard_normal(3),
                             10_000_000) for v in range(n)]
         unknown = Observation(models.LANDMARK, 2, 99, np.zeros(3),
                               10_000_000)
-        with pytest.raises(models.ObservationError,
-                           match="unknown landmark index 99"):
-            f.update(*good, unknown)
-        np.testing.assert_array_equal(joint_gain(f), before)
-        assert f.state is state and f._last_obs_ns == clock
+        assert_refused_alike(
+            models.ObservationError, "^unknown landmark index 99$",
+            (f, lambda: f.update(*good, unknown)),
+            (nodes, lambda: nodes.originate_update(unknown)))
 
     def test_gain_symmetry_after_fuzz(self, world, noise):
         """A coupled gain is held as its columns, as the nodes hold it,

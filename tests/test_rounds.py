@@ -18,7 +18,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from meswarm import harness, joint, models
@@ -135,7 +135,11 @@ class TestRoundsEqualOnePerCall:
         single = run_recorded(True, mode, n, n_landmarks, rate_hz, dropout,
                               seed, refuse_tick)
         records, logged, text, rows, poisoned = rounds
-        assert len(records) == len(single[0]) > 0
+        assert len(records) == len(single[0])
+        # a draw whose dropout removes every observation (one vehicle, one
+        # landmark, 2 Hz, dropout 0.7: three draws of 0.7) makes no update
+        # call and has nothing to compare; hypothesis draws another
+        assume(records)
         for (k, state, clock), (k1, state1, clock1) in zip(records,
                                                             single[0]):
             np.testing.assert_array_equal(k, k1)
