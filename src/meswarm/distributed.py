@@ -26,10 +26,10 @@ from math import inf, isfinite
 import numpy as np
 
 from . import models
-from .joint import (Network, UpdateSingularError, absorb_factor,
-                    apply_correction, check_vehicle, gain_correction,
-                    identity_factors)
-from .lie import VehicleState
+from .joint import (_WRONG_SHAPE, Network, UpdateSingularError,
+                    absorb_factor, apply_correction, check_vehicle,
+                    gain_correction, identity_factors)
+from .lie import STATE_DOF, VehicleState
 
 log = logging.getLogger(__name__)
 
@@ -180,8 +180,11 @@ class VehicleNode(Network):
     """
 
     def __init__(self, states, k_col, world, noise):
-        super().__init__(states, k_col, world, noise)
-        n = self.n
+        n = len(states)
+        if np.shape(k_col) != (n, n * STATE_DOF, STATE_DOF):
+            raise ValueError(_WRONG_SHAPE)
+        # the columns side by side: the prior, which Network checks
+        super().__init__(states, np.hstack(k_col), world, noise)
         self.lam_acc = identity_factors(n)
         self.lam_start_tick = 0
         # every node's last emitted factor, which it pairs with a peer's

@@ -139,18 +139,20 @@ class Network:
 
     It holds the stacked estimate (leading axis n), the filter time, the
     observation clock (the last applied arrival per (kind, observer,
-    subject)) and the gain, started from the prior's (n, 15n, 15) columns,
+    subject)) and the gain, started from the 15n x 15n prior k0, which is
+    checked as it is given and then split into its (n, 15n, 15) columns,
     column v vehicle v's.  A refused prior or observation raises before
     anything moves, with the same text in both filters.
     """
 
-    def __init__(self, states, k_col, world, noise):
+    def __init__(self, states, k0, world, noise):
         n = len(states)
-        k_col = np.array(k_col, dtype=float, order="C")
-        if k_col.shape != (n, n * STATE_DOF, STATE_DOF):
+        k0 = np.asarray(k0, dtype=float)
+        if k0.shape != (n * STATE_DOF, n * STATE_DOF):
             raise ValueError(_WRONG_SHAPE)
-        # the columns side by side: the 15n x 15n prior
-        _check_spd(np.hstack(k_col))
+        _check_spd(k0)
+        # the prior's columns, copied once into one C-contiguous stack
+        k_col = np.array(np.hsplit(k0, n))
         self.n = n
         self.state = stack_states(states)
         self.world = world
@@ -242,11 +244,8 @@ class JointFilter(Network):
     """
 
     def __init__(self, states, k0, world, noise):
-        k0 = np.asarray(k0, dtype=float)
-        n = len(states)
-        if k0.shape != (n * STATE_DOF, n * STATE_DOF):
-            raise ValueError(_WRONG_SHAPE)
-        super().__init__(states, np.hsplit(k0, n), world, noise)
+        super().__init__(states, k0, world, noise)
+        n = self.n
         # a landmark update's slots within its observer's diagonal block,
         # for each item of a round
         self._block_ix = np.broadcast_to(np.arange(models.UPDATE_SLOTS),
@@ -362,7 +361,7 @@ class JointFilter(Network):
         from the diagonal blocks and kept once the update is accepted."""
         key, dt, ix, r_ix, e_ii = self._terms(obs, self.state)
         k_col = self.k_col
-        if k_col is None:
+        if not self._coupled:
             k_col = np.array(np.hsplit(block_diag_prior(self._kdiag), self.n))
         # K[:, ix]: the observer's update slots, then the subject's
         cols = [k_col[obs.observer, :, :models.UPDATE_SLOTS]]
@@ -370,7 +369,7 @@ class JointFilter(Network):
             cols.append(k_col[obs.subject, :, :models.UPDATE_SLOTS])
         kc = np.hstack(cols)
         g = gain_correction(kc, ix, e_ii, dt)
-        if self.k_col is None:
+        if not self._coupled:
             self._couple(k_col)
         if self._definite:
             self._definite = self._keeps_definite(kc[ix, :], e_ii, dt)

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meswarm import harness, joint, models
@@ -126,6 +126,12 @@ class TestRoundsEqualOnePerCall:
     # a refusal in the first round of a later epoch
     @example(mode=harness.MODE_NONE, n=4, n_landmarks=2, rate_hz=10.0,
              dropout=0.0, seed=3, refuse=2)
+    # dropout removes all three observations of one vehicle, one landmark
+    # at 2 Hz: no update call, which the first assertion refuses; such a
+    # draw can also come up at random (CHANGES.md, FOUND)
+    @example(mode=harness.MODE_NONE, n=1, n_landmarks=1, rate_hz=2.0,
+             dropout=0.7, seed=94, refuse=None).xfail(
+        raises=AssertionError, reason="no observation survives dropout")
     def test_same_bits(self, mode, n, n_landmarks, rate_hz, dropout, seed,
                        refuse):
         epochs = _observation_ticks(rate_hz, 100.0, 150)
@@ -135,11 +141,7 @@ class TestRoundsEqualOnePerCall:
         single = run_recorded(True, mode, n, n_landmarks, rate_hz, dropout,
                               seed, refuse_tick)
         records, logged, text, rows, poisoned = rounds
-        assert len(records) == len(single[0])
-        # a draw whose dropout removes every observation (one vehicle, one
-        # landmark, 2 Hz, dropout 0.7: three draws of 0.7) makes no update
-        # call and has nothing to compare; hypothesis draws another
-        assume(records)
+        assert len(records) == len(single[0]) > 0
         for (k, state, clock), (k1, state1, clock1) in zip(records,
                                                             single[0]):
             np.testing.assert_array_equal(k, k1)
