@@ -1,9 +1,11 @@
 """The decentralised filter: one node per vehicle, run as stacked arrays.
 
 The nodes are the joint filter split across the vehicles: VehicleNode is
-a meswarm.joint.Network, as JointFilter is, and runs the same steps of
-meswarm.joint; what the nodes add is the wire.  Each node owns its own
-state estimate and one 15n x 15 column slice of the joint gain matrix.
+a meswarm.joint.Network, as JointFilter is, starts from the same 15n x 15n
+prior, holds the network state as the joint filter holds it and runs the
+same steps of meswarm.joint; what the nodes add is the wire.  Each node
+owns its own state estimate and one 15n x 15 column slice of the joint
+gain matrix.
 Between observations nodes run silently, accumulating a propagation
 factor; when an observation is originated the factors are exchanged, the
 originating node computes the low-rank gain correction once and broadcasts
@@ -21,14 +23,13 @@ import logging
 from binascii import b2a_base64
 from dataclasses import dataclass
 from functools import lru_cache
-from math import inf, isfinite
+from math import isfinite
 
 import numpy as np
 
 from . import models
-from .joint import (_WRONG_SHAPE, Network, UpdateSingularError,
-                    absorb_factor, apply_correction, check_vehicle,
-                    gain_correction, identity_factors)
+from .joint import (Network, UpdateSingularError, absorb_factor,
+                    check_vehicle, gain_correction, identity_factors)
 from .lie import STATE_DOF, VehicleState
 
 log = logging.getLogger(__name__)
@@ -171,21 +172,18 @@ class VehicleNode(Network):
     own column, its own state, the keys of its own observations in the
     observation clock and the wire messages.
 
-    Factors are kept under the network's coupling rule: from the first tick
-    for a prior with a non-zero cross block, otherwise from the first
-    applied inter-vehicle broadcast, which every node applies.  Until then
-    every cross block is exactly zero, no factor is exponentiated, and the
-    nodes emit identity factors, which absorb into a zero block as exactly
-    zero.
+    The nodes start from the 15n x 15n prior k0, which Network checks and
+    splits into the columns.  Factors are kept under the network's
+    coupling rule: from the first tick for a prior with a non-zero cross
+    block, otherwise from the first applied inter-vehicle broadcast, which
+    every node applies.  Until then every cross block is exactly zero, no
+    factor is exponentiated, and the nodes emit identity factors, which
+    absorb into a zero block as exactly zero.
     """
 
-    def __init__(self, states, k_col, world, noise):
-        n = len(states)
-        if np.shape(k_col) != (n, n * STATE_DOF, STATE_DOF):
-            raise ValueError(_WRONG_SHAPE)
-        # the columns side by side: the prior, which Network checks
-        super().__init__(states, np.hstack(k_col), world, noise)
-        self.lam_acc = identity_factors(n)
+    def __init__(self, states, k0, world, noise):
+        super().__init__(states, k0, world, noise)
+        n = self.n
         self.lam_start_tick = 0
         # every node's last emitted factor, which it pairs with a peer's
         self._own = identity_factors(n)
@@ -210,32 +208,24 @@ class VehicleNode(Network):
         every node's state, own diagonal gain block and factor by the
         network's tick step, the step the joint filter takes for its
         vehicles.  A period that is not positive and finite, and a gyro or
-        accel that is not a 3-vector, are refused before the node counts
-        as ticked.
+        accel that is not a 3-vector, are refused by Network._check_imu
+        before the node counts as ticked.
         """
-        if not 0.0 < dt < inf:
-            raise ValueError(f"IMU period must be positive and finite: {dt}")
+        self._check_imu(u, dt, (3,), v)
         check_vehicle("node", v, self.n)
         if v in self._pending:
             raise SynchronizationError(
                 f"node {v} ticked twice before tick {self.tick + 1} ended")
-        gyro, accel = np.asarray(u.gyro), np.asarray(u.accel)
-        if gyro.shape != (3,) or accel.shape != (3,):
-            raise ValueError(f"node {v} needs a 3-vector IMU sample, got "
-                             f"{gyro.shape} and {accel.shape}")
         self._pending[v] = dt
-        self._gyro[v] = gyro
-        self._accel[v] = accel
+        self._gyro[v] = u.gyro
+        self._accel[v] = u.accel
         if len(self._pending) < self.n:
             return self
         periods = set(self._pending.values())
         self._pending = {}
         if len(periods) > 1:
             raise SynchronizationError("nodes ticked with different periods")
-        lam = self._tick(models.ImuSample(self._gyro, self._accel, self.t_ns),
-                         dt, self.lam_acc if self._coupled else None)
-        if lam is not None:
-            self.lam_acc = lam
+        self._tick(models.ImuSample(self._gyro, self._accel, self.t_ns), dt)
         self.tick += 1
         return self
 
@@ -337,10 +327,11 @@ class VehicleNode(Network):
         """Apply a broadcast update to every node's column and state:
         k_col <- k_col - G k_col[ix, :] and a retraction by
         dt k_col[ix, :]^T r, in one stacked step.  The first applied
-        inter-vehicle broadcast starts the nodes' factors.  A broadcast
-        whose origin, kind or inter-vehicle subject no observation could
-        have, or whose stamp is not the nodes' time, is refused before
-        anything moves."""
+        inter-vehicle broadcast starts the nodes' factors (Network._apply).
+        A broadcast whose origin, kind or inter-vehicle subject no
+        observation could have, whose stamp is not the nodes' time, or
+        whose r is not (m,) or gain not (15n, m) for its kind, is refused
+        before anything moves."""
         check_vehicle("broadcast origin", msg.origin, self.n)
         models.check_source(msg.kind, msg.origin, msg.subject)
         if msg.kind == models.INTERVEHICLE:
@@ -348,11 +339,14 @@ class VehicleNode(Network):
         if msg.t_ns != self.t_ns:
             raise ValueError(
                 f"nodes at {self.t_ns} ns got update for {msg.t_ns} ns")
-        if msg.gain is None:
-            return self
         ix = models.update_indices(msg.kind, msg.origin, msg.subject)
-        self.state = apply_correction(self.state, self.k_col, msg.kind, ix,
-                                      msg.gain, msg.dt, msg.r)
-        if msg.kind == models.INTERVEHICLE:
-            self._coupled = True
+        m = len(ix)
+        if np.shape(msg.r) != (m,) or (msg.gain is not None and np.shape(
+                msg.gain) != (self.n * STATE_DOF, m)):
+            raise ValueError(
+                f"{msg.kind} broadcast needs r of shape ({m},) and gain of "
+                f"shape ({self.n * STATE_DOF}, {m}), got {np.shape(msg.r)} "
+                f"and {np.shape(msg.gain)}")
+        if msg.gain is not None:
+            self._apply(msg.kind, ix, msg.gain, msg.dt, msg.r)
         return self

@@ -20,7 +20,7 @@ import numpy as np
 from . import distributed, models
 from .distributed import VehicleNode
 from .joint import JointFilter, block_diag_prior
-from .kernels import skew, so3_exp
+from .kernels import so3_exp
 from .lie import STATE_DOF, VehicleState, make_state, rotation_error_angle
 from .models import ImuSample, ImuStream, Observation
 
@@ -484,16 +484,17 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
     observations, after dropout, in one JointFilter.update call, in event
     order; in `distributed` every observation runs its own exchange.
 
-    `none` is the JointFilter of `central` without the inter-vehicle
-    channel: its cross blocks stay exactly zero, so its vehicles evolve as
-    n isolated filters, it holds its gain as the (n, 15, 15) diagonal
-    blocks only, keeps no propagation factor and never exponentiates, its
-    landmark updates go in one round per landmark rank (each vehicle's
-    d-th observation in round d) on those blocks, and a lost definiteness
-    warns once per epoch.  `central` holds the same blocks until its first
-    applied inter-vehicle update couples the gain, so only the landmark
-    updates before it go in rounds; from then on it holds and updates the
-    gain as the nodes of `distributed` do, as an (n, 15n, 15) column stack.
+    All three modes start from the same 15n x 15n prior and hold the gain
+    as the same (n, 15n, 15) column stack.  `none` is the JointFilter of
+    `central` without the inter-vehicle channel: its cross blocks stay
+    exactly zero, so its vehicles evolve as n isolated filters, it keeps
+    no propagation factor and never exponentiates, its landmark updates go
+    in one round per landmark rank (each vehicle's d-th observation in
+    round d) on the diagonal blocks, and a lost definiteness warns once
+    per epoch.  `central` does the same until its first applied
+    inter-vehicle update couples the gain, so only the landmark updates
+    before it go in rounds; from then on it updates the gain as the nodes
+    of `distributed` do.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -532,12 +533,9 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
     k0 = block_diag_prior([prior.k0_block()] * n)
 
     bus = MessageBus(record=record_bus)
-    if mode == MODE_DISTRIBUTED:
-        # node v starts from column v of the joint prior
-        flt = VehicleNode(est0, k0.reshape(n * STATE_DOF, n, STATE_DOF)
-                          .swapaxes(0, 1), world, noise)
-    else:
-        flt = JointFilter(est0, k0, world, noise)
+    flt = (VehicleNode if mode == MODE_DISTRIBUTED else JointFilter)(
+        est0, k0, world, noise)
+    if mode != MODE_DISTRIBUTED:
         # every tick's (n, 3) rows, read from the streams once
         gyro = np.stack([src.imu.gyro[:n_ticks] for src in sources], axis=1)
         accel = np.stack([src.imu.accel[:n_ticks] for src in sources], axis=1)

@@ -1,22 +1,22 @@
 """The joint (centralised) minimum-energy filter, and the network core it
 shares with the decentralised nodes of meswarm.distributed.
 
-Network, the base of both filters, makes once the decisions both make:
-which priors and observations are refused, when the gain is coupled, what
-one IMU tick does, which period and model terms an observation gets, and
-whether an update keeps the gain definite.  The algebra both run is here
-as functions: propagate_vehicle, absorb_factor and apply_correction on a
-coupled gain's (n, 15n, 15) column stack, and gain_correction with its
-gate, update_inverse.
+Network, the base of both filters, holds the network state once: the
+estimate, the gain as the (n, 15n, 15) stack of its columns, the
+propagation factors and the coupling.  It makes once the decisions both
+filters make: which priors, IMU samples and observations are refused, when
+the gain is coupled, what one IMU tick does, which period and model terms
+an observation gets, how an update is applied, and whether it keeps the
+gain definite.  The algebra both run is here as functions:
+propagate_vehicle, absorb_factor and apply_correction on the column stack,
+and gain_correction with its gate, update_inverse.
 
 JointFilter is the centralised form.  IMU ticks propagate the estimate
 through the group exponential and the gain through its Riccati flow;
 landmark and inter-vehicle observations are applied sequentially as
-discrete low-rank updates, except that while the gain is block diagonal,
-which the filter then holds as its diagonal blocks only, a tick's landmark
-updates of different vehicles, which commute exactly, are applied together
-in rounds on those blocks.  A coupled gain is held and updated as the
-nodes hold and update theirs.
+discrete low-rank updates, except that while the gain is block diagonal a
+tick's landmark updates of different vehicles, which commute exactly, are
+applied together in rounds on the diagonal blocks.
 """
 
 import collections
@@ -85,17 +85,6 @@ def apply_correction(state, k_col, kind, ix, g, dt, r):
     return retract(state, dt * (k_col[:, ix, :].swapaxes(-1, -2) @ r))
 
 
-def diagonal_blocks(k_col):
-    """Block v of column v for every v: a writeable (n, 15, 15) view of a
-    C-contiguous column stack (the reshape splits the row axis only)."""
-    n = len(k_col)
-    return np.einsum("ii...->i...", k_col.reshape(n, n, STATE_DOF, STATE_DOF))
-
-
-# the refusal of a prior whose shape does not fit the vehicle count
-_WRONG_SHAPE = "K0 has the wrong shape for the vehicle count"
-
-
 def _check_spd(k):
     if not np.allclose(k, k.T, rtol=1e-9, atol=0.0):
         raise ValueError("K0 must be symmetric")
@@ -134,25 +123,30 @@ def _blocks(k, n):
 
 
 class Network:
-    """The base of JointFilter and distributed.VehicleNode: what both hold
-    and the decisions both make, each made here once.
+    """The base of JointFilter and distributed.VehicleNode: the network
+    state, which both hold this way only, and the decisions both make,
+    each made here once.
 
     It holds the stacked estimate (leading axis n), the filter time, the
     observation clock (the last applied arrival per (kind, observer,
-    subject)) and the gain, started from the 15n x 15n prior k0, which is
-    checked as it is given and then split into its (n, 15n, 15) columns,
-    column v vehicle v's.  A refused prior or observation raises before
-    anything moves, with the same text in both filters.
+    subject)), the gain and the propagation factors.  The gain starts from
+    the 15n x 15n prior k0, which is checked as it is given and then split
+    into its (n, 15n, 15) columns k_col, column v vehicle v's, with the
+    diagonal blocks as the writeable view _kdiag.  It is coupled iff a
+    cross block is non-zero, from the start for such a prior, otherwise
+    from the first applied inter-vehicle update.  Until then the cross
+    blocks are never written, and the factors lam_acc stay the identity,
+    since lam_i 0 lam_j^T is exactly 0.  A refused prior, IMU sample or
+    observation raises before anything moves, a prior or an observation
+    with the same text in both filters.
     """
 
     def __init__(self, states, k0, world, noise):
         n = len(states)
         k0 = np.asarray(k0, dtype=float)
         if k0.shape != (n * STATE_DOF, n * STATE_DOF):
-            raise ValueError(_WRONG_SHAPE)
+            raise ValueError("K0 has the wrong shape for the vehicle count")
         _check_spd(k0)
-        # the prior's columns, copied once into one C-contiguous stack
-        k_col = np.array(np.hsplit(k0, n))
         self.n = n
         self.state = stack_states(states)
         self.world = world
@@ -162,29 +156,45 @@ class Network:
         self._last_obs_ns = {}
         # the vehicles other than j, whose columns absorb j's factor
         self._others = [np.delete(np.arange(n), j) for j in range(n)]
-        self.k_col = k_col
+        # the prior's columns, copied once into one C-contiguous stack
+        self.k_col = np.array(np.hsplit(k0, n))
+        blocks = self.k_col.reshape(n, n, STATE_DOF, STATE_DOF)
         # every vehicle's diagonal block, block v of column v: a writeable
-        # view, so a tick's blocks land in k_col in place
-        self._kdiag = diagonal_blocks(k_col)
-        # coupled iff a cross block is non-zero; until then no factor is
-        # kept, since lam_i 0 lam_j^T is exactly 0
-        self._coupled = bool(k_col.reshape(n, n, STATE_DOF, STATE_DOF)
-                             [~np.eye(n, dtype=bool)].any())
+        # view (the reshape splits the row axis only), so a tick's blocks
+        # land in k_col in place
+        self._kdiag = np.einsum("ii...->i...", blocks)
+        self._coupled = bool(blocks[~np.eye(n, dtype=bool)].any())
+        # every vehicle's propagation factor since its cross blocks were
+        # last brought up to date
+        self.lam_acc = identity_factors(n)
 
     def estimate(self):
         """Per-vehicle states; later steps never change them in place."""
         return [self.state[v] for v in range(self.n)]
 
-    def _tick(self, u, dt, lam):
+    def _check_imu(self, u, dt, shape, node=None):
+        """Refuse a period that is not positive and finite, and a gyro or
+        accel, an array or a nested list, that is not of `shape`: (n, 3)
+        for the joint filter, (3,) for a node."""
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"IMU period must be positive and finite: {dt}")
+        gyro, accel = np.asarray(u.gyro).shape, np.asarray(u.accel).shape
+        if gyro != shape or accel != shape:
+            who = "the joint filter" if node is None else f"node {node}"
+            raise ValueError(f"{who} needs IMU rows of shape {shape}, got "
+                             f"{gyro} and {accel}")
+
+    def _tick(self, u, dt):
         """One IMU tick of every vehicle over the period dt, u holding the
-        (n, 3) rows: the estimates, the diagonal gain blocks and the
-        factors lam (None when none is kept) advance in one call, and so
-        does the filter time.  Returns the advanced factors."""
+        (n, 3) rows: the estimates, the diagonal gain blocks and, while
+        coupled, the factors advance in one call, and so does the filter
+        time."""
         self.state, self._kdiag[...], lam = propagate_vehicle(
-            self.state, self._kdiag, lam, u, dt, self.world,
-            self._noise_term)
+            self.state, self._kdiag, self.lam_acc if self._coupled else None,
+            u, dt, self.world, self._noise_term)
+        if self._coupled:
+            self.lam_acc = lam
         self.t_ns += int(round(dt * 1e9))
-        return lam
 
     def _check_observation(self, obs):
         """Refuse an observation that does not carry the filter time (a
@@ -226,47 +236,39 @@ class Network:
         dt broadcast over it; a loss is logged."""
         return _still_definite(k_ii + dt * (k_ii @ e_ii @ k_ii), self.t_ns)
 
+    def _apply(self, kind, ix, g, dt, r):
+        """Apply an accepted update, its correction g and residual r at the
+        slots ix, to every column and estimate; the first inter-vehicle
+        one couples the gain."""
+        self.state = apply_correction(self.state, self.k_col, kind, ix, g,
+                                      dt, r)
+        if kind == models.INTERVEHICLE:
+            self._coupled = True
+
 
 class JointFilter(Network):
-    """Single-writer state machine holding the joint estimate and gain.
+    """Single-writer state machine over the joint estimate and gain, held
+    as Network holds them, as the nodes hold theirs.
 
-    While every cross block of the gain is zero (no propagation factor
-    kept), the gain is held only as its contiguous (n, 15, 15) stack of
-    diagonal blocks: propagation advances it, landmark updates act on it
-    block by block, and no 15n x 15n array is formed.  The first applied
-    inter-vehicle update couples the gain; from then on, and from the
-    start for a coupled prior, it is held as the nodes' (n, 15n, 15)
-    column stack self.k_col, with each vehicle's propagation factor.
-    Between updates only the diagonal blocks and the factors move, and the
-    cross blocks are brought up to the current tick before the next
-    update.  A block-diagonal filter that sees only landmark updates
-    (`none`, or a single vehicle) never exponentiates.
+    Between updates only the diagonal blocks and, while coupled, the
+    factors move; the cross blocks are brought up to the current tick
+    before the next update.  While the gain is uncoupled, landmark updates
+    act on the diagonal blocks only, and no 15n x 15n array is formed.  A
+    block-diagonal filter that sees only landmark updates (`none`, or a
+    single vehicle) never exponentiates.
     """
 
     def __init__(self, states, k0, world, noise):
         super().__init__(states, k0, world, noise)
-        n = self.n
         # a landmark update's slots within its observer's diagonal block,
         # for each item of a round
         self._block_ix = np.broadcast_to(np.arange(models.UPDATE_SLOTS),
-                                         (n, models.UPDATE_SLOTS))
-        if self._coupled:
-            self._lam = identity_factors(n)
-        else:
-            # the diagonal blocks, copied out contiguous, are the whole gain
-            self._kdiag, self.k_col, self._lam = self._kdiag.copy(), None, None
+                                         (self.n, models.UPDATE_SLOTS))
         # whether the gain has propagated since the last update
         self._stale = False
         # whether the gain is known positive definite (checked at __init__);
         # once lost it is checked again only when the gain is next rebuilt
         self._definite = True
-
-    def _couple(self, k_col):
-        """Hold the gain as its column stack from now on, as a node does."""
-        self.k_col = k_col
-        self._kdiag = diagonal_blocks(k_col)
-        self._lam = identity_factors(self.n)
-        self._coupled = True
 
     # -- IMU propagation -----------------------------------------------------
 
@@ -278,12 +280,8 @@ class JointFilter(Network):
         blocks and the factors move here, for all vehicles in one call; the
         cross blocks are brought up to date at the next update.
         """
-        if not 0.0 < dt < math.inf:
-            raise ValueError(f"IMU period must be positive and finite: {dt}")
-        if u.gyro.shape != (self.n, 3) or u.accel.shape != (self.n, 3):
-            raise ValueError(f"need (n, 3) = ({self.n}, 3) IMU rows, got "
-                             f"{u.gyro.shape} and {u.accel.shape}")
-        self._lam = self._tick(u, dt, self._lam)
+        self._check_imu(u, dt, (self.n, 3))
+        self._tick(u, dt)
         self._stale = True
         return self
 
@@ -303,15 +301,15 @@ class JointFilter(Network):
         kept), a landmark update touches only its observer's diagonal
         block, so the landmark updates of different vehicles commute
         exactly.  The landmark observations that lead the call are then
-        applied in rounds on the (n, 15, 15) diagonal blocks: round d holds
+        applied in rounds on the diagonal blocks: round d holds
         each vehicle's d-th of them, in call order, and goes through the
         update algebra once, a round of one included, with its items'
         model terms built in one call.  Each item gets the bits it would
         get alone, so the gain, the estimates and the observation clock
         are those of one observation per call.  Every observation after
-        the leading landmarks is applied alone on the column stack, which
-        the first applied inter-vehicle update builds, as the nodes apply
-        it, after each vehicle's factor is absorbed as in an exchange.  A
+        the leading landmarks is applied alone on the column stack, as
+        the nodes apply it, after each vehicle's factor is absorbed as in
+        an exchange.  A
         refused update raises the verdict of its round's first refused
         observation, in call order, before any of that round is applied;
         earlier rounds stay applied.
@@ -334,9 +332,9 @@ class JointFilter(Network):
                 self._definite = _still_definite(self._kdiag, self.t_ns)
             else:
                 for j, others in enumerate(self._others):
-                    absorb_factor(self.k_col, j, others, self._lam[j],
-                                  self._lam)
-                self._lam = identity_factors(self.n)
+                    absorb_factor(self.k_col, j, others, self.lam_acc[j],
+                                  self.lam_acc)
+                self.lam_acc = identity_factors(self.n)
                 # the columns side by side: the 15n x 15n gain
                 self._definite = _still_definite(np.hstack(self.k_col),
                                                  self.t_ns)
@@ -356,25 +354,17 @@ class JointFilter(Network):
         return self
 
     def _update_one(self, obs):
-        """One observation on the column stack, as the nodes apply it.  On
-        an uncoupled gain (an inter-vehicle update) the columns are built
-        from the diagonal blocks and kept once the update is accepted."""
+        """One observation on the column stack, as the nodes apply it."""
         key, dt, ix, r_ix, e_ii = self._terms(obs, self.state)
-        k_col = self.k_col
-        if not self._coupled:
-            k_col = np.array(np.hsplit(block_diag_prior(self._kdiag), self.n))
         # K[:, ix]: the observer's update slots, then the subject's
-        cols = [k_col[obs.observer, :, :models.UPDATE_SLOTS]]
+        cols = [self.k_col[obs.observer, :, :models.UPDATE_SLOTS]]
         if obs.kind == models.INTERVEHICLE:
-            cols.append(k_col[obs.subject, :, :models.UPDATE_SLOTS])
+            cols.append(self.k_col[obs.subject, :, :models.UPDATE_SLOTS])
         kc = np.hstack(cols)
         g = gain_correction(kc, ix, e_ii, dt)
-        if not self._coupled:
-            self._couple(k_col)
         if self._definite:
             self._definite = self._keeps_definite(kc[ix, :], e_ii, dt)
-        self.state = apply_correction(self.state, self.k_col, obs.kind, ix,
-                                      g, dt, r_ix)
+        self._apply(obs.kind, ix, g, dt, r_ix)
         self._last_obs_ns[key] = obs.t_ns
 
     def _update_round(self, group):
@@ -506,7 +496,7 @@ def gain_correction(kc, ix, e_ii, dt):
 
 def block_diag_prior(k0_blocks):
     """The block-diagonal 15n x 15n gain of n per-vehicle 15x15 blocks, as
-    a joint prior is built and an uncoupled gain is read out."""
+    a joint prior is built."""
     n = len(k0_blocks)
     k = np.zeros((n * STATE_DOF, n * STATE_DOF))
     ar = np.arange(n)

@@ -24,7 +24,7 @@ from meswarm.harness import (MessageBus, PriorConfig, ScheduleConfig,
                              _distributed_update, _observation_ticks,
                              run_schedule, synthesize_observation)
 from meswarm.joint import JointFilter, block_diag_prior
-from meswarm.lie import STATE_DOF, compose, group_exp
+from meswarm.lie import compose, group_exp
 from meswarm.models import ImuSample, NoiseModel, Observation, WorldConfig
 from test_joint import joint_gain
 from test_lie import adjoint_matrix_from_vector, inverse, pose_matrix
@@ -215,8 +215,7 @@ def _scripted_parallel_run(duration_s=10.0, n=3, seed=11):
             for v in range(n)]
     k0 = block_diag_prior([prior.k0_block()] * n)
     flt = JointFilter(est0, k0, world, noise)
-    nodes = VehicleNode(est0, k0.reshape(n * STATE_DOF, n, STATE_DOF)
-                        .swapaxes(0, 1), world, noise)
+    nodes = VehicleNode(est0, k0, world, noise)
     dense = DenseOneAtATime(est0, k0, world, noise)
     bus = MessageBus()
 

@@ -70,8 +70,7 @@ def test_warning_counter_counts_package_warnings(monkeypatch):
         joint.JointFilter([state], np.eye(15), world, noise).update(obs)
         monkeypatch.setattr(models, "update_terms", lambda *args: (
             np.zeros(6), -1.0 / dt * np.eye(6)))
-        nodes = distributed.VehicleNode([state], np.eye(15)[None], world,
-                                        noise)
+        nodes = distributed.VehicleNode([state], np.eye(15), world, noise)
         assert nodes.originate_update(obs).gain is None
     finally:
         counter.detach()

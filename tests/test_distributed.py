@@ -72,7 +72,7 @@ def make_network(rng, n, world, noise, k0=None):
         blocks = [random_spd(rng, STATE_DOF, scale=0.02) for _ in range(n)]
         k0 = block_diag_prior(blocks)
     joint = JointFilter(states, k0, world, noise)
-    nodes = VehicleNode(states, columns(k0, n), world, noise)
+    nodes = VehicleNode(states, k0, world, noise)
     return joint, nodes
 
 
@@ -568,8 +568,8 @@ class TestPropagationEquivalence:
         imu = [ImuSample(0.3 * rng.standard_normal(3),
                          0.3 * rng.standard_normal(3), 0) for _ in range(2)]
         bad = imu[1]._replace(**{field: np.full(shape, 0.1)})
-        with pytest.raises(ValueError, match="node 1 needs a 3-vector IMU "
-                           "sample"):
+        with pytest.raises(ValueError, match=r"^node 1 needs IMU rows of "
+                           r"shape \(3,\)"):
             nodes.propagate_local(1, bad, DT)
         assert nodes._pending == {}
         tick_nodes(nodes, imu)
@@ -677,6 +677,38 @@ class TestUpdates:
             nodes.apply_update(msg)
         assert_same_bits(nodes.k_col, before[0])
         assert_same_bits(pose_matrix(nodes.state), before[1])
+
+    @pytest.mark.parametrize("kind,r,gain", [
+        (models.LANDMARK, (5,), (45, 6)),
+        (models.LANDMARK, (6,), (45, 12)),
+        (models.LANDMARK, (6,), (30, 6)),
+        (models.LANDMARK, (5,), None),
+        (models.INTERVEHICLE, (6,), (45, 12)),
+        (models.INTERVEHICLE, (12,), (45, 6)),
+        (models.INTERVEHICLE, (12, 1), (45, 12)),
+        (models.INTERVEHICLE, (12,), (45 * 12,))],
+        ids=["short-r", "wide-gain", "short-gain", "short-r-refused",
+             "iv-short-r", "iv-narrow-gain", "iv-column-r", "iv-flat-gain"])
+    def test_apply_refuses_a_misshaped_broadcast(self, world, noise, kind, r,
+                                                 gain):
+        """A broadcast whose r is not (m,) or whose gain is not (15n, m)
+        for its kind is refused before any node moves: a 5-entry r once
+        moved every column and then failed in the retraction."""
+        rng = np.random.default_rng(14)
+        _, nodes = make_network(rng, 3, world, noise)
+        subject = 0 if kind == models.LANDMARK else 1
+        msg = UpdateBroadcast(0, kind, subject, 0.1, nodes.t_ns,
+                              np.ones(r),
+                              None if gain is None else np.ones(gain))
+        before = nodes.k_col.copy(), pose_matrix(nodes.state)
+        m = 6 if kind == models.LANDMARK else 12
+        with pytest.raises(ValueError, match=(
+                rf"^{kind} broadcast needs r of shape \({m},\) and gain of "
+                rf"shape \(45, {m}\), got ")):
+            nodes.apply_update(msg)
+        assert_same_bits(nodes.k_col, before[0])
+        assert_same_bits(pose_matrix(nodes.state), before[1])
+        assert not nodes._coupled
 
     def test_singular_system_skipped(self, world, noise, caplog):
         rng = np.random.default_rng(12)
@@ -1329,21 +1361,21 @@ class TestNodeInit:
     TestInit): joint.Network makes the check for both."""
 
     def test_wrong_column_shape(self, world, noise):
-        """Too few columns, and 15n x 15n of entries in columns of the
-        wrong width, which side by side would look square."""
-        for k_col in (np.eye(15)[None], np.ones((3, 30, 10))):
+        """A prior of one vehicle for two, and the prior's columns, which
+        the nodes once took and hold 15n x 15n entries too."""
+        for k0 in (np.eye(15), np.ones((2, 30, 15))):
             with pytest.raises(ValueError, match=(
                     "^K0 has the wrong shape for the vehicle count$")):
-                VehicleNode([identity_state()] * 2, k_col, world, noise)
+                VehicleNode([identity_state()] * 2, k0, world, noise)
 
     def test_asymmetric_diag_block(self, world, noise):
-        col = np.eye(15)[None].copy()
-        col[0, 0, 1] = 0.5
+        k0 = np.eye(15)
+        k0[0, 1] = 0.5
         assert_refused_alike(
             ValueError, "^K0 must be symmetric$",
-            (None, lambda: VehicleNode([identity_state()], col, world,
+            (None, lambda: VehicleNode([identity_state()], k0, world,
                                        noise)),
-            (None, lambda: JointFilter([identity_state()], col[0], world,
+            (None, lambda: JointFilter([identity_state()], k0, world,
                                        noise)))
 
 
@@ -1547,7 +1579,7 @@ class TestStackedAgainstOracle:
             a = 0.3 * rng.standard_normal((n * STATE_DOF, n * STATE_DOF))
             k0 = sd[:, None] * (np.eye(n * STATE_DOF)
                                 + a @ a.T / (n * STATE_DOF)) * sd
-        stacked = VehicleNode(est0, columns(k0, n), world, noise)
+        stacked = VehicleNode(est0, k0, world, noise)
         oracle = [OracleNode(v, n, est0[v],
                              k0[:, v * STATE_DOF:(v + 1) * STATE_DOF],
                              world, noise, factors=coupled and n > 1)

@@ -76,8 +76,9 @@ def test_bus_log_decoding_snippet_reads_a_fresh_log(tmp_path, monkeypatch):
 
 def test_numpy_only_job_runs_the_readme_config():
     """The config the numpy-only CI job writes with its heredoc is the
-    README's minimal synthetic experiment, and the job runs it in every
-    mode."""
+    README's minimal synthetic experiment, the job runs it in every mode,
+    and it runs `distributed` again and compares the outputs byte for byte
+    (criterion 8)."""
     text = README.read_text()
     section = text[text.index("\n## Command line\n"):]
     want = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
@@ -86,3 +87,7 @@ def test_numpy_only_job_runs_the_readme_config():
     assert json.loads(textwrap.dedent(heredoc)) == want
     assert "for mode in none central distributed; do" in job
     assert 'pip install .\n' in job
+    rerun = job.split("- name: Criterion 8", 1)[1]
+    assert "--mode distributed" in rerun
+    assert "for f in metrics.csv summary.csv bus.log; do" in rerun
+    assert 'cmp "numpy-only/distributed/$f"' in rerun

@@ -32,17 +32,17 @@ def still_imu(n=1):
 
 def joint_gain(flt):
     """The 15n x 15n joint gain of a JointFilter or a VehicleNode, as a new
-    array.  An uncoupled JointFilter's is the block-diagonal matrix of its
-    diagonal blocks.  A coupled one's cross blocks are brought up to the
-    current tick on a copy of its columns, as its next update brings them:
-    every vehicle's factor absorbed in vehicle order.  A VehicleNode's
-    columns are read as they stand, current after a factor exchange."""
-    if flt.k_col is None:
-        return block_diag_prior(flt._kdiag)
+    array: its columns side by side.  A JointFilter's cross blocks are
+    brought up to the current tick on a copy of its columns, as its next
+    update brings them: every vehicle's factor absorbed in vehicle order
+    (the identity while uncoupled, which leaves a zero block zero).  A
+    VehicleNode's columns are read as they stand, current after a factor
+    exchange."""
     k_col = flt.k_col.copy()
     if isinstance(flt, JointFilter) and flt._stale:
         for j, others in enumerate(flt._others):
-            joint.absorb_factor(k_col, j, others, flt._lam[j], flt._lam)
+            joint.absorb_factor(k_col, j, others, flt.lam_acc[j],
+                                flt.lam_acc)
     return np.hstack(k_col)
 
 
@@ -55,9 +55,9 @@ def random_spd(rng, dim, scale=0.1):
 
 def both_filters(states, k0, world, noise):
     """The joint filter and the decentralised nodes started from one
-    15n x 15n prior, the nodes from its columns."""
+    15n x 15n prior."""
     return (JointFilter(states, k0, world, noise),
-            VehicleNode(states, np.hsplit(k0, len(states)), world, noise))
+            VehicleNode(states, k0, world, noise))
 
 
 def still_tick(flt):
@@ -130,14 +130,12 @@ class TestInit:
             assert len(f.estimate()) == 1
 
     @staticmethod
-    def refused(match, states, k0, world, noise, k_col=None):
-        """JointFilter refuses k0 and VehicleNode its columns (or k_col),
-        alike."""
-        k_col = np.hsplit(k0, len(states)) if k_col is None else k_col
+    def refused(match, states, k0, world, noise):
+        """JointFilter and VehicleNode refuse k0 alike."""
         assert_refused_alike(
             ValueError, match,
             (None, lambda: JointFilter(states, k0, world, noise)),
-            (None, lambda: VehicleNode(states, k_col, world, noise)))
+            (None, lambda: VehicleNode(states, k0, world, noise)))
 
     def test_rank_deficient_prior_rejected(self, world, noise):
         k0 = np.eye(15)
@@ -147,8 +145,7 @@ class TestInit:
 
     def test_wrong_shape_rejected(self, world, noise):
         self.refused("^K0 has the wrong shape for the vehicle count$",
-                     [identity_state()] * 2, np.eye(15), world, noise,
-                     k_col=np.eye(15)[None])
+                     [identity_state()] * 2, np.eye(15), world, noise)
 
     @pytest.mark.parametrize("case", ["asymmetric", "indefinite"])
     def test_cross_block_refused(self, world, noise, case):
@@ -218,6 +215,27 @@ class TestPropagate:
         np.testing.assert_array_equal(joint_gain(f), before)
         f.propagate(still_imu(n), 0.005)
         assert f.t_ns == 5_000_000
+
+    def test_list_rows_propagate_as_arrays(self, world, noise):
+        """Both filters take IMU rows given as lists as the arrays they
+        hold, through the one sample check: the joint filter once raised
+        AttributeError on a list."""
+        rng = np.random.default_rng(4)
+        states = [random_state(rng), random_state(rng)]
+        k0 = block_diag_prior([random_spd(rng, 15), random_spd(rng, 15)])
+        imu = [ImuSample(rng.standard_normal(3), rng.standard_normal(3), 0)
+               for _ in range(2)]
+        rows = stack_samples(imu)
+        snaps = []
+        for form in (np.asarray, np.ndarray.tolist):
+            f, nodes = both_filters(states, k0, world, noise)
+            f.propagate(ImuSample(form(rows.gyro), form(rows.accel), 0),
+                        0.005)
+            for v, u in enumerate(imu):
+                nodes.propagate_local(
+                    v, ImuSample(form(u.gyro), form(u.accel), 0), 0.005)
+            snaps.append((snapshot(f), snapshot(nodes)))
+        assert snaps[0] == snaps[1]
 
     def test_forced_zero_dynamics_gain_growth(self, world, noise, monkeypatch):
         monkeypatch.setattr(models, "a_check_single",

@@ -1,11 +1,13 @@
-"""Every function, method and class of the package has a caller outside tests.
+"""Every function, method and class of the package has a caller outside
+tests, and every name a package module imports is used there.
 
 A definition in src/meswarm counts as used when the package or the
 benchmark (perfbench/) references its name outside the definition itself:
 as a Name, an Attribute, an import alias, or one of the target strings by
 which perfbench/tracer.py wraps functions.  Dunder names are exempt.  Tests
 do not count as callers: a function that only tests call is a test oracle
-and lives with the tests.
+and lives with the tests.  An imported name counts as used when its module
+reads it as a Name.
 """
 
 import ast
@@ -67,6 +69,22 @@ def unreferenced(package, bench):
     return found
 
 
+def unused_imports(package):
+    """Names that a module of `package` ({path: source}) imports and never
+    reads, as 'file:line name'."""
+    found = []
+    for path, text in package.items():
+        tree = ast.parse(text)
+        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in read:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+    return found
+
+
 def _sources(paths):
     return {path: path.read_text() for path in sorted(paths)}
 
@@ -85,3 +103,17 @@ def test_a_test_only_function_is_flagged():
     package[lie] += "\n\ndef inverse(x):\n    return inverse(x)\n"
     line = package[lie].count("\n") - 1
     assert unreferenced(package, bench) == [f"lie.py:{line} inverse"]
+
+
+def test_every_import_is_used():
+    assert unused_imports(_sources(PACKAGE.glob("*.py"))) == []
+
+
+def test_an_unused_import_is_flagged():
+    package = _sources(PACKAGE.glob("*.py"))
+    lie = PACKAGE / "lie.py"
+    # an attribute of that name does not count as a read of it
+    package[lie] += ("\n\nimport os.path as osp\n\n\n"
+                     "def f(x):\n    return x.osp\n")
+    line = package[lie].count("\n") - 4
+    assert unused_imports(package) == [f"lie.py:{line} osp"]
