@@ -9,7 +9,8 @@ gain matrix.
 Between observations nodes run silently, accumulating a propagation
 factor; when an observation is originated the factors are exchanged, the
 originating node computes the low-rank gain correction once and broadcasts
-it with the residual, and every node applies them locally.
+it with the residual through the update system, and every node applies
+them locally.
 
 The simulation holds all n nodes of a network in one VehicleNode, with the
 node axis leading, and advances them together: one stacked propagation
@@ -29,12 +30,12 @@ import numpy as np
 
 from . import models
 from .joint import (Network, UpdateSingularError, absorb_factor,
-                    check_vehicle, gain_correction, identity_factors)
+                    check_vehicle, identity_factors)
 from .lie import STATE_DOF, VehicleState
 
 log = logging.getLogger(__name__)
 
-WIRE_VERSION = 4
+WIRE_VERSION = 5
 
 
 class SynchronizationError(RuntimeError):
@@ -71,7 +72,8 @@ class UpdateBroadcast:
     subject: int           # landmark index, or target vehicle
     dt: float
     t_ns: int
-    r: np.ndarray          # m residual entries at models.update_indices
+    r: np.ndarray          # m entries w = S^-1 r_ix (joint.gain_correction),
+                           # the residual r_ix itself if refused
     gain: np.ndarray       # 15n x m gain correction G, None if refused
 
 
@@ -177,8 +179,8 @@ class VehicleNode(Network):
     coupling rule: from the first tick for a prior with a non-zero cross
     block, otherwise from the first applied inter-vehicle broadcast, which
     every node applies.  Until then every cross block is exactly zero, no
-    factor is exponentiated, and the nodes emit identity factors, which
-    absorb into a zero block as exactly zero.
+    factor advances, and the nodes emit identity factors, which absorb
+    into a zero block as exactly zero.
     """
 
     def __init__(self, states, k0, world, noise):
@@ -290,10 +292,13 @@ class VehicleNode(Network):
         """Build the update broadcast for an observation, at its observer.
 
         The observing node reads its own state and column and, for an
-        inter-vehicle observation, the target's reply.  An update whose
-        small system is singular, ill-conditioned or not finite is refused
-        here, once for the network: the broadcast carries no gain
-        correction and every node leaves its column and state alone.  An
+        inter-vehicle observation, the target's reply.  Its correction is
+        the network's (Network._correction): the second-order one, or the
+        first-order one where that would leave the gain indefinite, as the
+        joint filter decides it.  An update whose small system is singular,
+        ill-conditioned or not finite is refused here, once for the
+        network: the broadcast carries no gain correction and every node
+        leaves its column and state alone.  An
         observation the network refuses (Network._check_observation) is
         refused before anything moves, as the joint filter refuses it.
         """
@@ -309,25 +314,27 @@ class VehicleNode(Network):
                                  "state and gain column first")
             states[obs.subject] = peer_reply.state
             cols.append(peer_reply.k_col)
-        key, dt, ix, r_ix, e_ii = self._terms(obs, states)
+        key, dt, ix, terms = self._terms(obs, states)
+        kc = np.hstack(cols)
         try:
-            gain = gain_correction(np.hstack(cols), ix, e_ii, dt)
+            gain, r = self._correction(obs.kind, kc, kc[ix, :], dt, terms)
         except UpdateSingularError as exc:
             # a refused update leaves the source's observation clock alone,
             # as in the joint filter
             log.warning("node %d: %s, skipping update at t=%d ns",
                         v, exc, obs.t_ns)
-            gain = None
+            gain, r = None, terms[0]
         else:
             self._last_obs_ns[key] = obs.t_ns
-        return UpdateBroadcast(v, obs.kind, obs.subject, dt, obs.t_ns,
-                               r_ix, gain)
+        return UpdateBroadcast(v, obs.kind, obs.subject, dt, obs.t_ns, r,
+                               gain)
 
     def apply_update(self, msg):
-        """Apply a broadcast update to every node's column and state:
-        k_col <- k_col - G k_col[ix, :] and a retraction by
-        dt k_col[ix, :]^T r, in one stacked step.  The first applied
-        inter-vehicle broadcast starts the nodes' factors (Network._apply).
+        """Apply a broadcast update to every node's column and state: a
+        retraction by dt k_col[ix, :]^T r, from the columns before the
+        update, and k_col <- k_col - G k_col[ix, :], in one stacked step.
+        The first applied inter-vehicle broadcast starts the nodes' factors
+        (Network._apply).
         A broadcast whose origin, kind or inter-vehicle subject no
         observation could have, whose stamp is not the nodes' time, or
         whose r is not (m,) or gain not (15n, m) for its kind, is refused

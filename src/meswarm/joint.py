@@ -6,17 +6,21 @@ estimate, the gain as the (n, 15n, 15) stack of its columns, the
 propagation factors and the coupling.  It makes once the decisions both
 filters make: which priors, IMU samples and observations are refused, when
 the gain is coupled, what one IMU tick does, which period and model terms
-an observation gets, how an update is applied, and whether it keeps the
-gain definite.  The algebra both run is here as functions:
-propagate_vehicle, absorb_factor and apply_correction on the column stack,
-and gain_correction with its gate, update_inverse.
+an observation gets, which correction an update gets (the second-order
+one, or the first-order one where the second-order one would leave the
+gain indefinite) and how it is applied.  The algebra both run is here as
+functions: propagate_vehicle, absorb_factor and apply_correction on the
+column stack, and gain_correction with its gate, update_inverse.
 
 JointFilter is the centralised form.  IMU ticks propagate the estimate
-through the group exponential and the gain through its Riccati flow;
-landmark and inter-vehicle observations are applied sequentially as
-discrete low-rank updates, except that while the gain is block diagonal a
-tick's landmark updates of different vehicles, which commute exactly, are
-applied together in rounds on the diagonal blocks.
+through the group exponential and the whole gain through one first-order
+transition, Phi = I + A dt per vehicle: K <- Phi K Phi^T + dt Q, a
+congruence plus a positive semidefinite term, so propagation keeps the
+gain positive definite; landmark and inter-vehicle observations are
+applied sequentially as discrete low-rank updates, except that while the
+gain is block diagonal a tick's landmark updates of different vehicles,
+which commute exactly, are applied together in rounds on the diagonal
+blocks.
 """
 
 import collections
@@ -27,7 +31,7 @@ import math
 import numpy as np
 
 from . import models
-from .kernels import _eye, expm
+from .kernels import _eye
 from .lie import STATE_DOF, retract, stack_states
 
 log = logging.getLogger(__name__)
@@ -47,18 +51,24 @@ def propagate_vehicle(state, kdiag, lam, u, dt, world, noise_term):
 
     Shared by the joint filter and the nodes, each advancing all n
     vehicles in one call.  Advances the estimate through the group
-    exponential, the 15x15 diagonal gain block by a forward-Euler Riccati
-    step that keeps it exactly symmetric, and the accumulated propagation
-    factor lam <- expm(a dt) lam that later brings the vehicle's cross
-    blocks up to date; lam stays None for a caller that keeps no factor.
-    `noise_term` is models.imu_noise_term(noise), constant for a run.
-    Returns the new (state, kdiag, lam).
+    exponential, and the gain through the transition Phi = I + A dt: the
+    15x15 diagonal block to Phi K Phi^T + dt Q, written as
+    K + dt (H + H^T + Q) with H = A (K + dt/2 (A K)^T) so that it stays
+    exactly symmetric, and the accumulated propagation factor to
+    lam + dt A lam = Phi lam, which later brings the vehicle's cross blocks
+    up to date (K_ij <- lam_i K_ij lam_j^T); lam stays None for a caller
+    that keeps no factor.  The whole gain thus moves by a congruence plus
+    a positive semidefinite term.  `noise_term` is
+    models.imu_noise_term(noise), constant for a run.  Returns the new
+    (state, kdiag, lam).
     """
     a = models.a_check_single(state, u)
-    ak = a @ kdiag
-    kd = kdiag + dt * (ak + ak.swapaxes(-1, -2) + noise_term)
+    # one contiguous copy of a strided stack of blocks serves the products
+    k = np.ascontiguousarray(kdiag)
+    h = a @ (k + (0.5 * dt) * (a @ k).swapaxes(-1, -2))
+    kd = k + dt * (h + h.swapaxes(-1, -2) + noise_term)
     if lam is not None:
-        lam = expm(a * dt) @ lam
+        lam = lam + dt * (a @ lam)
     drift = models.lambda_single(state, u, world)
     return retract(state, dt * drift), kd, lam
 
@@ -72,36 +82,38 @@ def absorb_factor(k_col, j, others, lam_j, own):
                             @ own[others].swapaxes(-1, -2))
 
 
-def apply_correction(state, k_col, kind, ix, g, dt, r):
+def apply_correction(state, k_col, kind, ix, g, dt, w):
     """k_col <- k_col - G k_col[:, ix, :] in place on every column, and the
-    state retracted by psi = dt k_col[:, ix, :]^T r, which is returned."""
+    state, which is returned, retracted by psi = dt K+[:, ix] r_ix, formed
+    as dt k_col[:, ix, :]^T w from the columns before the update, with
+    w = S^-1 r_ix from gain_correction (K+[:, ix] = K[:, ix] S^-1)."""
     if kind == models.LANDMARK:
-        # one vehicle's slots are one range of rows: a view, which the
-        # in-place update keeps current, instead of two gathers
+        # one vehicle's slots are one range of rows: a view instead of a
+        # gather
         ix = slice(ix[0], ix[-1] + 1)
+    rows = k_col[:, ix, :]
+    psi = dt * (rows.swapaxes(-1, -2) @ w)
     # in place: no new (n, 15n, 15) array per update, and k_col keeps its
     # C-contiguous layout
-    k_col -= g @ k_col[:, ix, :]
-    return retract(state, dt * (k_col[:, ix, :].swapaxes(-1, -2) @ r))
+    k_col -= g @ rows
+    return retract(state, psi)
+
+
+def _definite(m):
+    """Whether m, or every matrix of a stack m, is positive definite, by
+    one Cholesky."""
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _check_spd(k):
     if not np.allclose(k, k.T, rtol=1e-9, atol=0.0):
         raise ValueError("K0 must be symmetric")
-    try:
-        np.linalg.cholesky(k)
-    except np.linalg.LinAlgError:
-        raise ValueError("K0 must be positive definite") from None
-
-
-def _still_definite(m, t_ns):
-    """Whether m is positive definite, by one Cholesky; logs the loss."""
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        log.warning("gain matrix lost positive definiteness at t=%d ns", t_ns)
-        return False
-    return True
+    if not _definite(k):
+        raise ValueError("K0 must be positive definite")
 
 
 def check_vehicle(role, v, n):
@@ -138,7 +150,9 @@ class Network:
     blocks are never written, and the factors lam_acc stay the identity,
     since lam_i 0 lam_j^T is exactly 0.  A refused prior, IMU sample or
     observation raises before anything moves, a prior or an observation
-    with the same text in both filters.
+    with the same text in both filters.  `fallbacks` counts, per
+    observation kind, the updates that took their first-order correction
+    (Network._correction).
     """
 
     def __init__(self, states, k0, world, noise):
@@ -167,6 +181,7 @@ class Network:
         # every vehicle's propagation factor since its cross blocks were
         # last brought up to date
         self.lam_acc = identity_factors(n)
+        self.fallbacks = collections.Counter()
 
     def estimate(self):
         """Per-vehicle states; later steps never change them in place."""
@@ -220,28 +235,46 @@ class Network:
 
     def _terms(self, obs, states):
         """The clock key, period, update slots ix and model terms (r_ix,
-        e_ii) of one observation, from the states it involves."""
+        e_ii, e_first) of one observation, from the states it involves."""
         key, dt = self._period(obs)
-        r_ix, e_ii = models.update_terms(states, obs, self.world, self.noise,
-                                         dt)
         return (key, dt, models.update_indices(obs.kind, obs.observer,
-                                               obs.subject), r_ix, e_ii)
+                                               obs.subject),
+                models.update_terms(states, obs, self.world, self.noise, dt))
 
-    def _keeps_definite(self, k_ii, e_ii, dt):
-        """Whether a low-rank update keeps a definite gain definite: iff
-        the m x m matrix K_ii + dt K_ii E_ii K_ii is, with K_ii = K[ix, ix]
-        before the update ((K+)^-1 = K^-1 + dt E; congruence with K^1/2,
-        and AB and BA sharing their non-zero eigenvalues, reduce the test
-        to the ix block).  A stack of items is tested as one stack, with
-        dt broadcast over it; a loss is logged."""
-        return _still_definite(k_ii + dt * (k_ii @ e_ii @ k_ii), self.t_ns)
+    def _correction(self, kind, kc, k_ii, dt, terms):
+        """gain_correction's (G, w) for an update of `kind` with model
+        terms (r_ix, e_ii, e_first) (kc, k_ii and dt as gain_correction
+        takes them), or for a stack of them, as each item would get them
+        alone.
 
-    def _apply(self, kind, ix, g, dt, r):
-        """Apply an accepted update, its correction g and residual r at the
-        slots ix, to every column and estimate; the first inter-vehicle
-        one couples the gain."""
+        The gate refuses the second-order system E_ii first.  Then the
+        m x m test: an update whose K_ii S is not positive definite would
+        leave the gain indefinite, so it takes its first-order term
+        E_first = sym(F^T M F) instead, positive semidefinite, which keeps
+        the gain definite, and is counted in fallbacks[kind].  A stack is
+        tested by one Cholesky of the stack, and item by item only when
+        that fails."""
+        r_ix, e_ii, e_first = terms
+        g, w, test = gain_correction(kc, k_ii, e_ii, dt, r_ix)
+        if _definite(test):
+            return g, w
+        if kc.ndim == 2:
+            g, w, _ = gain_correction(kc, k_ii, e_first, dt, r_ix)
+            self.fallbacks[kind] += 1
+            return g, w
+        lost = np.array([not _definite(item) for item in test])
+        g[lost], w[lost], _ = gain_correction(kc[lost], k_ii[lost],
+                                              e_first[lost], dt[lost],
+                                              r_ix[lost])
+        self.fallbacks[kind] += int(np.count_nonzero(lost))
+        return g, w
+
+    def _apply(self, kind, ix, g, dt, w):
+        """Apply an accepted update, its correction g and weighted residual
+        w at the slots ix (gain_correction's), to every column and
+        estimate; the first inter-vehicle one couples the gain."""
         self.state = apply_correction(self.state, self.k_col, kind, ix, g,
-                                      dt, r)
+                                      dt, w)
         if kind == models.INTERVEHICLE:
             self._coupled = True
 
@@ -255,20 +288,13 @@ class JointFilter(Network):
     before the next update.  While the gain is uncoupled, landmark updates
     act on the diagonal blocks only, and no 15n x 15n array is formed.  A
     block-diagonal filter that sees only landmark updates (`none`, or a
-    single vehicle) never exponentiates.
+    single vehicle) keeps no propagation factor.
     """
 
     def __init__(self, states, k0, world, noise):
         super().__init__(states, k0, world, noise)
-        # a landmark update's slots within its observer's diagonal block,
-        # for each item of a round
-        self._block_ix = np.broadcast_to(np.arange(models.UPDATE_SLOTS),
-                                         (self.n, models.UPDATE_SLOTS))
         # whether the gain has propagated since the last update
         self._stale = False
-        # whether the gain is known positive definite (checked at __init__);
-        # once lost it is checked again only when the gain is next rebuilt
-        self._definite = True
 
     # -- IMU propagation -----------------------------------------------------
 
@@ -314,30 +340,29 @@ class JointFilter(Network):
         observation, in call order, before any of that round is applied;
         earlier rounds stay applied.
 
-        The gain's positive definiteness is checked where it can be lost,
-        and a loss is logged once, as a warning; the update is applied
-        either way.  The propagated gain gets one Cholesky when it is
-        rebuilt at an epoch's first update: one of the 15n x 15n matrix of
-        the columns, or one stacked 15 x 15 one per diagonal block while
-        uncoupled.  Each update, or round as one stack, then gets
-        Network._keeps_definite.  Once lost, definiteness is checked again
-        at the next rebuild.
+        Each update, or round as one stack, gets its correction from
+        Network._correction, which keeps a definite gain definite.  The
+        propagated gain gets one Cholesky when it is rebuilt at an epoch's
+        first update: one of the 15n x 15n matrix of the columns, or one
+        stacked 15 x 15 one per diagonal block while uncoupled; a gain found
+        indefinite there is logged as a warning, and the epoch runs on.
         """
         for obs in observations:
             self._check_observation(obs)
         if not observations:
             return self
         if self._stale:
-            if not self._coupled:
-                self._definite = _still_definite(self._kdiag, self.t_ns)
-            else:
+            gain = self._kdiag
+            if self._coupled:
                 for j, others in enumerate(self._others):
                     absorb_factor(self.k_col, j, others, self.lam_acc[j],
                                   self.lam_acc)
                 self.lam_acc = identity_factors(self.n)
                 # the columns side by side: the 15n x 15n gain
-                self._definite = _still_definite(np.hstack(self.k_col),
-                                                 self.t_ns)
+                gain = np.hstack(self.k_col)
+            if not _definite(gain):
+                log.warning("gain matrix lost positive definiteness at "
+                            "t=%d ns", self.t_ns)
             self._stale = False
         lead = []
         if not self._coupled:
@@ -355,16 +380,14 @@ class JointFilter(Network):
 
     def _update_one(self, obs):
         """One observation on the column stack, as the nodes apply it."""
-        key, dt, ix, r_ix, e_ii = self._terms(obs, self.state)
+        key, dt, ix, terms = self._terms(obs, self.state)
         # K[:, ix]: the observer's update slots, then the subject's
         cols = [self.k_col[obs.observer, :, :models.UPDATE_SLOTS]]
         if obs.kind == models.INTERVEHICLE:
             cols.append(self.k_col[obs.subject, :, :models.UPDATE_SLOTS])
         kc = np.hstack(cols)
-        g = gain_correction(kc, ix, e_ii, dt)
-        if self._definite:
-            self._definite = self._keeps_definite(kc[ix, :], e_ii, dt)
-        self._apply(obs.kind, ix, g, dt, r_ix)
+        g, w = self._correction(obs.kind, kc, kc[ix, :], dt, terms)
+        self._apply(obs.kind, ix, g, dt, w)
         self._last_obs_ns[key] = obs.t_ns
 
     def _update_round(self, group):
@@ -373,9 +396,9 @@ class JointFilter(Network):
         leading round axis.  An observer's update slots are the first
         UPDATE_SLOTS of its block, and its rank update and psi vanish
         outside that block, so each item is the one-vehicle update of its
-        block: K_vv -= G_v K_vv[0:6, :], symmetrised, psi_v = dt K_vv[:, 0:6]
-        r_v.  The items' terms come from one model call; a round of one
-        passes its observation as it is."""
+        block: psi_v = dt K_vv[:, 0:6] w_v, then K_vv -= G_v K_vv[0:6, :],
+        symmetrised.  The items' terms come from one model call; a round of
+        one passes its observation as it is."""
         v = np.array([obs.observer for obs in group])
         keys, dt = zip(*map(self._period, group))
         dt = np.array(dt)
@@ -387,24 +410,22 @@ class JointFilter(Network):
                 self.state, models.stack_observations(group), self.world,
                 self.noise, dt)
         m = models.UPDATE_SLOTS
-        r_ix = np.reshape(terms[0], (len(group), m))
-        e_ii = np.reshape(terms[1], (len(group), m, m))
+        r_ix, e_ii, e_first = terms
+        terms = (np.reshape(r_ix, (len(group), m)),
+                 np.reshape(e_ii, (len(group), m, m)),
+                 np.reshape(e_first, (len(group), m, m)))
 
         kv = self._kdiag[v]
-        g = gain_correction(kv[..., :m], self._block_ix[:len(group)], e_ii,
-                            dt)
-        if self._definite:
-            self._definite = self._keeps_definite(kv[:, :m, :m], e_ii,
-                                                  dt[:, None, None])
+        g, w = self._correction(models.LANDMARK, kv[..., :m], kv[:, :m, :m],
+                                dt, terms)
+        # K_vv[:, 0:6] row-major: BLAS forms each entry of psi as one dot
+        # product of its row with w_v, whatever the row's place in a block
+        psi = np.zeros((self.n, STATE_DOF))
+        psi[v] = dt[:, None] * (kv[..., :m] @ w[..., None])[..., 0]
         kv -= g @ kv[:, :m, :]
         kv += kv.swapaxes(-1, -2)
         kv *= 0.5
         self._kdiag[v] = kv
-
-        # K_vv[:, 0:6] row-major: BLAS forms each entry of psi as one dot
-        # product of its row with r_v, whatever the row's place in a block
-        psi = np.zeros((self.n, STATE_DOF))
-        psi[v] = dt[:, None] * (kv[..., :m] @ r_ix[..., None])[..., 0]
         self.state = retract(self.state, psi)
         for key in keys:
             self._last_obs_ns[key] = self.t_ns
@@ -414,12 +435,6 @@ def _one_norm(m):
     """||m||_1, the largest column sum of |m|, by the ufunc reductions
     that ndarray.sum and .max wrap; one per matrix of a stack."""
     return np.maximum.reduce(np.add.reduce(np.abs(m), axis=-2), axis=-1)
-
-
-def _rows(kc, ix):
-    """kc[i][ix[i], :] for every item i of a stack, as one (R, m, m)
-    array laid out as each kc[ix, :] is."""
-    return kc[np.arange(len(ix))[:, None], ix]
 
 
 def update_inverse(s):
@@ -461,37 +476,46 @@ def update_inverse(s):
     return inv
 
 
-def gain_correction(kc, ix, e_ii, dt):
-    """Low-rank form of the discrete gain update (Woodbury identity).
+def gain_correction(kc, k_ii, e_ii, dt, r_ix):
+    """Low-rank form of the discrete gain update (Woodbury identity), the
+    residual through its system, and its definiteness test.
 
-    With E vanishing outside the indices ix and kc = K[:, ix],
-    (I + dt K E)^-1 K = K - G K[ix, :] where
+    With E vanishing outside the indices ix, kc = K[:, ix] and
+    k_ii = K[ix, ix], (I + dt K E)^-1 K = K - G K[ix, :] where
 
-        G = dt kc (I + dt E_ii kc[ix, :])^-1 E_ii,
+        G = dt kc S^-1 E_ii,    S = I + dt E_ii k_ii,
 
-    a 15n x m matrix (m = len(ix)).  The m x m system has the determinant of
-    the full one (Sylvester) and is refused by the same gate,
-    update_inverse.  A non-finite E_ii is refused first, before it enters a
-    product where 0 * inf would warn; the verdict is update_inverse's.
+    a 15n x m matrix (m = len(ix)), returned with w = S^-1 r_ix and
+    k_ii S.  Since K+[:, ix] = kc S^-1, the state increment
+    dt K+[:, ix] r_ix is dt kc w: formed from the gain before the update,
+    it loses none of the digits that K - G K[ix, :] cancels when
+    dt E_ii K_ii is large.  The update keeps a definite K definite iff
+    k_ii S = K_ii + dt K_ii E_ii K_ii is positive definite ((K+)^-1 =
+    K^-1 + dt E; congruence with K^1/2, and AB and BA sharing their
+    non-zero eigenvalues, reduce the test to the ix block).  The m x m
+    system has the determinant of the full one (Sylvester) and is refused
+    by the same gate, update_inverse.  A non-finite E_ii is refused first,
+    before it enters a product where 0 * inf would warn; the verdict is
+    update_inverse's.
 
     Every argument may carry one leading axis of R updates, kc (R, 15n, m),
-    ix (R, m), e_ii (R, m, m) and dt (R,): each item gets the products and
-    the verdict it would get alone, and the first refused item, in stack
-    order, raises.  Raises UpdateSingularError.
+    k_ii (R, m, m), e_ii (R, m, m), dt (R,) and r_ix (R, m): each item
+    gets the products and the verdict it would get alone, and the first
+    refused item, in stack order, raises.  Raises UpdateSingularError.
     """
     if kc.ndim > 2:
         if not np.isfinite(e_ii).all():
             # gated one by one, so an earlier item's verdict comes first
-            return np.array([gain_correction(*item)
-                             for item in zip(kc, ix, e_ii, dt)])
+            return tuple(map(np.array, zip(*(
+                gain_correction(*item)
+                for item in zip(kc, k_ii, e_ii, dt, r_ix)))))
         dt = dt[:, None, None]
-        k_ii = _rows(kc, ix)
-    else:
-        if not np.isfinite(e_ii).all():
-            raise UpdateSingularError("update system is not finite")
-        k_ii = kc[ix, :]
-    s = _eye(ix.shape[-1]) + dt * (e_ii @ k_ii)
-    return dt * (kc @ (update_inverse(s) @ e_ii))
+    elif not np.isfinite(e_ii).all():
+        raise UpdateSingularError("update system is not finite")
+    s = _eye(k_ii.shape[-1]) + dt * (e_ii @ k_ii)
+    inv = update_inverse(s)
+    return (dt * (kc @ (inv @ e_ii)), (inv @ r_ix[..., None])[..., 0],
+            k_ii @ s)
 
 
 def block_diag_prior(k0_blocks):

@@ -5,11 +5,13 @@ an (n, 3) stack gives (n, 3, 3), so one call serves one vehicle and the n
 vehicles each filter holds as a stack, and each entry of a stacked result
 equals the single-vehicle call on that entry.  The SO(3) exponential and
 its left Jacobian are in closed form, their coefficients a Taylor series
-in |theta|^2 below SMALL_ANGLE; the matrix exponential of the 15x15
-propagation matrices is a truncated Taylor series with scaling and
-squaring, one set of matmuls over the whole stack.  A stack takes the
-degree its largest norm needs, so its entries equal single calls to the
-last bits rather than exactly.
+in |theta|^2 below SMALL_ANGLE.  The matrix exponential expm of 15x15
+matrices is a truncated Taylor series with scaling and squaring, one set
+of matmuls over the whole stack; a stack takes the degree its largest norm
+needs, so its entries equal single calls to the last bits rather than
+exactly.  No filter calls expm: both propagate with the first-order
+transition I + A dt (joint.propagate_vehicle), and expm stays only as a
+name the benchmark's tracer wraps.
 """
 
 import functools

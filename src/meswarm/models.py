@@ -4,8 +4,9 @@ Everything here is a pure function of estimator state, configuration and a
 single measurement: the IMU drift field, its 15x15 linearisation, the
 landmark / inter-vehicle prediction maps, and the residual and Hessian-term
 assemblies.  Both filters consume an observation through `update_terms`,
-which builds the residual entries and the Hessian block from one evaluation
-of the model terms; `residual` and `hessian_term` each return one of the two.
+which builds the residual entries, the Hessian block and its first-order
+part (the update a filter falls back to) from one evaluation of the model
+terms; `residual` and `hessian_term` each return one of the first two.
 The landmark terms also take a stack of observations (`stack_observations`)
 and return the stack of their terms, each item as it would be alone.
 """
@@ -364,13 +365,15 @@ def _terms(states, obs, world, noise, dt):
 
 
 def update_terms(states, obs, world, noise, dt):
-    """The m residual entries F^T s and the symmetric m x m Hessian block
-    E_ii at update_indices(obs.kind, obs.observer, obs.subject), as
-    (r_ix, e_ii), from one evaluation of the model terms; a stack of
-    landmark observations gives (R, m) and (R, m, m)."""
+    """The m residual entries F^T s, the symmetric m x m Hessian block
+    E_ii and its first-order part sym(F^T M F), positive semidefinite, at
+    update_indices(obs.kind, obs.observer, obs.subject), as (r_ix, e_ii,
+    e_first), from one evaluation of the model terms; a stack of landmark
+    observations gives (R, m), (R, m, m) and (R, m, m)."""
     m, s, f, core = _terms(states, obs, world, noise, dt)
     ft = f.swapaxes(-1, -2)
-    return _mv(ft, s), _sym(core) + _sym(ft @ m @ f)
+    e_first = _sym(ft @ m @ f)
+    return _mv(ft, s), _sym(core) + e_first, e_first
 
 
 def residual(states, obs, world, noise, dt):

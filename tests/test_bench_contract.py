@@ -37,12 +37,14 @@ def test_traced_attribute_exists(name, module, cls, attr):
 
 
 def test_tracer_installs_and_restores():
-    from meswarm import joint, kernels
-    original = kernels.expm
+    """A target is wrapped where it is defined and where another module
+    imported it by name (harness imports so3_exp), and put back in both."""
+    from meswarm import harness, kernels
+    original = kernels.so3_exp
     with tracer.Tracer():
-        assert getattr(kernels.expm, "__perfbench_wrapper__", False)
-        assert joint.expm is kernels.expm
-    assert kernels.expm is original and joint.expm is original
+        assert getattr(kernels.so3_exp, "__perfbench_wrapper__", False)
+        assert harness.so3_exp is kernels.so3_exp
+    assert kernels.so3_exp is original and harness.so3_exp is original
 
 
 def test_environment_flag_exists():
@@ -53,9 +55,11 @@ def test_environment_flag_exists():
 def test_warning_counter_counts_package_warnings(monkeypatch):
     """The tracer counts lost definiteness and refused updates by the text
     of the package's warnings; a changed text would read 0.  Force one of
-    each: a landmark update whose Hessian term -2/dt I turns K = I into
-    -I on its slots, and a distributed one whose -1/dt I makes the small
-    system zero."""
+    each: a landmark update whose Hessian term -2/dt I, second-order and
+    first-order part alike, turns K = I into -I on its slots (the m x m
+    test sends it to its first-order term, which fails the same way), so
+    the next epoch finds the gain indefinite, and a distributed one whose
+    -1/dt I makes the small system zero."""
     from meswarm import distributed, joint, models
     from meswarm.lie import make_state
     noise = models.NoiseModel()
@@ -66,10 +70,16 @@ def test_warning_counter_counts_package_warnings(monkeypatch):
     counter = tracer.WarningCounter().attach()
     try:
         monkeypatch.setattr(models, "update_terms", lambda *args: (
-            np.zeros(6), -2.0 / dt * np.eye(6)))
-        joint.JointFilter([state], np.eye(15), world, noise).update(obs)
+            np.zeros(6), -2.0 / dt * np.eye(6), -2.0 / dt * np.eye(6)))
+        flt = joint.JointFilter([state], np.eye(15), world, noise)
+        flt.update(obs)
+        assert flt.fallbacks == {models.LANDMARK: 1}
+        flt.propagate(models.ImuSample(np.zeros((1, 3)), np.zeros((1, 3)),
+                                       0), dt)
+        flt.update(models.Observation(models.LANDMARK, 0, 0, np.zeros(3),
+                                      flt.t_ns))
         monkeypatch.setattr(models, "update_terms", lambda *args: (
-            np.zeros(6), -1.0 / dt * np.eye(6)))
+            np.zeros(6), -1.0 / dt * np.eye(6), np.zeros((6, 6))))
         nodes = distributed.VehicleNode([state], np.eye(15), world, noise)
         assert nodes.originate_update(obs).gain is None
     finally:

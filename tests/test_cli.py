@@ -83,7 +83,7 @@ class TestOutputs:
                           name="dist")
         bodies = [json.loads(ln)
                   for ln in (out2 / "bus.log").read_text().splitlines()]
-        assert bodies and all(b["v"] == 4 for b in bodies)
+        assert bodies and all(b["v"] == 5 for b in bodies)
         replies = [b for b in bodies if b["type"] == "peer_state_reply"]
         # a peer reply carries only the 6 update columns of the 30x15 column
         assert replies and all(b["k_col"]["shape"] == [30, 6]

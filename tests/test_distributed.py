@@ -1,5 +1,6 @@
 import base64
 import collections
+import dataclasses
 import functools
 import json
 import re
@@ -7,7 +8,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as ScipyRotation
@@ -19,7 +19,6 @@ from meswarm.distributed import (WIRE_VERSION, PeerStateReply,
                                  VehicleNode, encode_message)
 from meswarm.joint import (JointFilter, UpdateSingularError, _blocks,
                           block_diag_prior)
-from meswarm.kernels import expm
 from meswarm.lie import (STATE_DOF, VehicleState, compose, group_exp,
                          make_state, stack_states)
 from meswarm.models import ImuSample, NoiseModel, Observation, WorldConfig
@@ -323,7 +322,7 @@ class TestWire:
         ]
         for msg in msgs:
             body = json.loads(encode_message(msg, 7))
-            assert body["v"] == 4 and body["tick"] == 7
+            assert body["v"] == WIRE_VERSION == 5 and body["tick"] == 7
             assert_same_message(decode_message(body), msg)
         assert decode_message(json.loads(encode_message(msgs[-1], 0))).gain \
             is None
@@ -352,7 +351,7 @@ class TestWire:
         line = encode_message(msg, tick)
         assert "\n" not in line
         body = strict_body(line)
-        assert body["v"] == 4 and body["tick"] == tick
+        assert body["v"] == 5 and body["tick"] == tick
         assert_same_message(decode_message(body), msg)
 
     @settings(max_examples=150, deadline=None)
@@ -441,7 +440,9 @@ class TestFactors:
         tick_nodes(nodes, imu)
         msgs = nodes.emit_propagation_factors()
         for v, msg in enumerate(msgs):
-            np.testing.assert_array_equal(msg.lam, expm(a * DT)[v])
+            # one tick's transition, Phi = I + A dt
+            np.testing.assert_array_equal(msg.lam, np.eye(STATE_DOF)
+                                          + DT * a[v])
             assert (msg.sender, msg.start_tick, msg.end_tick) == (v, 0, 1)
 
     def test_ordered_product_oracle(self, world, noise):
@@ -452,9 +453,12 @@ class TestFactors:
             imu = [ImuSample(rng.standard_normal(3), rng.standard_normal(3),
                              k * TICK_NS) for _ in range(2)]
             a = models.a_check_single(nodes.state, stack_samples(imu))
-            expected = expm(a * DT) @ expected
+            expected = (np.eye(STATE_DOF) + DT * a) @ expected
             tick_nodes(nodes, imu)
-        np.testing.assert_array_equal(nodes.lam_acc, expected)
+        # the ordered product of the ticks' transitions, accumulated as
+        # lam + dt A lam, to rounding
+        np.testing.assert_allclose(nodes.lam_acc, expected, rtol=0,
+                                   atol=1e-14)
 
     def test_emit_resets_accumulator(self, world, noise):
         rng = np.random.default_rng(3)
@@ -585,6 +589,22 @@ def dense_update(k, e, r, dt):
     return k_new, dt * (k_new @ r)
 
 
+def dense_fallback_update(states, obs, world, noise, dt, k):
+    """dense_update with the first-order fallback: where the second-order
+    step leaves K indefinite (one dense Cholesky), the step with the Hessian
+    term at zero innovation, F^T M F.  Returns the gain, the state
+    increment and whether it fell back."""
+    _, r = dense_residual(states, obs, world, noise, dt)
+    still = models.predict(states, obs.kind, obs.observer, obs.subject, world)
+    for y in (obs.y, still):
+        e = dense_hessian(states, dataclasses.replace(obs, y=y), world,
+                          noise, dt)
+        k_new, psi = dense_update(k, e, r, dt)
+        if np.linalg.eigvalsh(k_new)[0] > 0.0:
+            break
+    return k_new, psi, y is still
+
+
 class TestUpdates:
     def test_zero_innovation_broadcast(self, world, noise):
         rng = np.random.default_rng(7)
@@ -603,13 +623,14 @@ class TestUpdates:
         obs = Observation(models.LANDMARK, 0, 1,
                           rng.standard_normal(3), 0)
         bc = nodes.originate_update(obs)  # no peer traffic needed
-        e = dense_hessian(joint.estimate(), obs, world, noise, 0.1)
-        _, r = dense_residual(joint.estimate(), obs, world, noise, 0.1)
         k = joint_gain(joint)
         ix = models.update_indices(models.LANDMARK, 0, 1)
-        np.testing.assert_array_equal(bc.r, r[ix])
-        k_ref, _ = dense_update(k, e, r, 0.1)
+        k_ref, psi, first = dense_fallback_update(joint.estimate(), obs, world,
+                                                  noise, 0.1, k)
         np.testing.assert_allclose(k - bc.gain @ k[ix, :], k_ref, atol=1e-10)
+        # the broadcast's r is S^-1 r_ix: dt K[:, ix] r is the increment
+        np.testing.assert_allclose(0.1 * k[:, ix] @ bc.r, psi, atol=1e-10)
+        assert nodes.fallbacks == ({models.LANDMARK: 1} if first else {})
 
     def test_intervehicle_requires_peer_reply(self, world, noise):
         rng = np.random.default_rng(9)
@@ -731,7 +752,7 @@ def singular_hessian(dt):
     def update_terms(states, obs, world, noise, _dt):
         ix = models.update_indices(obs.kind, obs.observer, obs.subject)
         _, r_ix = models.residual(states, obs, world, noise, _dt)
-        return r_ix, -np.eye(len(ix)) / dt
+        return r_ix, -np.eye(len(ix)) / dt, np.zeros((len(ix), len(ix)))
     return update_terms
 
 
@@ -824,7 +845,8 @@ def gate_hessian(case):
     def update_terms(states, obs, world, noise, dt):
         assert dt == GATE_DT
         m = len(models.update_indices(obs.kind, obs.observer, obs.subject))
-        return np.zeros(m), (gate_system(m, case) - np.eye(m)) / GATE_DT
+        return (np.zeros(m), (gate_system(m, case) - np.eye(m)) / GATE_DT,
+                np.zeros((m, m)))
     return update_terms
 
 
@@ -1026,6 +1048,21 @@ class TestFullEquivalence:
                 atol=1e-9)
 
 
+def counting_factor_steps(monkeypatch):
+    """The shapes of the factor stacks the tick steps advance, one entry
+    per propagate_vehicle call given a factor, as the filters make them."""
+    calls = []
+    step = joint_module.propagate_vehicle
+
+    def counted(state, kdiag, lam, *args):
+        if lam is not None:
+            calls.append(lam.shape)
+        return step(state, kdiag, lam, *args)
+
+    monkeypatch.setattr(joint_module, "propagate_vehicle", counted)
+    return calls
+
+
 class TestSharedEngine:
     """Both filters run the same per-vehicle step on any update schedule.
     From a prior with a non-zero cross block both hold the gain as the
@@ -1078,23 +1115,19 @@ class TestSharedEngine:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_factors_start_with_the_first_cross_block(self, world, noise, n,
                                                       monkeypatch):
-        """The joint filter keeps propagation factors, one stacked expm call
-        per tick, only once a cross block can be non-zero: from the first
-        tick for a prior with a non-zero cross block, otherwise from the
-        first applied inter-vehicle update.  Landmark updates keep the gain
-        block diagonal, and a refused inter-vehicle update starts nothing."""
-        calls = []
-
-        def counting_expm(a):
-            calls.append(a.shape)
-            return sla.expm(a)
+        """The joint filter keeps propagation factors, one stacked factor
+        step per tick, only once a cross block can be non-zero: from the
+        first tick for a prior with a non-zero cross block, otherwise from
+        the first applied inter-vehicle update.  Landmark updates keep the
+        gain block diagonal, and a refused inter-vehicle update starts
+        nothing."""
+        calls = counting_factor_steps(monkeypatch)
 
         def non_finite_terms(states, obs, world, noise, dt):
             m = len(models.update_indices(obs.kind, obs.observer,
                                           obs.subject))
-            return np.zeros(m), np.full((m, m), np.nan)
+            return np.zeros(m), np.full((m, m), np.nan), np.zeros((m, m))
 
-        monkeypatch.setattr(joint_module, "expm", counting_expm)
         rng = np.random.default_rng(50 + n)
 
         def ticks(joint, count):
@@ -1143,23 +1176,18 @@ class TestNodeEconomy:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_factors_start_with_the_first_cross_block(self, world, noise, n,
                                                       monkeypatch):
-        """The node twin of TestSharedEngine's test: one stacked expm call
-        per tick, from the first tick for a prior with a non-zero cross
-        block, otherwise from the first applied inter-vehicle broadcast;
-        landmark broadcasts and a refused inter-vehicle one start nothing,
-        and the factors emitted before then are the identity."""
-        calls = []
-
-        def counting_expm(a):
-            calls.append(a.shape)
-            return sla.expm(a)
+        """The node twin of TestSharedEngine's test: one stacked factor
+        step per tick, from the first tick for a prior with a non-zero
+        cross block, otherwise from the first applied inter-vehicle
+        broadcast; landmark broadcasts and a refused inter-vehicle one start
+        nothing, and the factors emitted before then are the identity."""
+        calls = counting_factor_steps(monkeypatch)
 
         def non_finite_terms(states, obs, world, noise, dt):
             m = len(models.update_indices(obs.kind, obs.observer,
                                           obs.subject))
-            return np.zeros(m), np.full((m, m), np.nan)
+            return np.zeros(m), np.full((m, m), np.nan), np.zeros((m, m))
 
-        monkeypatch.setattr(joint_module, "expm", counting_expm)
         rng = np.random.default_rng(60 + n)
 
         def ticks(nodes, count):
@@ -1450,25 +1478,32 @@ class OracleNode:
         key = (obs.kind, obs.observer, obs.subject)
         dt = self.noise.effective_period(obs.kind, self._last_obs_ns.get(key),
                                          obs.t_ns)
-        r_ix, e_ii = models.update_terms(states, obs, self.world, self.noise,
-                                         dt)
+        r_ix, e_ii, e_first = models.update_terms(states, obs, self.world,
+                                                  self.noise, dt)
         ix = models.update_indices(obs.kind, obs.observer, obs.subject)
+        kc = np.hstack(cols)
+        k_ii = kc[ix, :]
         try:
-            gain = joint_module.gain_correction(np.hstack(cols), ix, e_ii, dt)
+            gain, w, _ = joint_module.gain_correction(kc, k_ii, e_ii, dt,
+                                                      r_ix)
+            # the m x m test; failing it, the first-order term instead
+            if np.linalg.eigvalsh(k_ii + dt * k_ii @ e_ii @ k_ii)[0] <= 0.0:
+                gain, w, _ = joint_module.gain_correction(kc, k_ii, e_first,
+                                                          dt, r_ix)
         except UpdateSingularError:
-            gain = None
+            gain, w = None, r_ix
         else:
             self._last_obs_ns[key] = obs.t_ns
         return UpdateBroadcast(self.id, obs.kind, obs.subject, dt, obs.t_ns,
-                               r_ix, gain)
+                               w, gain)
 
     def apply_update(self, msg):
         assert msg.t_ns == self.t_ns
         if msg.gain is None:
             return
         ix = models.update_indices(msg.kind, msg.origin, msg.subject)
-        self.k_col = self.k_col - msg.gain @ self.k_col[ix, :]
         psi = msg.dt * (self.k_col[ix, :].T @ msg.r)
+        self.k_col = self.k_col - msg.gain @ self.k_col[ix, :]
         self.state = compose(self.state, group_exp(psi[None]))
         if msg.kind == models.INTERVEHICLE:
             self.factors = True
@@ -1526,10 +1561,9 @@ class TestStackedAgainstOracle:
     """The stacked network reproduces n independent per-node oracles on the
     harness's schedule: the same messages, columns, states and errors.
 
-    The two round differently in the last bit now and then (kernels.expm
-    picks its degree from the largest norm in a stack), and where the
-    filter loses definiteness its updates amplify such a bit without
-    bound.  So the oracle restarts from the network's nodes after every
+    The two may round differently in the last bit now and then, and an
+    update with a large innovation amplifies such a bit.  So the oracle
+    restarts from the network's nodes after every
     update: each comparison covers the ticks since the last update and one
     update's exchange, from equal inputs, and agrees within TOL, absolute
     or relative.  A run that diverges (it can, at low observation rates)
@@ -1589,10 +1623,10 @@ class TestStackedAgainstOracle:
         refused = set()
 
         def terms(states, obs, *args):
-            r_ix, e_ii = UPDATE_TERMS(states, obs, *args)
+            r_ix, e_ii, e_first = UPDATE_TERMS(states, obs, *args)
             if (obs.kind, obs.observer, obs.subject, obs.t_ns) in refused:
                 e_ii = np.full_like(e_ii, np.nan)
-            return r_ix, e_ii
+            return r_ix, e_ii, e_first
 
         monkeypatch.setattr(models, "update_terms", terms)
         apply_update = stacked.apply_update

@@ -74,14 +74,21 @@ def test_bus_log_decoding_snippet_reads_a_fresh_log(tmp_path, monkeypatch):
         assert got.shape == gain.shape and got.tobytes() == gain.tobytes()
 
 
+def readme_config():
+    """The README's minimal synthetic experiment config."""
+    text = README.read_text()
+    section = text[text.index("\n## Command line\n"):]
+    return json.loads(re.search(r"```json\n(.*?)```", section,
+                                re.S).group(1))
+
+
 def test_numpy_only_job_runs_the_readme_config():
     """The config the numpy-only CI job writes with its heredoc is the
     README's minimal synthetic experiment, the job runs it in every mode,
-    and it runs `distributed` again and compares the outputs byte for byte
-    (criterion 8)."""
-    text = README.read_text()
-    section = text[text.index("\n## Command line\n"):]
-    want = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    runs `distributed` again and compares the outputs byte for byte
+    (criterion 8), and runs it with both channels at 1 Hz for 10 s in
+    every mode."""
+    want = readme_config()
     job = WORKFLOW.read_text().split("\n  numpy-only:\n", 1)[1]
     heredoc = re.search(r"<<'JSON'\n(.*?)\n *JSON\n", job, re.S).group(1)
     assert json.loads(textwrap.dedent(heredoc)) == want
@@ -91,3 +98,23 @@ def test_numpy_only_job_runs_the_readme_config():
     assert "--mode distributed" in rerun
     assert "for f in metrics.csv summary.csv bus.log; do" in rerun
     assert 'cmp "numpy-only/distributed/$f"' in rerun
+    sparse = job.split("- name: README config at 1 Hz", 1)[1]
+    assert '["landmark_rate_hz"] = 1.0' in sparse
+    assert '["intervehicle_rate_hz"] = 1.0' in sparse
+    assert "for mode in none central distributed; do" in sparse
+    assert "--duration 10" in sparse
+
+
+def test_readme_config_at_one_hz_exits_0_in_every_mode(tmp_path):
+    """With both channels at 1 Hz the README config runs 10 s to the end
+    in every mode (it once exited 4, a gain left indefinite refusing an
+    update as singular)."""
+    cfg = readme_config()
+    cfg["schedule"]["landmark_rate_hz"] = 1.0
+    cfg["schedule"]["intervehicle_rate_hz"] = 1.0
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps(cfg))
+    for mode in ("none", "central", "distributed"):
+        assert cli.main(["--config", str(path), "--mode", mode,
+                         "--duration", "10", "--out",
+                         str(tmp_path / mode)]) == 0, mode

@@ -1,3 +1,6 @@
+import importlib.util
+import logging
+import os
 from collections import namedtuple
 
 import numpy as np
@@ -13,7 +16,7 @@ from meswarm.harness import (METRICS_DTYPE, PriorConfig, ScheduleConfig,
                              _observation_ticks, channel_rng,
                              metrics_row, run_schedule, summarize_metrics,
                              synthesize_imu, synthesize_observation)
-from meswarm.joint import JointFilter, UpdateSingularError
+from meswarm.joint import JointFilter
 from meswarm.kernels import so3_exp
 from meswarm.lie import (STATE_DOF, VehicleState, make_state,
                          rotation_error_angle, stack_states)
@@ -623,12 +626,9 @@ class TestIsolatedOracle:
                                              dropout):
         assert_none_equals_one_vehicle_filters(n, seed, rate_hz, dropout)
 
-    # Draws of the property above seen to fail: the gain loses
-    # definiteness, so both filters refuse an update as singular or their
-    # rows part by more than 1e-9.
-    @pytest.mark.xfail(strict=True, reason=(
-        "the gain loses definiteness (ROADMAP items 3 and 4: definiteness-"
-        "preserving propagation, one numerical-failure policy)"))
+    # Draws of the property above once seen to fail when the gain lost
+    # definiteness: both filters refused an update as singular or their
+    # rows parted by more than 1e-9.
     @pytest.mark.parametrize("n, seed, rate_hz, dropout", [
         (2, 286, 10.0, 0.0), (2, 286, 10.0, 0.3), (3, 1039, 2.0, 0.0)])
     def test_known_failing_draws(self, n, seed, rate_hz, dropout):
@@ -680,12 +680,9 @@ class TestZeroCrossBlocks:
     def test_cross_blocks(self, n, seed):
         assert_cross_blocks(n, seed)
 
-    # Draws of the property above seen to fail: `none` refuses an update
-    # as singular (condition ~2.7e15 and ~2.3e18) while `central` and
-    # `distributed` finish.
-    @pytest.mark.xfail(strict=True, raises=UpdateSingularError, reason=(
-        "the gain loses definiteness (ROADMAP items 3 and 4: definiteness-"
-        "preserving propagation, one numerical-failure policy)"))
+    # Draws of the property above once seen to fail when the gain lost
+    # definiteness: `none` refused an update as singular (condition ~2.7e15
+    # and ~2.3e18) while `central` and `distributed` finished.
     @pytest.mark.parametrize("n, seed", [(2, 1148), (2, 4780)])
     def test_known_failing_draws(self, n, seed):
         assert_cross_blocks(n, seed)
@@ -716,26 +713,27 @@ def assert_cross_blocks(n, seed):
 
 class TestDefinitenessWarnings:
     """The sparse-observation regression scenario (criterion 7's six
-    vehicles at 1-2 Hz observations).  A filter checks its propagated gain
-    densely at an epoch's first update and each update's m x m verdict, so
-    it warns in an epoch iff the dense check every update used to run (the
-    oracle here) fails after one of that epoch's updates, and only once.
-    The oracle hands the filter one observation per call, so it sees every
-    update; tests/test_rounds.py ties that to a tick's rounds bit for
-    bit."""
+    vehicles at 1-2 Hz observations), where second-order updates would
+    leave the gain indefinite.  Each update's m x m verdict sends such an
+    update to its first-order term, so the dense check every update used
+    to run (the oracle here) passes after every update, no epoch warns,
+    and the filter counts its fallbacks.  The oracle hands the filter one
+    observation per call, so it sees every update; tests/test_rounds.py
+    ties that to a tick's rounds bit for bit."""
 
     @staticmethod
     def verdicts(monkeypatch, caplog, mode, n, rate_hz, duration_s):
         """(filter, epoch) keys that warned, keys whose dense check failed
-        after an update, and the number of warnings."""
+        after an update, the number of warnings and of fallbacks."""
         update = JointFilter.update
-        warned, failed = set(), set()
+        warned, failed, filters = set(), set(), set()
 
         def pd_warnings():
             return sum("lost positive definiteness" in rec.getMessage()
                        for rec in caplog.records)
 
         def checked(self, *observations):
+            filters.add(self)
             for obs in observations:
                 before = pd_warnings()
                 update(self, obs)
@@ -756,7 +754,8 @@ class TestDefinitenessWarnings:
         with caplog.at_level("WARNING", logger="meswarm.joint"):
             run_schedule(cfg, mode, scenario_sources(n, noise, seed=7),
                          scenario_world(n), noise, record_bus=False)
-        return warned, failed, pd_warnings()
+        fallbacks = sum(sum(f.fallbacks.values()) for f in filters)
+        return warned, failed, pd_warnings(), fallbacks
 
     @pytest.mark.parametrize("mode", [harness.MODE_NONE,
                                       harness.MODE_CENTRAL])
@@ -764,18 +763,65 @@ class TestDefinitenessWarnings:
                              [(6, 1.0, 5.0), (4, 2.0, 6.0)])
     def test_epoch_warns_iff_dense_check_fails(self, monkeypatch, caplog,
                                                mode, n, rate_hz, duration_s):
-        warned, failed, count = self.verdicts(monkeypatch, caplog, mode, n,
-                                              rate_hz, duration_s)
-        assert failed
-        assert warned == failed
-        assert count == len(warned)
+        warned, failed, count, fallbacks = self.verdicts(
+            monkeypatch, caplog, mode, n, rate_hz, duration_s)
+        assert not failed and not warned and count == 0
+        assert fallbacks > 0
 
     @pytest.mark.parametrize("mode", [harness.MODE_NONE,
                                       harness.MODE_CENTRAL])
     def test_ten_hz_run_stays_definite(self, monkeypatch, caplog, mode):
-        warned, failed, count = self.verdicts(monkeypatch, caplog, mode, 6,
-                                              10.0, 3.0)
+        warned, failed, count, _ = self.verdicts(monkeypatch, caplog, mode,
+                                                 6, 10.0, 3.0)
         assert count == 0 and not failed
+
+
+def perfbench_scenario():
+    """perfbench/scenario.py, the benchmark's library scenario, as a
+    module."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "scenario.py")
+    spec = importlib.util.spec_from_file_location("perfbench_scenario", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSparseGrid:
+    """The sparse cells of ROADMAP's robustness grid: the benchmark's
+    library scenario (seed 1, 200 Hz IMU) over 10 s with both channels at
+    1 or 2 Hz.  Every mode runs to the end with finite errors and no gain
+    found indefinite, and `central` and `distributed` agree within 1e-8.
+    With a transition that left the gain indefinite, `none` and `central`
+    refused updates as singular here and `distributed` ran on to metres of
+    error."""
+
+    @pytest.mark.parametrize("n,rate_hz", [(8, 1.0), (12, 1.0), (12, 2.0)])
+    def test_every_mode_finishes_and_the_filters_agree(self, caplog, n,
+                                                       rate_hz):
+        scenario = perfbench_scenario()
+        noise = scenario.scenario_noise(models, 200.0)
+        world = scenario.scenario_world(models, n)
+        cfg = ScheduleConfig(imu_rate_hz=200.0, landmark_rate_hz=rate_hz,
+                             intervehicle_rate_hz=rate_hz, duration_s=10.0,
+                             seed=1)
+        rows = {}
+        with caplog.at_level(logging.WARNING, logger="meswarm"):
+            for mode in harness.MODES:
+                sources = scenario.scenario_sources(harness, noise, n, 1)
+                rows[mode] = run_schedule(cfg, mode, sources, world, noise,
+                                          record_bus=False).rows
+        assert not caplog.records
+        names = ("pos_err", "rot_err", "vel_err", "gyro_bias_err",
+                 "accel_bias_err")
+        for mode in harness.MODES:
+            assert len(rows[mode]) == (cfg.n_ticks + 1) * n
+            for name in names:
+                assert np.isfinite(rows[mode][name]).all(), (mode, name)
+        for name in names:
+            np.testing.assert_allclose(rows["central"][name],
+                                       rows["distributed"][name], rtol=0,
+                                       atol=1e-8)
 
 
 class TestChannelRng:

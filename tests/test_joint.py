@@ -321,13 +321,21 @@ class TestDiscreteVsContinuous:
 
 
 def transcription_oracle(state, k, obs, world, noise, dt):
-    """Literal single-vehicle update equations."""
-    e = dense_hessian([state], obs, world, noise, dt)
+    """Literal single-vehicle update equations, with the first-order
+    fallback: where the second-order update leaves K indefinite (one dense
+    Cholesky), E is the Hessian term at zero innovation, F^T M F.  Returns
+    the state, the gain and whether it fell back."""
     _, r = dense_residual([state], obs, world, noise, dt)
-    k_new = np.linalg.inv(np.eye(15) + dt * k @ e) @ k
+    still = models.predict([state], obs.kind, 0, obs.subject, world)
+    for y in (obs.y, still):
+        e = dense_hessian([state], dataclasses.replace(obs, y=y), world,
+                          noise, dt)
+        k_new = np.linalg.inv(np.eye(15) + dt * k @ e) @ k
+        if dense_definite(0.5 * (k_new + k_new.T)):
+            break
     from meswarm.lie import compose, group_exp
     x_new = compose(state, group_exp(dt * (k_new @ r)))
-    return x_new, 0.5 * (k_new + k_new.T)
+    return x_new, 0.5 * (k_new + k_new.T), y is still
 
 
 class TestUpdate:
@@ -348,17 +356,31 @@ class TestUpdate:
         # a first arrival takes the nominal period
         noise = dataclasses.replace(noise, dt_landmark=0.08)
         rng = np.random.default_rng(4)
+        # a second stream for observations near the prediction, so that the
+        # draws of rng stay as they were
+        near = np.random.default_rng(5)
+        fell_back = []
         for _ in range(20):
             x = random_state(rng)
             k0 = random_spd(rng, 15)
-            f = JointFilter([x], k0, world, noise)
-            obs = Observation(models.LANDMARK, 0, 1,
-                              rng.standard_normal(3), 0)
-            f.update(obs)
-            x_ref, k_ref = transcription_oracle(x, k0, obs, world, noise, 0.08)
-            np.testing.assert_allclose(joint_gain(f), k_ref, atol=1e-10)
-            np.testing.assert_allclose(pose_matrix(f.estimate()[0]),
-                                       pose_matrix(x_ref), atol=1e-10)
+            # y drawn far from the prediction, and one within 0.01 of it
+            y = models.predict_landmark(x, world.landmark(1))
+            for obs in (Observation(models.LANDMARK, 0, 1,
+                                    rng.standard_normal(3), 0),
+                        Observation(models.LANDMARK, 0, 1,
+                                    y + 0.01 * near.standard_normal(3), 0)):
+                f = JointFilter([x], k0, world, noise)
+                f.update(obs)
+                x_ref, k_ref, first = transcription_oracle(x, k0, obs, world,
+                                                           noise, 0.08)
+                np.testing.assert_allclose(joint_gain(f), k_ref, atol=1e-10)
+                np.testing.assert_allclose(pose_matrix(f.estimate()[0]),
+                                           pose_matrix(x_ref), atol=1e-10)
+                assert f.fallbacks == ({models.LANDMARK: 1} if first else {})
+                fell_back.append(first)
+        # the draws far from the prediction take the first-order update,
+        # the ones near it the second-order one
+        assert fell_back == [True, False] * 20
 
     def test_stale_observation_rejected(self, world, noise):
         f, nodes = both_filters([identity_state()], np.eye(15), world, noise)
@@ -504,7 +526,9 @@ def dense_definite(k):
 
 class TestDefiniteness:
     """Where the gain's positive definiteness is checked, and the m x m
-    verdict of a low-rank update against the dense check of its result."""
+    verdict of a low-rank update against the dense check of its result:
+    an update whose second-order result fails the dense check takes its
+    first-order term instead, is counted, and leaves the gain definite."""
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
@@ -525,13 +549,23 @@ class TestDefiniteness:
         b = rng.standard_normal((len(ix), len(ix)))
         # dt E_ii spans definite and indefinite results of the update
         e_ii = 0.5 * (b + b.T) * 10 ** rng.uniform(-3, 0) / dt
+        # a first-order term of rank 3, positive semidefinite as F^T M F is
+        c = rng.standard_normal((len(ix), 3))
+        e_first = (c @ c.T) * 10 ** rng.uniform(-3, 0) / dt
+        r_ix = np.zeros(len(ix))
         try:
-            g = joint.gain_correction(k[:, ix], ix, e_ii, dt)
+            g, _, _ = joint.gain_correction(k[:, ix], k[np.ix_(ix, ix)],
+                                            e_ii, dt, r_ix)
         except UpdateSingularError:
             assume(False)
         want = models._sym(k - g @ k[ix, :])
         eig = np.linalg.eigvalsh(want)
         assume(abs(eig[0]) > 1e-6 * np.max(np.abs(eig)))
+        second_order = dense_definite(want)
+        if not second_order:
+            g, _, _ = joint.gain_correction(k[:, ix], k[np.ix_(ix, ix)],
+                                            e_first, dt, r_ix)
+            want = models._sym(k - g @ k[ix, :])
 
         noise = NoiseModel(dt_landmark=dt, dt_intervehicle=dt)
         # the terms are mocked, but the landmark id is checked up front
@@ -539,13 +573,14 @@ class TestDefiniteness:
                         WorldConfig(landmarks={0: np.zeros(3)}), noise)
         obs = Observation(kind, observer, subject, np.zeros(3), 0)
         with mock.patch.object(models, "update_terms",
-                               return_value=(np.zeros(len(ix)), e_ii)), \
+                               return_value=(r_ix, e_ii, e_first)), \
                 mock.patch.object(joint.log, "warning") as warning:
             f.update(obs)
         # the coupled gain is updated column by column, unsymmetrised
         np.testing.assert_allclose(joint_gain(f), want, rtol=0,
                                    atol=1e-12 * np.abs(want).max())
-        assert warning.called == (not dense_definite(want))
+        assert f.fallbacks == ({} if second_order else {kind: 1})
+        assert dense_definite(joint_gain(f)) and not warning.called
 
     def test_one_dense_check_per_gain_rebuild(self, world, noise,
                                               monkeypatch):
@@ -579,5 +614,7 @@ class TestDefiniteness:
                                    world)
                 f.update(Observation(kind, observer, subject, y, t_ns))
             assert np.linalg.eigvalsh(joint_gain(f))[0] > 0.0
-        # the rebuilt 30 x 30 gain once per epoch, then one m x m per update
+        # the rebuilt 30 x 30 gain once per epoch, then one m x m per
+        # update, which every update passes: no fallback, no second test
         assert sizes == [30, 6, 6, 12] * 3
+        assert f.fallbacks == {}

@@ -3,6 +3,8 @@
 `kernels.expm` is a truncated Taylor series with scaling and squaring over
 any leading axes.  Its reference is mpmath's exponential at 40 digits; on
 the filter's own propagation matrices it must also agree with scipy's.
+The filters propagate with the first-order transition I + A dt, which is
+within its dropped second-order term of that exponential.
 """
 
 import dataclasses
@@ -18,7 +20,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meswarm import harness, joint, kernels
+from meswarm import harness, joint, kernels, models
 from meswarm.kernels import expm
 from test_acceptance import scenario_noise, scenario_sources, scenario_world
 
@@ -78,15 +80,18 @@ def test_stack_equals_per_slice_calls(seed, n, log_norm):
 
 
 def _propagation_matrices(imu_rate_hz, monkeypatch):
-    """The schedule, and every a*dt the joint filter exponentiates in 0.2 s
-    of the six-vehicle benchmark scenario, as an (m, 15, 15) stack."""
+    """The schedule, and every a*dt of a tick step that advances the joint
+    filter's factors in 0.2 s of the six-vehicle benchmark scenario, as an
+    (m, 15, 15) stack."""
     seen = []
+    step = joint.propagate_vehicle
 
-    def recording_expm(a):
-        seen.append(a.copy())
-        return expm(a)
+    def recording_step(state, kdiag, lam, u, dt, *args):
+        if lam is not None:
+            seen.append(models.a_check_single(state, u) * dt)
+        return step(state, kdiag, lam, u, dt, *args)
 
-    monkeypatch.setattr(joint, "expm", recording_expm)
+    monkeypatch.setattr(joint, "propagate_vehicle", recording_step)
     noise = dataclasses.replace(scenario_noise(), dt_imu=1.0 / imu_rate_hz)
     cfg = harness.ScheduleConfig(imu_rate_hz=imu_rate_hz, duration_s=0.2,
                                  seed=11)
@@ -106,7 +111,10 @@ def test_scenario_matrices_match_scipy(imu_rate_hz, monkeypatch):
     assert len(a) == 6 * (cfg.n_ticks - first)
     assert norm1(a).max() < 0.1
     for ai in a:
-        assert rel_err(expm(ai), sla.expm(ai)) <= 1e-15
+        exact = sla.expm(ai)
+        assert rel_err(expm(ai), exact) <= 1e-15
+        # the transition drops the exponential's terms from A^2 dt^2 / 2 on
+        assert norm1(np.eye(15) + ai - exact) <= norm1(ai) ** 2
 
 
 def test_zero_gives_identity_exactly():

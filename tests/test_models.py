@@ -496,7 +496,9 @@ class TestUpdateSparsity:
 
 class TestUpdateTerms:
     """The filters' one model evaluation per update returns exactly what
-    residual and hessian_term, checked above against the oracles, return."""
+    residual and hessian_term, checked above against the oracles, return,
+    and as its first-order part exactly hessian_term at zero innovation
+    (y = h, where the second-order part is exactly zero)."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), intervehicle=st.booleans())
@@ -509,11 +511,18 @@ class TestUpdateTerms:
         obs = Observation(kind, 0, int(intervehicle), rng.standard_normal(3),
                           0)
         noise, dt = NoiseModel(), float(rng.uniform(0.01, 1.0))
-        r_ix, e_ii = models.update_terms(states, obs, world, noise, dt)
+        r_ix, e_ii, e_first = models.update_terms(states, obs, world, noise,
+                                                  dt)
         _, r_want = models.residual(states, obs, world, noise, dt)
         e_want = models.hessian_term(states, obs, world, noise, dt)
         np.testing.assert_array_equal(r_ix, r_want)
         np.testing.assert_array_equal(e_ii, e_want)
+        h = models.predict(states, kind, 0, obs.subject, world)
+        still = Observation(kind, 0, obs.subject, h, 0)
+        np.testing.assert_array_equal(
+            e_first, models.hessian_term(states, still, world, noise, dt))
+        assert np.linalg.eigvalsh(e_first)[0] >= -1e-12 * np.abs(
+            e_first).max()
 
 
 class TestStackedLandmarkTerms:
@@ -536,14 +545,16 @@ class TestStackedLandmarkTerms:
                              scale * rng.standard_normal(3), 0)
                  for v in rng.permutation(n)[:r]]
         dt = rng.uniform(0.01, 1.0, r)
-        r_ix, e_ii = models.update_terms(
+        r_ix, e_ii, e_first = models.update_terms(
             states, models.stack_observations(group), world, noise, dt)
-        assert r_ix.shape == (r, 6) and e_ii.shape == (r, 6, 6)
+        assert r_ix.shape == (r, 6)
+        assert e_ii.shape == e_first.shape == (r, 6, 6)
         for i, obs in enumerate(group):
             want = models.update_terms(states, obs, world, noise,
                                        float(dt[i]))
             np.testing.assert_array_equal(r_ix[i], want[0])
             np.testing.assert_array_equal(e_ii[i], want[1])
+            np.testing.assert_array_equal(e_first[i], want[2])
 
     def test_unknown_landmark_refused(self):
         world = WorldConfig(landmarks={0: np.ones(3)})

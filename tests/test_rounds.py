@@ -27,7 +27,7 @@ from meswarm.joint import JointFilter, UpdateSingularError
 from meswarm.lie import STATE_DOF, retract, stack_states
 from meswarm.models import Observation, WorldConfig
 from test_acceptance import scenario_noise, scenario_sources, scenario_world
-from test_distributed import GATE_CASES, GATE_DT, gate_system
+from test_distributed import GATE_DT, gate_system
 from test_joint import joint_gain
 
 LANDMARKS = (np.array([2.0, 0.0, 1.0]), np.array([-1.0, 2.0, 0.5]),
@@ -55,7 +55,7 @@ def joint_warnings():
 def run_recorded(one_per_call, mode, n, n_landmarks, rate_hz, dropout,
                  seed, refuse_tick):
     """One run of the scheduler with the joint filter recording, after each
-    update call, its gain, estimate and observation clock.  With
+    update call, its gain, estimate, observation clock and fallback counts.  With
     one_per_call the filter takes the call's observations one at a time.
     At refuse_tick, the first landmark observation that dropout keeps
     carries a NaN, which the gate refuses.  Returns (records, warnings,
@@ -81,7 +81,8 @@ def run_recorded(one_per_call, mode, n, n_landmarks, rate_hz, dropout,
                     JointFilter.update(self, *observations)
             finally:
                 records.append((joint_gain(self), self.state,
-                                dict(self._last_obs_ns)))
+                                dict(self._last_obs_ns),
+                                dict(self.fallbacks)))
             return self
 
     synthesize = harness.synthesize_observation
@@ -110,9 +111,10 @@ def run_recorded(one_per_call, mode, n, n_landmarks, rate_hz, dropout,
 
 
 class TestRoundsEqualOnePerCall:
-    """Rounds give the gain, estimates, observation clock, warnings and
-    refusal text of one observation per call, bit for bit, in `none` and
-    in `central` (whose first inter-vehicle epoch starts with rounds)."""
+    """Rounds give the gain, estimates, observation clock, fallback
+    counts, warnings and refusal text of one observation per call, bit for
+    bit, in `none` and in `central` (whose first inter-vehicle epoch starts
+    with rounds)."""
 
     @settings(max_examples=25, deadline=None)
     @given(mode=st.sampled_from([harness.MODE_NONE, harness.MODE_CENTRAL]),
@@ -121,7 +123,7 @@ class TestRoundsEqualOnePerCall:
            dropout=st.sampled_from([0.0, 0.3, 0.7]),
            seed=st.integers(0, 2**16),
            refuse=st.none() | st.integers(0, 2))
-    # sparse epochs of five vehicles lose definiteness and warn
+    # sparse epochs of five vehicles fall back to first-order updates
     @example(mode=harness.MODE_NONE, n=5, n_landmarks=3, rate_hz=2.0,
              dropout=0.0, seed=7, refuse=None)
     @example(mode=harness.MODE_CENTRAL, n=5, n_landmarks=3, rate_hz=2.0,
@@ -144,13 +146,15 @@ class TestRoundsEqualOnePerCall:
         records, logged, text, rows, poisoned, stamps = rounds
         # one update call per epoch that synthesised an observation
         assert len(records) == len(single[0]) == stamps
-        for (k, state, clock), (k1, state1, clock1) in zip(records,
-                                                            single[0]):
+        for (k, state, clock, fallbacks), (k1, state1, clock1,
+                                           fallbacks1) in zip(records,
+                                                              single[0]):
             np.testing.assert_array_equal(k, k1)
             for name in ("rot", "pos", "vel", "gyro_bias", "accel_bias"):
                 np.testing.assert_array_equal(getattr(state, name),
                                               getattr(state1, name))
             assert clock == clock1
+            assert fallbacks == fallbacks1
         assert logged == single[1]
         assert text == single[2]
         # a run may also be refused on its own, identically in both
@@ -160,19 +164,23 @@ class TestRoundsEqualOnePerCall:
 
     def test_examples_cover_warnings(self):
         """The explicit examples above do exercise the definiteness
-        verdict: both runs warn."""
+        verdict: both runs fall back to first-order updates, and neither
+        finds its gain indefinite."""
         for mode, dropout in ((harness.MODE_NONE, 0.0),
                               (harness.MODE_CENTRAL, 0.3)):
-            _, logged, _, _, _, _ = run_recorded(False, mode, 5, 3, 2.0,
-                                              dropout, 7, None)
-            assert any("lost positive definiteness" in m for m in logged)
+            records, logged, _, _, _, _ = run_recorded(False, mode, 5, 3, 2.0,
+                                                       dropout, 7, None)
+            assert sum(records[-1][3].values()) > 0
+            assert not any("lost positive definiteness" in m for m in logged)
 
 
 class DenseOneAtATime:
     """The joint filter's algebra on a dense 15n x 15n gain, one
     observation at a time: the diagonal blocks propagate through
-    propagate_vehicle, and each update is K+ = sym(K - G K[ix, :]) with
-    psi = dt K+[:, ix] r.  Per-vehicle propagation factors are kept once a
+    propagate_vehicle, and each update is psi = dt K[:, ix] w, then
+    K+ = sym(K - G K[ix, :]), (G, w) from the second-order term E_ii unless that
+    K+ fails a dense 15n x 15n Cholesky, and from the first-order term
+    then (the filters decide it by their m x m test).  Per-vehicle propagation factors are kept once a
     cross block can be non-zero (from the start for such a prior,
     otherwise from the first inter-vehicle update), and the first update
     after a propagation rebuilds the cross blocks densely: K_ij becomes
@@ -181,9 +189,9 @@ class DenseOneAtATime:
     column stack both filters hold a coupled gain in.  Records its gain
     after every update call.
 
-    psi takes K+[:, ix] row-major, so BLAS forms each entry as one dot
-    product of its row with r, wherever the row sits; column-major, as
-    K+[:, ix] comes out of the index, the entries of the last rows of a
+    psi takes K[:, ix] row-major, so BLAS forms each entry as one dot
+    product of its row with w, wherever the row sits; column-major, as
+    K[:, ix] comes out of the index, the entries of the last rows of a
     block take other roundings in a block than in the dense matrix, and
     an indefinite gain amplifies such a last-bit change to 5e-9 in the
     rows of some of these draws."""
@@ -226,11 +234,19 @@ class DenseOneAtATime:
             dt = self.noise.effective_period(obs.kind, self.clock.get(key),
                                              obs.t_ns)
             ix = models.update_indices(obs.kind, obs.observer, obs.subject)
-            r_ix, e_ii = models.update_terms(self.state, obs, self.world,
-                                             self.noise, dt)
-            g = joint.gain_correction(self.k[:, ix], ix, e_ii, dt)
-            self.k = models._sym(self.k - g @ self.k[ix, :])
-            psi = dt * (np.ascontiguousarray(self.k[:, ix]) @ r_ix)
+            r_ix, *terms = models.update_terms(self.state, obs, self.world,
+                                               self.noise, dt)
+            for e in terms:
+                g, w, _ = joint.gain_correction(
+                    self.k[:, ix], self.k[np.ix_(ix, ix)], e, dt, r_ix)
+                k = models._sym(self.k - g @ self.k[ix, :])
+                try:
+                    np.linalg.cholesky(k)
+                except np.linalg.LinAlgError:
+                    continue
+                break
+            psi = dt * (np.ascontiguousarray(self.k[:, ix]) @ w)
+            self.k = k
             self.state = retract(self.state, psi.reshape(self.n, STATE_DOF))
             self.clock[key] = obs.t_ns
             if obs.kind == models.INTERVEHICLE and self.lam is None:
@@ -442,7 +458,8 @@ class TestStackedGate:
                        for v in range(len(cases))])
         kc = k[:, ix].transpose(1, 0, 2)
         e_ii = (TestStackedGate.systems(cases) - np.eye(6)) / GATE_DT
-        return kc, ix, e_ii, np.full(len(cases), GATE_DT)
+        return (kc, np.broadcast_to(np.eye(6), e_ii.shape), e_ii,
+                np.full(len(cases), GATE_DT), np.ones((len(cases), 6)))
 
     @pytest.mark.parametrize("cases,text", [
         (("cond_5e11", "singular", "nan"), "update system is singular"),
@@ -466,9 +483,12 @@ class TestStackedGate:
         b = rng.standard_normal((r, 6, 6))
         e_ii = b @ b.swapaxes(-1, -2)
         dt = np.array([0.1, 0.05, 0.2])
+        r_ix = rng.standard_normal((r, 6))
         kc = k[:, ix].transpose(1, 0, 2)
-        g = joint.gain_correction(kc, ix, e_ii, dt)
+        k_ii = np.array([k[np.ix_(i, i)] for i in ix])
+        stacked = joint.gain_correction(kc, k_ii, e_ii, dt, r_ix)
         for i in range(r):
-            np.testing.assert_array_equal(
-                g[i], joint.gain_correction(k[:, ix[i]], ix[i], e_ii[i],
-                                            float(dt[i])))
+            single = joint.gain_correction(k[:, ix[i]], k_ii[i], e_ii[i],
+                                           float(dt[i]), r_ix[i])
+            for got, want in zip(stacked, single):
+                np.testing.assert_array_equal(got[i], want)
