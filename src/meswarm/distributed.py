@@ -73,7 +73,7 @@ class UpdateBroadcast:
     dt: float
     t_ns: int
     r: np.ndarray          # m entries w = S^-1 r_ix (joint.gain_correction),
-                           # the residual r_ix itself if refused
+                           # zeros if refused
     gain: np.ndarray       # 15n x m gain correction G, None if refused
 
 
@@ -323,7 +323,7 @@ class VehicleNode(Network):
             # as in the joint filter
             log.warning("node %d: %s, skipping update at t=%d ns",
                         v, exc, obs.t_ns)
-            gain, r = None, terms[0]
+            gain, r = None, np.zeros(len(ix))
         else:
             self._last_obs_ns[key] = obs.t_ns
         return UpdateBroadcast(v, obs.kind, obs.subject, dt, obs.t_ns, r,

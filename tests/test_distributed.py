@@ -453,12 +453,11 @@ class TestFactors:
             imu = [ImuSample(rng.standard_normal(3), rng.standard_normal(3),
                              k * TICK_NS) for _ in range(2)]
             a = models.a_check_single(nodes.state, stack_samples(imu))
-            expected = (np.eye(STATE_DOF) + DT * a) @ expected
+            expected = expected + DT * (a @ expected)
             tick_nodes(nodes, imu)
-        # the ordered product of the ticks' transitions, accumulated as
-        # lam + dt A lam, to rounding
-        np.testing.assert_allclose(nodes.lam_acc, expected, rtol=0,
-                                   atol=1e-14)
+        # the ordered product of the ticks' transitions Phi = I + A dt,
+        # each applied as lam + dt A lam
+        np.testing.assert_array_equal(nodes.lam_acc, expected)
 
     def test_emit_resets_accumulator(self, world, noise):
         rng = np.random.default_rng(3)
@@ -792,6 +791,8 @@ class TestSingularGate:
             [PropagationFactor] * n
             + [PeerStateRequest, PeerStateReply, UpdateBroadcast])
         assert bus.records[-1][1].gain is None
+        # a refused broadcast's r has its kind's shape and carries nothing
+        np.testing.assert_array_equal(bus.records[-1][1].r, np.zeros(12))
 
 
     def test_refused_update_keeps_observation_clock(self, world, noise,
@@ -1491,7 +1492,7 @@ class OracleNode:
                 gain, w, _ = joint_module.gain_correction(kc, k_ii, e_first,
                                                           dt, r_ix)
         except UpdateSingularError:
-            gain, w = None, r_ix
+            gain, w = None, np.zeros(len(ix))
         else:
             self._last_obs_ns[key] = obs.t_ns
         return UpdateBroadcast(self.id, obs.kind, obs.subject, dt, obs.t_ns,
