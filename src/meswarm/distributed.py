@@ -35,7 +35,7 @@ from .lie import STATE_DOF, VehicleState
 
 log = logging.getLogger(__name__)
 
-WIRE_VERSION = 5
+WIRE_VERSION = 6
 
 
 class SynchronizationError(RuntimeError):
@@ -47,7 +47,8 @@ class SynchronizationError(RuntimeError):
 @dataclass(frozen=True)
 class PropagationFactor:
     sender: int
-    lam: np.ndarray        # 15x15 accumulated factor
+    lam: np.ndarray        # 15x15 accumulated factor, None over an empty
+                           # span (start_tick == end_tick)
     start_tick: int
     end_tick: int
 
@@ -116,16 +117,19 @@ def encode_message(msg, tick):
 
     The line is byte for byte json.dumps(body, sort_keys=True) of the body
     with every array as its {"b64", "shape"} object (see _arr), "tick" and
-    the wire version "v".  It is rendered from one fixed template per
-    message type, its keys written in sorted order, so the only generic
-    call left is json.dumps of a value outside the fast cases of _scalar,
-    and a value json.dumps refuses raises its TypeError.  No array entry
+    the wire version "v"; an empty span's factor, whose lam is None, and
+    a refused broadcast's gain are written null.  It is rendered from one
+    fixed template per message type, its keys written in sorted order, so
+    the only generic call left is json.dumps of a value outside the fast
+    cases of _scalar, and a value json.dumps refuses raises its
+    TypeError.  No array entry
     is written as a decimal, so no NaN or Infinity appears in a line
     unless `dt` is one.
     """
     if isinstance(msg, PropagationFactor):
+        lam = "null" if msg.lam is None else _arr(msg.lam)
         return (f'{{"end_tick": {_scalar(msg.end_tick)}, '
-                f'"lam": {_arr(msg.lam)}, '
+                f'"lam": {lam}, '
                 f'"sender": {_scalar(msg.sender)}, '
                 f'"start_tick": {_scalar(msg.start_tick)}, '
                 f'"tick": {_scalar(tick)}, '
@@ -233,13 +237,13 @@ class VehicleNode(Network):
 
     def emit_propagation_factors(self):
         """Every node's factor message, in node order; each node keeps its
-        own to pair with the peers' factors it absorbs.  The messages hold
-        views of the factor stack, which is only ever rebound, never
-        written; so over an empty span, where the stack is still the
-        identity, the nodes keep accumulating into it, and a bus that
-        renders its log after the run reads the factors as delivered.  An
-        empty span's messages are built once per tick and handed to every
-        later exchange in that tick."""
+        own to pair with the peers' factors it absorbs.  A factor over an
+        empty span carries no matrix (lam None), since absorbing it moves
+        nothing; its messages are built once per tick and handed to every
+        later exchange in that tick.  Over a non-empty span the messages
+        hold views of the factor stack, which is only ever rebound, never
+        written, so a bus that renders its log after the run reads the
+        factors as delivered."""
         if self._pending:
             raise SynchronizationError(
                 f"factors requested while tick {self.tick + 1} is incomplete")
@@ -247,23 +251,24 @@ class VehicleNode(Network):
         self._own, self._own_span = self.lam_acc, span
         if span[0] == span[1]:
             if self._empty[0] != self.tick:
-                self._empty = (self.tick, self._messages(span))
+                self._empty = (self.tick, tuple(
+                    PropagationFactor(v, None, *span) for v in range(self.n)))
             return self._empty[1]
-        msgs = self._messages(span)
+        msgs = tuple(PropagationFactor(v, self.lam_acc[v], *span)
+                     for v in range(self.n))
         self.lam_acc = identity_factors(self.n)
         self.lam_start_tick = self.tick
         return msgs
 
-    def _messages(self, span):
-        return tuple(PropagationFactor(v, self.lam_acc[v], *span)
-                     for v in range(self.n))
-
     def absorb_propagation_factor(self, peer):
         """Bring every other node's cross block for the sender up to the
         current tick: node v sets block j of its column to
-        lam_j K_jv lam_v^T with its own emitted factor lam_v.  While the
-        nodes keep no factors every cross block is +0, which the identity
-        factors would map to +0 again, so nothing is multiplied."""
+        lam_j K_jv lam_v^T with its own emitted factor lam_v.  A factor over
+        an empty span moves nothing, and its lam is not read.  Over a
+        non-empty span a lam that is not 15 x 15 (None included) is refused
+        before anything moves.  While the nodes keep no factors every cross
+        block is +0, which the identity factors would map to +0 again, so
+        nothing is multiplied."""
         check_vehicle("factor sender", peer.sender, self.n)
         span = (peer.start_tick, peer.end_tick)
         if span != self._own_span:
@@ -271,7 +276,15 @@ class VehicleNode(Network):
                 f"factor span {peer.start_tick}..{peer.end_tick} from "
                 f"{peer.sender} does not match the nodes' own span "
                 f"{self._own_span[0]}..{self._own_span[1]}")
-        if peer.start_tick == peer.end_tick or not self._coupled:
+        if peer.start_tick == peer.end_tick:
+            return self
+        if np.shape(peer.lam) != (STATE_DOF, STATE_DOF):
+            got = None if peer.lam is None else np.shape(peer.lam)
+            raise ValueError(
+                f"factor from {peer.sender} over ticks {peer.start_tick}.."
+                f"{peer.end_tick} needs lam of shape ({STATE_DOF}, "
+                f"{STATE_DOF}), got {got}")
+        if not self._coupled:
             return self
         absorb_factor(self.k_col, peer.sender, self._others[peer.sender],
                       peer.lam, self._own)

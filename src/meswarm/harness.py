@@ -326,13 +326,15 @@ class MessageBus:
     """Keeps every delivered message, with its tick, if recording.
 
     A record is the (tick, message) pair as delivered: nothing is encoded
-    on the epoch tick.  The bus-log line of a record, wire version 4 with
-    every array as base64 of its float64 bytes, is rendered once, by
-    distributed.encode_message, when the log is written (cli.write_bus_log).
-    That is sound because no message array is written in place after
-    delivery: a factor views a factor stack that the nodes only rebind, a
-    reply views state arrays that each step replaces, and the reply's
-    column slots, the residual and the gain correction are fresh arrays.
+    on the epoch tick.  The bus-log line of a record, in wire version
+    distributed.WIRE_VERSION with every array as base64 of its float64
+    bytes, is rendered once, by distributed.encode_message, when the log is
+    written (cli.write_bus_log).  That is sound because no message array is
+    written in place after delivery: a factor over a non-empty span views a
+    factor stack that the nodes only rebind (one over an empty span holds
+    no array), a reply views state arrays that each step replaces, and the
+    reply's column slots, the residual and the gain correction are fresh
+    arrays.
     Recording keeps those arrays alive for the whole run; switch it off
     when the log is not needed.
     """
@@ -413,15 +415,18 @@ def summarize_metrics(rows, steady_after_s=10.0):
 class RunResult:
     """One run's outputs.  ``bus_records`` holds a (tick, message) pair per
     delivered message, in delivery order (empty unless `distributed`
-    records its bus); cli.write_bus_log renders them as bus.log, one wire
-    v4 line each, and decoding a line gives its message back bit for
-    bit."""
+    records its bus); cli.write_bus_log renders them as bus.log, one line
+    of wire version distributed.WIRE_VERSION each, and decoding a line
+    gives its message back bit for bit.  ``fallbacks`` is the filter's
+    joint.Network.fallbacks as a dict: per observation kind, the updates
+    that took their first-order correction."""
 
     rows: np.recarray        # METRICS_DTYPE, one record per (tick, vehicle)
     summary: list
     bus_records: list
     estimates: list          # final per-vehicle VehicleState list
     update_count: int
+    fallbacks: dict
 
 
 def _observation_ticks(rate_hz, imu_rate_hz, n_ticks):
@@ -583,4 +588,5 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
     finals = flt.estimate()
     return RunResult(rows=rows, summary=summarize_metrics(rows),
                      bus_records=bus.records, estimates=finals,
-                     update_count=update_count)
+                     update_count=update_count,
+                     fallbacks=dict(flt.fallbacks))

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from meswarm import cli, harness
+from meswarm import cli, distributed, harness
+from test_docs import readme_config
 from test_harness import scored_runs
 
 
@@ -83,11 +84,38 @@ class TestOutputs:
                           name="dist")
         bodies = [json.loads(ln)
                   for ln in (out2 / "bus.log").read_text().splitlines()]
-        assert bodies and all(b["v"] == 5 for b in bodies)
+        assert bodies and all(b["v"] == 6 for b in bodies)
         replies = [b for b in bodies if b["type"] == "peer_state_reply"]
         # a peer reply carries only the 6 update columns of the 30x15 column
         assert replies and all(b["k_col"]["shape"] == [30, 6]
                                for b in replies)
+
+    def test_empty_span_factor_lines_carry_no_matrix(self, tmp_path):
+        """On the README config over 1 s in `distributed`, every factor
+        line over an empty span carries "lam": null and every other one a
+        15 x 15 array, and the log keeps n L (n + 1) + n (n - 1) (n + 3)
+        lines per epoch: n factors and a broadcast per landmark update, and
+        n factors, a request, a reply and a broadcast per inter-vehicle
+        update."""
+        cfg = readme_config()
+        code, out = run_cli(tmp_path, cfg, extra=(
+            "--mode", "distributed", "--duration", "1"))
+        assert code == 0
+        bodies = [json.loads(ln)
+                  for ln in (out / "bus.log").read_text().splitlines()]
+        assert all(b["v"] == distributed.WIRE_VERSION == 6 for b in bodies)
+        factors = [b for b in bodies if b["type"] == "propagation_factor"]
+        empty = [b for b in factors if b["start_tick"] == b["end_tick"]]
+        assert empty and all(b["lam"] is None for b in empty)
+        spans = [b for b in factors if b["start_tick"] != b["end_tick"]]
+        assert spans and all(b["lam"]["shape"] == [15, 15] for b in spans)
+        n, n_lm = len(cfg["vehicles"]), len(cfg["landmarks_m"])
+        epochs = {b["tick"] for b in bodies}
+        assert len(epochs) == 10
+        # one exchange per epoch spans ticks, the epoch's first
+        assert len(spans) == n * len(epochs)
+        assert len(bodies) == len(epochs) * (n * n_lm * (n + 1)
+                                             + n * (n - 1) * (n + 3))
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -168,7 +168,7 @@ def dict_body(msg, tick, array=_mat):
     payloads with a tolerance."""
     if isinstance(msg, PropagationFactor):
         body = {"type": "propagation_factor", "sender": msg.sender,
-                "lam": array(msg.lam),
+                "lam": None if msg.lam is None else array(msg.lam),
                 "start_tick": msg.start_tick, "end_tick": msg.end_tick}
     elif isinstance(msg, PeerStateRequest):
         body = {"type": "peer_state_request", "requester": msg.requester,
@@ -215,7 +215,9 @@ def decode_message(body):
         raise ValueError(f"unsupported wire version {body.get('v')!r}")
     kind = body["type"]
     if kind == "propagation_factor":
-        return PropagationFactor(body["sender"], decode_array(body["lam"]),
+        lam = body["lam"]
+        return PropagationFactor(body["sender"],
+                                 None if lam is None else decode_array(lam),
                                  body["start_tick"], body["end_tick"])
     if kind == "peer_state_request":
         return PeerStateRequest(body["requester"], body["target"])
@@ -282,10 +284,12 @@ def wire_messages(draw):
     node = st.integers(0, n - 1)
     kind = draw(st.sampled_from(["factor", "request", "reply", "broadcast"]))
     if kind == "factor":
+        # a factor over an empty span carries no matrix
         start = draw(st.integers(0, 10**6))
-        return PropagationFactor(draw(node),
-                                 draw(float_arrays((STATE_DOF, STATE_DOF))),
-                                 start, start + draw(st.integers(0, 400)))
+        span = draw(st.just(0) | st.integers(1, 400))
+        lam = (None if span == 0
+               else draw(float_arrays((STATE_DOF, STATE_DOF))))
+        return PropagationFactor(draw(node), lam, start, start + span)
     if kind == "request":
         return PeerStateRequest(draw(node), draw(node))
     if kind == "reply":
@@ -309,6 +313,7 @@ class TestWire:
         col = rng.standard_normal((30, models.UPDATE_SLOTS))
         msgs = [
             PropagationFactor(1, rng.standard_normal((15, 15)), 3, 9),
+            PropagationFactor(2, None, 9, 9),
             PeerStateRequest(0, 1),
             PeerStateReply(1, st, col),
             UpdateBroadcast(0, models.LANDMARK, 2, 0.1, 5_000_000,
@@ -322,12 +327,13 @@ class TestWire:
         ]
         for msg in msgs:
             body = json.loads(encode_message(msg, 7))
-            assert body["v"] == WIRE_VERSION == 5 and body["tick"] == 7
+            assert body["v"] == WIRE_VERSION == 6 and body["tick"] == 7
             assert_same_message(decode_message(body), msg)
         assert decode_message(json.loads(encode_message(msgs[-1], 0))).gain \
             is None
         assert json.loads(encode_message(msgs[0], 0))["lam"]["shape"] == [
             15, 15]
+        assert json.loads(encode_message(msgs[1], 0))["lam"] is None
 
     def test_v1_update_broadcast_rejected(self):
         body = {"type": "update_broadcast", "origin": 0, "kind": "landmark",
@@ -351,7 +357,7 @@ class TestWire:
         line = encode_message(msg, tick)
         assert "\n" not in line
         body = strict_body(line)
-        assert body["v"] == 5 and body["tick"] == tick
+        assert body["v"] == 6 and body["tick"] == tick
         assert_same_message(decode_message(body), msg)
 
     @settings(max_examples=150, deadline=None)
@@ -466,7 +472,7 @@ class TestFactors:
         nodes.emit_propagation_factors()
         np.testing.assert_array_equal(nodes.lam_acc[0], np.eye(STATE_DOF))
         (msg,) = nodes.emit_propagation_factors()
-        assert msg.start_tick == msg.end_tick == 1
+        assert msg.start_tick == msg.end_tick == 1 and msg.lam is None
 
     def test_zero_span_absorb_is_noop(self, world, noise):
         rng = np.random.default_rng(4)
@@ -487,6 +493,29 @@ class TestFactors:
         peer = PropagationFactor(1, np.eye(15), 0, 3)
         with pytest.raises(SynchronizationError):
             nodes.absorb_propagation_factor(peer)
+
+    @pytest.mark.parametrize("lam", [None, np.eye(14), np.ones((15, 14)),
+                                     np.ones(15), np.ones((2, 15, 15)),
+                                     np.float64(1.0)])
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_malformed_factor_refused(self, world, noise, lam, coupled):
+        """A factor over a non-empty span whose lam is not 15 x 15, None
+        included, raises ValueError naming its sender and span before any
+        column, factor or state moves."""
+        rng = np.random.default_rng(5)
+        make = coupled_network if coupled else make_network
+        _, nodes = make(rng, 2, world, noise)
+        tick_nodes(nodes, [ImuSample(np.ones(3), np.ones(3), 0)] * 2)
+        nodes.emit_propagation_factors()
+        before = (nodes.k_col.copy(), nodes.lam_acc.copy(),
+                  pose_matrix(nodes.state))
+        with pytest.raises(ValueError, match=(
+                r"^factor from 1 over ticks 0\.\.1 needs lam of shape "
+                r"\(15, 15\), got ")):
+            nodes.absorb_propagation_factor(PropagationFactor(1, lam, 0, 1))
+        assert_same_bits(nodes.k_col, before[0])
+        assert_same_bits(nodes.lam_acc, before[1])
+        assert_same_bits(pose_matrix(nodes.state), before[2])
 
     def test_incomplete_tick_refuses_exchange(self, world, noise):
         rng = np.random.default_rng(5)
@@ -1209,6 +1238,8 @@ class TestNodeEconomy:
         for msg in exchange_factors(nodes):
             assert msg.end_tick > msg.start_tick
             assert_same_bits(msg.lam, np.eye(STATE_DOF))
+        for msg in exchange_factors(nodes):
+            assert msg.end_tick == msg.start_tick and msg.lam is None
         assert calls == []
         if n == 1:
             return
@@ -1452,7 +1483,9 @@ class OracleNode:
         self.t_ns += int(round(dt * 1e9))
 
     def emit_propagation_factor(self):
-        msg = PropagationFactor(self.id, self.lam_acc[0].copy(),
+        empty = self.lam_start_tick == self.tick
+        msg = PropagationFactor(self.id,
+                                None if empty else self.lam_acc[0].copy(),
                                 self.lam_start_tick, self.tick)
         self.lam_acc = np.eye(STATE_DOF)[None]
         self.lam_start_tick = self.tick
@@ -1558,6 +1591,43 @@ def resync(oracle, nodes):
         nd.lam_acc = nodes.lam_acc[v][None].copy()
 
 
+def oracle_scenario(rng, n, seed, dt):
+    """TestStackedAgainstOracle's noise, two landmarks, markers and n
+    synthetic sources, their trajectories drawn from rng."""
+    noise = NoiseModel(b_gyro=0.005 * np.eye(3), b_accel=0.02 * np.eye(3),
+                       b_gyro_bias=1e-5 * np.eye(3),
+                       b_accel_bias=1e-4 * np.eye(3),
+                       d_landmark=0.1 * np.eye(3),
+                       d_intervehicle=0.05 * np.eye(3), dt_imu=dt)
+    world = WorldConfig(landmarks={0: np.array([2.0, 0.0, 1.0]),
+                                   1: np.array([-1.0, 2.0, 0.5])},
+                        markers={v: 0.05 * np.eye(3)[v % 3]
+                                 for v in range(n)})
+    sources = [harness.SyntheticSource(
+        harness.SinusoidTrajectory.random(rng, pos_scale=0.6, rot_scale=0.3),
+        noise, v, seed) for v in range(n)]
+    return noise, world, sources
+
+
+def test_run_result_reports_fallbacks_alike():
+    """RunResult.fallbacks is the filter's count of first-order updates
+    per kind, in every mode: on a scenario whose coupled filters fall back
+    33 times (n=2, seed 2, landmarks at 1 Hz, inter-vehicle at 10 Hz,
+    10 s), `central` and `distributed` report the same non-zero counts,
+    and `none` counts landmark updates only."""
+    cfg = harness.ScheduleConfig(duration_s=10.0, landmark_rate_hz=1.0,
+                                 intervehicle_rate_hz=10.0, seed=2)
+    noise, world, sources = oracle_scenario(np.random.default_rng(2), 2, 2,
+                                            1.0 / cfg.imu_rate_hz)
+    counts = {mode: harness.run_schedule(cfg, mode, sources, world, noise,
+                                         record_bus=False).fallbacks
+              for mode in harness.MODES}
+    assert counts["central"] == counts["distributed"]
+    assert sum(counts["central"].values()) == 33
+    assert counts["central"][models.INTERVEHICLE] > 0
+    assert set(counts["none"]) <= {models.LANDMARK}
+
+
 class TestStackedAgainstOracle:
     """The stacked network reproduces n independent per-node oracles on the
     harness's schedule: the same messages, columns, states and errors.
@@ -1590,19 +1660,7 @@ class TestStackedAgainstOracle:
         rng = np.random.default_rng(seed)
         dt = 1.0 / self.IMU_HZ
         dt_ns = int(round(1e9 * dt))
-        noise = NoiseModel(b_gyro=0.005 * np.eye(3), b_accel=0.02 * np.eye(3),
-                           b_gyro_bias=1e-5 * np.eye(3),
-                           b_accel_bias=1e-4 * np.eye(3),
-                           d_landmark=0.1 * np.eye(3),
-                           d_intervehicle=0.05 * np.eye(3), dt_imu=dt)
-        world = WorldConfig(landmarks={0: np.array([2.0, 0.0, 1.0]),
-                                       1: np.array([-1.0, 2.0, 0.5])},
-                            markers={v: 0.05 * np.eye(3)[v % 3]
-                                     for v in range(n)})
-        sources = [harness.SyntheticSource(
-            harness.SinusoidTrajectory.random(rng, pos_scale=0.6,
-                                              rot_scale=0.3), noise, v, seed)
-            for v in range(n)]
+        noise, world, sources = oracle_scenario(rng, n, seed, dt)
         for src in sources:
             src.prepare(self.TICKS, dt)
         prior = harness.PriorConfig()

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from meswarm import cli, harness
-from meswarm.distributed import UpdateBroadcast
+from meswarm.distributed import PropagationFactor, UpdateBroadcast
 from meswarm.harness import ScheduleConfig, SinusoidTrajectory, SyntheticSource
 from meswarm.models import NoiseModel, WorldConfig
 
@@ -50,7 +50,8 @@ def test_readme_names_exactly_the_parser_flags():
 
 def test_bus_log_decoding_snippet_reads_a_fresh_log(tmp_path, monkeypatch):
     """The Command line section's decoding snippet, run on a bus.log just
-    written, gives every update's gain bit for bit."""
+    written, gives every update's gain and every factor bit for bit, None
+    for a factor over an empty span."""
     noise = NoiseModel(d_landmark=0.1 * np.eye(3),
                        d_intervehicle=0.05 * np.eye(3))
     world = WorldConfig(landmarks={0: np.array([2.0, 0.0, 1.0])},
@@ -72,6 +73,16 @@ def test_bus_log_decoding_snippet_reads_a_fresh_log(tmp_path, monkeypatch):
     assert want and len(names["gains"]) == len(want)
     for got, gain in zip(names["gains"], want):
         assert got.shape == gain.shape and got.tobytes() == gain.tobytes()
+    want = [msg.lam for _, msg in result.bus_records
+            if isinstance(msg, PropagationFactor)]
+    assert len(names["factors"]) == len(want)
+    assert any(lam is None for lam in want)
+    assert any(lam is not None for lam in want)
+    for got, lam in zip(names["factors"], want):
+        if lam is None:
+            assert got is None
+        else:
+            assert got.shape == lam.shape and got.tobytes() == lam.tobytes()
 
 
 def readme_config():

@@ -10,6 +10,7 @@ updated one observation at a time, check that `none` never forms a
 stacked gate's verdicts.
 """
 
+import collections
 import logging
 import re
 import tracemalloc
@@ -187,7 +188,8 @@ class DenseOneAtATime:
     lam_i K_ij lam_j^T for i < j and K_ji its transpose.  So it serves
     runs with inter-vehicle updates too, as an oracle independent of the
     column stack both filters hold a coupled gain in.  Records its gain
-    after every update call.
+    after every update call, and counts its first-order updates per kind
+    in `fallbacks`, as the filters do.
 
     psi takes K[:, ix] row-major, so BLAS forms each entry as one dot
     product of its row with w, wherever the row sits; column-major, as
@@ -208,6 +210,7 @@ class DenseOneAtATime:
         self.lam = (joint.identity_factors(self.n)
                     if joint._blocks(self.k, self.n)[off].any() else None)
         self.stale = False
+        self.fallbacks = collections.Counter()
 
     def propagate(self, u, dt):
         ar = np.arange(self.n)
@@ -236,7 +239,7 @@ class DenseOneAtATime:
             ix = models.update_indices(obs.kind, obs.observer, obs.subject)
             r_ix, *terms = models.update_terms(self.state, obs, self.world,
                                                self.noise, dt)
-            for e in terms:
+            for first_order, e in enumerate(terms):
                 g, w, _ = joint.gain_correction(
                     self.k[:, ix], self.k[np.ix_(ix, ix)], e, dt, r_ix)
                 k = models._sym(self.k - g @ self.k[ix, :])
@@ -245,6 +248,7 @@ class DenseOneAtATime:
                 except np.linalg.LinAlgError:
                     continue
                 break
+            self.fallbacks[obs.kind] += first_order
             psi = dt * (np.ascontiguousarray(self.k[:, ix]) @ w)
             self.k = k
             self.state = retract(self.state, psi.reshape(self.n, STATE_DOF))

@@ -1,5 +1,5 @@
 """Every function, method and class of the package has a caller outside
-tests, and every name a package module imports is used there.
+tests, and every name a package or test module imports is used there.
 
 A definition in src/meswarm counts as used when the package or the
 benchmark (perfbench/) references its name outside the definition itself:
@@ -7,7 +7,7 @@ as a Name, an Attribute, an import alias, or one of the target strings by
 which perfbench/tracer.py wraps functions.  Dunder names are exempt.  Tests
 do not count as callers: a function that only tests call is a test oracle
 and lives with the tests.  An imported name counts as used when its module
-reads it as a Name.
+reads it as a Name, in the package and in the test modules alike.
 """
 
 import ast
@@ -16,6 +16,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "meswarm"
+TESTS = ROOT / "tests"
 BENCH = ROOT / "perfbench"
 TRACER = BENCH / "tracer.py"
 
@@ -107,6 +108,10 @@ def test_a_test_only_function_is_flagged():
 
 def test_every_import_is_used():
     assert unused_imports(_sources(PACKAGE.glob("*.py"))) == []
+
+
+def test_every_test_import_is_used():
+    assert unused_imports(_sources(TESTS.glob("*.py"))) == []
 
 
 def test_an_unused_import_is_flagged():
