@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import dataio, distributed, harness
+from . import dataio, distributed, harness, models
 from .dataio import ConfigError, DataError
 from .joint import UpdateSingularError
 
@@ -75,10 +75,39 @@ def write_summary(csv_path, txt_path, summary):
 
 def write_bus_log(path, records):
     """One line per (tick, message) bus record, in delivery order: the
-    message's canonical encoding, rendered here and nowhere earlier."""
+    message's canonical encoding, rendered here and nowhere earlier.
+    Returns {message type: (lines, bytes)} of what it wrote, the bytes
+    with each line's newline."""
+    names, account = {}, {}
     with open(path, "w") as fh:
         for tick, msg in records:
-            fh.write(distributed.encode_message(msg, tick) + "\n")
+            line = distributed.encode_message(msg, tick) + "\n"
+            fh.write(line)
+            name = names.get(type(msg))
+            if name is None:
+                # the wire type, which a subclass shares with its base
+                name = names[type(msg)] = json.loads(line)["type"]
+            count = account.get(name)
+            if count is None:
+                count = account[name] = [0, 0]
+            count[0] += 1
+            # a line is ASCII: json.dumps escapes anything else
+            count[1] += len(line)
+    return {name: tuple(count) for name, count in account.items()}
+
+
+def run_account(mode, result, bus):
+    """One line on a run: its updates, its first-order fallbacks per
+    observation kind (RunResult.fallbacks) and, in `distributed`, the
+    bus.log lines and bytes per message type (write_bus_log's count)."""
+    text = (f"{mode}: {result.update_count} updates, first-order fallbacks "
+            + ", ".join(f"{kind} {result.fallbacks.get(kind, 0)}"
+                        for kind in (models.LANDMARK, models.INTERVEHICLE)))
+    if mode == harness.MODE_DISTRIBUTED:
+        text += "; bus.log " + ", ".join(
+            f"{name} {count} lines {size} B"
+            for name, (count, size) in bus.items())
+    return text
 
 
 def run_experiment(cfg):
@@ -145,10 +174,12 @@ def main(argv=None):
     write_metrics_csv(os.path.join(args.out, "metrics.csv"), result.rows)
     write_summary(os.path.join(args.out, "summary.csv"),
                   os.path.join(args.out, "summary.txt"), result.summary)
-    write_bus_log(os.path.join(args.out, "bus.log"), result.bus_records)
+    bus = write_bus_log(os.path.join(args.out, "bus.log"),
+                        result.bus_records)
     with open(os.path.join(args.out, "effective_config.json"), "w") as fh:
         json.dump(cfg.effective(), fh, indent=2, sort_keys=True)
         fh.write("\n")
+    log.info("%s", run_account(cfg.mode, result, bus))
     with open(os.path.join(args.out, "summary.txt")) as fh:
         sys.stdout.write(fh.read())
     return 0

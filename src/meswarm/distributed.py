@@ -8,9 +8,11 @@ owns its own state estimate and one 15n x 15 column slice of the joint
 gain matrix.
 Between observations nodes run silently, accumulating a propagation
 factor; when an observation is originated the factors are exchanged, the
-originating node computes the low-rank gain correction once and broadcasts
-it with the residual through the update system, and every node applies
-them locally.
+originating node solves the m x m update system once and broadcasts its
+own update columns with the system's solution and the residual through
+it, and every node forms the low-rank gain correction from them (and,
+for an inter-vehicle update, from the target's columns in the exchange's
+peer state reply) and applies it locally.
 
 The simulation holds all n nodes of a network in one VehicleNode, with the
 node axis leading, and advances them together: one stacked propagation
@@ -24,7 +26,7 @@ import logging
 from binascii import b2a_base64
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isfinite
+from math import inf, isfinite
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from .lie import STATE_DOF, VehicleState
 
 log = logging.getLogger(__name__)
 
-WIRE_VERSION = 6
+WIRE_VERSION = 7
 
 
 class SynchronizationError(RuntimeError):
@@ -68,6 +70,12 @@ class PeerStateReply:
 
 @dataclass(frozen=True)
 class UpdateBroadcast:
+    """An update, as its origin sends it to every node.  A node forms the
+    gain correction G = dt kc x (joint.correction_matrix) from the update
+    columns kc = K[:, ix]: `cols` for a landmark update, and `cols` beside
+    the k_col of the exchange's PeerStateReply for an inter-vehicle one.
+    The target's columns cross the bus once, in the reply."""
+
     origin: int
     kind: str
     subject: int           # landmark index, or target vehicle
@@ -75,7 +83,10 @@ class UpdateBroadcast:
     t_ns: int
     r: np.ndarray          # m entries w = S^-1 r_ix (joint.gain_correction),
                            # zeros if refused
-    gain: np.ndarray       # 15n x m gain correction G, None if refused
+    cols: np.ndarray       # 15n x 6: the update slots of the origin's
+                           # column, None if refused
+    x: np.ndarray          # m x m S^-1 E_ii (S^-1 E_first on a fallback),
+                           # None if refused
 
 
 # the JSON text of the two observation kinds, rendered once
@@ -118,13 +129,12 @@ def encode_message(msg, tick):
     The line is byte for byte json.dumps(body, sort_keys=True) of the body
     with every array as its {"b64", "shape"} object (see _arr), "tick" and
     the wire version "v"; an empty span's factor, whose lam is None, and
-    a refused broadcast's gain are written null.  It is rendered from one
-    fixed template per message type, its keys written in sorted order, so
-    the only generic call left is json.dumps of a value outside the fast
-    cases of _scalar, and a value json.dumps refuses raises its
-    TypeError.  No array entry
-    is written as a decimal, so no NaN or Infinity appears in a line
-    unless `dt` is one.
+    a refused broadcast's cols and x are written null.  It is rendered
+    from one fixed template per message type, its keys written in sorted
+    order, so the only generic call left is json.dumps of a value outside
+    the fast cases of _scalar, and a value json.dumps refuses raises its
+    TypeError.  No array entry is written as a decimal, so no NaN or
+    Infinity appears in a line unless `dt` is one.
     """
     if isinstance(msg, PropagationFactor):
         lam = "null" if msg.lam is None else _arr(msg.lam)
@@ -150,13 +160,15 @@ def encode_message(msg, tick):
                 f'"tick": {_scalar(tick)}, '
                 f'"type": "peer_state_reply", "v": {WIRE_VERSION}}}')
     if isinstance(msg, UpdateBroadcast):
-        gain = "null" if msg.gain is None else _arr(msg.gain)
-        return (f'{{"dt": {_scalar(msg.dt)}, "gain": {gain}, '
+        cols = "null" if msg.cols is None else _arr(msg.cols)
+        x = "null" if msg.x is None else _arr(msg.x)
+        return (f'{{"cols": {cols}, "dt": {_scalar(msg.dt)}, '
                 f'"kind": {_scalar(msg.kind)}, '
                 f'"origin": {_scalar(msg.origin)}, "r": {_arr(msg.r)}, '
                 f'"subject": {_scalar(msg.subject)}, '
                 f'"t_ns": {_scalar(msg.t_ns)}, "tick": {_scalar(tick)}, '
-                f'"type": "update_broadcast", "v": {WIRE_VERSION}}}')
+                f'"type": "update_broadcast", "v": {WIRE_VERSION}, '
+                f'"x": {x}}}')
     raise TypeError(f"not a wire message: {type(msg)!r}")
 
 
@@ -305,53 +317,65 @@ class VehicleNode(Network):
         """Build the update broadcast for an observation, at its observer.
 
         The observing node reads its own state and column and, for an
-        inter-vehicle observation, the target's reply.  Its correction is
-        the network's (Network._correction): the second-order one, or the
-        first-order one where that would leave the gain indefinite, as the
-        joint filter decides it.  An update whose small system is singular,
+        inter-vehicle observation, the target's reply.  From them it builds
+        the m x m K_ii only, its own update slots and the reply's at the
+        slots ix, and its correction is the network's
+        (Network._correction): the second-order one, or the first-order one
+        where that would leave the gain indefinite, as the joint filter
+        decides it.  The broadcast carries a fresh copy of its own update
+        slots as `cols`, and the m x m x and w; G is formed where it is
+        applied.  An update whose small system is singular,
         ill-conditioned or not finite is refused here, once for the
-        network: the broadcast carries no gain correction and every node
-        leaves its column and state alone.  An
-        observation the network refuses (Network._check_observation) is
-        refused before anything moves, as the joint filter refuses it.
+        network: the broadcast carries no cols and no x, and every node
+        leaves its column and state alone.  An observation the network
+        refuses (Network._check_observation) is refused before anything
+        moves, as the joint filter refuses it.
         """
         self._check_observation(obs)
         v = obs.observer
         # the model terms read only the vehicles the observation involves
         states = {v: self.state[v]}
-        # K[:, ix]: the update slots of the observer's column, then the target's
-        cols = [self.k_col[v, :, :models.UPDATE_SLOTS]]
         if obs.kind == models.INTERVEHICLE:
             if peer_reply is None or peer_reply.sender != obs.subject:
                 raise ValueError("inter-vehicle update needs the target's "
                                  "state and gain column first")
             states[obs.subject] = peer_reply.state
-            cols.append(peer_reply.k_col)
         key, dt, ix, terms = self._terms(obs, states)
-        kc = np.hstack(cols)
+        own = self.k_col[v, :, :models.UPDATE_SLOTS]
+        # K[ix, ix]: the observer's update slots at ix, then the target's
+        k_ii = own[ix]
+        if obs.kind == models.INTERVEHICLE:
+            k_ii = np.concatenate((k_ii, peer_reply.k_col[ix]), axis=1)
         try:
-            gain, r = self._correction(obs.kind, kc, kc[ix, :], dt, terms)
+            x, r = self._correction(obs.kind, k_ii, dt, terms)
         except UpdateSingularError as exc:
             # a refused update leaves the source's observation clock alone,
             # as in the joint filter
             log.warning("node %d: %s, skipping update at t=%d ns",
                         v, exc, obs.t_ns)
-            gain, r = None, np.zeros(len(ix))
+            cols, x, r = None, None, np.zeros(len(ix))
         else:
+            cols = own.copy()
             self._last_obs_ns[key] = obs.t_ns
         return UpdateBroadcast(v, obs.kind, obs.subject, dt, obs.t_ns, r,
-                               gain)
+                               cols, x)
 
-    def apply_update(self, msg):
-        """Apply a broadcast update to every node's column and state: a
-        retraction by dt k_col[ix, :]^T r, from the columns before the
-        update, and k_col <- k_col - G k_col[ix, :], in one stacked step.
-        The first applied inter-vehicle broadcast starts the nodes' factors
-        (Network._apply).
-        A broadcast whose origin, kind or inter-vehicle subject no
-        observation could have, whose stamp is not the nodes' time, or
-        whose r is not (m,) or gain not (15n, m) for its kind, is refused
-        before anything moves."""
+    def apply_update(self, msg, peer_reply=None):
+        """Apply a broadcast update to every node's column and state, with
+        the peer state reply of its exchange for an inter-vehicle update:
+        G = dt kc x from the update columns kc (`cols`, beside the reply's
+        k_col for an inter-vehicle update), a retraction by
+        dt k_col[ix, :]^T r, from the columns before the update, and
+        k_col <- k_col - G k_col[ix, :], in one stacked step
+        (joint.apply_correction).  The first applied inter-vehicle
+        broadcast starts the nodes' factors (Network._apply).
+        A broadcast is refused before anything moves if its origin, kind
+        or inter-vehicle subject is one no observation could have, its
+        stamp is not the nodes' time, its dt is not positive and finite,
+        its r is not (m,), its cols and x are not both None or both arrays
+        of shapes (15n, 6) and (m, m), or if an inter-vehicle broadcast
+        comes without the reply of its subject, whose k_col is (15n, 6),
+        or a landmark broadcast with a reply."""
         check_vehicle("broadcast origin", msg.origin, self.n)
         models.check_source(msg.kind, msg.origin, msg.subject)
         if msg.kind == models.INTERVEHICLE:
@@ -359,14 +383,39 @@ class VehicleNode(Network):
         if msg.t_ns != self.t_ns:
             raise ValueError(
                 f"nodes at {self.t_ns} ns got update for {msg.t_ns} ns")
+        if not 0.0 < msg.dt < inf:
+            raise ValueError(f"broadcast period must be positive and "
+                             f"finite: {msg.dt}")
         ix = models.update_indices(msg.kind, msg.origin, msg.subject)
-        m = len(ix)
-        if np.shape(msg.r) != (m,) or (msg.gain is not None and np.shape(
-                msg.gain) != (self.n * STATE_DOF, m)):
+        m, slots = len(ix), (self.n * STATE_DOF, models.UPDATE_SLOTS)
+        refused = msg.cols is None and msg.x is None
+        if np.shape(msg.r) != (m,) or not refused and (
+                np.shape(msg.cols) != slots or np.shape(msg.x) != (m, m)):
             raise ValueError(
-                f"{msg.kind} broadcast needs r of shape ({m},) and gain of "
-                f"shape ({self.n * STATE_DOF}, {m}), got {np.shape(msg.r)} "
-                f"and {np.shape(msg.gain)}")
-        if msg.gain is not None:
-            self._apply(msg.kind, ix, msg.gain, msg.dt, msg.r)
+                f"{msg.kind} broadcast needs r of shape ({m},), and cols of "
+                f"shape {slots} and x of shape ({m}, {m}) or both None, got "
+                f"{np.shape(msg.r)}, {_shape_of(msg.cols)} and "
+                f"{_shape_of(msg.x)}")
+        if msg.kind == models.INTERVEHICLE:
+            sender = None if peer_reply is None else peer_reply.sender
+            if sender != msg.subject:
+                raise ValueError(
+                    f"inter-vehicle broadcast needs the reply of its subject "
+                    f"{msg.subject}, got the reply of {sender}")
+            if np.shape(peer_reply.k_col) != slots:
+                raise ValueError(
+                    f"reply of {sender} needs k_col of shape {slots}, got "
+                    f"{_shape_of(peer_reply.k_col)}")
+        elif peer_reply is not None:
+            raise ValueError(f"{msg.kind} broadcast takes no peer reply, "
+                             f"got the reply of {peer_reply.sender}")
+        if not refused:
+            kc = msg.cols if msg.kind == models.LANDMARK else np.concatenate(
+                (msg.cols, peer_reply.k_col), axis=1)
+            self._apply(msg.kind, ix, kc, msg.x, msg.dt, msg.r)
         return self
+
+
+def _shape_of(a):
+    """An array field's shape, or None for a field that is None."""
+    return None if a is None else np.shape(a)

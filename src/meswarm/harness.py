@@ -332,9 +332,10 @@ class MessageBus:
     written (cli.write_bus_log).  That is sound because no message array is
     written in place after delivery: a factor over a non-empty span views a
     factor stack that the nodes only rebind (one over an empty span holds
-    no array), a reply views state arrays that each step replaces, and the
-    reply's column slots, the residual and the gain correction are fresh
-    arrays.
+    no array), a reply views state arrays that each step replaces, and
+    these are fresh arrays, which no one writes: the reply's k_col, and a
+    broadcast's r, its cols (a copy of the origin's update slots) and
+    its x.
     Recording keeps those arrays alive for the whole run; switch it off
     when the log is not needed.
     """
@@ -457,14 +458,16 @@ def _perturbed_prior(truth, prior, rng):
 def _distributed_update(nodes, obs, tick, bus):
     """One observation through the network: every node's factor, each
     absorbed by the others, the target's reply to an inter-vehicle
-    observer, and the observer's broadcast, applied by every node."""
+    observer, and the observer's broadcast, applied by every node with
+    that reply."""
     for msg in nodes.emit_propagation_factors():
         nodes.absorb_propagation_factor(bus.deliver(tick, msg))
     reply = None
     if obs.kind == models.INTERVEHICLE:
         bus.deliver(tick, distributed.PeerStateRequest(obs.observer, obs.subject))
         reply = bus.deliver(tick, nodes.peer_state_reply(obs.subject))
-    nodes.apply_update(bus.deliver(tick, nodes.originate_update(obs, reply)))
+    nodes.apply_update(bus.deliver(tick, nodes.originate_update(obs, reply)),
+                       reply)
 
 
 def run_schedule(config, mode, sources, world, noise, prior=None,

@@ -10,7 +10,8 @@ an observation gets, which correction an update gets (the second-order
 one, or the first-order one where the second-order one would leave the
 gain indefinite) and how it is applied.  The algebra both run is here as
 functions: propagate_vehicle, absorb_factor and apply_correction on the
-column stack, and gain_correction with its gate, update_inverse.
+column stack, and gain_correction with its gate, update_inverse, and
+correction_matrix, which forms an update's G from gain_correction's x.
 
 JointFilter is the centralised form.  IMU ticks propagate the estimate
 through the group exponential and the whole gain through one first-order
@@ -82,11 +83,24 @@ def absorb_factor(k_col, j, others, lam_j, own):
                             @ own[others].swapaxes(-1, -2))
 
 
-def apply_correction(state, k_col, kind, ix, g, dt, w):
+def correction_matrix(kc, x, dt):
+    """The gain correction G = dt kc x of an update (gain_correction),
+    15n x m, from its update columns kc = K[:, ix] and gain_correction's
+    m x m x; for a stack of updates, kc (R, 15n, m), x (R, m, m) and
+    dt (R,).  Every filter forms G here, from the gain before the update."""
+    if isinstance(dt, np.ndarray):
+        dt = dt[:, None, None]
+    return dt * (kc @ x)
+
+
+def apply_correction(state, k_col, kind, ix, kc, x, dt, w):
     """k_col <- k_col - G k_col[:, ix, :] in place on every column, and the
     state, which is returned, retracted by psi = dt K+[:, ix] r_ix, formed
-    as dt k_col[:, ix, :]^T w from the columns before the update, with
-    w = S^-1 r_ix from gain_correction (K+[:, ix] = K[:, ix] S^-1)."""
+    as dt k_col[:, ix, :]^T w from the columns before the update.  G is
+    correction_matrix(kc, x, dt), formed before any column moves from the
+    update columns kc = K[:, ix] and x = S^-1 E_ii, and w = S^-1 r_ix
+    (gain_correction's x and w; K+[:, ix] = K[:, ix] S^-1)."""
+    g = correction_matrix(kc, x, dt)
     if kind == models.LANDMARK:
         # one vehicle's slots are one range of rows: a view instead of a
         # gather
@@ -241,11 +255,10 @@ class Network:
                                                obs.subject),
                 models.update_terms(states, obs, self.world, self.noise, dt))
 
-    def _correction(self, kind, kc, k_ii, dt, terms):
-        """gain_correction's (G, w) for an update of `kind` with model
-        terms (r_ix, e_ii, e_first) (kc, k_ii and dt as gain_correction
-        takes them), or for a stack of them, as each item would get them
-        alone.
+    def _correction(self, kind, k_ii, dt, terms):
+        """gain_correction's (x, w) for an update of `kind` with model
+        terms (r_ix, e_ii, e_first) (k_ii and dt as gain_correction takes
+        them), or for a stack of them, as each item would get them alone.
 
         The gate refuses the second-order system E_ii first.  Then the
         m x m test: an update whose K_ii S is not positive definite would
@@ -255,26 +268,25 @@ class Network:
         tested by one Cholesky of the stack, and item by item only when
         that fails."""
         r_ix, e_ii, e_first = terms
-        g, w, test = gain_correction(kc, k_ii, e_ii, dt, r_ix)
+        x, w, test = gain_correction(k_ii, e_ii, dt, r_ix)
         if _definite(test):
-            return g, w
-        if kc.ndim == 2:
-            g, w, _ = gain_correction(kc, k_ii, e_first, dt, r_ix)
+            return x, w
+        if k_ii.ndim == 2:
+            x, w, _ = gain_correction(k_ii, e_first, dt, r_ix)
             self.fallbacks[kind] += 1
-            return g, w
+            return x, w
         lost = np.array([not _definite(item) for item in test])
-        g[lost], w[lost], _ = gain_correction(kc[lost], k_ii[lost],
-                                              e_first[lost], dt[lost],
-                                              r_ix[lost])
+        x[lost], w[lost], _ = gain_correction(k_ii[lost], e_first[lost],
+                                              dt[lost], r_ix[lost])
         self.fallbacks[kind] += int(np.count_nonzero(lost))
-        return g, w
+        return x, w
 
-    def _apply(self, kind, ix, g, dt, w):
-        """Apply an accepted update, its correction g and weighted residual
-        w at the slots ix (gain_correction's), to every column and
+    def _apply(self, kind, ix, kc, x, dt, w):
+        """Apply an accepted update at the slots ix, its update columns kc
+        = K[:, ix] and gain_correction's x and w, to every column and
         estimate; the first inter-vehicle one couples the gain."""
-        self.state = apply_correction(self.state, self.k_col, kind, ix, g,
-                                      dt, w)
+        self.state = apply_correction(self.state, self.k_col, kind, ix, kc,
+                                      x, dt, w)
         if kind == models.INTERVEHICLE:
             self._coupled = True
 
@@ -386,8 +398,8 @@ class JointFilter(Network):
         if obs.kind == models.INTERVEHICLE:
             cols.append(self.k_col[obs.subject, :, :models.UPDATE_SLOTS])
         kc = np.hstack(cols)
-        g, w = self._correction(obs.kind, kc, kc[ix, :], dt, terms)
-        self._apply(obs.kind, ix, g, dt, w)
+        x, w = self._correction(obs.kind, kc[ix, :], dt, terms)
+        self._apply(obs.kind, ix, kc, x, dt, w)
         self._last_obs_ns[key] = obs.t_ns
 
     def _update_round(self, group):
@@ -397,8 +409,9 @@ class JointFilter(Network):
         UPDATE_SLOTS of its block, and its rank update and psi vanish
         outside that block, so each item is the one-vehicle update of its
         block: psi_v = dt K_vv[:, 0:6] w_v, then K_vv -= G_v K_vv[0:6, :],
-        symmetrised.  The items' terms come from one model call; a round of
-        one passes its observation as it is."""
+        symmetrised, with G_v = dt_v K_vv[:, 0:6] x_v
+        (correction_matrix).  The items' terms come from one model call; a
+        round of one passes its observation as it is."""
         v = np.array([obs.observer for obs in group])
         keys, dt = zip(*map(self._period, group))
         dt = np.array(dt)
@@ -416,8 +429,8 @@ class JointFilter(Network):
                  np.reshape(e_first, (len(group), m, m)))
 
         kv = self._kdiag[v]
-        g, w = self._correction(models.LANDMARK, kv[..., :m], kv[:, :m, :m],
-                                dt, terms)
+        x, w = self._correction(models.LANDMARK, kv[:, :m, :m], dt, terms)
+        g = correction_matrix(kv[..., :m], x, dt)
         # K_vv[:, 0:6] row-major: BLAS forms each entry of psi as one dot
         # product of its row with w_v, whatever the row's place in a block
         psi = np.zeros((self.n, STATE_DOF))
@@ -476,46 +489,46 @@ def update_inverse(s):
     return inv
 
 
-def gain_correction(kc, k_ii, e_ii, dt, r_ix):
+def gain_correction(k_ii, e_ii, dt, r_ix):
     """Low-rank form of the discrete gain update (Woodbury identity), the
     residual through its system, and its definiteness test.
 
     With E vanishing outside the indices ix, kc = K[:, ix] and
     k_ii = K[ix, ix], (I + dt K E)^-1 K = K - G K[ix, :] where
 
-        G = dt kc S^-1 E_ii,    S = I + dt E_ii k_ii,
+        G = dt kc x,    x = S^-1 E_ii,    S = I + dt E_ii k_ii,
 
-    a 15n x m matrix (m = len(ix)), returned with w = S^-1 r_ix and
-    k_ii S.  Since K+[:, ix] = kc S^-1, the state increment
-    dt K+[:, ix] r_ix is dt kc w: formed from the gain before the update,
-    it loses none of the digits that K - G K[ix, :] cancels when
-    dt E_ii K_ii is large.  The update keeps a definite K definite iff
-    k_ii S = K_ii + dt K_ii E_ii K_ii is positive definite ((K+)^-1 =
-    K^-1 + dt E; congruence with K^1/2, and AB and BA sharing their
-    non-zero eigenvalues, reduce the test to the ix block).  The m x m
-    system has the determinant of the full one (Sylvester) and is refused
-    by the same gate, update_inverse.  A non-finite E_ii is refused first,
-    before it enters a product where 0 * inf would warn; the verdict is
-    update_inverse's.
+    G a 15n x m matrix (m = len(ix)).  This returns the m x m x, with
+    w = S^-1 r_ix and k_ii S; whoever applies the update forms G from
+    its update columns kc (correction_matrix).  Since K+[:, ix] =
+    kc S^-1, the state increment dt K+[:, ix] r_ix is dt kc w: formed from
+    the gain before the update, it loses none of the digits that
+    K - G K[ix, :] cancels when dt E_ii K_ii is large.  The update keeps a
+    definite K definite iff k_ii S = K_ii + dt K_ii E_ii K_ii is positive
+    definite ((K+)^-1 = K^-1 + dt E; congruence with K^1/2, and AB and BA
+    sharing their non-zero eigenvalues, reduce the test to the ix block).
+    The m x m system has the determinant of the full one (Sylvester) and
+    is refused by the same gate, update_inverse.  A non-finite E_ii is
+    refused first, before it enters a product where 0 * inf would warn;
+    the verdict is update_inverse's.
 
-    Every argument may carry one leading axis of R updates, kc (R, 15n, m),
-    k_ii (R, m, m), e_ii (R, m, m), dt (R,) and r_ix (R, m): each item
-    gets the products and the verdict it would get alone, and the first
-    refused item, in stack order, raises.  Raises UpdateSingularError.
+    Every argument may carry one leading axis of R updates, k_ii
+    (R, m, m), e_ii (R, m, m), dt (R,) and r_ix (R, m): each item gets the
+    products and the verdict it would get alone, and the first refused
+    item, in stack order, raises.  Raises UpdateSingularError.
     """
-    if kc.ndim > 2:
+    if k_ii.ndim > 2:
         if not np.isfinite(e_ii).all():
             # gated one by one, so an earlier item's verdict comes first
             return tuple(map(np.array, zip(*(
                 gain_correction(*item)
-                for item in zip(kc, k_ii, e_ii, dt, r_ix)))))
+                for item in zip(k_ii, e_ii, dt, r_ix)))))
         dt = dt[:, None, None]
     elif not np.isfinite(e_ii).all():
         raise UpdateSingularError("update system is not finite")
     s = _eye(k_ii.shape[-1]) + dt * (e_ii @ k_ii)
     inv = update_inverse(s)
-    return (dt * (kc @ (inv @ e_ii)), (inv @ r_ix[..., None])[..., 0],
-            k_ii @ s)
+    return inv @ e_ii, (inv @ r_ix[..., None])[..., 0], k_ii @ s
 
 
 def block_diag_prior(k0_blocks):

@@ -81,7 +81,7 @@ def test_warning_counter_counts_package_warnings(monkeypatch):
         monkeypatch.setattr(models, "update_terms", lambda *args: (
             np.zeros(6), -1.0 / dt * np.eye(6), np.zeros((6, 6))))
         nodes = distributed.VehicleNode([state], np.eye(15), world, noise)
-        assert nodes.originate_update(obs).gain is None
+        assert nodes.originate_update(obs).cols is None
     finally:
         counter.detach()
     assert counter.counts == {"joint.update.pd_lost": 1,

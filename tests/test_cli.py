@@ -1,5 +1,7 @@
 import json
+import logging
 import os
+import re
 import subprocess
 import sys
 
@@ -7,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from meswarm import cli, distributed, harness
+from meswarm import cli, distributed, harness, joint, models
+from test_distributed import assert_same_bits, decode_array
 from test_docs import readme_config
 from test_harness import scored_runs
 
@@ -84,7 +87,7 @@ class TestOutputs:
                           name="dist")
         bodies = [json.loads(ln)
                   for ln in (out2 / "bus.log").read_text().splitlines()]
-        assert bodies and all(b["v"] == 6 for b in bodies)
+        assert bodies and all(b["v"] == 7 for b in bodies)
         replies = [b for b in bodies if b["type"] == "peer_state_reply"]
         # a peer reply carries only the 6 update columns of the 30x15 column
         assert replies and all(b["k_col"]["shape"] == [30, 6]
@@ -103,7 +106,7 @@ class TestOutputs:
         assert code == 0
         bodies = [json.loads(ln)
                   for ln in (out / "bus.log").read_text().splitlines()]
-        assert all(b["v"] == distributed.WIRE_VERSION == 6 for b in bodies)
+        assert all(b["v"] == distributed.WIRE_VERSION == 7 for b in bodies)
         factors = [b for b in bodies if b["type"] == "propagation_factor"]
         empty = [b for b in factors if b["start_tick"] == b["end_tick"]]
         assert empty and all(b["lam"] is None for b in empty)
@@ -116,6 +119,82 @@ class TestOutputs:
         assert len(spans) == n * len(epochs)
         assert len(bodies) == len(epochs) * (n * n_lm * (n + 1)
                                              + n * (n - 1) * (n + 3))
+
+    def test_log_rebuilds_every_applied_gain(self, tmp_path, monkeypatch):
+        """On the README config over 1 s in `distributed`, bus.log alone
+        gives the gain correction G of every applied update, bit for bit:
+        G = dt kc x from the broadcast's dt, cols and x, with kc its cols
+        for a landmark update and its cols beside the k_col of the reply on
+        the line before it for an inter-vehicle one.  The G every node
+        applied is captured from joint.correction_matrix, which forms it.
+        The log keeps n L (n + 1) + n (n - 1) (n + 3) lines per epoch."""
+        applied = []
+        correction_matrix = joint.correction_matrix
+
+        def captured(kc, x, dt):
+            applied.append(correction_matrix(kc, x, dt))
+            return applied[-1]
+
+        monkeypatch.setattr(joint, "correction_matrix", captured)
+        cfg = readme_config()
+        code, out = run_cli(tmp_path, cfg, extra=(
+            "--mode", "distributed", "--duration", "1"))
+        assert code == 0
+        bodies = [json.loads(ln)
+                  for ln in (out / "bus.log").read_text().splitlines()]
+        rebuilt = []
+        for before, b in zip([None] + bodies, bodies):
+            if b["type"] != "update_broadcast" or b["cols"] is None:
+                continue
+            kc = decode_array(b["cols"])
+            if b["kind"] == models.INTERVEHICLE:
+                assert before["type"] == "peer_state_reply"
+                assert before["sender"] == b["subject"]
+                kc = np.hstack([kc, decode_array(before["k_col"])])
+            rebuilt.append(b["dt"] * (kc @ decode_array(b["x"])))
+        n, n_lm = len(cfg["vehicles"]), len(cfg["landmarks_m"])
+        per_epoch = n * n_lm + n * (n - 1)
+        assert len(applied) == len(rebuilt) == 10 * per_epoch
+        for got, want in zip(rebuilt, applied):
+            assert_same_bits(got, want)
+        assert len(bodies) == 10 * (n * n_lm * (n + 1)
+                                    + n * (n - 1) * (n + 3))
+
+    @pytest.mark.parametrize("mode", ["central", "distributed"])
+    def test_run_account_adds_up_to_the_bus_log(self, tmp_path, caplog,
+                                               mode):
+        """cli.main logs one INFO line on a run: its updates, its
+        first-order fallbacks per observation kind and, in `distributed`,
+        the lines and bytes of bus.log per message type
+        (cli.write_bus_log's count), which add up to the file's line
+        count and size."""
+        cfg = readme_config()
+        with caplog.at_level(logging.INFO, logger="meswarm.cli"):
+            code, out = run_cli(tmp_path, cfg, extra=(
+                "--mode", mode, "--duration", "1"))
+        assert code == 0
+        (text,) = [rec.getMessage() for rec in caplog.records
+                   if rec.name == "meswarm.cli"]
+        n, n_lm = len(cfg["vehicles"]), len(cfg["landmarks_m"])
+        head, _, bus = text.partition("; bus.log ")
+        assert re.fullmatch(
+            rf"{mode}: {10 * (n * n_lm + n * (n - 1))} updates, first-order "
+            rf"fallbacks {models.LANDMARK} \d+, {models.INTERVEHICLE} \d+",
+            head)
+        log = out / "bus.log"
+        if mode == "central":
+            assert bus == "" and log.read_bytes() == b""
+            return
+        counts = re.findall(r"(\w+) (\d+) lines (\d+) B", bus)
+        assert ", ".join(f"{name} {lines} lines {size} B"
+                         for name, lines, size in counts) == bus
+        assert sorted(name for name, _, _ in counts) == [
+            "peer_state_reply", "peer_state_request", "propagation_factor",
+            "update_broadcast"]
+        assert sum(int(lines) for _, lines, _ in counts) == len(
+            log.read_text().splitlines())
+        assert sum(int(size) for _, _, size in counts) == os.path.getsize(
+            log)
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -95,8 +95,15 @@ def run_update(nodes, obs):
         PeerStateRequest(obs.observer, obs.subject)  # what goes on the wire
         reply = nodes.peer_state_reply(obs.subject)
     bc = nodes.originate_update(obs, reply)
-    nodes.apply_update(bc)
+    nodes.apply_update(bc, reply)
     return bc
+
+
+def broadcast_gain(bc, reply=None):
+    """The gain correction G = dt kc x a node forms from a broadcast and,
+    for an inter-vehicle update, the reply of its exchange."""
+    kc = bc.cols if reply is None else np.hstack([bc.cols, reply.k_col])
+    return bc.dt * (kc @ bc.x)
 
 
 def propagate_pair(joint, nodes, rng, ticks):
@@ -185,7 +192,8 @@ def dict_body(msg, tick, array=_mat):
         body = {"type": "update_broadcast", "origin": msg.origin,
                 "kind": msg.kind, "subject": msg.subject, "dt": msg.dt,
                 "t_ns": msg.t_ns, "r": array(msg.r),
-                "gain": None if msg.gain is None else array(msg.gain)}
+                "cols": None if msg.cols is None else array(msg.cols),
+                "x": None if msg.x is None else array(msg.x)}
     body["v"] = WIRE_VERSION
     body["tick"] = tick
     return body
@@ -229,11 +237,12 @@ def decode_message(body):
         return PeerStateReply(body["sender"], state,
                               decode_array(body["k_col"]))
     if kind == "update_broadcast":
-        gain = body["gain"]
+        cols, x = body["cols"], body["x"]
         return UpdateBroadcast(
             body["origin"], body["kind"], body["subject"], body["dt"],
             body["t_ns"], decode_array(body["r"]),
-            None if gain is None else decode_array(gain))
+            None if cols is None else decode_array(cols),
+            None if x is None else decode_array(x))
     raise ValueError(f"unknown message type {kind!r}")
 
 
@@ -299,11 +308,14 @@ def wire_messages(draw):
             (n * STATE_DOF, models.UPDATE_SLOTS))))
     obs_kind = draw(st.sampled_from([models.LANDMARK, models.INTERVEHICLE]))
     m = models.UPDATE_SLOTS * (1 if obs_kind == models.LANDMARK else 2)
-    gain = draw(st.one_of(st.none(), float_arrays((n * STATE_DOF, m))))
+    # a refused broadcast carries neither cols nor x
+    cols, x = draw(st.one_of(st.just((None, None)), st.tuples(
+        float_arrays((n * STATE_DOF, models.UPDATE_SLOTS)),
+        float_arrays((m, m)))))
     return UpdateBroadcast(draw(node), obs_kind, draw(st.integers(0, 5)),
                            draw(st.floats(1e-3, 10.0)),
                            draw(st.integers(0, 2**63 - 1)),
-                           draw(float_arrays((m,))), gain)
+                           draw(float_arrays((m,))), cols, x)
 
 
 class TestWire:
@@ -318,19 +330,23 @@ class TestWire:
             PeerStateReply(1, st, col),
             UpdateBroadcast(0, models.LANDMARK, 2, 0.1, 5_000_000,
                             rng.standard_normal(6),
-                            rng.standard_normal((30, 6))),
+                            rng.standard_normal((30, 6)),
+                            rng.standard_normal((6, 6))),
             UpdateBroadcast(0, models.INTERVEHICLE, 1, 0.1, 5_000_000,
                             rng.standard_normal(12),
-                            rng.standard_normal((30, 12))),
+                            rng.standard_normal((30, 6)),
+                            rng.standard_normal((12, 12))),
             UpdateBroadcast(1, models.INTERVEHICLE, 0, 0.1, 5_000_000,
-                            rng.standard_normal(12), None),
+                            rng.standard_normal(12), None, None),
         ]
         for msg in msgs:
             body = json.loads(encode_message(msg, 7))
-            assert body["v"] == WIRE_VERSION == 6 and body["tick"] == 7
+            assert body["v"] == WIRE_VERSION == 7 and body["tick"] == 7
             assert_same_message(decode_message(body), msg)
-        assert decode_message(json.loads(encode_message(msgs[-1], 0))).gain \
-            is None
+        refused = json.loads(encode_message(msgs[-1], 0))
+        assert refused["cols"] is None and refused["x"] is None
+        assert json.loads(encode_message(msgs[-2], 0))["x"]["shape"] == [
+            12, 12]
         assert json.loads(encode_message(msgs[0], 0))["lam"]["shape"] == [
             15, 15]
         assert json.loads(encode_message(msgs[1], 0))["lam"] is None
@@ -357,7 +373,7 @@ class TestWire:
         line = encode_message(msg, tick)
         assert "\n" not in line
         body = strict_body(line)
-        assert body["v"] == 6 and body["tick"] == tick
+        assert body["v"] == 7 and body["tick"] == tick
         assert_same_message(decode_message(body), msg)
 
     @settings(max_examples=150, deadline=None)
@@ -372,7 +388,7 @@ class TestWire:
         tick = np.int64(3) if field == "tick" else 3
         if field == "t_ns":
             msg = UpdateBroadcast(0, models.LANDMARK, 1, 0.1, np.int64(7),
-                                  np.zeros(6), None)
+                                  np.zeros(6), None, None)
         else:
             msg = PropagationFactor(
                 np.int64(1) if field == "sender" else 1, np.eye(15), 0, 2)
@@ -386,14 +402,14 @@ class TestWire:
         (PeerStateRequest(True, False), 0),
         (PeerStateRequest(0, 1), True),
         (UpdateBroadcast(1, models.INTERVEHICLE, 0, float("nan"), 5,
-                         np.ones(12), None), 4),
+                         np.ones(12), None, None), 4),
         (UpdateBroadcast(1, models.LANDMARK, 0, float("inf"), 5,
-                         np.ones(6), None), 4),
+                         np.ones(6), None, None), 4),
         (UpdateBroadcast(1, models.LANDMARK, 0, -float("inf"), 5,
-                         np.ones(6), None), 4),
+                         np.ones(6), None, None), 4),
         (UpdateBroadcast(1, models.LANDMARK, 0, np.float64(0.1), 5,
-                         np.ones(6), None), 4),
-        (UpdateBroadcast(1, "gossip", 0, 0.1, 5, np.ones(6), None), 4),
+                         np.ones(6), None, None), 4),
+        (UpdateBroadcast(1, "gossip", 0, 0.1, 5, np.ones(6), None, None), 4),
         (PropagationFactor(0, np.eye(15), 1.5, 2), 2**63 - 1),
     ])
     def test_values_outside_the_fast_cases_render_as_json_dumps(self, msg,
@@ -633,6 +649,53 @@ def dense_fallback_update(states, obs, world, noise, dt, k):
     return k_new, psi, y is still
 
 
+# the refusal text of a broadcast whose r, cols or x is misshaped
+SHAPES = "shapes"
+BAD_PERIOD = "broadcast period must be positive and finite: "
+
+# (kind, the fields a case changes in a well-formed broadcast, the start of
+# its refusal's text); "reply" is the (sender, k_col shape) of the reply
+# handed over with the broadcast, or None for none
+MALFORMED = {
+    "short-r": (models.LANDMARK, {"r": np.ones(5)}, SHAPES),
+    "wide-gain": (models.LANDMARK, {"cols": np.ones((45, 12))}, SHAPES),
+    "short-gain": (models.LANDMARK, {"cols": np.ones((30, 6))}, SHAPES),
+    "short-r-refused": (models.LANDMARK,
+                        {"r": np.ones(5), "cols": None, "x": None}, SHAPES),
+    "iv-short-r": (models.INTERVEHICLE, {"r": np.ones(6)}, SHAPES),
+    "iv-narrow-gain": (models.INTERVEHICLE, {"x": np.ones((12, 6))},
+                       SHAPES),
+    "iv-column-r": (models.INTERVEHICLE, {"r": np.ones((12, 1))}, SHAPES),
+    "iv-flat-gain": (models.INTERVEHICLE, {"cols": np.ones(45 * 6)},
+                     SHAPES),
+    "wide-x": (models.LANDMARK, {"x": np.ones((12, 12))}, SHAPES),
+    "cols-without-x": (models.LANDMARK, {"x": None}, SHAPES),
+    "iv-x-without-cols": (models.INTERVEHICLE, {"cols": None}, SHAPES),
+    "dt-zero": (models.LANDMARK, {"dt": 0.0}, BAD_PERIOD),
+    "dt-negative": (models.LANDMARK, {"dt": -0.1}, BAD_PERIOD),
+    "dt-nan": (models.LANDMARK, {"dt": float("nan")}, BAD_PERIOD),
+    "iv-dt-inf": (models.INTERVEHICLE, {"dt": float("inf")}, BAD_PERIOD),
+    "iv-refused-dt-nan": (models.INTERVEHICLE, {"dt": float("nan"),
+                                               "cols": None, "x": None},
+                          BAD_PERIOD),
+    "iv-no-reply": (models.INTERVEHICLE, {"reply": None},
+                    "inter-vehicle broadcast needs the reply of its subject "
+                    "1, got the reply of None$"),
+    "iv-reply-of-origin": (models.INTERVEHICLE, {"reply": (0, (45, 6))},
+                           "inter-vehicle broadcast needs the reply of its "
+                           "subject 1, got the reply of 0$"),
+    "iv-reply-narrow-column": (models.INTERVEHICLE, {"reply": (1, (45, 3))},
+                               r"reply of 1 needs k_col of shape \(45, 6\), "
+                               r"got \(45, 3\)$"),
+    "iv-reply-without-column": (models.INTERVEHICLE, {"reply": (1, None)},
+                                r"reply of 1 needs k_col of shape \(45, 6\), "
+                                r"got None$"),
+    "landmark-with-reply": (models.LANDMARK, {"reply": (1, (45, 6))},
+                            "landmark broadcast takes no peer reply, got the "
+                            "reply of 1$"),
+}
+
+
 class TestUpdates:
     def test_zero_innovation_broadcast(self, world, noise):
         rng = np.random.default_rng(7)
@@ -640,10 +703,11 @@ class TestUpdates:
         y = models.predict_landmark(nodes.state[0], world.landmark(0))
         obs = Observation(models.LANDMARK, 0, 0, y, 0)
         bc = nodes.originate_update(obs)
-        assert bc.r.shape == (6,) and bc.gain.shape == (30, 6)
+        assert bc.r.shape == (6,) and bc.cols.shape == (30, 6)
+        assert bc.x.shape == (6, 6)
         np.testing.assert_array_equal(bc.r, 0.0)
         # the gain still contracts through the quadratic term
-        assert np.linalg.norm(bc.gain) > 0.0
+        assert np.linalg.norm(broadcast_gain(bc)) > 0.0
 
     def test_landmark_system_matches_full_assembly(self, world, noise):
         rng = np.random.default_rng(8)
@@ -655,7 +719,8 @@ class TestUpdates:
         ix = models.update_indices(models.LANDMARK, 0, 1)
         k_ref, psi, first = dense_fallback_update(joint.estimate(), obs, world,
                                                   noise, 0.1, k)
-        np.testing.assert_allclose(k - bc.gain @ k[ix, :], k_ref, atol=1e-10)
+        np.testing.assert_allclose(k - broadcast_gain(bc) @ k[ix, :], k_ref,
+                                   atol=1e-10)
         # the broadcast's r is S^-1 r_ix: dt K[:, ix] r is the increment
         np.testing.assert_allclose(0.1 * k[:, ix] @ bc.r, psi, atol=1e-10)
         assert nodes.fallbacks == ({models.LANDMARK: 1} if first else {})
@@ -696,14 +761,14 @@ class TestUpdates:
             bc = run_update(nodes, Observation(kind, 0, subject,
                                                rng.standard_normal(3),
                                                nodes.t_ns))
-            assert bc.gain is not None
+            assert bc.cols is not None
             assert nodes.k_col.flags.c_contiguous
 
     def test_apply_rejects_time_mismatch(self, world, noise):
         rng = np.random.default_rng(11)
         _, nodes = make_network(rng, 1, world, noise)
         bc = UpdateBroadcast(0, models.LANDMARK, 0, 0.1, TICK_NS,
-                             np.zeros(6), np.zeros((15, 6)))
+                             np.zeros(6), np.zeros((15, 6)), np.zeros((6, 6)))
         with pytest.raises(ValueError):
             nodes.apply_update(bc)
 
@@ -720,44 +785,57 @@ class TestUpdates:
         rng = np.random.default_rng(13)
         _, nodes = make_network(rng, 3, world, noise)
         msg = UpdateBroadcast(0, kind, subject, 0.1, nodes.t_ns,
-                              np.ones(12), np.ones((45, 12)))
+                              np.ones(12), np.ones((45, 6)), np.ones((12, 12)))
         before = nodes.k_col.copy(), pose_matrix(nodes.state)
         with pytest.raises(models.ObservationError, match=f"^{text}$"):
             nodes.apply_update(msg)
         assert_same_bits(nodes.k_col, before[0])
         assert_same_bits(pose_matrix(nodes.state), before[1])
 
-    @pytest.mark.parametrize("kind,r,gain", [
-        (models.LANDMARK, (5,), (45, 6)),
-        (models.LANDMARK, (6,), (45, 12)),
-        (models.LANDMARK, (6,), (30, 6)),
-        (models.LANDMARK, (5,), None),
-        (models.INTERVEHICLE, (6,), (45, 12)),
-        (models.INTERVEHICLE, (12,), (45, 6)),
-        (models.INTERVEHICLE, (12, 1), (45, 12)),
-        (models.INTERVEHICLE, (12,), (45 * 12,))],
-        ids=["short-r", "wide-gain", "short-gain", "short-r-refused",
-             "iv-short-r", "iv-narrow-gain", "iv-column-r", "iv-flat-gain"])
-    def test_apply_refuses_a_misshaped_broadcast(self, world, noise, kind, r,
-                                                 gain):
-        """A broadcast whose r is not (m,) or whose gain is not (15n, m)
-        for its kind is refused before any node moves: a 5-entry r once
-        moved every column and then failed in the retraction."""
+    @pytest.mark.parametrize("kind,change,text", MALFORMED.values(),
+                             ids=list(MALFORMED))
+    def test_apply_refuses_a_misshaped_broadcast(self, world, noise, kind,
+                                                 change, text):
+        """A broadcast is refused before any node moves if its r is not
+        (m,), its cols and x are not both None or both of shapes (15n, 6)
+        and (m, m), its dt is not positive and finite (G and the
+        retraction scale by it at every node), or it comes without the
+        reply of its subject for an inter-vehicle update (or with a reply
+        whose k_col is not (15n, 6)), or with a reply for a landmark
+        update: a 5-entry r once moved every column and then failed in the
+        retraction.  The broadcast without the case's change is applied."""
         rng = np.random.default_rng(14)
         _, nodes = make_network(rng, 3, world, noise)
-        subject = 0 if kind == models.LANDMARK else 1
-        msg = UpdateBroadcast(0, kind, subject, 0.1, nodes.t_ns,
-                              np.ones(r),
-                              None if gain is None else np.ones(gain))
-        before = nodes.k_col.copy(), pose_matrix(nodes.state)
         m = 6 if kind == models.LANDMARK else 12
-        with pytest.raises(ValueError, match=(
-                rf"^{kind} broadcast needs r of shape \({m},\) and gain of "
-                rf"shape \(45, {m}\), got ")):
-            nodes.apply_update(msg)
+        fields = {"r": np.ones(m), "cols": np.ones((45, 6)),
+                  "x": np.ones((m, m)), "dt": 0.1,
+                  "reply": (1, (45, 6)) if m == 12 else None}
+
+        def apply(fields):
+            reply = fields["reply"]
+            if reply is not None:
+                sender, shape = reply
+                reply = PeerStateReply(sender, nodes.state[sender],
+                                       None if shape is None
+                                       else np.ones(shape))
+            nodes.apply_update(UpdateBroadcast(
+                0, kind, 0 if m == 6 else 1, fields["dt"], nodes.t_ns,
+                fields["r"], fields["cols"], fields["x"]), reply)
+
+        before = (nodes.k_col.copy(), nodes.lam_acc.copy(),
+                  pose_matrix(nodes.state))
+        if text == SHAPES:
+            text = (rf"{kind} broadcast needs r of shape \({m},\), and cols "
+                    rf"of shape \(45, 6\) and x of shape \({m}, {m}\) or both "
+                    rf"None, got ")
+        with pytest.raises(ValueError, match=f"^{text}"):
+            apply({**fields, **change})
         assert_same_bits(nodes.k_col, before[0])
-        assert_same_bits(pose_matrix(nodes.state), before[1])
+        assert_same_bits(nodes.lam_acc, before[1])
+        assert_same_bits(pose_matrix(nodes.state), before[2])
         assert not nodes._coupled
+        apply(fields)
+        assert not np.array_equal(nodes.k_col, before[0])
 
     def test_singular_system_skipped(self, world, noise, caplog):
         rng = np.random.default_rng(12)
@@ -765,7 +843,7 @@ class TestUpdates:
         before = nodes.k_col.copy()
         pose = pose_matrix(nodes.state)
         bc = UpdateBroadcast(0, models.LANDMARK, 0, 0.1, 0,
-                             np.ones(6), None)
+                             np.ones(6), None, None)
         with caplog.at_level("WARNING"):
             nodes.apply_update(bc)
         np.testing.assert_array_equal(nodes.k_col, before)
@@ -819,7 +897,8 @@ class TestSingularGate:
         assert [type(msg) for _, msg in bus.records] == (
             [PropagationFactor] * n
             + [PeerStateRequest, PeerStateReply, UpdateBroadcast])
-        assert bus.records[-1][1].gain is None
+        assert bus.records[-1][1].cols is None
+        assert bus.records[-1][1].x is None
         # a refused broadcast's r has its kind's shape and carries nothing
         np.testing.assert_array_equal(bus.records[-1][1].r, np.zeros(12))
 
@@ -835,7 +914,7 @@ class TestSingularGate:
                 noise.nominal_period(models.LANDMARK)))
             with pytest.raises(UpdateSingularError):
                 joint.update(refused)
-            assert run_update(nodes, refused).gain is None
+            assert run_update(nodes, refused).cols is None
         propagate_pair(joint, nodes, rng, 10)
         obs = Observation(models.LANDMARK, 0, 0, rng.standard_normal(3),
                           joint.t_ns)
@@ -930,10 +1009,10 @@ class TestGateVerdict:
         skips = [rec.getMessage() for rec in caplog.records
                  if "skipping" in rec.getMessage()]
         if text is None:
-            assert bc.gain is not None and not skips
+            assert bc.cols is not None and not skips
             assert not np.array_equal(joint_gain(joint), before)
         else:
-            assert bc.gain is None
+            assert bc.cols is None and bc.x is None
             assert len(skips) == 1 and text in skips[0]
             np.testing.assert_array_equal(joint_gain(joint), before)
 
@@ -1233,7 +1312,7 @@ class TestNodeEconomy:
         _, nodes = make_network(rng, n, world, noise)
         for v in range(n):
             ticks(nodes, 10)
-            assert observe(nodes, models.LANDMARK, v, v % 2).gain is not None
+            assert observe(nodes, models.LANDMARK, v, v % 2).cols is not None
         ticks(nodes, 10)
         for msg in exchange_factors(nodes):
             assert msg.end_tick > msg.start_tick
@@ -1245,10 +1324,10 @@ class TestNodeEconomy:
             return
         with monkeypatch.context() as m:
             m.setattr(models, "update_terms", non_finite_terms)
-            assert observe(nodes, models.INTERVEHICLE, 0, 1).gain is None
+            assert observe(nodes, models.INTERVEHICLE, 0, 1).cols is None
         ticks(nodes, 10)
         assert calls == []
-        assert observe(nodes, models.INTERVEHICLE, 0, 1).gain is not None
+        assert observe(nodes, models.INTERVEHICLE, 0, 1).cols is not None
         ticks(nodes, 20)
         observe(nodes, models.LANDMARK, 0, 0)
         ticks(nodes, 20)
@@ -1398,7 +1477,8 @@ class TestVehicleIndexRefused:
         _, nodes = self.network(world, noise)
         origin, subject = (index, 1) if field == "origin" else (0, index)
         msg = UpdateBroadcast(origin, models.INTERVEHICLE, subject, 0.1,
-                              nodes.t_ns, np.ones(12), np.ones((45, 12)))
+                              nodes.t_ns, np.ones(12), np.ones((45, 6)),
+                              np.ones((12, 12)))
         before = nodes.k_col.copy(), pose_matrix(nodes.state)
         with self.refused(index):
             nodes.apply_update(msg)
@@ -1505,39 +1585,39 @@ class OracleNode:
 
     def originate_update(self, obs, peer_reply=None):
         states = {self.id: self.state[0]}
-        cols = [self.k_col[:, :models.UPDATE_SLOTS]]
+        own = self.k_col[:, :models.UPDATE_SLOTS].copy()
+        kc = own
         if obs.kind == models.INTERVEHICLE:
             states[obs.subject] = peer_reply.state
-            cols.append(peer_reply.k_col)
+            kc = np.hstack([own, peer_reply.k_col])
         key = (obs.kind, obs.observer, obs.subject)
         dt = self.noise.effective_period(obs.kind, self._last_obs_ns.get(key),
                                          obs.t_ns)
         r_ix, e_ii, e_first = models.update_terms(states, obs, self.world,
                                                   self.noise, dt)
         ix = models.update_indices(obs.kind, obs.observer, obs.subject)
-        kc = np.hstack(cols)
         k_ii = kc[ix, :]
         try:
-            gain, w, _ = joint_module.gain_correction(kc, k_ii, e_ii, dt,
-                                                      r_ix)
+            x, w, _ = joint_module.gain_correction(k_ii, e_ii, dt, r_ix)
             # the m x m test; failing it, the first-order term instead
             if np.linalg.eigvalsh(k_ii + dt * k_ii @ e_ii @ k_ii)[0] <= 0.0:
-                gain, w, _ = joint_module.gain_correction(kc, k_ii, e_first,
-                                                          dt, r_ix)
+                x, w, _ = joint_module.gain_correction(k_ii, e_first, dt,
+                                                       r_ix)
         except UpdateSingularError:
-            gain, w = None, np.zeros(len(ix))
+            own, x, w = None, None, np.zeros(len(ix))
         else:
             self._last_obs_ns[key] = obs.t_ns
         return UpdateBroadcast(self.id, obs.kind, obs.subject, dt, obs.t_ns,
-                               w, gain)
+                               w, own, x)
 
-    def apply_update(self, msg):
+    def apply_update(self, msg, peer_reply=None):
         assert msg.t_ns == self.t_ns
-        if msg.gain is None:
+        if msg.cols is None:
             return
         ix = models.update_indices(msg.kind, msg.origin, msg.subject)
+        gain = broadcast_gain(msg, peer_reply)
         psi = msg.dt * (self.k_col[ix, :].T @ msg.r)
-        self.k_col = self.k_col - msg.gain @ self.k_col[ix, :]
+        self.k_col = self.k_col - gain @ self.k_col[ix, :]
         self.state = compose(self.state, group_exp(psi[None]))
         if msg.kind == models.INTERVEHICLE:
             self.factors = True
@@ -1556,7 +1636,7 @@ def oracle_update(nodes, obs, tick, bus):
         reply = bus.deliver(tick, nodes[obs.subject].peer_state_reply())
     bc = bus.deliver(tick, nodes[obs.observer].originate_update(obs, reply))
     for nd in nodes:
-        nd.apply_update(bc)
+        nd.apply_update(bc, reply)
 
 
 def wire_key(body):
@@ -1690,10 +1770,10 @@ class TestStackedAgainstOracle:
         monkeypatch.setattr(models, "update_terms", terms)
         apply_update = stacked.apply_update
 
-        def apply_checked(msg):
+        def apply_checked(msg, peer_reply=None):
             before = stacked.k_col.copy(), pose_matrix(stacked.state)
-            apply_update(msg)
-            if msg.gain is None:
+            apply_update(msg, peer_reply)
+            if msg.cols is None:
                 np.testing.assert_array_equal(stacked.k_col, before[0])
                 np.testing.assert_array_equal(pose_matrix(stacked.state),
                                               before[1])
@@ -1766,7 +1846,7 @@ class TestStackedAgainstOracle:
                   and (b["kind"], b["origin"], b["subject"], b["t_ns"])
                   in refused]
         assert len(forced) == len(refused) <= 1
-        assert all(b["gain"] is None for b in forced)
+        assert all(b["cols"] is None and b["x"] is None for b in forced)
         np.testing.assert_allclose(pose_matrix(est_s), pose_matrix(est_o),
                                    rtol=TOL, atol=TOL)
         truth = VehicleState(*(np.stack([getattr(src.truth, name)

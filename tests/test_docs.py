@@ -9,8 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from meswarm import cli, harness
-from meswarm.distributed import PropagationFactor, UpdateBroadcast
+from meswarm import cli, harness, joint
+from meswarm.distributed import PropagationFactor
 from meswarm.harness import ScheduleConfig, SinusoidTrajectory, SyntheticSource
 from meswarm.models import NoiseModel, WorldConfig
 
@@ -50,8 +50,10 @@ def test_readme_names_exactly_the_parser_flags():
 
 def test_bus_log_decoding_snippet_reads_a_fresh_log(tmp_path, monkeypatch):
     """The Command line section's decoding snippet, run on a bus.log just
-    written, gives every update's gain and every factor bit for bit, None
-    for a factor over an empty span."""
+    written, rebuilds the gain correction G of every applied update, bit
+    for bit the G the nodes applied (captured from
+    joint.correction_matrix, which forms it), and gives every factor bit
+    for bit, None for a factor over an empty span."""
     noise = NoiseModel(d_landmark=0.1 * np.eye(3),
                        d_intervehicle=0.05 * np.eye(3))
     world = WorldConfig(landmarks={0: np.array([2.0, 0.0, 1.0])},
@@ -60,6 +62,14 @@ def test_bus_log_decoding_snippet_reads_a_fresh_log(tmp_path, monkeypatch):
     rng = np.random.default_rng(0)
     sources = [SyntheticSource(SinusoidTrajectory.random(rng), noise, v,
                                seed=0) for v in range(2)]
+    applied = []
+    correction_matrix = joint.correction_matrix
+
+    def captured(kc, x, dt):
+        applied.append(correction_matrix(kc, x, dt))
+        return applied[-1]
+
+    monkeypatch.setattr(joint, "correction_matrix", captured)
     result = harness.run_schedule(ScheduleConfig(duration_s=0.3),
                                   harness.MODE_DISTRIBUTED, sources, world,
                                   noise)
@@ -68,10 +78,10 @@ def test_bus_log_decoding_snippet_reads_a_fresh_log(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     names = {}
     exec(compile(python_block("Command line"), str(README), "exec"), names)
-    want = [msg.gain for _, msg in result.bus_records
-            if isinstance(msg, UpdateBroadcast) and msg.gain is not None]
-    assert want and len(names["gains"]) == len(want)
-    for got, gain in zip(names["gains"], want):
+    # landmark and inter-vehicle updates: 6 and 12 columns
+    assert {gain.shape for gain in applied} == {(30, 6), (30, 12)}
+    assert len(names["gains"]) == len(applied)
+    for got, gain in zip(names["gains"], applied):
         assert got.shape == gain.shape and got.tobytes() == gain.tobytes()
     want = [msg.lam for _, msg in result.bus_records
             if isinstance(msg, PropagationFactor)]
@@ -129,3 +139,38 @@ def test_readme_config_at_one_hz_exits_0_in_every_mode(tmp_path):
         assert cli.main(["--config", str(path), "--mode", mode,
                          "--duration", "10", "--out",
                          str(tmp_path / mode)]) == 0, mode
+
+
+def test_numpy_only_job_decodes_the_bus_log_with_the_readme_snippet(
+        tmp_path, monkeypatch, capsys):
+    """The numpy-only job's last step runs the README's decoding snippet on
+    the job's 2 s `distributed` log of the README config: it checks the
+    line count per epoch and that every broadcast rebuilds to a finite
+    (15n, m) G, and prints the lines and bytes per message type.  Here it
+    runs on such a log, written in process."""
+    job = WORKFLOW.read_text().split("\n  numpy-only:\n", 1)[1]
+    step = job.split("- name: bus.log through the README decoding snippet",
+                     1)[1]
+    code = textwrap.dedent(re.search(r"<<'PY'\n(.*?)\n *PY\n", step,
+                                     re.S).group(1))
+    root = tmp_path / "numpy-only"
+    root.mkdir()
+    (root / "experiment.json").write_text(json.dumps(readme_config()))
+    assert cli.main(["--config", str(root / "experiment.json"), "--mode",
+                     "distributed", "--duration", "2", "--out",
+                     str(root / "distributed")]) == 0
+    (tmp_path / "README.md").write_text(README.read_text())
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    exec(compile(code, str(WORKFLOW), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    log = root / "distributed" / "bus.log"
+    sizes = [int(line.rsplit(", ", 1)[1][:-2]) for line in lines[:4]]
+    assert [line.split(":")[0] for line in lines[:4]] == [
+        f"bus.log {kind}" for kind in ("peer_state_reply",
+                                       "peer_state_request",
+                                       "propagation_factor",
+                                       "update_broadcast")]
+    assert sum(sizes) == log.stat().st_size
+    assert lines[4:] == ["bus.log: 300 broadcasts rebuild to a finite G, "
+                         "1440 lines in 20 epochs"]

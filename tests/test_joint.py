@@ -554,18 +554,18 @@ class TestDefiniteness:
         e_first = (c @ c.T) * 10 ** rng.uniform(-3, 0) / dt
         r_ix = np.zeros(len(ix))
         try:
-            g, _, _ = joint.gain_correction(k[:, ix], k[np.ix_(ix, ix)],
-                                            e_ii, dt, r_ix)
+            x, _, _ = joint.gain_correction(k[np.ix_(ix, ix)], e_ii, dt,
+                                            r_ix)
         except UpdateSingularError:
             assume(False)
-        want = models._sym(k - g @ k[ix, :])
+        want = models._sym(k - dt * (k[:, ix] @ x) @ k[ix, :])
         eig = np.linalg.eigvalsh(want)
         assume(abs(eig[0]) > 1e-6 * np.max(np.abs(eig)))
         second_order = dense_definite(want)
         if not second_order:
-            g, _, _ = joint.gain_correction(k[:, ix], k[np.ix_(ix, ix)],
-                                            e_first, dt, r_ix)
-            want = models._sym(k - g @ k[ix, :])
+            x, _, _ = joint.gain_correction(k[np.ix_(ix, ix)], e_first, dt,
+                                            r_ix)
+            want = models._sym(k - dt * (k[:, ix] @ x) @ k[ix, :])
 
         noise = NoiseModel(dt_landmark=dt, dt_intervehicle=dt)
         # the terms are mocked, but the landmark id is checked up front

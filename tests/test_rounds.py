@@ -240,8 +240,9 @@ class DenseOneAtATime:
             r_ix, *terms = models.update_terms(self.state, obs, self.world,
                                                self.noise, dt)
             for first_order, e in enumerate(terms):
-                g, w, _ = joint.gain_correction(
-                    self.k[:, ix], self.k[np.ix_(ix, ix)], e, dt, r_ix)
+                x, w, _ = joint.gain_correction(
+                    self.k[np.ix_(ix, ix)], e, dt, r_ix)
+                g = dt * (self.k[:, ix] @ x)
                 k = models._sym(self.k - g @ self.k[ix, :])
                 try:
                     np.linalg.cholesky(k)
@@ -454,15 +455,11 @@ class TestStackedGate:
             np.testing.assert_array_equal(item, joint.update_inverse(want))
 
     @staticmethod
-    def corrections(cases, n=3):
-        """gain_correction's arguments for landmark updates of vehicles
-        0..R-1 on K = I, whose systems are the cases' gate systems."""
-        k = np.eye(15 * n)
-        ix = np.array([models.update_indices(models.LANDMARK, v, 0)
-                       for v in range(len(cases))])
-        kc = k[:, ix].transpose(1, 0, 2)
+    def corrections(cases):
+        """gain_correction's arguments for landmark updates on K = I,
+        whose systems are the cases' gate systems."""
         e_ii = (TestStackedGate.systems(cases) - np.eye(6)) / GATE_DT
-        return (kc, np.broadcast_to(np.eye(6), e_ii.shape), e_ii,
+        return (np.broadcast_to(np.eye(6), e_ii.shape), e_ii,
                 np.full(len(cases), GATE_DT), np.ones((len(cases), 6)))
 
     @pytest.mark.parametrize("cases,text", [
@@ -488,11 +485,15 @@ class TestStackedGate:
         e_ii = b @ b.swapaxes(-1, -2)
         dt = np.array([0.1, 0.05, 0.2])
         r_ix = rng.standard_normal((r, 6))
-        kc = k[:, ix].transpose(1, 0, 2)
         k_ii = np.array([k[np.ix_(i, i)] for i in ix])
-        stacked = joint.gain_correction(kc, k_ii, e_ii, dt, r_ix)
+        stacked = joint.gain_correction(k_ii, e_ii, dt, r_ix)
+        # G of the stack, as a landmark round forms it, and of each item
+        g = joint.correction_matrix(k[:, ix].transpose(1, 0, 2), stacked[0],
+                                    dt)
         for i in range(r):
-            single = joint.gain_correction(k[:, ix[i]], k_ii[i], e_ii[i],
-                                           float(dt[i]), r_ix[i])
+            single = joint.gain_correction(k_ii[i], e_ii[i], float(dt[i]),
+                                           r_ix[i])
             for got, want in zip(stacked, single):
                 np.testing.assert_array_equal(got[i], want)
+            np.testing.assert_array_equal(g[i], joint.correction_matrix(
+                k[:, ix[i]], single[0], float(dt[i])))
