@@ -97,12 +97,16 @@ def write_bus_log(path, records):
 
 
 def run_account(mode, result, bus):
-    """One line on a run: its updates, its first-order fallbacks per
-    observation kind (RunResult.fallbacks) and, in `distributed`, the
+    """One line on a run: its updates, the rounds they were applied in and
+    the first-order fallbacks, each per observation kind
+    (RunResult.rounds and RunResult.fallbacks), and, in `distributed`, the
     bus.log lines and bytes per message type (write_bus_log's count)."""
-    text = (f"{mode}: {result.update_count} updates, first-order fallbacks "
-            + ", ".join(f"{kind} {result.fallbacks.get(kind, 0)}"
-                        for kind in (models.LANDMARK, models.INTERVEHICLE)))
+    kinds = (models.LANDMARK, models.INTERVEHICLE)
+    text = f"{mode}: {result.update_count} updates"
+    for what, count in (("rounds", result.rounds),
+                        ("first-order fallbacks", result.fallbacks)):
+        text += f", {what} " + ", ".join(f"{kind} {count.get(kind, 0)}"
+                                         for kind in kinds)
     if mode == harness.MODE_DISTRIBUTED:
         text += "; bus.log " + ", ".join(
             f"{name} {count} lines {size} B"

@@ -7,17 +7,20 @@ same steps of meswarm.joint; what the nodes add is the wire.  Each node
 owns its own state estimate and one 15n x 15 column slice of the joint
 gain matrix.
 Between observations nodes run silently, accumulating a propagation
-factor; when an observation is originated the factors are exchanged, the
-originating node solves the m x m update system once and broadcasts its
-own update columns with the system's solution and the residual through
-it, and every node forms the low-rank gain correction from them (and,
-for an inter-vehicle update, from the target's columns in the exchange's
-peer state reply) and applies it locally.
+factor.  Each observation is one exchange: the factors are exchanged, the
+target of an inter-vehicle observation replies with its state, and the
+observing node broadcasts the observation's model terms, which it builds
+from its own state and the reply's.  An epoch's exchanges run round by
+round (meswarm.joint.epoch_rounds), and every node stages a round's
+broadcasts and applies the round at its end, a point of the shared epoch
+schedule, through the same Network code as the joint filter.  A vehicle's
+update columns cross the bus once per round, in the first reply or
+broadcast of the round that would carry them.
 
 The simulation holds all n nodes of a network in one VehicleNode, with the
 node axis leading, and advances them together: one stacked propagation
 call per tick, one batched product per absorbed factor, and one batched
-column update and retraction per broadcast.  The data flow stays per node:
+column update and retraction per round.  The data flow stays per node:
 node v reads only its own column, its own state and the wire messages.
 """
 
@@ -37,7 +40,7 @@ from .lie import STATE_DOF, VehicleState
 
 log = logging.getLogger(__name__)
 
-WIRE_VERSION = 7
+WIRE_VERSION = 8
 
 
 class SynchronizationError(RuntimeError):
@@ -65,28 +68,30 @@ class PeerStateRequest:
 class PeerStateReply:
     sender: int
     state: VehicleState
-    k_col: np.ndarray      # 15n x 6: the update slots of the sender's column
+    k_col: np.ndarray      # 15n x 6: the update slots of the sender's
+                           # column, None if they crossed the bus earlier
+                           # in the round
 
 
 @dataclass(frozen=True)
 class UpdateBroadcast:
-    """An update, as its origin sends it to every node.  A node forms the
-    gain correction G = dt kc x (joint.correction_matrix) from the update
-    columns kc = K[:, ix]: `cols` for a landmark update, and `cols` beside
-    the k_col of the exchange's PeerStateReply for an inter-vehicle one.
-    The target's columns cross the bus once, in the reply."""
+    """An observation's update, as its origin sends it to every node: its
+    period and its model terms at the estimate before the round, which
+    every node sums with the round's other terms (joint.round_system).
+    The update columns of a round's vehicles cross the bus once per round,
+    in the first reply or broadcast that would carry them."""
 
     origin: int
     kind: str
     subject: int           # landmark index, or target vehicle
     dt: float
     t_ns: int
-    r: np.ndarray          # m entries w = S^-1 r_ix (joint.gain_correction),
-                           # zeros if refused
+    r: np.ndarray          # m entries r_ix
+    e: np.ndarray          # m x m second-order term E_ii
+    e_first: np.ndarray    # m x m first-order term sym(F^T M F)
     cols: np.ndarray       # 15n x 6: the update slots of the origin's
-                           # column, None if refused
-    x: np.ndarray          # m x m S^-1 E_ii (S^-1 E_first on a fallback),
-                           # None if refused
+                           # column, None if they crossed the bus earlier
+                           # in the round
 
 
 # the JSON text of the two observation kinds, rendered once
@@ -123,23 +128,27 @@ def _arr(a):
             f'"shape": {_shape(a.shape)}}}')
 
 
+def _opt(a):
+    """JSON text of an array field that may be None (null)."""
+    return "null" if a is None else _arr(a)
+
+
 def encode_message(msg, tick):
     """The canonical bus-log line of a message delivered at `tick`.
 
     The line is byte for byte json.dumps(body, sort_keys=True) of the body
     with every array as its {"b64", "shape"} object (see _arr), "tick" and
     the wire version "v"; an empty span's factor, whose lam is None, and
-    a refused broadcast's cols and x are written null.  It is rendered
-    from one fixed template per message type, its keys written in sorted
-    order, so the only generic call left is json.dumps of a value outside
-    the fast cases of _scalar, and a value json.dumps refuses raises its
-    TypeError.  No array entry is written as a decimal, so no NaN or
-    Infinity appears in a line unless `dt` is one.
+    update columns that crossed the bus earlier in their round are written
+    null.  It is rendered from one fixed template per message type, its
+    keys written in sorted order, so the only generic call left is
+    json.dumps of a value outside the fast cases of _scalar, and a value
+    json.dumps refuses raises its TypeError.  No array entry is written as
+    a decimal, so no NaN or Infinity appears in a line unless `dt` is one.
     """
     if isinstance(msg, PropagationFactor):
-        lam = "null" if msg.lam is None else _arr(msg.lam)
         return (f'{{"end_tick": {_scalar(msg.end_tick)}, '
-                f'"lam": {lam}, '
+                f'"lam": {_opt(msg.lam)}, '
                 f'"sender": {_scalar(msg.sender)}, '
                 f'"start_tick": {_scalar(msg.start_tick)}, '
                 f'"tick": {_scalar(tick)}, '
@@ -151,7 +160,7 @@ def encode_message(msg, tick):
                 f'"type": "peer_state_request", "v": {WIRE_VERSION}}}')
     if isinstance(msg, PeerStateReply):
         st = msg.state
-        return (f'{{"k_col": {_arr(msg.k_col)}, '
+        return (f'{{"k_col": {_opt(msg.k_col)}, '
                 f'"sender": {_scalar(msg.sender)}, '
                 f'"state": {{"accel_bias": {_arr(st.accel_bias)}, '
                 f'"gyro_bias": {_arr(st.gyro_bias)}, '
@@ -160,15 +169,13 @@ def encode_message(msg, tick):
                 f'"tick": {_scalar(tick)}, '
                 f'"type": "peer_state_reply", "v": {WIRE_VERSION}}}')
     if isinstance(msg, UpdateBroadcast):
-        cols = "null" if msg.cols is None else _arr(msg.cols)
-        x = "null" if msg.x is None else _arr(msg.x)
-        return (f'{{"cols": {cols}, "dt": {_scalar(msg.dt)}, '
+        return (f'{{"cols": {_opt(msg.cols)}, "dt": {_scalar(msg.dt)}, '
+                f'"e": {_arr(msg.e)}, "e_first": {_arr(msg.e_first)}, '
                 f'"kind": {_scalar(msg.kind)}, '
                 f'"origin": {_scalar(msg.origin)}, "r": {_arr(msg.r)}, '
                 f'"subject": {_scalar(msg.subject)}, '
                 f'"t_ns": {_scalar(msg.t_ns)}, "tick": {_scalar(tick)}, '
-                f'"type": "update_broadcast", "v": {WIRE_VERSION}, '
-                f'"x": {x}}}')
+                f'"type": "update_broadcast", "v": {WIRE_VERSION}}}')
     raise TypeError(f"not a wire message: {type(msg)!r}")
 
 
@@ -185,15 +192,15 @@ class VehicleNode(Network):
     tick's (n, 3) rows and the tick's last one makes the network's tick
     step for all of them, reading and writing every own diagonal block
     through one view of k_col; each delivered factor is absorbed by all the
-    other nodes in one call; and one call applies a broadcast to every
-    node.  Each step keeps the per-node data flow: node v reads only its
-    own column, its own state, the keys of its own observations in the
+    other nodes in one call; and one call applies a round to every node.
+    Each step keeps the per-node data flow: node v reads only its own
+    column, its own state, the keys of its own observations in the
     observation clock and the wire messages.
 
     The nodes start from the 15n x 15n prior k0, which Network checks and
     splits into the columns.  Factors are kept under the network's
     coupling rule: from the first tick for a prior with a non-zero cross
-    block, otherwise from the first applied inter-vehicle broadcast, which
+    block, otherwise from the first applied inter-vehicle round, which
     every node applies.  Until then every cross block is exactly zero, no
     factor advances, and the nodes emit identity factors, which absorb
     into a zero block as exactly zero.
@@ -215,6 +222,10 @@ class VehicleNode(Network):
         self._gyro = np.empty((n, 3))
         self._accel = np.empty((n, 3))
         self._pending = {}
+        # the open round's (broadcast, reply) pairs, and the vehicles whose
+        # update columns have crossed the bus in it
+        self._staged = []
+        self._sent = set()
 
     # -- propagation ---------------------------------------------------------
 
@@ -231,6 +242,9 @@ class VehicleNode(Network):
         """
         self._check_imu(u, dt, (3,), v)
         check_vehicle("node", v, self.n)
+        if self._staged:
+            raise SynchronizationError(
+                f"node {v} ticked before its round at {self.t_ns} ns ended")
         if v in self._pending:
             raise SynchronizationError(
                 f"node {v} ticked twice before tick {self.tick + 1} ended")
@@ -304,32 +318,34 @@ class VehicleNode(Network):
 
     # -- updates --------------------------------------------------------------
 
+    def _update_columns(self, v):
+        """A fresh copy of node v's update columns, the first 6 of its
+        column, or None if they crossed the bus earlier in the round."""
+        if v in self._sent:
+            return None
+        self._sent.add(v)
+        return self.k_col[v, :, :models.UPDATE_SLOTS].copy()
+
     def peer_state_reply(self, v):
-        """Node v's answer to a peer state request.  Its state views the
-        state arrays, which every step replaces and none writes in place,
-        and its columns are a copy; so the reply stays as delivered for a
-        bus that renders its log after the run."""
+        """Node v's answer to a peer state request: its state and its
+        update columns, unless they crossed the bus earlier in the round.
+        Its state views the state arrays, which every step replaces and
+        none writes in place, and its columns are a copy; so the reply
+        stays as delivered for a bus that renders its log after the run."""
         check_vehicle("replying node", v, self.n)
-        return PeerStateReply(v, self.state[v],
-                              self.k_col[v, :, :models.UPDATE_SLOTS].copy())
+        return PeerStateReply(v, self.state[v], self._update_columns(v))
 
     def originate_update(self, obs, peer_reply=None):
         """Build the update broadcast for an observation, at its observer.
 
-        The observing node reads its own state and column and, for an
-        inter-vehicle observation, the target's reply.  From them it builds
-        the m x m K_ii only, its own update slots and the reply's at the
-        slots ix, and its correction is the network's
-        (Network._correction): the second-order one, or the first-order one
-        where that would leave the gain indefinite, as the joint filter
-        decides it.  The broadcast carries a fresh copy of its own update
-        slots as `cols`, and the m x m x and w; G is formed where it is
-        applied.  An update whose small system is singular,
-        ill-conditioned or not finite is refused here, once for the
-        network: the broadcast carries no cols and no x, and every node
-        leaves its column and state alone.  An observation the network
-        refuses (Network._check_observation) is refused before anything
-        moves, as the joint filter refuses it.
+        The observing node reads its own state and, for an inter-vehicle
+        observation, the target's reply, and builds the observation's
+        period and model terms (r_ix, E_ii, E_first) from them, at the
+        estimate before the round; it solves nothing.  The broadcast
+        carries a fresh copy of its own update columns unless they crossed
+        the bus earlier in the round.  An observation the network refuses
+        (Network._check_observation) is refused before anything moves, as
+        the joint filter refuses it.
         """
         self._check_observation(obs)
         v = obs.observer
@@ -340,42 +356,31 @@ class VehicleNode(Network):
                 raise ValueError("inter-vehicle update needs the target's "
                                  "state and gain column first")
             states[obs.subject] = peer_reply.state
-        key, dt, ix, terms = self._terms(obs, states)
-        own = self.k_col[v, :, :models.UPDATE_SLOTS]
-        # K[ix, ix]: the observer's update slots at ix, then the target's
-        k_ii = own[ix]
-        if obs.kind == models.INTERVEHICLE:
-            k_ii = np.concatenate((k_ii, peer_reply.k_col[ix]), axis=1)
-        try:
-            x, r = self._correction(obs.kind, k_ii, dt, terms)
-        except UpdateSingularError as exc:
-            # a refused update leaves the source's observation clock alone,
-            # as in the joint filter
-            log.warning("node %d: %s, skipping update at t=%d ns",
-                        v, exc, obs.t_ns)
-            cols, x, r = None, None, np.zeros(len(ix))
-        else:
-            cols = own.copy()
-            self._last_obs_ns[key] = obs.t_ns
-        return UpdateBroadcast(v, obs.kind, obs.subject, dt, obs.t_ns, r,
-                               cols, x)
+        _, dt, (r, e, e_first) = self._terms(obs, states)
+        return UpdateBroadcast(v, obs.kind, obs.subject, dt, obs.t_ns, r, e,
+                               e_first, self._update_columns(v))
 
-    def apply_update(self, msg, peer_reply=None):
-        """Apply a broadcast update to every node's column and state, with
-        the peer state reply of its exchange for an inter-vehicle update:
-        G = dt kc x from the update columns kc (`cols`, beside the reply's
-        k_col for an inter-vehicle update), a retraction by
-        dt k_col[ix, :]^T r, from the columns before the update, and
-        k_col <- k_col - G k_col[ix, :], in one stacked step
-        (joint.apply_correction).  The first applied inter-vehicle
-        broadcast starts the nodes' factors (Network._apply).
+    def apply_update(self, msg, peer_reply=None, round_end=True):
+        """Stage a broadcast update at every node, with the peer state
+        reply of its exchange for an inter-vehicle update, and at the
+        round's end (`round_end`, which the epoch schedule sets on the
+        round's last broadcast) apply the round.
+
+        The round's update columns are the ones its replies and broadcasts
+        carried, each vehicle's once; every node applies the round through
+        Network._apply_round, as the joint filter applies it, and the first
+        applied inter-vehicle round starts the nodes' factors.  A round
+        whose summed system the gate refuses is logged once and left out:
+        no column, state or observation clock moves.
         A broadcast is refused before anything moves if its origin, kind
         or inter-vehicle subject is one no observation could have, its
         stamp is not the nodes' time, its dt is not positive and finite,
-        its r is not (m,), its cols and x are not both None or both arrays
-        of shapes (15n, 6) and (m, m), or if an inter-vehicle broadcast
-        comes without the reply of its subject, whose k_col is (15n, 6),
-        or a landmark broadcast with a reply."""
+        its r is not (m,), its e and e_first not (m, m) or its cols neither
+        None nor (15n, 6), if it is not of the open round's kind, or if an
+        inter-vehicle broadcast comes without the reply of its subject,
+        whose k_col is None or (15n, 6), or a landmark broadcast with a
+        reply.  A round that ends without the update columns of one of its
+        vehicles is refused as a whole, before anything moves."""
         check_vehicle("broadcast origin", msg.origin, self.n)
         models.check_source(msg.kind, msg.origin, msg.subject)
         if msg.kind == models.INTERVEHICLE:
@@ -386,34 +391,62 @@ class VehicleNode(Network):
         if not 0.0 < msg.dt < inf:
             raise ValueError(f"broadcast period must be positive and "
                              f"finite: {msg.dt}")
-        ix = models.update_indices(msg.kind, msg.origin, msg.subject)
-        m, slots = len(ix), (self.n * STATE_DOF, models.UPDATE_SLOTS)
-        refused = msg.cols is None and msg.x is None
-        if np.shape(msg.r) != (m,) or not refused and (
-                np.shape(msg.cols) != slots or np.shape(msg.x) != (m, m)):
+        m = len(models.update_indices(msg.kind, msg.origin, msg.subject))
+        slots = (self.n * STATE_DOF, models.UPDATE_SLOTS)
+        if (np.shape(msg.r) != (m,) or np.shape(msg.e) != (m, m)
+                or np.shape(msg.e_first) != (m, m)
+                or msg.cols is not None and np.shape(msg.cols) != slots):
             raise ValueError(
-                f"{msg.kind} broadcast needs r of shape ({m},), and cols of "
-                f"shape {slots} and x of shape ({m}, {m}) or both None, got "
-                f"{np.shape(msg.r)}, {_shape_of(msg.cols)} and "
-                f"{_shape_of(msg.x)}")
+                f"{msg.kind} broadcast needs r of shape ({m},), e and "
+                f"e_first of shape ({m}, {m}) and cols of shape {slots} or "
+                f"None, got {np.shape(msg.r)}, {np.shape(msg.e)}, "
+                f"{np.shape(msg.e_first)} and {_shape_of(msg.cols)}")
         if msg.kind == models.INTERVEHICLE:
             sender = None if peer_reply is None else peer_reply.sender
             if sender != msg.subject:
                 raise ValueError(
                     f"inter-vehicle broadcast needs the reply of its subject "
                     f"{msg.subject}, got the reply of {sender}")
-            if np.shape(peer_reply.k_col) != slots:
+            if (peer_reply.k_col is not None
+                    and np.shape(peer_reply.k_col) != slots):
                 raise ValueError(
-                    f"reply of {sender} needs k_col of shape {slots}, got "
-                    f"{_shape_of(peer_reply.k_col)}")
+                    f"reply of {sender} needs k_col of shape {slots} or "
+                    f"None, got {np.shape(peer_reply.k_col)}")
         elif peer_reply is not None:
             raise ValueError(f"{msg.kind} broadcast takes no peer reply, "
                              f"got the reply of {peer_reply.sender}")
-        if not refused:
-            kc = msg.cols if msg.kind == models.LANDMARK else np.concatenate(
-                (msg.cols, peer_reply.k_col), axis=1)
-            self._apply(msg.kind, ix, kc, msg.x, msg.dt, msg.r)
+        if self._staged and self._staged[0][0].kind != msg.kind:
+            raise ValueError(f"{msg.kind} broadcast in a round of "
+                             f"{self._staged[0][0].kind} updates")
+        self._staged.append((msg, peer_reply))
+        if round_end:
+            self._end_round()
         return self
+
+    def _end_round(self):
+        """Apply the staged round at every node: its update columns as the
+        messages carried them, its terms stacked in staging order."""
+        staged, self._staged, self._sent = self._staged, [], set()
+        cols = {}
+        for msg, reply in staged:
+            if msg.cols is not None:
+                cols.setdefault(msg.origin, msg.cols)
+            if reply is not None and reply.k_col is not None:
+                cols.setdefault(reply.sender, reply.k_col)
+        sources = [(msg.kind, msg.origin, msg.subject) for msg, _ in staged]
+        for source in sources:
+            for v in models.update_vehicles(*source):
+                if v not in cols:
+                    raise ValueError(f"round at {self.t_ns} ns ended without "
+                                     f"the update columns of vehicle {v}")
+        dt = np.array([msg.dt for msg, _ in staged])
+        terms = tuple(np.array([getattr(msg, name) for msg, _ in staged])
+                      for name in ("r", "e", "e_first"))
+        try:
+            self._apply_round(sources, dt, terms, cols)
+        except UpdateSingularError as exc:
+            log.warning("nodes: %s, skipping round of %d %s updates at "
+                        "t=%d ns", exc, len(staged), sources[0][0], self.t_ns)
 
 
 def _shape_of(a):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import distributed, models
 from .distributed import VehicleNode
-from .joint import JointFilter, block_diag_prior
+from .joint import JointFilter, block_diag_prior, epoch_rounds
 from .kernels import so3_exp
 from .lie import STATE_DOF, VehicleState, make_state, rotation_error_angle
 from .models import ImuSample, ImuStream, Observation
@@ -334,8 +334,8 @@ class MessageBus:
     factor stack that the nodes only rebind (one over an empty span holds
     no array), a reply views state arrays that each step replaces, and
     these are fresh arrays, which no one writes: the reply's k_col, and a
-    broadcast's r, its cols (a copy of the origin's update slots) and
-    its x.
+    broadcast's r, e and e_first (its model terms) and its cols (a copy of
+    the origin's update slots).
     Recording keeps those arrays alive for the whole run; switch it off
     when the log is not needed.
     """
@@ -418,9 +418,12 @@ class RunResult:
     delivered message, in delivery order (empty unless `distributed`
     records its bus); cli.write_bus_log renders them as bus.log, one line
     of wire version distributed.WIRE_VERSION each, and decoding a line
-    gives its message back bit for bit.  ``fallbacks`` is the filter's
-    joint.Network.fallbacks as a dict: per observation kind, the updates
-    that took their first-order correction."""
+    gives its message back bit for bit.  ``update_count`` counts the
+    observations synthesised after dropout, ``rounds`` is the filter's
+    joint.Network.rounds as a dict: per observation kind, the applied
+    rounds, and ``fallbacks`` its joint.Network.fallbacks: per kind, the
+    corrections that took their first-order term, one per round, or one
+    per observation of a landmark round on the uncoupled gain."""
 
     rows: np.recarray        # METRICS_DTYPE, one record per (tick, vehicle)
     summary: list
@@ -428,6 +431,7 @@ class RunResult:
     estimates: list          # final per-vehicle VehicleState list
     update_count: int
     fallbacks: dict
+    rounds: dict
 
 
 def _observation_ticks(rate_hz, imu_rate_hz, n_ticks):
@@ -455,11 +459,12 @@ def _perturbed_prior(truth, prior, rng):
     return make_state(truth.rot @ drot, truth.pos + dpos, np.zeros(3))
 
 
-def _distributed_update(nodes, obs, tick, bus):
+def _distributed_update(nodes, obs, tick, bus, round_end=True):
     """One observation through the network: every node's factor, each
     absorbed by the others, the target's reply to an inter-vehicle
-    observer, and the observer's broadcast, applied by every node with
-    that reply."""
+    observer, and the observer's broadcast, staged by every node with that
+    reply; `round_end` marks the round's last observation, whose broadcast
+    applies the round."""
     for msg in nodes.emit_propagation_factors():
         nodes.absorb_propagation_factor(bus.deliver(tick, msg))
     reply = None
@@ -467,7 +472,7 @@ def _distributed_update(nodes, obs, tick, bus):
         bus.deliver(tick, distributed.PeerStateRequest(obs.observer, obs.subject))
         reply = bus.deliver(tick, nodes.peer_state_reply(obs.subject))
     nodes.apply_update(bus.deliver(tick, nodes.originate_update(obs, reply)),
-                       reply)
+                       reply, round_end)
 
 
 def run_schedule(config, mode, sources, world, noise, prior=None,
@@ -488,21 +493,27 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
     scored against the sources' stacked ``truth`` into ``rows``, a record
     array of METRICS_DTYPE with one record per (tick, vehicle), tick-major.
 
-    In `none` and `central` each epoch tick hands the joint filter its
-    observations, after dropout, in one JointFilter.update call, in event
-    order; in `distributed` every observation runs its own exchange.
+    Each epoch tick synthesises its observations in event order, after
+    dropout, and applies them in rounds (joint.epoch_rounds): each
+    vehicle's d-th landmark observation in landmark round d, then the
+    inter-vehicle rounds of disjoint vehicle pairs, 3 + 5 rounds for the
+    48 observations of six vehicles and three landmarks.  In `none` and
+    `central` one JointFilter.update call takes the tick's observations
+    and forms the rounds; in `distributed` every observation runs its own
+    exchange, in round order, and the nodes apply each round at its last
+    broadcast, a point of this schedule rather than a message.  So both
+    filters apply the same rounds through the same Network code, and
+    `central` and `distributed` agree bit for bit.
 
     All three modes start from the same 15n x 15n prior and hold the gain
     as the same (n, 15n, 15) column stack.  `none` is the JointFilter of
     `central` without the inter-vehicle channel: its cross blocks stay
     exactly zero, so its vehicles evolve as n isolated filters, it keeps
-    no propagation factor and never exponentiates, its landmark updates go
-    in one round per landmark rank (each vehicle's d-th observation in
-    round d) on the diagonal blocks, and a lost definiteness warns once
-    per epoch.  `central` does the same until its first applied
-    inter-vehicle update couples the gain, so only the landmark updates
-    before it go in rounds; from then on it updates the gain as the nodes
-    of `distributed` do.
+    no propagation factor and never exponentiates, its landmark rounds go
+    on the diagonal blocks, each observation with its own correction, and
+    a lost definiteness warns once per epoch.  `central` does the same
+    until its first applied inter-vehicle round couples the gain; from
+    then on each round is one update of the column stack.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -577,12 +588,15 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
             obs = synthesize_observation(truths, world, kind, a, b, d,
                                          obs_rngs[(kind, a, b)],
                                          tick * dt_ns)
-            if mode == MODE_DISTRIBUTED:
-                _distributed_update(flt, obs, tick, bus)
-            else:
-                batch.append(obs)
+            batch.append(obs)
             update_count += 1
-        if batch:
+        if batch and mode == MODE_DISTRIBUTED:
+            for group in epoch_rounds([(obs.kind, obs.observer, obs.subject)
+                                       for obs in batch], n):
+                for i in group:
+                    _distributed_update(flt, batch[i], tick, bus,
+                                        round_end=i == group[-1])
+        elif batch:
             flt.update(*batch)
 
         _store(est, tick, flt.state)
@@ -592,4 +606,4 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
     return RunResult(rows=rows, summary=summarize_metrics(rows),
                      bus_records=bus.records, estimates=finals,
                      update_count=update_count,
-                     fallbacks=dict(flt.fallbacks))
+                     fallbacks=dict(flt.fallbacks), rounds=dict(flt.rounds))

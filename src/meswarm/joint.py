@@ -6,26 +6,34 @@ estimate, the gain as the (n, 15n, 15) stack of its columns, the
 propagation factors and the coupling.  It makes once the decisions both
 filters make: which priors, IMU samples and observations are refused, when
 the gain is coupled, what one IMU tick does, which period and model terms
-an observation gets, which correction an update gets (the second-order
-one, or the first-order one where the second-order one would leave the
-gain indefinite) and how it is applied.  The algebra both run is here as
+an observation gets, how an epoch's observations split into rounds
+(epoch_rounds), which correction a round gets (the second-order one, or
+the first-order one where the second-order one would leave the gain
+indefinite) and how it is applied.  The algebra both run is here as
 functions: propagate_vehicle, absorb_factor and apply_correction on the
-column stack, and gain_correction with its gate, update_inverse, and
-correction_matrix, which forms an update's G from gain_correction's x.
+column stack, round_system, which sums a round's terms onto its slots,
+and gain_correction with its gate, update_inverse, and correction_matrix,
+which forms the G of a stack of one-vehicle updates.
+
+An epoch is applied in rounds.  A round is a set of observations
+linearised at one estimate and applied as one update: landmark round d
+holds each vehicle's d-th landmark observation of the epoch, and the
+inter-vehicle rounds follow a fixed round-robin table of disjoint vehicle
+pairs, each round holding both directions of its pairs.  Summed, a round's
+terms give the information-form update K+ = (K^-1 + sum dt E)^-1 through
+one m x m system, one correction of every column and one retraction.
 
 JointFilter is the centralised form.  IMU ticks propagate the estimate
 through the group exponential and the whole gain through one first-order
 transition, Phi = I + A dt per vehicle: K <- Phi K Phi^T + dt Q, a
 congruence plus a positive semidefinite term, so propagation keeps the
-gain positive definite; landmark and inter-vehicle observations are
-applied sequentially as discrete low-rank updates, except that while the
-gain is block diagonal a tick's landmark updates of different vehicles,
-which commute exactly, are applied together in rounds on the diagonal
-blocks.
+gain positive definite; each epoch's observations are applied round by
+round, while the gain is block diagonal a landmark round on the diagonal
+blocks only.
 """
 
 import collections
-import itertools
+import functools
 import logging
 import math
 
@@ -39,7 +47,7 @@ log = logging.getLogger(__name__)
 
 # Threshold on the update system's 1-norm condition number; beyond this the
 # update is reported as singular instead of silently applied.  It gates the
-# m x m system of the low-rank update (m = 6 or 12).
+# m x m system of the low-rank update (m = 6 per vehicle of a round).
 COND_LIMIT = 1e12
 
 
@@ -84,33 +92,121 @@ def absorb_factor(k_col, j, others, lam_j, own):
 
 
 def correction_matrix(kc, x, dt):
-    """The gain correction G = dt kc x of an update (gain_correction),
-    15n x m, from its update columns kc = K[:, ix] and gain_correction's
-    m x m x; for a stack of updates, kc (R, 15n, m), x (R, m, m) and
-    dt (R,).  Every filter forms G here, from the gain before the update."""
-    if isinstance(dt, np.ndarray):
-        dt = dt[:, None, None]
-    return dt * (kc @ x)
+    """The gain corrections G = dt kc x of a stack of R one-vehicle
+    updates (gain_correction), kc (R, 15, m), x (R, m, m) and dt (R,), as
+    a landmark round on the diagonal blocks forms them."""
+    return dt[:, None, None] * (kc @ x)
 
 
-def apply_correction(state, k_col, kind, ix, kc, x, dt, w):
-    """k_col <- k_col - G k_col[:, ix, :] in place on every column, and the
-    state, which is returned, retracted by psi = dt K+[:, ix] r_ix, formed
-    as dt k_col[:, ix, :]^T w from the columns before the update.  G is
-    correction_matrix(kc, x, dt), formed before any column moves from the
-    update columns kc = K[:, ix] and x = S^-1 E_ii, and w = S^-1 r_ix
-    (gain_correction's x and w; K+[:, ix] = K[:, ix] S^-1)."""
-    g = correction_matrix(kc, x, dt)
-    if kind == models.LANDMARK:
-        # one vehicle's slots are one range of rows: a view instead of a
-        # gather
-        ix = slice(ix[0], ix[-1] + 1)
+def apply_correction(state, k_col, ix, kc, x, w):
+    """One round's update of every column and estimate, dt folded into its
+    system (round_system): k_col <- k_col - G k_col[:, ix, :] in place,
+    with G = kc x, and the state, which is returned, retracted by
+    psi = K+[:, ix] r, formed as k_col[:, ix, :]^T w from the columns
+    before the update.  G is formed before any column moves, from the
+    update columns kc = K[:, ix] and x = S^-1 E, and w = S^-1 r
+    (gain_correction's x and w with dt = 1; K+[:, ix] = K[:, ix] S^-1)."""
+    g = kc @ x
     rows = k_col[:, ix, :]
-    psi = dt * (rows.swapaxes(-1, -2) @ w)
-    # in place: no new (n, 15n, 15) array per update, and k_col keeps its
+    psi = rows.swapaxes(-1, -2) @ w
+    # in place: no new (n, 15n, 15) array per round, and k_col keeps its
     # C-contiguous layout
     k_col -= g @ rows
     return retract(state, psi)
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_table(n):
+    """The inter-vehicle rounds of an n-vehicle epoch, by the circle
+    method: {(a, b): (round, place)} for every pair a < b, with its round
+    and its place in that round.  Vehicle 0 stays put while the others
+    rotate; for odd n a vacant seat gives each vehicle one round off.  So
+    every pair meets once, in n - 1 rounds of disjoint pairs for even n
+    and in n for odd n."""
+    seats = list(range(n + n % 2))
+    table = {}
+    for rnd in range(len(seats) - 1):
+        pairs = sorted(tuple(sorted((seats[i], seats[-1 - i])))
+                       for i in range(len(seats) // 2))
+        for place, pair in enumerate(p for p in pairs if p[1] < n):
+            table[pair] = (rnd, place)
+        seats = seats[:1] + seats[-1:] + seats[1:-1]
+    return table
+
+
+def epoch_rounds(sources, n):
+    """An epoch's observations split into rounds, as index lists into
+    `sources`, the (kind, observer, subject) of each observation, in
+    application order.
+
+    Landmark round d holds each vehicle's d-th landmark observation, in
+    the order given; the landmark rounds come first.  Then the
+    inter-vehicle rounds of the fixed round-robin table (_pair_table), in
+    table order, each holding both directions of its pairs, pair by pair,
+    (a, b) then (b, a) with a < b; a source given twice goes to the same
+    round of a later pass of the table.  Splitting a split epoch gives its
+    rounds again, so a decoder of the bus log, which holds an epoch's
+    observations in round order, recovers them."""
+    table = _pair_table(n)
+    rank, rounds = collections.Counter(), {}
+    for i, (kind, observer, subject) in enumerate(sources):
+        if kind == models.LANDMARK:
+            key, order = (0, rank[observer], 0), i
+            rank[observer] += 1
+        else:
+            rnd, place = table[tuple(sorted((observer, subject)))]
+            key = (1, rank[kind, observer, subject], rnd)
+            order = (place, observer > subject)
+            rank[kind, observer, subject] += 1
+        rounds.setdefault(key, []).append((order, i))
+    return [[i for _, i in sorted(items)] for _, items in sorted(rounds.items())]
+
+
+# a run without dropout meets 3 + n - 1 distinct rounds; dropout can meet
+# any subset of them, so the cache is bounded
+@functools.lru_cache(maxsize=256)
+def _round_layout(sources):
+    """A round's vehicles, ascending, its slots ix into the 15n slots of
+    the gain (each vehicle's update slots, in vehicle order), and the
+    places of its observations' terms in the round's: the entries of r,
+    then of the flattened m x m system, observation after observation."""
+    vehicles = sorted({v for kind, observer, subject in sources
+                       for v in models.update_vehicles(kind, observer,
+                                                       subject)})
+    seat = {v: i for i, v in enumerate(vehicles)}
+    slots = np.arange(models.UPDATE_SLOTS)
+    ix = np.concatenate([v * STATE_DOF + slots for v in vehicles])
+    places = [np.concatenate([seat[v] * models.UPDATE_SLOTS + slots
+                              for v in models.update_vehicles(*src)])
+              for src in sources]
+    flat = [(p[:, None] * len(ix) + p).ravel() for p in places]
+    return tuple(vehicles), ix, np.concatenate(places), np.concatenate(flat)
+
+
+def round_system(sources, dt, terms, cols):
+    """One round as one update: its slots ix, its update columns
+    kc = K[:, ix] (15n x m) and its terms (r, e, e_first) summed onto the
+    round's slots with each observation's period folded in: dt r_ix,
+    dt E_ii and dt E_first, added in the order of `sources`.
+
+    `sources` holds each observation's (kind, observer, subject), dt (R,)
+    its periods and terms its (r_ix, e_ii, e_first) stacked, (R, m_i) and
+    (R, m_i, m_i); cols[v] is vehicle v's 15n x 6 update columns, a view
+    of a filter's own column or the copy a message carried.
+    gain_correction with dt = 1 then gives the update
+    (K^-1 + sum dt E)^-1 and its state increment K+ sum dt r; both
+    filters, and a reader of the bus log, build a round here."""
+    vehicles, ix, at_r, at_e = _round_layout(tuple(sources))
+    m = len(ix)
+    d = np.asarray(dt)[:, None]
+    r_ix, e_ii, e_first = terms
+    r = np.zeros(m)
+    np.add.at(r, at_r, (d * r_ix).ravel())
+    e, f = np.zeros(m * m), np.zeros(m * m)
+    np.add.at(e, at_e, (d[..., None] * e_ii).ravel())
+    np.add.at(f, at_e, (d[..., None] * e_first).ravel())
+    kc = np.concatenate([cols[v] for v in vehicles], axis=1)
+    return ix, kc, (r, e.reshape(m, m), f.reshape(m, m))
 
 
 def _definite(m):
@@ -164,9 +260,10 @@ class Network:
     blocks are never written, and the factors lam_acc stay the identity,
     since lam_i 0 lam_j^T is exactly 0.  A refused prior, IMU sample or
     observation raises before anything moves, a prior or an observation
-    with the same text in both filters.  `fallbacks` counts, per
-    observation kind, the updates that took their first-order correction
-    (Network._correction).
+    with the same text in both filters.  `rounds` counts, per observation
+    kind, the applied rounds, and `fallbacks` the corrections that took
+    their first-order term (Network._correction): one per round, or one
+    per observation of a landmark round on the diagonal blocks.
     """
 
     def __init__(self, states, k0, world, noise):
@@ -195,6 +292,7 @@ class Network:
         # every vehicle's propagation factor since its cross blocks were
         # last brought up to date
         self.lam_acc = identity_factors(n)
+        self.rounds = collections.Counter()
         self.fallbacks = collections.Counter()
 
     def estimate(self):
@@ -248,12 +346,11 @@ class Network:
             obs.kind, self._last_obs_ns.get(key), obs.t_ns)
 
     def _terms(self, obs, states):
-        """The clock key, period, update slots ix and model terms (r_ix,
-        e_ii, e_first) of one observation, from the states it involves."""
+        """The clock key, period and model terms (r_ix, e_ii, e_first) of
+        one observation, from the states it involves."""
         key, dt = self._period(obs)
-        return (key, dt, models.update_indices(obs.kind, obs.observer,
-                                               obs.subject),
-                models.update_terms(states, obs, self.world, self.noise, dt))
+        return key, dt, models.update_terms(states, obs, self.world,
+                                            self.noise, dt)
 
     def _correction(self, kind, k_ii, dt, terms):
         """gain_correction's (x, w) for an update of `kind` with model
@@ -281,26 +378,76 @@ class Network:
         self.fallbacks[kind] += int(np.count_nonzero(lost))
         return x, w
 
-    def _apply(self, kind, ix, kc, x, dt, w):
-        """Apply an accepted update at the slots ix, its update columns kc
-        = K[:, ix] and gain_correction's x and w, to every column and
-        estimate; the first inter-vehicle one couples the gain."""
-        self.state = apply_correction(self.state, self.k_col, kind, ix, kc,
-                                      x, dt, w)
-        if kind == models.INTERVEHICLE:
-            self._coupled = True
+    def _apply_round(self, sources, dt, terms, cols):
+        """Apply one round (epoch_rounds) to every column and estimate, all
+        of its observations linearised at the estimate before it: each
+        observation's (kind, observer, subject) in `sources`, its period in
+        dt (R,) and its model terms (r_ix, e_ii, e_first) stacked in
+        `terms`, and cols[v] vehicle v's update columns (round_system).
+
+        While the gain is uncoupled a landmark round goes on the diagonal
+        blocks (_update_blocks).  Otherwise the round is one update on the
+        column stack: round_system's summed system through one
+        Network._correction with dt = 1, the m x m test deciding for the
+        whole round, then one apply_correction; an inter-vehicle round
+        couples the gain.  A refused round raises UpdateSingularError
+        before anything moves.  An applied round sets the observation
+        clock of every source to the filter time and is counted in
+        rounds[kind]."""
+        kind = sources[0][0]
+        if kind == models.LANDMARK and not self._coupled:
+            self._update_blocks([obs for _, obs, _ in sources], dt, terms)
+        else:
+            ix, kc, system = round_system(sources, dt, terms, cols)
+            x, w = self._correction(kind, kc[ix], 1.0, system)
+            self.state = apply_correction(self.state, self.k_col, ix, kc,
+                                          x, w)
+            if kind == models.INTERVEHICLE:
+                self._coupled = True
+        self.rounds[kind] += 1
+        for source in sources:
+            self._last_obs_ns[source] = self.t_ns
+
+    def _update_blocks(self, observers, dt, terms):
+        """A landmark round on the uncoupled gain, on the observers'
+        diagonal blocks only, each item on a leading round axis.  An
+        observer's update slots are the first UPDATE_SLOTS of its block,
+        and its rank update and psi vanish outside that block, so each item
+        is the one-vehicle update of its block, its correction and its
+        first-order verdict its own: psi_v = dt K_vv[:, 0:6] w_v, then
+        K_vv -= G_v K_vv[0:6, :], symmetrised, with G_v = dt_v K_vv[:, 0:6]
+        x_v (correction_matrix).  Each vehicle observes at most once in a
+        round."""
+        v = np.array(observers)
+        if len(set(observers)) < len(observers):
+            raise ValueError(f"a landmark round holds one observation per "
+                             f"vehicle, got observers {observers}")
+        m = models.UPDATE_SLOTS
+        kv = self._kdiag[v]
+        x, w = self._correction(models.LANDMARK, kv[:, :m, :m], dt, terms)
+        g = correction_matrix(kv[..., :m], x, dt)
+        # K_vv[:, 0:6] row-major: BLAS forms each entry of psi as one dot
+        # product of its row with w_v, whatever the row's place in a block
+        psi = np.zeros((self.n, STATE_DOF))
+        psi[v] = dt[:, None] * (kv[..., :m] @ w[..., None])[..., 0]
+        kv -= g @ kv[:, :m, :]
+        kv += kv.swapaxes(-1, -2)
+        kv *= 0.5
+        self._kdiag[v] = kv
+        self.state = retract(self.state, psi)
 
 
 class JointFilter(Network):
     """Single-writer state machine over the joint estimate and gain, held
     as Network holds them, as the nodes hold theirs.
 
-    Between updates only the diagonal blocks and, while coupled, the
+    Between epochs only the diagonal blocks and, while coupled, the
     factors move; the cross blocks are brought up to the current tick
-    before the next update.  While the gain is uncoupled, landmark updates
-    act on the diagonal blocks only, and no 15n x 15n array is formed.  A
-    block-diagonal filter that sees only landmark updates (`none`, or a
-    single vehicle) keeps no propagation factor.
+    before the next epoch's first round.  While the gain is uncoupled,
+    landmark rounds act on the diagonal blocks only, and no 15n x 15n
+    array is formed.  A block-diagonal filter that sees only landmark
+    observations (`none`, or a single vehicle) keeps no propagation
+    factor.
     """
 
     def __init__(self, states, k0, world, noise):
@@ -326,38 +473,31 @@ class JointFilter(Network):
     # -- measurement updates ---------------------------------------------------
 
     def update(self, *observations):
-        """Apply one tick's observations, in event order, at the current
-        filter time, each weighed by the period since its source's last
-        applied arrival.
+        """Apply one epoch's observations at the current filter time, each
+        weighed by the period since its source's last applied arrival.
 
         Every observation is checked by Network._check_observation before
         any is applied: a stale or a future stamp, an observer or an
         inter-vehicle subject outside 0..n-1, and an unknown landmark index
         refuse the whole call.
 
-        While the gain is uncoupled (every cross block zero, no factor
-        kept), a landmark update touches only its observer's diagonal
-        block, so the landmark updates of different vehicles commute
-        exactly.  The landmark observations that lead the call are then
-        applied in rounds on the diagonal blocks: round d holds
-        each vehicle's d-th of them, in call order, and goes through the
-        update algebra once, a round of one included, with its items'
-        model terms built in one call.  Each item gets the bits it would
-        get alone, so the gain, the estimates and the observation clock
-        are those of one observation per call.  Every observation after
-        the leading landmarks is applied alone on the column stack, as
-        the nodes apply it, after each vehicle's factor is absorbed as in
-        an exchange.  A
-        refused update raises the verdict of its round's first refused
-        observation, in call order, before any of that round is applied;
-        earlier rounds stay applied.
+        The observations are applied in rounds (epoch_rounds): each
+        vehicle's d-th landmark observation in landmark round d, then the
+        inter-vehicle observations in the rounds of disjoint pairs.  A
+        round's model terms are built from the estimate before it, a
+        landmark round's in one call, and the round goes through
+        Network._apply_round: while the gain is uncoupled a landmark round
+        on the diagonal blocks, item by item as one stack, otherwise one
+        update on the column stack, as the nodes apply it.  A refused round
+        raises its verdict before any of it is applied; earlier rounds stay
+        applied.
 
-        Each update, or round as one stack, gets its correction from
-        Network._correction, which keeps a definite gain definite.  The
-        propagated gain gets one Cholesky when it is rebuilt at an epoch's
-        first update: one of the 15n x 15n matrix of the columns, or one
-        stacked 15 x 15 one per diagonal block while uncoupled; a gain found
-        indefinite there is logged as a warning, and the epoch runs on.
+        The propagated gain gets one Cholesky when it is rebuilt at an
+        epoch's first round: one of the 15n x 15n matrix of the columns
+        after each vehicle's factor is absorbed as in an exchange, or one
+        stacked 15 x 15 one per diagonal block while uncoupled; a gain
+        found indefinite there is logged as a warning, and the epoch runs
+        on.
         """
         for obs in observations:
             self._check_observation(obs)
@@ -376,72 +516,29 @@ class JointFilter(Network):
                 log.warning("gain matrix lost positive definiteness at "
                             "t=%d ns", self.t_ns)
             self._stale = False
-        lead = []
-        if not self._coupled:
-            lead = list(itertools.takewhile(
-                lambda obs: obs.kind == models.LANDMARK, observations))
-        rounds, rank = {}, collections.Counter()
-        for obs in lead:
-            rounds.setdefault(rank[obs.observer], []).append(obs)
-            rank[obs.observer] += 1
-        for group in rounds.values():
-            self._update_round(group)
-        for obs in observations[len(lead):]:
-            self._update_one(obs)
+        sources = [(obs.kind, obs.observer, obs.subject)
+                   for obs in observations]
+        for group in epoch_rounds(sources, self.n):
+            self._update_round([observations[i] for i in group])
         return self
 
-    def _update_one(self, obs):
-        """One observation on the column stack, as the nodes apply it."""
-        key, dt, ix, terms = self._terms(obs, self.state)
-        # K[:, ix]: the observer's update slots, then the subject's
-        cols = [self.k_col[obs.observer, :, :models.UPDATE_SLOTS]]
-        if obs.kind == models.INTERVEHICLE:
-            cols.append(self.k_col[obs.subject, :, :models.UPDATE_SLOTS])
-        kc = np.hstack(cols)
-        x, w = self._correction(obs.kind, kc[ix, :], dt, terms)
-        self._apply(obs.kind, ix, kc, x, dt, w)
-        self._last_obs_ns[key] = obs.t_ns
-
     def _update_round(self, group):
-        """At most one landmark observation per vehicle on the uncoupled
-        gain, on the observers' diagonal blocks only, each item on a
-        leading round axis.  An observer's update slots are the first
-        UPDATE_SLOTS of its block, and its rank update and psi vanish
-        outside that block, so each item is the one-vehicle update of its
-        block: psi_v = dt K_vv[:, 0:6] w_v, then K_vv -= G_v K_vv[0:6, :],
-        symmetrised, with G_v = dt_v K_vv[:, 0:6] x_v
-        (correction_matrix).  The items' terms come from one model call; a
-        round of one passes its observation as it is."""
-        v = np.array([obs.observer for obs in group])
-        keys, dt = zip(*map(self._period, group))
-        dt = np.array(dt)
-        if len(group) == 1:
-            terms = models.update_terms(self.state, group[0], self.world,
-                                        self.noise, float(dt[0]))
-        else:
+        """One round of observations, its model terms built from the
+        estimate before it (a landmark round's in one call), through
+        Network._apply_round with the filter's own update columns."""
+        dt = np.array([self._period(obs)[1] for obs in group])
+        if group[0].kind == models.LANDMARK and len(group) > 1:
             terms = models.update_terms(
                 self.state, models.stack_observations(group), self.world,
                 self.noise, dt)
-        m = models.UPDATE_SLOTS
-        r_ix, e_ii, e_first = terms
-        terms = (np.reshape(r_ix, (len(group), m)),
-                 np.reshape(e_ii, (len(group), m, m)),
-                 np.reshape(e_first, (len(group), m, m)))
-
-        kv = self._kdiag[v]
-        x, w = self._correction(models.LANDMARK, kv[:, :m, :m], dt, terms)
-        g = correction_matrix(kv[..., :m], x, dt)
-        # K_vv[:, 0:6] row-major: BLAS forms each entry of psi as one dot
-        # product of its row with w_v, whatever the row's place in a block
-        psi = np.zeros((self.n, STATE_DOF))
-        psi[v] = dt[:, None] * (kv[..., :m] @ w[..., None])[..., 0]
-        kv -= g @ kv[:, :m, :]
-        kv += kv.swapaxes(-1, -2)
-        kv *= 0.5
-        self._kdiag[v] = kv
-        self.state = retract(self.state, psi)
-        for key in keys:
-            self._last_obs_ns[key] = self.t_ns
+        else:
+            terms = tuple(map(np.array, zip(*(
+                models.update_terms(self.state, obs, self.world, self.noise,
+                                    float(d))
+                for obs, d in zip(group, dt)))))
+        self._apply_round([(obs.kind, obs.observer, obs.subject)
+                           for obs in group], dt, terms,
+                          self.k_col[:, :, :models.UPDATE_SLOTS])
 
 
 def _one_norm(m):
@@ -498,9 +595,11 @@ def gain_correction(k_ii, e_ii, dt, r_ix):
 
         G = dt kc x,    x = S^-1 E_ii,    S = I + dt E_ii k_ii,
 
-    G a 15n x m matrix (m = len(ix)).  This returns the m x m x, with
-    w = S^-1 r_ix and k_ii S; whoever applies the update forms G from
-    its update columns kc (correction_matrix).  Since K+[:, ix] =
+    G a 15n x m matrix (m = len(ix)).  This returns the m x m x,
+    symmetrised, with w = S^-1 r_ix and k_ii S; whoever applies the update
+    forms G from its update columns kc (correction_matrix, or
+    apply_correction for a round, whose dt is folded into its terms and
+    passed as 1).  Since K+[:, ix] =
     kc S^-1, the state increment dt K+[:, ix] r_ix is dt kc w: formed from
     the gain before the update, it loses none of the digits that
     K - G K[ix, :] cancels when dt E_ii K_ii is large.  The update keeps a
@@ -528,7 +627,11 @@ def gain_correction(k_ii, e_ii, dt, r_ix):
         raise UpdateSingularError("update system is not finite")
     s = _eye(k_ii.shape[-1]) + dt * (e_ii @ k_ii)
     inv = update_inverse(s)
-    return inv @ e_ii, (inv @ r_ix[..., None])[..., 0], k_ii @ s
+    x = inv @ e_ii
+    # symmetric in exact arithmetic; the inverse leaves it asymmetric by
+    # about cond(S) eps, which G K[ix, :] would carry into the whole gain
+    x = 0.5 * (x + x.swapaxes(-1, -2))
+    return x, (inv @ r_ix[..., None])[..., 0], k_ii @ s
 
 
 def block_diag_prior(k0_blocks):

@@ -389,16 +389,21 @@ def hessian_term(states, obs, world, noise, dt):
     return _sym(core) + _sym(f.swapaxes(-1, -2) @ m @ f)
 
 
+def update_vehicles(kind, observer, subject):
+    """The vehicles an observation involves: its observer, then the target
+    vehicle of an inter-vehicle observation."""
+    return (observer,) if kind == LANDMARK else (observer, subject)
+
+
 @functools.lru_cache(maxsize=None)
 def update_indices(kind, observer, subject):
     """Indices outside which an observation's residual and Hessian term vanish.
 
-    The rotation and position slots of the observer, then of the target
-    vehicle for an inter-vehicle observation: 6 or 12 of the 15n indices.
-    Cached, so the read-only array is built once per observation source.
+    The rotation and position slots of each of its update_vehicles: 6 or
+    12 of the 15n indices.  Cached, so the read-only array is built once
+    per observation source.
     """
-    vehicles = (observer,) if kind == LANDMARK else (observer, subject)
     ix = np.concatenate([np.arange(v * STATE_DOF, v * STATE_DOF + UPDATE_SLOTS)
-                         for v in vehicles])
+                         for v in update_vehicles(kind, observer, subject)])
     ix.flags.writeable = False
     return ix

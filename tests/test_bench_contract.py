@@ -58,8 +58,8 @@ def test_warning_counter_counts_package_warnings(monkeypatch):
     each: a landmark update whose Hessian term -2/dt I, second-order and
     first-order part alike, turns K = I into -I on its slots (the m x m
     test sends it to its first-order term, which fails the same way), so
-    the next epoch finds the gain indefinite, and a distributed one whose
-    -1/dt I makes the small system zero."""
+    the next epoch finds the gain indefinite, and a distributed round
+    whose -1/dt I makes its small system zero, which the nodes skip."""
     from meswarm import distributed, joint, models
     from meswarm.lie import make_state
     noise = models.NoiseModel()
@@ -81,7 +81,8 @@ def test_warning_counter_counts_package_warnings(monkeypatch):
         monkeypatch.setattr(models, "update_terms", lambda *args: (
             np.zeros(6), -1.0 / dt * np.eye(6), np.zeros((6, 6))))
         nodes = distributed.VehicleNode([state], np.eye(15), world, noise)
-        assert nodes.originate_update(obs).cols is None
+        nodes.apply_update(nodes.originate_update(obs))
+        assert nodes.rounds == {}
     finally:
         counter.detach()
     assert counter.counts == {"joint.update.pd_lost": 1,

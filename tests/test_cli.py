@@ -87,11 +87,15 @@ class TestOutputs:
                           name="dist")
         bodies = [json.loads(ln)
                   for ln in (out2 / "bus.log").read_text().splitlines()]
-        assert bodies and all(b["v"] == 7 for b in bodies)
+        assert bodies and all(b["v"] == 8 for b in bodies)
         replies = [b for b in bodies if b["type"] == "peer_state_reply"]
-        # a peer reply carries only the 6 update columns of the 30x15 column
-        assert replies and all(b["k_col"]["shape"] == [30, 6]
-                               for b in replies)
+        # a peer reply carries only the 6 update columns of the 30x15
+        # column, and only in the round's first exchange: (0, 1), whose
+        # reply comes before the two vehicles' columns crossed the bus
+        # in the round, then (1, 0), whose reply has null
+        assert replies and [b["k_col"] and b["k_col"]["shape"]
+                            for b in replies] == [[30, 6], None] * (
+            len(replies) // 2)
 
     def test_empty_span_factor_lines_carry_no_matrix(self, tmp_path):
         """On the README config over 1 s in `distributed`, every factor
@@ -106,7 +110,7 @@ class TestOutputs:
         assert code == 0
         bodies = [json.loads(ln)
                   for ln in (out / "bus.log").read_text().splitlines()]
-        assert all(b["v"] == distributed.WIRE_VERSION == 7 for b in bodies)
+        assert all(b["v"] == distributed.WIRE_VERSION == 8 for b in bodies)
         factors = [b for b in bodies if b["type"] == "propagation_factor"]
         empty = [b for b in factors if b["start_tick"] == b["end_tick"]]
         assert empty and all(b["lam"] is None for b in empty)
@@ -122,52 +126,74 @@ class TestOutputs:
 
     def test_log_rebuilds_every_applied_gain(self, tmp_path, monkeypatch):
         """On the README config over 1 s in `distributed`, bus.log alone
-        gives the gain correction G of every applied update, bit for bit:
-        G = dt kc x from the broadcast's dt, cols and x, with kc its cols
-        for a landmark update and its cols beside the k_col of the reply on
-        the line before it for an inter-vehicle one.  The G every node
-        applied is captured from joint.correction_matrix, which forms it.
-        The log keeps n L (n + 1) + n (n - 1) (n + 3) lines per epoch."""
+        gives every round the nodes applied as one update, bit for bit:
+        an epoch's broadcasts split into its rounds (joint.epoch_rounds),
+        each vehicle's update columns from the one reply or broadcast of
+        the round that carries them, and the round's terms summed by
+        joint.round_system, whose results the nodes' calls are captured
+        from.  Every vehicle of a round has its columns on exactly one of
+        the round's lines, and the log keeps n L (n + 1) + n (n - 1)
+        (n + 3) lines per epoch."""
         applied = []
-        correction_matrix = joint.correction_matrix
+        round_system = joint.round_system
 
-        def captured(kc, x, dt):
-            applied.append(correction_matrix(kc, x, dt))
+        def captured(*args):
+            applied.append(round_system(*args))
             return applied[-1]
 
-        monkeypatch.setattr(joint, "correction_matrix", captured)
+        monkeypatch.setattr(joint, "round_system", captured)
         cfg = readme_config()
         code, out = run_cli(tmp_path, cfg, extra=(
             "--mode", "distributed", "--duration", "1"))
         assert code == 0
         bodies = [json.loads(ln)
                   for ln in (out / "bus.log").read_text().splitlines()]
-        rebuilt = []
-        for before, b in zip([None] + bodies, bodies):
-            if b["type"] != "update_broadcast" or b["cols"] is None:
-                continue
-            kc = decode_array(b["cols"])
-            if b["kind"] == models.INTERVEHICLE:
-                assert before["type"] == "peer_state_reply"
-                assert before["sender"] == b["subject"]
-                kc = np.hstack([kc, decode_array(before["k_col"])])
-            rebuilt.append(b["dt"] * (kc @ decode_array(b["x"])))
         n, n_lm = len(cfg["vehicles"]), len(cfg["landmarks_m"])
-        per_epoch = n * n_lm + n * (n - 1)
-        assert len(applied) == len(rebuilt) == 10 * per_epoch
-        for got, want in zip(rebuilt, applied):
-            assert_same_bits(got, want)
+        epochs = {}
+        for before, b in zip([None] + bodies, bodies):
+            if b["type"] == "update_broadcast":
+                reply = before if b["kind"] == models.INTERVEHICLE else None
+                epochs.setdefault(b["tick"], []).append((b, reply))
+        rebuilt = []
+        for staged in epochs.values():
+            sources = [(b["kind"], b["origin"], b["subject"])
+                       for b, _ in staged]
+            for group in joint.epoch_rounds(sources, n):
+                carried = [(b["origin"], b["cols"]) for b, _ in (
+                    staged[i] for i in group)] + [
+                    (r["sender"], r["k_col"]) for _, r in (
+                        staged[i] for i in group) if r is not None]
+                cols = {v: decode_array(c) for v, c in carried
+                        if c is not None}
+                rnd = [sources[i] for i in group]
+                assert sorted(cols) == sorted(
+                    {v for src in rnd for v in models.update_vehicles(*src)})
+                assert len(cols) == sum(c is not None for _, c in carried)
+                rebuilt.append(round_system(
+                    rnd, [staged[i][0]["dt"] for i in group],
+                    [np.array([decode_array(staged[i][0][name])
+                               for i in group])
+                     for name in ("r", "e", "e_first")], cols))
+        # 3 landmark rounds and 3 rounds of one pair an epoch; the first
+        # epoch's landmark rounds go on the diagonal blocks
+        assert len(rebuilt) == 10 * (n_lm + 3)
+        assert len(applied) == len(rebuilt) - n_lm
+        for (ix, kc, terms), (ix1, kc1, terms1) in zip(rebuilt[n_lm:],
+                                                       applied):
+            assert_same_bits(ix.astype(float), ix1)
+            for a, b in zip((kc, *terms), (kc1, *terms1)):
+                assert_same_bits(a, b)
         assert len(bodies) == 10 * (n * n_lm * (n + 1)
                                     + n * (n - 1) * (n + 3))
 
     @pytest.mark.parametrize("mode", ["central", "distributed"])
     def test_run_account_adds_up_to_the_bus_log(self, tmp_path, caplog,
                                                mode):
-        """cli.main logs one INFO line on a run: its updates, its
-        first-order fallbacks per observation kind and, in `distributed`,
-        the lines and bytes of bus.log per message type
-        (cli.write_bus_log's count), which add up to the file's line
-        count and size."""
+        """cli.main logs one INFO line on a run: its updates, the rounds
+        they were applied in and its first-order fallbacks, each per
+        observation kind, and, in `distributed`, the lines and bytes of
+        bus.log per message type (cli.write_bus_log's count), which add up
+        to the file's line count and size."""
         cfg = readme_config()
         with caplog.at_level(logging.INFO, logger="meswarm.cli"):
             code, out = run_cli(tmp_path, cfg, extra=(
@@ -177,10 +203,12 @@ class TestOutputs:
                    if rec.name == "meswarm.cli"]
         n, n_lm = len(cfg["vehicles"]), len(cfg["landmarks_m"])
         head, _, bus = text.partition("; bus.log ")
+        # 3 landmark rounds and 3 rounds of one pair an epoch
         assert re.fullmatch(
-            rf"{mode}: {10 * (n * n_lm + n * (n - 1))} updates, first-order "
-            rf"fallbacks {models.LANDMARK} \d+, {models.INTERVEHICLE} \d+",
-            head)
+            rf"{mode}: {10 * (n * n_lm + n * (n - 1))} updates, rounds "
+            rf"{models.LANDMARK} {10 * n_lm}, {models.INTERVEHICLE} "
+            rf"{10 * 3}, first-order fallbacks {models.LANDMARK} \d+, "
+            rf"{models.INTERVEHICLE} \d+", head)
         log = out / "bus.log"
         if mode == "central":
             assert bus == "" and log.read_bytes() == b""

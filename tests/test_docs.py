@@ -50,10 +50,14 @@ def test_readme_names_exactly_the_parser_flags():
 
 def test_bus_log_decoding_snippet_reads_a_fresh_log(tmp_path, monkeypatch):
     """The Command line section's decoding snippet, run on a bus.log just
-    written, rebuilds the gain correction G of every applied update, bit
-    for bit the G the nodes applied (captured from
-    joint.correction_matrix, which forms it), and gives every factor bit
-    for bit, None for a factor over an empty span."""
+    written, rebuilds every round the nodes applied as one update, bit for
+    bit: its slots, its update columns, each vehicle's carried once in the
+    round, and its summed terms (captured from joint.round_system, which
+    the nodes build a round with); every round's gain correction is finite
+    and (15n, m), and every factor comes back bit for bit, None for a
+    factor over an empty span.  The nodes apply the landmark rounds of the
+    first epoch, before any inter-vehicle round couples the gain, on the
+    diagonal blocks, without round_system."""
     noise = NoiseModel(d_landmark=0.1 * np.eye(3),
                        d_intervehicle=0.05 * np.eye(3))
     world = WorldConfig(landmarks={0: np.array([2.0, 0.0, 1.0])},
@@ -63,26 +67,34 @@ def test_bus_log_decoding_snippet_reads_a_fresh_log(tmp_path, monkeypatch):
     sources = [SyntheticSource(SinusoidTrajectory.random(rng), noise, v,
                                seed=0) for v in range(2)]
     applied = []
-    correction_matrix = joint.correction_matrix
+    round_system = joint.round_system
 
-    def captured(kc, x, dt):
-        applied.append(correction_matrix(kc, x, dt))
+    def captured(*args):
+        applied.append(round_system(*args))
         return applied[-1]
 
-    monkeypatch.setattr(joint, "correction_matrix", captured)
-    result = harness.run_schedule(ScheduleConfig(duration_s=0.3),
-                                  harness.MODE_DISTRIBUTED, sources, world,
-                                  noise)
+    with monkeypatch.context() as m:
+        m.setattr(joint, "round_system", captured)
+        result = harness.run_schedule(ScheduleConfig(duration_s=0.3),
+                                      harness.MODE_DISTRIBUTED, sources,
+                                      world, noise)
     (tmp_path / "results").mkdir()
     cli.write_bus_log(tmp_path / "results" / "bus.log", result.bus_records)
     monkeypatch.chdir(tmp_path)
     names = {}
     exec(compile(python_block("Command line"), str(README), "exec"), names)
-    # landmark and inter-vehicle updates: 6 and 12 columns
-    assert {gain.shape for gain in applied} == {(30, 6), (30, 12)}
-    assert len(names["gains"]) == len(applied)
-    for got, gain in zip(names["gains"], applied):
-        assert got.shape == gain.shape and got.tobytes() == gain.tobytes()
+    # 3 epochs of a landmark round and an inter-vehicle round; the first
+    # landmark round went on the diagonal blocks
+    assert len(names["rounds"]) == len(names["gains"]) == 6
+    assert len(applied) == 5
+    for got, want in zip(names["rounds"][1:], applied):
+        (ix, kc, terms), (ix1, kc1, terms1) = got, want
+        assert ix.tobytes() == ix1.tobytes()
+        for a, b in zip((kc, *terms), (kc1, *terms1)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    for (ix, _, _), gain in zip(names["rounds"], names["gains"]):
+        assert gain.shape == (30, len(ix)) and np.isfinite(gain).all()
+    assert {len(ix) for ix, _, _ in names["rounds"]} == {12}
     want = [msg.lam for _, msg in result.bus_records
             if isinstance(msg, PropagationFactor)]
     assert len(names["factors"]) == len(want)
@@ -145,7 +157,8 @@ def test_numpy_only_job_decodes_the_bus_log_with_the_readme_snippet(
         tmp_path, monkeypatch, capsys):
     """The numpy-only job's last step runs the README's decoding snippet on
     the job's 2 s `distributed` log of the README config: it checks the
-    line count per epoch and that every broadcast rebuilds to a finite
+    line count per epoch, that every epoch's broadcasts split into its
+    3 + 3 rounds and that every round's staged terms rebuild to a finite
     (15n, m) G, and prints the lines and bytes per message type.  Here it
     runs on such a log, written in process."""
     job = WORKFLOW.read_text().split("\n  numpy-only:\n", 1)[1]
@@ -172,5 +185,5 @@ def test_numpy_only_job_decodes_the_bus_log_with_the_readme_snippet(
                                        "propagation_factor",
                                        "update_broadcast")]
     assert sum(sizes) == log.stat().st_size
-    assert lines[4:] == ["bus.log: 300 broadcasts rebuild to a finite G, "
-                         "1440 lines in 20 epochs"]
+    assert lines[4:] == ["bus.log: 120 rounds of 300 broadcasts rebuild to "
+                         "a finite G, 1440 lines in 20 epochs"]

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation as ScipyRotation
 
-from meswarm import cli, harness, models
+from meswarm import cli, harness, joint, models
 from meswarm.distributed import encode_message
 from meswarm.harness import (METRICS_DTYPE, PriorConfig, ScheduleConfig,
                              SinusoidTrajectory, SyntheticSource,
@@ -714,12 +714,13 @@ def assert_cross_blocks(n, seed):
 class TestDefinitenessWarnings:
     """The sparse-observation regression scenario (criterion 7's six
     vehicles at 1-2 Hz observations), where second-order updates would
-    leave the gain indefinite.  Each update's m x m verdict sends such an
-    update to its first-order term, so the dense check every update used
-    to run (the oracle here) passes after every update, no epoch warns,
+    leave the gain indefinite.  Each round's m x m verdict sends such a
+    round to its first-order terms, so the dense check every update used
+    to run (the oracle here) passes after every round, no epoch warns,
     and the filter counts its fallbacks.  The oracle hands the filter one
-    observation per call, so it sees every update; tests/test_rounds.py
-    ties that to a tick's rounds bit for bit."""
+    round per call (joint.epoch_rounds), so it sees every update;
+    tests/test_rounds.py ties that to an epoch in one call bit for
+    bit."""
 
     @staticmethod
     def verdicts(monkeypatch, caplog, mode, n, rate_hz, duration_s):
@@ -734,10 +735,12 @@ class TestDefinitenessWarnings:
 
         def checked(self, *observations):
             filters.add(self)
-            for obs in observations:
+            for group in joint.epoch_rounds(
+                    [(obs.kind, obs.observer, obs.subject)
+                     for obs in observations], self.n):
                 before = pd_warnings()
-                update(self, obs)
-                key = (id(self), obs.t_ns)
+                update(self, *(observations[i] for i in group))
+                key = (id(self), observations[0].t_ns)
                 if pd_warnings() > before:
                     warned.add(key)
                 try:
@@ -791,7 +794,7 @@ class TestSparseGrid:
     """The sparse cells of ROADMAP's robustness grid: the benchmark's
     library scenario (seed 1, 200 Hz IMU) over 10 s with both channels at
     1 or 2 Hz.  Every mode runs to the end with finite errors and no gain
-    found indefinite, and `central` and `distributed` agree within 1e-8.
+    found indefinite, and `central` and `distributed` agree bit for bit.
     With a transition that left the gain indefinite, `none` and `central`
     refused updates as singular here and `distributed` ran on to metres of
     error."""
@@ -818,10 +821,7 @@ class TestSparseGrid:
             assert len(rows[mode]) == (cfg.n_ticks + 1) * n
             for name in names:
                 assert np.isfinite(rows[mode][name]).all(), (mode, name)
-        for name in names:
-            np.testing.assert_allclose(rows["central"][name],
-                                       rows["distributed"][name], rtol=0,
-                                       atol=1e-8)
+        assert rows["central"].tobytes() == rows["distributed"].tobytes()
 
 
 class TestChannelRng:

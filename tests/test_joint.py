@@ -528,7 +528,16 @@ class TestDefiniteness:
     """Where the gain's positive definiteness is checked, and the m x m
     verdict of a low-rank update against the dense check of its result:
     an update whose second-order result fails the dense check takes its
-    first-order term instead, is counted, and leaves the gain definite."""
+    first-order term instead, is counted, and leaves the gain definite.
+
+    A single observation is a round of one.  On one vehicle's uncoupled
+    gain it goes on the diagonal block, with its period inside the system,
+    S = I + dt E_ii K_ii; on a coupled gain it is one update of the column
+    stack with the period folded into its terms and its slots in vehicle
+    order (joint.round_system), S = I + (dt E_ii) K_ii.  The oracle forms
+    x the way the filter's path does, so the two differ only by the
+    rounding of G K[ix, :]: an update system of condition 1e4 makes x
+    carry a change of the order of its terms' slots far past the bound."""
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3),
@@ -553,19 +562,29 @@ class TestDefiniteness:
         c = rng.standard_normal((len(ix), 3))
         e_first = (c @ c.T) * 10 ** rng.uniform(-3, 0) / dt
         r_ix = np.zeros(len(ix))
+
+        def corrected(e):
+            """sym(K - G K[ix, :]) with G formed as the filter forms it."""
+            if n == 1:
+                x, _, _ = joint.gain_correction(k[np.ix_(ix, ix)], e, dt,
+                                                r_ix)
+                return models._sym(k - dt * (k[:, ix] @ x) @ k[ix, :])
+            order = np.argsort(ix)
+            slots = ix[order]
+            x, _, _ = joint.gain_correction(
+                k[np.ix_(slots, slots)], dt * e[np.ix_(order, order)], 1.0,
+                dt * r_ix[order])
+            return models._sym(k - (k[:, slots] @ x) @ k[slots, :])
+
         try:
-            x, _, _ = joint.gain_correction(k[np.ix_(ix, ix)], e_ii, dt,
-                                            r_ix)
+            want = corrected(e_ii)
         except UpdateSingularError:
             assume(False)
-        want = models._sym(k - dt * (k[:, ix] @ x) @ k[ix, :])
         eig = np.linalg.eigvalsh(want)
         assume(abs(eig[0]) > 1e-6 * np.max(np.abs(eig)))
         second_order = dense_definite(want)
         if not second_order:
-            x, _, _ = joint.gain_correction(k[np.ix_(ix, ix)], e_first, dt,
-                                            r_ix)
-            want = models._sym(k - dt * (k[:, ix] @ x) @ k[ix, :])
+            want = corrected(e_first)
 
         noise = NoiseModel(dt_landmark=dt, dt_intervehicle=dt)
         # the terms are mocked, but the landmark id is checked up front

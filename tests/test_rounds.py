@@ -1,13 +1,17 @@
-"""Rounds: a tick's landmark updates on an uncoupled gain applied together.
+"""Rounds: an epoch's observations applied as a few updates.
 
-While every cross block of the joint gain is zero, `JointFilter` holds the
-gain as its (n, 15, 15) diagonal blocks, and `update` applies the landmark
-observations that lead a call in rounds on those blocks, each vehicle's d-th
-observation in round d, on a leading round axis.  These tests tie that path
-bit for bit to one observation per call and within rounding to a dense gain
-updated one observation at a time, check that `none` never forms a
-15n x 15n array, pin the number of gate calls per epoch, and check the
-stacked gate's verdicts.
+`JointFilter.update` splits an epoch into rounds (joint.epoch_rounds): each
+vehicle's d-th landmark observation in landmark round d, then the
+inter-vehicle observations in the rounds of disjoint vehicle pairs of a
+fixed round-robin table.  While every cross block of the joint gain is
+zero, a landmark round goes on the (n, 15, 15) diagonal blocks, each
+observation on a leading round axis with its own correction; otherwise a
+round is one update of the column stack.  These tests tie an epoch in one
+call bit for bit to its rounds in successive calls (and, in `none`, to one
+observation per call), and within rounding to a dense gain updated round
+by round in information form, check the round table, check that `none`
+never forms a 15n x 15n array, pin the number of gate calls per epoch, and
+check the stacked gate's verdicts.
 """
 
 import collections
@@ -53,11 +57,12 @@ def joint_warnings():
         logger.removeHandler(handler)
 
 
-def run_recorded(one_per_call, mode, n, n_landmarks, rate_hz, dropout,
+def run_recorded(split, mode, n, n_landmarks, rate_hz, dropout,
                  seed, refuse_tick):
     """One run of the scheduler with the joint filter recording, after each
-    update call, its gain, estimate, observation clock and fallback counts.  With
-    one_per_call the filter takes the call's observations one at a time.
+    update call, its gain, estimate, observation clock and fallback counts.
+    With split the filter takes the call's rounds (joint.epoch_rounds) in
+    successive calls, in `none` each observation in a call of its own.
     At refuse_tick, the first landmark observation that dropout keeps
     carries a NaN, which the gate refuses.  Returns (records, warnings,
     refusal text or None, rows or None, whether a NaN was sent, the number
@@ -75,11 +80,17 @@ def run_recorded(one_per_call, mode, n, n_landmarks, rate_hz, dropout,
     class Recording(JointFilter):
         def update(self, *observations):
             try:
-                if one_per_call:
+                if not split:
+                    JointFilter.update(self, *observations)
+                elif mode == harness.MODE_NONE:
                     for obs in observations:
                         JointFilter.update(self, obs)
                 else:
-                    JointFilter.update(self, *observations)
+                    for group in joint.epoch_rounds(
+                            [(obs.kind, obs.observer, obs.subject)
+                             for obs in observations], self.n):
+                        JointFilter.update(self, *(observations[i]
+                                                   for i in group))
             finally:
                 records.append((joint_gain(self), self.state,
                                 dict(self._last_obs_ns),
@@ -112,10 +123,11 @@ def run_recorded(one_per_call, mode, n, n_landmarks, rate_hz, dropout,
 
 
 class TestRoundsEqualOnePerCall:
-    """Rounds give the gain, estimates, observation clock, fallback
-    counts, warnings and refusal text of one observation per call, bit for
-    bit, in `none` and in `central` (whose first inter-vehicle epoch starts
-    with rounds)."""
+    """An epoch in one call gives the gain, estimates, observation clock,
+    fallback counts, warnings and refusal text of its rounds in successive
+    calls, bit for bit, in `central`, and of one observation per call in
+    `none`, whose landmark rounds on the diagonal blocks give each
+    observation the bits it would get alone."""
 
     @settings(max_examples=25, deadline=None)
     @given(mode=st.sampled_from([harness.MODE_NONE, harness.MODE_CENTRAL]),
@@ -175,28 +187,31 @@ class TestRoundsEqualOnePerCall:
             assert not any("lost positive definiteness" in m for m in logged)
 
 
-class DenseOneAtATime:
-    """The joint filter's algebra on a dense 15n x 15n gain, one
-    observation at a time: the diagonal blocks propagate through
-    propagate_vehicle, and each update is psi = dt K[:, ix] w, then
-    K+ = sym(K - G K[ix, :]), (G, w) from the second-order term E_ii unless that
-    K+ fails a dense 15n x 15n Cholesky, and from the first-order term
-    then (the filters decide it by their m x m test).  Per-vehicle propagation factors are kept once a
-    cross block can be non-zero (from the start for such a prior,
-    otherwise from the first inter-vehicle update), and the first update
-    after a propagation rebuilds the cross blocks densely: K_ij becomes
-    lam_i K_ij lam_j^T for i < j and K_ji its transpose.  So it serves
-    runs with inter-vehicle updates too, as an oracle independent of the
-    column stack both filters hold a coupled gain in.  Records its gain
-    after every update call, and counts its first-order updates per kind
-    in `fallbacks`, as the filters do.
+class DensePerRound:
+    """The update algebra on a dense 15n x 15n gain, round by round in
+    information form: the diagonal blocks propagate through
+    propagate_vehicle, and an epoch splits into the filters' rounds
+    (joint.epoch_rounds), each round one update
 
-    psi takes K[:, ix] row-major, so BLAS forms each entry as one dot
-    product of its row with w, wherever the row sits; column-major, as
-    K[:, ix] comes out of the index, the entries of the last rows of a
-    block take other roundings in a block than in the dense matrix, and
-    an indefinite gain amplifies such a last-bit change to 5e-9 in the
-    rows of some of these draws."""
+        K+ = (K^-1 + sum dt E)^-1 = (I + K sum dt E)^-1 K,
+        psi = K+ sum dt r,
+
+    its terms embedded in the 15n slots and summed, all of them evaluated
+    at the estimate before the round, and K+ symmetrised.  The sum takes
+    the second-order terms E_ii unless K+ fails a dense 15n x 15n
+    Cholesky, the first-order terms then (the filters decide it by their
+    m x m test).  While no cross block can be non-zero a landmark round is
+    its observations one by one (`one`), each deciding its own term, as
+    the filters' rounds on the diagonal blocks do.  Per-vehicle propagation
+    factors are kept once a cross block can be non-zero (from the start
+    for such a prior, otherwise from the first inter-vehicle round), and
+    the first round after a propagation rebuilds the cross blocks densely:
+    K_ij becomes lam_i K_ij lam_j^T for i < j and K_ji its transpose.  So
+    it serves runs with inter-vehicle rounds too, as an oracle independent
+    of the column stack both filters hold a coupled gain in and of their
+    low-rank algebra.  Records its gain after every update call, and
+    counts its rounds per kind in `rounds` and its first-order ones in
+    `fallbacks`, as the filters do."""
 
     def __init__(self, states, k0, world, noise):
         self.n = len(states)
@@ -210,6 +225,7 @@ class DenseOneAtATime:
         self.lam = (joint.identity_factors(self.n)
                     if joint._blocks(self.k, self.n)[off].any() else None)
         self.stale = False
+        self.rounds = collections.Counter()
         self.fallbacks = collections.Counter()
 
     def propagate(self, u, dt):
@@ -232,32 +248,75 @@ class DenseOneAtATime:
                 blocks[upper[::-1]] = kij.swapaxes(-1, -2)
                 self.lam = joint.identity_factors(self.n)
             self.stale = False
-        for obs in observations:
+        for group in joint.epoch_rounds(
+                [(obs.kind, obs.observer, obs.subject)
+                 for obs in observations], self.n):
+            rnd = [observations[i] for i in group]
+            self.rounds[rnd[0].kind] += 1
+            if rnd[0].kind == models.LANDMARK and self.lam is None:
+                for obs in rnd:
+                    self.one(obs)
+            else:
+                self.round(rnd)
+        self.gains.append(self.k.copy())
+        return self
+
+    def one(self, obs):
+        """One observation on its own, in low-rank form: psi = dt K[:, ix]
+        w, then K+ = sym(K - G K[ix, :]), (G, w) from the second-order term
+        unless that K+ fails a dense Cholesky.  psi takes K[:, ix]
+        row-major, so BLAS forms each entry as one dot product of its row
+        with w, wherever the row sits, as the filters' block rounds do; the
+        information form's dense solve would round the gain of these runs
+        past 1e-12."""
+        key = (obs.kind, obs.observer, obs.subject)
+        dt = self.noise.effective_period(obs.kind, self.clock.get(key),
+                                         obs.t_ns)
+        ix = models.update_indices(*key)
+        r_ix, *terms = models.update_terms(self.state, obs, self.world,
+                                           self.noise, dt)
+        for first_order, e in enumerate(terms):
+            x, w, _ = joint.gain_correction(self.k[np.ix_(ix, ix)], e, dt,
+                                            r_ix)
+            k = models._sym(self.k - dt * (self.k[:, ix] @ x) @ self.k[ix, :])
+            try:
+                np.linalg.cholesky(k)
+            except np.linalg.LinAlgError:
+                continue
+            break
+        self.fallbacks[obs.kind] += first_order
+        psi = dt * (np.ascontiguousarray(self.k[:, ix]) @ w)
+        self.k = k
+        self.state = retract(self.state, psi.reshape(self.n, STATE_DOF))
+        self.clock[key] = obs.t_ns
+
+    def round(self, rnd):
+        dim = self.n * STATE_DOF
+        r, terms = np.zeros(dim), (np.zeros((dim, dim)), np.zeros((dim, dim)))
+        for obs in rnd:
             key = (obs.kind, obs.observer, obs.subject)
             dt = self.noise.effective_period(obs.kind, self.clock.get(key),
                                              obs.t_ns)
-            ix = models.update_indices(obs.kind, obs.observer, obs.subject)
-            r_ix, *terms = models.update_terms(self.state, obs, self.world,
-                                               self.noise, dt)
-            for first_order, e in enumerate(terms):
-                x, w, _ = joint.gain_correction(
-                    self.k[np.ix_(ix, ix)], e, dt, r_ix)
-                g = dt * (self.k[:, ix] @ x)
-                k = models._sym(self.k - g @ self.k[ix, :])
-                try:
-                    np.linalg.cholesky(k)
-                except np.linalg.LinAlgError:
-                    continue
-                break
-            self.fallbacks[obs.kind] += first_order
-            psi = dt * (np.ascontiguousarray(self.k[:, ix]) @ w)
-            self.k = k
-            self.state = retract(self.state, psi.reshape(self.n, STATE_DOF))
-            self.clock[key] = obs.t_ns
-            if obs.kind == models.INTERVEHICLE and self.lam is None:
-                self.lam = joint.identity_factors(self.n)
-        self.gains.append(self.k.copy())
-        return self
+            ix = models.update_indices(*key)
+            r_ix, *e_ii = models.update_terms(self.state, obs, self.world,
+                                              self.noise, dt)
+            r[ix] += dt * r_ix
+            for total, e in zip(terms, e_ii):
+                total[np.ix_(ix, ix)] += dt * e
+        for first_order, e in enumerate(terms):
+            k = np.linalg.solve(np.eye(dim) + self.k @ e, self.k)
+            try:
+                np.linalg.cholesky(models._sym(k))
+            except np.linalg.LinAlgError:
+                continue
+            break
+        self.fallbacks[rnd[0].kind] += first_order
+        self.k = models._sym(k)
+        self.state = retract(self.state, (k @ r).reshape(self.n, STATE_DOF))
+        for obs in rnd:
+            self.clock[obs.kind, obs.observer, obs.subject] = obs.t_ns
+        if rnd[0].kind == models.INTERVEHICLE and self.lam is None:
+            self.lam = joint.identity_factors(self.n)
 
     def estimate(self):
         return [self.state[i] for i in range(self.n)]
@@ -290,8 +349,8 @@ def none_run(filter_class, n, n_landmarks, rate_hz, dropout, seed):
 
 
 class TestBlocksEqualDense:
-    """The uncoupled filter's block rounds against a dense gain updated one
-    observation at a time: `none` rows and every gain after an update call
+    """The uncoupled filter's block rounds against a dense gain updated in
+    information form: `none` rows and every gain after an update call
     within 1e-12, every cross block exactly zero, and a refusal in the
     same place."""
 
@@ -313,7 +372,7 @@ class TestBlocksEqualDense:
 
         flt, rows = none_run(Recording, n, n_landmarks, rate_hz, dropout,
                              seed)
-        dense, want = none_run(DenseOneAtATime, n, n_landmarks, rate_hz,
+        dense, want = none_run(DensePerRound, n, n_landmarks, rate_hz,
                                dropout, seed)
         # never coupled, and no factor ever exponentiated
         assert not flt._coupled
@@ -382,7 +441,8 @@ class TestNoDenseWork:
 class TestGateCallsPerEpoch:
     """The cost guard: rounds go through the gate once per round, so a
     change that falls back to one update at a time fails here, not only in
-    the benchmark."""
+    the benchmark.  Six vehicles and three landmarks make 48 observations
+    an epoch, and 3 + 5 rounds."""
 
     @staticmethod
     def gate_calls(mode, n=6, ticks=60):
@@ -419,10 +479,40 @@ class TestGateCallsPerEpoch:
         assert self.gate_calls(harness.MODE_NONE) == [(18, 3, 18)] * 3
 
     def test_central_rounds_until_the_first_intervehicle_update(self):
-        # the first epoch's landmarks in 3 rounds, its 30 inter-vehicle
-        # observations one at a time; afterwards one call per observation
+        # the first epoch's landmarks in 3 stacked rounds of 6 on the
+        # diagonal blocks, its 30 inter-vehicle observations in 5 rounds of
+        # three pairs; afterwards 3 + 5 rounds, each one m x m system
         assert self.gate_calls(harness.MODE_CENTRAL) == (
-            [(48, 3 + 30, 48)] + [(48, 48, 48)] * 2)
+            [(48, 3 + 5, 18 + 5)] + [(48, 3 + 5, 3 + 5)] * 2)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_round_table_meets_every_pair_once(self, n):
+        """The round-robin table: n - 1 rounds of disjoint pairs for even
+        n, n for odd n, every pair in exactly one round, both directions
+        together, (a, b) before (b, a) for a < b; and splitting the
+        rounds' concatenation again gives the same rounds."""
+        sources = ([(models.LANDMARK, v, lm) for v in range(n)
+                    for lm in range(2)]
+                   + [(models.INTERVEHICLE, a, b) for a in range(n)
+                      for b in range(n) if a != b])
+        rounds = joint.epoch_rounds(sources, n)
+        kinds = [{sources[i][0] for i in group} for group in rounds]
+        assert kinds[:2] == [{models.LANDMARK}] * 2
+        assert all(kind == {models.INTERVEHICLE} for kind in kinds[2:])
+        assert len(rounds) - 2 == (0 if n == 1 else n - 1 + n % 2)
+        met = collections.Counter()
+        for group in rounds[2:]:
+            obs = [sources[i][1:] for i in group]
+            assert obs[::2] == [tuple(sorted(o)) for o in obs[::2]]
+            assert obs[1::2] == [o[::-1] for o in obs[::2]]
+            vehicles = [v for o in obs[::2] for v in o]
+            assert len(set(vehicles)) == len(vehicles)
+            met.update(obs[::2])
+        assert set(met.values()) <= {1} and len(met) == n * (n - 1) // 2
+        again = joint.epoch_rounds([sources[i] for group in rounds
+                                    for i in group], n)
+        flat = [i for group in rounds for i in group]
+        assert [[flat[i] for i in group] for group in again] == rounds
 
 
 class TestStackedGate:
@@ -496,4 +586,4 @@ class TestStackedGate:
             for got, want in zip(stacked, single):
                 np.testing.assert_array_equal(got[i], want)
             np.testing.assert_array_equal(g[i], joint.correction_matrix(
-                k[:, ix[i]], single[0], float(dt[i])))
+                k[:, ix[i]][None], single[0][None], dt[i:i + 1])[0])
