@@ -146,7 +146,19 @@ def epoch_rounds(sources, n):
     (a, b) then (b, a) with a < b; a source given twice goes to the same
     round of a later pass of the table.  Splitting a split epoch gives its
     rounds again, so a decoder of the bus log, which holds an epoch's
-    observations in round order, recovers them."""
+    observations in round order, recovers them.  The split is made once
+    per distinct tuple of sources (_split_epoch), and each call gets lists
+    of its own."""
+    return [list(group) for group in _split_epoch(tuple(sources), n)]
+
+
+# a run without dropout meets one tuple of sources per distinct set of
+# channels due at an epoch; dropout can meet any subset, so the cache is
+# bounded
+@functools.lru_cache(maxsize=256)
+def _split_epoch(sources, n):
+    """epoch_rounds' split of a tuple of sources, as a tuple of tuples, so
+    that the cached split cannot be changed."""
     table = _pair_table(n)
     rank, rounds = collections.Counter(), {}
     for i, (kind, observer, subject) in enumerate(sources):
@@ -159,7 +171,8 @@ def epoch_rounds(sources, n):
             order = (place, observer > subject)
             rank[kind, observer, subject] += 1
         rounds.setdefault(key, []).append((order, i))
-    return [[i for _, i in sorted(items)] for _, items in sorted(rounds.items())]
+    return tuple(tuple(i for _, i in sorted(items))
+                 for _, items in sorted(rounds.items()))
 
 
 # a run without dropout meets 3 + n - 1 distinct rounds; dropout can meet
@@ -484,8 +497,8 @@ class JointFilter(Network):
         The observations are applied in rounds (epoch_rounds): each
         vehicle's d-th landmark observation in landmark round d, then the
         inter-vehicle observations in the rounds of disjoint pairs.  A
-        round's model terms are built from the estimate before it, a
-        landmark round's in one call, and the round goes through
+        round's model terms are built from the estimate before it, in one
+        call on the round's stack of either kind, and the round goes through
         Network._apply_round: while the gain is uncoupled a landmark round
         on the diagonal blocks, item by item as one stack, otherwise one
         update on the column stack, as the nodes apply it.  A refused round
@@ -524,18 +537,12 @@ class JointFilter(Network):
 
     def _update_round(self, group):
         """One round of observations, its model terms built from the
-        estimate before it (a landmark round's in one call), through
+        estimate before it in one call on the round's stack, through
         Network._apply_round with the filter's own update columns."""
         dt = np.array([self._period(obs)[1] for obs in group])
-        if group[0].kind == models.LANDMARK and len(group) > 1:
-            terms = models.update_terms(
-                self.state, models.stack_observations(group), self.world,
-                self.noise, dt)
-        else:
-            terms = tuple(map(np.array, zip(*(
-                models.update_terms(self.state, obs, self.world, self.noise,
-                                    float(d))
-                for obs, d in zip(group, dt)))))
+        terms = models.update_terms(self.state,
+                                    models.stack_observations(group),
+                                    self.world, self.noise, dt)
         self._apply_round([(obs.kind, obs.observer, obs.subject)
                            for obs in group], dt, terms,
                           self.k_col[:, :, :models.UPDATE_SLOTS])

@@ -7,8 +7,9 @@ assemblies.  Both filters consume an observation through `update_terms`,
 which builds the residual entries, the Hessian block and its first-order
 part (the update a filter falls back to) from one evaluation of the model
 terms; `residual` and `hessian_term` each return one of the first two.
-The landmark terms also take a stack of observations (`stack_observations`)
-and return the stack of their terms, each item as it would be alone.
+The terms of either kind also take a stack of observations
+(`stack_observations`) and return the stack of their terms, each item as
+it would be alone.
 """
 
 import functools
@@ -34,6 +35,10 @@ UPDATE_SLOTS = 6
 # Inter-arrival periods are capped at this multiple of the nominal period so
 # a long dropout cannot blow up the measurement weight.
 MAX_PERIOD_FACTOR = 10.0
+
+# -I, F's position block in every Jacobian, built once
+_NEG_EYE3 = -EYE3
+_NEG_EYE3.flags.writeable = False
 
 
 class ObservationError(ValueError):
@@ -77,7 +82,13 @@ class WorldConfig:
     markers: dict = field(default_factory=dict)     # vehicle -> 3-vector, body
 
     def marker(self, vehicle):
-        return np.asarray(self.markers.get(vehicle, np.zeros(3)), dtype=float)
+        """Body-frame marker point of a vehicle, zero for one without a
+        marker; an array of vehicles, as a stack of observations carries,
+        gives their points stacked."""
+        if isinstance(vehicle, np.ndarray):
+            return np.array([self.marker(v) for v in vehicle.tolist()])
+        m = self.markers.get(vehicle)
+        return np.zeros(3) if m is None else np.asarray(m, dtype=float)
 
     def landmark(self, index):
         """Inertial position of a landmark; an array of indices, as a
@@ -166,8 +177,8 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class Observation:
-    """One observation, or a stack of landmark observations made at one
-    time (stack_observations): observer, subject and y then carry a
+    """One observation, or a stack of observations of one kind made at
+    one time (stack_observations): observer, subject and y then carry a
     leading item axis."""
 
     kind: str           # LANDMARK or INTERVEHICLE
@@ -182,17 +193,26 @@ class Observation:
 
 def check_source(kind, observer, subject):
     """Refuse an observation source that no observation can have: an
-    unknown kind, or a vehicle observing its own marker."""
+    unknown kind, or a vehicle observing its own marker, in any item of a
+    stack."""
     if kind not in (LANDMARK, INTERVEHICLE):
         raise ObservationError(f"unknown observation kind {kind!r}")
-    if kind == INTERVEHICLE and observer == subject:
+    if kind == INTERVEHICLE:
+        try:
+            if observer != subject:
+                return
+        except ValueError:
+            # a stack: the truth of its items' comparison is ambiguous, so
+            # they are tested here, off the single observation's path
+            if not np.any(observer == subject):
+                return
         raise ObservationError("a vehicle cannot observe its own marker")
 
 
 def stack_observations(observations):
-    """One Observation of R landmark observations made at one time, with
-    observer and subject (R,) and y (R, 3)."""
-    return Observation(LANDMARK,
+    """One Observation of R observations of one kind made at one time,
+    with observer and subject (R,) and y (R, 3)."""
+    return Observation(observations[0].kind,
                        np.array([obs.observer for obs in observations]),
                        np.array([obs.subject for obs in observations]),
                        np.array([obs.y for obs in observations], dtype=float),
@@ -272,8 +292,11 @@ def predict_landmark(x: VehicleState, l):
 
 
 def predict_intervehicle(x_obs: VehicleState, x_tgt: VehicleState, m_tgt):
+    """R_a^T (R_b m_b + p_b - p_a), for one pair of vehicles or a stack
+    with m_tgt stacked alike."""
     m = np.asarray(m_tgt, dtype=float)
-    return x_obs.rot.T @ (x_tgt.rot @ m + x_tgt.pos - x_obs.pos)
+    return _mv(x_obs.rot.swapaxes(-1, -2),
+               _mv(x_tgt.rot, m) + x_tgt.pos - x_obs.pos)
 
 
 def predict(states, kind, observer, subject, world: WorldConfig):
@@ -285,7 +308,9 @@ def predict(states, kind, observer, subject, world: WorldConfig):
 
 
 def _sym(m):
-    return 0.5 * (m + m.swapaxes(-1, -2))
+    out = m + m.swapaxes(-1, -2)
+    out *= 0.5
+    return out
 
 
 def _mv(a, x):
@@ -322,7 +347,7 @@ def _landmark_terms(states, obs, world, noise, dt):
     hat = skew(v)
     f = np.empty(lead + (3, 6))
     f[..., 0:3] = hat[..., 0, :, :]
-    f[..., 3:6] = -EYE3
+    f[..., 3:6] = _NEG_EYE3
     core = np.zeros(lead + (6, 6))
     np.matmul(hat[..., 1, :, :].swapaxes(-1, -2), f, out=core[..., 0:3, :])
     return m, v[..., 1, :], f, core
@@ -334,27 +359,32 @@ def _intervehicle_terms(states, obs, world, noise, dt):
     G_a^T F + G_a^T R_ab L_b - G_b^T L_b with G_a = [s^ 0 | 0 0],
     G_b = [0 0 | (R_ab^T s)^ 0] and L_b = [0 0 | -m_b^ I].  R_ab L_b is F's
     target block, so the observer's rows carry that block twice, and
-    -G_b^T L_b fills the target's rotation rows only."""
+    -G_b^T L_b fills the target's rotation rows only.  A stack of R
+    observations gets a leading item axis on every term, as a stack of
+    landmark observations does."""
     x_a, x_b = states[obs.observer], states[obs.subject]
     m = noise.measurement_weight(INTERVEHICLE, dt)
-    r_ab = x_a.rot.T @ x_b.rot
-    # rows h, s, m_b, R_ab^T s: one hat for all four
-    v = np.empty((4, 3))
+    lead = x_a.pos.shape[:-1]
+    r_ab = x_a.rot.swapaxes(-1, -2) @ x_b.rot
+    # rows h, s, m_b, R_ab^T s, the item axes after the row's: one hat for
+    # all four
+    v = np.empty((4,) + lead + (3,))
     v[2] = world.marker(obs.subject)
     v[0] = predict_intervehicle(x_a, x_b, v[2])
-    v[1] = m @ (obs.y - v[0])
-    v[3] = r_ab.T @ v[1]
+    v[1] = _mv(m, obs.y - v[0])
+    v[3] = _mv(r_ab.swapaxes(-1, -2), v[1])
     hat = skew(v)
-    f = np.empty((3, 12))
-    f[:, 0:3] = hat[0]
-    f[:, 3:6] = -EYE3
-    f[:, 6:9] = -r_ab @ hat[2]
-    f[:, 9:12] = r_ab
-    core = np.zeros((12, 12))
-    np.matmul(hat[1].T, f, out=core[0:3])
-    core[0:3, 6:12] *= 2.0
-    core[6:9, 6:9] = hat[3].T @ hat[2]
-    core[6:9, 9:12] = -hat[3].T
+    f = np.empty(lead + (3, 12))
+    f[..., 0:3] = hat[0]
+    f[..., 3:6] = _NEG_EYE3
+    np.matmul(-r_ab, hat[2], f[..., 6:9])
+    f[..., 9:12] = r_ab
+    core = np.zeros(lead + (12, 12))
+    np.matmul(hat[1].swapaxes(-1, -2), f, core[..., 0:3, :])
+    core[..., 0:3, 6:12] *= 2.0
+    hat_t = hat[3].swapaxes(-1, -2)
+    np.matmul(hat_t, hat[2], core[..., 6:9, 6:9])
+    core[..., 6:9, 9:12] = -hat_t
     return m, v[1], f, core
 
 
@@ -368,12 +398,15 @@ def update_terms(states, obs, world, noise, dt):
     """The m residual entries F^T s, the symmetric m x m Hessian block
     E_ii and its first-order part sym(F^T M F), positive semidefinite, at
     update_indices(obs.kind, obs.observer, obs.subject), as (r_ix, e_ii,
-    e_first), from one evaluation of the model terms; a stack of landmark
-    observations gives (R, m), (R, m, m) and (R, m, m)."""
+    e_first), from one evaluation of the model terms; a stack of R
+    observations (stack_observations) with dt (R,) gives (R, m),
+    (R, m, m) and (R, m, m), each item as its observation's alone."""
     m, s, f, core = _terms(states, obs, world, noise, dt)
     ft = f.swapaxes(-1, -2)
     e_first = _sym(ft @ m @ f)
-    return _mv(ft, s), _sym(core) + e_first, e_first
+    e_ii = _sym(core)
+    e_ii += e_first
+    return _mv(ft, s), e_ii, e_first
 
 
 def residual(states, obs, world, noise, dt):

@@ -62,6 +62,7 @@ def test_warning_counter_counts_package_warnings(monkeypatch):
     whose -1/dt I makes its small system zero, which the nodes skip."""
     from meswarm import distributed, joint, models
     from meswarm.lie import make_state
+    from test_models import per_item
     noise = models.NoiseModel()
     dt = noise.nominal_period(models.LANDMARK)
     world = models.WorldConfig(landmarks={0: np.ones(3)})
@@ -69,8 +70,8 @@ def test_warning_counter_counts_package_warnings(monkeypatch):
     obs = models.Observation(models.LANDMARK, 0, 0, np.zeros(3), 0)
     counter = tracer.WarningCounter().attach()
     try:
-        monkeypatch.setattr(models, "update_terms", lambda *args: (
-            np.zeros(6), -2.0 / dt * np.eye(6), -2.0 / dt * np.eye(6)))
+        monkeypatch.setattr(models, "update_terms", per_item(lambda *args: (
+            np.zeros(6), -2.0 / dt * np.eye(6), -2.0 / dt * np.eye(6))))
         flt = joint.JointFilter([state], np.eye(15), world, noise)
         flt.update(obs)
         assert flt.fallbacks == {models.LANDMARK: 1}

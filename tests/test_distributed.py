@@ -24,7 +24,8 @@ from meswarm.models import ImuSample, NoiseModel, Observation, WorldConfig
 from test_acceptance import scenario_noise, scenario_sources, scenario_world
 from test_joint import assert_refused_alike, joint_gain
 from test_lie import identity_state, pose_matrix
-from test_models import dense_hessian, dense_residual, stack_samples
+from test_models import (dense_hessian, dense_residual, per_item,
+                         stack_samples)
 
 DT = 0.005
 TICK_NS = 5_000_000
@@ -882,7 +883,7 @@ def singular_hessian(dt):
         ix = models.update_indices(obs.kind, obs.observer, obs.subject)
         _, r_ix = models.residual(states, obs, world, noise, _dt)
         return r_ix, -np.eye(len(ix)) / dt, np.zeros((len(ix), len(ix)))
-    return update_terms
+    return per_item(update_terms)
 
 
 class TestSingularGate:
@@ -982,7 +983,7 @@ def gate_hessian(case):
         m = len(models.update_indices(obs.kind, obs.observer, obs.subject))
         return (np.zeros(m), (gate_system(m, case) - np.eye(m)) / GATE_DT,
                 np.zeros((m, m)))
-    return update_terms
+    return per_item(update_terms)
 
 
 class TestGateVerdict:
@@ -1256,6 +1257,7 @@ class TestSharedEngine:
         nothing."""
         calls = counting_factor_steps(monkeypatch)
 
+        @per_item
         def non_finite_terms(states, obs, world, noise, dt):
             m = len(models.update_indices(obs.kind, obs.observer,
                                           obs.subject))

@@ -138,19 +138,40 @@ def test_numpy_only_job_runs_the_readme_config():
     assert "--duration 10" in sparse
 
 
-def test_readme_config_at_one_hz_exits_0_in_every_mode(tmp_path):
+def test_readme_config_at_one_hz_exits_0_in_every_mode(tmp_path,
+                                                      monkeypatch, capsys):
     """With both channels at 1 Hz the README config runs 10 s to the end
     in every mode (it once exited 4, a gain left indefinite refusing an
-    update as singular)."""
+    update as singular), and the numpy-only job's criterion 5 step finds
+    `central` and `distributed` equal in every entry there, where rounds
+    take the first-order fallback, and on the README config's 2 s runs,
+    here written in process."""
+    root = tmp_path / "numpy-only"
+    root.mkdir()
     cfg = readme_config()
+    path = root / "experiment.json"
+    path.write_text(json.dumps(cfg))
+    for mode in ("central", "distributed"):
+        assert cli.main(["--config", str(path), "--mode", mode,
+                         "--duration", "2", "--out", str(root / mode)]) == 0
     cfg["schedule"]["landmark_rate_hz"] = 1.0
     cfg["schedule"]["intervehicle_rate_hz"] = 1.0
-    path = tmp_path / "experiment.json"
+    path = root / "experiment-1hz.json"
     path.write_text(json.dumps(cfg))
     for mode in ("none", "central", "distributed"):
         assert cli.main(["--config", str(path), "--mode", mode,
                          "--duration", "10", "--out",
-                         str(tmp_path / mode)]) == 0, mode
+                         str(root / f"1hz-{mode}")]) == 0, mode
+    job = WORKFLOW.read_text().split("\n  numpy-only:\n", 1)[1]
+    step = job.split("- name: Criterion 5", 1)[1]
+    code = textwrap.dedent(re.search(r"<<'PY'\n(.*?)\n *PY\n", step,
+                                     re.S).group(1))
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    exec(compile(code, str(WORKFLOW), "exec"), {})
+    assert capsys.readouterr().out.splitlines() == [
+        f"criterion 5: numpy-only/{run}central = numpy-only/{run}distributed,"
+        " every entry equal" for run in ("", "1hz-")]
 
 
 def test_numpy_only_job_decodes_the_bus_log_with_the_readme_snippet(

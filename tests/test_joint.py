@@ -14,7 +14,8 @@ from meswarm.joint import JointFilter, UpdateSingularError, block_diag_prior
 from meswarm.lie import STATE_DOF, make_state
 from meswarm.models import ImuSample, NoiseModel, Observation, WorldConfig
 from test_lie import hat5, identity_state, pose_matrix
-from test_models import dense_hessian, dense_residual, stack_samples
+from test_models import (dense_hessian, dense_residual, per_item,
+                         stack_samples)
 
 
 def random_state(rng):
@@ -591,8 +592,8 @@ class TestDefiniteness:
         f = JointFilter([identity_state()] * n, k,
                         WorldConfig(landmarks={0: np.zeros(3)}), noise)
         obs = Observation(kind, observer, subject, np.zeros(3), 0)
-        with mock.patch.object(models, "update_terms",
-                               return_value=(r_ix, e_ii, e_first)), \
+        with mock.patch.object(models, "update_terms", per_item(
+                lambda *args: (r_ix, e_ii, e_first))), \
                 mock.patch.object(joint.log, "warning") as warning:
             f.update(obs)
         # the coupled gain is updated column by column, unsymmetrised

@@ -30,6 +30,23 @@ def stack_samples(samples):
                      np.array([s.accel for s in samples]), samples[0].t_ns)
 
 
+def per_item(update_terms):
+    """A stand-in for models.update_terms written for one observation,
+    made to take a stack of them (stack_observations) with dt (R,), as
+    the joint filter passes every round: each item gets the stand-in's
+    terms alone, stacked on a leading axis."""
+    def stacked(states, obs, world, noise, dt):
+        if np.ndim(obs.observer) == 0:
+            return update_terms(states, obs, world, noise, dt)
+        return tuple(map(np.array, zip(*(
+            update_terms(states, Observation(obs.kind, a, b, y, obs.t_ns),
+                         world, noise, d)
+            for a, b, y, d in zip(obs.observer.tolist(),
+                                  obs.subject.tolist(), obs.y,
+                                  dt.tolist())))))
+    return stacked
+
+
 def random_imu(rng, t_ns=0):
     return ImuSample(rng.standard_normal(3), rng.standard_normal(3), t_ns)
 
@@ -565,6 +582,68 @@ class TestStackedLandmarkTerms:
         with pytest.raises(ObservationError, match="unknown landmark index 7"):
             models.update_terms(states, models.stack_observations(group),
                                 world, NoiseModel(), np.full(2, 0.1))
+
+
+class TestStackedIntervehicleTerms:
+    """update_terms on a stack of R inter-vehicle observations (a round of
+    disjoint pairs in both directions, as the joint filter builds it)
+    equals R single calls bit for bit, each given only the two states it
+    involves, as a node's originate_update gives them; and a stack with a
+    self-observation is refused as a single one is."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), data=st.data())
+    def test_stack_equals_single_calls(self, seed, n, scale, data):
+        rng = np.random.default_rng(seed)
+        pairs = data.draw(st.integers(1, n // 2), label="pairs")
+        world = WorldConfig(markers={
+            v: 0.1 * scale * rng.standard_normal(3)
+            for v in range(n) if rng.random() < 0.7})
+        d = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
+        noise = NoiseModel(d_intervehicle=d)
+        states = stack_states([random_state(rng) for _ in range(n)])
+        seats = rng.permutation(n)[:2 * pairs].tolist()
+        group = [Observation(models.INTERVEHICLE, a, b,
+                             scale * rng.standard_normal(3), 0)
+                 for a, b in zip(seats[::2], seats[1::2])
+                 for a, b in ((a, b), (b, a))]
+        dt = rng.uniform(0.01, 1.0, len(group))
+        r_ix, e_ii, e_first = models.update_terms(
+            states, models.stack_observations(group), world, noise, dt)
+        assert r_ix.shape == (len(group), 12)
+        assert e_ii.shape == e_first.shape == (len(group), 12, 12)
+        for i, obs in enumerate(group):
+            views = {obs.observer: states[obs.observer],
+                     obs.subject: states[obs.subject]}
+            want = models.update_terms(views, obs, world, noise,
+                                       float(dt[i]))
+            np.testing.assert_array_equal(r_ix[i], want[0])
+            np.testing.assert_array_equal(e_ii[i], want[1])
+            np.testing.assert_array_equal(e_first[i], want[2])
+
+    def test_marker_of_an_index_array(self):
+        world = WorldConfig(markers={0: [1.0, 2.0, 3.0], 2: [4.0, 5.0, 6.0]})
+        np.testing.assert_array_equal(
+            world.marker(np.array([2, 1, 0, 2])),
+            [[4.0, 5.0, 6.0], [0.0, 0.0, 0.0], [1.0, 2.0, 3.0],
+             [4.0, 5.0, 6.0]])
+        np.testing.assert_array_equal(world.marker(1), np.zeros(3))
+
+    @pytest.mark.parametrize("observer,subject", [
+        (1, 1), ([0, 1], [1, 1]), ([2, 0, 1], [0, 2, 1]), ([3], [3])],
+        ids=["single", "second-item", "last-item", "one-item"])
+    def test_self_observation_refused(self, observer, subject):
+        observer, subject = np.asarray(observer), np.asarray(subject)
+        y = np.zeros(observer.shape + (3,))
+        with pytest.raises(ObservationError,
+                           match="^a vehicle cannot observe its own marker$"):
+            Observation(models.INTERVEHICLE, observer, subject, y, 0)
+
+    def test_stack_of_distinct_pairs_accepted(self):
+        obs = Observation(models.INTERVEHICLE, np.array([0, 1]),
+                          np.array([1, 0]), np.zeros((2, 3)), 0)
+        assert obs.observer.shape == (2,)
 
 
 def hstack_landmark_terms(states, obs, world, noise, dt):

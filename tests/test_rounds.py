@@ -514,6 +514,25 @@ class TestGateCallsPerEpoch:
         flat = [i for group in rounds for i in group]
         assert [[flat[i] for i in group] for group in again] == rounds
 
+    def test_cached_split_survives_its_callers(self):
+        """A split is made once per distinct tuple of sources; a caller
+        that changes the rounds it got changes no later call's, which
+        equal a split made afresh."""
+        n = 4
+        sources = ([(models.LANDMARK, v, 0) for v in range(n)]
+                   + [(models.INTERVEHICLE, a, b) for a in range(n)
+                      for b in range(n) if a != b])
+        fresh = [list(group) for group in
+                 joint._split_epoch.__wrapped__(tuple(sources), n)]
+        used = joint.epoch_rounds(sources, n)
+        assert used == fresh
+        used[0].reverse()
+        used[-1].append(99)
+        del used[1]
+        hits = joint._split_epoch.cache_info().hits
+        assert joint.epoch_rounds(list(sources), n) == fresh
+        assert joint._split_epoch.cache_info().hits == hits + 1
+
 
 class TestStackedGate:
     """update_inverse and gain_correction on a stack: each item's inverse
