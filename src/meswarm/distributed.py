@@ -11,16 +11,18 @@ factor.  Each observation is one exchange: the factors are exchanged, the
 target of an inter-vehicle observation replies with its state, and the
 observing node broadcasts the observation's model terms, which it builds
 from its own state and the reply's.  An epoch's exchanges run round by
-round (meswarm.joint.epoch_rounds), and every node stages a round's
-broadcasts and applies the round at its end, a point of the shared epoch
-schedule, through the same Network code as the joint filter.  A vehicle's
-update columns cross the bus once per round, in the first reply or
-broadcast of the round that would carry them.
+round (meswarm.joint.epoch_rounds): the observers originate a round's
+broadcasts in one call, its terms one stacked model evaluation, and every
+node stages the round's broadcasts and applies the round at its end, a
+point of the shared epoch schedule, through the same Network code as the
+joint filter.  A vehicle's update columns cross the bus once per round, in
+the first reply or broadcast of the round that would carry them.
 
 The simulation holds all n nodes of a network in one VehicleNode, with the
 node axis leading, and advances them together: one stacked propagation
-call per tick, one batched product per absorbed factor, and one batched
-column update and retraction per round.  The data flow stays per node:
+call per tick, one batched product per absorbed factor, one stacked model
+evaluation for a round's broadcasts, and one batched column update and
+retraction per round.  The data flow stays per node:
 node v reads only its own column, its own state and the wire messages.
 """
 
@@ -36,7 +38,7 @@ import numpy as np
 from . import models
 from .joint import (Network, UpdateSingularError, absorb_factor,
                     check_vehicle, identity_factors)
-from .lie import STATE_DOF, VehicleState
+from .lie import STATE_DOF, VehicleState, stack_states
 
 log = logging.getLogger(__name__)
 
@@ -78,6 +80,8 @@ class UpdateBroadcast:
     """An observation's update, as its origin sends it to every node: its
     period and its model terms at the estimate before the round, which
     every node sums with the round's other terms (joint.round_system).
+    r, e and e_first may view the stacked term arrays of the round, which
+    no one writes.
     The update columns of a round's vehicles cross the bus once per round,
     in the first reply or broadcast that would carry them."""
 
@@ -335,30 +339,79 @@ class VehicleNode(Network):
         check_vehicle("replying node", v, self.n)
         return PeerStateReply(v, self.state[v], self._update_columns(v))
 
-    def originate_update(self, obs, peer_reply=None):
-        """Build the update broadcast for an observation, at its observer.
+    def originate_update(self, observations, replies):
+        """Build a round's update broadcasts, each at its observer.
 
-        The observing node reads its own state and, for an inter-vehicle
-        observation, the target's reply, and builds the observation's
-        period and model terms (r_ix, E_ii, E_first) from them, at the
-        estimate before the round; it solves nothing.  The broadcast
-        carries a fresh copy of its own update columns unless they crossed
-        the bus earlier in the round.  An observation the network refuses
-        (Network._check_observation) is refused before anything moves, as
-        the joint filter refuses it.
+        `observations` is one round (joint.epoch_rounds), all of one kind,
+        in round order, and `replies` holds each one's peer state reply,
+        None for a landmark observation; it is read one reply at a time,
+        in step with the observations.  Item i reads only its observer's
+        own state and the state its reply carried.  The periods come from
+        the observation clock, and the model terms (r_ix, E_ii, E_first),
+        at the estimate before the round, from one models.update_terms
+        call on the round's stack, each item the bits its observation
+        gets alone; nothing is solved.  A broadcast's r, e and e_first
+        view those stacked arrays, which no one writes.
+
+        A broadcast carries a fresh copy of its origin's update columns
+        unless they crossed the bus earlier in the round.  Each reply is
+        read before its observation's broadcast takes its origin's
+        columns, so a caller that builds every reply as it is read, as
+        harness.run_schedule does, puts each vehicle's columns in the
+        first reply or broadcast of the round that would carry them.
+
+        Every observation is checked (Network._check_observation, and one
+        kind for the round) before the first reply is read, and each reply
+        as it is read (_check_reply).  A refused round raises before any
+        broadcast is built, and the update columns its replies took are
+        given back, so the nodes stage nothing of it and tick on.
         """
-        self._check_observation(obs)
-        v = obs.observer
-        # the model terms read only the vehicles the observation involves
-        states = {v: self.state[v]}
-        if obs.kind == models.INTERVEHICLE:
-            if peer_reply is None or peer_reply.sender != obs.subject:
-                raise ValueError("inter-vehicle update needs the target's "
-                                 "state and gain column first")
-            states[obs.subject] = peer_reply.state
-        _, dt, (r, e, e_first) = self._terms(obs, states)
-        return UpdateBroadcast(v, obs.kind, obs.subject, dt, obs.t_ns, r, e,
-                               e_first, self._update_columns(v))
+        for obs in observations:
+            self._check_observation(obs)
+            if obs.kind != observations[0].kind:
+                raise ValueError(f"a round holds observations of one kind, "
+                                 f"got {observations[0].kind} and {obs.kind}")
+        sent = set(self._sent)
+        peers, cols = [], []
+        try:
+            for obs, reply in zip(observations, replies, strict=True):
+                self._check_reply(obs.kind, obs.subject, reply, "observation")
+                if reply is not None:
+                    peers.append(reply.state)
+                cols.append(self._update_columns(obs.observer))
+        except BaseException:
+            self._sent = sent
+            raise
+        stack = models.stack_observations(observations)
+        states = _RoundStates(stack, self.state[stack.observer],
+                              stack_states(peers) if peers else None)
+        periods = [self._period(obs) for obs in observations]
+        r, e, e_first = models.update_terms(states, stack, self.world,
+                                            self.noise, np.array(periods))
+        return [UpdateBroadcast(obs.observer, obs.kind, obs.subject, dt,
+                                obs.t_ns, r[i], e[i], e_first[i], cols[i])
+                for i, (obs, dt) in enumerate(zip(observations, periods))]
+
+    def _check_reply(self, kind, subject, reply, what):
+        """Refuse a peer state reply that the exchange of an observation of
+        `kind` and `subject` cannot have: an inter-vehicle one needs its
+        subject's reply, whose k_col is None or (15n, 6), and a landmark
+        one takes none.  `what` names the observation's item in the
+        text: the observation, or its broadcast."""
+        if kind == models.INTERVEHICLE:
+            sender = None if reply is None else reply.sender
+            if sender != subject:
+                raise ValueError(
+                    f"inter-vehicle {what} needs the reply of its subject "
+                    f"{subject}, got the reply of {sender}")
+            slots = (self.n * STATE_DOF, models.UPDATE_SLOTS)
+            if reply.k_col is not None and np.shape(reply.k_col) != slots:
+                raise ValueError(
+                    f"reply of {sender} needs k_col of shape {slots} or "
+                    f"None, got {np.shape(reply.k_col)}")
+        elif reply is not None:
+            raise ValueError(f"{kind} {what} takes no peer reply, got the "
+                             f"reply of {reply.sender}")
 
     def apply_update(self, msg, peer_reply=None, round_end=True):
         """Stage a broadcast update at every node, with the peer state
@@ -401,20 +454,7 @@ class VehicleNode(Network):
                 f"e_first of shape ({m}, {m}) and cols of shape {slots} or "
                 f"None, got {np.shape(msg.r)}, {np.shape(msg.e)}, "
                 f"{np.shape(msg.e_first)} and {_shape_of(msg.cols)}")
-        if msg.kind == models.INTERVEHICLE:
-            sender = None if peer_reply is None else peer_reply.sender
-            if sender != msg.subject:
-                raise ValueError(
-                    f"inter-vehicle broadcast needs the reply of its subject "
-                    f"{msg.subject}, got the reply of {sender}")
-            if (peer_reply.k_col is not None
-                    and np.shape(peer_reply.k_col) != slots):
-                raise ValueError(
-                    f"reply of {sender} needs k_col of shape {slots} or "
-                    f"None, got {np.shape(peer_reply.k_col)}")
-        elif peer_reply is not None:
-            raise ValueError(f"{msg.kind} broadcast takes no peer reply, "
-                             f"got the reply of {peer_reply.sender}")
+        self._check_reply(msg.kind, msg.subject, peer_reply, "broadcast")
         if self._staged and self._staged[0][0].kind != msg.kind:
             raise ValueError(f"{msg.kind} broadcast in a round of "
                              f"{self._staged[0][0].kind} updates")
@@ -447,6 +487,23 @@ class VehicleNode(Network):
         except UpdateSingularError as exc:
             log.warning("nodes: %s, skipping round of %d %s updates at "
                         "t=%d ns", exc, len(staged), sources[0][0], self.t_ns)
+
+
+class _RoundStates:
+    """The states a round's stacked model terms read, item by item:
+    models.update_terms indexes them by the stack's observer array, which
+    gives each observer's own state, and by its subject array, which gives
+    the state each subject's reply carried."""
+
+    def __init__(self, stack, own, peers):
+        self._stack, self._own, self._peers = stack, own, peers
+
+    def __getitem__(self, vehicles):
+        if vehicles is self._stack.observer:
+            return self._own
+        if vehicles is self._stack.subject:
+            return self._peers
+        raise KeyError(vehicles)
 
 
 def _shape_of(a):

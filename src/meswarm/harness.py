@@ -21,7 +21,8 @@ from . import distributed, models
 from .distributed import VehicleNode
 from .joint import JointFilter, block_diag_prior, epoch_rounds
 from .kernels import so3_exp
-from .lie import STATE_DOF, VehicleState, make_state, rotation_error_angle
+from .lie import (STATE_DOF, VehicleState, make_state, rotation_error_angle,
+                  stack_states)
 from .models import ImuSample, ImuStream, Observation
 
 log = logging.getLogger(__name__)
@@ -270,12 +271,19 @@ def synthesize_imu(trajectory, noise, gravity, n_ticks, dt, seed, vehicle,
     return ImuStream(stamps, u_w, u_a), bg, ba
 
 
-def synthesize_observation(truth_states, world, kind, observer, subject, d,
-                           rng, t_ns):
-    """One noisy observation: y = h(truth) + D eps with seeded eps."""
-    y = models.predict(truth_states, kind, observer, subject, world)
-    y = y + np.asarray(d, dtype=float) @ rng.standard_normal(3)
-    return Observation(kind, observer, subject, y, t_ns)
+def synthesize_observation(truths, world, kind, sources, d, rngs, t_ns):
+    """One kind's noisy observations at one time, one per (observer,
+    subject) of `sources`: y = h(truth) + D eps, with eps drawn from the
+    source's own generator in `rngs`, in the order given.  `truths` is the
+    stacked truth of the vehicles.  The predictions are one stacked
+    models.predict call and the noise one product, each item the bits its
+    source would get alone."""
+    observers, subjects = (np.array(ids) for ids in zip(*sources))
+    eps = np.array([rng.standard_normal(3) for rng in rngs])
+    y = models.predict(truths, kind, observers, subjects, world)
+    y = y + models._mv(np.asarray(d, dtype=float), eps)
+    return [Observation(kind, a, b, row, t_ns)
+            for (a, b), row in zip(sources, y)]
 
 
 class SyntheticSource:
@@ -333,9 +341,10 @@ class MessageBus:
     written in place after delivery: a factor over a non-empty span views a
     factor stack that the nodes only rebind (one over an empty span holds
     no array), a reply views state arrays that each step replaces, and
-    these are fresh arrays, which no one writes: the reply's k_col, and a
-    broadcast's r, e and e_first (its model terms) and its cols (a copy of
-    the origin's update slots).
+    these are arrays which no one writes: the reply's k_col and a
+    broadcast's cols (fresh copies of a vehicle's update slots), and a
+    broadcast's r, e and e_first (its model terms), which may view the
+    stacked term arrays its round's origination built.
     Recording keeps those arrays alive for the whole run; switch it off
     when the log is not needed.
     """
@@ -459,20 +468,41 @@ def _perturbed_prior(truth, prior, rng):
     return make_state(truth.rot @ drot, truth.pos + dpos, np.zeros(3))
 
 
-def _distributed_update(nodes, obs, tick, bus, round_end=True):
-    """One observation through the network: every node's factor, each
-    absorbed by the others, the target's reply to an inter-vehicle
-    observer, and the observer's broadcast, staged by every node with that
-    reply; `round_end` marks the round's last observation, whose broadcast
-    applies the round."""
-    for msg in nodes.emit_propagation_factors():
-        nodes.absorb_propagation_factor(bus.deliver(tick, msg))
-    reply = None
-    if obs.kind == models.INTERVEHICLE:
-        bus.deliver(tick, distributed.PeerStateRequest(obs.observer, obs.subject))
-        reply = bus.deliver(tick, nodes.peer_state_reply(obs.subject))
-    nodes.apply_update(bus.deliver(tick, nodes.originate_update(obs, reply)),
-                       reply, round_end)
+def _distributed_round(nodes, observations, tick, bus):
+    """One round (joint.epoch_rounds) through the network: the exchange of
+    each observation, in round order, and every node staging the round's
+    broadcasts with their replies, the last one applying the round.
+
+    An exchange is every node's factor, absorbed by the others, and for an
+    inter-vehicle observation the target's reply.  The observers'
+    broadcasts come from one originate_update call on the round, which
+    checks the round first and runs each exchange as it reads its reply.
+    The messages go on the bus once every broadcast is built, exchange by
+    exchange: factors, request, reply and broadcast, which every node
+    stages as it is delivered."""
+    exchanges = []
+
+    def replies():
+        for obs in observations:
+            factors = nodes.emit_propagation_factors()
+            for msg in factors:
+                nodes.absorb_propagation_factor(msg)
+            reply = (nodes.peer_state_reply(obs.subject)
+                     if obs.kind == models.INTERVEHICLE else None)
+            exchanges.append((factors, reply))
+            yield reply
+
+    broadcasts = nodes.originate_update(observations, replies())
+    last = broadcasts[-1]
+    for obs, (factors, reply), bc in zip(observations, exchanges, broadcasts):
+        for msg in factors:
+            bus.deliver(tick, msg)
+        if reply is not None:
+            bus.deliver(tick, distributed.PeerStateRequest(obs.observer,
+                                                           obs.subject))
+            bus.deliver(tick, reply)
+        nodes.apply_update(bus.deliver(tick, bc), reply,
+                           round_end=bc is last)
 
 
 def run_schedule(config, mode, sources, world, noise, prior=None,
@@ -494,16 +524,19 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
     array of METRICS_DTYPE with one record per (tick, vehicle), tick-major.
 
     Each epoch tick synthesises its observations in event order, after
-    dropout, and applies them in rounds (joint.epoch_rounds): each
-    vehicle's d-th landmark observation in landmark round d, then the
-    inter-vehicle rounds of disjoint vehicle pairs, 3 + 5 rounds for the
-    48 observations of six vehicles and three landmarks.  In `none` and
-    `central` one JointFilter.update call takes the tick's observations
-    and forms the rounds; in `distributed` every observation runs its own
-    exchange, in round order, and the nodes apply each round at its last
+    dropout, one synthesize_observation call per channel, and applies them
+    in rounds (joint.epoch_rounds): each vehicle's d-th landmark
+    observation in landmark round d, then the inter-vehicle rounds of
+    disjoint vehicle pairs, 3 + 5 rounds for the 48 observations of six
+    vehicles and three landmarks.  In `none` and `central` one
+    JointFilter.update call takes the tick's observations and forms the
+    rounds; in `distributed` every observation runs its own exchange, in
+    round order, the observers originate each round's broadcasts in one
+    call (_distributed_round), and the nodes apply the round at its last
     broadcast, a point of this schedule rather than a message.  So both
-    filters apply the same rounds through the same Network code, and
-    `central` and `distributed` agree bit for bit.
+    filters build a round's terms in one stacked call and apply the same
+    rounds through the same Network code, and `central` and `distributed`
+    agree bit for bit.
 
     All three modes start from the same 15n x 15n prior and hold the gain
     as the same (n, 15n, 15) column stack.  `none` is the JointFilter of
@@ -525,10 +558,11 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
     for src in sources:
         src.prepare(n_ticks, dt)
 
-    # observation events per tick in (channel, observer, subject) order, as
-    # the loops emit them: the landmark channel comes first so that absolute
-    # fixes land before the relative inter-vehicle updates of the same epoch,
-    # and vehicles and landmark ids ascend within a channel
+    # the channels due at each tick, with their (observer, subject) sources,
+    # in (channel, observer, subject) order: the landmark channel comes
+    # first so that absolute fixes land before the relative inter-vehicle
+    # updates of the same epoch, and vehicles and landmark ids ascend
+    # within a channel
     channels = [(models.LANDMARK, config.landmark_rate_hz, _CH_LANDMARK,
                  _CH_DROP_LANDMARK,
                  [(v, lm) for v in range(n) for lm in sorted(world.landmarks)])]
@@ -543,7 +577,7 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
             obs_rngs[(kind, a, b)] = channel_rng(config.seed, ch, a, b)
             drop_rngs[(kind, a, b)] = channel_rng(config.seed, dch, a, b)
         for tick in _observation_ticks(rate, config.imu_rate_hz, n_ticks):
-            events.setdefault(tick, []).extend((kind, a, b) for a, b in pairs)
+            events.setdefault(tick, []).append((kind, pairs))
 
     truths0 = [src.truth_at_tick(0) for src in sources]
     est0 = [_perturbed_prior(truths0[v], prior,
@@ -578,24 +612,21 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
 
         evs = events.get(tick, ())
         if evs:
-            truths = [src.truth_at_tick(tick) for src in sources]
+            truths = stack_states([src.truth_at_tick(tick) for src in sources])
         batch = []
-        for kind, a, b in evs:
+        for kind, pairs in evs:
             p = dropout[kind]
-            if p > 0.0 and drop_rngs[(kind, a, b)].random() < p:
-                continue
-            d = noise.d_matrix(kind)
-            obs = synthesize_observation(truths, world, kind, a, b, d,
-                                         obs_rngs[(kind, a, b)],
-                                         tick * dt_ns)
-            batch.append(obs)
-            update_count += 1
+            kept = [(a, b) for a, b in pairs
+                    if not (p > 0.0 and drop_rngs[(kind, a, b)].random() < p)]
+            if kept:
+                batch += synthesize_observation(
+                    truths, world, kind, kept, noise.d_matrix(kind),
+                    [obs_rngs[(kind, a, b)] for a, b in kept], tick * dt_ns)
+        update_count += len(batch)
         if batch and mode == MODE_DISTRIBUTED:
             for group in epoch_rounds([(obs.kind, obs.observer, obs.subject)
                                        for obs in batch], n):
-                for i in group:
-                    _distributed_update(flt, batch[i], tick, bus,
-                                        round_end=i == group[-1])
+                _distributed_round(flt, [batch[i] for i in group], tick, bus)
         elif batch:
             flt.update(*batch)
 

@@ -352,18 +352,11 @@ class Network:
             self.world.landmark(obs.subject)
 
     def _period(self, obs):
-        """The observation's clock key and its period: the time since its
-        source's last applied arrival, under NoiseModel's rules."""
-        key = (obs.kind, obs.observer, obs.subject)
-        return key, self.noise.effective_period(
-            obs.kind, self._last_obs_ns.get(key), obs.t_ns)
-
-    def _terms(self, obs, states):
-        """The clock key, period and model terms (r_ix, e_ii, e_first) of
-        one observation, from the states it involves."""
-        key, dt = self._period(obs)
-        return key, dt, models.update_terms(states, obs, self.world,
-                                            self.noise, dt)
+        """The observation's period: the time since its source's last
+        applied arrival, under NoiseModel's rules."""
+        return self.noise.effective_period(
+            obs.kind, self._last_obs_ns.get((obs.kind, obs.observer,
+                                             obs.subject)), obs.t_ns)
 
     def _correction(self, kind, k_ii, dt, terms):
         """gain_correction's (x, w) for an update of `kind` with model
@@ -539,7 +532,7 @@ class JointFilter(Network):
         """One round of observations, its model terms built from the
         estimate before it in one call on the round's stack, through
         Network._apply_round with the filter's own update columns."""
-        dt = np.array([self._period(obs)[1] for obs in group])
+        dt = np.array([self._period(obs) for obs in group])
         terms = models.update_terms(self.state,
                                     models.stack_observations(group),
                                     self.world, self.noise, dt)

@@ -59,6 +59,9 @@ class VehicleState:
                             self.gyro_bias[i], self.accel_bias[i])
 
 
+_FIELDS = tuple(f.name for f in fields(VehicleState))
+
+
 def make_state(rot, pos, vel, gyro_bias=None, accel_bias=None):
     rot = np.asarray(rot, dtype=float).reshape(3, 3)
     gyro_bias = np.zeros(3) if gyro_bias is None else _vec3(gyro_bias)
@@ -67,9 +70,11 @@ def make_state(rot, pos, vel, gyro_bias=None, accel_bias=None):
 
 
 def stack_states(states):
-    """One stacked state, leading axis n, from n single-vehicle states."""
-    return VehicleState(*(np.stack([getattr(x, f.name) for x in states])
-                          for f in fields(VehicleState)))
+    """One stacked state, leading axis n, from n states of one shape; each
+    field is copied by one np.array call, which costs a fraction of
+    np.stack's."""
+    return VehicleState(*(np.array([getattr(x, name) for x in states])
+                          for name in _FIELDS))
 
 
 def project_rotation(r):

@@ -21,10 +21,10 @@ from meswarm.dataio import load_imu_csv
 from meswarm.distributed import VehicleNode
 from meswarm.harness import (MessageBus, PriorConfig, ScheduleConfig,
                              SinusoidTrajectory, SyntheticSource,
-                             _distributed_update, _observation_ticks,
+                             _distributed_round, _observation_ticks,
                              run_schedule, synthesize_observation)
 from meswarm.joint import JointFilter, block_diag_prior, epoch_rounds
-from meswarm.lie import compose, group_exp
+from meswarm.lie import compose, group_exp, stack_states
 from meswarm.models import ImuSample, NoiseModel, Observation, WorldConfig
 from test_joint import joint_gain
 from test_lie import adjoint_matrix_from_vector, inverse, pose_matrix
@@ -231,7 +231,8 @@ def _scripted_parallel_run(duration_s=10.0, n=3, seed=11):
         for v, u in enumerate(imu):
             nodes.propagate_local(v, u, dt)
         if tick in obs_ticks:
-            truths = [src.truth_at_tick(tick) for src in sources]
+            truths = stack_states([src.truth_at_tick(tick)
+                                   for src in sources])
             events = ([(models.LANDMARK, v, lm) for v in range(n)
                        for lm in range(3)]
                       + [(models.INTERVEHICLE, a, b) for a in range(n)
@@ -242,15 +243,14 @@ def _scripted_parallel_run(duration_s=10.0, n=3, seed=11):
                 if key not in rngs:
                     ch = 4 if kind == models.LANDMARK else 5
                     rngs[key] = harness.channel_rng(seed, ch, a, b)
-                batch.append(synthesize_observation(
-                    truths, world, kind, a, b, noise.d_matrix(kind),
-                    rngs[key], tick * dt_ns))
+                batch += synthesize_observation(
+                    truths, world, kind, [(a, b)], noise.d_matrix(kind),
+                    [rngs[key]], tick * dt_ns)
             flt.update(*batch)
             dense.update(*batch)
             for group in epoch_rounds(events, n):
-                for i in group:
-                    _distributed_update(nodes, batch[i], tick, bus,
-                                        round_end=i == group[-1])
+                _distributed_round(nodes, [batch[i] for i in group], tick,
+                                   bus)
             filters = {"central": flt, "distributed": nodes,
                        "oracle": dense}
             for pair in diffs:

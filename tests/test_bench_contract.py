@@ -79,10 +79,10 @@ def test_warning_counter_counts_package_warnings(monkeypatch):
                                        0), dt)
         flt.update(models.Observation(models.LANDMARK, 0, 0, np.zeros(3),
                                       flt.t_ns))
-        monkeypatch.setattr(models, "update_terms", lambda *args: (
-            np.zeros(6), -1.0 / dt * np.eye(6), np.zeros((6, 6))))
+        monkeypatch.setattr(models, "update_terms", per_item(lambda *args: (
+            np.zeros(6), -1.0 / dt * np.eye(6), np.zeros((6, 6)))))
         nodes = distributed.VehicleNode([state], np.eye(15), world, noise)
-        nodes.apply_update(nodes.originate_update(obs))
+        nodes.apply_update(*nodes.originate_update([obs], [None]))
         assert nodes.rounds == {}
     finally:
         counter.detach()

@@ -96,7 +96,7 @@ def run_update(nodes, obs):
     if obs.kind == models.INTERVEHICLE:
         PeerStateRequest(obs.observer, obs.subject)  # what goes on the wire
         reply = nodes.peer_state_reply(obs.subject)
-    bc = nodes.originate_update(obs, reply)
+    (bc,) = nodes.originate_update([obs], [reply])
     nodes.apply_update(bc, reply)
     return bc
 
@@ -744,9 +744,9 @@ class TestUpdates:
         obs = Observation(models.INTERVEHICLE, 0, 1,
                           rng.standard_normal(3), 0)
         with pytest.raises(ValueError):
-            nodes.originate_update(obs)
+            nodes.originate_update([obs], [None])
         with pytest.raises(ValueError):
-            nodes.originate_update(obs, nodes.peer_state_reply(0))
+            nodes.originate_update([obs], [nodes.peer_state_reply(0)])
 
     def test_only_observer_originates(self, world, noise):
         """The broadcast comes from the observing node, and an observer
@@ -754,10 +754,10 @@ class TestUpdates:
         rng = np.random.default_rng(10)
         _, nodes = make_network(rng, 2, world, noise)
         obs = Observation(models.LANDMARK, 1, 0, np.zeros(3), 0)
-        assert nodes.originate_update(obs).origin == 1
+        assert nodes.originate_update([obs], [None])[0].origin == 1
         with pytest.raises(ValueError):
             nodes.originate_update(
-                Observation(models.LANDMARK, 2, 0, np.zeros(3), 0))
+                [Observation(models.LANDMARK, 2, 0, np.zeros(3), 0)], [None])
 
     def test_columns_stay_c_contiguous(self, world, noise):
         """propagate_local writes the diagonal blocks through a reshape of
@@ -878,12 +878,14 @@ class TestUpdates:
 
 def singular_hessian(dt):
     """Update terms whose m x m Hessian term makes I + dt E_ii K_ii zero
-    when K_ii = I."""
+    when K_ii = I, for an observation or a stack of them, with the true
+    residual entries."""
     def update_terms(states, obs, world, noise, _dt):
-        ix = models.update_indices(obs.kind, obs.observer, obs.subject)
-        _, r_ix = models.residual(states, obs, world, noise, _dt)
-        return r_ix, -np.eye(len(ix)) / dt, np.zeros((len(ix), len(ix)))
-    return per_item(update_terms)
+        r_ix, e_ii, _ = UPDATE_TERMS(states, obs, world, noise, _dt)
+        m = e_ii.shape[-1]
+        return (r_ix, np.broadcast_to(-np.eye(m) / dt, e_ii.shape).copy(),
+                np.zeros_like(e_ii))
+    return update_terms
 
 
 class TestSingularGate:
@@ -914,7 +916,7 @@ class TestSingularGate:
                           0)
         bus = harness.MessageBus()
         with caplog.at_level("WARNING", logger="meswarm.distributed"):
-            harness._distributed_update(nodes, obs, 0, bus)
+            harness._distributed_round(nodes, [obs], 0, bus)
         skips = [rec for rec in caplog.records
                  if "skipping" in rec.getMessage()]
         assert len(skips) == 1 and skips[0].name == "meswarm.distributed"
@@ -1027,7 +1029,8 @@ class TestGateVerdict:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with caplog.at_level("WARNING", logger="meswarm.distributed"):
-                nodes.apply_update(nodes.originate_update(obs, reply), reply)
+                nodes.apply_update(*nodes.originate_update([obs], [reply]),
+                                   reply)
             if text is None:
                 joint.update(obs)
             else:
@@ -1066,6 +1069,179 @@ class TestOneModelEvaluation:
         assert calls == [kind]
         run_update(nodes, obs)
         assert calls == [kind, kind]
+
+
+class TestRoundOrigination:
+    """The nodes originate a round in one call: one evaluation of the
+    observation model per round, each broadcast the terms its observation
+    gets alone, the update columns in the messages that carried them one
+    observation at a time, and a refused round leaves nothing behind."""
+
+    def test_one_call_per_round(self, monkeypatch):
+        """An epoch of six vehicles and three landmarks is 3 landmark and
+        5 inter-vehicle rounds: 8 originate_update calls and 8 model
+        evaluations for its 48 broadcasts."""
+        calls, terms = [], models._terms
+        originate = VehicleNode.originate_update
+
+        def counted_terms(states, obs, *args):
+            calls.append(("terms", obs.kind))
+            return terms(states, obs, *args)
+
+        def counted_origin(self, observations, replies):
+            calls.append(("origin", len(observations)))
+            return originate(self, observations, replies)
+
+        monkeypatch.setattr(models, "_terms", counted_terms)
+        monkeypatch.setattr(VehicleNode, "originate_update", counted_origin)
+        noise = scenario_noise()
+        cfg = harness.ScheduleConfig(duration_s=0.1, seed=3)
+        result = harness.run_schedule(cfg, harness.MODE_DISTRIBUTED,
+                                      scenario_sources(6, noise, 3),
+                                      scenario_world(6), noise)
+        assert calls == ([("origin", 6), ("terms", models.LANDMARK)] * 3
+                         + [("origin", 6), ("terms", models.INTERVEHICLE)]
+                         * 5)
+        assert sum(isinstance(msg, UpdateBroadcast)
+                   for _, msg in result.bus_records) == 48
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+           coupled=st.booleans(), data=st.data())
+    def test_broadcasts_equal_single_calls(self, seed, n, coupled, data):
+        """Every broadcast of a round from joint.epoch_rounds, of either
+        kind, at random states, gains and periods, carries the period and
+        the terms, bit for bit, of models.update_terms on its observation
+        alone given {observer: own state, subject: reply.state}; each
+        vehicle's update columns ride in the first reply or broadcast of
+        the round, in exchange order, and every later one carries None."""
+        rng = np.random.default_rng(seed)
+        noise = NoiseModel(d_landmark=0.1 * np.eye(3),
+                           d_intervehicle=0.05 * np.eye(3))
+        world = WorldConfig(
+            landmarks={lm: rng.standard_normal(3) for lm in range(3)},
+            markers={v: 0.05 * rng.standard_normal(3) for v in range(n)})
+        k0 = (random_spd(rng, n * STATE_DOF, scale=0.002) if coupled
+              else None)
+        _, nodes = make_network(rng, n, world, noise, k0=k0)
+        sources = ([(models.LANDMARK, v, lm) for v in range(n)
+                    for lm in range(3)]
+                   + [(models.INTERVEHICLE, a, b) for a in range(n)
+                      for b in range(n) if a != b])
+        keep = data.draw(st.lists(st.booleans(), min_size=len(sources),
+                                  max_size=len(sources)), label="keep")
+        sources = [src for src, k in zip(sources, keep) if k]
+        assume(sources)
+        group = data.draw(st.sampled_from(
+            joint_module.epoch_rounds(sources, n)), label="round")
+        # a source's last arrival, or none: the period is the nominal one,
+        # the time since, or its cap
+        last = {}
+        for i in group:
+            gap = data.draw(st.none() | st.integers(1, 2 * 10**9))
+            if gap is not None:
+                last[sources[i]] = -gap
+        nodes._last_obs_ns.update(last)
+        observations = [Observation(*sources[i], rng.standard_normal(3), 0)
+                        for i in group]
+        states, k_col = nodes.state, nodes.k_col.copy()
+        bus = harness.MessageBus()
+        harness._distributed_round(nodes, observations, 0, bus)
+
+        msgs = [msg for _, msg in bus.records
+                if not isinstance(msg, PropagationFactor)]
+        seen = set()
+        for obs in observations:
+            reply = None
+            if obs.kind == models.INTERVEHICLE:
+                request, reply, bc = msgs[:3]
+                del msgs[:3]
+                assert request == PeerStateRequest(obs.observer, obs.subject)
+                assert reply.sender == obs.subject
+                assert_same_bits(reply.state.rot, states.rot[obs.subject])
+                assert_same_bits(reply.state.pos, states.pos[obs.subject])
+                carried = [(reply.k_col, obs.subject), (bc.cols, obs.observer)]
+            else:
+                bc = msgs.pop(0)
+                carried = [(bc.cols, obs.observer)]
+            for cols, v in carried:
+                if v in seen:
+                    assert cols is None
+                else:
+                    assert_same_bits(cols, k_col[v, :, :models.UPDATE_SLOTS])
+                    seen.add(v)
+            key = (obs.kind, obs.observer, obs.subject)
+            dt = noise.effective_period(obs.kind, last.get(key), 0)
+            alone = {obs.observer: states[obs.observer]}
+            if reply is not None:
+                alone[obs.subject] = reply.state
+            r, e, e_first = models.update_terms(alone, obs, world, noise, dt)
+            assert (bc.origin, bc.kind, bc.subject, bc.t_ns) == (
+                obs.observer, obs.kind, obs.subject, 0)
+            assert type(bc.dt) is float and bc.dt == dt
+            for got, want in ((bc.r, r), (bc.e, e), (bc.e_first, e_first)):
+                assert_same_bits(got, want)
+        assert msgs == []
+
+    def test_refused_observation_leaves_nothing_staged(self, world, noise):
+        """A round with an observation the nodes refuse raises before any
+        exchange runs, any message is built or delivered, or any broadcast
+        is staged: the nodes keep every bit and tick on, and the round
+        without it leaves them equal to the joint filter, bit for bit."""
+        rng = np.random.default_rng(70)
+        joint, nodes = make_network(rng, 2, world, noise)
+        propagate_pair(joint, nodes, rng, 3)
+        good = Observation(models.LANDMARK, 0, 0, rng.standard_normal(3),
+                           nodes.t_ns)
+        unknown = Observation(models.LANDMARK, 1, 99, np.zeros(3),
+                              nodes.t_ns)
+        bus = harness.MessageBus()
+        before = (nodes.k_col.copy(), pose_matrix(nodes.state),
+                  nodes.lam_acc.copy())
+        span = nodes.lam_start_tick
+        with pytest.raises(models.ObservationError,
+                           match="^unknown landmark index 99$"):
+            harness._distributed_round(nodes, [good, unknown], nodes.tick,
+                                       bus)
+        assert bus.records == []
+        assert nodes._staged == [] and nodes._sent == set()
+        after = (nodes.k_col, pose_matrix(nodes.state), nodes.lam_acc)
+        for a, b in zip(before, after):
+            assert_same_bits(a, b)
+        assert nodes.lam_start_tick == span
+        harness._distributed_round(nodes, [good], nodes.tick, bus)
+        joint.update(good)
+        assert_nodes_equal_joint(joint, nodes)
+        propagate_pair(joint, nodes, rng, 2)
+        assert_nodes_equal_joint(joint, nodes)
+
+    def test_refused_reply_gives_the_columns_back(self, world, noise):
+        """A reply that is not the subject's is refused as it is read, and
+        the update columns the round's earlier replies and broadcasts took
+        are given back: the next round sends them again."""
+        rng = np.random.default_rng(71)
+        _, nodes = make_network(rng, 2, world, noise)
+        ab, ba = (Observation(models.INTERVEHICLE, a, b,
+                              rng.standard_normal(3), 0)
+                  for a, b in ((0, 1), (1, 0)))
+        with pytest.raises(ValueError, match="needs the reply of its "
+                                             "subject 0, got the reply of 1"):
+            nodes.originate_update([ab, ba], (nodes.peer_state_reply(1)
+                                              for _ in range(2)))
+        assert nodes._sent == set()
+        reply = nodes.peer_state_reply(1)
+        (bc,) = nodes.originate_update([ab], [reply])
+        assert reply.k_col is not None and bc.cols is not None
+
+    def test_round_of_one_kind(self, world, noise):
+        rng = np.random.default_rng(72)
+        _, nodes = make_network(rng, 2, world, noise)
+        lm = Observation(models.LANDMARK, 0, 0, np.zeros(3), 0)
+        iv = Observation(models.INTERVEHICLE, 1, 0, np.zeros(3), 0)
+        with pytest.raises(ValueError, match="^a round holds observations "
+                                             "of one kind"):
+            nodes.originate_update([lm, iv], [None, None])
+        assert nodes._sent == set()
 
 
 class TestDenseOracle:
@@ -1176,7 +1352,7 @@ class TestFullEquivalence:
             msgs = exchange_factors(nodes)
             if lm == 1:
                 assert all(m.start_tick == m.end_tick for m in msgs)
-            nodes.apply_update(nodes.originate_update(obs))
+            nodes.apply_update(*nodes.originate_update([obs], [None]))
         kj = joint_gain(joint)
         for i in range(2):
             np.testing.assert_allclose(
@@ -1318,6 +1494,7 @@ class TestNodeEconomy:
         nothing, and the factors emitted before then are the identity."""
         calls = counting_factor_steps(monkeypatch)
 
+        @per_item
         def non_finite_terms(states, obs, world, noise, dt):
             m = len(models.update_indices(obs.kind, obs.observer,
                                           obs.subject))
@@ -1479,7 +1656,7 @@ class TestVehicleIndexRefused:
             ValueError, rf" {index} is not a vehicle of the network "
             rf"\(n = 3\)$",
             (joint, lambda: joint.update(good, bad)),
-            (nodes, lambda: nodes.originate_update(bad)))
+            (nodes, lambda: nodes.originate_update([bad], [None])))
         assert joint._last_obs_ns == nodes._last_obs_ns == {}
 
     @pytest.mark.parametrize("index", [-1, 3])
@@ -1487,9 +1664,9 @@ class TestVehicleIndexRefused:
         _, nodes = self.network(world, noise)
         reply = PeerStateReply(index, nodes.state[0], np.zeros((45, 6)))
         with self.refused(index):
-            nodes.originate_update(Observation(
-                models.INTERVEHICLE, 0, index, np.zeros(3), nodes.t_ns),
-                reply)
+            nodes.originate_update([Observation(
+                models.INTERVEHICLE, 0, index, np.zeros(3), nodes.t_ns)],
+                [reply])
         assert nodes._last_obs_ns == {}
 
     @pytest.mark.parametrize("index", [-1, 3])
@@ -1882,14 +2059,17 @@ class TestStackedAgainstOracle:
                              world, noise, factors=coupled and n > 1)
                   for v in range(n)]
 
-        # a non-finite Hessian term makes the nodes refuse its round
+        # a non-finite Hessian term makes the nodes refuse its round; the
+        # oracle builds one observation's terms, the network a round's stack
         refused = set()
 
         def terms(states, obs, *args):
             r_ix, e_ii, e_first = UPDATE_TERMS(states, obs, *args)
-            if (obs.kind, obs.observer, obs.subject, obs.t_ns) in refused:
-                e_ii = np.full_like(e_ii, np.nan)
-            return r_ix, e_ii, e_first
+            hit = [(obs.kind, a, b, obs.t_ns) in refused
+                   for a, b in zip(np.ravel(obs.observer).tolist(),
+                                   np.ravel(obs.subject).tolist())]
+            hit = np.reshape(hit, np.shape(obs.observer) + (1, 1))
+            return r_ix, np.where(hit, np.nan, e_ii), e_first
 
         monkeypatch.setattr(models, "update_terms", terms)
 
@@ -1926,9 +2106,9 @@ class TestStackedAgainstOracle:
             for kind, a, b, p in events.get(tick, ()):
                 if p > 0.0 and rng.random() < p:
                     continue
-                obs = harness.synthesize_observation(
-                    truths, world, kind, a, b, noise.d_matrix(kind), rng,
-                    tick * dt_ns)
+                (obs,) = harness.synthesize_observation(
+                    stack_states(truths), world, kind, [(a, b)],
+                    noise.d_matrix(kind), [rng], tick * dt_ns)
                 if updates == singular_at:
                     refused.add((kind, a, b, obs.t_ns))
                 updates += 1
@@ -1936,11 +2116,11 @@ class TestStackedAgainstOracle:
             for group in joint_module.epoch_rounds(
                     [(obs.kind, obs.observer, obs.subject) for obs in batch],
                     n):
+                harness._distributed_round(stacked, [batch[i] for i in group],
+                                           tick, bus_s)
                 for i in group:
-                    last = i == group[-1]
-                    harness._distributed_update(stacked, batch[i], tick,
-                                                bus_s, last)
-                    oracle_update(oracle, batch[i], tick, bus_o, last)
+                    oracle_update(oracle, batch[i], tick, bus_o,
+                                  i == group[-1])
                 assume(max(np.abs(stacked.k_col).max(),
                            np.abs(stacked.state.pos - truth_pos).max(),
                            np.abs(stacked.state.vel - truth_vel).max())

@@ -174,6 +174,43 @@ def test_readme_config_at_one_hz_exits_0_in_every_mode(tmp_path,
         " every entry equal" for run in ("", "1hz-")]
 
 
+def test_numpy_only_job_runs_six_vehicles(tmp_path, monkeypatch, capsys):
+    """The numpy-only job also runs the README config with six vehicles
+    for 2 s, whose inter-vehicle rounds hold three pairs each, in
+    `central` and `distributed` and `distributed` again: its criterion 5
+    check finds every entry equal, and the rerun wrote the same
+    metrics.csv and bus.log (criterion 8).  Here its Python steps run on
+    such runs, written in process."""
+    job = WORKFLOW.read_text().split("\n  numpy-only:\n", 1)[1]
+    step = job.split("- name: Six vehicles, 2 s", 1)[1].split("\n      - name:",
+                                                            1)[0]
+    make, check = (textwrap.dedent(code) for code in re.findall(
+        r"<<'PY'\n(.*?)\n *PY\n", step, re.S))
+    assert "--mode \"$mode\"" in step and "--mode distributed" in step
+    assert "for f in metrics.csv bus.log; do" in step
+    root = tmp_path / "numpy-only"
+    root.mkdir()
+    (root / "experiment.json").write_text(json.dumps(readme_config()))
+    monkeypatch.chdir(tmp_path)
+    exec(compile(make, str(WORKFLOW), "exec"), {})
+    cfg = json.loads((root / "experiment-6v.json").read_text())
+    assert len(cfg["vehicles"]) == len(cfg["markers_m"]) == 6
+    for mode, out in (("central", "6v-central"),
+                      ("distributed", "6v-distributed"),
+                      ("distributed", "6v-distributed-rerun")):
+        assert cli.main(["--config", str(root / "experiment-6v.json"),
+                         "--mode", mode, "--duration", "2", "--out",
+                         str(root / out)]) == 0
+    capsys.readouterr()
+    exec(compile(check, str(WORKFLOW), "exec"), {})
+    assert capsys.readouterr().out.splitlines() == [
+        "criterion 5: numpy-only/6v-central = numpy-only/6v-distributed, "
+        "every entry equal"]
+    for name in ("metrics.csv", "bus.log"):
+        assert ((root / "6v-distributed" / name).read_bytes()
+                == (root / "6v-distributed-rerun" / name).read_bytes())
+
+
 def test_numpy_only_job_decodes_the_bus_log_with_the_readme_snippet(
         tmp_path, monkeypatch, capsys):
     """The numpy-only job's last step runs the README's decoding snippet on

@@ -216,33 +216,68 @@ class TestObservationSynthesis:
     def test_zero_d_exact(self):
         rng = np.random.default_rng(2)
         world = world3()
-        truth = [make_state(np.eye(3), [1.0, 0.0, 0.0], np.zeros(3))]
-        obs = synthesize_observation(truth, world, models.LANDMARK, 0, 0,
-                                     np.zeros((3, 3)), rng, 0)
+        truth = stack_states([make_state(np.eye(3), [1.0, 0.0, 0.0],
+                                         np.zeros(3))])
+        (obs,) = synthesize_observation(truth, world, models.LANDMARK,
+                                        [(0, 0)], np.zeros((3, 3)), [rng], 0)
         np.testing.assert_array_equal(
             obs.y, models.predict_landmark(truth[0], world.landmark(0)))
 
     def test_seeded_reproducibility(self):
         world = world3()
-        truth = [make_state(np.eye(3), np.zeros(3), np.zeros(3))]
+        truth = stack_states([make_state(np.eye(3), np.zeros(3),
+                                         np.zeros(3))])
         d = 0.05 * np.eye(3)
-        a = synthesize_observation(truth, world, models.LANDMARK, 0, 1, d,
-                                   np.random.default_rng(9), 0)
-        b = synthesize_observation(truth, world, models.LANDMARK, 0, 1, d,
-                                   np.random.default_rng(9), 0)
+        a, b = (synthesize_observation(truth, world, models.LANDMARK,
+                                       [(0, 1)], d,
+                                       [np.random.default_rng(9)], 0)[0]
+                for _ in range(2))
         np.testing.assert_array_equal(a.y, b.y)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7),
+           kind=st.sampled_from([models.LANDMARK, models.INTERVEHICLE]),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_stack_equals_one_source_at_a_time(self, seed, n, kind, scale):
+        """A stack of sources gets, bit for bit, the observations that one
+        source at a time gets from h(truth) + D eps with its own
+        generator's draws, in the order given: observer and subject stay
+        Python ints, and every stamp is the epoch's."""
+        rng = np.random.default_rng(seed)
+        world = WorldConfig(
+            landmarks={i: scale * rng.standard_normal(3) for i in range(3)},
+            markers={v: 0.05 * rng.standard_normal(3) for v in range(n)})
+        truths = [SinusoidTrajectory.random(rng, pos_scale=scale).truth_state(
+            rng.uniform(0.0, 30.0)) for _ in range(n)]
+        d = 0.05 * np.eye(3) + 0.02 * rng.standard_normal((3, 3))
+        sources = ([(v, lm) for v in range(n) for lm in range(3)]
+                   if kind == models.LANDMARK else
+                   [(a, b) for a in range(n) for b in range(n) if a != b])
+        sources = [sources[i] for i in rng.permutation(len(sources))]
+        seeds = rng.integers(0, 2**32, len(sources))
+        got = synthesize_observation(
+            stack_states(truths), world, kind, sources, d,
+            [np.random.default_rng(s) for s in seeds], 5_000_000)
+        for (a, b), s, obs in zip(sources, seeds, got):
+            want = (models.predict(truths, kind, a, b, world)
+                    + d @ np.random.default_rng(s).standard_normal(3))
+            assert obs.y.tobytes() == want.tobytes()
+            assert (obs.kind, obs.observer, obs.subject, obs.t_ns) == (
+                kind, a, b, 5_000_000)
+            assert type(obs.observer) is int and type(obs.subject) is int
 
     def test_monte_carlo_covariance(self):
         rng_d = np.random.default_rng(3)
         d = rng_d.standard_normal((3, 3)) + 2.0 * np.eye(3)
         world = world3()
-        truth = [make_state(np.eye(3), np.zeros(3), np.zeros(3))]
+        truth = stack_states([make_state(np.eye(3), np.zeros(3),
+                                         np.zeros(3))])
         h = models.predict_landmark(truth[0], world.landmark(0))
-        rng = np.random.default_rng(4)
-        draws = np.empty((100_000, 3))
-        for i in range(draws.shape[0]):
-            draws[i] = synthesize_observation(truth, world, models.LANDMARK,
-                                              0, 0, d, rng, 0).y - h
+        # one generator serves every source, drawing in the order given
+        count = 100_000
+        draws = np.array([obs.y for obs in synthesize_observation(
+            truth, world, models.LANDMARK, [(0, 0)] * count, d,
+            [np.random.default_rng(4)] * count, 0)]) - h
         cov = np.cov(draws.T)
         ref = d @ d.T
         np.testing.assert_allclose(cov, ref, atol=0.05 * np.linalg.norm(ref, 2))
@@ -574,13 +609,14 @@ def isolated_rows(cfg, sources, world, noise, prior):
             f.propagate(stack_samples([src.imu_at_tick(tick - 1)]),
                         dt)
         truths = [src.truth_at_tick(tick) for src in sources]
+        stacked = stack_states(truths)
         for v, lm in (pairs if tick in epochs else ()):
             p = cfg.dropout_landmark
             if p > 0.0 and drop_rngs[(v, lm)].random() < p:
                 continue
-            obs = synthesize_observation(truths, world, models.LANDMARK, v,
-                                         lm, d, obs_rngs[(v, lm)],
-                                         tick * dt_ns)
+            (obs,) = synthesize_observation(stacked, world, models.LANDMARK,
+                                            [(v, lm)], d, [obs_rngs[(v, lm)]],
+                                            tick * dt_ns)
             filters[v].update(models.Observation(models.LANDMARK, 0, lm,
                                                  obs.y, obs.t_ns))
         rows += [metrics_row(tick * dt, v, f.estimate()[0], truths[v])

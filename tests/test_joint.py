@@ -77,7 +77,7 @@ def apply_observation(flt, obs):
     if isinstance(flt, JointFilter):
         flt.update(obs)
     else:
-        harness._distributed_update(flt, obs, 0, harness.MessageBus())
+        harness._distributed_round(flt, [obs], 0, harness.MessageBus())
 
 
 def snapshot(flt):
@@ -390,7 +390,7 @@ class TestUpdate:
             still_tick(flt)
         assert_refused_alike(ValueError, "is before filter time",
                              (f, lambda: f.update(obs)),
-                             (nodes, lambda: nodes.originate_update(obs)))
+                             (nodes, lambda: nodes.originate_update([obs], [None])))
 
     @pytest.mark.parametrize("stamp,word", [(0, "before"),
                                             (10_000_000, "after")])
@@ -410,7 +410,7 @@ class TestUpdate:
             ValueError,
             f"^observation at {stamp} ns is {word} filter time 5000000 ns$",
             (f, lambda: f.update(good, bad)),
-            (nodes, lambda: nodes.originate_update(bad)))
+            (nodes, lambda: nodes.originate_update([bad], [None])))
         assert f._last_obs_ns == nodes._last_obs_ns == {}
 
     @pytest.mark.parametrize("coupled", [False, True])
@@ -441,7 +441,7 @@ class TestUpdate:
         assert_refused_alike(
             models.ObservationError, "^unknown landmark index 99$",
             (f, lambda: f.update(*good, unknown)),
-            (nodes, lambda: nodes.originate_update(unknown)))
+            (nodes, lambda: nodes.originate_update([unknown], [None])))
 
     def test_gain_symmetry_after_fuzz(self, world, noise):
         """A coupled gain is held as its columns, as the nodes hold it,

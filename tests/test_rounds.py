@@ -100,15 +100,16 @@ def run_recorded(split, mode, n, n_landmarks, rate_hz, dropout,
     synthesize = harness.synthesize_observation
     poisoned, stamps = [], set()
 
-    def refusing(truths, world, kind, observer, subject, d, rng, t_ns):
+    def refusing(truths, world, kind, sources, d, rngs, t_ns):
         stamps.add(t_ns)
-        obs = synthesize(truths, world, kind, observer, subject, d, rng, t_ns)
+        batch = synthesize(truths, world, kind, sources, d, rngs, t_ns)
         if (refuse_tick is not None and t_ns == refuse_tick * 10_000_000
                 and not poisoned):
+            obs = batch[0]
             poisoned.append(obs)
-            return Observation(kind, observer, subject, np.full(3, np.nan),
-                               t_ns)
-        return obs
+            batch[0] = Observation(kind, obs.observer, obs.subject,
+                                   np.full(3, np.nan), t_ns)
+        return batch
 
     text = rows = None
     with pytest.MonkeyPatch.context() as m, joint_warnings() as logged:
