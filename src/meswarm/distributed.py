@@ -11,12 +11,12 @@ factor.  Each observation is one exchange: the factors are exchanged, the
 target of an inter-vehicle observation replies with its state, and the
 observing node broadcasts the observation's model terms, which it builds
 from its own state and the reply's.  An epoch's exchanges run round by
-round (meswarm.joint.epoch_rounds): the observers originate a round's
-broadcasts in one call, its terms one stacked model evaluation, and every
-node stages the round's broadcasts and applies the round at its end, a
-point of the shared epoch schedule, through the same Network code as the
-joint filter.  A vehicle's update columns cross the bus once per round, in
-the first reply or broadcast of the round that would carry them.
+round (meswarm.joint.epoch_rounds), one call each way: the observers
+originate a round's broadcasts in one call, its terms one stacked model
+evaluation, and every node applies the whole round, its broadcasts and
+replies, in one call through the same Network code as the joint filter.
+A vehicle's update columns cross the bus once per round, in the first
+reply or broadcast of the round that would carry them.
 
 The simulation holds all n nodes of a network in one VehicleNode, with the
 node axis leading, and advances them together: one stacked propagation
@@ -196,7 +196,8 @@ class VehicleNode(Network):
     tick's (n, 3) rows and the tick's last one makes the network's tick
     step for all of them, reading and writing every own diagonal block
     through one view of k_col; each delivered factor is absorbed by all the
-    other nodes in one call; and one call applies a round to every node.
+    other nodes in one call; and a round is one call each way,
+    originate_update for its broadcasts and apply_update at every node.
     Each step keeps the per-node data flow: node v reads only its own
     column, its own state, the keys of its own observations in the
     observation clock and the wire messages.
@@ -226,9 +227,8 @@ class VehicleNode(Network):
         self._gyro = np.empty((n, 3))
         self._accel = np.empty((n, 3))
         self._pending = {}
-        # the open round's (broadcast, reply) pairs, and the vehicles whose
-        # update columns have crossed the bus in it
-        self._staged = []
+        # the vehicles whose update columns have crossed the bus in the
+        # round being originated
         self._sent = set()
 
     # -- propagation ---------------------------------------------------------
@@ -246,9 +246,6 @@ class VehicleNode(Network):
         """
         self._check_imu(u, dt, (3,), v)
         check_vehicle("node", v, self.n)
-        if self._staged:
-            raise SynchronizationError(
-                f"node {v} ticked before its round at {self.t_ns} ns ended")
         if v in self._pending:
             raise SynchronizationError(
                 f"node {v} ticked twice before tick {self.tick + 1} ended")
@@ -360,17 +357,15 @@ class VehicleNode(Network):
         harness.run_schedule does, puts each vehicle's columns in the
         first reply or broadcast of the round that would carry them.
 
-        Every observation is checked (Network._check_observation, and one
-        kind for the round) before the first reply is read, and each reply
-        as it is read (_check_reply).  A refused round raises before any
-        broadcast is built, and the update columns its replies took are
-        given back, so the nodes stage nothing of it and tick on.
+        The round (_check_one_kind) and each observation
+        (Network._check_observation) are checked before the first reply is
+        read, and each reply as it is read (_check_reply).  A refused round
+        raises before any broadcast is built and gives back the update
+        columns its replies took.
         """
+        _check_one_kind(observations)
         for obs in observations:
             self._check_observation(obs)
-            if obs.kind != observations[0].kind:
-                raise ValueError(f"a round holds observations of one kind, "
-                                 f"got {observations[0].kind} and {obs.kind}")
         sent = set(self._sent)
         peers, cols = [], []
         try:
@@ -413,80 +408,79 @@ class VehicleNode(Network):
             raise ValueError(f"{kind} {what} takes no peer reply, got the "
                              f"reply of {reply.sender}")
 
-    def apply_update(self, msg, peer_reply=None, round_end=True):
-        """Stage a broadcast update at every node, with the peer state
-        reply of its exchange for an inter-vehicle update, and at the
-        round's end (`round_end`, which the epoch schedule sets on the
-        round's last broadcast) apply the round.
+    def apply_update(self, broadcasts, replies):
+        """Apply one round at every node: its broadcasts in round order and
+        each one's peer state reply (None for a landmark), as
+        originate_update returns and reads them.
 
-        The round's update columns are the ones its replies and broadcasts
-        carried, each vehicle's once; every node applies the round through
-        Network._apply_round, as the joint filter applies it, and the first
-        applied inter-vehicle round starts the nodes' factors.  A round
-        whose summed system the gate refuses is logged once and left out:
-        no column, state or observation clock moves.
-        A broadcast is refused before anything moves if its origin, kind
-        or inter-vehicle subject is one no observation could have, its
-        stamp is not the nodes' time, its dt is not positive and finite,
-        its r is not (m,), its e and e_first not (m, m) or its cols neither
-        None nor (15n, 6), if it is not of the open round's kind, or if an
-        inter-vehicle broadcast comes without the reply of its subject,
-        whose k_col is None or (15n, 6), or a landmark broadcast with a
-        reply.  A round that ends without the update columns of one of its
-        vehicles is refused as a whole, before anything moves."""
-        check_vehicle("broadcast origin", msg.origin, self.n)
-        models.check_source(msg.kind, msg.origin, msg.subject)
-        if msg.kind == models.INTERVEHICLE:
-            check_vehicle("inter-vehicle subject", msg.subject, self.n)
-        if msg.t_ns != self.t_ns:
-            raise ValueError(
-                f"nodes at {self.t_ns} ns got update for {msg.t_ns} ns")
-        if not 0.0 < msg.dt < inf:
-            raise ValueError(f"broadcast period must be positive and "
-                             f"finite: {msg.dt}")
-        m = len(models.update_indices(msg.kind, msg.origin, msg.subject))
+        Each vehicle's update columns are the first its round's replies and
+        broadcasts carried; the round goes through Network._apply_round, as
+        in the joint filter, and the first applied inter-vehicle round
+        starts the nodes' factors.  A round whose summed system the gate
+        refuses is logged once and left out.  One refused message refuses
+        the whole round before anything moves: a second kind
+        (_check_one_kind), an origin, kind or inter-vehicle subject no
+        observation could have, a stamp other than the nodes' time, a dt
+        not positive and finite, an r not (m,), e or e_first not (m, m),
+        cols neither None nor (15n, 6), a reply that is not the
+        inter-vehicle subject's (_check_reply) or that comes with a
+        landmark, and a round without the columns of one of its vehicles.
+        Applied or refused, the round is over: the next one sends every
+        vehicle's columns again."""
+        self._sent = set()
+        _check_one_kind(broadcasts)
         slots = (self.n * STATE_DOF, models.UPDATE_SLOTS)
-        if (np.shape(msg.r) != (m,) or np.shape(msg.e) != (m, m)
-                or np.shape(msg.e_first) != (m, m)
-                or msg.cols is not None and np.shape(msg.cols) != slots):
-            raise ValueError(
-                f"{msg.kind} broadcast needs r of shape ({m},), e and "
-                f"e_first of shape ({m}, {m}) and cols of shape {slots} or "
-                f"None, got {np.shape(msg.r)}, {np.shape(msg.e)}, "
-                f"{np.shape(msg.e_first)} and {_shape_of(msg.cols)}")
-        self._check_reply(msg.kind, msg.subject, peer_reply, "broadcast")
-        if self._staged and self._staged[0][0].kind != msg.kind:
-            raise ValueError(f"{msg.kind} broadcast in a round of "
-                             f"{self._staged[0][0].kind} updates")
-        self._staged.append((msg, peer_reply))
-        if round_end:
-            self._end_round()
-        return self
-
-    def _end_round(self):
-        """Apply the staged round at every node: its update columns as the
-        messages carried them, its terms stacked in staging order."""
-        staged, self._staged, self._sent = self._staged, [], set()
         cols = {}
-        for msg, reply in staged:
+        for msg, reply in zip(broadcasts, replies, strict=True):
+            check_vehicle("broadcast origin", msg.origin, self.n)
+            models.check_source(msg.kind, msg.origin, msg.subject)
+            if msg.kind == models.INTERVEHICLE:
+                check_vehicle("inter-vehicle subject", msg.subject, self.n)
+            if msg.t_ns != self.t_ns:
+                raise ValueError(
+                    f"nodes at {self.t_ns} ns got update for {msg.t_ns} ns")
+            if not 0.0 < msg.dt < inf:
+                raise ValueError(f"broadcast period must be positive and "
+                                 f"finite: {msg.dt}")
+            m = len(models.update_indices(msg.kind, msg.origin, msg.subject))
+            if (np.shape(msg.r) != (m,) or np.shape(msg.e) != (m, m)
+                    or np.shape(msg.e_first) != (m, m)
+                    or msg.cols is not None and np.shape(msg.cols) != slots):
+                raise ValueError(
+                    f"{msg.kind} broadcast needs r of shape ({m},), e and "
+                    f"e_first of shape ({m}, {m}) and cols of shape {slots} "
+                    f"or None, got {np.shape(msg.r)}, {np.shape(msg.e)}, "
+                    f"{np.shape(msg.e_first)} and {_shape_of(msg.cols)}")
+            self._check_reply(msg.kind, msg.subject, reply, "broadcast")
             if msg.cols is not None:
                 cols.setdefault(msg.origin, msg.cols)
             if reply is not None and reply.k_col is not None:
                 cols.setdefault(reply.sender, reply.k_col)
-        sources = [(msg.kind, msg.origin, msg.subject) for msg, _ in staged]
+        sources = [(msg.kind, msg.origin, msg.subject) for msg in broadcasts]
         for source in sources:
             for v in models.update_vehicles(*source):
                 if v not in cols:
                     raise ValueError(f"round at {self.t_ns} ns ended without "
                                      f"the update columns of vehicle {v}")
-        dt = np.array([msg.dt for msg, _ in staged])
-        terms = tuple(np.array([getattr(msg, name) for msg, _ in staged])
+        dt = np.array([msg.dt for msg in broadcasts])
+        terms = tuple(np.array([getattr(msg, name) for msg in broadcasts])
                       for name in ("r", "e", "e_first"))
         try:
             self._apply_round(sources, dt, terms, cols)
         except UpdateSingularError as exc:
             log.warning("nodes: %s, skipping round of %d %s updates at "
-                        "t=%d ns", exc, len(staged), sources[0][0], self.t_ns)
+                        "t=%d ns", exc, len(broadcasts), sources[0][0],
+                        self.t_ns)
+        return self
+
+
+def _check_one_kind(items):
+    """Refuse a round, its observations or its broadcasts, that holds more
+    than one observation kind."""
+    for item in items:
+        if item.kind != items[0].kind:
+            raise ValueError(f"a round holds observations of one kind, "
+                             f"got {items[0].kind} and {item.kind}")
 
 
 class _RoundStates:

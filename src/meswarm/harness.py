@@ -469,17 +469,17 @@ def _perturbed_prior(truth, prior, rng):
 
 
 def _distributed_round(nodes, observations, tick, bus):
-    """One round (joint.epoch_rounds) through the network: the exchange of
-    each observation, in round order, and every node staging the round's
-    broadcasts with their replies, the last one applying the round.
+    """One round (joint.epoch_rounds) through the network, one call each
+    way: the exchange of each observation, in round order, and every node
+    applying the round's broadcasts with their replies in one call.
 
     An exchange is every node's factor, absorbed by the others, and for an
     inter-vehicle observation the target's reply.  The observers'
     broadcasts come from one originate_update call on the round, which
     checks the round first and runs each exchange as it reads its reply.
     The messages go on the bus once every broadcast is built, exchange by
-    exchange: factors, request, reply and broadcast, which every node
-    stages as it is delivered."""
+    exchange: factors, request, reply and broadcast; then one apply_update
+    call applies the round at every node."""
     exchanges = []
 
     def replies():
@@ -493,7 +493,6 @@ def _distributed_round(nodes, observations, tick, bus):
             yield reply
 
     broadcasts = nodes.originate_update(observations, replies())
-    last = broadcasts[-1]
     for obs, (factors, reply), bc in zip(observations, exchanges, broadcasts):
         for msg in factors:
             bus.deliver(tick, msg)
@@ -501,8 +500,8 @@ def _distributed_round(nodes, observations, tick, bus):
             bus.deliver(tick, distributed.PeerStateRequest(obs.observer,
                                                            obs.subject))
             bus.deliver(tick, reply)
-        nodes.apply_update(bus.deliver(tick, bc), reply,
-                           round_end=bc is last)
+        bus.deliver(tick, bc)
+    nodes.apply_update(broadcasts, [reply for _, reply in exchanges])
 
 
 def run_schedule(config, mode, sources, world, noise, prior=None,
@@ -532,11 +531,11 @@ def run_schedule(config, mode, sources, world, noise, prior=None,
     JointFilter.update call takes the tick's observations and forms the
     rounds; in `distributed` every observation runs its own exchange, in
     round order, the observers originate each round's broadcasts in one
-    call (_distributed_round), and the nodes apply the round at its last
-    broadcast, a point of this schedule rather than a message.  So both
-    filters build a round's terms in one stacked call and apply the same
-    rounds through the same Network code, and `central` and `distributed`
-    agree bit for bit.
+    call and the nodes apply the whole round in one call
+    (_distributed_round); the end of a round is a point of this schedule
+    rather than a message.  So both filters build a round's terms in one
+    stacked call and apply the same rounds through the same Network code,
+    and `central` and `distributed` agree bit for bit.
 
     All three modes start from the same 15n x 15n prior and hold the gain
     as the same (n, 15n, 15) column stack.  `none` is the JointFilter of

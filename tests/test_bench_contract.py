@@ -82,7 +82,7 @@ def test_warning_counter_counts_package_warnings(monkeypatch):
         monkeypatch.setattr(models, "update_terms", per_item(lambda *args: (
             np.zeros(6), -1.0 / dt * np.eye(6), np.zeros((6, 6)))))
         nodes = distributed.VehicleNode([state], np.eye(15), world, noise)
-        nodes.apply_update(*nodes.originate_update([obs], [None]))
+        nodes.apply_update(nodes.originate_update([obs], [None]), [None])
         assert nodes.rounds == {}
     finally:
         counter.detach()

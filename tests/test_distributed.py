@@ -97,7 +97,7 @@ def run_update(nodes, obs):
         PeerStateRequest(obs.observer, obs.subject)  # what goes on the wire
         reply = nodes.peer_state_reply(obs.subject)
     (bc,) = nodes.originate_update([obs], [reply])
-    nodes.apply_update(bc, reply)
+    nodes.apply_update([bc], [reply])
     return bc
 
 
@@ -784,7 +784,7 @@ class TestUpdates:
                              np.zeros(6), np.zeros((6, 6)), np.zeros((6, 6)),
                              np.zeros((15, 6)))
         with pytest.raises(ValueError):
-            nodes.apply_update(bc)
+            nodes.apply_update([bc], [None])
 
     @pytest.mark.parametrize("kind,subject,text", [
         ("bogus", -1, "unknown observation kind 'bogus'"),
@@ -803,7 +803,7 @@ class TestUpdates:
                               np.ones((45, 6)))
         before = nodes.k_col.copy(), pose_matrix(nodes.state)
         with pytest.raises(models.ObservationError, match=f"^{text}$"):
-            nodes.apply_update(msg)
+            nodes.apply_update([msg], [None])
         assert_same_bits(nodes.k_col, before[0])
         assert_same_bits(pose_matrix(nodes.state), before[1])
 
@@ -835,10 +835,10 @@ class TestUpdates:
                 reply = PeerStateReply(sender, nodes.state[sender],
                                        None if shape is None
                                        else np.ones(shape))
-            nodes.apply_update(UpdateBroadcast(
+            nodes.apply_update([UpdateBroadcast(
                 0, kind, 0 if m == 6 else 1, fields["dt"], nodes.t_ns,
                 fields["r"], fields["e"], fields["e_first"],
-                fields["cols"]), reply)
+                fields["cols"])], [reply])
 
         before = (nodes.k_col.copy(), nodes.lam_acc.copy(),
                   pose_matrix(nodes.state))
@@ -866,7 +866,7 @@ class TestUpdates:
                              -np.eye(6) / 0.1, np.zeros((6, 6)),
                              nodes.k_col[0, :, :6].copy())
         with caplog.at_level("WARNING"):
-            nodes.apply_update(bc)
+            nodes.apply_update([bc], [None])
         np.testing.assert_array_equal(nodes.k_col, before)
         np.testing.assert_array_equal(pose_matrix(nodes.state), pose)
         skips = [rec for rec in caplog.records
@@ -1029,8 +1029,8 @@ class TestGateVerdict:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with caplog.at_level("WARNING", logger="meswarm.distributed"):
-                nodes.apply_update(*nodes.originate_update([obs], [reply]),
-                                   reply)
+                nodes.apply_update(nodes.originate_update([obs], [reply]),
+                                   [reply])
             if text is None:
                 joint.update(obs)
             else:
@@ -1185,8 +1185,8 @@ class TestRoundOrigination:
 
     def test_refused_observation_leaves_nothing_staged(self, world, noise):
         """A round with an observation the nodes refuse raises before any
-        exchange runs, any message is built or delivered, or any broadcast
-        is staged: the nodes keep every bit and tick on, and the round
+        exchange runs or any message is built or delivered, and takes no
+        update column: the nodes keep every bit and tick on, and the round
         without it leaves them equal to the joint filter, bit for bit."""
         rng = np.random.default_rng(70)
         joint, nodes = make_network(rng, 2, world, noise)
@@ -1204,7 +1204,7 @@ class TestRoundOrigination:
             harness._distributed_round(nodes, [good, unknown], nodes.tick,
                                        bus)
         assert bus.records == []
-        assert nodes._staged == [] and nodes._sent == set()
+        assert nodes._sent == set()
         after = (nodes.k_col, pose_matrix(nodes.state), nodes.lam_acc)
         for a, b in zip(before, after):
             assert_same_bits(a, b)
@@ -1242,6 +1242,183 @@ class TestRoundOrigination:
                                              "of one kind"):
             nodes.originate_update([lm, iv], [None, None])
         assert nodes._sent == set()
+
+
+def round_observations(nodes, sources, world, rng):
+    """An observation of each source at the nodes' time: its noise-free
+    measurement at the nodes' estimate, plus 1 cm of noise."""
+    return [Observation(*src, models.predict(nodes.estimate(), *src, world)
+                        + 0.01 * rng.standard_normal(3), nodes.t_ns)
+            for src in sources]
+
+
+def originate_round(nodes, observations):
+    """A round's exchanges and broadcasts, as harness._distributed_round
+    runs them, without applying it: (broadcasts, replies)."""
+    replies = []
+
+    def read():
+        for obs in observations:
+            exchange_factors(nodes)
+            replies.append(nodes.peer_state_reply(obs.subject)
+                           if obs.kind == models.INTERVEHICLE else None)
+            yield replies[-1]
+
+    return nodes.originate_update(observations, read()), replies
+
+
+def corrupt_round(nodes, case, broadcasts, replies, data):
+    """The round with one message corrupted by `case`, a key of MALFORMED
+    (its shapes of n = 3 scaled to the nodes' n) or "mixed-kind", and the
+    start of the refusal's text, a regex.  The message is drawn from those
+    the case changes: for a missing update column, one that carries it."""
+    n, slots = nodes.n, nodes.n * STATE_DOF
+    broadcasts, replies = list(broadcasts), list(replies)
+    if case == "mixed-kind":
+        i = data.draw(st.integers(0, len(broadcasts) - 1), label="message")
+        bc = broadcasts[i]
+        if bc.kind == models.LANDMARK:
+            kind, subject, m = models.INTERVEHICLE, (bc.origin + 1) % n, 12
+            replies[i] = PeerStateReply(subject, nodes.state[subject],
+                                        np.ones((slots, 6)))
+        else:
+            kind, subject, m = models.LANDMARK, 0, 6
+            replies[i] = None
+        broadcasts[i] = UpdateBroadcast(bc.origin, kind, subject, bc.dt,
+                                        bc.t_ns, np.ones(m), np.eye(m),
+                                        np.eye(m), np.ones((slots, 6)))
+        kinds = [b.kind for b in broadcasts]
+        other = next(k for k in kinds if k != kinds[0])
+        return broadcasts, replies, (f"a round holds observations of one "
+                                     f"kind, got {kinds[0]} and {other}$")
+
+    def scaled(a):
+        shape = tuple({45: slots, 30: slots - 15, 270: 6 * slots}.get(d, d)
+                      for d in np.shape(a))
+        return None if a is None else np.ones(shape)
+
+    kind, change, text = MALFORMED[case]
+    if case == "no-cols":
+        carried = [bc.cols for bc in broadcasts]
+    elif case == "iv-reply-without-column":
+        carried = [reply.k_col for reply in replies]
+    else:
+        carried = broadcasts
+    i = data.draw(st.sampled_from([i for i, a in enumerate(carried)
+                                   if a is not None]), label="message")
+    bc = broadcasts[i]
+    broadcasts[i] = dataclasses.replace(bc, **{
+        name: value if name == "dt" else scaled(value)
+        for name, value in change.items() if name != "reply"})
+    sender = None
+    if change.get("reply") is not None:
+        # MALFORMED's sender 0 is the origin, 1 the subject or, for a
+        # landmark, another vehicle
+        sender, shape = change["reply"]
+        sender = (bc.origin if sender == 0 else bc.subject
+                  if kind == models.INTERVEHICLE else (bc.origin + 1) % n)
+        replies[i] = PeerStateReply(sender, nodes.state[sender],
+                                    None if shape is None
+                                    else scaled(np.empty(shape)))
+    elif "reply" in change:
+        replies[i] = None
+    m = 6 if kind == models.LANDMARK else 12
+    missing = f"round at {nodes.t_ns} ns ended without the update columns "
+    needs = "inter-vehicle broadcast needs the reply of its subject"
+    return broadcasts, replies, {
+        SHAPES: rf"{kind} broadcast needs r of shape \({m},\), e and "
+                rf"e_first of shape \({m}, {m}\) and cols of shape "
+                rf"\({slots}, 6\) or None, got ",
+        "iv-no-reply": f"{needs} {bc.subject}, got the reply of None$",
+        "iv-reply-of-origin": f"{needs} {bc.subject}, got the reply of "
+                              f"{bc.origin}$",
+        "iv-reply-narrow-column": rf"reply of {bc.subject} needs k_col of "
+                                  rf"shape \({slots}, 6\) or None, got "
+                                  rf"\({slots}, 3\)$",
+        "landmark-with-reply": f"landmark broadcast takes no peer reply, "
+                               f"got the reply of {sender}$",
+        "no-cols": f"{missing}of vehicle {bc.origin}$",
+        "iv-reply-without-column": f"{missing}of vehicle {bc.subject}$",
+    }.get(text if text == SHAPES else case, text)
+
+
+def node_bits(nodes):
+    """Every array and the observation clock a refused round must keep."""
+    return ([nodes.k_col.copy(), nodes.lam_acc.copy()]
+            + [getattr(nodes.state, name).copy()
+               for name in ("rot", "pos", "vel", "gyro_bias", "accel_bias")],
+            dict(nodes._last_obs_ns))
+
+
+# (case, the kind of the round it corrupts): MALFORMED's cases, and a
+# broadcast of the other kind in a round of either kind
+ATOMIC_CASES = ([(case, kind) for case, (kind, _, _) in MALFORMED.items()]
+                + [("mixed-kind", models.LANDMARK),
+                   ("mixed-kind", models.INTERVEHICLE)])
+
+
+class TestRoundAtomicity:
+    @pytest.mark.parametrize("case,kind", ATOMIC_CASES,
+                             ids=[f"{case}-{kind}" if case == "mixed-kind"
+                                  else case for case, kind in ATOMIC_CASES])
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6),
+           coupled=st.booleans(), data=st.data())
+    def test_a_refused_message_refuses_its_round(self, case, kind, seed, n,
+                                                 coupled, data):
+        """A round of `kind` from a random epoch, with one message
+        corrupted as in test_apply_refuses_a_misshaped_broadcast or
+        replaced by one of the other kind, is refused with that message's
+        text before anything moves: every node keeps its column, state,
+        factor and observation clock bit for bit, and no update column
+        counts as sent.  The nodes then apply the round as it was sent,
+        equal to the joint filter bit for bit, tick on, and apply the next
+        round equal to it too."""
+        rng = np.random.default_rng(seed)
+        noise = NoiseModel(d_landmark=0.1 * np.eye(3),
+                           d_intervehicle=0.05 * np.eye(3))
+        world = WorldConfig(
+            landmarks={lm: rng.standard_normal(3) for lm in range(3)},
+            markers={v: 0.05 * rng.standard_normal(3) for v in range(n)})
+        k0 = (random_spd(rng, n * STATE_DOF, scale=0.002) if coupled
+              else None)
+        joint, nodes = make_network(rng, n, world, noise, k0=k0)
+        propagate_pair(joint, nodes, rng, 2)
+        sources = ([(models.LANDMARK, v, lm) for v in range(n)
+                    for lm in range(3)]
+                   + [(models.INTERVEHICLE, a, b) for a in range(n)
+                      for b in range(n) if a != b])
+        keep = data.draw(st.lists(st.booleans(), min_size=len(sources),
+                                  max_size=len(sources)), label="keep")
+        sources = [src for src, k in zip(sources, keep) if k]
+        rounds = [[sources[i] for i in group]
+                  for group in joint_module.epoch_rounds(sources, n)
+                  if sources[group[0]][0] == kind
+                  and (case != "mixed-kind" or len(group) > 1)]
+        assume(rounds)
+        group = data.draw(st.sampled_from(rounds), label="round")
+        observations = round_observations(nodes, group, world, rng)
+        broadcasts, replies = originate_round(nodes, observations)
+        bad, bad_replies, text = corrupt_round(nodes, case, broadcasts,
+                                               replies, data)
+        arrays, clock = node_bits(nodes)
+        with pytest.raises(ValueError, match=f"^{text}"):
+            nodes.apply_update(bad, bad_replies)
+        after, after_clock = node_bits(nodes)
+        for a, b in zip(after, arrays):
+            assert_same_bits(a, b)
+        assert after_clock == clock and nodes._sent == set()
+
+        nodes.apply_update(broadcasts, replies)
+        joint.update(*observations)
+        assert_nodes_equal_joint(joint, nodes)
+        propagate_pair(joint, nodes, rng, 2)
+        observations = round_observations(nodes, group, world, rng)
+        harness._distributed_round(nodes, observations, nodes.tick,
+                                   harness.MessageBus())
+        joint.update(*observations)
+        assert_nodes_equal_joint(joint, nodes)
+        assert nodes._last_obs_ns == joint._last_obs_ns
 
 
 class TestDenseOracle:
@@ -1352,7 +1529,7 @@ class TestFullEquivalence:
             msgs = exchange_factors(nodes)
             if lm == 1:
                 assert all(m.start_tick == m.end_tick for m in msgs)
-            nodes.apply_update(*nodes.originate_update([obs], [None]))
+            nodes.apply_update(nodes.originate_update([obs], [None]), [None])
         kj = joint_gain(joint)
         for i in range(2):
             np.testing.assert_allclose(
@@ -1685,7 +1862,7 @@ class TestVehicleIndexRefused:
                               np.ones((45, 6)))
         before = nodes.k_col.copy(), pose_matrix(nodes.state)
         with self.refused(index):
-            nodes.apply_update(msg)
+            nodes.apply_update([msg], [None])
         assert_same_bits(nodes.k_col, before[0])
         assert_same_bits(pose_matrix(nodes.state), before[1])
 

@@ -1,6 +1,7 @@
 """The README's Library and bus.log decoding snippets run as documented,
-its Command line section names exactly the flags the CLI parser takes, and
-the CI job that runs its example config without scipy runs that config."""
+its Command line section names exactly the flags the CLI parser takes, the
+CI job that runs its example config without scipy runs that config, and
+the tests job runs Tier-1 again on fresh hypothesis draws."""
 
 import json
 import re
@@ -8,6 +9,7 @@ import textwrap
 from pathlib import Path
 
 import numpy as np
+from hypothesis import settings
 
 from meswarm import cli, harness, joint
 from meswarm.distributed import PropagationFactor
@@ -245,3 +247,30 @@ def test_numpy_only_job_decodes_the_bus_log_with_the_readme_snippet(
     assert sum(sizes) == log.stat().st_size
     assert lines[4:] == ["bus.log: 120 rounds of 300 broadcasts rebuild to "
                          "a finite G, 1440 lines in 20 epochs"]
+
+
+def test_tests_job_reruns_tier1_on_fresh_hypothesis_draws():
+    """On CI hypothesis loads its derandomized "ci" profile, so the Tier-1
+    step replays the same draws on every run.  The step after it runs the
+    suite again under "ci-fresh" (tests/conftest.py), "ci" with fresh
+    draws only, seeded by the run number, which it echoes; the Tier-1 step
+    itself stays as it was."""
+    job = WORKFLOW.read_text().split("\n  tests:\n", 1)[1].split(
+        "\n  numpy-only:\n", 1)[0]
+    rest = job.split("      - name: Tier-1 tests\n", 1)[1]
+    assert rest.startswith(
+        "        run: PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m "
+        "pytest -q --continue-on-collection-errors\n"
+        "      - name: Tier-1 tests on fresh hypothesis draws\n")
+    step = rest.split("- name: Tier-1 tests on fresh hypothesis draws", 1)[1]
+    step = step.split("\n      - name:", 1)[0]
+    assert 'echo "hypothesis seed: ${{ github.run_number }}"' in step
+    assert "python -m pytest -q" in step
+    assert "--hypothesis-profile=ci-fresh" in step
+    assert "--hypothesis-seed=${{ github.run_number }}" in step
+    fresh, ci = settings.get_profile("ci-fresh"), settings.get_profile("ci")
+    assert ci.derandomize and not fresh.derandomize
+    for name in ("max_examples", "database", "deadline", "phases",
+                 "suppress_health_check", "print_blob", "verbosity",
+                 "report_multiple_bugs", "stateful_step_count", "backend"):
+        assert getattr(fresh, name) == getattr(ci, name), name
