@@ -357,11 +357,11 @@ class VehicleNode(Network):
         harness.run_schedule does, puts each vehicle's columns in the
         first reply or broadcast of the round that would carry them.
 
-        The round (_check_one_kind) and each observation
-        (Network._check_observation) are checked before the first reply is
-        read, and each reply as it is read (_check_reply).  A refused round
-        raises before any broadcast is built and gives back the update
-        columns its replies took.
+        The round (_check_one_kind: not empty, one kind) and each
+        observation (Network._check_observation) are checked before the
+        first reply is read, and each reply as it is read (_check_reply).
+        A refused round raises before any broadcast is built and gives
+        back the update columns its replies took.
         """
         _check_one_kind(observations)
         for obs in observations:
@@ -417,14 +417,15 @@ class VehicleNode(Network):
         broadcasts carried; the round goes through Network._apply_round, as
         in the joint filter, and the first applied inter-vehicle round
         starts the nodes' factors.  A round whose summed system the gate
-        refuses is logged once and left out.  One refused message refuses
-        the whole round before anything moves: a second kind
-        (_check_one_kind), an origin, kind or inter-vehicle subject no
-        observation could have, a stamp other than the nodes' time, a dt
-        not positive and finite, an r not (m,), e or e_first not (m, m),
-        cols neither None nor (15n, 6), a reply that is not the
-        inter-vehicle subject's (_check_reply) or that comes with a
-        landmark, and a round without the columns of one of its vehicles.
+        refuses is logged once and left out.  An empty round is refused
+        (_check_one_kind), and one refused message refuses the whole round
+        before anything moves: a second kind (_check_one_kind), an origin,
+        kind or inter-vehicle subject no observation could have, a stamp
+        other than the nodes' time, a dt not positive and finite, an r not
+        (m,), e or e_first not (m, m), cols neither None nor (15n, 6), a
+        reply that is not the inter-vehicle subject's (_check_reply) or
+        that comes with a landmark, and a round without the columns of one
+        of its vehicles.
         Applied or refused, the round is over: the next one sends every
         vehicle's columns again."""
         self._sent = set()
@@ -475,8 +476,11 @@ class VehicleNode(Network):
 
 
 def _check_one_kind(items):
-    """Refuse a round, its observations or its broadcasts, that holds more
-    than one observation kind."""
+    """Refuse a round, its observations or its broadcasts, that is empty or
+    holds more than one observation kind."""
+    if not items:
+        raise ValueError("a round holds at least one observation, got an "
+                         "empty round")
     for item in items:
         if item.kind != items[0].kind:
             raise ValueError(f"a round holds observations of one kind, "

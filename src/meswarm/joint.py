@@ -41,7 +41,7 @@ import numpy as np
 
 from . import models
 from .kernels import _eye
-from .lie import STATE_DOF, retract, stack_states
+from .lie import STATE_DOF, retract, stack_states, tangent_parts
 
 log = logging.getLogger(__name__)
 
@@ -59,27 +59,34 @@ def propagate_vehicle(state, kdiag, lam, u, dt, world, noise_term):
     """One IMU tick of a stack of vehicles, on a leading axis n.
 
     Shared by the joint filter and the nodes, each advancing all n
-    vehicles in one call.  Advances the estimate through the group
-    exponential, and the gain through the transition Phi = I + A dt: the
-    15x15 diagonal block to Phi K Phi^T + dt Q, written as
-    K + dt (H + H^T + Q) with H = A (K + dt/2 (A K)^T) so that it stays
-    exactly symmetric, and the accumulated propagation factor to
+    vehicles in one call.  The IMU error e = u - bias is formed once
+    (models.imu_error), and the drift's linearisation A and the drift
+    both read it.  The estimate is retracted by dt times the drift, whose
+    rotation, position and velocity parts are all a tick moves: the
+    biases never drift, so the retraction gets no bias part and carries
+    them through.  The gain advances through the transition
+    Phi = I + A dt: the 15x15 diagonal block to Phi K Phi^T + dt Q,
+    written as K + dt (H + H^T + Q) with H = A (K + dt/2 (A K)^T) so that
+    it stays exactly symmetric, and the accumulated propagation factor to
     lam + dt A lam = Phi lam, which later brings the vehicle's cross blocks
     up to date (K_ij <- lam_i K_ij lam_j^T); lam stays None for a caller
     that keeps no factor.  The whole gain thus moves by a congruence plus
     a positive semidefinite term.  `noise_term` is
-    models.imu_noise_term(noise), constant for a run.  Returns the new
-    (state, kdiag, lam).
+    models.imu_noise_term(noise), constant for a run, or its copies over
+    the stack, which Network holds.  Returns the new (state, kdiag, lam).
     """
-    a = models.a_check_single(state, u)
+    e = models.imu_error(state, u)
+    a = models.a_check_single(e)
     # one contiguous copy of a strided stack of blocks serves the products
     k = np.ascontiguousarray(kdiag)
     h = a @ (k + (0.5 * dt) * (a @ k).swapaxes(-1, -2))
     kd = k + dt * (h + h.swapaxes(-1, -2) + noise_term)
     if lam is not None:
         lam = lam + dt * (a @ lam)
-    drift = models.lambda_single(state, u, world)
-    return retract(state, dt * drift), kd, lam
+    inc = dt * models.lambda_single(state, e, world)
+    # the position and velocity parts as the columns retract takes
+    pv = inc[1:].transpose(tuple(range(1, inc.ndim)) + (0,))
+    return retract(state, inc[0], pv), kd, lam
 
 
 def absorb_factor(k_col, j, others, lam_j, own):
@@ -112,7 +119,7 @@ def apply_correction(state, k_col, ix, kc, x, w):
     # in place: no new (n, 15n, 15) array per round, and k_col keeps its
     # C-contiguous layout
     k_col -= g @ rows
-    return retract(state, psi)
+    return retract(state, *tangent_parts(psi))
 
 
 @functools.lru_cache(maxsize=None)
@@ -289,7 +296,9 @@ class Network:
         self.state = stack_states(states)
         self.world = world
         self.noise = noise
-        self._noise_term = models.imu_noise_term(noise)
+        # one copy per vehicle: added to the stacked blocks in numpy's loop
+        # for operands of one shape, which skips a broadcast's setup
+        self._noise_term = np.tile(models.imu_noise_term(noise), (n, 1, 1))
         self.t_ns = 0
         self._last_obs_ns = {}
         # the vehicles other than j, whose columns absorb j's factor
@@ -440,7 +449,7 @@ class Network:
         kv += kv.swapaxes(-1, -2)
         kv *= 0.5
         self._kdiag[v] = kv
-        self.state = retract(self.state, psi)
+        self.state = retract(self.state, *tangent_parts(psi))
 
 
 class JointFilter(Network):

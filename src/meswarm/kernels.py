@@ -5,7 +5,8 @@ an (n, 3) stack gives (n, 3, 3), so one call serves one vehicle and the n
 vehicles each filter holds as a stack, and each entry of a stacked result
 equals the single-vehicle call on that entry.  The SO(3) exponential and
 its left Jacobian are in closed form, their coefficients a Taylor series
-in |theta|^2 below SMALL_ANGLE.  The matrix exponential expm of 15x15
+in |theta|^2 below SMALL_ANGLE, which one reduction settles for a stack
+whose angles all lie below it.  The matrix exponential expm of 15x15
 matrices is a truncated Taylor series with scaling and squaring, one set
 of matmuls over the whole stack; a stack takes the degree its largest norm
 needs, so its entries equal single calls to the last bits rather than
@@ -25,6 +26,7 @@ import numpy as np
 # both stay within about 1e-14, and six terms of the series carry it to
 # 1e-17 below.
 SMALL_ANGLE = 0.25
+_SMALL2 = SMALL_ANGLE * SMALL_ANGLE
 
 # (3, 6, 1): column j - 1 holds the coefficients (-1)^k / (2k + j)! of t^2k,
 # k = 0..5, in sin(t)/t, (1 - cos t)/t^2 and (t - sin t)/t^3 for j = 1, 2, 3.
@@ -41,6 +43,24 @@ NUMBA_ENABLED = False
 
 EYE3 = np.eye(3)
 EYE3.flags.writeable = False
+
+
+def _stacked(constant):
+    """A function of leading axes `lead` that gives `constant` repeated
+    over them, C-contiguous and read-only, built once per shape.  Added to
+    a stack of that shape it gives the bits the constant gives by
+    broadcasting, in numpy's loop for operands of one shape, which skips
+    the broadcast's setup."""
+    @functools.lru_cache(maxsize=8)
+    def stacked(lead):
+        out = np.array(np.broadcast_to(constant, lead + constant.shape),
+                       order="C")
+        out.flags.writeable = False
+        return out
+    return stacked
+
+
+_eye3_stack = _stacked(EYE3)
 
 # skew is linear: skew(v) = v @ _HAT, row i holding the flattened hat of e_i
 _HAT = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0],
@@ -76,15 +96,18 @@ def _so3_coefficients(theta):
     """sin(t)/t, (1 - cos t)/t^2 and (t - sin t)/t^3 for t = |theta|.
 
     Entries below SMALL_ANGLE take the Taylor series; every entry depends on
-    its own rotation vector only, whatever else the stack holds.
+    its own rotation vector only, whatever else the stack holds.  One
+    reduction, the largest t^2, settles an all-small stack, as an IMU
+    tick's is; an empty stack takes the series too, and a stack holding a
+    NaN or an inf, whose largest t^2 is no number below the bound, is
+    split entry by entry as any other.
     """
     t2 = np.add.reduce(theta * theta, axis=-1)
-    small = t2 < SMALL_ANGLE * SMALL_ANGLE
-    count = np.count_nonzero(small)
-    if count == small.size:
+    if np.maximum.reduce(t2, axis=None, initial=0.0) < _SMALL2:
         return _taylor(t2)
+    small = t2 < _SMALL2
     t = np.sqrt(t2)
-    if count == 0:
+    if not np.count_nonzero(small):
         return _closed_form(t, t2)
     # mixed stack: evaluate the closed form on a safe stand-in, then select
     closed = _closed_form(np.where(small, 1.0, t), np.where(small, 1.0, t2))

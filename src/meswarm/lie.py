@@ -8,14 +8,18 @@ accel_bias), fifteen entries in total.
 A state holds one vehicle or a stack of vehicles: every field carries the
 same leading axes, none for one vehicle and (n,) for a stack of n, as both
 filters hold their vehicles for every n, one included.  `compose`,
-`group_exp` and `retract` act on all of them at once.
+`group_exp` and `retract` act on all of them at once.  `retract` takes its
+tangent vector in parts (`tangent_parts`): rotation, position and velocity
+columns, and a bias part or none, so an IMU tick, whose drift never moves
+the biases, carries them through untouched.
 """
 
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .kernels import EYE3, _so3_coefficients, skew, so3_left_jacobian
+from .kernels import (EYE3, _eye3_stack, _so3_coefficients, skew,
+                      so3_left_jacobian)
 
 STATE_DOF = 15
 
@@ -92,7 +96,7 @@ def _renormalised(r):
     reduction over the whole stack clears the common case; only a stack
     past it is searched rotation by rotation.
     """
-    d = _t(r) @ r - EYE3
+    d = _t(r) @ r - _eye3_stack(r.shape[:-2])
     if np.vdot(d, d) < _STACK_DRIFT2:
         return r
     drift2 = np.add.reduce((d * d).reshape(d.shape[:-2] + (9,)), axis=-1)
@@ -128,26 +132,40 @@ def group_exp(q):
                         q[..., 9:12].copy(), q[..., 12:15].copy())
 
 
-def retract(x, q):
-    """x composed with the group exponential of q, in one pass.
+def tangent_parts(q):
+    """The parts retract takes of 15-entry tangent vectors (..., 15), as
+    views: the rotation slots (..., 3), the position and velocity slots as
+    the columns of a (..., 3, 2) array, and the bias slots (..., 6)."""
+    return (q[..., 0:3], _t(q[..., 3:9].reshape(q.shape[:-1] + (2, 3))),
+            q[..., 9:15])
 
-    Entry for entry equal to compose(x, group_exp(q)), from one evaluation
-    of the SO(3) coefficients and one hat: with K the hat of the rotation
-    slot and J its left Jacobian, the rotation becomes x.rot (I + K J), the
-    position and velocity add x.rot J [rho nu], and the biases add.
+
+def retract(x, phi, pv, bias=None):
+    """x composed with the group exponential of a tangent vector given in
+    parts (tangent_parts), in one pass.
+
+    phi (..., 3) is the rotation part, pv (..., 3, 2) the position and
+    velocity parts [rho nu] as columns, and bias (..., 6) the gyro then
+    accel bias part, or None for a zero one: the biases are then carried
+    through as they are, as an IMU tick's drift leaves them.  Entry for
+    entry equal to compose(x, group_exp(q)) of the q whose parts these
+    are, from one evaluation of the SO(3) coefficients and one hat: with K
+    the hat of phi and J its left Jacobian, the rotation becomes
+    x.rot (I + K J), the position and velocity add x.rot J [rho nu], and
+    the biases add.
     """
-    phi = q[..., 0:3]
     _, b, c = _so3_coefficients(phi)
     k = skew(phi)
-    j = EYE3 + b[..., None, None] * k + c[..., None, None] * (k @ k)
-    pv = x.rot @ (j @ _t(q[..., 3:9].reshape(q.shape[:-1] + (2, 3))))
-    return VehicleState(
-        _renormalised(x.rot @ (EYE3 + k @ j)),
-        x.pos + pv[..., 0],
-        x.vel + pv[..., 1],
-        x.gyro_bias + q[..., 9:12],
-        x.accel_bias + q[..., 12:15],
-    )
+    eye = _eye3_stack(k.shape[:-2])
+    j = eye + b[..., None, None] * k + c[..., None, None] * (k @ k)
+    pv = x.rot @ (j @ pv)
+    gyro_bias, accel_bias = x.gyro_bias, x.accel_bias
+    if bias is not None:
+        gyro_bias = gyro_bias + bias[..., 0:3]
+        accel_bias = accel_bias + bias[..., 3:6]
+    return VehicleState(_renormalised(x.rot @ (eye + k @ j)),
+                        x.pos + pv[..., 0], x.vel + pv[..., 1],
+                        gyro_bias, accel_bias)
 
 
 def rotation_error_angle(r_est, r_true):

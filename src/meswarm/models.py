@@ -1,8 +1,9 @@
 """System and measurement models with their linearisation builders.
 
 Everything here is a pure function of estimator state, configuration and a
-single measurement: the IMU drift field, its 15x15 linearisation, the
-landmark / inter-vehicle prediction maps, and the residual and Hessian-term
+single measurement: the IMU error, the IMU drift field, which leaves out
+the biases' zero rates, its 15x15 linearisation, the landmark /
+inter-vehicle prediction maps, and the residual and Hessian-term
 assemblies.  Both filters consume an observation through `update_terms`,
 which builds the residual entries, the Hessian block and its first-order
 part (the update a filter falls back to) from one evaluation of the model
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import EYE3, skew
+from .kernels import EYE3, _stacked, skew
 from .lie import STATE_DOF, VehicleState
 
 DEFAULT_GRAVITY = np.array([0.0, 0.0, 9.81])
@@ -222,16 +223,32 @@ def stack_observations(observations):
 # -- system model ------------------------------------------------------------
 #
 # These take one vehicle's state and IMU sample, or a stack of both with the
-# same leading axes, and return the matching stack.
+# same leading axes, and return the matching stack; a tick forms the IMU
+# error, the bias-corrected sample, once (imu_error), and the drift and its
+# linearisation both read it.
 
-def lambda_single(x: VehicleState, u: ImuSample, world: WorldConfig):
-    """Tangent-space drift of the vehicles under the held IMU samples."""
-    out = np.zeros(x.pos.shape[:-1] + (STATE_DOF,))
-    out[..., 0:3] = u.gyro - x.gyro_bias
+def imu_error(x: VehicleState, u: ImuSample):
+    """The bias-corrected IMU samples e = (w, f) (..., 6) of the vehicles,
+    w = gyro - gyro_bias and f = accel - accel_bias: the IMU error that
+    both a_check_single and lambda_single read, formed once per tick."""
+    return np.concatenate((u.gyro - x.gyro_bias, u.accel - x.accel_bias),
+                          axis=-1)
+
+
+def lambda_single(x: VehicleState, e, world: WorldConfig):
+    """Tangent-space drift of the vehicles, given their IMU error e
+    (imu_error): the rotation rate w and the position and velocity rates
+    R^T v and f - R^T g, part-major as a (3, ..., 3) array, each part's
+    entries contiguous.  The biases never drift, so their rates, always
+    zero, are not formed.  Scaled by a period, the array holds the parts
+    lie.retract takes: its first part the rotation, the other two the
+    position and velocity columns (joint.propagate_vehicle)."""
+    drift = np.empty((3,) + x.pos.shape)
+    drift[0] = e[..., 0:3]
     # R^T v and R^T g, as the rows v^T R and g^T R
-    out[..., 3:6] = (x.vel[..., None, :] @ x.rot)[..., 0, :]
-    out[..., 6:9] = u.accel - x.accel_bias - world.gravity @ x.rot
-    return out
+    np.matmul(x.vel[..., None, :], x.rot, out=drift[1, ..., None, :])
+    np.subtract(e[..., 3:6], world.gravity @ x.rot, out=drift[2])
+    return drift
 
 
 def b_check_single(noise: NoiseModel):
@@ -251,10 +268,11 @@ def imu_noise_term(noise: NoiseModel):
 
 
 def _a_check_affine():
-    """a_check_single is affine in d = (gyro_bias - gyro, accel_bias - accel):
-    flattened, a = d @ linear + fixed with linear (6, 225) and fixed (225,)."""
+    """a_check_single is affine in the IMU error e = (w, f) (imu_error):
+    flattened, a = e @ linear + fixed with linear (6, 225) and fixed
+    (225,)."""
     linear = np.zeros((6, STATE_DOF, STATE_DOF))
-    for i, hat in enumerate(skew(np.eye(3))):
+    for i, hat in enumerate(skew(-np.eye(3))):
         for row in (0, 3, 6):
             linear[i, row:row + 3, row:row + 3] = hat
         linear[3 + i, 6:9, 0:3] = hat
@@ -266,12 +284,12 @@ def _a_check_affine():
 
 
 _A_LINEAR, _A_FIXED = _a_check_affine()
+_a_fixed = _stacked(_A_FIXED)
 
 
-def a_check_single(x: VehicleState, u: ImuSample):
-    """15x15 linearisation of the drift, evaluated at the estimate.
-
-    Depends on the state only through the bias estimates:
+def a_check_single(e):
+    """15x15 linearisation of the drift at the estimate, a function of the
+    IMU error e = (w, f) (imu_error) alone:
 
         [ -w^   0    0    -I   0 ]      w = gyro - gyro_bias
         [  0   -w^   I     0   0 ]      f = accel - accel_bias
@@ -279,9 +297,9 @@ def a_check_single(x: VehicleState, u: ImuSample):
         [  0    0    0     0   0 ]
         [  0    0    0     0   0 ]
     """
-    d = np.concatenate((x.gyro_bias - u.gyro, x.accel_bias - u.accel), axis=-1)
-    a = np.dot(d, _A_LINEAR) + _A_FIXED
-    return a.reshape(d.shape[:-1] + (STATE_DOF, STATE_DOF))
+    lead = e.shape[:-1]
+    a = np.dot(e, _A_LINEAR) + _a_fixed(lead)
+    return a.reshape(lead + (STATE_DOF, STATE_DOF))
 
 
 # -- measurement predictions -------------------------------------------------

@@ -460,7 +460,8 @@ class TestFactors:
         _, nodes = coupled_network(rng, 2, world, noise)
         imu = [ImuSample(rng.standard_normal(3), rng.standard_normal(3), 0)
                for _ in range(2)]
-        a = models.a_check_single(nodes.state, stack_samples(imu))
+        a = models.a_check_single(models.imu_error(nodes.state,
+                                                   stack_samples(imu)))
         tick_nodes(nodes, imu)
         msgs = nodes.emit_propagation_factors()
         for v, msg in enumerate(msgs):
@@ -476,7 +477,8 @@ class TestFactors:
         for k in range(5):
             imu = [ImuSample(rng.standard_normal(3), rng.standard_normal(3),
                              k * TICK_NS) for _ in range(2)]
-            a = models.a_check_single(nodes.state, stack_samples(imu))
+            a = models.a_check_single(models.imu_error(nodes.state,
+                                                       stack_samples(imu)))
             expected = expected + DT * (a @ expected)
             tick_nodes(nodes, imu)
         # the ordered product of the ticks' transitions Phi = I + A dt,
@@ -1419,6 +1421,59 @@ class TestRoundAtomicity:
         joint.update(*observations)
         assert_nodes_equal_joint(joint, nodes)
         assert nodes._last_obs_ns == joint._last_obs_ns
+
+
+class TestEmptyRound:
+    """A round with no observation is refused with a ValueError that names
+    it, and leaves the nodes as any refused round leaves them."""
+
+    TEXT = "^a round holds at least one observation, got an empty round$"
+
+    def network(self, world, noise):
+        rng = np.random.default_rng(35)
+        joint, nodes = make_network(rng, 2, world, noise)
+        propagate_pair(joint, nodes, rng, 2)
+        observations = round_observations(
+            nodes, [(models.INTERVEHICLE, 0, 1), (models.INTERVEHICLE, 1, 0)],
+            world, rng)
+        return joint, nodes, observations
+
+    def test_originate_update(self, world, noise):
+        """Refused before any reply is read: the update columns a caller's
+        earlier replies sent in the round stay sent."""
+        joint, nodes, observations = self.network(world, noise)
+        nodes.peer_state_reply(1)
+        arrays, clock = node_bits(nodes)
+        sent = set(nodes._sent)
+        with pytest.raises(ValueError, match=self.TEXT):
+            nodes.originate_update([], [])
+        after, after_clock = node_bits(nodes)
+        for a, b in zip(after, arrays):
+            assert_same_bits(a, b)
+        assert after_clock == clock and nodes._sent == sent == {1}
+        nodes._sent = set()
+        broadcasts, replies = originate_round(nodes, observations)
+        nodes.apply_update(broadcasts, replies)
+        joint.update(*observations)
+        assert_nodes_equal_joint(joint, nodes)
+
+    def test_apply_update(self, world, noise):
+        """Refused before anything moves; the round is over, so no update
+        column counts as sent, and the next round applies as the joint
+        filter does."""
+        joint, nodes, observations = self.network(world, noise)
+        broadcasts, replies = originate_round(nodes, observations)
+        arrays, clock = node_bits(nodes)
+        with pytest.raises(ValueError, match=self.TEXT):
+            nodes.apply_update([], [])
+        after, after_clock = node_bits(nodes)
+        for a, b in zip(after, arrays):
+            assert_same_bits(a, b)
+        assert after_clock == clock and nodes._sent == set()
+        broadcasts, replies = originate_round(nodes, observations)
+        nodes.apply_update(broadcasts, replies)
+        joint.update(*observations)
+        assert_nodes_equal_joint(joint, nodes)
 
 
 class TestDenseOracle:

@@ -5,6 +5,8 @@ the tests job runs Tier-1 again on fresh hypothesis draws."""
 
 import json
 import re
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -274,3 +276,52 @@ def test_tests_job_reruns_tier1_on_fresh_hypothesis_draws():
                  "suppress_health_check", "print_blob", "verbosity",
                  "report_multiple_bugs", "stateful_step_count", "backend"):
         assert getattr(fresh, name) == getattr(ci, name), name
+
+
+def traced_smoke_step():
+    """The tests job's traced benchmark smoke step, up to the next step."""
+    job = WORKFLOW.read_text().split("\n  tests:\n", 1)[1].split(
+        "\n  numpy-only:\n", 1)[0]
+    step = job.split("      - name: Traced benchmark smoke", 1)[1]
+    return step.split("\n      - name:", 1)[0]
+
+
+def test_tests_job_runs_a_traced_benchmark_smoke(tmp_path):
+    """After the untraced smoke the tests job runs every workload traced
+    for 2 s, and its check fails unless all three are correct with no
+    failed operation and collab-n6 and imu1k-n6 each count calls of
+    a_check_single, lambda_single and propagate_local.  The check is run
+    here on a passing output and on one broken each way."""
+    job = WORKFLOW.read_text().split("\n  tests:\n", 1)[1]
+    assert job.index("- name: Benchmark smoke") < job.index(
+        "- name: Traced benchmark smoke")
+    step = traced_smoke_step()
+    assert ("python3 perfbench/run.py --seconds 2 --trace 1 | tee "
+            "perfbench-trace.txt\n") in step
+    check = textwrap.dedent(re.search(r"<<'PY'\n(.*?)\n\s*PY\n", step,
+                                      re.S).group(1))
+    layers = ("models.a_check_single.calls", "models.lambda_single.calls",
+              "distributed.propagate_local.calls")
+
+    def result(calls=1, correct=True, failed=0):
+        metrics = {name: {"value": calls, "unit": "count"} for name in layers}
+        return {"correct": correct, "attempted": 3, "failed": failed,
+                "metrics": metrics}
+
+    def exit_code(results):
+        out = tmp_path / "trace.txt"
+        out.write_text("# env {}\n" + "".join(
+            f"{name}: {json.dumps(r)}\n" for name, r in results.items()))
+        return subprocess.run([sys.executable, "-", str(out)], input=check,
+                              text=True, capture_output=True).returncode
+
+    good = {name: result() for name in ("collab-n6", "imu1k-n6",
+                                        "replay-n3")}
+    assert exit_code(good) == 0
+    # replay-n3 need not count them
+    assert exit_code(dict(good, **{"replay-n3": result(calls=0)})) == 0
+    for name in ("collab-n6", "imu1k-n6"):
+        assert exit_code(dict(good, **{name: result(calls=0)})) != 0
+    for broken in (result(correct=False), result(failed=1)):
+        assert exit_code(dict(good, **{"replay-n3": broken})) != 0
+    assert exit_code({"collab-n6": result(), "imu1k-n6": result()}) != 0

@@ -240,7 +240,7 @@ class TestPropagate:
 
     def test_forced_zero_dynamics_gain_growth(self, world, noise, monkeypatch):
         monkeypatch.setattr(models, "a_check_single",
-                            lambda x, u: np.zeros((15, 15)))
+                            lambda e: np.zeros((15, 15)))
         f = JointFilter([identity_state()], np.eye(15), world, noise)
         dt = 0.01
         f.propagate(still_imu(), dt)
@@ -265,7 +265,8 @@ def rk4_reference(states, k, imu, world, noise, dt, substeps):
     n = len(states)
     poses = [pose_matrix(x) for x in states]
     biases = [(x.gyro_bias.copy(), x.accel_bias.copy()) for x in states]
-    a_blocks = [models.a_check_single(states[i], imu[i]) for i in range(n)]
+    a_blocks = [models.a_check_single(models.imu_error(states[i], imu[i]))
+                for i in range(n)]
     a_full = sla.block_diag(*a_blocks)
     b = models.b_check_single(noise)
     bwb = sla.block_diag(*[noise.w_inverse_scale() * (b @ b.T)] * n)

@@ -88,7 +88,8 @@ def _propagation_matrices(imu_rate_hz, monkeypatch):
 
     def recording_step(state, kdiag, lam, u, dt, *args):
         if lam is not None:
-            seen.append(models.a_check_single(state, u) * dt)
+            seen.append(models.a_check_single(models.imu_error(state, u))
+                        * dt)
         return step(state, kdiag, lam, u, dt, *args)
 
     monkeypatch.setattr(joint, "propagate_vehicle", recording_step)

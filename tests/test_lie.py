@@ -7,7 +7,7 @@ from scipy.spatial.transform import Rotation as ScipyRotation
 from meswarm.kernels import SMALL_ANGLE, skew
 from meswarm.lie import (ROT_DRIFT_TOL, STATE_DOF, VehicleState, compose,
                          group_exp, make_state, retract,
-                         rotation_error_angle)
+                         rotation_error_angle, tangent_parts)
 
 
 def random_state(rng, scale=1.0):
@@ -249,8 +249,10 @@ def drift(r):
 
 
 class TestRetract:
-    """retract(x, q) is compose(x, group_exp(q)) in one pass, entry for
-    entry, on one state and on stacks mixing both coefficient branches."""
+    """retract(x, *tangent_parts(q)) is compose(x, group_exp(q)) in one
+    pass, entry for entry, on one state and on stacks mixing both
+    coefficient branches; without a bias part it is the same with q's bias
+    slots zero."""
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.none() | st.integers(1, 12),
@@ -267,9 +269,15 @@ class TestRetract:
             phi[i] *= rng.uniform(0.0, 0.9 * SMALL_ANGLE) / np.linalg.norm(
                 phi[i])
         q[..., 0:3] = phi.reshape(lead + (3,))
-        got, want = retract(x, q), compose(x, group_exp(q))
+        got, want = retract(x, *tangent_parts(q)), compose(x, group_exp(q))
         for name in FIELDS:
             assert getattr(got, name).shape == getattr(want, name).shape
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name), err_msg=name)
+        phi, pv, _ = tangent_parts(q)
+        q[..., 9:] = 0.0
+        got, want = retract(x, phi, pv), compose(x, group_exp(q))
+        for name in FIELDS:
             np.testing.assert_array_equal(getattr(got, name),
                                           getattr(want, name), err_msg=name)
 
@@ -291,7 +299,7 @@ class TestRetract:
         x = VehicleState(rot, x.pos, x.vel, x.gyro_bias, x.accel_bias)
         assert drift(rot[drifted]) == pytest.approx(factor * ROT_DRIFT_TOL,
                                                     rel=1e-5)
-        got = retract(x, q).rot
+        got = retract(x, *tangent_parts(q)).rot
         for i in range(n):
             if i == drifted and factor > 1.0:
                 assert drift(got[i]) < 1e-14
@@ -311,7 +319,8 @@ class TestRetract:
         assert np.all(drift(rot) < ROT_DRIFT_TOL)
         assert np.sum(drift(rot) ** 2) > ROT_DRIFT_TOL ** 2
         x = VehicleState(rot, x.pos, x.vel, x.gyro_bias, x.accel_bias)
-        np.testing.assert_array_equal(retract(x, np.zeros((n, 15))).rot, rot)
+        np.testing.assert_array_equal(
+            retract(x, *tangent_parts(np.zeros((n, 15)))).rot, rot)
 
 
 class TestRotationError:

@@ -10,7 +10,7 @@ from meswarm.lie import (STATE_DOF, compose, group_exp, make_state,
                          stack_states)
 from meswarm.models import (ImuSample, NoiseModel, Observation,
                             ObservationError, WorldConfig, a_check_single,
-                            b_check_single, lambda_single,
+                            b_check_single, imu_error, lambda_single,
                             predict_intervehicle, predict_landmark)
 from test_lie import adjoint_matrix_from_vector, identity_state
 
@@ -49,6 +49,19 @@ def per_item(update_terms):
 
 def random_imu(rng, t_ns=0):
     return ImuSample(rng.standard_normal(3), rng.standard_normal(3), t_ns)
+
+
+def a_check(x, u):
+    """The drift's linearisation at state x under sample u."""
+    return a_check_single(imu_error(x, u))
+
+
+def drift_vector(x, u, world):
+    """The drift as a fifteen-entry tangent vector: lambda_single's parts,
+    rotation then position and velocity, and zero bias rates."""
+    rate, pos, vel = lambda_single(x, imu_error(x, u), world)
+    return np.concatenate((rate, pos, vel, np.zeros(x.pos.shape[:-1] + (6,))),
+                          axis=-1)
 
 
 def dense_residual(states, obs, world, noise, dt):
@@ -90,28 +103,37 @@ class TestLambda:
         x = make_state(x.rot, x.pos, np.zeros(3), x.gyro_bias, x.accel_bias)
         u = ImuSample(x.gyro_bias.copy(),
                       x.accel_bias + x.rot.T @ world.gravity, 0)
-        np.testing.assert_allclose(lambda_single(x, u, world), 0.0, atol=1e-15)
+        np.testing.assert_allclose(lambda_single(x, imu_error(x, u), world),
+                                   0.0, atol=1e-15)
 
     def test_direct_substitution(self, world):
         x = make_state(np.eye(3), np.zeros(3), [1.0, 0.0, 0.0])
         u = ImuSample(np.zeros(3), np.zeros(3), 0)
-        lam = lambda_single(x, u, world)
-        expected = np.zeros(15)
-        expected[3] = 1.0
-        expected[8] = -9.81
-        np.testing.assert_allclose(lam, expected)
+        drift = lambda_single(x, imu_error(x, u), world)
+        # rows w, R^T v and f - R^T g
+        np.testing.assert_allclose(drift, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                           [0.0, 0.0, -9.81]])
 
     def test_formula_oracle(self, world):
         rng = np.random.default_rng(1)
         for _ in range(50):
             x, u = random_state(rng), random_imu(rng)
-            lam = lambda_single(x, u, world)
-            np.testing.assert_allclose(lam[0:3], u.gyro - x.gyro_bias, atol=1e-14)
-            np.testing.assert_allclose(lam[3:6], x.rot.T @ x.vel, atol=1e-14)
+            drift = lambda_single(x, imu_error(x, u), world)
+            # rotation, position and velocity rates only: no bias slots
+            assert drift.shape == (3, 3)
+            rate, pos, vel = drift
+            np.testing.assert_allclose(rate, u.gyro - x.gyro_bias, atol=1e-14)
+            np.testing.assert_allclose(pos, x.rot.T @ x.vel, atol=1e-14)
             np.testing.assert_allclose(
-                lam[6:9], u.accel - x.accel_bias - x.rot.T @ world.gravity,
+                vel, u.accel - x.accel_bias - x.rot.T @ world.gravity,
                 atol=1e-14)
-            np.testing.assert_array_equal(lam[9:], 0.0)
+
+    def test_imu_error_is_the_bias_corrected_sample(self):
+        rng = np.random.default_rng(21)
+        x, u = random_state(rng), random_imu(rng)
+        np.testing.assert_array_equal(
+            imu_error(x, u), np.concatenate((u.gyro - x.gyro_bias,
+                                             u.accel - x.accel_bias)))
 
 
 class TestBCheck:
@@ -190,7 +212,7 @@ class TestACheck:
         rng = np.random.default_rng(5)
         x = random_state(rng)
         u = ImuSample(x.gyro_bias.copy(), x.accel_bias.copy(), 0)
-        a = a_check_single(x, u)
+        a = a_check(x, u)
         expected = np.zeros((15, 15))
         expected[0:3, 9:12] = -np.eye(3)
         expected[3:6, 6:9] = np.eye(3)
@@ -202,8 +224,7 @@ class TestACheck:
         x1, x2 = random_state(rng), random_state(rng)
         x2 = make_state(x2.rot, x2.pos, x2.vel, x1.gyro_bias, x1.accel_bias)
         u = random_imu(rng)
-        np.testing.assert_array_equal(a_check_single(x1, u),
-                                      a_check_single(x2, u))
+        np.testing.assert_array_equal(a_check(x1, u), a_check(x2, u))
 
     def test_finite_difference_oracle(self, world):
         rng = np.random.default_rng(7)
@@ -213,13 +234,12 @@ class TestACheck:
             d1 = np.zeros((15, 15))
             for k in range(15):
                 q = eps * np.eye(15)[k]
-                plus = lambda_single(compose(x, group_exp(q)), u, world)
-                minus = lambda_single(compose(x, group_exp(-q)), u, world)
+                plus = drift_vector(compose(x, group_exp(q)), u, world)
+                minus = drift_vector(compose(x, group_exp(-q)), u, world)
                 d1[:, k] = (plus - minus) / (2 * eps)
-            lam = lambda_single(x, u, world)
+            lam = drift_vector(x, u, world)
             expected = d1 - adjoint_matrix_from_vector(lam)
-            np.testing.assert_allclose(a_check_single(x, u), expected,
-                                       atol=1e-5)
+            np.testing.assert_allclose(a_check(x, u), expected, atol=1e-5)
 
 
 def hand_assembled_f_landmark(states, alpha, l):
@@ -747,5 +767,6 @@ class TestNoiseModel:
         u = random_imu(rng)
         shifted = make_state(x.rot, x.pos + 5.0, x.vel, x.gyro_bias,
                              x.accel_bias)
-        np.testing.assert_array_equal(lambda_single(x, u, world),
-                                      lambda_single(shifted, u, world))
+        np.testing.assert_array_equal(
+            lambda_single(x, imu_error(x, u), world),
+            lambda_single(shifted, imu_error(shifted, u), world))

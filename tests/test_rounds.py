@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from meswarm import harness, joint, models
 from meswarm.harness import ScheduleConfig, _observation_ticks, run_schedule
 from meswarm.joint import JointFilter, UpdateSingularError
-from meswarm.lie import STATE_DOF, retract, stack_states
+from meswarm.lie import STATE_DOF, retract, stack_states, tangent_parts
 from meswarm.models import Observation, WorldConfig
 from test_acceptance import scenario_noise, scenario_sources, scenario_world
 from test_distributed import GATE_DT, gate_system
@@ -288,7 +288,8 @@ class DensePerRound:
         self.fallbacks[obs.kind] += first_order
         psi = dt * (np.ascontiguousarray(self.k[:, ix]) @ w)
         self.k = k
-        self.state = retract(self.state, psi.reshape(self.n, STATE_DOF))
+        self.state = retract(self.state,
+                             *tangent_parts(psi.reshape(self.n, STATE_DOF)))
         self.clock[key] = obs.t_ns
 
     def round(self, rnd):
@@ -313,7 +314,9 @@ class DensePerRound:
             break
         self.fallbacks[rnd[0].kind] += first_order
         self.k = models._sym(k)
-        self.state = retract(self.state, (k @ r).reshape(self.n, STATE_DOF))
+        self.state = retract(self.state,
+                             *tangent_parts((k @ r).reshape(self.n,
+                                                            STATE_DOF)))
         for obs in rnd:
             self.clock[obs.kind, obs.observer, obs.subject] = obs.t_ns
         if rnd[0].kind == models.INTERVEHICLE and self.lam is None:

@@ -68,8 +68,9 @@ def test_stacked_kernels_equal_per_vehicle_calls(seed, n, data):
     xs = [x[i] for i in range(n)]
     z = lie.compose(x, y)
     assert_same_states(z, [lie.compose(xs[i], y[i]) for i in range(n)])
-    assert_same_states(lie.retract(x, q),
-                       [lie.retract(xs[i], q[i]) for i in range(n)])
+    assert_same_states(lie.retract(x, *lie.tangent_parts(q)),
+                       [lie.retract(xs[i], *lie.tangent_parts(q[i]))
+                        for i in range(n)])
     assert_same_states(inverse(x), [inverse(xi) for xi in xs])
     if drifted is not None:
         # only the drifted product was projected back onto SO(3)
@@ -87,11 +88,15 @@ def test_stacked_kernels_equal_per_vehicle_calls(seed, n, data):
     samples = [ImuSample(g, a, 0) for g, a in
                zip(theta, rng.standard_normal((n, 3)))]
     u = ImuSample(theta, np.array([s.accel for s in samples]), 0)
-    assert_same(models.a_check_single(x, u),
-                [models.a_check_single(xi, s) for xi, s in zip(xs, samples)])
-    assert_same(models.lambda_single(x, u, world),
-                [models.lambda_single(xi, s, world)
-                 for xi, s in zip(xs, samples)])
+    e = models.imu_error(x, u)
+    singles = [models.imu_error(xi, s) for xi, s in zip(xs, samples)]
+    assert_same(e, singles)
+    assert_same(models.a_check_single(e),
+                [models.a_check_single(ei) for ei in singles])
+    # part-major: vehicle i is column i of each part
+    assert_same(models.lambda_single(x, e, world).swapaxes(0, 1),
+                [models.lambda_single(xi, ei, world)
+                 for xi, ei in zip(xs, singles)])
 
     m = rng.standard_normal((n, STATE_DOF, STATE_DOF))
     kdiag = 0.1 * (m @ m.swapaxes(-1, -2)) + np.eye(STATE_DOF)
